@@ -71,10 +71,12 @@ bench:
 		-trace sample-trace.json
 
 # Micro-benchmarks for the simulator hot paths (allocations reported),
-# including the tracer's disabled/enabled emit costs.
+# layer by layer: cache lookup/insert/locate, the core's eviction
+# cascade, log-buffer insert/merge, the engine, and the tracer's
+# disabled/enabled emit costs.
 microbench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/engine/ ./internal/ycsb/ \
-		./internal/trace/
+	$(GO) test -run xxx -bench . -benchmem ./internal/cache/ ./internal/machine/ \
+		./internal/logbuf/ ./internal/engine/ ./internal/ycsb/ ./internal/trace/
 
 # Experiments gated by the perf-regression baseline (default flag
 # parameters: n=1000, value=256, seed=0 — what `-compare baselines/`

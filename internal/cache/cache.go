@@ -213,6 +213,25 @@ func (c *Cache) Peek(addr mem.Addr) *Line {
 	return nil
 }
 
+// Locate returns the line holding addr and its position idx =
+// set*ways+way, which is the order ForEach visits lines in, or
+// (nil, -1) if absent. Like Peek it leaves LRU and counters alone.
+func (c *Cache) Locate(addr mem.Addr) (*Line, int) {
+	la := mem.LineAddr(addr)
+	si := int((la >> mem.LineShift) & c.setMask)
+	set := c.sets[si]
+	for i := range set {
+		if set[i].State != Invalid && set[i].Addr == la {
+			return &set[i], si*c.cfg.Ways + i
+		}
+	}
+	return nil, -1
+}
+
+// Lines returns the level's capacity in lines (sets*ways), one past the
+// largest index Locate returns.
+func (c *Cache) Lines() int { return c.setCount * c.cfg.Ways }
+
 // Insert places a line with the given contents into the cache and
 // returns a pointer to it. If a victim had to be evicted, its copy is
 // returned with evicted=true. The caller (the machine layer) is

@@ -118,6 +118,32 @@ func TestForEachAndFlush(t *testing.T) {
 	}
 }
 
+// TestLocateMatchesForEachOrder: Locate's index is the line's rank in
+// ForEach order, so sorting located lines by it reproduces a full scan.
+func TestLocateMatchesForEachOrder(t *testing.T) {
+	c := New(Config{Name: "t", SizeBytes: 16 * mem.LineSize, Ways: 4, LatencyCycles: 1})
+	// Fill out of address order, with an eviction and a removal, so way
+	// placement differs from insertion order.
+	for _, a := range []mem.Addr{0x300, 0x40, 0x100, 0x500, 0x0, 0x200, 0x400, 0x80, 0x600} {
+		c.Insert(Line{Addr: a, State: Exclusive})
+	}
+	c.Remove(0x200)
+	prev := -1
+	c.ForEach(func(l *Line) {
+		got, idx := c.Locate(l.Addr + 8)
+		if got != l || idx <= prev || idx >= c.Lines() {
+			t.Errorf("Locate(%#x) = %p/%d after index %d; ForEach has %p", l.Addr, got, idx, prev, l)
+		}
+		prev = idx
+	})
+	if l, idx := c.Locate(0x200); l != nil || idx != -1 {
+		t.Errorf("Locate of a removed line = %p/%d, want nil/-1", l, idx)
+	}
+	if _, misses, _ := c.Stats(); misses != 0 {
+		t.Error("Locate touched the counters")
+	}
+}
+
 func TestGeometryValidation(t *testing.T) {
 	for _, cfg := range []Config{
 		{Name: "bad", SizeBytes: 0, Ways: 4},

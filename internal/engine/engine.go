@@ -118,6 +118,15 @@ type Engine struct {
 	// set and the write set in overlapping scopes.
 	lazyKeyBuf []mem.Addr
 	wsKeyBuf   []mem.Addr
+
+	// walkBuf is the reusable list of located lines the commit walks
+	// (txLines, epochLines) visit.
+	walkBuf []machine.PrivateLine
+	// abortedLines holds, per transaction ID, the write-set lines an
+	// abort left cached with their metadata (log-free lines keep their
+	// updates and persist bits). The next commit under the same ID
+	// walks them too, as the commit scan matches them by TxID.
+	abortedLines [NumTxIDs][]mem.Addr
 }
 
 // sortedKeys collects m's line addresses into buf (reused across calls)
@@ -673,16 +682,16 @@ func (e *Engine) RetainedLazyLines() int {
 // before an L1 line's log bits fold to L2 granularity, partially logged
 // 32-byte groups are rounded up by logging their remaining words, so the
 // folded bit is preserved and re-fetch does not re-log.
-func (e *Engine) onL1Demote(l *cache.Line) {
+func (e *Engine) onL1Demote(l cache.Line) cache.Line {
 	if !e.cfg.Speculative || !e.cur.active || l.LogBits == 0 {
-		return
+		return l
 	}
 	prev := e.m.SetCause(profile.CauseLogAppend)
 	defer e.m.SetCause(prev)
 	e.m.PushAsync()
 	defer e.m.PopAsync()
 	if l.TxID != lineID(e.cur.id) {
-		return
+		return l
 	}
 	for g := 0; g < 2; g++ {
 		group := uint8(0x0F << uint(4*g))
@@ -703,12 +712,13 @@ func (e *Engine) onL1Demote(l *cache.Line) {
 			l.LogBits |= bit
 		}
 	}
+	return l
 }
 
 // onL2Evict is the hardware action when a line leaves the private
 // caches: buffered log records for the line are made durable, and (undo
 // mode) a persist-bit line is persisted before the eviction (§III-A).
-func (e *Engine) onL2Evict(l *cache.Line) {
+func (e *Engine) onL2Evict(l cache.Line) cache.Line {
 	// Eviction handling is background hardware activity.
 	e.m.PushAsync()
 	defer e.m.PopAsync()
@@ -722,7 +732,7 @@ func (e *Engine) onL2Evict(l *cache.Line) {
 		e.sink.flushLine(l.Addr)
 	}
 	if !l.Persist {
-		return
+		return l
 	}
 	if e.cfg.Mode == Redo {
 		if e.cur.active {
@@ -730,19 +740,20 @@ func (e *Engine) onL2Evict(l *cache.Line) {
 				// Redo-logged data must not reach PM before the commit
 				// record; the line stays dirty and its L3 writeback is
 				// suppressed by the filter.
-				return
+				return l
 			}
 		}
 		if _, ok := e.epochLogged[l.Addr]; ok {
 			// Same fence at epoch granularity: data logged by a committed
 			// window transaction waits for the epoch's commit marker.
-			return
+			return l
 		}
 	}
 	e.m.ForcePersistLine(l.Addr)
 	e.m.Stats.EvictLinePersists++
 	l.Persist = false
 	l.State = cache.Exclusive
+	return l
 }
 
 // onL3Writeback retires lazy tracking for a line that reached PM by
@@ -796,6 +807,7 @@ func (e *Engine) Commit() {
 	} else {
 		e.commitRedo()
 	}
+	e.abortedLines[e.cur.id] = e.abortedLines[e.cur.id][:0]
 	// Retain the working set while lazy data is volatile (§III-C). The
 	// lazy set's ownership moves to the retained entry; Begin replaces
 	// it from the recycle pool.
@@ -852,10 +864,11 @@ func (e *Engine) commitUndo() {
 	e.m.PopStream()
 	e.m.SetCause(prev)
 	e.m.AckBarrier()
-	// Stage 2: persist the marked data lines. The commit scan walks the
-	// private caches line by line, issuing one coherence-level persist
-	// request per line and waiting for its completion — the serialized
-	// critical path that lazy persistency takes transactions off of.
+	// Stage 2: persist the marked data lines. The commit walk visits the
+	// transaction's private lines in cache-scan order, issuing one
+	// coherence-level persist request per line and waiting for its
+	// completion — the serialized critical path that lazy persistency
+	// takes transactions off of.
 	prev = e.m.SetCause(profile.CauseCommitData)
 	e.persistMarkedLines()
 	e.m.SetCause(prev)
@@ -917,12 +930,9 @@ func (e *Engine) commitRedo() {
 // the close's data flush. The transaction's eager write-set lines and
 // its non-lazy logged lines accumulate in the epoch sets.
 func (e *Engine) commitGrouped() {
-	id := lineID(e.cur.id)
-	e.m.ForEachPrivate(func(level int, l *cache.Line) {
-		if l.TxID == id {
-			l.LogBits = 0
-		}
-	})
+	for _, p := range e.txLines() {
+		p.Line.LogBits = 0
+	}
 	e.wsKeyBuf = sortedKeys(e.wsKeyBuf, e.cur.writeLines)
 	for _, la := range e.wsKeyBuf {
 		if _, lazy := e.cur.lazyLines[la]; lazy {
@@ -1184,24 +1194,61 @@ func (e *Engine) shadowPersistCommitted(lines []mem.Addr, to uint64) {
 
 // clearEpochPersistBits retires the persist bits of the epoch's
 // pending lines after the close's data flush, mirroring the W=1
-// commit scan's metadata clear.
+// commit walk's metadata clear.
 func (e *Engine) clearEpochPersistBits() {
-	e.m.ForEachPrivate(func(level int, l *cache.Line) {
-		if _, ok := e.epochPending[l.Addr]; ok {
-			l.Persist = false
-		}
-	})
+	for _, p := range e.epochLines() {
+		p.Line.Persist = false
+	}
 }
 
-// persistMarkedLines scans the private caches (the hardware's commit
-// scan, §II) persisting every line whose persist bit is set and clearing
-// the transaction's metadata.
-func (e *Engine) persistMarkedLines() {
+// epochLines returns the private-cache lines of the epoch's pending set
+// in commit-scan order (see txLines).
+func (e *Engine) epochLines() []machine.PrivateLine {
+	e.walkBuf = collectPrivate(e.m, e.walkBuf[:0], e.epochPending)
+	slices.SortFunc(e.walkBuf, byScanPos)
+	return e.walkBuf
+}
+
+// txLines returns the private-cache lines the hardware's commit scan
+// (§II) matches by the running transaction's ID, in that scan's order
+// (L1 before L2, then set, then way), so the WPQ sees the same persist
+// sequence as a walk over every private line. Only this core's stores
+// stamp a line's TxID, so the candidates are the write set plus the
+// surviving lines of aborted transactions that held the same ID; lines
+// of earlier committed holders still carrying the recycled ID had
+// their metadata cleared by that commit and would be no-ops. The
+// result is valid until the next cache access: persists move no lines.
+func (e *Engine) txLines() []machine.PrivateLine {
+	buf := collectPrivate(e.m, e.walkBuf[:0], e.cur.writeLines)
+	for _, la := range e.abortedLines[e.cur.id] {
+		buf = e.m.LocatePrivate(buf, la)
+	}
 	id := lineID(e.cur.id)
-	e.m.ForEachPrivate(func(level int, l *cache.Line) {
-		if l.TxID != id {
-			return
-		}
+	buf = slices.DeleteFunc(buf, func(p machine.PrivateLine) bool { return p.Line.TxID != id })
+	slices.SortFunc(buf, byScanPos)
+	// An aborted line the running transaction also wrote is located
+	// twice.
+	buf = slices.CompactFunc(buf, func(a, b machine.PrivateLine) bool { return a.Pos == b.Pos })
+	e.walkBuf = buf
+	return buf
+}
+
+// collectPrivate appends the private-cache copies of m's lines to buf.
+func collectPrivate[V any](c *machine.Core, buf []machine.PrivateLine, m map[mem.Addr]V) []machine.PrivateLine {
+	for la := range m { //slpmt:determinism-ok: callers sort the located lines by scan position
+		buf = c.LocatePrivate(buf, la)
+	}
+	return buf
+}
+
+func byScanPos(a, b machine.PrivateLine) int { return a.Pos - b.Pos }
+
+// persistMarkedLines walks the transaction's lines in commit-scan order
+// (§II), persisting every line whose persist bit is set and clearing the
+// transaction's metadata.
+func (e *Engine) persistMarkedLines() {
+	for _, p := range e.txLines() {
+		l := p.Line
 		if l.Persist {
 			if e.m.PersistLine(l.Addr) {
 				e.m.Stats.EagerLinePersists++
@@ -1209,20 +1256,16 @@ func (e *Engine) persistMarkedLines() {
 			l.Persist = false
 		}
 		l.LogBits = 0
-	})
+	}
 }
 
 // clearTxMeta clears persist/log bits of the transaction's lines after a
 // redo commit.
 func (e *Engine) clearTxMeta() {
-	id := lineID(e.cur.id)
-	e.m.ForEachPrivate(func(level int, l *cache.Line) {
-		if l.TxID != id {
-			return
-		}
-		l.Persist = false
-		l.LogBits = 0
-	})
+	for _, p := range e.txLines() {
+		p.Line.Persist = false
+		p.Line.LogBits = 0
+	}
 }
 
 // writeCommitMarker persists the committed state in the log header.
@@ -1346,6 +1389,7 @@ func (e *Engine) Abort() {
 	e.wsKeyBuf = sortedKeys(e.wsKeyBuf, e.cur.writeLines)
 	for _, la := range e.wsKeyBuf {
 		if e.cur.writeLines[la]&wsLogged == 0 {
+			e.abortedLines[e.cur.id] = append(e.abortedLines[e.cur.id], la)
 			continue
 		}
 		e.m.DropLine(la)

@@ -124,15 +124,6 @@ func BenchmarkMicroLogAppendSync(b *testing.B) {
 	}
 }
 
-func BenchmarkMicroLogBufferInsert(b *testing.B) {
-	buf := logbuf.New(func([]logbuf.Record) {})
-	data := make([]byte, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Insert(logbuf.Record{Addr: mem.Addr(i%(1<<16)) * 8, Data: data})
-	}
-}
-
 func BenchmarkMicroSignature(b *testing.B) {
 	var s signature.Signature
 	b.ResetTimer()

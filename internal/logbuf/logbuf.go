@@ -17,11 +17,15 @@
 //
 // The buffer is a pure in-memory structure: spilling is delegated to the
 // owner through the Spill callback, which the transaction engine wires
-// to the machine's WPQ.
+// to the machine's WPQ. The buffer owns the payloads of merged records,
+// like the hardware's fixed tier storage, and reuses that storage once a
+// record leaves the buffer; inserting, merging and spilling allocate
+// nothing.
 package logbuf
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/persistmem/slpmt/internal/mem"
 )
@@ -87,14 +91,31 @@ type Stats struct {
 	Stalls    uint64 // inserts that forced a tier drain
 }
 
+// chunkSlots is the number of payload chunks each merged tier (1-3)
+// owns: its TierRecords buffered records plus the one record a merge or
+// an insert into a full tier holds while the tier drains.
+const chunkSlots = TierRecords + 1
+
 // Buffer is the four-tier log buffer. Not safe for concurrent use.
 type Buffer struct {
 	tiers [Tiers][]Record
 	// Spill receives records evicted from the buffer by capacity
-	// pressure or an explicit flush; they must be made durable. May be
-	// nil in tests, in which case spilled records are dropped.
+	// pressure or an explicit flush; they must be made durable. The
+	// callback must not retain the slice or the records' payloads past
+	// its return: both are reused by later inserts. May be nil in
+	// tests, in which case spilled records are dropped.
 	Spill func([]Record)
 	stats Stats
+
+	// store holds the payloads of merged records: chunkSlots chunks of
+	// DataSize(t) bytes for each tier t >= 1 (tier 0 records are never
+	// the product of a merge). used[t] has bit i set while chunk i of
+	// tier t backs a live record. Inserted records keep the caller's
+	// payload.
+	store [chunkSlots * (16 + 32 + 64)]byte
+	used  [Tiers]uint16
+	// taken is takeLine's reusable result.
+	taken []Record
 }
 
 // New returns an empty buffer with the given spill callback.
@@ -152,7 +173,7 @@ func (b *Buffer) insert(t int, r Record) {
 		}
 		q := b.tiers[t][idx]
 		b.tiers[t] = append(b.tiers[t][:idx], b.tiers[t][idx+1:]...)
-		r = merge(r, q)
+		r = b.merge(t, r, q)
 		b.stats.Coalesced++
 		t++
 	}
@@ -165,14 +186,17 @@ func (b *Buffer) insert(t int, r Record) {
 	b.tiers[t] = append(b.tiers[t], r)
 }
 
-// merge combines two buddy records into one of the next size class.
-func merge(a, c Record) Record {
+// merge combines two tier-t buddy records into one of tier t+1, whose
+// payload lives in the buffer's storage; the pair's chunks are freed.
+func (b *Buffer) merge(t int, a, c Record) Record {
 	if a.Addr > c.Addr {
 		a, c = c, a
 	}
-	data := make([]byte, 0, len(a.Data)*2)
-	data = append(data, a.Data...)
-	data = append(data, c.Data...)
+	data := b.alloc(t + 1)
+	n := copy(data, a.Data)
+	copy(data[n:], c.Data)
+	b.release(a)
+	b.release(c)
 	return Record{
 		Addr:        a.Addr,
 		Data:        data,
@@ -180,22 +204,61 @@ func merge(a, c Record) Record {
 	}
 }
 
-// drainTier spills every record of tier t.
-func (b *Buffer) drainTier(t int) {
-	if len(b.tiers[t]) == 0 {
-		return
-	}
-	b.spill(b.tiers[t])
-	b.tiers[t] = b.tiers[t][:0]
+// chunk returns payload chunk i of tier t (t >= 1).
+func (b *Buffer) chunk(t, i int) []byte {
+	size := DataSize(t)
+	// Tiers 1..t-1 precede tier t: chunkSlots*(16+32+...+8<<(t-1)) bytes.
+	off := chunkSlots*DataSize(0)*((1<<t)-2) + i*size
+	return b.store[off : off+size : off+size]
 }
 
+// alloc claims a free payload chunk of tier t. The tier never holds
+// more than chunkSlots records at once, so one is always free.
+func (b *Buffer) alloc(t int) []byte {
+	free := ^b.used[t] & (1<<chunkSlots - 1)
+	if free == 0 {
+		panic("logbuf: merged-record storage exhausted")
+	}
+	i := bits.TrailingZeros16(free)
+	b.used[t] |= 1 << i
+	return b.chunk(t, i)
+}
+
+// release frees the chunk backing r's payload, if the buffer owns it.
+func (b *Buffer) release(r Record) {
+	t := r.Tier()
+	if t <= 0 {
+		return
+	}
+	for u := b.used[t]; u != 0; u &= u - 1 {
+		i := bits.TrailingZeros16(u)
+		if &b.chunk(t, i)[0] == &r.Data[0] {
+			b.used[t] &^= 1 << i
+			return
+		}
+	}
+}
+
+// drainTier spills every record of tier t.
+func (b *Buffer) drainTier(t int) {
+	recs := b.tiers[t]
+	if len(recs) == 0 {
+		return
+	}
+	b.tiers[t] = recs[:0]
+	b.spill(recs)
+}
+
+// spill frees recs' chunks and hands the records to the callback. The
+// chunks stay intact until the next insert, which cannot happen before
+// the callback returns.
 func (b *Buffer) spill(recs []Record) {
+	for _, r := range recs {
+		b.release(r)
+	}
 	b.stats.Spilled += uint64(len(recs))
 	if b.Spill != nil {
-		// Copy: the callback may retain the slice.
-		out := make([]Record, len(recs))
-		copy(out, recs)
-		b.Spill(out)
+		b.Spill(recs)
 	}
 }
 
@@ -215,12 +278,17 @@ func (b *Buffer) FlushLine(lineAddr mem.Addr) int {
 // persistent lines (§III-B2). Returns the number discarded.
 func (b *Buffer) DiscardLine(lineAddr mem.Addr) int {
 	recs := b.takeLine(lineAddr)
+	for _, r := range recs {
+		b.release(r)
+	}
 	b.stats.Discarded += uint64(len(recs))
 	return len(recs)
 }
 
+// takeLine removes the line's records, tier by tier in buffer order, into
+// the reusable taken slice.
 func (b *Buffer) takeLine(lineAddr mem.Addr) []Record {
-	var out []Record
+	out := b.taken[:0]
 	for t := range b.tiers {
 		kept := b.tiers[t][:0]
 		for _, r := range b.tiers[t] {
@@ -232,6 +300,7 @@ func (b *Buffer) takeLine(lineAddr mem.Addr) []Record {
 		}
 		b.tiers[t] = kept
 	}
+	b.taken = out
 	return out
 }
 
@@ -263,11 +332,12 @@ func (b *Buffer) Clear() int {
 	for t := range b.tiers {
 		b.tiers[t] = b.tiers[t][:0]
 	}
+	b.used = [Tiers]uint16{}
 	return n
 }
 
-// Records returns a snapshot of all buffered records (for tests and the
-// commit-time lazy scan).
+// Records returns a snapshot of all buffered records (for tests). The
+// payloads of merged records stay valid only until the next insert.
 func (b *Buffer) Records() []Record {
 	out := make([]Record, 0, b.Len())
 	for t := range b.tiers {

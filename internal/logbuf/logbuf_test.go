@@ -163,8 +163,17 @@ func TestPayloadPreservation(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		want := map[mem.Addr]byte{}
-		var spilled []Record
-		b := New(func(rs []Record) { spilled = append(spilled, rs...) })
+		got := map[mem.Addr]byte{}
+		collect := func(rs []Record) {
+			for _, r := range rs {
+				for w := 0; w < len(r.Data)/8; w++ {
+					got[r.Addr+mem.Addr(w*8)] = r.Data[w*8]
+				}
+			}
+		}
+		// Spilled payloads are read inside the callback: the buffer
+		// reuses their storage afterwards.
+		b := New(collect)
 		for i := 0; i < int(n); i++ {
 			addr := mem.Addr(rng.Intn(64)) * 8
 			fill := byte(rng.Intn(255) + 1)
@@ -174,15 +183,6 @@ func TestPayloadPreservation(t *testing.T) {
 			want[addr] = fill
 			b.Insert(word(addr, fill))
 		}
-		got := map[mem.Addr]byte{}
-		collect := func(rs []Record) {
-			for _, r := range rs {
-				for w := 0; w < len(r.Data)/8; w++ {
-					got[r.Addr+mem.Addr(w*8)] = r.Data[w*8]
-				}
-			}
-		}
-		collect(spilled)
 		collect(b.Records())
 		if len(got) != len(want) {
 			return false

@@ -66,14 +66,16 @@ type Core struct {
 
 	// OnL1Demote is invoked when a line is evicted from L1 to L2,
 	// before its word-granularity log bits are folded to the L2
-	// granularity. The speculative-logging optimization (§III-B1) uses
-	// it to round partially logged 32-byte groups up.
-	OnL1Demote func(l *cache.Line)
+	// granularity; the returned line is what L2 receives. The
+	// speculative-logging optimization (§III-B1) uses it to round
+	// partially logged 32-byte groups up. Lines pass by value so a
+	// demotion never moves the victim to the heap.
+	OnL1Demote func(l cache.Line) cache.Line
 	// OnL2Evict is invoked when a line leaves the private caches (L2 ->
 	// L3). The engine persists the associated log record and, if the
-	// persist bit is set, the line itself, mutating the line's metadata
-	// before it enters L3 (which carries no metadata).
-	OnL2Evict func(l *cache.Line)
+	// persist bit is set, the line itself, returning the line with its
+	// metadata updated before it enters L3 (which carries no metadata).
+	OnL2Evict func(l cache.Line) cache.Line
 	// OnL3Writeback is invoked after a dirty line of this core reaches
 	// PM outside an explicit persist — an L3 victim writeback or a
 	// coherence writeback forced by a remote core's request; the engine
@@ -300,9 +302,11 @@ func (c *Core) insertL1(line cache.Line) *cache.Line {
 
 // demoteToL2 folds the L1 word-granularity log bits into the L2
 // 32-byte-granularity bits (Figure 5) and inserts the line into L2.
+//
+//slpmt:noalloc
 func (c *Core) demoteToL2(v cache.Line) {
 	if c.OnL1Demote != nil {
-		c.OnL1Demote(&v)
+		v = c.OnL1Demote(v)
 	}
 	v.LogBits = cache.FoldLogBits(v.LogBits)
 	_, victim, evicted := c.L2.Insert(v)
@@ -315,9 +319,11 @@ func (c *Core) demoteToL2(v cache.Line) {
 // demoteToL3 hands the line to the engine hook (which persists log
 // records and persist-bit lines before they leave the private caches,
 // §III-A), strips the SLPMT metadata, and inserts into the shared L3.
+//
+//slpmt:noalloc
 func (c *Core) demoteToL3(v cache.Line) {
 	if c.OnL2Evict != nil {
-		c.OnL2Evict(&v)
+		v = c.OnL2Evict(v)
 	}
 	c.Trace(trace.KCacheEvict, v.Addr, 2)
 	v.Persist = false
@@ -674,12 +680,27 @@ func (c *Core) FindCached(addr mem.Addr) (int, *cache.Line) {
 	return 0, nil
 }
 
-// ForEachPrivate invokes fn on every line resident in the private caches
-// (L1 and L2) — the scan the hardware performs at commit and when
-// persisting lazy data (§III-C2).
-func (c *Core) ForEachPrivate(fn func(level int, l *cache.Line)) {
-	c.L1.ForEach(func(l *cache.Line) { fn(1, l) })
-	c.L2.ForEach(func(l *cache.Line) { fn(2, l) })
+// PrivateLine is a line resident in a core's private caches, tagged
+// with its position in their scan order: L1 before L2, then set, then
+// way.
+type PrivateLine struct {
+	Pos  int
+	Line *cache.Line
+}
+
+// LocatePrivate appends the private-cache copies of the line holding
+// addr to buf. Sorting a set of located lines by Pos yields the order
+// in which the commit hardware's scan of the private caches (§II)
+// visits them, at a cost proportional to the set rather than to the
+// cache size.
+func (c *Core) LocatePrivate(buf []PrivateLine, addr mem.Addr) []PrivateLine {
+	if l, i := c.L1.Locate(addr); l != nil {
+		buf = append(buf, PrivateLine{Pos: i, Line: l})
+	}
+	if l, i := c.L2.Locate(addr); l != nil {
+		buf = append(buf, PrivateLine{Pos: c.L1.Lines() + i, Line: l})
+	}
+	return buf
 }
 
 // FlushAllDirty persists every dirty line in this core's hierarchy view

@@ -85,11 +85,11 @@ func TestL3StripsMetadataAndWritebacks(t *testing.T) {
 	l.TxID = 1
 
 	var evicted *cache.Line
-	m.OnL2Evict = func(l *cache.Line) {
+	m.OnL2Evict = func(l cache.Line) cache.Line {
 		if l.Addr == base {
-			cp := *l
-			evicted = &cp
+			evicted = &l
 		}
+		return l
 	}
 	// Push the line to L3 by saturating its L1 and L2 sets (same-set
 	// stride 64 KiB), without also overflowing the L3 set.

@@ -36,6 +36,7 @@ package slpmt
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"github.com/persistmem/slpmt/internal/engine"
 	"github.com/persistmem/slpmt/internal/isa"
@@ -137,6 +138,10 @@ type System struct {
 	rec    Recorder
 	inTx   bool
 	modes  systemModes
+	// copyBuf is Tx.Copy's staging buffer, reused across calls: the
+	// engine's Store copies the bytes into the memory image and the log
+	// records capture old values from there, so nothing retains it.
+	copyBuf []byte
 }
 
 // systemModes holds execution-mode flags.
@@ -389,7 +394,8 @@ func (tx *Tx) StoreTU64(addr Addr, v uint64, attr Attr) {
 // the compiler's Pattern 2 analysis keys on.
 func (tx *Tx) Copy(dst, src Addr, size int, attr Attr) {
 	tx.mutcheck()
-	buf := make([]byte, size)
+	buf := slices.Grow(tx.s.copyBuf[:0], size)[:size]
+	tx.s.copyBuf = buf
 	tx.s.Eng.Load(src, buf)
 	kind, a := tx.effective(attr)
 	tx.s.Eng.Store(dst, buf, kind, a)
