@@ -2,8 +2,8 @@
 
 GO ?= go
 
-.PHONY: all build test race check bench microbench fmt vet sanitize \
-	stream-check critpath baseline compare report
+.PHONY: all build test race check bench microbench fmt vet trace-gate \
+	baseline compare report
 
 all: build
 
@@ -32,30 +32,17 @@ vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/slpmtvet -time
 
-# Replay a traced 2-core run through the persist-order sanitizer
-# (internal/trace/sanitize.go): log-before-data, commit-marker order,
-# WPQ FIFO, lazy-drain obligations. Zero violations required.
-sanitize:
-	$(GO) run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 -sanitize
-
-# Streamed-trace equivalence gate: a 2-core hashtable run streams its
-# trace into an SLPSEG01 binlog (stream-out/, with NDJSON telemetry),
-# the binlog replays through the persist-order sanitizer, and the
-# streamed Summary/Sanitize/WPQ reductions must byte-match the
-# in-memory analyses over the same binlog. Nonzero exit on divergence.
-stream-check:
+# Traced-run gate: one 2-core hashtable run streams its trace into an
+# SLPSEG01 binlog (stream-out/, with NDJSON telemetry), and the binlog
+# replays through the persist-order sanitizer (internal/trace/sanitize.go:
+# log-before-data, commit-marker order, WPQ FIFO, lazy-drain
+# obligations; zero violations and zero dropped events required) and
+# the causal critical-path analyzer, whose conservation contract (path
+# length == makespan) is enforced inside the harness. The
+# blame/slack/hot-line report lands in stream-out/critpath.txt.
+trace-gate:
 	$(GO) run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 \
-		-trace-stream stream-out -stream-check -sanitize
-
-# Causal critical-path gate: the same streamed 2-core run carries the
-# blocking-DAG analyzer fed from the binlog; -stream-check requires the
-# streamed analysis to byte-match the in-memory replay, and the
-# conservation contract (path length == makespan) is enforced inside
-# the harness. The blame/slack/hot-line report lands in
-# stream-out/critpath.txt for artifact upload.
-critpath:
-	$(GO) run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 \
-		-trace-stream stream-out -stream-check -critpath -hotlines 10
+		-trace-stream stream-out -sanitize -critpath -hotlines 10
 
 # Full gate: formatting, vet, build, tests, race subset.
 check:

@@ -46,10 +46,9 @@
 // -trace switches to single-run tracing mode: instead of an experiment
 // grid, one run of -workload under -scheme executes with the cycle-level
 // tracer attached, the latency/WPQ metrics print to stdout, and the full
-// event stream is exported to the given path — Perfetto/Chrome
-// trace_event JSON (load it at https://ui.perfetto.dev), or the compact
-// binary format if the path ends in ".bin" (read it back with
-// trace.ReadBinary):
+// event stream is exported to the given path as Perfetto/Chrome
+// trace_event JSON (load it at https://ui.perfetto.dev). Binary capture
+// is -trace-stream:
 //
 //	slpmtbench -workload hashtable -cores 2 -trace out.json
 //
@@ -60,18 +59,17 @@
 // hold), live telemetry snapshots are written to telemetry.ndjson (one
 // line per -interval cycles), and the printed latency/WPQ metrics come
 // from the online streaming consumers. Tail the directory live with
-// `slpmttrace -trace-stream dir -follow`. -stream-check additionally
-// replays the binlog through the in-memory analyses and exits nonzero
-// if any streamed reduction diverges — the CI stream-check gate.
-// Combining with -sanitize replays the binlog through the persist-order
-// checker instead of keeping the event stream in memory:
+// `slpmttrace -trace-stream dir -follow`. Combining with -sanitize
+// replays the binlog through the persist-order checker instead of
+// keeping the event stream in memory, and with -critpath feeds the
+// binlog to the critical-path analyzer; the one traced gate run of
+// scripts/check.sh and CI combines all three:
 //
 //	slpmtbench -workload hashtable -cores 2 -trace-stream out/ -interval 65536
-//	slpmtbench -workload hashtable -cores 2 -trace-stream out/ -stream-check
-//	slpmtbench -workload hashtable -cores 2 -trace-stream out/ -sanitize
+//	slpmtbench -workload hashtable -cores 2 -trace-stream out/ -sanitize -critpath -hotlines 10
 //
 // -sanitize runs one -workload/-scheme execution under the persist-order
-// sanitizer (trace.Sanitize): the run is traced with the sanitizer's
+// sanitizer (stream.Sanitize): the run is traced with the sanitizer's
 // kind mask and the event stream is replayed against the paper's §III
 // ordering rules (log records durable before their data lines, commit
 // marker ordering per log mode, WPQ FIFO retirement, lazy-drain
@@ -90,12 +88,10 @@
 // conservation contract — critical-path length == measured makespan —
 // is enforced, and the analysis is observation-only. Composing with
 // -trace-stream feeds the analyzer from the on-disk binlog instead of
-// the ring (and writes the report to <dir>/critpath.txt); adding
-// -stream-check verifies the streamed analysis byte-matches the
-// in-memory one:
+// the ring (and writes the report to <dir>/critpath.txt):
 //
 //	slpmtbench -workload hashtable -cores 2 -critpath -hotlines 5
-//	slpmtbench -workload hashtable -cores 2 -trace-stream out/ -critpath -stream-check
+//	slpmtbench -workload hashtable -cores 2 -trace-stream out/ -critpath
 package main
 
 import (
@@ -106,7 +102,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"github.com/persistmem/slpmt/internal/bench"
@@ -114,6 +109,7 @@ import (
 	"github.com/persistmem/slpmt/internal/profile"
 	"github.com/persistmem/slpmt/internal/report"
 	"github.com/persistmem/slpmt/internal/trace"
+	"github.com/persistmem/slpmt/internal/trace/stream"
 	_ "github.com/persistmem/slpmt/internal/workloads/all"
 )
 
@@ -136,12 +132,11 @@ func run() error {
 		jsonOut  = flag.Bool("json", false, "write machine-readable BENCH_<experiment>.json per experiment")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile taken after the sweep to this file")
-		tracePth = flag.String("trace", "", "trace one run of -workload/-scheme and export events to this path (.json = Perfetto, .bin = binary)")
-		streamD  = flag.String("trace-stream", "", "stream one run of -workload/-scheme into an SLPSEG01 binlog directory (bounded memory; composes with -sanitize)")
+		tracePth = flag.String("trace", "", "trace one run of -workload/-scheme and export its events to this path as Perfetto JSON")
+		streamD  = flag.String("trace-stream", "", "stream one run of -workload/-scheme into an SLPSEG01 binlog directory (bounded memory; composes with -sanitize and -critpath)")
 		interval = flag.Uint64("interval", 0, "telemetry snapshot interval in cycles for -trace-stream (0 = default)")
-		streamCk = flag.Bool("stream-check", false, "with -trace-stream: verify the streamed Summary/Sanitize/WPQ reductions byte-match the in-memory analyses over the binlog (exit nonzero on divergence)")
 		sanitize = flag.Bool("sanitize", false, "replay one run of -workload/-scheme through the persist-order sanitizer (exit nonzero on violations)")
-		critpath = flag.Bool("critpath", false, "run one -workload/-scheme execution under the causal critical-path analyzer and print the blame/slack/hot-line report (composes with -trace-stream and -stream-check)")
+		critpath = flag.Bool("critpath", false, "run one -workload/-scheme execution under the causal critical-path analyzer and print the blame/slack/hot-line report (composes with -trace-stream)")
 		hotlines = flag.Int("hotlines", 10, "hot lines to list in the -critpath report")
 		flamePth = flag.String("flame", "", "profile one run of -workload/-scheme, print the cycle-attribution breakdown, and write folded stacks to this path")
 		compare  = flag.String("compare", "", "diff each experiment's BENCH json against <dir>/BENCH_<experiment>.json and exit nonzero on regressions (implies -json)")
@@ -159,7 +154,7 @@ func run() error {
 	if *streamD != "" {
 		base.Scheme = *scheme
 		base.Workload = *workload
-		return runStreamed(os.Stdout, base, *streamD, *interval, *streamCk, *sanitize, *critpath, *hotlines)
+		return runStreamed(os.Stdout, base, *streamD, *interval, *sanitize, *critpath, *hotlines)
 	}
 	if *sanitize {
 		base.Scheme = *scheme
@@ -241,7 +236,7 @@ func run() error {
 
 // runTraced executes one benchmark with the full-detail tracer
 // attached, prints the reduced metrics, and exports the event stream to
-// path (Perfetto JSON, or the binary format for a ".bin" suffix).
+// path as Perfetto JSON.
 func runTraced(out io.Writer, cfg bench.RunConfig, path string) error {
 	tr := trace.New(trace.DefaultCapacity)
 	cfg.Trace = tr
@@ -270,12 +265,7 @@ func runTraced(out io.Writer, cfg bench.RunConfig, path string) error {
 		return err
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".bin") {
-		err = tr.WriteBinary(f)
-	} else {
-		err = trace.WritePerfetto(f, tr.Events(), trace.PerfettoOptions{})
-	}
-	if err != nil {
+	if err := trace.WritePerfetto(f, tr.Events(), trace.PerfettoOptions{}); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "\nwrote %s (%d events)\n", path, tr.Len())
@@ -295,7 +285,11 @@ func runSanitized(out io.Writer, cfg bench.RunConfig) error {
 		return fmt.Errorf("%s/%s failed verification: %v", cfg.Scheme, cfg.Workload, r.VerifyErr)
 	}
 
-	rep := trace.Sanitize(tr.Events(), tr.Dropped())
+	zs := stream.NewSanitize()
+	if _, err := stream.Feed(stream.Events(tr.Events()), zs); err != nil {
+		return err
+	}
+	rep := zs.Report(tr.Dropped())
 	cores := cfg.Cores
 	if cores < 1 {
 		cores = 1

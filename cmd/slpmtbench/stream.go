@@ -5,12 +5,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
-	"sort"
 
 	"github.com/persistmem/slpmt/internal/bench"
-	"github.com/persistmem/slpmt/internal/critpath"
-	"github.com/persistmem/slpmt/internal/trace"
 	"github.com/persistmem/slpmt/internal/trace/stream"
 )
 
@@ -22,11 +18,8 @@ import (
 // replayed through the persist-order checker, and dropped events are a
 // hard error because the replay would be unsound. With crit the run
 // additionally carries the causal critical-path analyzer (fed from the
-// binlog) and the report lands on stdout and in dir/critpath.txt. With
-// check the streamed reductions are additionally verified
-// byte-for-byte against the in-memory analyses over the same binlog —
-// the CI stream-check gate.
-func runStreamed(out io.Writer, cfg bench.RunConfig, dir string, interval uint64, check, sanitize, crit bool, hotN int) error {
+// binlog) and the report lands on stdout and in dir/critpath.txt.
+func runStreamed(out io.Writer, cfg bench.RunConfig, dir string, interval uint64, sanitize, crit bool, hotN int) error {
 	cfg.StreamDir = dir
 	cfg.StreamInterval = interval
 	cfg.CritPath = crit
@@ -89,81 +82,5 @@ func runStreamed(out io.Writer, cfg bench.RunConfig, dir string, interval uint64
 		}
 		fmt.Fprintf(out, "wrote %s\n", repPath)
 	}
-	if check {
-		if err := streamCheck(out, d, r, hotN); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// streamCheck slurps the binlog back into memory and verifies that the
-// run's streamed reductions match the in-memory analyses over the very
-// same events. Any divergence is a bug in the streaming pipeline, not
-// in the run.
-func streamCheck(out io.Writer, d *stream.Dir, r bench.Result, hotN int) error {
-	evs, st, err := d.Events()
-	if err != nil {
-		return fmt.Errorf("stream-check: %w", err)
-	}
-	if st.Torn != nil {
-		return fmt.Errorf("stream-check: %v", st.Torn)
-	}
-	if want := trace.Summarize(evs, r.Summary.Dropped); r.Summary != want {
-		return fmt.Errorf("stream-check: streamed summary diverges from in-memory:\nstreamed:\n%swant:\n%s",
-			r.Summary.String(), want.String())
-	}
-	wantWPQ := trace.BucketWPQ(evs, 16)
-	switch {
-	case (r.WPQ == nil) != (wantWPQ == nil):
-		return fmt.Errorf("stream-check: WPQ series presence differs from in-memory")
-	case wantWPQ != nil && !reflect.DeepEqual(r.WPQ, wantWPQ):
-		return fmt.Errorf("stream-check: streamed WPQ series diverges from in-memory:\nstreamed:\n%swant:\n%s",
-			r.WPQ.String(), wantWPQ.String())
-	}
-	zs := stream.NewSanitize()
-	if _, err := stream.Feed(d, zs); err != nil {
-		return err
-	}
-	got := renderReport(zs.Report(r.Summary.Dropped))
-	want := renderReport(trace.Sanitize(evs, r.Summary.Dropped))
-	if got != want {
-		return fmt.Errorf("stream-check: streamed sanitize report diverges from in-memory:\nstreamed:\n%swant:\n%s", got, want)
-	}
-	checked := "summary, WPQ, and sanitize"
-	if r.CritPath != nil {
-		// The streamed analysis came from feeding the binlog; recompute
-		// from the slurped events and require the canonical reports to
-		// byte-match.
-		mem, err := critpath.Analyze(evs, r.Summary.Dropped)
-		if err != nil {
-			return fmt.Errorf("stream-check: in-memory critpath: %w", err)
-		}
-		if got, want := r.CritPath.Render(hotN), mem.Render(hotN); got != want {
-			return fmt.Errorf("stream-check: streamed critpath analysis diverges from in-memory:\nstreamed:\n%swant:\n%s", got, want)
-		}
-		checked = "summary, WPQ, sanitize, and critpath"
-	}
-	fmt.Fprintf(out, "\nstream-check: %s byte-match in-memory over %d events (%d segments)\n",
-		checked, st.Events, st.Segments)
-	return nil
-}
-
-// renderReport flattens a sanitize report for byte comparison, with the
-// violation set order-normalized (the sanitizer reports it in map
-// order, which is explicitly order-independent).
-func renderReport(rep *trace.Report) string {
-	vs := append([]trace.Violation(nil), rep.Violations...)
-	sort.Slice(vs, func(i, j int) bool {
-		if vs[i].Index != vs[j].Index {
-			return vs[i].Index < vs[j].Index
-		}
-		return vs[i].Detail < vs[j].Detail
-	})
-	s := fmt.Sprintf("events=%d tx=%d aborts=%d truncated=%v total=%d\n",
-		rep.Events, rep.Transactions, rep.Aborts, rep.Truncated, rep.Total)
-	for _, v := range vs {
-		s += v.String() + "\n"
-	}
-	return s
 }

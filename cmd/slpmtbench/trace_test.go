@@ -68,23 +68,6 @@ func TestTracedRunEmitsPerfettoSchema(t *testing.T) {
 	}
 }
 
-// The binary export path round-trips through the same runTraced entry.
-func TestTracedRunBinaryExport(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.bin")
-	var out bytes.Buffer
-	cfg := bench.RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 20, ValueSize: 32, Verify: true}
-	if err := runTraced(&out, cfg, path); err != nil {
-		t.Fatalf("runTraced: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(data, []byte("SLPTRC01")) {
-		t.Fatalf("binary export lacks the trace magic: %q", data[:8])
-	}
-}
-
 // The scaling report's per-run entries must surface the interval
 // metrics (commit percentiles and occupancy gauges) for every cell.
 func TestScalingJSONCarriesIntervalMetrics(t *testing.T) {

@@ -20,8 +20,7 @@ import (
 //     internal/profile, or internal/report package,
 //   - every Consume method taking the module's trace.Event (the stream
 //     consumer interface, resolved structurally so out-of-package
-//     consumers are covered),
-//   - every function named Summarize.
+//     consumers are covered).
 //
 // Reachability runs over the shared callgraph (interface calls expanded
 // to module implementations), so a mutation behind two hops of
@@ -61,8 +60,6 @@ func runObsonly(pass *ModulePass) {
 	for fobj, fi := range g.Funcs { //slpmt:determinism-ok: root order does not affect the reachable set, and diagnostics are position-sorted
 		switch {
 		case isObserverPkg(fi.Pkg.Path):
-			roots = append(roots, fobj)
-		case fobj.Name() == "Summarize":
 			roots = append(roots, fobj)
 		case fobj.Name() == "Consume" && consumesTraceEvent(fobj):
 			roots = append(roots, fobj)

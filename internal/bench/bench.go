@@ -178,20 +178,6 @@ func runTracer(cfg RunConfig) *trace.Tracer {
 	return nil
 }
 
-// reduceTrace folds the tracer's events into the result's summary, WPQ
-// series, and occupancy gauges. No-op with a nil tracer.
-func reduceTrace(res *Result, tr *trace.Tracer, pm interface {
-	OccupancyStats() (uint64, uint64)
-}) {
-	if tr == nil {
-		return
-	}
-	evs := tr.Events()
-	res.Summary = trace.Summarize(evs, tr.Dropped())
-	res.WPQ = trace.BucketWPQ(evs, 16)
-	res.Counters.WPQOccMaxBytes, res.Counters.WPQOccAvgBytes = pm.OccupancyStats()
-}
-
 // Run executes one benchmark under one scheme and returns the measured
 // region's statistics.
 func Run(cfg RunConfig) Result {
@@ -269,15 +255,7 @@ func Run(cfg RunConfig) Result {
 		// Retire entries that finished before the region's end so drain
 		// events and the occupancy integral cover the whole interval.
 		topo.QueueDepth(sys.Cycles())
-		if sw != nil {
-			sw.finish(tr)
-			reduceStream(&res, tr, sw, topo)
-		} else {
-			reduceTrace(&res, tr, topo)
-		}
-		if cfg.CritPath {
-			res.CritPath = critAnalyze(tr, sw, res.Cycles)
-		}
+		reduceTrace(&res, tr, sw, topo)
 	}
 	if topo.Sockets() > 1 {
 		res.PerSocket = &SocketBreakdown{Stats: topo.SocketStats()}

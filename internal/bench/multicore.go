@@ -106,15 +106,7 @@ func RunMulti(cfg RunConfig) Result {
 	cl.Plat.Topo.QueueDepth(cl.MaxClk())
 	res.Counters.WPQOccMaxBytes, res.Counters.WPQOccAvgBytes = cl.Plat.Topo.OccupancyStats()
 	if tr != nil {
-		if sw != nil {
-			sw.finish(tr)
-			reduceStream(&res, tr, sw, cl.Plat.Topo)
-		} else {
-			reduceTrace(&res, tr, cl.Plat.Topo)
-		}
-		if cfg.CritPath {
-			res.CritPath = critAnalyze(tr, sw, res.Cycles)
-		}
+		reduceTrace(&res, tr, sw, cl.Plat.Topo)
 	}
 	if cl.Sockets() > 1 {
 		res.PerSocket = &SocketBreakdown{Stats: cl.SocketStats()}

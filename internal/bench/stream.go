@@ -73,57 +73,55 @@ func (s *streamRun) finish(tr *trace.Tracer) {
 	tr.SetSink(nil)
 }
 
-// reduceStream is reduceTrace's streaming twin: the summary and WPQ
-// series come from replaying the on-disk binlog through the online
-// consumers (identical to the in-memory reductions by construction),
-// and the result carries the telemetry interval series.
-func reduceStream(res *Result, tr *trace.Tracer, s *streamRun, pm interface {
+// reduceTrace folds the measured region's events into the result: the
+// latency summary, the WPQ series and occupancy gauges, the telemetry
+// interval series when the run streamed, and the critical path when the
+// config asks for it. Every analysis is a stream consumer fed from one
+// source — the on-disk binlog when the run streamed (closed here first),
+// the tracer's ring otherwise — so both pipelines reduce identically.
+func reduceTrace(res *Result, tr *trace.Tracer, sw *streamRun, pm interface {
 	OccupancyStats() (uint64, uint64)
 }) {
-	d, err := stream.Open(s.dir)
-	if err != nil {
-		panic(fmt.Sprintf("bench: open stream: %v", err))
-	}
-	summ := stream.NewSummarizer()
-	st, err := stream.Feed(d, summ)
-	if err != nil {
-		panic(fmt.Sprintf("bench: replay stream: %v", err))
-	}
-	res.Summary = summ.Summary(st.Events, tr.Dropped())
-	wpq, err := stream.BucketWPQ(d, 16)
-	if err != nil {
-		panic(fmt.Sprintf("bench: stream wpq: %v", err))
-	}
-	res.WPQ = wpq
-	res.Counters.WPQOccMaxBytes, res.Counters.WPQOccAvgBytes = pm.OccupancyStats()
-	if err := s.tele.Err(); err != nil {
-		panic(fmt.Sprintf("bench: telemetry: %v", err))
-	}
-	res.Intervals = &IntervalSeries{Intervals: s.tele.Intervals()}
-}
-
-// critAnalyze runs the causal critical-path analysis over the measured
-// region: streamed runs replay the on-disk binlog through the online
-// analyzer (identical to the ring path by construction — the blame walk
-// is a pure function of the event stream), buffered runs feed the ring.
-// The conservation contract is enforced here, not just reported: the
-// critical-path length must equal the run's measured makespan.
-func critAnalyze(tr *trace.Tracer, sw *streamRun, cycles uint64) *critpath.Analysis {
-	cp := critpath.New()
-	if sw != nil {
+	var src stream.Source
+	if sw == nil {
+		src = stream.Events(tr.Events())
+	} else {
+		sw.finish(tr)
 		d, err := stream.Open(sw.dir)
 		if err != nil {
 			panic(fmt.Sprintf("bench: open stream: %v", err))
 		}
-		if _, err := stream.Feed(d, cp); err != nil {
-			panic(fmt.Sprintf("bench: critpath replay: %v", err))
+		src = d
+		if err := sw.tele.Err(); err != nil {
+			panic(fmt.Sprintf("bench: telemetry: %v", err))
 		}
-	} else {
-		for _, e := range tr.Events() {
-			cp.Consume(e)
-		}
+		res.Intervals = &IntervalSeries{Intervals: sw.tele.Intervals()}
 	}
-	an, err := cp.Analyze(tr.Dropped())
+	summ := stream.NewSummarizer()
+	st, err := stream.Feed(src, summ)
+	if err != nil {
+		panic(fmt.Sprintf("bench: replay trace: %v", err))
+	}
+	res.Summary = summ.Summary(st.Events, tr.Dropped())
+	if res.WPQ, err = stream.BucketWPQ(src, 16); err != nil {
+		panic(fmt.Sprintf("bench: trace wpq: %v", err))
+	}
+	res.Counters.WPQOccMaxBytes, res.Counters.WPQOccAvgBytes = pm.OccupancyStats()
+	if res.RunConfig.CritPath {
+		res.CritPath = critAnalyze(src, tr.Dropped(), res.Cycles)
+	}
+}
+
+// critAnalyze runs the causal critical-path analysis over the measured
+// region's events. The conservation contract is enforced here, not
+// just reported: the critical-path length must equal the run's measured
+// makespan.
+func critAnalyze(src stream.Source, dropped, cycles uint64) *critpath.Analysis {
+	cp := critpath.New()
+	if _, err := stream.Feed(src, cp); err != nil {
+		panic(fmt.Sprintf("bench: critpath replay: %v", err))
+	}
+	an, err := cp.Analyze(dropped)
 	if err != nil {
 		panic(fmt.Sprintf("bench: critpath: %v", err))
 	}

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
 	"github.com/persistmem/slpmt"
@@ -14,35 +15,63 @@ import (
 	"github.com/persistmem/slpmt/internal/ycsb"
 )
 
-// A streamed run is observation-only: same cycles and counters as an
-// unstreamed run of the same config, with zero dropped events, and its
-// streamed Summary/WPQ reductions must equal the in-memory ones
-// computed over the binlog's events. Covers single- and multi-core.
+// sanitizeReport replays src through the streaming persist-order
+// sanitizer, with the violation order normalized for comparison.
+func sanitizeReport(t *testing.T, src stream.Source, dropped uint64) *trace.Report {
+	t.Helper()
+	zs := stream.NewSanitize()
+	if _, err := stream.Feed(src, zs); err != nil {
+		t.Fatal(err)
+	}
+	rep := zs.Report(dropped)
+	sort.Slice(rep.Violations, func(i, j int) bool {
+		vi, vj := rep.Violations[i], rep.Violations[j]
+		if vi.Index != vj.Index {
+			return vi.Index < vj.Index
+		}
+		return vi.Detail < vj.Detail
+	})
+	return rep
+}
+
+// A streamed run reduces exactly like a ring run: against the same
+// config traced into a full-detail ring with zero drops, it has the
+// same cycles and counters, and its Summary, WPQ series and sanitizer
+// report (replayed from the binlog) equal the ring's. Covers single-
+// and multi-core.
 func TestStreamedRunMatchesBuffered(t *testing.T) {
 	for _, cores := range []int{1, 2} {
 		base := RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 120, ValueSize: 64, Cores: cores}
-		plain := Run(base)
+		tr := trace.New(trace.DefaultCapacity)
+		ringCfg := base
+		ringCfg.Trace = tr
+		ring := Run(ringCfg)
+		if tr.Dropped() != 0 {
+			t.Fatalf("cores=%d: ring dropped %d events; enlarge it", cores, tr.Dropped())
+		}
 
 		streamed := base
 		streamed.StreamDir = t.TempDir()
 		streamed.StreamInterval = 1 << 12
 		got := Run(streamed)
 
-		if got.Cycles != plain.Cycles {
-			t.Fatalf("cores=%d: streaming changed timing: %d != %d cycles", cores, got.Cycles, plain.Cycles)
+		if got.Cycles != ring.Cycles {
+			t.Fatalf("cores=%d: streaming changed timing: %d != %d cycles", cores, got.Cycles, ring.Cycles)
 		}
-		gc, pc := got.Counters, plain.Counters
-		gc.WPQOccMaxBytes, gc.WPQOccAvgBytes = 0, 0
-		pc.WPQOccMaxBytes, pc.WPQOccAvgBytes = 0, 0
-		if gc != pc {
-			t.Fatalf("cores=%d: streaming changed counters:\nstreamed:\n%s\nplain:\n%s", cores, gc.String(), pc.String())
+		if got.Counters != ring.Counters {
+			t.Fatalf("cores=%d: streaming changed counters:\nstreamed:\n%s\nring:\n%s",
+				cores, got.Counters.String(), ring.Counters.String())
 		}
-		if got.Summary.Dropped != 0 {
-			t.Fatalf("cores=%d: streamed run dropped %d events", cores, got.Summary.Dropped)
+		if got.Summary != ring.Summary {
+			t.Fatalf("cores=%d: streamed summary %+v, ring %+v", cores, got.Summary, ring.Summary)
+		}
+		if got.Summary.Dropped != 0 || got.Summary.Commits == 0 {
+			t.Fatalf("cores=%d: streamed summary %+v: want commits and no drops", cores, got.Summary)
+		}
+		if got.WPQ == nil || !reflect.DeepEqual(got.WPQ, ring.WPQ) {
+			t.Fatalf("cores=%d: streamed WPQ series differs from the ring's", cores)
 		}
 
-		// The streamed reductions must equal the in-memory analyses over
-		// the binlog's own events.
 		d, err := stream.Open(streamed.StreamDir)
 		if err != nil {
 			t.Fatal(err)
@@ -50,25 +79,12 @@ func TestStreamedRunMatchesBuffered(t *testing.T) {
 		if !d.Closed() {
 			t.Fatalf("cores=%d: stream not closed", cores)
 		}
-		evs, st, err := d.Events()
-		if err != nil {
-			t.Fatal(err)
+		want := sanitizeReport(t, stream.Events(tr.Events()), tr.Dropped())
+		if rep := sanitizeReport(t, d, 0); !reflect.DeepEqual(rep, want) {
+			t.Fatalf("cores=%d: streamed sanitize report %+v, ring %+v", cores, rep, want)
 		}
-		if st.Torn != nil {
-			t.Fatalf("cores=%d: stream torn: %v", cores, st.Torn)
-		}
-		if want := trace.Summarize(evs, 0); got.Summary != want {
-			t.Fatalf("cores=%d: streamed summary %+v, want %+v", cores, got.Summary, want)
-		}
-		if want := trace.BucketWPQ(evs, 16); !reflect.DeepEqual(got.WPQ, want) {
-			t.Fatalf("cores=%d: streamed WPQ series differs from in-memory", cores)
-		}
-		zs := stream.NewSanitize()
-		if _, err := stream.Feed(d, zs); err != nil {
-			t.Fatal(err)
-		}
-		if want := trace.Sanitize(evs, 0); !reflect.DeepEqual(zs.Report(0), want) {
-			t.Fatalf("cores=%d: streamed sanitize differs from in-memory", cores)
+		if want.Transactions == 0 {
+			t.Fatalf("cores=%d: sanitizer replayed no transactions", cores)
 		}
 
 		// Telemetry: interval series present, in order, with the NDJSON

@@ -1,6 +1,6 @@
 // Package critpath is the causal critical-path analyzer: it replays a
-// run's SLPTRC01/SLPSEG01 event stream (in-memory ring or streamed
-// binlog — the Analyzer is an online stream consumer) into a cross-core
+// run's event stream (in-memory ring or SLPSEG01 binlog — the Analyzer
+// is an online stream consumer fed through stream.Feed) into a cross-core
 // blocking DAG and answers the question per-core attribution cannot:
 // what chain of waits actually bounds the parallel makespan, and which
 // cache lines serialize it.
@@ -459,19 +459,11 @@ func (a *Analyzer) consumeCharge(e trace.Event) {
 	a.openOK[c] = true
 }
 
-// Analyze finalizes the replay. dropped is the producing tracer's
-// ring-overflow count: a lossy stream cannot tile, so it is an error
-// (stream with a spill sink, or shrink the run, to keep it complete).
-func Analyze(events []trace.Event, dropped uint64) (*Analysis, error) {
-	a := New()
-	for _, e := range events {
-		a.Consume(e)
-	}
-	return a.Analyze(dropped)
-}
-
 // Analyze computes the critical path, the DAG slack, the what-if
 // projections and the hot-line ranking from the consumed stream.
+// dropped is the producing tracer's ring-overflow count: a lossy stream
+// cannot tile, so it is an error (stream with a spill sink, or shrink
+// the run, to keep it complete).
 func (a *Analyzer) Analyze(dropped uint64) (*Analysis, error) {
 	if dropped > 0 {
 		return nil, fmt.Errorf("critpath: trace dropped %d events; the charge stream cannot tile", dropped)
@@ -786,9 +778,8 @@ func (an *Analysis) ByCause() map[string]uint64 {
 }
 
 // Render writes the canonical text report: byte-identical for identical
-// streams, whichever pipeline (ring or binlog) carried them — the
-// stream-check gate compares exactly this string. hotN caps the
-// hot-line section (<= 0 selects 10).
+// streams, whichever source (ring or binlog) carried them. hotN caps
+// the hot-line section (<= 0 selects 10).
 func (an *Analysis) Render(hotN int) string {
 	if hotN <= 0 {
 		hotN = 10

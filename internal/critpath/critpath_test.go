@@ -6,7 +6,18 @@ import (
 
 	"github.com/persistmem/slpmt/internal/profile"
 	"github.com/persistmem/slpmt/internal/trace"
+	"github.com/persistmem/slpmt/internal/trace/stream"
 )
+
+// analyze feeds events to a fresh analyzer through the stream pipeline
+// and finalizes it.
+func analyze(events []trace.Event, dropped uint64) (*Analysis, error) {
+	a := New()
+	if _, err := stream.Feed(stream.Events(events), a); err != nil {
+		return nil, err
+	}
+	return a.Analyze(dropped)
+}
 
 // microEvents is a hand-built two-core stream with a known critical
 // path. Both cores start at cycle 1000 (shared base). Core 1 computes
@@ -43,7 +54,7 @@ func microEvents() []trace.Event {
 }
 
 func TestMicroDAGGolden(t *testing.T) {
-	an, err := Analyze(microEvents(), 0)
+	an, err := analyze(microEvents(), 0)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -175,11 +186,12 @@ func TestMicroDAGGolden(t *testing.T) {
 }
 
 // TestRenderDeterministic replays the same stream through two fresh
-// analyzers — once via the slice helper, once event-by-event as the
-// stream consumer path does — and requires byte-identical reports.
+// analyzers — once through stream.Feed (kind-masked, as the harness
+// feeds it), once by consuming every event unfiltered — and requires
+// byte-identical reports.
 func TestRenderDeterministic(t *testing.T) {
 	evs := microEvents()
-	a1, err := Analyze(evs, 0)
+	a1, err := analyze(evs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,21 +227,21 @@ func TestAnalyzeErrors(t *testing.T) {
 	ch := func(core int, cyc uint64, cause profile.Cause, n uint64) trace.Event {
 		return trace.Event{Cycle: cyc, Addr: uint64(cause), Arg: n, Kind: trace.KCharge, Core: uint8(core)}
 	}
-	if _, err := Analyze(microEvents(), 3); err == nil {
+	if _, err := analyze(microEvents(), 3); err == nil {
 		t.Error("dropped events: want error")
 	}
-	if _, err := Analyze(nil, 0); err == nil {
+	if _, err := analyze(nil, 0); err == nil {
 		t.Error("no charges: want error")
 	}
 	// A gap in the tiling (segment starts after the previous ends).
-	if _, err := Analyze([]trace.Event{
+	if _, err := analyze([]trace.Event{
 		ch(0, 1100, profile.CauseCompute, 100),
 		ch(0, 1300, profile.CauseCompute, 50),
 	}, 0); err == nil {
 		t.Error("tiling gap: want error")
 	}
 	// An out-of-range cause.
-	if _, err := Analyze([]trace.Event{
+	if _, err := analyze([]trace.Event{
 		{Cycle: 100, Addr: 999, Arg: 10, Kind: trace.KCharge, Core: 0},
 	}, 0); err == nil {
 		t.Error("unknown cause: want error")

@@ -13,7 +13,8 @@ import (
 // output: the causal analysis must be a pure function of each cell's
 // deterministic event stream, untouched by scheduling of the sweep
 // itself. This is the -parallel half of the determinism contract (the
-// streamed-vs-buffered half lives in the bench and CLI stream-check).
+// streamed-vs-ring half is TestCritPathStreamedMatchesRing in
+// internal/bench).
 func TestCritPathExperimentDeterministic(t *testing.T) {
 	cfg := bench.RunConfig{N: 60, ValueSize: 32, Verify: true}
 	run := func(workers int) string {

@@ -147,7 +147,7 @@ var causeGroups = [numCauses]string{
 }
 
 // causeKinds ties every cause to the trace kinds that witness it in the
-// SLPTRC01 stream: KCharge carries the attribution itself, and the
+// event stream: KCharge carries the attribution itself, and the
 // semantic kinds listed here mark the activity being charged. slpmtvet
 // requires a non-empty entry per cause, so a cause cannot be added
 // without declaring how it shows up in a trace.
@@ -366,7 +366,7 @@ func (b *Breakdown) ByGroup() map[string]uint64 {
 }
 
 // FromEvents rebuilds a profile from a trace's KCharge events — the
-// offline path for attribution over a saved SLPTRC01 stream. It fails
+// offline path for attribution over a saved event stream. It fails
 // if the ring dropped events (the stream is incomplete, so conservation
 // cannot hold) or if an event carries an unknown cause.
 func FromEvents(events []trace.Event, dropped uint64) (*Profile, error) {

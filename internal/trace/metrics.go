@@ -6,8 +6,9 @@ import (
 	"strings"
 )
 
-// Summary reduces a trace's transaction-lifecycle events to latency
-// percentiles. Latencies are in cycles. Commit latency is the full
+// Summary holds a trace's transaction-lifecycle latency percentiles,
+// as the streaming Summarizer (internal/trace/stream) pairs them per
+// core. Latencies are in cycles. Commit latency is the full
 // begin-to-commit-complete span (the transaction's durability
 // latency); lazy-drain latency is the posted drain section's span. The
 // struct is flat and comparable so harness Results carrying it stay
@@ -23,45 +24,10 @@ type Summary struct {
 	LazyP50, LazyP95, LazyP99 uint64
 }
 
-// Summarize pairs begin/commit and lazy-drain start/end events per
-// core and returns the latency percentiles. dropped is the tracer's
-// ring-overflow count, carried through for reporting.
-func Summarize(events []Event, dropped uint64) Summary {
-	s := Summary{Events: len(events), Dropped: dropped}
-	txStart := map[uint8]uint64{}
-	lazyStart := map[uint8]uint64{}
-	var commits, lazies []uint64
-	for _, e := range events {
-		switch e.Kind {
-		case KTxBegin:
-			txStart[e.Core] = e.Cycle
-		case KTxCommit:
-			if c, ok := txStart[e.Core]; ok {
-				commits = append(commits, e.Cycle-c)
-				delete(txStart, e.Core)
-			}
-		case KTxAbort:
-			delete(txStart, e.Core)
-		case KLazyDrainStart:
-			lazyStart[e.Core] = e.Cycle
-		case KLazyDrainEnd:
-			if c, ok := lazyStart[e.Core]; ok {
-				lazies = append(lazies, e.Cycle-c)
-				delete(lazyStart, e.Core)
-			}
-		}
-	}
-	s.Commits = len(commits)
-	s.CommitP50, s.CommitP95, s.CommitP99 = Percentiles(commits)
-	s.LazyDrains = len(lazies)
-	s.LazyP50, s.LazyP95, s.LazyP99 = Percentiles(lazies)
-	return s
-}
-
 // Percentiles returns the p50/p95/p99 of xs by nearest-rank on the
 // sorted sample (0s for an empty sample). xs is sorted in place. The
-// streaming summarizer (internal/trace/stream) shares it so streamed
-// and in-memory summaries are identical by construction.
+// streaming summarizer (internal/trace/stream) uses it for its exact
+// samples.
 func Percentiles(xs []uint64) (p50, p95, p99 uint64) {
 	if len(xs) == 0 {
 		return 0, 0, 0
@@ -99,83 +65,10 @@ type WPQBucket struct {
 	Drains      uint64
 }
 
-// WPQSeries is the time-bucketed WPQ activity of one run.
+// WPQSeries is the time-bucketed WPQ activity of one run (see
+// stream.BucketWPQ).
 type WPQSeries struct {
 	Buckets []WPQBucket
-}
-
-// BucketWPQ folds the WPQ events into n equal time buckets spanning
-// the trace's WPQ activity. Returns nil if the trace holds no WPQ
-// events.
-func BucketWPQ(events []Event, n int) *WPQSeries {
-	if n <= 0 {
-		n = 16
-	}
-	lo, hi := uint64(0), uint64(0)
-	seen := false
-	for _, e := range events {
-		switch e.Kind {
-		case KWPQEnqueue, KWPQDrain, KWPQStall:
-			if !seen || e.Cycle < lo {
-				lo = e.Cycle
-			}
-			if e.Cycle > hi {
-				hi = e.Cycle
-			}
-			seen = true
-		}
-	}
-	if !seen {
-		return nil
-	}
-	width := (hi - lo + uint64(n)) / uint64(n) // ceil so hi lands in the last bucket
-	if width == 0 {
-		width = 1
-	}
-	buckets := make([]WPQBucket, n)
-	sums := make([]uint64, n)
-	samples := make([]uint64, n)
-	for i := range buckets {
-		buckets[i].StartCycle = lo + uint64(i)*width
-		buckets[i].EndCycle = lo + uint64(i+1)*width
-	}
-	for _, e := range events {
-		var i int
-		switch e.Kind {
-		case KWPQEnqueue, KWPQDrain, KWPQStall:
-			i = int((e.Cycle - lo) / width)
-			if i >= n {
-				i = n - 1
-			}
-		default:
-			continue
-		}
-		b := &buckets[i]
-		switch e.Kind {
-		case KWPQEnqueue:
-			b.Enqueues++
-		case KWPQDrain:
-			b.Drains++
-		case KWPQStall:
-			b.StallCycles += e.Arg
-			continue
-		}
-		// On a multi-socket topology the series merges the per-socket
-		// streams: occ is any one queue's post-event occupancy (the
-		// socket tag in the high Arg byte is stripped).
-		occ := WPQOcc(e.Arg)
-		if occ > b.OccMax {
-			b.OccMax = occ
-		}
-		sums[i] += occ
-		samples[i]++
-	}
-	for i := range buckets {
-		if samples[i] > 0 {
-			buckets[i].OccAvg = sums[i] / samples[i]
-		}
-	}
-	return &WPQSeries{Buckets: buckets}
 }
 
 // String renders the series as an aligned text table.

@@ -2,7 +2,7 @@ package trace
 
 import "fmt"
 
-// Sanitize replays an SLPTRC01 event stream and checks the paper's §III
+// The Sanitizer replays a trace event stream and checks the paper's §III
 // persist-ordering contracts against what the simulator actually did.
 // It is the dynamic counterpart to the static slpmtvet passes: the
 // analyzers prove properties of the code, the sanitizer proves
@@ -53,7 +53,7 @@ const sanLineSize = 64
 // MaxViolations bounds Report.Violations; Total keeps the full count.
 const MaxViolations = 100
 
-// Violation is one persist-ordering breach found by Sanitize.
+// Violation is one persist-ordering breach found by the Sanitizer.
 type Violation struct {
 	Index  int    // event index in the replayed stream
 	Cycle  uint64 // emitting core's cycle at the event
@@ -168,11 +168,11 @@ type sanitizer struct {
 	prevDrainSock int
 }
 
-// Sanitizer is the incremental persist-order checker: the same state
-// machine Sanitize runs over a slice, exposed event-at-a-time so a
-// spilled-to-disk stream can be replayed with memory bounded by the
-// active transaction/WPQ state instead of the event count. Feed events
-// oldest-first with Step, then call Report once.
+// Sanitizer is the incremental persist-order checker, stepped one
+// event at a time so a spilled-to-disk stream replays with memory
+// bounded by the active transaction/WPQ state instead of the event
+// count. Feed events oldest-first with Step, then call Report once
+// (stream.Sanitize wraps it as a stream consumer).
 type Sanitizer struct {
 	s sanitizer
 	n int
@@ -200,17 +200,6 @@ func (z *Sanitizer) Report(dropped uint64) *Report {
 	z.s.rep.Events = z.n
 	z.s.rep.Truncated = dropped > 0
 	return &z.s.rep
-}
-
-// Sanitize replays events (oldest first, as Tracer.Events returns them)
-// and reports every persist-ordering violation. dropped is the tracer's
-// ring-overflow count; pass Tracer.Dropped().
-func Sanitize(events []Event, dropped uint64) *Report {
-	z := NewSanitizer()
-	for _, e := range events {
-		z.Step(e)
-	}
-	return z.Report(dropped)
 }
 
 func (s *sanitizer) core(id uint8) *sanCore {

@@ -6,6 +6,7 @@ import (
 
 	"github.com/persistmem/slpmt/internal/bench"
 	"github.com/persistmem/slpmt/internal/trace"
+	"github.com/persistmem/slpmt/internal/trace/stream"
 	_ "github.com/persistmem/slpmt/internal/workloads/all"
 )
 
@@ -44,7 +45,11 @@ func TestSanitizeRealRuns(t *testing.T) {
 				CommitWindow: tc.window,
 				Trace:        tr,
 			})
-			rep := trace.Sanitize(tr.Events(), tr.Dropped())
+			zs := stream.NewSanitize()
+			if _, err := stream.Feed(stream.Events(tr.Events()), zs); err != nil {
+				t.Fatal(err)
+			}
+			rep := zs.Report(tr.Dropped())
 			if rep.Truncated {
 				t.Fatalf("trace ring overflowed (%d dropped); enlarge the capacity", tr.Dropped())
 			}

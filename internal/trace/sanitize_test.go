@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// sanitize replays events oldest-first through a fresh Sanitizer.
+func sanitize(events []Event, dropped uint64) *Report {
+	z := NewSanitizer()
+	for _, e := range events {
+		z.Step(e)
+	}
+	return z.Report(dropped)
+}
+
 // ev builds one event; tests assemble streams in emission order.
 func ev(core uint8, cycle uint64, kind Kind, addr, arg uint64) Event {
 	return Event{Cycle: cycle, Addr: addr, Arg: arg, Kind: kind, Core: core}
@@ -48,7 +57,7 @@ func cleanUndoTx() []Event {
 }
 
 func TestSanitizeCleanUndoCommit(t *testing.T) {
-	rep := Sanitize(cleanUndoTx(), 0)
+	rep := sanitize(cleanUndoTx(), 0)
 	wantClean(t, rep)
 	if rep.Transactions != 1 || rep.Aborts != 0 {
 		t.Fatalf("expected 1 commit / 0 aborts, got %d / %d", rep.Transactions, rep.Aborts)
@@ -60,7 +69,7 @@ func TestSanitizeCleanUndoCommit(t *testing.T) {
 
 func TestSanitizeLogBeforeData(t *testing.T) {
 	// The data line enters the WPQ before any sync covers its record.
-	rep := Sanitize([]Event{
+	rep := sanitize([]Event{
 		ev(0, 10, KTxBegin, 0, 1),
 		ev(0, 20, KStore, 0x1008, 8),
 		ev(0, 21, KLogAppend, 0x1008, 8),
@@ -75,7 +84,7 @@ func TestSanitizeLogBeforeData(t *testing.T) {
 
 func TestSanitizeMarkerBeforeLogSync(t *testing.T) {
 	// The commit marker is written while records are beyond the watermark.
-	rep := Sanitize([]Event{
+	rep := sanitize([]Event{
 		ev(0, 10, KTxBegin, 0, 1),
 		ev(0, 20, KStore, 0x1008, 8),
 		ev(0, 21, KLogAppend, 0x1008, 8),
@@ -88,7 +97,7 @@ func TestSanitizeMarkerBeforeLogSync(t *testing.T) {
 
 func TestSanitizeUndoDataAfterMarker(t *testing.T) {
 	// Undo mode: a write-set line persists after the commit marker.
-	rep := Sanitize([]Event{
+	rep := sanitize([]Event{
 		ev(0, 10, KTxBegin, 0, 1),
 		ev(0, 20, KStore, 0x1008, 8),
 		ev(0, 21, KLogAppend, 0x1008, 8),
@@ -124,7 +133,7 @@ func TestSanitizeRedoLoggedBeforeMarker(t *testing.T) {
 		ev(0, 80, KCommitMarker, 1, 2),
 		ev(0, 90, KTxCommit, 0, 2),
 	}
-	rep := Sanitize(evs, 0)
+	rep := sanitize(evs, 0)
 	wantViolation(t, rep, "marker-order", "before the commit marker")
 }
 
@@ -132,7 +141,7 @@ func TestSanitizeAbortDropsTxViolations(t *testing.T) {
 	// Same mis-ordered stream as TestSanitizeLogBeforeData, but the
 	// transaction aborts: the abort path legitimately rewrites logged
 	// data outside the commit ordering, so buffered violations drop.
-	rep := Sanitize([]Event{
+	rep := sanitize([]Event{
 		ev(0, 10, KTxBegin, 0, 1),
 		ev(0, 20, KStore, 0x1008, 8),
 		ev(0, 21, KLogAppend, 0x1008, 8),
@@ -148,7 +157,7 @@ func TestSanitizeAbortDropsTxViolations(t *testing.T) {
 
 func TestSanitizeWPQDrainRegression(t *testing.T) {
 	// Two drains in one batch with retirement cycles going backwards.
-	rep := Sanitize([]Event{
+	rep := sanitize([]Event{
 		ev(0, 100, KWPQDrain, 0, 64),
 		ev(0, 90, KWPQDrain, 0, 0),
 	}, 0)
@@ -156,7 +165,7 @@ func TestSanitizeWPQDrainRegression(t *testing.T) {
 }
 
 func TestSanitizeWPQDrainSizeMismatch(t *testing.T) {
-	rep := Sanitize([]Event{
+	rep := sanitize([]Event{
 		ev(0, 10, KWPQEnqueue, 0x1000, 64),  // baseline lock-on
 		ev(0, 20, KWPQEnqueue, 0x2000, 128), // outstanding: 64
 		ev(0, 30, KWPQDrain, 0, 64),         // matches, core synced
@@ -167,7 +176,7 @@ func TestSanitizeWPQDrainSizeMismatch(t *testing.T) {
 }
 
 func TestSanitizeWPQEnqueueNoRaise(t *testing.T) {
-	rep := Sanitize([]Event{
+	rep := sanitize([]Event{
 		ev(0, 10, KWPQEnqueue, 0x1000, 64),
 		ev(0, 20, KWPQEnqueue, 0x2000, 64), // occupancy did not grow
 	}, 0)
@@ -189,7 +198,7 @@ func TestSanitizeLazyConflict(t *testing.T) {
 	bad := append(append([]Event{}, base...),
 		ev(1, 60, KStore, 0x2000, 8),
 	)
-	wantViolation(t, Sanitize(bad, 0), "lazy-conflict", "still volatile")
+	wantViolation(t, sanitize(bad, 0), "lazy-conflict", "still volatile")
 
 	// Clean stream: the conflict forces core 0's drain before core 1's
 	// next program event (as the engine does, synchronously).
@@ -199,7 +208,7 @@ func TestSanitizeLazyConflict(t *testing.T) {
 		ev(0, 58, KLazyDrainEnd, 0, 1),
 		ev(1, 60, KStore, 0x2000, 8),
 	)
-	wantClean(t, Sanitize(good, 0))
+	wantClean(t, sanitize(good, 0))
 }
 
 // groupedTxs is two grouped commits (no per-transaction marker or sync)
@@ -229,7 +238,7 @@ func TestSanitizeEpochCleanGroupCommit(t *testing.T) {
 		ev(0, 73, KWPQEnqueue, 0x2000, 128),
 		ev(0, 74, KEpochClose, 0, 1),
 	)
-	rep := Sanitize(evs, 0)
+	rep := sanitize(evs, 0)
 	wantClean(t, rep)
 	if rep.Transactions != 2 {
 		t.Fatalf("expected 2 commits, got %d", rep.Transactions)
@@ -244,8 +253,8 @@ func TestSanitizeEpochCloseBeyondWatermark(t *testing.T) {
 		ev(0, 71, KCommitMarker, 0, 2),
 		ev(0, 74, KEpochClose, 0, 1),
 	)
-	wantViolation(t, Sanitize(evs, 0), "epoch-close", "closed with log records")
-	if v := Sanitize(evs, 0).Violations[0]; v.Seq != 1 {
+	wantViolation(t, sanitize(evs, 0), "epoch-close", "closed with log records")
+	if v := sanitize(evs, 0).Violations[0]; v.Seq != 1 {
 		t.Fatalf("expected epoch number 1 in Seq, got %d", v.Seq)
 	}
 }
@@ -259,7 +268,7 @@ func TestSanitizeEpochLinePersistBeforeSync(t *testing.T) {
 		ev(0, 75, KLogSync, 0x8000, 120),
 		ev(0, 76, KEpochClose, 0, 1),
 	)
-	wantViolation(t, Sanitize(evs, 0), "epoch-close", "open-epoch log records")
+	wantViolation(t, sanitize(evs, 0), "epoch-close", "open-epoch log records")
 }
 
 func TestSanitizeEpochCloseClearsState(t *testing.T) {
@@ -280,7 +289,7 @@ func TestSanitizeEpochCloseClearsState(t *testing.T) {
 		ev(0, 93, KWPQEnqueue, 0x1000, 64),
 		ev(0, 94, KEpochClose, 0, 2),
 	)
-	wantClean(t, Sanitize(evs, 0))
+	wantClean(t, sanitize(evs, 0))
 }
 
 func TestSanitizeMarkerCommitContributesNoEpochState(t *testing.T) {
@@ -290,11 +299,11 @@ func TestSanitizeMarkerCommitContributesNoEpochState(t *testing.T) {
 	evs := append(cleanUndoTx(),
 		ev(0, 60, KWPQEnqueue, 0x1000, 128), // retained-line writeback after commit
 	)
-	wantClean(t, Sanitize(evs, 0))
+	wantClean(t, sanitize(evs, 0))
 }
 
 func TestSanitizeTruncated(t *testing.T) {
-	rep := Sanitize(cleanUndoTx(), 3)
+	rep := sanitize(cleanUndoTx(), 3)
 	if !rep.Truncated {
 		t.Fatal("expected Truncated with dropped > 0")
 	}
@@ -306,7 +315,7 @@ func TestSanitizeViolationCap(t *testing.T) {
 	for i := 0; i < MaxViolations+50; i++ {
 		evs = append(evs, ev(0, uint64(20+i), KWPQEnqueue, 0x1000, 64))
 	}
-	rep := Sanitize(evs, 0)
+	rep := sanitize(evs, 0)
 	if rep.Total != MaxViolations+50 {
 		t.Fatalf("expected total %d, got %d", MaxViolations+50, rep.Total)
 	}

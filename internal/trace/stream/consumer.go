@@ -21,8 +21,8 @@ type Source interface {
 	Iter(fn func(trace.Event)) (*Stats, error)
 }
 
-// Events is an in-memory Source, used by tests and by the equivalence
-// checks that compare streamed consumers against the slurping analyses.
+// Events is an in-memory Source: a tracer ring's held events
+// (Tracer.Events) or a hand-built stream in tests.
 type Events []trace.Event
 
 // Iter implements Source over the slice.

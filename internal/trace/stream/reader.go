@@ -135,16 +135,6 @@ func (d *Dir) Iter(fn func(trace.Event)) (*Stats, error) {
 	return st, nil
 }
 
-// Events slurps the whole stream into memory — the bridge back to the
-// in-memory analyses (trace.Summarize and friends) for equivalence
-// checking and small streams. Defeats the point of streaming on large
-// ones.
-func (d *Dir) Events() ([]trace.Event, *Stats, error) {
-	var events []trace.Event
-	st, err := d.Iter(func(e trace.Event) { events = append(events, e) })
-	return events, st, err
-}
-
 // Follow tails a live stream: it delivers segments as they complete and
 // returns when the CLOSED sentinel appears (delivering the final
 // segments first) or when a poll fails. A segment is considered

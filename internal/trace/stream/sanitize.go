@@ -9,8 +9,8 @@ import "github.com/persistmem/slpmt/internal/trace"
 //
 // It declares AllKinds — the underlying state machine indexes
 // violations by position in the full stream, so the consumer must see
-// every event (including kinds the rules ignore) for its Violation
-// indices to match the in-memory trace.Sanitize on the same stream.
+// every event (including kinds the rules ignore) for a Violation's
+// Index to name the event it was found at.
 type Sanitize struct {
 	z *trace.Sanitizer
 }

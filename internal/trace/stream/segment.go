@@ -1,10 +1,12 @@
-// Package stream turns the one-shot trace ring into an incremental
-// source: a binlog-style chunked SLPTRC01 writer (fixed-size segments
-// with per-segment headers, fsync'd rotation, crash-truncation-tolerant
-// reader) fed by the tracer's double-buffered spill path, plus a
-// Consumer interface that makes every trace analysis online —
-// summarization, sanitizing, WPQ bucketing, and periodic telemetry —
-// with memory bounded by the segment buffer instead of the event count.
+// Package stream is the one trace-analysis pipeline. Its Consumer
+// interface makes every trace analysis online — summarization,
+// sanitizing, WPQ bucketing, periodic telemetry, the critical path —
+// and a Source replays events into consumers: either the in-memory ring
+// (Events) or the binary trace format, a binlog-style directory of
+// SLPSEG01 segments (fixed-size files with per-segment headers, fsync'd
+// rotation, crash-truncation-tolerant reader) written by a Writer fed
+// from the tracer's double-buffered spill path with memory bounded by
+// the segment buffer instead of the event count.
 //
 // Observation contract. Streaming only observes: attaching a Writer as
 // the tracer's sink changes no simulated cycles, counters, or goldens.
@@ -17,9 +19,11 @@ package stream
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"syscall"
 
 	"github.com/persistmem/slpmt/internal/trace"
 )
@@ -191,17 +195,17 @@ func writeSegmentFile(dir string, idx int, events []trace.Event, dropped uint64)
 }
 
 // syncDir fsyncs the directory so newly created files are durable.
-// Best-effort: some filesystems refuse directory syncs.
+// EINVAL is tolerated: some filesystems do not support directory
+// syncs. Any other failure (EIO) means the rotation may not survive a
+// crash and is returned.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	if err := d.Sync(); err != nil && !os.IsPermission(err) {
-		// EINVAL from exotic filesystems is tolerated; real write
-		// errors surface on the segment file sync instead.
-		return nil
+	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) {
+		return err
 	}
 	return nil
 }

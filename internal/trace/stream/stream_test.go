@@ -62,6 +62,37 @@ func buildStream(t *testing.T, dir string, evs []trace.Event, ringCap, segEvents
 	return w
 }
 
+// readAll collects a source's events in stream order.
+func readAll(src Source) ([]trace.Event, *Stats, error) {
+	var events []trace.Event
+	st, err := src.Iter(func(e trace.Event) { events = append(events, e) })
+	return events, st, err
+}
+
+// summarize feeds src to a fresh Summarizer and renders its summary.
+func summarize(t *testing.T, src Source) (trace.Summary, *Summarizer) {
+	t.Helper()
+	s := NewSummarizer()
+	st, err := Feed(src, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Summary(st.Events, st.Dropped), s
+}
+
+// sanitize feeds src to a fresh streaming sanitizer and returns its
+// report with the violation order normalized.
+func sanitize(t *testing.T, src Source) *trace.Report {
+	t.Helper()
+	z := NewSanitize()
+	if _, err := Feed(src, z); err != nil {
+		t.Fatal(err)
+	}
+	rep := z.Report(0)
+	sortViolations(rep.Violations)
+	return rep
+}
+
 func TestRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 8; trial++ {
@@ -78,7 +109,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
-		got, st, err := d.Events()
+		got, st, err := readAll(d)
 		if err != nil {
 			t.Fatalf("n=%d: read back: %v", n, err)
 		}
@@ -117,7 +148,7 @@ func TestRoundTripMasked(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := Open(dir)
-	got, _, err := d.Events()
+	got, _, err := readAll(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +243,7 @@ func TestTornLastSegment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, st, err := dd.Events()
+		got, st, err := readAll(dd)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
@@ -243,8 +274,28 @@ func TestTornLastSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	dd, _ := Open(dir)
-	if _, _, err := dd.Events(); err == nil {
+	if _, _, err := readAll(dd); err == nil {
 		t.Fatal("torn non-final segment not rejected")
+	}
+}
+
+// A file that is not a segment is corruption, not a tear: the decoder
+// and the directory reader both reject it.
+func TestDecodeSegmentRejectsGarbage(t *testing.T) {
+	garbage := []byte("not a trace segment at all, but long enough for a header")
+	if _, _, _, err := decodeSegment(garbage, func(trace.Event) {}); err == nil {
+		t.Fatal("decodeSegment accepted a bad magic")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(0)), garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Iter(func(trace.Event) {}); err == nil {
+		t.Fatal("Dir.Iter accepted a bad segment magic")
 	}
 }
 
@@ -263,38 +314,51 @@ func FuzzDecodeSegment(f *testing.F) {
 	})
 }
 
+// The analyses read the on-disk binlog exactly as they read the ring:
+// a Summarizer fed from a multi-segment stream directory equals one fed
+// from the in-memory events, and stays in exact mode.
 func TestSummarizerMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	evs := randEvents(rng, 5000, 4)
-	want := trace.Summarize(evs, 0)
-	s := NewSummarizer()
-	st, err := Feed(Events(evs), s)
+	dir := t.TempDir()
+	buildStream(t, dir, evs, 128, 512)
+	d, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Summary(st.Events, 0); got != want {
-		t.Fatalf("streamed summary %+v\nwant %+v", got, want)
+	want, _ := summarize(t, Events(evs))
+	got, s := summarize(t, d)
+	if got != want {
+		t.Fatalf("on-disk summary %+v\nwant %+v", got, want)
 	}
 	if s.Sketched() {
 		t.Fatal("summarizer sketched below the exact bound")
 	}
 }
 
+// The streaming sanitizer must see every event (AllKinds), so replaying
+// the binlog through it reports the same violations, at the same event
+// indices, as stepping a Sanitizer over the whole in-memory stream.
 func TestSanitizeMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	evs := randEvents(rng, 3000, 3)
-	want := trace.Sanitize(evs, 0)
-	z := NewSanitize()
-	if _, err := Feed(Events(evs), z); err != nil {
+	dir := t.TempDir()
+	buildStream(t, dir, evs, 128, 512)
+	d, err := Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := z.Report(0)
-	// Violations found at the same event come out of set iteration, so
-	// their relative order is unspecified; normalize before comparing.
-	sortViolations(got.Violations)
+	z := trace.NewSanitizer()
+	for _, e := range evs {
+		z.Step(e)
+	}
+	want := z.Report(0)
+	if want.Total == 0 {
+		t.Fatal("random stream raised no violations; the index check is vacuous")
+	}
 	sortViolations(want.Violations)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streamed sanitize differs:\ngot  %+v\nwant %+v", got, want)
+	if got := sanitize(t, d); !reflect.DeepEqual(got, want) {
+		t.Fatalf("on-disk sanitize differs:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
@@ -307,27 +371,27 @@ func sortViolations(vs []trace.Violation) {
 	})
 }
 
+// The two-pass WPQ fold re-reads its source: over a stream directory
+// both passes must see the same events the in-memory source holds.
 func TestBucketWPQMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	evs := randEvents(rng, 4000, 4)
-	want := trace.BucketWPQ(evs, 16)
-	got, err := BucketWPQ(Events(evs), 16)
+	want, err := BucketWPQ(Events(evs), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want == nil {
+		t.Fatal("random stream produced no WPQ series")
+	}
+	dir := t.TempDir()
+	buildStream(t, dir, evs, 128, 512)
+	d, _ := Open(dir)
+	got, err := BucketWPQ(d, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streamed WPQ series differs:\ngot  %+v\nwant %+v", got, want)
-	}
-	// And through the on-disk path.
-	dir := t.TempDir()
-	buildStream(t, dir, evs, 128, 512)
-	d, _ := Open(dir)
-	got2, err := BucketWPQ(d, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got2, want) {
-		t.Fatal("on-disk streamed WPQ series differs from in-memory")
+		t.Fatalf("on-disk WPQ series differs:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
@@ -473,19 +537,22 @@ func TestWriterResetDiscardsSetup(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := Open(dir)
-	got, st, err := d.Events()
+	got, st, err := readAll(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, measured) {
 		t.Fatalf("stream holds %d events after reset, want the %d measured ones", len(got), len(measured))
 	}
-	want := trace.Summarize(measured, 0)
+	want, _ := summarize(t, Events(measured))
 	if sum := s.Summary(st.Events, 0); sum != want {
 		t.Fatalf("live summarizer not reset: %+v want %+v", sum, want)
 	}
 }
 
+// Consumers attached live to the Writer (fed from the tracer's spill
+// path) end in the same state as fresh consumers fed offline from the
+// same events.
 func TestLiveConsumersMatchOffline(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	evs := randEvents(rng, 3000, 4)
@@ -493,14 +560,14 @@ func TestLiveConsumersMatchOffline(t *testing.T) {
 	s := NewSummarizer()
 	z := NewSanitize()
 	buildStream(t, dir, evs, 64, 256, s, z)
-	if got, want := s.Summary(len(evs), 0), trace.Summarize(evs, 0); got != want {
+	want, _ := summarize(t, Events(evs))
+	if got := s.Summary(len(evs), 0); got != want {
 		t.Fatalf("live summary %+v, want %+v", got, want)
 	}
-	got, want := z.Report(0), trace.Sanitize(evs, 0)
+	got := z.Report(0)
 	sortViolations(got.Violations)
-	sortViolations(want.Violations)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("live sanitize report differs from in-memory")
+	if !reflect.DeepEqual(got, sanitize(t, Events(evs))) {
+		t.Fatal("live sanitize report differs from offline")
 	}
 }
 

@@ -3,15 +3,17 @@ package stream
 import "github.com/persistmem/slpmt/internal/trace"
 
 // MaxExactSamples is the per-histogram sample bound up to which the
-// streaming Summarizer keeps exact latency samples (and so reproduces
-// trace.Summarize bit-for-bit via the shared nearest-rank Percentiles).
-// Past the bound it degrades to the QSketch with its documented
-// <= 2^-5 relative error — bounded memory at million-transaction scale.
+// streaming Summarizer keeps exact latency samples (nearest-rank
+// percentiles through trace.Percentiles). Past the bound it degrades to
+// the QSketch with its documented <= 2^-5 relative error — bounded
+// memory at million-transaction scale.
 const MaxExactSamples = 1 << 18
 
-// Summarizer is the online counterpart of trace.Summarize: it pairs
+// Summarizer reduces a trace to its latency percentiles: it pairs
 // begin/commit and lazy-drain start/end events per core as they stream
-// by. Summary must be given the stream's total event and drop counts
+// by (an abort drops the open begin). Commit latency is the full
+// begin-to-commit-complete span; lazy-drain latency is the posted drain
+// section's span. Summary must be given the stream's total event and drop counts
 // (from Stats), since the consumer itself only sees its masked kinds.
 type Summarizer struct {
 	txStart   map[uint8]uint64
@@ -72,8 +74,7 @@ func (s *Summarizer) Kinds() uint64 {
 		trace.KLazyDrainStart, trace.KLazyDrainEnd)
 }
 
-// Consume folds one event into the histograms. The pairing logic
-// mirrors trace.Summarize exactly.
+// Consume folds one event into the histograms.
 func (s *Summarizer) Consume(e trace.Event) {
 	switch e.Kind {
 	case trace.KTxBegin:
@@ -103,8 +104,7 @@ func (s *Summarizer) Sketched() bool {
 }
 
 // Summary renders the accumulated histograms. events and dropped are
-// the stream totals (Stats.Events, Stats.Dropped); within the exact
-// sample bound the result equals trace.Summarize on the same stream.
+// the stream totals (Stats.Events, Stats.Dropped).
 func (s *Summarizer) Summary(events int, dropped uint64) trace.Summary {
 	out := trace.Summary{Events: events, Dropped: dropped}
 	out.Commits = s.commits.count()

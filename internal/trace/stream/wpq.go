@@ -2,14 +2,12 @@ package stream
 
 import "github.com/persistmem/slpmt/internal/trace"
 
-// BucketWPQ is the streaming counterpart of trace.BucketWPQ: it folds a
-// source's WPQ events into n equal time buckets in two passes — pass
-// one finds the activity span in O(1) state, pass two fills the buckets
-// in O(n) state — so the series never needs the events in memory. The
-// fold replicates trace.BucketWPQ exactly (same ceil'd width, same
-// clamping, same per-socket merge), so the result is identical to the
-// in-memory series on the same stream. Returns nil if the stream holds
-// no WPQ events.
+// BucketWPQ folds a source's WPQ events into n equal time buckets
+// spanning the stream's WPQ activity, in two passes — pass one finds
+// the activity span in O(1) state, pass two fills the buckets in O(n)
+// state — so the series never needs the events in memory. The last
+// bucket ends past the final event (the width is ceil'd). Returns nil
+// if the stream holds no WPQ events.
 func BucketWPQ(src Source, n int) (*trace.WPQSeries, error) {
 	if n <= 0 {
 		n = 16
@@ -105,8 +103,7 @@ func (f *wpqFold) Consume(e trace.Event) {
 		return
 	}
 	// Per-socket streams merge: occupancy is the emitting queue's
-	// post-event occupancy with the socket tag stripped, exactly as in
-	// trace.BucketWPQ.
+	// post-event occupancy with the socket tag stripped.
 	occ := trace.WPQOcc(e.Arg)
 	if occ > b.OccMax {
 		b.OccMax = occ

@@ -2,7 +2,8 @@
 // preallocated ring buffer of fixed-width binary records stamped with
 // the emitting core and its simulated cycle. It is the observability
 // layer under every profiling consumer — the Perfetto exporter
-// (perfetto.go) and the interval-metrics reducer (metrics.go).
+// (perfetto.go) and the online analyses of internal/trace/stream, which
+// read the ring as one more event source.
 //
 // Overhead contract. Tracing must never perturb the simulation: the
 // tracer only observes (it reads clocks, never advances them), so a
@@ -17,7 +18,6 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 )
 
 // Kind identifies an event class.
@@ -143,7 +143,7 @@ func MetricsMask() uint64 {
 }
 
 // SanitizeMask accepts exactly the kinds the persist-order sanitizer
-// (Sanitize) replays: the transaction lifecycle, the log/commit-marker
+// (Sanitizer) replays: the transaction lifecycle, the log/commit-marker
 // durability events, lazy-persistency deferral and drains, stores, and
 // the WPQ stream. It drops the cache/coherence events, which the
 // sanitizer does not consume, so a sanitizer-only tracer overflows far
@@ -325,18 +325,9 @@ func (t *Tracer) Reset() {
 	}
 }
 
-// Binary stream format: an 8-byte magic, a little-endian uint64 event
-// count, then count fixed-width 26-byte records (cycle, addr, arg,
-// kind, core).
-const (
-	binMagic   = "SLPTRC01"
-	recordSize = 8 + 8 + 8 + 1 + 1
-)
-
-// RecordSize is the encoded width of one event record — shared by the
-// one-shot SLPTRC01 stream and the chunked segment format
-// (internal/trace/stream).
-const RecordSize = recordSize
+// RecordSize is the encoded width of one event record (cycle, addr,
+// arg, kind, core) in the segment format (internal/trace/stream).
+const RecordSize = 8 + 8 + 8 + 1 + 1
 
 // PutRecord encodes e into rec, which must be at least RecordSize long.
 func PutRecord(rec []byte, e Event) {
@@ -356,122 +347,4 @@ func GetRecord(rec []byte) Event {
 		Kind:  Kind(rec[24]),
 		Core:  rec[25],
 	}
-}
-
-// TruncatedError reports a binary stream that ends mid-record: the
-// header promised Want records but the data runs out inside record
-// Record (0-based), Offset bytes into the stream. The durable prefix —
-// every complete record before the tear — was decoded before the error
-// was returned by the callers that tolerate tears (the segment
-// reader); ReadBinary rejects the whole stream.
-type TruncatedError struct {
-	Record int   // index of the record the stream tore inside
-	Want   int   // records the header promised
-	Offset int64 // byte offset of the torn record's start
-	Err    error // underlying read error
-}
-
-func (e *TruncatedError) Error() string {
-	return fmt.Sprintf("trace: stream truncated at byte %d (record %d of %d): %v",
-		e.Offset, e.Record, e.Want, e.Err)
-}
-
-func (e *TruncatedError) Unwrap() error { return e.Err }
-
-// WriteBinary serializes the held events (oldest-first) to w.
-func (t *Tracer) WriteBinary(w io.Writer) error {
-	return WriteBinary(w, t.Events())
-}
-
-// WriteBinary serializes events to w in the tracer's binary format.
-func WriteBinary(w io.Writer, events []Event) error {
-	var hdr [16]byte
-	copy(hdr[:8], binMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(events)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 64*recordSize)
-	for i, e := range events {
-		var rec [recordSize]byte
-		PutRecord(rec[:], e)
-		buf = append(buf, rec[:]...)
-		if len(buf) == cap(buf) || i == len(events)-1 {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	return nil
-}
-
-// ReadBinary parses a binary trace stream produced by WriteBinary. It
-// decodes through the chunked path — memory grows with the records
-// actually present, never with the count the header claims — and a
-// stream that ends mid-record is rejected with a position-carrying
-// *TruncatedError rather than a generic short-read.
-func ReadBinary(r io.Reader) ([]Event, error) {
-	var events []Event
-	count, err := DecodeRecords(r, func(e Event) { events = append(events, e) })
-	if err != nil {
-		return nil, err
-	}
-	if len(events) != count {
-		// DecodeRecords already returns *TruncatedError for a torn
-		// record; this covers a clean EOF between records.
-		return nil, &TruncatedError{
-			Record: len(events), Want: count,
-			Offset: 16 + int64(len(events))*recordSize, Err: io.ErrUnexpectedEOF,
-		}
-	}
-	return events, nil
-}
-
-// DecodeRecords parses a SLPTRC01 stream incrementally, calling fn for
-// every complete record, in chunks of bounded size. It returns the
-// record count the header promised. If the stream ends mid-record the
-// complete prefix has already been delivered to fn and the error is a
-// *TruncatedError carrying the tear position; a clean end between
-// records before count is reached is NOT an error here (the caller
-// compares count against what fn saw) — segment readers use that to
-// recover a durable prefix.
-func DecodeRecords(r io.Reader, fn func(Event)) (count int, err error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, fmt.Errorf("trace: short header: %w", err)
-	}
-	if string(hdr[:8]) != binMagic {
-		return 0, fmt.Errorf("trace: bad magic %q", hdr[:8])
-	}
-	c := binary.LittleEndian.Uint64(hdr[8:])
-	const maxEvents = 1 << 40 // refuse absurd headers
-	if c > maxEvents {
-		return 0, fmt.Errorf("trace: unreasonable event count %d", c)
-	}
-	count = int(c)
-	const chunkRecords = 1 << 12
-	buf := make([]byte, chunkRecords*recordSize)
-	for seen := 0; seen < count; {
-		want := count - seen
-		if want > chunkRecords {
-			want = chunkRecords
-		}
-		n, rerr := io.ReadFull(r, buf[:want*recordSize])
-		whole := n / recordSize
-		for i := 0; i < whole; i++ {
-			fn(GetRecord(buf[i*recordSize:]))
-		}
-		seen += whole
-		if rerr != nil {
-			if n%recordSize != 0 {
-				return count, &TruncatedError{
-					Record: seen, Want: count,
-					Offset: 16 + int64(seen)*recordSize, Err: rerr,
-				}
-			}
-			return count, nil // clean end between records: durable prefix delivered
-		}
-	}
-	return count, nil
 }

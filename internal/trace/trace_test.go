@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
@@ -58,36 +55,6 @@ func TestMetricsMaskCoversReducerKinds(t *testing.T) {
 		if m&(1<<uint(k)) != 0 {
 			t.Errorf("metrics mask should drop high-rate kind %v", k)
 		}
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	tr := New(128)
-	for i := 0; i < 100; i++ {
-		tr.Emit(uint8(i%3), uint64(i*17), Kind(1+i%int(numKinds-1)), uint64(i)<<20, uint64(i*i))
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tr.Events()
-	if len(got) != len(want) {
-		t.Fatalf("round trip: %d events, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("event %d: %+v != %+v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestReadBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("not a trace at all"))); err == nil {
-		t.Fatal("expected error on bad magic")
 	}
 }
 

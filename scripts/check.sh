@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh - the repo's pre-merge gate: formatting, vet (go vet plus
 # the slpmtvet analyzer suite), build, full test suite, race-detector
-# passes, and a persist-order sanitizer replay of a 2-core run.
+# passes, and one traced 2-core run replayed through the persist-order
+# sanitizer and the critical-path analyzer.
 #
 # Usage: scripts/check.sh   (or: make check)
 set -eu
@@ -33,15 +34,8 @@ go test -race . ./internal/bench/ ./internal/machine/ ./internal/trace/...
 go test -race ./internal/experiments/ \
 	./internal/recovery/ -run 'Parallel|ForEach|Grid|RunAll|Collector|Smoke'
 
-echo "== persist-order sanitizer =="
-go run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 -sanitize
-
-echo "== trace stream (binlog equivalence + streamed sanitizer) =="
+echo "== traced run (streamed sanitizer + critical-path conservation) =="
 go run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 \
-	-trace-stream stream-out -stream-check -sanitize
-
-echo "== critical path (streamed-vs-buffered byte-match + conservation) =="
-go run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 \
-	-trace-stream stream-out -stream-check -critpath -hotlines 10
+	-trace-stream stream-out -sanitize -critpath -hotlines 10
 
 echo "ALL CHECKS PASSED"
