@@ -59,11 +59,12 @@ bench:
 
 # Micro-benchmarks for the simulator hot paths (allocations reported),
 # layer by layer: cache lookup/insert/locate, the core's eviction
-# cascade, log-buffer insert/merge, the engine, and the tracer's
-# disabled/enabled emit costs.
+# cascade, PM persist and crash snapshot, log-buffer insert/merge, the
+# engine, and the tracer's disabled/enabled emit costs.
 microbench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/cache/ ./internal/machine/ \
-		./internal/logbuf/ ./internal/engine/ ./internal/ycsb/ ./internal/trace/
+		./internal/pmem/ ./internal/logbuf/ ./internal/engine/ ./internal/ycsb/ \
+		./internal/trace/
 
 # Experiments gated by the perf-regression baseline (default flag
 # parameters: n=1000, value=256, seed=0 — what `-compare baselines/`

@@ -88,7 +88,7 @@ func main() {
 	fmt.Printf("run: %s under %s, %d ops, %d persist events, crashed=%v\n\n",
 		*workload, *scheme, *n, events, crashed)
 
-	layouts := mem.MultiLayout(uint64(len(img.Data)), *cores)
+	layouts := mem.MultiLayout(img.Size(), *cores)
 
 	// Root directory.
 	fmt.Println("root directory:")
@@ -100,7 +100,8 @@ func main() {
 
 	// Per-core log header + records.
 	for core, layout := range layouts {
-		raw := img.Data[layout.LogBase : layout.LogBase+layout.LogSize]
+		raw := make([]byte, layout.LogSize)
+		img.Read(layout.LogBase, raw)
 		hdr := logfmt.DecodeHeader(raw)
 		state := map[uint64]string{0: "idle", 1: "ACTIVE", 2: "committed"}[hdr.State]
 		mode := map[uint64]string{1: "undo", 2: "redo"}[hdr.Mode]

@@ -88,7 +88,7 @@ func compact(sys *slpmt.System, old slpmt.Addr) (dst slpmt.Addr) {
 // recoverMove re-executes an interrupted/unflushed move from the intact
 // source region (the application recovery for the lazy copies).
 func recoverMove(img *pmem.Image) bool {
-	layout := mem.DefaultLayout(uint64(len(img.Data)))
+	layout := mem.DefaultLayout(img.Size())
 	root := func(s int) uint64 { return img.ReadU64(layout.RootBase + mem.Addr(s*8)) }
 	src := mem.Addr(root(slotSrc))
 	if src == 0 {

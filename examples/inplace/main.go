@@ -103,7 +103,7 @@ func updateOptimized(sys *slpmt.System, data, seq slpmt.Addr, idxs, vals []uint6
 // replaySeq is the post-crash recovery: reapply the sequential records
 // as a redo log (no address indirection — the records carry the index).
 func replaySeq(img *pmem.Image) int {
-	layout := mem.DefaultLayout(uint64(len(img.Data)))
+	layout := mem.DefaultLayout(img.Size())
 	root := func(s int) uint64 { return img.ReadU64(layout.RootBase + mem.Addr(s*8)) }
 	data := mem.Addr(root(slotData))
 	seq := mem.Addr(root(slotSeq))

@@ -1414,17 +1414,6 @@ func (e *Engine) Abort() {
 	e.m.Trace(trace.KTxAbort, 0, e.cur.seq)
 }
 
-// WriteSetLines returns the current transaction's write-set line
-// addresses (tests and the compiler's trace replay use this).
-func (e *Engine) WriteSetLines() []mem.Addr {
-	out := make([]mem.Addr, 0, len(e.cur.writeLines))
-	for la := range e.cur.writeLines { //slpmt:determinism-ok: collected keys are sorted below
-		out = append(out, la)
-	}
-	slices.Sort(out)
-	return out
-}
-
 // ContextSwitch models the OS-visible part of a thread switch (§V-C):
 // the kernel drains the log buffer so the outgoing thread's records are
 // durable before another thread runs on the core. Lazy-persistency

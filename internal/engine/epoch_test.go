@@ -220,11 +220,14 @@ func TestEpochW1MatchesPerTxn(t *testing.T) {
 		t.Errorf("W=1 stats differ:\n  per-txn: %+v\n  W=1:     %+v", m0.Stats, m1.Stats)
 	}
 	a, b := m0.Crash(), m1.Crash()
-	if len(a.Data) != len(b.Data) {
+	if a.Size() != b.Size() {
 		t.Fatal("image sizes differ")
 	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
+	da, db := make([]byte, a.Size()), make([]byte, b.Size())
+	a.Read(0, da)
+	b.Read(0, db)
+	for i := range da {
+		if da[i] != db[i] {
 			t.Fatalf("durable images differ at byte %#x", i)
 		}
 	}

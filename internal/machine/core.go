@@ -159,30 +159,16 @@ func (c *Core) TickArena(n uint64) { c.charge(profile.CauseAllocArena, n) }
 
 // ReadMem copies the current (volatile) contents at addr into p. Purely
 // functional: no timing. The volatile image is shared by all cores.
-func (c *Core) ReadMem(addr mem.Addr, p []byte) {
-	copy(p, c.sh.vol[addr:addr+mem.Addr(len(p))])
-}
+func (c *Core) ReadMem(addr mem.Addr, p []byte) { c.sh.vol.Read(addr, p) }
 
 // WriteMem copies p into the volatile image at addr. Purely functional.
-func (c *Core) WriteMem(addr mem.Addr, p []byte) {
-	copy(c.sh.vol[addr:], p)
-}
+func (c *Core) WriteMem(addr mem.Addr, p []byte) { c.sh.vol.Write(addr, p) }
 
 // ReadU64 reads a little-endian word from the volatile image.
-func (c *Core) ReadU64(addr mem.Addr) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(c.sh.vol[addr+mem.Addr(i)]) << (8 * uint(i))
-	}
-	return v
-}
+func (c *Core) ReadU64(addr mem.Addr) uint64 { return c.sh.vol.ReadU64(addr) }
 
 // WriteU64 writes a little-endian word into the volatile image.
-func (c *Core) WriteU64(addr mem.Addr, v uint64) {
-	for i := 0; i < 8; i++ {
-		c.sh.vol[addr+mem.Addr(i)] = byte(v >> (8 * uint(i)))
-	}
-}
+func (c *Core) WriteU64(addr mem.Addr, v uint64) { c.sh.vol.WriteU64(addr, v) }
 
 // AccessLine simulates one load or store touching the line containing
 // addr: the hierarchy walk, latency accounting, metadata propagation
@@ -701,27 +687,6 @@ func (c *Core) LocatePrivate(buf []PrivateLine, addr mem.Addr) []PrivateLine {
 		buf = append(buf, PrivateLine{Pos: c.L1.Lines() + i, Line: l})
 	}
 	return buf
-}
-
-// FlushAllDirty persists every dirty line in this core's hierarchy view
-// (graceful shutdown): the private caches and the shared L3. It is not
-// part of the measured execution; harnesses snapshot counters before
-// calling it. On a multi-core machine, flush every core (the shared L3
-// pass is idempotent).
-func (c *Core) FlushAllDirty() {
-	persist := func(l *cache.Line) {
-		if l.State == cache.Modified {
-			var buf [mem.LineSize]byte
-			c.ReadMem(l.Addr, buf[:])
-			c.persist(l.Addr, buf[:])
-			c.Stats.PMWriteBytesData += mem.LineSize
-			c.Stats.PMWriteEntries++
-			l.State = cache.Exclusive
-		}
-	}
-	c.L1.ForEach(persist)
-	c.L2.ForEach(persist)
-	c.sh.L3.ForEach(persist)
 }
 
 // DropLine removes the line containing addr from this core's hierarchy

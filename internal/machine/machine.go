@@ -17,8 +17,9 @@
 //     written back before ownership transfers (MESI-lite).
 //
 // Functional model. The program's current view of memory lives in one
-// flat volatile image shared by all cores; caches track placement and
-// SLPMT metadata only. The durable image inside the pmem.Device is
+// volatile image shared by all cores, a pmem.Memory the OS zero-fills
+// page by page on first touch; caches track placement and SLPMT
+// metadata only. The durable image inside the pmem.Device is
 // updated exclusively by persist operations (explicit line/log persists
 // and dirty L3 writebacks), so a crash snapshot contains exactly the
 // persisted bytes.
@@ -135,7 +136,7 @@ type Machine struct {
 	Layout mem.Layout // core 0's view; heap/root regions are shared
 	cores  []*Core
 
-	vol []byte // functional program view of the PM address space
+	vol *pmem.Memory // functional program view of the PM address space
 
 	// PersistTotal counts durable-write events machine-wide (across all
 	// cores, in interleave order); with CrashAfterTotal != 0 the machine
@@ -177,7 +178,7 @@ func New(cfg Config) *Machine {
 		PM:     dev,
 		Topo:   topo,
 		Layout: layouts[0],
-		vol:    make([]byte, dev.Size()),
+		vol:    pmem.NewMemory(dev.Size()),
 	}
 	topo.SetTracer(cfg.Trace)
 	m.cores = make([]*Core, cfg.Cores)

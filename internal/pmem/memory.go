@@ -1,0 +1,199 @@
+package pmem
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+	"runtime"
+	"sync/atomic"
+)
+
+// PageSize is the granularity at which the durable image tracks writes
+// and at which crash snapshots hold data.
+const PageSize = 4096
+
+// Memory is a fixed-size byte image that starts zeroed. On unix it is
+// an anonymous private mapping, so creating one zeroes nothing and only
+// the pages a run touches ever become resident; the mapping is released
+// by a finalizer once the Memory is unreachable. The mapping never
+// leaves this type: every method copies in or out of it, and ends with
+// runtime.KeepAlive so the finalizer cannot unmap mid-copy when the
+// call is the Memory's last use.
+type Memory struct {
+	b []byte
+}
+
+// liveMappings counts the Memory images not yet released.
+var liveMappings atomic.Int64
+
+// NewMemory returns a zeroed image of size bytes.
+func NewMemory(size uint64) *Memory {
+	m := &Memory{b: mapZeroed(int(size))}
+	liveMappings.Add(1)
+	runtime.SetFinalizer(m, (*Memory).release)
+	return m
+}
+
+func (m *Memory) release() {
+	unmap(m.b)
+	m.b = nil
+	liveMappings.Add(-1)
+}
+
+// Size returns the image size in bytes.
+func (m *Memory) Size() uint64 { return uint64(len(m.b)) }
+
+// Read copies len(p) bytes at addr into p.
+func (m *Memory) Read(addr uint64, p []byte) {
+	copy(p, m.b[addr:addr+uint64(len(p))])
+	runtime.KeepAlive(m)
+}
+
+// Write copies p into the image at addr.
+func (m *Memory) Write(addr uint64, p []byte) {
+	copy(m.b[addr:addr+uint64(len(p))], p)
+	runtime.KeepAlive(m)
+}
+
+// ReadU64 reads a little-endian uint64 at addr.
+func (m *Memory) ReadU64(addr uint64) uint64 {
+	v := binary.LittleEndian.Uint64(m.b[addr : addr+8])
+	runtime.KeepAlive(m)
+	return v
+}
+
+// WriteU64 writes a little-endian uint64 at addr.
+func (m *Memory) WriteU64(addr uint64, v uint64) {
+	binary.LittleEndian.PutUint64(m.b[addr:addr+8], v)
+	runtime.KeepAlive(m)
+}
+
+// durableImage is the persist domain's contents: a Memory plus one bit
+// per page ever written, so a crash snapshot copies only those pages.
+type durableImage struct {
+	mem     *Memory
+	written []uint64
+}
+
+func newDurableImage(size uint64) *durableImage {
+	pages := (size + PageSize - 1) / PageSize
+	return &durableImage{mem: NewMemory(size), written: make([]uint64, (pages+63)/64)}
+}
+
+// write stores p (non-empty) at addr and marks its pages written.
+//
+//slpmt:noalloc
+func (d *durableImage) write(addr uint64, p []byte) {
+	d.mem.Write(addr, p)
+	for pg := addr / PageSize; pg <= (addr+uint64(len(p))-1)/PageSize; pg++ {
+		d.written[pg/64] |= 1 << (pg % 64)
+	}
+}
+
+// snapshot copies the written pages into a new Image: one slab for all
+// of them, plus the page table.
+func (d *durableImage) snapshot() *Image {
+	n := 0
+	for _, w := range d.written {
+		n += bits.OnesCount64(w)
+	}
+	img := newImage(d.mem.Size())
+	slab := make([][PageSize]byte, n)
+	for i, w := range d.written {
+		for ; w != 0; w &= w - 1 {
+			pg := uint64(i*64 + bits.TrailingZeros64(w))
+			page := &slab[0]
+			slab = slab[1:]
+			d.mem.Read(pg*PageSize, page[:img.pageLen(pg)])
+			img.pages[pg] = page
+		}
+	}
+	return img
+}
+
+// Image is a crash snapshot: the durable contents of the device at the
+// instant of a (simulated) power failure, after the ADR domain has been
+// flushed. It holds a copy of the written pages only; every other page
+// reads as zero. Recovery reads and repairs an Image in place.
+type Image struct {
+	size  uint64
+	pages []*[PageSize]byte // nil: absent, reads as zero
+}
+
+func newImage(size uint64) *Image {
+	return &Image{size: size, pages: make([]*[PageSize]byte, (size+PageSize-1)/PageSize)}
+}
+
+// pageLen is the number of image bytes in page pg (short on a partial
+// last page).
+func (img *Image) pageLen(pg uint64) int {
+	return int(min(PageSize, img.size-pg*PageSize))
+}
+
+// Size returns the image size in bytes.
+func (img *Image) Size() uint64 { return img.size }
+
+func (img *Image) check(op string, addr uint64, n int) {
+	if addr > img.size || uint64(n) > img.size-addr {
+		panic(fmt.Sprintf("pmem: image %s out of range: addr=%#x n=%d size=%#x", op, addr, n, img.size))
+	}
+}
+
+// Read copies len(p) bytes at addr from the image into p.
+func (img *Image) Read(addr uint64, p []byte) {
+	img.check("read", addr, len(p))
+	for len(p) > 0 {
+		pg, off := addr/PageSize, addr%PageSize
+		n := int(min(uint64(len(p)), PageSize-off))
+		if page := img.pages[pg]; page != nil {
+			copy(p[:n], page[off:])
+		} else {
+			clear(p[:n])
+		}
+		p = p[n:]
+		addr += uint64(n)
+	}
+}
+
+// Write copies p into the image at addr, allocating any absent page it
+// touches.
+func (img *Image) Write(addr uint64, p []byte) {
+	img.check("write", addr, len(p))
+	for len(p) > 0 {
+		pg, off := addr/PageSize, addr%PageSize
+		page := img.pages[pg]
+		if page == nil {
+			page = new([PageSize]byte)
+			img.pages[pg] = page
+		}
+		n := copy(page[off:], p)
+		p = p[n:]
+		addr += uint64(n)
+	}
+}
+
+// ReadU64 reads a little-endian uint64 from the image.
+func (img *Image) ReadU64(addr uint64) uint64 {
+	var b [8]byte
+	img.Read(addr, b[:])
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+// WriteU64 writes a little-endian uint64 into the image (used by
+// recovery when applying undo/redo records).
+func (img *Image) WriteU64(addr uint64, v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	img.Write(addr, b[:])
+}
+
+// ForEachPage calls fn, in ascending address order, with the base
+// address and contents of every page the image holds. fn must not
+// retain or modify page.
+func (img *Image) ForEachPage(fn func(base uint64, page []byte)) {
+	for pg, page := range img.pages {
+		if page != nil {
+			fn(uint64(pg)*PageSize, page[:img.pageLen(uint64(pg))])
+		}
+	}
+}

@@ -1,0 +1,159 @@
+package pmem
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// heldPages lists the base addresses of the pages an image holds.
+func heldPages(img *Image) []uint64 {
+	var out []uint64
+	img.ForEachPage(func(base uint64, _ []byte) { out = append(out, base) })
+	return out
+}
+
+func TestImageAbsentPagesReadZero(t *testing.T) {
+	d := New(Config{Size: 3 * PageSize})
+	d.Persist(0, PageSize+64, line(0xAB))
+	img := d.Crash()
+	if got := heldPages(img); len(got) != 1 || got[0] != PageSize {
+		t.Fatalf("held pages = %#x, want [%#x]", got, PageSize)
+	}
+	buf := bytes.Repeat([]byte{0xFF}, 3*PageSize)
+	img.Read(0, buf)
+	for a, b := range buf {
+		want := byte(0)
+		if a >= PageSize+64 && a < PageSize+128 {
+			want = 0xAB
+		}
+		if b != want {
+			t.Fatalf("byte %#x = %#x, want %#x", a, b, want)
+		}
+	}
+}
+
+func TestImageReadWriteAcrossPages(t *testing.T) {
+	img := New(Config{Size: 3 * PageSize}).Crash()
+	data := []byte("0123456789abcdef")
+	img.Write(PageSize-8, data)
+	got := make([]byte, len(data))
+	img.Read(PageSize-8, got)
+	if !bytes.Equal(got, data) {
+		t.Errorf("read across boundary = %q, want %q", got, data)
+	}
+	if pages := heldPages(img); len(pages) != 2 || pages[0] != 0 || pages[1] != PageSize {
+		t.Errorf("write across boundary allocated %#x, want pages 0 and %#x", pages, PageSize)
+	}
+	img.WriteU64(2*PageSize-4, 0x1122334455667788)
+	if v := img.ReadU64(2*PageSize - 4); v != 0x1122334455667788 {
+		t.Errorf("u64 across boundary = %#x", v)
+	}
+}
+
+// TestSnapshotIndependent: a snapshot neither sees later persists nor
+// writes back into the live durable image.
+func TestSnapshotIndependent(t *testing.T) {
+	d := New(Config{Size: 1 << 20})
+	d.Persist(0, 128, line(1))
+	img := d.Crash()
+	d.Persist(10, 128, line(2))
+	if v := img.ReadU64(128); v != 0x0101010101010101 {
+		t.Errorf("snapshot saw a later persist: %#x", v)
+	}
+	img.WriteU64(128, 3)
+	img.WriteU64(8192, 3)
+	if v := d.ReadU64(128); v != 0x0202020202020202 {
+		t.Errorf("snapshot write reached the device: %#x", v)
+	}
+	if v := d.ReadU64(8192); v != 0 {
+		t.Errorf("snapshot write reached an unwritten device page: %#x", v)
+	}
+	if v := d.Crash().ReadU64(128); v != 0x0202020202020202 {
+		t.Errorf("second snapshot = %#x", v)
+	}
+}
+
+// TestPersistMarksPagesWritten: each persist path records the pages it
+// touches, including both pages of an entry that straddles a boundary.
+func TestPersistMarksPagesWritten(t *testing.T) {
+	paths := map[string]func(d *Device, addr uint64, data []byte){
+		"Persist":       func(d *Device, a uint64, p []byte) { d.Persist(0, a, p) },
+		"PersistStream": func(d *Device, a uint64, p []byte) { d.PersistStream(0, a, p) },
+		"PersistAsync":  func(d *Device, a uint64, p []byte) { d.PersistAsync(0, a, p) },
+	}
+	for name, persist := range paths {
+		d := New(Config{Size: 1 << 20})
+		persist(d, 5*PageSize+64, line(1))
+		persist(d, 9*PageSize-32, line(2))
+		got := heldPages(d.Crash())
+		want := []uint64{5 * PageSize, 8 * PageSize, 9 * PageSize}
+		if len(got) != len(want) {
+			t.Errorf("%s: held pages %#x, want %#x", name, got, want)
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: held pages %#x, want %#x", name, got, want)
+				break
+			}
+		}
+	}
+}
+
+// TestMappingsReleased: the images of a dropped topology and volatile
+// memory are unmapped once collected, and a live one stays readable.
+func TestMappingsReleased(t *testing.T) {
+	kept := NewMemory(PageSize)
+	kept.WriteU64(0, 99)
+	before := liveMappings.Load()
+	for i := 0; i < 8; i++ {
+		topo := NewTopology(TopoConfig{Sockets: 2})
+		topo.Dev(1).Persist(0, 0, line(1))
+		NewMemory(DefaultSize).WriteU64(64, 1)
+	}
+	if n := liveMappings.Load(); n < before+16 {
+		t.Fatalf("live mappings = %d after creating 16, want at least %d", n, before+16)
+	}
+	for i := 0; i < 500 && liveMappings.Load() > before; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := liveMappings.Load(); n > before {
+		t.Errorf("live mappings = %d after GC, want at most %d", n, before)
+	}
+	if v := kept.ReadU64(0); v != 99 {
+		t.Errorf("live memory read %d after GC, want 99", v)
+	}
+}
+
+var sinkStall uint64
+
+func BenchmarkPersist(b *testing.B) {
+	d := New(Config{})
+	data := line(1)
+	var now uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += d.Persist(now, uint64(i%4096)*PageSize, data)
+	}
+	sinkStall = now
+}
+
+var sinkImage *Image
+
+// BenchmarkCrash snapshots a durable image with 64 written pages, about
+// what a crash campaign point leaves.
+func BenchmarkCrash(b *testing.B) {
+	d := New(Config{})
+	for pg := uint64(0); pg < 64; pg++ {
+		d.PersistAsync(0, pg*61*PageSize%DefaultSize, line(byte(pg)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkImage = d.Crash()
+	}
+}

@@ -22,7 +22,7 @@ func TestDurableAtEnqueue(t *testing.T) {
 		t.Error("data not durable immediately after Persist")
 	}
 	img := d.Crash()
-	if img.Data[128] != 0xAB {
+	if img.ReadU64(128) != 0xABABABABABABABAB {
 		t.Error("crash image missing persisted data")
 	}
 }
@@ -127,34 +127,49 @@ func TestQueueDepthDrains(t *testing.T) {
 	}
 }
 
-func TestRestore(t *testing.T) {
-	d := New(Config{Size: 1 << 20})
-	d.Persist(0, 64, line(7))
-	img := d.Crash()
-	d.Persist(1008, 64, line(9))
-	d.Restore(img)
-	got := make([]byte, 64)
-	d.Read(64, got)
-	if got[0] != 7 {
-		t.Error("restore lost original data")
-	}
-	d.Read(64*16, got) // region untouched in image
-	if d.ReadU64(128) != 0 {
-		t.Error("restore did not clear later writes")
-	}
-}
-
+// TestImageAccessors covers an image that is one partial page long.
 func TestImageAccessors(t *testing.T) {
-	img := &Image{Data: make([]byte, 1024)}
+	d := New(Config{Size: 1024})
+	d.Persist(0, 1024-64, line(7))
+	img := d.Crash()
+	if img.Size() != 1024 {
+		t.Fatalf("Size = %d, want 1024", img.Size())
+	}
+	img.ForEachPage(func(base uint64, page []byte) {
+		if base != 0 || len(page) != 1024 {
+			t.Errorf("page at %#x holds %d bytes, want 0 and 1024", base, len(page))
+		}
+	})
+	if img.ReadU64(1024-64) != 0x0707070707070707 {
+		t.Error("persisted word missing from the image")
+	}
 	img.WriteU64(8, 0xdeadbeefcafe)
 	if img.ReadU64(8) != 0xdeadbeefcafe {
 		t.Error("image u64 roundtrip failed")
+	}
+	img.WriteU64(1016, 42)
+	if img.ReadU64(1016) != 42 {
+		t.Error("last-word u64 roundtrip failed")
 	}
 	img.Write(100, []byte{1, 2, 3})
 	buf := make([]byte, 3)
 	img.Read(100, buf)
 	if !bytes.Equal(buf, []byte{1, 2, 3}) {
 		t.Error("image byte roundtrip failed")
+	}
+	for _, op := range []func(){
+		func() { img.Read(1020, make([]byte, 8)) },
+		func() { img.Write(1024, []byte{1}) },
+		func() { img.ReadU64(1 << 40) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("access past the end did not panic")
+				}
+			}()
+			op()
+		}()
 	}
 }
 

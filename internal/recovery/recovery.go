@@ -67,7 +67,7 @@ func (r *Report) String() string {
 // transaction are applied in reverse; redo records of a committed
 // transaction are replayed in order.
 func ApplyLog(img *pmem.Image) (*Report, error) {
-	return applyLogRegion(img, mem.DefaultLayout(uint64(len(img.Data))))
+	return applyLogRegion(img, mem.DefaultLayout(img.Size()))
 }
 
 // logUnit is one parsed application unit: a whole per-transaction log
@@ -169,18 +169,24 @@ func splitUnits(recs []logfmt.Record, hdr logfmt.Header, undo bool) []*logUnit {
 // original semantics: reverse an ACTIVE undo log, replay a COMMITTED
 // redo log.
 func parseLogRegion(img *pmem.Image, layout mem.Layout, ent logfmt.GroupEntry) (*Report, []*logUnit, error) {
-	raw := img.Data[layout.LogBase : layout.LogBase+layout.LogSize]
-	hdr := logfmt.DecodeHeader(raw)
+	var line [logfmt.RecordsStart]byte
+	img.Read(layout.LogBase, line[:])
+	hdr := logfmt.DecodeHeader(line[:])
 	rep := &Report{LogSeq: hdr.Seq, LogState: hdr.State, Mode: hdr.Mode, LogEpoch: hdr.Epoch}
 	if hdr.Magic != logfmt.Magic {
 		// Never initialized: fresh image, nothing to do.
 		return rep, nil, nil
 	}
+	boundary := hdr.CommittedTo
+	if uint64(ent.Epoch) == hdr.Epoch && uint64(ent.Boundary) > boundary {
+		boundary = uint64(ent.Boundary)
+	}
+	// Every parse below stops at the watermark or the boundary, so only
+	// that prefix of the log area is copied out. A bound past the area
+	// keeps the whole area, so the parsers still report it.
+	raw := make([]byte, min(layout.LogSize, max(hdr.Watermark, boundary, logfmt.RecordsStart)))
+	img.Read(layout.LogBase, raw)
 	if hdr.CommittedTo >= logfmt.RecordsStart {
-		boundary := hdr.CommittedTo
-		if uint64(ent.Epoch) == hdr.Epoch && uint64(ent.Boundary) > boundary {
-			boundary = uint64(ent.Boundary)
-		}
 		switch hdr.Mode {
 		case logfmt.ModeUndo:
 			if hdr.Watermark > boundary {
@@ -220,8 +226,9 @@ func parseLogRegion(img *pmem.Image, layout mem.Layout, ent logfmt.GroupEntry) (
 
 // groupDesc reads the group-commit descriptor line from the image.
 func groupDesc(img *pmem.Image, layout mem.Layout) [logfmt.MaxGroupCores]logfmt.GroupEntry {
-	base := layout.GroupDesc()
-	return logfmt.DecodeGroupDesc(img.Data[base : base+mem.LineSize])
+	var line [mem.LineSize]byte
+	img.Read(layout.GroupDesc(), line[:])
+	return logfmt.DecodeGroupDesc(line[:])
 }
 
 // applyLogRegion applies one core's hardware log, addressed by its
@@ -287,7 +294,7 @@ func RecoverSharded(img *pmem.Image, w workloads.Recoverable, cores, sockets int
 	if cores < 1 {
 		cores = 1
 	}
-	layouts := mem.MultiLayoutSockets(uint64(len(img.Data)), cores, sockets)
+	layouts := mem.MultiLayoutSockets(img.Size(), cores, sockets)
 	desc := groupDesc(img, layouts[0])
 	var rep *Report
 	var units []*logUnit

@@ -1,8 +1,14 @@
 package recovery_test
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
+	"github.com/persistmem/slpmt/internal/logfmt"
+	"github.com/persistmem/slpmt/internal/mem"
+	"github.com/persistmem/slpmt/internal/pmem"
 	"github.com/persistmem/slpmt/internal/recovery"
 	"github.com/persistmem/slpmt/internal/workloads"
 	_ "github.com/persistmem/slpmt/internal/workloads/all"
@@ -85,5 +91,34 @@ func TestCrashCampaignMixedOps(t *testing.T) {
 			t.Logf("%s mixed: %d points over %d events, %d records applied, %d pending-accepted",
 				w, res.PointsTested, res.TotalPersistEvents, res.RecordsApplied, res.PendingAccepted)
 		})
+	}
+}
+
+// TestCorruptWatermarkReported: recovery copies only the written
+// prefix of a log area, yet a header bound past the area must still
+// surface as the parsers' corruption error, naming the bad bound.
+func TestCorruptWatermarkReported(t *testing.T) {
+	layout := mem.DefaultLayout(pmem.DefaultSize)
+	beyond := layout.LogSize + 64
+	for _, tc := range []struct {
+		name string
+		hdr  logfmt.Header
+		want string
+	}{
+		{"per-txn undo", logfmt.Header{State: logfmt.StateActive, Mode: logfmt.ModeUndo, Watermark: beyond},
+			fmt.Sprintf("watermark %d beyond log area", beyond)},
+		{"epoch undo", logfmt.Header{Mode: logfmt.ModeUndo, Watermark: beyond, CommittedTo: logfmt.RecordsStart},
+			fmt.Sprintf("region end %d beyond log area", beyond)},
+		{"epoch redo", logfmt.Header{Mode: logfmt.ModeRedo, Watermark: logfmt.RecordsStart, CommittedTo: beyond},
+			fmt.Sprintf("region end %d beyond log area", beyond)},
+	} {
+		img := pmem.New(pmem.Config{}).Crash()
+		tc.hdr.Magic = logfmt.Magic
+		line := logfmt.EncodeHeader(tc.hdr)
+		img.Write(layout.LogBase, line[:])
+		_, err := recovery.ApplyLog(img)
+		if !errors.Is(err, logfmt.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -245,7 +245,7 @@ func (t *Tree) Check(sys *slpmt.System, oracle map[uint64][]byte) error {
 // --- Recovery over the durable image -------------------------------
 
 func readRoot(img *pmem.Image, slot int) uint64 {
-	l := mem.DefaultLayout(uint64(len(img.Data)))
+	l := mem.DefaultLayout(img.Size())
 	return img.ReadU64(l.RootBase + mem.Addr(slot*8))
 }
 

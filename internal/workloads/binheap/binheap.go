@@ -240,7 +240,7 @@ func matchKeys(keys []uint64, oracle map[uint64][]byte, who string) error {
 
 // --- Recovery over the durable image -------------------------------
 
-func layout(img *pmem.Image) mem.Layout { return mem.DefaultLayout(uint64(len(img.Data))) }
+func layout(img *pmem.Image) mem.Layout { return mem.DefaultLayout(img.Size()) }
 
 func readRoot(img *pmem.Image, slot int) uint64 {
 	return img.ReadU64(layout(img).RootBase + mem.Addr(slot*8))

@@ -175,7 +175,7 @@ func (l *List) Check(sys *slpmt.System, oracle map[uint64][]byte) error {
 // --- Recovery over the durable image -------------------------------
 
 func readRoot(img *pmem.Image, slot int) uint64 {
-	la := mem.DefaultLayout(uint64(len(img.Data)))
+	la := mem.DefaultLayout(img.Size())
 	return img.ReadU64(la.RootBase + mem.Addr(slot*8))
 }
 

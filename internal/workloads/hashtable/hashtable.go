@@ -237,7 +237,7 @@ func (t *Table) Check(sys *slpmt.System, oracle map[uint64][]byte) error {
 // --- Recovery over the durable image -------------------------------
 
 func rootAddr(img *pmem.Image, slot int) mem.Addr {
-	l := mem.DefaultLayout(uint64(len(img.Data)))
+	l := mem.DefaultLayout(img.Size())
 	return l.RootBase + mem.Addr(slot*8)
 }
 

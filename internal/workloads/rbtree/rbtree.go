@@ -325,7 +325,7 @@ func (t *Tree) Check(sys *slpmt.System, oracle map[uint64][]byte) error {
 
 // --- Recovery over the durable image -------------------------------
 
-func layout(img *pmem.Image) mem.Layout { return mem.DefaultLayout(uint64(len(img.Data))) }
+func layout(img *pmem.Image) mem.Layout { return mem.DefaultLayout(img.Size()) }
 
 func readRoot(img *pmem.Image, slot int) uint64 {
 	return img.ReadU64(layout(img).RootBase + mem.Addr(slot*8))

@@ -1,6 +1,7 @@
 #!/bin/sh
 # check.sh - the repo's pre-merge gate: formatting, vet (go vet plus
-# the slpmtvet analyzer suite), build, full test suite, race-detector
+# the slpmtvet analyzer suite), build (native, windows and darwin), full
+# test suite, race-detector
 # passes, and one traced 2-core run replayed through the persist-order
 # sanitizer and the critical-path analyzer.
 #
@@ -25,6 +26,10 @@ go run ./cmd/slpmtvet
 
 echo "== go build =="
 go build ./...
+
+echo "== cross-build (pmem images: heap-backed on windows, mapped on darwin) =="
+GOOS=windows GOARCH=amd64 go build ./...
+GOOS=darwin GOARCH=arm64 go build ./...
 
 echo "== go test =="
 go test ./...
