@@ -60,11 +60,13 @@ bench:
 # Micro-benchmarks for the simulator hot paths (allocations reported),
 # layer by layer: cache lookup/insert/locate, the core's eviction
 # cascade, PM persist and crash snapshot, log-buffer insert/merge, the
-# engine, and the tracer's disabled/enabled emit costs.
+# engine, the tracer's disabled/enabled emit costs, a serial crash
+# campaign, and one small durable transaction through the public API.
 microbench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/cache/ ./internal/machine/ \
 		./internal/pmem/ ./internal/logbuf/ ./internal/engine/ ./internal/ycsb/ \
-		./internal/trace/
+		./internal/trace/ ./internal/recovery/
+	$(GO) test -run xxx -bench '^BenchmarkUpdate$$' -benchmem .
 
 # Experiments gated by the perf-regression baseline (default flag
 # parameters: n=1000, value=256, seed=0 — what `-compare baselines/`

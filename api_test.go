@@ -177,3 +177,17 @@ func TestAccountingInvariant(t *testing.T) {
 			c.LogRecordsPersisted, c.LogRecordsDiscarded, c.LogRecordsCreated)
 	}
 }
+
+// TestEmptyTransactionsDoNotAllocate pins the reused Tx handles: an
+// empty Update and an empty View allocate nothing on the host.
+func TestEmptyTransactionsDoNotAllocate(t *testing.T) {
+	sys := New(Options{Scheme: "SLPMT"})
+	update := func(tx *Tx) error { return nil }
+	view := func(tx *Tx) {}
+	if n := testing.AllocsPerRun(100, func() { _ = sys.Update(update) }); n != 0 {
+		t.Errorf("empty Update allocates %.2f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sys.View(view) }); n != 0 {
+		t.Errorf("empty View allocates %.2f times, want 0", n)
+	}
+}

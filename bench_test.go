@@ -13,6 +13,7 @@ package slpmt_test
 import (
 	"testing"
 
+	"github.com/persistmem/slpmt"
 	"github.com/persistmem/slpmt/internal/bench"
 	"github.com/persistmem/slpmt/internal/schemes"
 	"github.com/persistmem/slpmt/internal/workloads"
@@ -206,4 +207,30 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		cycles += bench.Run(cfg).Cycles
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Msimcycles/s")
+}
+
+// BenchmarkUpdate measures the host cost of one small durable
+// transaction on a single-core SLPMT System: a logged store and a
+// log-free store to a preallocated node.
+func BenchmarkUpdate(b *testing.B) {
+	sys := slpmt.New(slpmt.Options{Scheme: schemes.SLPMT})
+	var node slpmt.Addr
+	if err := sys.Update(func(tx *slpmt.Tx) error {
+		node = tx.Alloc(64)
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	update := func(tx *slpmt.Tx) error {
+		tx.StoreU64(node, tx.LoadU64(node)+1)
+		tx.StoreTU64(node+8, 7, slpmt.LogFree)
+		return nil
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sys.Update(update); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -24,6 +24,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/persistmem/slpmt/internal/mem"
 )
@@ -75,8 +76,9 @@ type Line struct {
 	LogBits uint8
 	// TxID is the 2-bit transaction ID of the updating transaction.
 	TxID uint8
-	// lru is the replacement timestamp.
-	lru uint64
+	// lru is the replacement timestamp. Stamps of a set's valid lines
+	// are distinct; only their order matters (see Cache.stamp).
+	lru uint32
 }
 
 // Dirty reports whether the line holds data newer than memory.
@@ -135,11 +137,13 @@ type Config struct {
 
 // Cache is one set-associative level. Not safe for concurrent use.
 type Cache struct {
-	cfg      Config
-	sets     [][]Line
+	cfg Config
+	// lines is the tag array, set-major: set s is
+	// lines[s*ways : (s+1)*ways].
+	lines    []Line
 	setCount int
 	setMask  uint64
-	tick     uint64
+	tick     uint32
 
 	// counters maintained for introspection; the machine layer mirrors
 	// the interesting ones into stats.Counters.
@@ -160,14 +164,9 @@ func New(cfg Config) *Cache {
 	if setCount&(setCount-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", cfg.Name, setCount))
 	}
-	sets := make([][]Line, setCount)
-	backing := make([]Line, lines)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
 	return &Cache{
 		cfg:      cfg,
-		sets:     sets,
+		lines:    make([]Line, lines),
 		setCount: setCount,
 		setMask:  uint64(setCount - 1),
 	}
@@ -179,8 +178,52 @@ func (c *Cache) Config() Config { return c.cfg }
 // Latency returns the hit latency in cycles.
 func (c *Cache) Latency() uint64 { return c.cfg.LatencyCycles }
 
+// setAt returns set si's ways.
+func (c *Cache) setAt(si int) []Line {
+	base := si * c.cfg.Ways
+	return c.lines[base : base+c.cfg.Ways]
+}
+
 func (c *Cache) set(addr mem.Addr) []Line {
-	return c.sets[(addr>>mem.LineShift)&c.setMask]
+	return c.setAt(int((addr >> mem.LineShift) & c.setMask))
+}
+
+// stamp advances the LRU clock and returns the new time. Just before
+// the 32-bit clock would wrap, renumber resets it, so stamps keep
+// ordering exactly as an unbounded clock would.
+//
+//slpmt:noalloc
+func (c *Cache) stamp() uint32 {
+	if c.tick == math.MaxUint32 {
+		c.renumber()
+	}
+	c.tick++
+	return c.tick
+}
+
+// renumber restamps each set's valid lines 1..k in LRU order and
+// rewinds the clock to the largest possible k, the way count. Victim
+// choice only compares stamps within a set, so it is unchanged. Stamps
+// are distinct and at least 1, so after ranks 1..r are assigned every
+// unranked valid line still holds its old stamp, which exceeds r: the
+// next rank goes to the smallest stamp above r.
+func (c *Cache) renumber() {
+	for si := 0; si < c.setCount; si++ {
+		set := c.setAt(si)
+		for r := uint32(1); ; r++ {
+			next := -1
+			for i := range set {
+				if set[i].State != Invalid && set[i].lru >= r && (next < 0 || set[i].lru < set[next].lru) {
+					next = i
+				}
+			}
+			if next < 0 {
+				break
+			}
+			set[next].lru = r
+		}
+	}
+	c.tick = uint32(c.cfg.Ways)
 }
 
 // Lookup returns the line holding addr, bumping its LRU age, or nil on a
@@ -190,8 +233,7 @@ func (c *Cache) Lookup(addr mem.Addr) *Line {
 	set := c.set(la)
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == la {
-			c.tick++
-			set[i].lru = c.tick
+			set[i].lru = c.stamp()
 			c.hits++
 			return &set[i]
 		}
@@ -219,7 +261,7 @@ func (c *Cache) Peek(addr mem.Addr) *Line {
 func (c *Cache) Locate(addr mem.Addr) (*Line, int) {
 	la := mem.LineAddr(addr)
 	si := int((la >> mem.LineShift) & c.setMask)
-	set := c.sets[si]
+	set := c.setAt(si)
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == la {
 			return &set[i], si*c.cfg.Ways + i
@@ -241,8 +283,7 @@ func (c *Cache) Insert(l Line) (inserted *Line, victim Line, evicted bool) {
 	la := mem.LineAddr(l.Addr)
 	l.Addr = la
 	set := c.set(la)
-	c.tick++
-	l.lru = c.tick
+	l.lru = c.stamp()
 
 	// Already present? Overwrite in place.
 	for i := range set {
@@ -289,11 +330,9 @@ func (c *Cache) Remove(addr mem.Addr) (Line, bool) {
 // ForEach invokes fn on every valid line. fn may mutate the line but
 // must not insert or remove lines.
 func (c *Cache) ForEach(fn func(*Line)) {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].State != Invalid {
-				fn(&c.sets[s][i])
-			}
+	for i := range c.lines {
+		if c.lines[i].State != Invalid {
+			fn(&c.lines[i])
 		}
 	}
 }
@@ -301,11 +340,9 @@ func (c *Cache) ForEach(fn func(*Line)) {
 // Flush invalidates every line. Victims are discarded; callers needing
 // writebacks must ForEach first.
 func (c *Cache) Flush() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			//slpmt:obsonly-ok: false edge from the stream writer's flusher interface — Cache satisfies it structurally but is never registered as a stream consumer (cache and trace/stream share no conversion site)
-			c.sets[s][i] = Line{}
-		}
+	for i := range c.lines {
+		//slpmt:obsonly-ok: false edge from the stream writer's flusher interface — Cache satisfies it structurally but is never registered as a stream consumer (cache and trace/stream share no conversion site)
+		c.lines[i] = Line{}
 	}
 }
 

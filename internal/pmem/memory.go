@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -153,6 +154,31 @@ func (img *Image) Read(addr uint64, p []byte) {
 		p = p[n:]
 		addr += uint64(n)
 	}
+}
+
+// zeroPage is what an absent page holds.
+var zeroPage [PageSize]byte
+
+// Equal reports whether the len(p) image bytes at addr equal p. It
+// compares in place, without copying the image bytes out.
+//
+//slpmt:noalloc
+func (img *Image) Equal(addr uint64, p []byte) bool {
+	img.check("compare", addr, len(p))
+	for len(p) > 0 {
+		pg, off := addr/PageSize, addr%PageSize
+		n := min(uint64(len(p)), PageSize-off)
+		have := zeroPage[:n]
+		if page := img.pages[pg]; page != nil {
+			have = page[off : off+n]
+		}
+		if !bytes.Equal(p[:n], have) {
+			return false
+		}
+		p = p[n:]
+		addr += n
+	}
+	return true
 }
 
 // Write copies p into the image at addr, allocating any absent page it

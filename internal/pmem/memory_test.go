@@ -52,6 +52,61 @@ func TestImageReadWriteAcrossPages(t *testing.T) {
 	}
 }
 
+// TestImageEqual compares in place against absent pages, a range that
+// straddles a page boundary, a partial last page, and out of range.
+func TestImageEqual(t *testing.T) {
+	const size = 2*PageSize + 100 // the last page holds 100 bytes
+	img := New(Config{Size: size}).Crash()
+
+	// Page 0 is absent: it equals zeros and nothing else.
+	if !img.Equal(8, make([]byte, 64)) {
+		t.Error("absent page does not equal zero bytes")
+	}
+	if img.Equal(8, []byte{0, 0, 1, 0}) {
+		t.Error("absent page equals non-zero bytes")
+	}
+	if !img.Equal(0, nil) {
+		t.Error("empty range does not compare equal")
+	}
+
+	// A range straddling pages 0 and 1, both now held.
+	data := []byte("0123456789abcdef")
+	img.Write(PageSize-8, data)
+	if !img.Equal(PageSize-8, data) {
+		t.Error("straddling range does not equal what was written")
+	}
+	for _, i := range []int{0, 7, 8, 15} { // first and last byte on each side
+		bad := bytes.Clone(data)
+		bad[i] ^= 1
+		if img.Equal(PageSize-8, bad) {
+			t.Errorf("straddling range equals data with byte %d flipped", i)
+		}
+	}
+	// A range from an absent page into a held one.
+	img2 := New(Config{Size: size}).Crash()
+	img2.Write(PageSize, []byte{7})
+	if !img2.Equal(PageSize-2, []byte{0, 0, 7}) || img2.Equal(PageSize-2, []byte{0, 0, 8}) {
+		t.Error("range from an absent into a held page compares wrongly")
+	}
+
+	// The partial last page, up to the image's final byte.
+	tail := bytes.Repeat([]byte{0x5A}, 40)
+	img.Write(size-40, tail)
+	if !img.Equal(size-40, tail) {
+		t.Error("partial last page does not equal what was written")
+	}
+	if img.Equal(size-41, append([]byte{0x5A}, tail...)) {
+		t.Error("partial last page equals bytes not written")
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("Equal past the image end did not panic")
+		}
+	}()
+	img.Equal(size-39, tail)
+}
+
 // TestSnapshotIndependent: a snapshot neither sees later persists nor
 // writes back into the live durable image.
 func TestSnapshotIndependent(t *testing.T) {

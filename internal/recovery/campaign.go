@@ -85,7 +85,9 @@ type campaignOp struct {
 	val  []byte
 }
 
-// genOps produces the deterministic operation stream.
+// genOps produces the deterministic operation stream. RunCampaign
+// calls it once; every run and every verification of the campaign
+// shares the result and only reads it.
 func genOps(cfg CampaignConfig) []campaignOp {
 	load := ycsb.Load{N: cfg.N, ValueSize: cfg.ValueSize, Seed: cfg.Seed}
 	keys := load.Keys()
@@ -152,35 +154,51 @@ func applyOracle(oracle map[uint64][]byte, op campaignOp) {
 	}
 }
 
-func cloneOracle(m map[uint64][]byte) map[uint64][]byte {
-	out := make(map[uint64][]byte, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// runInfo is the outcome of one (possibly crashed) execution.
+// runInfo is the outcome of one (possibly crashed) execution. It
+// records which operations ran, not the states they produced:
+// verifyPoint rebuilds the oracle from the shared op stream.
 type runInfo struct {
 	img *pmem.Image
-	// before is the committed state preceding the in-flight operation;
-	// after additionally includes it. A crash image must match one of
-	// the two (the in-flight transaction either reverted or committed).
-	before, after map[uint64][]byte
-	// snaps holds the oracle after every completed-operation prefix
-	// (snaps[0] is the post-setup state), in global execution order.
-	// Collected only under a commit window, for prefix verification.
-	snaps      []map[uint64][]byte
-	pendingKey uint64
-	crashed    bool
+	// done holds the indices of the completed operations in completion
+	// order, which on a cluster is the interleaver's global commit order.
+	done []int
+	// pending is the index of the in-flight operation, or -1. A crash
+	// image must match the committed state before it or after it (the
+	// in-flight transaction either reverted or committed).
+	pending int
+	crashed bool
 }
 
-// execute runs the workload, crashing after the given persist event
-// (0 = run to completion).
-func execute(cfg CampaignConfig, crashAfter uint64) (info runInfo, totalPersists uint64, err error) {
-	if cfg.Cores > 1 {
-		return executeMulti(cfg, crashAfter)
+func newRunInfo(ops int) runInfo {
+	return runInfo{done: make([]int, 0, ops), pending: -1}
+}
+
+// pendingKey is the in-flight operation's key, or 0 if none.
+func (info *runInfo) pendingKey(ops []campaignOp) uint64 {
+	if info.pending < 0 {
+		return 0
 	}
+	return ops[info.pending].key
+}
+
+// runOp applies ops[i] with runInfo's bookkeeping around it.
+func (info *runInfo) runOp(w workloads.Workload, sys *slpmt.System, ops []campaignOp, i int) error {
+	info.pending = i
+	if err := apply(w, sys, ops[i]); err != nil {
+		return fmt.Errorf("op on key %d: %w", ops[i].key, err)
+	}
+	info.done = append(info.done, i)
+	info.pending = -1
+	return nil
+}
+
+// execute runs the workload over ops, crashing after the given persist
+// event (0 = run to completion).
+func execute(cfg CampaignConfig, ops []campaignOp, crashAfter uint64) (info runInfo, totalPersists uint64, err error) {
+	if cfg.Cores > 1 {
+		return executeMulti(cfg, ops, crashAfter)
+	}
+	info = newRunInfo(len(ops))
 	w := workloads.MustNew(cfg.Workload)
 	sys := slpmt.New(slpmt.Options{
 		Scheme:             cfg.Scheme,
@@ -207,22 +225,9 @@ func execute(cfg CampaignConfig, crashAfter uint64) (info runInfo, totalPersists
 	// Close setup's epoch (no-op without a window) so crash points —
 	// which start after setup's persist count — never revert it.
 	sys.FinishEpoch()
-	oracle := map[uint64][]byte{}
-	if cfg.CommitWindow > 1 {
-		info.snaps = append(info.snaps, cloneOracle(oracle))
-	}
-	for _, op := range genOps(cfg) {
-		info.before = cloneOracle(oracle)
-		applyOracle(oracle, op)
-		info.after = oracle
-		info.pendingKey = op.key
-		if err := apply(w, sys, op); err != nil {
-			return info, 0, fmt.Errorf("op on key %d: %w", op.key, err)
-		}
-		info.before = info.after
-		info.pendingKey = 0
-		if cfg.CommitWindow > 1 {
-			info.snaps = append(info.snaps, cloneOracle(oracle))
+	for i := range ops {
+		if err := info.runOp(w, sys, ops, i); err != nil {
+			return info, 0, err
 		}
 	}
 	sys.DrainLazy()
@@ -238,7 +243,8 @@ func execute(cfg CampaignConfig, crashAfter uint64) (info runInfo, totalPersists
 // granularity — at most one operation is ever in flight — so the
 // single-core oracle bracket (before/after around the pending op) is
 // sound unchanged.
-func executeMulti(cfg CampaignConfig, crashAfter uint64) (info runInfo, totalPersists uint64, err error) {
+func executeMulti(cfg CampaignConfig, ops []campaignOp, crashAfter uint64) (info runInfo, totalPersists uint64, err error) {
+	info = newRunInfo(len(ops))
 	w := workloads.MustNew(cfg.Workload)
 	cl := slpmt.NewCluster(cfg.Cores, slpmt.Options{
 		Scheme:             cfg.Scheme,
@@ -265,11 +271,6 @@ func executeMulti(cfg CampaignConfig, crashAfter uint64) (info runInfo, totalPer
 	// A grouped close seals every core's epoch, so closing core 0's
 	// (the only one setup ran on) makes all of setup durable.
 	cl.Use(0).FinishEpoch()
-	ops := genOps(cfg)
-	oracle := map[uint64][]byte{}
-	if cfg.CommitWindow > 1 {
-		info.snaps = append(info.snaps, cloneOracle(oracle))
-	}
 	next := make([]int, cfg.Cores)
 	for i := range next {
 		next[i] = i
@@ -281,21 +282,10 @@ func executeMulti(cfg CampaignConfig, crashAfter uint64) (info runInfo, totalPer
 			return false
 		}
 		next[core] = j + cfg.Cores
-		op := ops[j]
-		info.before = cloneOracle(oracle)
-		applyOracle(oracle, op)
-		info.after = oracle
-		info.pendingKey = op.key
-		if err := apply(w, sys, op); err != nil {
-			opErr = fmt.Errorf("op on key %d: %w", op.key, err)
+		// The interleaver runs whole transactions, so completion order
+		// here IS the cluster-global commit order.
+		if opErr = info.runOp(w, sys, ops, j); opErr != nil {
 			return false
-		}
-		info.before = info.after
-		info.pendingKey = 0
-		if cfg.CommitWindow > 1 {
-			// The interleaver runs whole transactions, so completion
-			// order here IS the cluster-global commit order.
-			info.snaps = append(info.snaps, cloneOracle(oracle))
 		}
 		return next[core] < len(ops)
 	})
@@ -309,8 +299,10 @@ func executeMulti(cfg CampaignConfig, crashAfter uint64) (info runInfo, totalPer
 
 // verifyPoint recovers a crash image and verifies it against the
 // pre-operation committed state, accepting the in-flight transaction as
-// either durably committed or cleanly reverted.
-func verifyPoint(cfg CampaignConfig, info runInfo, res *CampaignResult) error {
+// either durably committed or cleanly reverted. The oracle is one map,
+// built by replaying the completed operations in their order: O(ops)
+// per point.
+func verifyPoint(cfg CampaignConfig, ops []campaignOp, info runInfo, res *CampaignResult) error {
 	w := workloads.MustNew(cfg.Workload) // fresh instance: no volatile state survives
 	rec := w.(workloads.Recoverable)
 
@@ -337,41 +329,80 @@ func verifyPoint(cfg CampaignConfig, info runInfo, res *CampaignResult) error {
 	}
 
 	if cfg.CommitWindow > 1 {
-		// Group commit: the recovered image must equal the oracle after
-		// some completed prefix (all-or-nothing per epoch — a torn
-		// window matches nothing), no further back than the crash point
-		// minus every core's worth of open-window transactions.
-		cands := info.snaps
-		if info.pendingKey != 0 {
-			cands = append(append([]map[uint64][]byte{}, cands...), info.after)
-		}
-		bound := cores*cfg.CommitWindow + 1
-		var firstErr error
-		for i := len(cands) - 1; i >= 0 && len(cands)-1-i < bound; i-- {
-			if err := rec.CheckDurable(info.img, cands[i]); err == nil {
-				if info.pendingKey != 0 && i == len(cands)-1 {
-					res.PendingAccepted++
-				}
-				return nil
-			} else if firstErr == nil {
-				firstErr = err
-			}
-		}
-		return fmt.Errorf("durable state matches no committed prefix within %d operations of the crash (pending key %d): %v",
-			bound, info.pendingKey, firstErr)
+		return verifyPrefix(rec, ops, info, cores*cfg.CommitWindow+1, res)
 	}
 
-	errBefore := rec.CheckDurable(info.img, info.before)
+	oracle := make(map[uint64][]byte, len(info.done)+1)
+	for _, i := range info.done {
+		applyOracle(oracle, ops[i])
+	}
+	errBefore := rec.CheckDurable(info.img, oracle)
 	if errBefore == nil {
 		return nil
 	}
-	if info.pendingKey != 0 {
-		if err := rec.CheckDurable(info.img, info.after); err == nil {
+	if info.pending >= 0 {
+		applyOracle(oracle, ops[info.pending])
+		if err := rec.CheckDurable(info.img, oracle); err == nil {
 			res.PendingAccepted++
 			return nil
 		}
 	}
-	return fmt.Errorf("durable state invalid (pending key %d): %v", info.pendingKey, errBefore)
+	return fmt.Errorf("durable state invalid (pending key %d): %v", info.pendingKey(ops), errBefore)
+}
+
+// undoEntry restores one oracle key to its value before an operation.
+type undoEntry struct {
+	key     uint64
+	val     []byte
+	present bool
+}
+
+// verifyPrefix is verifyPoint under group commit: the recovered image
+// must equal the oracle after some completed prefix (all-or-nothing per
+// epoch — a torn window matches nothing), including the in-flight
+// operation's, and no further back than bound candidates from the
+// crash. Candidates are checked newest first: the replay records undo
+// entries for the operations it may have to revert, then reverts them
+// one at a time.
+func verifyPrefix(rec workloads.Recoverable, ops []campaignOp, info runInfo, bound int, res *CampaignResult) error {
+	seq := info.done
+	if info.pending >= 0 {
+		seq = append(seq, info.pending)
+	}
+	// len(seq)+1 prefixes exist, the empty (post-setup) one included.
+	reverts := min(bound, len(seq)+1) - 1
+	oracle := make(map[uint64][]byte, len(seq))
+	split := len(seq) - reverts
+	for _, i := range seq[:split] {
+		applyOracle(oracle, ops[i])
+	}
+	undo := make([]undoEntry, reverts)
+	for u, i := range seq[split:] {
+		val, present := oracle[ops[i].key]
+		undo[u] = undoEntry{ops[i].key, val, present}
+		applyOracle(oracle, ops[i])
+	}
+	var firstErr error
+	for c := 0; ; c++ {
+		if err := rec.CheckDurable(info.img, oracle); err == nil {
+			if info.pending >= 0 && c == 0 {
+				res.PendingAccepted++
+			}
+			return nil
+		} else if firstErr == nil {
+			firstErr = err
+		}
+		if c == reverts {
+			break
+		}
+		if u := undo[reverts-1-c]; u.present {
+			oracle[u.key] = u.val
+		} else {
+			delete(oracle, u.key)
+		}
+	}
+	return fmt.Errorf("durable state matches no committed prefix within %d operations of the crash (pending key %d): %v",
+		bound, info.pendingKey(ops), firstErr)
 }
 
 // setupPersists counts the persist events of Setup alone, so the
@@ -407,9 +438,9 @@ type pointOutcome struct {
 // returning its isolated contribution. Every run is deterministic and
 // self-contained, so points can execute in any order (or concurrently)
 // and aggregate to the same campaign result.
-func testPoint(cfg CampaignConfig, point uint64) pointOutcome {
+func testPoint(cfg CampaignConfig, ops []campaignOp, point uint64) pointOutcome {
 	var out pointOutcome
-	info, _, err := execute(cfg, point)
+	info, _, err := execute(cfg, ops, point)
 	if err != nil {
 		out.err = fmt.Errorf("crash point %d: %w", point, err)
 		return out
@@ -419,7 +450,7 @@ func testPoint(cfg CampaignConfig, point uint64) pointOutcome {
 		return out
 	}
 	out.crashed = true
-	if err := verifyPoint(cfg, info, &out.sub); err != nil {
+	if err := verifyPoint(cfg, ops, info, &out.sub); err != nil {
 		out.err = fmt.Errorf("crash point %d: %w", point, err)
 	}
 	return out
@@ -444,8 +475,9 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	if cfg.Mixed && cfg.Cores > 1 {
 		return nil, fmt.Errorf("campaign: Mixed streams are not sharded across cores (cores=%d)", cfg.Cores)
 	}
+	ops := genOps(cfg)
 	// Reference run: count persist events and confirm a clean pass.
-	ref, total, err := execute(cfg, 0)
+	ref, total, err := execute(cfg, ops, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -474,7 +506,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		// Serial sweep: stop executing at the first error or
 		// beyond-the-run point, exactly like the historical loop.
 		for _, point := range points {
-			out := testPoint(cfg, point)
+			out := testPoint(cfg, ops, point)
 			if out.err != nil {
 				return res, out.err
 			}
@@ -488,7 +520,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 
 	outs := make([]pointOutcome, len(points))
 	if err := bench.ForEachWorkers(len(points), workers, func(i int) error {
-		outs[i] = testPoint(cfg, points[i])
+		outs[i] = testPoint(cfg, ops, points[i])
 		return nil
 	}); err != nil {
 		return res, err

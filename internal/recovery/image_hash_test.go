@@ -94,7 +94,8 @@ func TestCrashImagesMatchGolden(t *testing.T) {
 // crashImageHashes runs every stride-1 crash point of cfg and returns,
 // per point, "event crash-hash recovered-hash".
 func crashImageHashes(t *testing.T, cfg CampaignConfig) []string {
-	ref, total, err := execute(cfg, 0)
+	ops := genOps(cfg)
+	ref, total, err := execute(cfg, ops, 0)
 	if err != nil || ref.crashed {
 		t.Fatalf("reference run: crashed=%v err=%v", ref.crashed, err)
 	}
@@ -104,7 +105,7 @@ func crashImageHashes(t *testing.T, cfg CampaignConfig) []string {
 	}
 	var out []string
 	for p := setup + 1; p <= total; p++ {
-		info, _, err := execute(cfg, p)
+		info, _, err := execute(cfg, ops, p)
 		if err != nil {
 			t.Fatalf("point %d: %v", p, err)
 		}

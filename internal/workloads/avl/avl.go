@@ -290,10 +290,7 @@ func (t *Tree) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 			firstErr = fmt.Errorf("avl durable: unexpected key %d", k)
 			return 0
 		}
-		vlen := img.ReadU64(n + offVLen)
-		got := make([]byte, vlen)
-		img.Read(n+offVal, got)
-		if string(got) != string(want) {
+		if img.ReadU64(n+offVLen) != uint64(len(want)) || !img.Equal(n+offVal, want) {
 			firstErr = fmt.Errorf("avl durable: value mismatch at %d", k)
 			return 0
 		}

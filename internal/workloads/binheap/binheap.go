@@ -315,9 +315,7 @@ func (h *Heap) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 		if vlen != uint64(len(want)) {
 			return fmt.Errorf("heap durable: key %d vlen %d, want %d", k, vlen, len(want))
 		}
-		got := make([]byte, vlen)
-		img.Read(vb+valBytes, got)
-		if string(got) != string(want) {
+		if !img.Equal(vb+valBytes, want) {
 			return fmt.Errorf("heap durable: key %d value mismatch", k)
 		}
 	}

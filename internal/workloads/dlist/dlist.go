@@ -209,7 +209,7 @@ func (l *List) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 
 // CheckDurable implements workloads.Recoverable.
 func (l *List) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
-	seen := map[uint64]bool{}
+	seen := make(map[uint64]bool, len(oracle))
 	prev := mem.Addr(0)
 	for n := mem.Addr(readRoot(img, workloads.RootMain)); n != 0; n = mem.Addr(img.ReadU64(n + offNext)) {
 		if mem.Addr(img.ReadU64(n+offPrev)) != prev {
@@ -224,10 +224,7 @@ func (l *List) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 			return fmt.Errorf("dlist durable: duplicate key %d", k)
 		}
 		seen[k] = true
-		vlen := img.ReadU64(n + offVLen)
-		got := make([]byte, vlen)
-		img.Read(n+offVal, got)
-		if string(got) != string(want) {
+		if img.ReadU64(n+offVLen) != uint64(len(want)) || !img.Equal(n+offVal, want) {
 			return fmt.Errorf("dlist durable: value mismatch at %d", k)
 		}
 		prev = n

@@ -309,7 +309,7 @@ func (t *Table) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 	if nb == 0 {
 		return fmt.Errorf("hashtable durable: zero buckets")
 	}
-	seen := map[uint64]bool{}
+	seen := make(map[uint64]bool, len(oracle))
 	for b := uint64(0); b < nb; b++ {
 		n := mem.Addr(img.ReadU64(arr + mem.Addr(8*b)))
 		for n != 0 {
@@ -325,9 +325,7 @@ func (t *Table) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 			if vlen != uint64(len(want)) {
 				return fmt.Errorf("hashtable durable: key %d vlen %d, want %d", key, vlen, len(want))
 			}
-			got := make([]byte, vlen)
-			img.Read(n+offVal, got)
-			if string(got) != string(want) {
+			if !img.Equal(n+offVal, want) {
 				return fmt.Errorf("hashtable durable: key %d value mismatch", key)
 			}
 			if seen[key] {

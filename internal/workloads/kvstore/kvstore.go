@@ -155,7 +155,7 @@ func (kv *KV) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 	if err := kv.idx.checkDurable(img); err != nil {
 		return err
 	}
-	seen := map[uint64]bool{}
+	seen := make(map[uint64]bool, len(oracle))
 	err := kv.idx.walkDurable(img, func(key uint64, vptr mem.Addr) error {
 		want, ok := oracle[key]
 		if !ok {
@@ -169,9 +169,7 @@ func (kv *KV) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 		if vlen != uint64(len(want)) {
 			return fmt.Errorf("%s durable: key %d vlen %d, want %d", kv.name, key, vlen, len(want))
 		}
-		got := make([]byte, vlen)
-		img.Read(vptr+valBytes, got)
-		if string(got) != string(want) {
+		if !img.Equal(vptr+valBytes, want) {
 			return fmt.Errorf("%s durable: key %d value mismatch", kv.name, key)
 		}
 		return nil

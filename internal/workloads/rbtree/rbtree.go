@@ -382,7 +382,7 @@ func (t *Tree) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 // CheckDurable implements workloads.Recoverable.
 func (t *Tree) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 	root := mem.Addr(readRoot(img, workloads.RootMain))
-	seen := map[uint64]bool{}
+	seen := make(map[uint64]bool, len(oracle))
 	var firstErr error
 	var walk func(n mem.Addr, lo, hi uint64, parent mem.Addr) int
 	walk = func(n mem.Addr, lo, hi uint64, parent mem.Addr) int {
@@ -406,10 +406,7 @@ func (t *Tree) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 			firstErr = fmt.Errorf("rbtree durable: unexpected key %d", k)
 			return 0
 		}
-		vlen := img.ReadU64(n + offVLen)
-		got := make([]byte, vlen)
-		img.Read(n+offVal, got)
-		if string(got) != string(want) {
+		if img.ReadU64(n+offVLen) != uint64(len(want)) || !img.Equal(n+offVal, want) {
 			firstErr = fmt.Errorf("rbtree durable: value mismatch at %d", k)
 			return 0
 		}

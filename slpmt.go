@@ -142,6 +142,10 @@ type System struct {
 	// engine's Store copies the bytes into the memory image and the log
 	// records capture old values from there, so nothing retains it.
 	copyBuf []byte
+	// rw and ro are the handles Update and View pass to their callbacks.
+	// A Tx holds no per-transaction state, so one of each serves every
+	// transaction without allocating.
+	rw, ro Tx
 }
 
 // systemModes holds execution-mode flags.
@@ -270,8 +274,8 @@ func (s *System) Update(fn func(tx *Tx) error) error {
 	if s.rec != nil {
 		s.rec.RecBegin(s.Eng.Seq())
 	}
-	tx := &Tx{s: s}
-	if err := fn(tx); err != nil {
+	s.rw = Tx{s: s}
+	if err := fn(&s.rw); err != nil {
 		s.Eng.Abort()
 		s.Heap.AbortTx()
 		if s.rec != nil {
@@ -293,7 +297,8 @@ func (s *System) View(fn func(tx *Tx)) {
 	if s.inTx {
 		panic("slpmt: View inside Update")
 	}
-	fn(&Tx{s: s, ro: true})
+	s.ro = Tx{s: s, ro: true}
+	fn(&s.ro)
 }
 
 // DrainLazy forces every deferred (lazily persistent) line to PM — the
