@@ -24,7 +24,6 @@ package cache
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/persistmem/slpmt/internal/mem"
 )
@@ -76,9 +75,8 @@ type Line struct {
 	LogBits uint8
 	// TxID is the 2-bit transaction ID of the updating transaction.
 	TxID uint8
-	// lru is the replacement timestamp. Stamps of a set's valid lines
-	// are distinct; only their order matters (see Cache.stamp).
-	lru uint32
+	// lru is the replacement timestamp.
+	lru uint64
 }
 
 // Dirty reports whether the line holds data newer than memory.
@@ -143,7 +141,7 @@ type Cache struct {
 	lines    []Line
 	setCount int
 	setMask  uint64
-	tick     uint32
+	tick     uint64
 
 	// counters maintained for introspection; the machine layer mirrors
 	// the interesting ones into stats.Counters.
@@ -188,44 +186,6 @@ func (c *Cache) set(addr mem.Addr) []Line {
 	return c.setAt(int((addr >> mem.LineShift) & c.setMask))
 }
 
-// stamp advances the LRU clock and returns the new time. Just before
-// the 32-bit clock would wrap, renumber resets it, so stamps keep
-// ordering exactly as an unbounded clock would.
-//
-//slpmt:noalloc
-func (c *Cache) stamp() uint32 {
-	if c.tick == math.MaxUint32 {
-		c.renumber()
-	}
-	c.tick++
-	return c.tick
-}
-
-// renumber restamps each set's valid lines 1..k in LRU order and
-// rewinds the clock to the largest possible k, the way count. Victim
-// choice only compares stamps within a set, so it is unchanged. Stamps
-// are distinct and at least 1, so after ranks 1..r are assigned every
-// unranked valid line still holds its old stamp, which exceeds r: the
-// next rank goes to the smallest stamp above r.
-func (c *Cache) renumber() {
-	for si := 0; si < c.setCount; si++ {
-		set := c.setAt(si)
-		for r := uint32(1); ; r++ {
-			next := -1
-			for i := range set {
-				if set[i].State != Invalid && set[i].lru >= r && (next < 0 || set[i].lru < set[next].lru) {
-					next = i
-				}
-			}
-			if next < 0 {
-				break
-			}
-			set[next].lru = r
-		}
-	}
-	c.tick = uint32(c.cfg.Ways)
-}
-
 // Lookup returns the line holding addr, bumping its LRU age, or nil on a
 // miss. addr need not be line-aligned.
 func (c *Cache) Lookup(addr mem.Addr) *Line {
@@ -233,7 +193,8 @@ func (c *Cache) Lookup(addr mem.Addr) *Line {
 	set := c.set(la)
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == la {
-			set[i].lru = c.stamp()
+			c.tick++
+			set[i].lru = c.tick
 			c.hits++
 			return &set[i]
 		}
@@ -283,7 +244,8 @@ func (c *Cache) Insert(l Line) (inserted *Line, victim Line, evicted bool) {
 	la := mem.LineAddr(l.Addr)
 	l.Addr = la
 	set := c.set(la)
-	l.lru = c.stamp()
+	c.tick++
+	l.lru = c.tick
 
 	// Already present? Overwrite in place.
 	for i := range set {

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -165,122 +164,5 @@ func TestGeometryValidation(t *testing.T) {
 func TestStateString(t *testing.T) {
 	if Invalid.String() != "I" || Shared.String() != "S" || Exclusive.String() != "E" || Modified.String() != "M" {
 		t.Error("state strings broken")
-	}
-}
-
-// lruModel is a reference set-associative cache with an unbounded
-// 64-bit LRU clock and the same placement and victim rules as Cache.
-type lruModel struct {
-	ways    int
-	setMask uint64
-	addr    []mem.Addr
-	valid   []bool
-	lru     []uint64
-	tick    uint64
-}
-
-func newLRUModel(sets, ways int) *lruModel {
-	n := sets * ways
-	return &lruModel{ways: ways, setMask: uint64(sets - 1),
-		addr: make([]mem.Addr, n), valid: make([]bool, n), lru: make([]uint64, n)}
-}
-
-// find returns the set's base index and the way holding la, or -1.
-func (m *lruModel) find(la mem.Addr) (base, way int) {
-	base = int((la>>mem.LineShift)&m.setMask) * m.ways
-	for i := 0; i < m.ways; i++ {
-		if m.valid[base+i] && m.addr[base+i] == la {
-			return base, i
-		}
-	}
-	return base, -1
-}
-
-func (m *lruModel) lookup(la mem.Addr) bool {
-	base, w := m.find(la)
-	if w < 0 {
-		return false
-	}
-	m.tick++
-	m.lru[base+w] = m.tick
-	return true
-}
-
-func (m *lruModel) insert(la mem.Addr) (victim mem.Addr, evicted bool) {
-	m.tick++
-	base, w := m.find(la)
-	if w < 0 {
-		for i := 0; i < m.ways && w < 0; i++ {
-			if !m.valid[base+i] {
-				w = i
-			}
-		}
-	}
-	if w < 0 {
-		w = 0
-		for i := 1; i < m.ways; i++ {
-			if m.lru[base+i] < m.lru[base+w] {
-				w = i
-			}
-		}
-		victim, evicted = m.addr[base+w], true
-	}
-	m.addr[base+w], m.valid[base+w], m.lru[base+w] = la, true, m.tick
-	return victim, evicted
-}
-
-func (m *lruModel) remove(la mem.Addr) bool {
-	base, w := m.find(la)
-	if w >= 0 {
-		m.valid[base+w] = false
-	}
-	return w >= 0
-}
-
-// TestLRUClockWrapMatchesUnboundedModel runs a random access stream
-// with the 32-bit LRU clock repeatedly pushed to just below 2^32, so
-// renumber runs many times, and requires every hit, miss and victim to
-// match a model whose 64-bit clock never wraps.
-func TestLRUClockWrapMatchesUnboundedModel(t *testing.T) {
-	const sets, ways = 8, 4
-	c := New(Config{Name: "t", SizeBytes: sets * ways * mem.LineSize, Ways: ways, LatencyCycles: 1})
-	m := newLRUModel(sets, ways)
-	rng := uint64(12345)
-	next := func(n uint64) uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng % n
-	}
-	wraps := 0
-	for step := 0; step < 200000; step++ {
-		if c.tick < math.MaxUint32-64 && next(500) == 0 {
-			// Jumping the clock forward keeps every stamp below it, so
-			// the order of stamps, and with it the model, still holds.
-			c.tick = math.MaxUint32 - uint32(next(64))
-			wraps++
-		}
-		la := next(4*sets*ways) * mem.LineSize
-		switch op := next(10); {
-		case op < 4:
-			if got, want := c.Lookup(la) != nil, m.lookup(la); got != want {
-				t.Fatalf("step %d: lookup %#x hit=%v, model %v", step, la, got, want)
-			}
-		case op < 9:
-			_, victim, evicted := c.Insert(Line{Addr: la, State: Exclusive})
-			wantVictim, wantEvicted := m.insert(la)
-			if evicted != wantEvicted || (evicted && victim.Addr != wantVictim) {
-				t.Fatalf("step %d: insert %#x evicted %v (%#x), model %v (%#x)",
-					step, la, evicted, victim.Addr, wantEvicted, wantVictim)
-			}
-		default:
-			_, got := c.Remove(la)
-			if want := m.remove(la); got != want {
-				t.Fatalf("step %d: remove %#x present=%v, model %v", step, la, got, want)
-			}
-		}
-	}
-	if wraps < 100 {
-		t.Fatalf("clock wrapped only %d times", wraps)
 	}
 }

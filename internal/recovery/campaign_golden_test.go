@@ -1,14 +1,11 @@
 package recovery
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/campaign_results.golden from the current code")
 
 // goldenCampaigns is the matrix testdata/campaign_results.golden pins,
 // in file order: four structures × W∈{1,4,16} × {1,2} cores × mixed
@@ -69,12 +66,6 @@ func TestCampaignResultsMatchGolden(t *testing.T) {
 	for i, cfg := range cfgs {
 		res, err := RunCampaign(cfg)
 		got[i] = campaignLine(names[i], res, err)
-	}
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
 	}
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -8,7 +8,10 @@
 // streams, and keys are guaranteed unique and non-zero.
 package ycsb
 
-import "sync"
+import (
+	"encoding/binary"
+	"sync"
+)
 
 // DefaultOps is the paper's operation count per benchmark run.
 const DefaultOps = 1000
@@ -101,14 +104,20 @@ func (l Load) Value(key uint64) []byte {
 }
 
 // fillValue writes the deterministic payload of key into v (the
-// caller-sized buffer; len(v) bytes are produced).
+// caller-sized buffer; len(v) bytes are produced): each splitmix draw
+// supplies the next 8 bytes, least significant first.
 func (l Load) fillValue(key uint64, v []byte) {
 	x := key ^ l.Seed
-	for i := range v {
-		if i%8 == 0 {
-			x = splitmix(&x)
+	i := 0
+	for ; i+8 <= len(v); i += 8 {
+		x = splitmix(&x)
+		binary.LittleEndian.PutUint64(v[i:], x)
+	}
+	if i < len(v) {
+		x = splitmix(&x)
+		for j := 0; i < len(v); i, j = i+1, j+8 {
+			v[i] = byte(x >> j)
 		}
-		v[i] = byte(x >> (8 * uint(i%8)))
 	}
 }
 

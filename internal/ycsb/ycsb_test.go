@@ -185,3 +185,26 @@ func TestMixInsertKeysFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestValueMatchesBytewiseDefinition pins the payload format: byte i is
+// byte i%8 (least significant first) of the (i/8+1)-th splitmix draw
+// seeded with key^Seed. Lengths cover whole words and partial last
+// words.
+func TestValueMatchesBytewiseDefinition(t *testing.T) {
+	for _, size := range []int{1, 7, 8, 9, 31, 32, 48, 255, 256} {
+		l := Load{N: 4, ValueSize: size, Seed: 11}
+		for _, k := range l.Keys() {
+			want := make([]byte, size)
+			x := k ^ l.Seed
+			for i := range want {
+				if i%8 == 0 {
+					x = splitmix(&x)
+				}
+				want[i] = byte(x >> (8 * uint(i%8)))
+			}
+			if got := l.Value(k); string(got) != string(want) {
+				t.Fatalf("size %d key %#x: got %x, want %x", size, k, got, want)
+			}
+		}
+	}
+}
