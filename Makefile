@@ -14,11 +14,12 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass: full tests over the root package (cluster), the
-# bench harness, the machine, and the tracer with its streaming binlog
+# bench harness, the caches (off-heap tag arrays released by a
+# finalizer), the machine, and the tracer with its streaming binlog
 # (double-buffered writer goroutine), plus the targeted subset that
 # exercises the parallel experiment runner.
 race:
-	$(GO) test -race . ./internal/bench/ ./internal/machine/ ./internal/trace/...
+	$(GO) test -race . ./internal/bench/ ./internal/cache/ ./internal/machine/ ./internal/trace/...
 	$(GO) test -race ./internal/experiments/ \
 		./internal/recovery/ -run 'Parallel|ForEach|Grid|RunAll|Collector|Smoke'
 

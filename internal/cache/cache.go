@@ -16,14 +16,18 @@
 // (Figure 5). L3 carries no SLPMT metadata: lines fetched from L3 start
 // with zeroed bits, which can cause benign duplicate logging (§III-B1).
 //
-// Lines also carry a MESI coherence state. The single-core evaluation
-// exercises only the E/M states; the Bus type in this package provides
-// the multi-cache invalidation protocol used by the coherence tests and
-// by transaction aborts (§V-B).
+// Lines also carry a MESI coherence state. The protocol itself (snoops,
+// invalidations, downgrades between cores) lives in the machine layer,
+// which owns every core's caches.
+//
+// Each level's tag array is demand-zero memory outside the Go heap
+// (mem.MapZeroed), like the machine's memory images: building a cache
+// zeroes nothing, and only the pages a run touches become resident.
 package cache
 
 import (
 	"fmt"
+	"runtime"
 
 	"github.com/persistmem/slpmt/internal/mem"
 )
@@ -60,7 +64,8 @@ func (s State) String() string {
 
 // Line is one cache line's tag-array entry. Data contents live in the
 // machine's functional memory image; the cache tracks placement and
-// metadata only.
+// metadata only. Line must hold no pointers: tag arrays live outside
+// the Go heap, where the collector never looks.
 type Line struct {
 	// Addr is the line-aligned address.
 	Addr mem.Addr
@@ -134,6 +139,12 @@ type Config struct {
 }
 
 // Cache is one set-associative level. Not safe for concurrent use.
+//
+// The tag array is unmapped by a finalizer once the Cache is
+// unreachable, so a *Line the Cache returns is valid only while the
+// Cache itself is reachable. The machine's caches live as long as
+// their core. Methods whose last use of the Cache is a tag-array access
+// end with runtime.KeepAlive, so the finalizer cannot unmap mid-call.
 type Cache struct {
 	cfg Config
 	// lines is the tag array, set-major: set s is
@@ -162,12 +173,19 @@ func New(cfg Config) *Cache {
 	if setCount&(setCount-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", cfg.Name, setCount))
 	}
-	return &Cache{
+	c := &Cache{
 		cfg:      cfg,
-		lines:    make([]Line, lines),
+		lines:    mem.MapZeroed[Line](lines),
 		setCount: setCount,
 		setMask:  uint64(setCount - 1),
 	}
+	runtime.SetFinalizer(c, (*Cache).release)
+	return c
+}
+
+func (c *Cache) release() {
+	mem.Unmap(c.lines)
+	c.lines = nil
 }
 
 // Config returns the level's configuration.
@@ -213,6 +231,7 @@ func (c *Cache) Peek(addr mem.Addr) *Line {
 			return &set[i]
 		}
 	}
+	runtime.KeepAlive(c)
 	return nil
 }
 
@@ -228,6 +247,7 @@ func (c *Cache) Locate(addr mem.Addr) (*Line, int) {
 			return &set[i], si*c.cfg.Ways + i
 		}
 	}
+	runtime.KeepAlive(c)
 	return nil, -1
 }
 
@@ -251,6 +271,7 @@ func (c *Cache) Insert(l Line) (inserted *Line, victim Line, evicted bool) {
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == la {
 			set[i] = l
+			runtime.KeepAlive(c)
 			return &set[i], Line{}, false
 		}
 	}
@@ -258,6 +279,7 @@ func (c *Cache) Insert(l Line) (inserted *Line, victim Line, evicted bool) {
 	for i := range set {
 		if set[i].State == Invalid {
 			set[i] = l
+			runtime.KeepAlive(c)
 			return &set[i], Line{}, false
 		}
 	}
@@ -283,9 +305,11 @@ func (c *Cache) Remove(addr mem.Addr) (Line, bool) {
 		if set[i].State != Invalid && set[i].Addr == la {
 			l := set[i]
 			set[i] = Line{}
+			runtime.KeepAlive(c)
 			return l, true
 		}
 	}
+	runtime.KeepAlive(c)
 	return Line{}, false
 }
 
@@ -297,22 +321,7 @@ func (c *Cache) ForEach(fn func(*Line)) {
 			fn(&c.lines[i])
 		}
 	}
-}
-
-// Flush invalidates every line. Victims are discarded; callers needing
-// writebacks must ForEach first.
-func (c *Cache) Flush() {
-	for i := range c.lines {
-		//slpmt:obsonly-ok: false edge from the stream writer's flusher interface — Cache satisfies it structurally but is never registered as a stream consumer (cache and trace/stream share no conversion site)
-		c.lines[i] = Line{}
-	}
-}
-
-// Count returns the number of valid lines.
-func (c *Cache) Count() int {
-	n := 0
-	c.ForEach(func(*Line) { n++ })
-	return n
+	runtime.KeepAlive(c)
 }
 
 // Stats returns (hits, misses, evictions) since creation.

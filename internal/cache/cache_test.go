@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,13 @@ import (
 
 func newL1() *Cache {
 	return New(Config{Name: "L1", SizeBytes: 32 << 10, Ways: 8, LatencyCycles: 4})
+}
+
+// count returns the number of valid lines.
+func count(c *Cache) int {
+	n := 0
+	c.ForEach(func(*Line) { n++ })
+	return n
 }
 
 func TestLookupMissThenInsert(t *testing.T) {
@@ -53,8 +61,8 @@ func TestInsertOverwritesInPlace(t *testing.T) {
 	if l.LogBits != 0xF0 || l.State != Exclusive {
 		t.Errorf("overwrite did not take: %+v", l)
 	}
-	if c.Count() != 1 {
-		t.Errorf("count = %d, want 1", c.Count())
+	if n := count(c); n != 1 {
+		t.Errorf("count = %d, want 1", n)
 	}
 }
 
@@ -102,20 +110,50 @@ func TestFoldConservative(t *testing.T) {
 	}
 }
 
-func TestForEachAndFlush(t *testing.T) {
+func TestForEachVisitsValidLines(t *testing.T) {
 	c := newL1()
 	for i := 0; i < 10; i++ {
 		c.Insert(Line{Addr: mem.Addr(i * 64), State: Modified})
 	}
-	n := 0
-	c.ForEach(func(l *Line) { n++ })
-	if n != 10 {
+	if n := count(c); n != 10 {
 		t.Errorf("ForEach visited %d, want 10", n)
 	}
-	c.Flush()
-	if c.Count() != 0 {
-		t.Error("flush left lines")
+	for i := 0; i < 10; i += 2 {
+		c.Remove(mem.Addr(i * 64))
 	}
+	c.ForEach(func(l *Line) {
+		if l.Addr/64%2 == 0 {
+			t.Errorf("ForEach visited removed line %#x", l.Addr)
+		}
+	})
+	if n := count(c); n != 5 {
+		t.Errorf("ForEach visited %d after removals, want 5", n)
+	}
+	if c.Peek(0) != nil || c.Peek(64) == nil {
+		t.Error("Peek disagrees with the removals")
+	}
+}
+
+// TestLineHoldsNoPointers guards the off-heap tag array: the collector
+// never scans it, so a pointer stored in a Line would not keep its
+// target alive.
+func TestLineHoldsNoPointers(t *testing.T) {
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.String, reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("%s is a %s, which holds a pointer", path, typ.Kind())
+		case reflect.Array:
+			check(path+"[0]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				check(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	check("Line", reflect.TypeOf(Line{}))
 }
 
 // TestLocateMatchesForEachOrder: Locate's index is the line's rank in

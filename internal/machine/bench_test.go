@@ -83,3 +83,14 @@ func BenchmarkAccessLineHit(b *testing.B) {
 		m.AccessLine(m.Layout.HeapBase, true)
 	}
 }
+
+var sinkMachine *Machine
+
+// BenchmarkNew measures building a default single-core machine: its
+// memory images and its L1, L2 and L3 tag arrays.
+func BenchmarkNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkMachine = New(Config{})
+	}
+}

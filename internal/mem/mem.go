@@ -1,6 +1,8 @@
 // Package mem defines the primitive address arithmetic shared by every
 // layer of the SLPMT simulator: word and cache-line geometry, address
 // alignment helpers, and the simulated physical address space layout.
+// It also maps the demand-zero host memory (MapZeroed) that backs the
+// memory images and the cache tag arrays.
 //
 // The simulator models a flat byte-addressable persistent memory. All
 // higher-level components (caches, log buffer, transaction engine, heap

@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sync/atomic"
+
+	"github.com/persistmem/slpmt/internal/mem"
 )
 
 // PageSize is the granularity at which the durable image tracks writes
@@ -14,31 +15,26 @@ import (
 const PageSize = 4096
 
 // Memory is a fixed-size byte image that starts zeroed. On unix it is
-// an anonymous private mapping, so creating one zeroes nothing and only
-// the pages a run touches ever become resident; the mapping is released
-// by a finalizer once the Memory is unreachable. The mapping never
-// leaves this type: every method copies in or out of it, and ends with
-// runtime.KeepAlive so the finalizer cannot unmap mid-copy when the
-// call is the Memory's last use.
+// an anonymous private mapping (mem.MapZeroed), so creating one zeroes
+// nothing and only the pages a run touches ever become resident; the
+// mapping is released by a finalizer once the Memory is unreachable.
+// The mapping never leaves this type: every method copies in or out of
+// it, and ends with runtime.KeepAlive so the finalizer cannot unmap
+// mid-copy when the call is the Memory's last use.
 type Memory struct {
 	b []byte
 }
 
-// liveMappings counts the Memory images not yet released.
-var liveMappings atomic.Int64
-
 // NewMemory returns a zeroed image of size bytes.
 func NewMemory(size uint64) *Memory {
-	m := &Memory{b: mapZeroed(int(size))}
-	liveMappings.Add(1)
+	m := &Memory{b: mem.MapZeroed[byte](int(size))}
 	runtime.SetFinalizer(m, (*Memory).release)
 	return m
 }
 
 func (m *Memory) release() {
-	unmap(m.b)
+	mem.Unmap(m.b)
 	m.b = nil
-	liveMappings.Add(-1)
 }
 
 // Size returns the image size in bytes.

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"github.com/persistmem/slpmt/internal/mem"
 )
 
 // heldPages lists the base addresses of the pages an image holds.
@@ -162,20 +164,20 @@ func TestPersistMarksPagesWritten(t *testing.T) {
 func TestMappingsReleased(t *testing.T) {
 	kept := NewMemory(PageSize)
 	kept.WriteU64(0, 99)
-	before := liveMappings.Load()
+	before := mem.LiveMappings()
 	for i := 0; i < 8; i++ {
 		topo := NewTopology(TopoConfig{Sockets: 2})
 		topo.Dev(1).Persist(0, 0, line(1))
 		NewMemory(DefaultSize).WriteU64(64, 1)
 	}
-	if n := liveMappings.Load(); n < before+16 {
+	if n := mem.LiveMappings(); n < before+16 {
 		t.Fatalf("live mappings = %d after creating 16, want at least %d", n, before+16)
 	}
-	for i := 0; i < 500 && liveMappings.Load() > before; i++ {
+	for i := 0; i < 500 && mem.LiveMappings() > before; i++ {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
-	if n := liveMappings.Load(); n > before {
+	if n := mem.LiveMappings(); n > before {
 		t.Errorf("live mappings = %d after GC, want at most %d", n, before)
 	}
 	if v := kept.ReadU64(0); v != 99 {

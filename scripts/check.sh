@@ -27,7 +27,7 @@ go run ./cmd/slpmtvet
 echo "== go build =="
 go build ./...
 
-echo "== cross-build (pmem images: heap-backed on windows, mapped on darwin) =="
+echo "== cross-build (images and tag arrays: heap-backed on windows, mapped on darwin) =="
 GOOS=windows GOARCH=amd64 go build ./...
 GOOS=darwin GOARCH=arm64 go build ./...
 
@@ -35,7 +35,7 @@ echo "== go test =="
 go test ./...
 
 echo "== go test -race =="
-go test -race . ./internal/bench/ ./internal/machine/ ./internal/trace/...
+go test -race . ./internal/bench/ ./internal/cache/ ./internal/machine/ ./internal/trace/...
 go test -race ./internal/experiments/ \
 	./internal/recovery/ -run 'Parallel|ForEach|Grid|RunAll|Collector|Smoke'
 
