@@ -60,13 +60,14 @@ bench:
 
 # Micro-benchmarks for the simulator hot paths (allocations reported),
 # layer by layer: cache lookup/insert/locate, the core's eviction
-# cascade, PM persist and crash snapshot, log-buffer insert/merge, the
-# engine, the tracer's disabled/enabled emit costs, a serial crash
-# campaign, and one small durable transaction through the public API.
+# cascade, PM persist, async backlog and crash snapshot, log-buffer
+# insert/merge, the engine, the tracer's disabled/enabled emit costs, a
+# serial crash campaign, workload point reads and short scans, and one
+# small durable transaction through the public API.
 microbench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/cache/ ./internal/machine/ \
 		./internal/pmem/ ./internal/logbuf/ ./internal/engine/ ./internal/ycsb/ \
-		./internal/trace/ ./internal/recovery/
+		./internal/trace/ ./internal/recovery/ ./internal/workloads/
 	$(GO) test -run xxx -bench '^BenchmarkUpdate$$' -benchmem .
 
 # Experiments gated by the perf-regression baseline (default flag

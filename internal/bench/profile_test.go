@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -112,7 +113,7 @@ func TestFromEventsMatchesLive(t *testing.T) {
 	if r.Causes == nil {
 		t.Fatal("no breakdown")
 	}
-	p, err := profile.FromEvents(tr.Events(), tr.Dropped())
+	p, err := fromEvents(tr.Events(), tr.Dropped())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +129,64 @@ func TestFromEventsMatchesLive(t *testing.T) {
 	}
 	if err := got.Conserved(); err != nil {
 		t.Error(err)
+	}
+}
+
+// fromEvents rebuilds a profile from a trace's KCharge events. It fails
+// if the ring dropped events (the stream is incomplete, so conservation
+// cannot hold) or if an event charges an unknown cause.
+func fromEvents(events []trace.Event, dropped uint64) (*profile.Profile, error) {
+	if dropped > 0 {
+		return nil, fmt.Errorf("trace dropped %d events; attribution stream incomplete", dropped)
+	}
+	cores := 1
+	for i := range events {
+		cores = max(cores, int(events[i].Core)+1)
+	}
+	p := profile.New(cores)
+	for i := range events {
+		e := &events[i]
+		if e.Kind != trace.KCharge {
+			continue
+		}
+		if e.Addr == uint64(profile.CauseNone) || e.Addr > uint64(len(profile.Causes())) {
+			return nil, fmt.Errorf("event %d charges unknown cause %d", i, e.Addr)
+		}
+		p.Add(int(e.Core), profile.Cause(e.Addr), e.Arg)
+	}
+	return p, nil
+}
+
+// TestFromEvents pins fromEvents on a hand-built stream: charges land
+// on their core and cause, other kinds are skipped, and an incomplete
+// stream or an unknown cause is rejected.
+func TestFromEvents(t *testing.T) {
+	tr := trace.New(64)
+	tr.Emit(0, 10, trace.KCharge, uint64(profile.CauseCompute), 7)
+	tr.Emit(1, 11, trace.KCharge, uint64(profile.CauseLogSync), 3)
+	tr.Emit(0, 12, trace.KTxCommit, 0, 1) // non-charge events are ignored
+	p, err := fromEvents(tr.Events(), tr.Dropped())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Cores() != 2 {
+		t.Fatalf("cores = %d, want 2", p.Cores())
+	}
+	b := p.Breakdown([]uint64{7, 3})
+	if err := b.Conserved(); err != nil {
+		t.Error(err)
+	}
+
+	if _, err := fromEvents(nil, 1); err == nil {
+		t.Error("dropped events not rejected")
+	}
+	bad := []trace.Event{{Kind: trace.KCharge, Addr: uint64(profile.CauseNone), Arg: 1}}
+	if _, err := fromEvents(bad, 0); err == nil {
+		t.Error("charge against unknown cause not rejected")
+	}
+	bad[0].Addr = uint64(len(profile.Causes())) + 1
+	if _, err := fromEvents(bad, 0); err == nil {
+		t.Error("charge past the last cause not rejected")
 	}
 }
 

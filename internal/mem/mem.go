@@ -129,7 +129,7 @@ const (
 // a PM device of the given size with a 4 MiB log area and a 4 KiB root
 // directory carved from the top.
 func DefaultLayout(size uint64) Layout {
-	return MultiLayout(size, 1)[0]
+	return coreLayout(size, 1, 1, 0)
 }
 
 // MultiLayout returns the per-core address maps of a machine with the
@@ -159,12 +159,17 @@ func MultiLayout(size uint64, cores int) []Layout {
 //
 // With sockets < 2 the result is exactly MultiLayout's.
 func MultiLayoutSockets(size uint64, cores, sockets int) []Layout {
-	if cores < 1 {
-		cores = 1
+	cores, sockets = max(cores, 1), max(sockets, 1)
+	out := make([]Layout, cores)
+	for i := range out {
+		out[i] = coreLayout(size, cores, sockets, i)
 	}
-	if sockets < 1 {
-		sockets = 1
-	}
+	return out
+}
+
+// coreLayout is core i's map for MultiLayoutSockets. It returns one
+// value, so DefaultLayout allocates nothing.
+func coreLayout(size uint64, cores, sockets, i int) Layout {
 	need := uint64(cores)*LogRegionSize + RootRegionSize + LineSize
 	if size < need {
 		panic("mem: PM size too small for layout")
@@ -174,25 +179,22 @@ func MultiLayoutSockets(size uint64, cores, sockets int) []Layout {
 	if sockets > 1 && uint64(cores+1)*SocketStripe > heapSize {
 		panic("mem: PM heap too small for per-core socket arenas")
 	}
-	out := make([]Layout, cores)
-	for i := range out {
-		out[i] = Layout{
-			Size:     size,
-			HeapBase: LineSize, // keep address 0 unmapped to catch nil derefs
-			HeapSize: heapSize,
-			LogBase:  rootBase - uint64(i+1)*LogRegionSize,
-			LogSize:  LogRegionSize,
-			RootBase: rootBase,
-			RootSize: RootRegionSize,
-			Cores:    cores,
-			Sockets:  sockets,
-		}
-		if sockets > 1 {
-			out[i].ArenaBase = LineSize + uint64(i)*SocketStripe
-			out[i].ArenaSize = SocketStripe
-		}
+	l := Layout{
+		Size:     size,
+		HeapBase: LineSize, // keep address 0 unmapped to catch nil derefs
+		HeapSize: heapSize,
+		LogBase:  rootBase - uint64(i+1)*LogRegionSize,
+		LogSize:  LogRegionSize,
+		RootBase: rootBase,
+		RootSize: RootRegionSize,
+		Cores:    cores,
+		Sockets:  sockets,
 	}
-	return out
+	if sockets > 1 {
+		l.ArenaBase = LineSize + uint64(i)*SocketStripe
+		l.ArenaSize = SocketStripe
+	}
+	return l
 }
 
 // SocketOf returns the socket holding address a under the layout's

@@ -214,3 +214,26 @@ func BenchmarkCrash(b *testing.B) {
 		sinkImage = d.Crash()
 	}
 }
+
+// BenchmarkPersistAsyncBacklog posts 4,096 async 64 B entries back to
+// back, 8 cycles apart and so far faster than the device drains them,
+// then one synchronous Persist waits out all but a WPQ's worth of the
+// backlog: the pattern of a many-core epoch close, where posted
+// persists pile up behind the 512 B queue. The host cost grows with
+// the square of the backlog: each post scans the queue from its head,
+// and each retirement during the wait compacts the rest of the queue.
+func BenchmarkPersistAsyncBacklog(b *testing.B) {
+	const backlog = 4096
+	d := New(Config{})
+	data := line(1)
+	var now uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := uint64(0); j < backlog; j++ {
+			now += d.PersistAsync(now, j*64, data)
+		}
+		now += d.Persist(now, backlog*64, data)
+	}
+	sinkStall = now
+}

@@ -365,35 +365,6 @@ func (b *Breakdown) ByGroup() map[string]uint64 {
 	return out
 }
 
-// FromEvents rebuilds a profile from a trace's KCharge events — the
-// offline path for attribution over a saved event stream. It fails
-// if the ring dropped events (the stream is incomplete, so conservation
-// cannot hold) or if an event carries an unknown cause.
-func FromEvents(events []trace.Event, dropped uint64) (*Profile, error) {
-	if dropped > 0 {
-		return nil, fmt.Errorf("profile: trace dropped %d events; attribution stream incomplete", dropped)
-	}
-	cores := 1
-	for i := range events {
-		if n := int(events[i].Core) + 1; n > cores {
-			cores = n
-		}
-	}
-	p := New(cores)
-	for i := range events {
-		e := &events[i]
-		if e.Kind != trace.KCharge {
-			continue
-		}
-		c := Cause(e.Addr)
-		if c == CauseNone || c >= numCauses {
-			return nil, fmt.Errorf("profile: event %d charges unknown cause %d", i, uint64(e.Addr))
-		}
-		p.Add(int(e.Core), c, e.Arg)
-	}
-	return p, nil
-}
-
 // WriteFolded emits the breakdown in folded-stack format, one
 // `frame;frame;... count` line per nonzero (core, cause) bucket, for
 // flamegraph tooling. prefix frames (e.g. "SLPMT;hashtable") lead each

@@ -3,8 +3,6 @@ package profile
 import (
 	"strings"
 	"testing"
-
-	"github.com/persistmem/slpmt/internal/trace"
 )
 
 // TestCauseTablesComplete pins what slpmtvet also enforces statically:
@@ -89,32 +87,6 @@ func TestResetAndMerge(t *testing.T) {
 	merged := p.Breakdown([]uint64{0, 0}).Merged()
 	if got := merged.Sum(); got != 0 {
 		t.Errorf("Reset left %d cycles", got)
-	}
-}
-
-func TestFromEvents(t *testing.T) {
-	tr := trace.New(64)
-	tr.Emit(0, 10, trace.KCharge, uint64(CauseCompute), 7)
-	tr.Emit(1, 11, trace.KCharge, uint64(CauseLogSync), 3)
-	tr.Emit(0, 12, trace.KTxCommit, 0, 1) // non-charge events are ignored
-	p, err := FromEvents(tr.Events(), tr.Dropped())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Cores() != 2 {
-		t.Fatalf("cores = %d, want 2", p.Cores())
-	}
-	b := p.Breakdown([]uint64{7, 3})
-	if err := b.Conserved(); err != nil {
-		t.Error(err)
-	}
-
-	if _, err := FromEvents(nil, 1); err == nil {
-		t.Error("dropped events not rejected")
-	}
-	bad := []trace.Event{{Kind: trace.KCharge, Addr: uint64(CauseNone), Arg: 1}}
-	if _, err := FromEvents(bad, 0); err == nil {
-		t.Error("charge against unknown cause not rejected")
 	}
 }
 

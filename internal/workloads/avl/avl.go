@@ -34,7 +34,7 @@ func init() {
 }
 
 // Tree is the AVL workload.
-type Tree struct{}
+type Tree struct{ rd workloads.Scratch }
 
 // New returns a fresh AVL workload.
 func New() *Tree { return &Tree{} }
@@ -183,10 +183,7 @@ func (t *Tree) Get(sys *slpmt.System, key uint64) (val []byte, ok bool) {
 			k := tx.LoadU64(n + offKey)
 			switch {
 			case key == k:
-				vlen := tx.LoadU64(n + offVLen)
-				val = make([]byte, vlen)
-				tx.Load(n+offVal, val)
-				ok = true
+				val, ok = t.rd.Value(tx, n+offVLen, n+offVal), true
 				return
 			case key < k:
 				n = slpmt.Addr(tx.LoadU64(n + offLeft))

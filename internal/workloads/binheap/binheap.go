@@ -52,6 +52,7 @@ func init() {
 type Heap struct {
 	stashArr   slpmt.Addr
 	stashArrSz uint64
+	rd         workloads.Scratch
 }
 
 // New returns a fresh heap workload.
@@ -178,10 +179,7 @@ func (h *Heap) Get(sys *slpmt.System, key uint64) (val []byte, ok bool) {
 		for i := uint64(0); i < size; i++ {
 			if tx.LoadU64(slot(arr, i)+entKey) == key {
 				vb := slpmt.Addr(tx.LoadU64(slot(arr, i) + entVPtr))
-				vlen := tx.LoadU64(vb + valLen)
-				val = make([]byte, vlen)
-				tx.Load(vb+valBytes, val)
-				ok = true
+				val, ok = h.rd.Value(tx, vb+valLen, vb+valBytes), true
 				return
 			}
 		}
@@ -295,11 +293,14 @@ func (h *Heap) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 	if size != uint64(len(oracle)) {
 		return fmt.Errorf("heap durable: size %d, oracle %d", size, len(oracle))
 	}
-	var keys []uint64
+	seen := h.rd.Seen(len(oracle))
 	for i := uint64(0); i < size; i++ {
 		e := arr + mem.Addr(i*entSize)
 		k := img.ReadU64(e + entKey)
-		keys = append(keys, k)
+		if seen[k] {
+			return fmt.Errorf("heap durable: duplicate key %d", k)
+		}
+		seen[k] = true
 		if i > 0 {
 			p := (i - 1) / 2
 			if img.ReadU64(arr+mem.Addr(p*entSize)+entKey) < k {
@@ -319,5 +320,5 @@ func (h *Heap) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 			return fmt.Errorf("heap durable: key %d value mismatch", k)
 		}
 	}
-	return matchKeys(keys, oracle, "heap durable")
+	return nil
 }

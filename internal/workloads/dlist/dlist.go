@@ -38,7 +38,7 @@ func init() {
 }
 
 // List is the doubly-linked-list workload.
-type List struct{}
+type List struct{ rd workloads.Scratch }
 
 // New returns a fresh dlist workload.
 func New() *List { return &List{} }
@@ -86,10 +86,7 @@ func (l *List) Get(sys *slpmt.System, key uint64) (val []byte, ok bool) {
 		n := slpmt.Addr(tx.Root(workloads.RootMain))
 		for n != 0 {
 			if tx.LoadU64(n+offKey) == key {
-				vlen := tx.LoadU64(n + offVLen)
-				val = make([]byte, vlen)
-				tx.Load(n+offVal, val)
-				ok = true
+				val, ok = l.rd.Value(tx, n+offVLen, n+offVal), true
 				return
 			}
 			n = slpmt.Addr(tx.LoadU64(n + offNext))
@@ -209,7 +206,7 @@ func (l *List) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 
 // CheckDurable implements workloads.Recoverable.
 func (l *List) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
-	seen := make(map[uint64]bool, len(oracle))
+	seen := l.rd.Seen(len(oracle))
 	prev := mem.Addr(0)
 	for n := mem.Addr(readRoot(img, workloads.RootMain)); n != 0; n = mem.Addr(img.ReadU64(n + offNext)) {
 		if mem.Addr(img.ReadU64(n+offPrev)) != prev {

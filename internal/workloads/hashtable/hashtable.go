@@ -55,6 +55,7 @@ type Table struct {
 	stashNodes []slpmt.Addr
 	stashArr   slpmt.Addr
 	stashArrSz uint64
+	rd         workloads.Scratch
 }
 
 // New returns a fresh hashtable workload.
@@ -187,10 +188,7 @@ func (t *Table) Get(sys *slpmt.System, key uint64) (val []byte, ok bool) {
 		n := slpmt.Addr(tx.LoadU64(arr + slpmt.Addr(8*(hash(key)%nb))))
 		for n != 0 {
 			if tx.LoadU64(n+offKey) == key {
-				vlen := tx.LoadU64(n + offVLen)
-				val = make([]byte, vlen)
-				tx.Load(n+offVal, val)
-				ok = true
+				val, ok = t.rd.Value(tx, n+offVLen, n+offVal), true
 				return
 			}
 			n = slpmt.Addr(tx.LoadU64(n + offNext))
@@ -309,7 +307,7 @@ func (t *Table) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 	if nb == 0 {
 		return fmt.Errorf("hashtable durable: zero buckets")
 	}
-	seen := make(map[uint64]bool, len(oracle))
+	seen := t.rd.Seen(len(oracle))
 	for b := uint64(0); b < nb; b++ {
 		n := mem.Addr(img.ReadU64(arr + mem.Addr(8*b)))
 		for n != 0 {

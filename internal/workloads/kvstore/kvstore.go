@@ -54,6 +54,7 @@ type index interface {
 type KV struct {
 	name string
 	idx  index
+	rd   workloads.Scratch
 }
 
 func init() {
@@ -104,10 +105,7 @@ func (kv *KV) Get(sys *slpmt.System, key uint64) (val []byte, ok bool) {
 		if !found {
 			return
 		}
-		vlen := tx.LoadU64(vb + valLen)
-		val = make([]byte, vlen)
-		tx.Load(vb+valBytes, val)
-		ok = true
+		val, ok = kv.rd.Value(tx, vb+valLen, vb+valBytes), true
 	})
 	return val, ok
 }
@@ -155,8 +153,8 @@ func (kv *KV) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 	if err := kv.idx.checkDurable(img); err != nil {
 		return err
 	}
-	seen := make(map[uint64]bool, len(oracle))
-	err := kv.idx.walkDurable(img, func(key uint64, vptr mem.Addr) error {
+	seen := kv.rd.Seen(len(oracle))
+	visit := func(key uint64, vptr mem.Addr) error {
 		want, ok := oracle[key]
 		if !ok {
 			return fmt.Errorf("%s durable: unexpected key %d", kv.name, key)
@@ -173,7 +171,17 @@ func (kv *KV) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 			return fmt.Errorf("%s durable: key %d value mismatch", kv.name, key)
 		}
 		return nil
-	})
+	}
+	// Concrete calls: through the index interface, visit would escape.
+	var err error
+	switch idx := kv.idx.(type) {
+	case *btree:
+		err = idx.walkDurable(img, visit)
+	case *ctree:
+		err = idx.walkDurable(img, visit)
+	case *rtree:
+		err = idx.walkDurable(img, visit)
+	}
 	if err != nil {
 		return err
 	}

@@ -5,28 +5,24 @@ import (
 	"github.com/persistmem/slpmt/internal/workloads"
 )
 
-// rangerIndex is implemented by backends whose layout yields keys in
-// ascending unsigned order.
-type rangerIndex interface {
-	scan(tx *slpmt.Tx, from, to uint64, fn func(key uint64, vptr slpmt.Addr) bool)
-}
-
-// Scan implements workloads.Ranger for backends with ordered layouts
-// (all three: the btree is sorted; the crit-bit and radix trees branch
-// on most-significant bits first, so child-0-before-child-1 order is
-// numeric order).
+// Scan implements workloads.Ranger. Every backend's layout yields keys
+// in ascending unsigned order: the btree is sorted; the crit-bit and
+// radix trees branch on most-significant bits first, so
+// child-0-before-child-1 order is numeric order. Scan dispatches on the
+// concrete backend so that its callback stays on the stack.
 func (kv *KV) Scan(sys *slpmt.System, from, to uint64, fn func(uint64, []byte) bool) error {
-	ri, ok := kv.idx.(rangerIndex)
-	if !ok {
-		return workloads.ErrUnsupported
-	}
 	sys.View(func(tx *slpmt.Tx) {
-		ri.scan(tx, from, to, func(key uint64, vptr slpmt.Addr) bool {
-			vlen := tx.LoadU64(vptr + valLen)
-			v := make([]byte, vlen)
-			tx.Load(vptr+valBytes, v)
-			return fn(key, v)
-		})
+		visit := func(key uint64, vptr slpmt.Addr) bool {
+			return fn(key, kv.rd.Value(tx, vptr+valLen, vptr+valBytes))
+		}
+		switch idx := kv.idx.(type) {
+		case *btree:
+			idx.scan(tx, from, to, visit)
+		case *ctree:
+			idx.scan(tx, from, to, visit)
+		case *rtree:
+			idx.scan(tx, from, to, visit)
+		}
 	})
 	return nil
 }

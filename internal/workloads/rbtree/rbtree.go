@@ -48,7 +48,7 @@ func init() {
 }
 
 // Tree is the red-black tree workload.
-type Tree struct{}
+type Tree struct{ rd workloads.Scratch }
 
 // New returns a fresh rbtree workload.
 func New() *Tree { return &Tree{} }
@@ -244,10 +244,7 @@ func (t *Tree) Get(sys *slpmt.System, key uint64) (val []byte, ok bool) {
 			k := fKey(tx, n)
 			switch {
 			case key == k:
-				vlen := tx.LoadU64(n + offVLen)
-				val = make([]byte, vlen)
-				tx.Load(n+offVal, val)
-				ok = true
+				val, ok = t.rd.Value(tx, n+offVLen, n+offVal), true
 				return
 			case key < k:
 				n = slpmt.Addr(fLeft(tx, n))
@@ -382,7 +379,7 @@ func (t *Tree) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 // CheckDurable implements workloads.Recoverable.
 func (t *Tree) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 	root := mem.Addr(readRoot(img, workloads.RootMain))
-	seen := make(map[uint64]bool, len(oracle))
+	seen := t.rd.Seen(len(oracle))
 	var firstErr error
 	var walk func(n mem.Addr, lo, hi uint64, parent mem.Addr) int
 	walk = func(n mem.Addr, lo, hi uint64, parent mem.Addr) int {

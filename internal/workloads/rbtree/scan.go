@@ -23,10 +23,7 @@ func (t *Tree) Scan(sys *slpmt.System, from, to uint64, fn func(uint64, []byte) 
 				return
 			}
 			if k >= from && k <= to {
-				vlen := tx.LoadU64(n + offVLen)
-				v := make([]byte, vlen)
-				tx.Load(n+offVal, v)
-				if !fn(k, v) {
+				if !fn(k, t.rd.Value(tx, n+offVLen, n+offVal)) {
 					stopped = true
 					return
 				}

@@ -31,7 +31,9 @@ import (
 
 // Workload is one durable data structure under test. Implementations
 // hold only volatile bookkeeping; all durable state lives in the
-// system's persistent memory, reachable from root slots.
+// system's persistent memory, reachable from root slots. An instance
+// serves one goroutine at a time (Cluster.Interleave runs every core on
+// one goroutine).
 type Workload interface {
 	// Name returns the benchmark name used in reports.
 	Name() string
@@ -39,7 +41,10 @@ type Workload interface {
 	Setup(sys *slpmt.System) error
 	// Insert adds one key/value pair in one durable transaction.
 	Insert(sys *slpmt.System, key uint64, value []byte) error
-	// Get looks the key up through the volatile view.
+	// Get looks the key up through the volatile view. The value is a
+	// view of the instance's read buffer (see Scratch.Value): valid
+	// until the next call on the instance, so a caller that keeps it
+	// must copy it.
 	Get(sys *slpmt.System, key uint64) ([]byte, bool)
 	// Check verifies the volatile structure against an oracle of every
 	// inserted pair plus the structure's own invariants.
@@ -132,6 +137,37 @@ const (
 	RootAux = 4
 )
 
+// Scratch is a workload instance's reusable read-side state: the buffer
+// Get and Scan return values in, and the key set CheckDurable fills.
+// Reads allocate nothing after warm-up. Not safe for concurrent use.
+type Scratch struct {
+	buf  []byte
+	seen map[uint64]bool
+}
+
+// Value loads the value whose length word is at lenAt and whose bytes
+// start at valAt, with the loads and charges of a fresh copy. It returns
+// a view of s's buffer, valid until the next call on s, so a caller that
+// keeps it must copy it. The buffer grows only for a longer value.
+func (s *Scratch) Value(tx *slpmt.Tx, lenAt, valAt slpmt.Addr) []byte {
+	n := tx.LoadU64(lenAt)
+	if uint64(cap(s.buf)) < n {
+		s.buf = make([]byte, n)
+	}
+	v := s.buf[:n]
+	tx.Load(valAt, v)
+	return v
+}
+
+// Seen returns s's key set, emptied; hint sizes it on first use.
+func (s *Scratch) Seen(hint int) map[uint64]bool {
+	if s.seen == nil {
+		s.seen = make(map[uint64]bool, hint)
+	}
+	clear(s.seen)
+	return s.seen
+}
+
 // CheckOracle is a helper: verifies Get returns every oracle pair.
 func CheckOracle(sys *slpmt.System, w Workload, oracle map[uint64][]byte) error {
 	for k, want := range oracle {
@@ -168,7 +204,9 @@ type Mutable interface {
 // Ranger is implemented by workloads with ordered keys that support
 // range scans over [from, to] (inclusive). The callback returns false
 // to stop early. Scans run through the volatile view (loads are timed
-// and lazy-persistency checks apply, like any read).
+// and lazy-persistency checks apply, like any read). Each value passed
+// to the callback views the instance's read buffer: valid until the
+// callback returns or calls the instance, so keeping it needs a copy.
 type Ranger interface {
 	Scan(sys *slpmt.System, from, to uint64, fn func(key uint64, value []byte) bool) error
 }
