@@ -16,11 +16,18 @@ import (
 	"github.com/persistmem/slpmt/internal/trace"
 )
 
-// Write-set line classes (per-line, a line with any logged word is a
-// logged line; Figure 4 orders persists by these classes).
+// Write-set entries (txState.writeLines values). The low byte holds
+// the line's classes (a line with any logged word is a logged line;
+// Figure 4 orders persists by these classes). The high byte is the
+// line's logged-word mask: the words this transaction has created
+// records for (bit 0 alone under line granularity). It has the shape of
+// the hardware's per-line log bitmap, but unlike the cache's LogBits it
+// is not lost when the line drops to L3, so a re-logged word counts as
+// a duplicate.
 const (
-	wsLogged  uint8 = 1 << 0
-	wsLogFree uint8 = 1 << 1
+	wsLogged    = 1 << 0
+	wsLogFree   = 1 << 1
+	wsWordShift = 8
 )
 
 // retainedTx is a committed transaction whose lazily persistent data is
@@ -35,13 +42,12 @@ type retainedTx struct {
 
 // txState is the engine's view of the currently executing transaction.
 type txState struct {
-	active      bool
-	id          uint8
-	seq         uint64
-	sig         *signature.Signature
-	lazyLines   map[mem.Addr]struct{} // lines with persist bit clear
-	writeLines  map[mem.Addr]uint8    // line -> ws class bits
-	loggedWords map[mem.Addr]struct{} // words logged this transaction
+	active     bool
+	id         uint8
+	seq        uint64
+	sig        *signature.Signature
+	lazyLines  map[mem.Addr]struct{} // lines with persist bit clear
+	writeLines map[mem.Addr]uint16   // line -> ws class bits | logged-word mask<<wsWordShift
 }
 
 // lineID encodes a transaction ID into the cache-line TxID field;
@@ -106,7 +112,8 @@ type Engine struct {
 	// scratch is the per-transaction arena for log-record payloads.
 	// Records never outlive their transaction (the sink drains at commit
 	// and clears at abort; the log writer copies payloads out), so the
-	// arena resets at Begin instead of allocating per word.
+	// arena resets at Begin instead of allocating per word. It holds the
+	// newest and largest block (see scratchBytes).
 	scratch    []byte
 	scratchOff int
 
@@ -221,20 +228,21 @@ func (e *Engine) refreshRecord(r logbuf.Record) logbuf.Record {
 	return logbuf.Record{Addr: r.Addr, Data: data, Speculative: r.Speculative}
 }
 
-// scratchBlock sizes the arena growth step; large enough that even a
-// line-granularity transaction rarely grows twice.
-const scratchBlock = 1 << 16
+// scratchBlock is the arena's first block size: more than most
+// transactions log, and small enough that a short-lived System does not
+// pay for a large transaction it never runs.
+const scratchBlock = 512
 
 // scratchBytes returns n bytes of transaction-lifetime scratch from the
-// arena. Earlier blocks stay alive through the records referencing
-// them; the arena as a whole is recycled at Begin.
+// arena. A full block is replaced by one at least twice its size, so a
+// transaction's payloads need O(log bytes) blocks, and the newest (the
+// largest) is kept across transactions: once a workload's largest
+// transaction has run, the arena stops allocating. Earlier blocks stay
+// alive through the records referencing them until the transaction
+// ends; the arena as a whole is recycled at Begin.
 func (e *Engine) scratchBytes(n int) []byte {
 	if e.scratchOff+n > len(e.scratch) {
-		size := scratchBlock
-		if n > size {
-			size = n
-		}
-		e.scratch = make([]byte, size)
+		e.scratch = make([]byte, max(2*len(e.scratch), n, scratchBlock))
 		e.scratchOff = 0
 	}
 	p := e.scratch[e.scratchOff : e.scratchOff+n : e.scratchOff+n]
@@ -271,8 +279,9 @@ func (e *Engine) Begin() {
 	}
 	// Reuse the per-transaction tracking maps and the record-payload
 	// arena: Commit hands lazyLines off to a retainedTx (replaced from
-	// the recycle pool here), while writeLines/loggedWords never escape
-	// the transaction and are merely cleared.
+	// the recycle pool here), while writeLines (with the logged-word
+	// masks) never escapes the transaction and is merely cleared; the
+	// arena rewinds to the start of its largest block.
 	e.cur.active = true
 	e.cur.id = id
 	e.cur.seq = e.seq
@@ -283,14 +292,9 @@ func (e *Engine) Begin() {
 		clear(e.cur.lazyLines)
 	}
 	if e.cur.writeLines == nil {
-		e.cur.writeLines = make(map[mem.Addr]uint8)
+		e.cur.writeLines = make(map[mem.Addr]uint16)
 	} else {
 		clear(e.cur.writeLines)
-	}
-	if e.cur.loggedWords == nil {
-		e.cur.loggedWords = make(map[mem.Addr]struct{})
-	} else {
-		clear(e.cur.loggedWords)
 	}
 	e.scratchOff = 0
 	e.cur.sig.Clear()
@@ -476,19 +480,20 @@ func (e *Engine) storeOne(a mem.Addr, data []byte, bits isa.Bits) {
 		return
 	}
 
+	ws := e.cur.writeLines[line]
 	if bits.Log {
 		prev := e.m.SetCause(profile.CauseLogAppend)
 		if e.cfg.Buffer == BufferTiered {
 			// The log buffer decouples logging from execution: spills
 			// are posted by the buffer engine (§III-B2).
 			e.m.PushAsync()
-			e.logStore(l, a, len(data))
+			ws = e.logStore(l, a, len(data), ws)
 			e.m.PopAsync()
 		} else {
 			// No buffer (EDE): log writes leave through the core's
 			// store path and feel queue backpressure in program order.
 			e.m.PushStream()
-			e.logStore(l, a, len(data))
+			ws = e.logStore(l, a, len(data), ws)
 			e.m.PopStream()
 		}
 		e.m.SetCause(prev)
@@ -504,21 +509,24 @@ func (e *Engine) storeOne(a mem.Addr, data []byte, bits isa.Bits) {
 	}
 	l.TxID = lineID(e.cur.id)
 	e.cur.sig.Add(line)
-	cls := wsLogFree
 	if bits.Log {
-		cls = wsLogged
+		ws |= wsLogged
+	} else {
+		ws |= wsLogFree
 	}
-	e.cur.writeLines[line] |= cls
+	e.cur.writeLines[line] = ws
 	e.m.WriteMem(a, data)
 }
 
 // logStore creates the undo/redo records a store requires: the unlogged
 // words it touches (word granularity) or the whole line (line
 // granularity). Old values are captured before the store's data is
-// written.
+// written. ws is the line's write-set entry; logStore returns it with
+// the newly logged words added to its logged-word mask, and counts a
+// record for a word already in the mask as a duplicate.
 //
 //slpmt:noalloc
-func (e *Engine) logStore(l *cache.Line, a mem.Addr, size int) {
+func (e *Engine) logStore(l *cache.Line, a mem.Addr, size int, ws uint16) uint16 {
 	line := mem.LineAddr(a)
 	var mask uint8
 	if e.cfg.Granularity == Line {
@@ -528,21 +536,23 @@ func (e *Engine) logStore(l *cache.Line, a mem.Addr, size int) {
 	}
 	missing := mask &^ l.LogBits
 	if missing == 0 {
-		return
+		return ws
 	}
+	logged := uint8(ws >> wsWordShift)
 	if e.cfg.Granularity == Line {
 		data := e.scratchBytes(mem.LineSize) //slpmt:noalloc-escape-ok: arena growth is amortized; steady state reuses the block
 		e.m.ReadMem(line, data)
 		e.sink.add(logbuf.Record{Addr: line, Data: data})
 		e.m.Trace(trace.KLogAppend, line, mem.LineSize)
 		e.m.Stats.LogRecordsCreated++
-		if _, dup := e.cur.loggedWords[line]; dup {
+		if logged&1 != 0 {
 			e.m.Stats.LogDuplicates++
 		}
-		e.cur.loggedWords[line] = struct{}{}
+		logged |= 1
 	} else {
 		for w := 0; w < mem.WordsPerLine; w++ {
-			if missing&(1<<uint(w)) == 0 {
+			bit := uint8(1) << uint(w)
+			if missing&bit == 0 {
 				continue
 			}
 			wa := line + mem.Addr(w*mem.WordSize)
@@ -551,13 +561,14 @@ func (e *Engine) logStore(l *cache.Line, a mem.Addr, size int) {
 			e.sink.add(logbuf.Record{Addr: wa, Data: data})
 			e.m.Trace(trace.KLogAppend, wa, mem.WordSize)
 			e.m.Stats.LogRecordsCreated++
-			if _, dup := e.cur.loggedWords[wa]; dup {
+			if logged&bit != 0 {
 				e.m.Stats.LogDuplicates++
 			}
-			e.cur.loggedWords[wa] = struct{}{}
 		}
+		logged |= missing
 	}
 	l.LogBits |= mask
+	return ws | uint16(logged)<<wsWordShift
 }
 
 // checkLineOwner implements the per-access transaction-ID check
@@ -941,7 +952,7 @@ func (e *Engine) commitGrouped() {
 			continue
 		}
 		cls := e.cur.writeLines[la]
-		e.epochPending[la] |= cls
+		e.epochPending[la] |= uint8(cls) // the classes, not the mask
 		if cls&wsLogged != 0 {
 			e.epochLogged[la] = struct{}{}
 		}

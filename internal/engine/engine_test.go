@@ -307,6 +307,60 @@ func TestDuplicateLoggingAfterL3RoundTrip(t *testing.T) {
 	e.Commit()
 }
 
+// TestLogDuplicatesAfterL3RoundTrip: a record counts as a duplicate
+// exactly when the transaction already created one for the same word
+// (line, under line granularity) — which the write set's logged-word
+// mask remembers after the cache log bits were lost in L3. Speculative
+// records do not enter the mask.
+func TestLogDuplicatesAfterL3RoundTrip(t *testing.T) {
+	word := slpmtCfg()
+	line := slpmtCfg()
+	line.Granularity = Line
+	spec := slpmtCfg()
+	spec.Speculative = true
+	cases := []struct {
+		name          string
+		cfg           Config
+		before, after []int // words stored before and after the round trip
+		records       uint64
+		dups          uint64
+		speculative   uint64
+	}{
+		{"word/same word", word, []int{0}, []int{0}, 2, 1, 0},
+		{"word/other word", word, []int{0}, []int{1}, 2, 0, 0},
+		{"line/re-logged line", line, []int{0}, []int{5}, 2, 1, 0},
+		// Words 0-2 leave the low group partial, so the L1 demotion
+		// logs word 3 speculatively; its re-log is not a duplicate.
+		{"word/speculative", spec, []int{0, 1, 2}, []int{3}, 4, 0, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e, m := newEng(c.cfg)
+			base := m.Layout.HeapBase
+			e.Begin()
+			for _, w := range c.before {
+				e.StoreU64(base+mem.Addr(w*mem.WordSize), 1, isa.Store, isa.Plain)
+			}
+			// Push the line to L3 (same-set stride for both L1 and L2).
+			for i := 1; i <= 20; i++ {
+				e.LoadU64(base + mem.Addr(i)*64*1024)
+			}
+			if m.L1.Peek(base) != nil || m.L2.Peek(base) != nil {
+				t.Fatal("line still in private caches")
+			}
+			for _, w := range c.after {
+				e.StoreU64(base+mem.Addr(w*mem.WordSize), 2, isa.Store, isa.Plain)
+			}
+			s := m.Stats
+			if s.LogRecordsCreated != c.records || s.LogDuplicates != c.dups || s.SpeculativeRecords != c.speculative {
+				t.Errorf("records/duplicates/speculative = %d/%d/%d, want %d/%d/%d",
+					s.LogRecordsCreated, s.LogDuplicates, s.SpeculativeRecords, c.records, c.dups, c.speculative)
+			}
+			e.Commit()
+		})
+	}
+}
+
 // TestSpeculativeLogging: with the §III-B1 optimization, evicting a
 // partially logged 32-byte group creates speculative records so the
 // folded bit survives.

@@ -124,6 +124,28 @@ func BenchmarkMicroLogAppendSync(b *testing.B) {
 	}
 }
 
+// BenchmarkMicroSmallTxAfterLargeTx runs one ~4,096-line transaction,
+// then b.N one-store transactions: the cost a workload's rare large
+// transaction (a hash-table rehash) leaves on every later Begin, which
+// clears the per-transaction maps at the capacity the large one grew
+// them to.
+func BenchmarkMicroSmallTxAfterLargeTx(b *testing.B) {
+	e, m := newEng(slpmtCfg())
+	base := m.Layout.HeapBase
+	e.Begin()
+	for i := 0; i < 4096; i++ {
+		e.StoreU64(base+mem.Addr(i)*mem.LineSize, uint64(i), isa.Store, isa.Plain)
+	}
+	e.Commit()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Begin()
+		e.StoreU64(base+mem.Addr(i%16)*mem.LineSize, uint64(i), isa.Store, isa.Plain)
+		e.Commit()
+	}
+}
+
 func BenchmarkMicroSignature(b *testing.B) {
 	var s signature.Signature
 	b.ResetTimer()

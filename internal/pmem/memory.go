@@ -88,37 +88,71 @@ func (d *durableImage) write(addr uint64, p []byte) {
 }
 
 // snapshot copies the written pages into a new Image: one slab for all
-// of them, plus the page table.
+// of them and one for the page-table chunks that hold them.
 func (d *durableImage) snapshot() *Image {
-	n := 0
+	pages, chunks := 0, 0
 	for _, w := range d.written {
-		n += bits.OnesCount64(w)
+		if w != 0 {
+			pages += bits.OnesCount64(w)
+			chunks++
+		}
 	}
 	img := newImage(d.mem.Size())
-	slab := make([][PageSize]byte, n)
+	slab := make([][PageSize]byte, pages)
+	tables := make([]imageChunk, chunks)
 	for i, w := range d.written {
+		if w == 0 {
+			continue
+		}
+		c := &tables[0]
+		tables = tables[1:]
+		img.chunks[i] = c
 		for ; w != 0; w &= w - 1 {
-			pg := uint64(i*64 + bits.TrailingZeros64(w))
+			j := bits.TrailingZeros64(w)
+			pg := uint64(i*chunkPages + j)
 			page := &slab[0]
 			slab = slab[1:]
 			d.mem.Read(pg*PageSize, page[:img.pageLen(pg)])
-			img.pages[pg] = page
+			c[j] = page
 		}
 	}
 	return img
 }
 
+// chunkPages is the number of pages one page-table chunk maps: the
+// width of a durableImage.written word, so snapshot maps one bitmap
+// word to one chunk.
+const chunkPages = 64
+
+// imageChunk maps chunkPages consecutive pages; nil: absent, reads as
+// zero.
+type imageChunk [chunkPages]*[PageSize]byte
+
 // Image is a crash snapshot: the durable contents of the device at the
 // instant of a (simulated) power failure, after the ADR domain has been
 // flushed. It holds a copy of the written pages only; every other page
 // reads as zero. Recovery reads and repairs an Image in place.
+//
+// The page table has two levels, so an image costs in proportion to
+// the pages it holds rather than to its size: a directory with one
+// entry per chunkPages pages, and chunks allocated only once they hold
+// a page.
 type Image struct {
-	size  uint64
-	pages []*[PageSize]byte // nil: absent, reads as zero
+	size   uint64
+	chunks []*imageChunk // nil: no page of the chunk held
 }
 
 func newImage(size uint64) *Image {
-	return &Image{size: size, pages: make([]*[PageSize]byte, (size+PageSize-1)/PageSize)}
+	pages := (size + PageSize - 1) / PageSize
+	return &Image{size: size, chunks: make([]*imageChunk, (pages+chunkPages-1)/chunkPages)}
+}
+
+// page returns page pg, or nil if the image does not hold it.
+func (img *Image) page(pg uint64) *[PageSize]byte {
+	if c := img.chunks[pg/chunkPages]; c != nil {
+		return c[pg%chunkPages]
+	}
+	return nil
 }
 
 // pageLen is the number of image bytes in page pg (short on a partial
@@ -142,7 +176,7 @@ func (img *Image) Read(addr uint64, p []byte) {
 	for len(p) > 0 {
 		pg, off := addr/PageSize, addr%PageSize
 		n := int(min(uint64(len(p)), PageSize-off))
-		if page := img.pages[pg]; page != nil {
+		if page := img.page(pg); page != nil {
 			copy(p[:n], page[off:])
 		} else {
 			clear(p[:n])
@@ -165,7 +199,7 @@ func (img *Image) Equal(addr uint64, p []byte) bool {
 		pg, off := addr/PageSize, addr%PageSize
 		n := min(uint64(len(p)), PageSize-off)
 		have := zeroPage[:n]
-		if page := img.pages[pg]; page != nil {
+		if page := img.page(pg); page != nil {
 			have = page[off : off+n]
 		}
 		if !bytes.Equal(p[:n], have) {
@@ -177,16 +211,21 @@ func (img *Image) Equal(addr uint64, p []byte) bool {
 	return true
 }
 
-// Write copies p into the image at addr, allocating any absent page it
-// touches.
+// Write copies p into the image at addr, allocating any absent page
+// (and page-table chunk) it touches.
 func (img *Image) Write(addr uint64, p []byte) {
 	img.check("write", addr, len(p))
 	for len(p) > 0 {
 		pg, off := addr/PageSize, addr%PageSize
-		page := img.pages[pg]
+		c := img.chunks[pg/chunkPages]
+		if c == nil {
+			c = new(imageChunk)
+			img.chunks[pg/chunkPages] = c
+		}
+		page := c[pg%chunkPages]
 		if page == nil {
 			page = new([PageSize]byte)
-			img.pages[pg] = page
+			c[pg%chunkPages] = page
 		}
 		n := copy(page[off:], p)
 		p = p[n:]
@@ -213,9 +252,15 @@ func (img *Image) WriteU64(addr uint64, v uint64) {
 // address and contents of every page the image holds. fn must not
 // retain or modify page.
 func (img *Image) ForEachPage(fn func(base uint64, page []byte)) {
-	for pg, page := range img.pages {
-		if page != nil {
-			fn(uint64(pg)*PageSize, page[:img.pageLen(uint64(pg))])
+	for i, c := range img.chunks {
+		if c == nil {
+			continue
+		}
+		for j, page := range c {
+			if page != nil {
+				pg := uint64(i*chunkPages + j)
+				fn(pg*PageSize, page[:img.pageLen(pg)])
+			}
 		}
 	}
 }

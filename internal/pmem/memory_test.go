@@ -2,7 +2,10 @@ package pmem
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -109,6 +112,96 @@ func TestImageEqual(t *testing.T) {
 	img.Equal(size-39, tail)
 }
 
+// TestImagePartialLastChunk: an image whose size is a multiple of
+// neither the page size nor chunkPages pages holds, reads and bounds
+// its partial last page, which lies in a partial last chunk.
+func TestImagePartialLastChunk(t *testing.T) {
+	const size = (chunkPages+6)*PageSize + 100 // 71 pages, the last holding 100 bytes
+	d := New(Config{Size: size})
+	d.Persist(0, size-64, line(0xC3))
+	img := d.Crash()
+	pages := map[uint64]int{}
+	img.ForEachPage(func(base uint64, page []byte) { pages[base] = len(page) })
+	if want := map[uint64]int{(chunkPages + 6) * PageSize: 100}; !maps.Equal(pages, want) {
+		t.Fatalf("held pages (base: len) = %v, want %v", pages, want)
+	}
+	got := make([]byte, 64)
+	img.Read(size-64, got)
+	if !bytes.Equal(got, line(0xC3)) {
+		t.Errorf("last line = %x, want the persisted line", got)
+	}
+	img.Write(size-1, []byte{9})
+	if v := img.ReadU64(size - 8); v != 0x09C3C3C3C3C3C3C3 {
+		t.Errorf("last word = %#x after writing the final byte", v)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Write past the image end did not panic")
+		}
+	}()
+	img.Write(size-1, []byte{1, 2})
+}
+
+// TestImageWriteAbsentChunk: a write into a chunk the snapshot did not
+// allocate creates it, holding just the written page; the other pages
+// of the chunk still read as zero.
+func TestImageWriteAbsentChunk(t *testing.T) {
+	d := New(Config{Size: 4 * chunkPages * PageSize})
+	d.Persist(0, 64, line(1))
+	img := d.Crash()
+	if img.chunks[1] != nil {
+		t.Fatal("snapshot allocated chunk 1, which holds no written page")
+	}
+	a := uint64(chunkPages+3)*PageSize + 8
+	img.WriteU64(a, 0xFEED)
+	if v := img.ReadU64(a); v != 0xFEED {
+		t.Errorf("read back %#x, want 0xfeed", v)
+	}
+	if got, want := heldPages(img), []uint64{0, (chunkPages + 3) * PageSize}; !slices.Equal(got, want) {
+		t.Errorf("held pages %#x, want %#x", got, want)
+	}
+	if !img.Equal(uint64(chunkPages)*PageSize, make([]byte, 3*PageSize)) {
+		t.Error("an unwritten page of the new chunk does not read as zero")
+	}
+}
+
+// TestImageForEachPageAscending: pages written out of order, across
+// chunk boundaries, are visited in ascending address order.
+func TestImageForEachPageAscending(t *testing.T) {
+	img := New(Config{Size: 4 * chunkPages * PageSize}).Crash()
+	for _, pg := range []uint64{2*chunkPages + 2, chunkPages - 1, chunkPages, 0, 2*chunkPages - 1} {
+		img.Write(pg*PageSize, []byte{byte(pg)})
+	}
+	want := []uint64{0, chunkPages - 1, chunkPages, 2*chunkPages - 1, 2*chunkPages + 2}
+	for i := range want {
+		want[i] *= PageSize
+	}
+	if got := heldPages(img); !slices.Equal(got, want) {
+		t.Errorf("visit order %#x, want %#x", got, want)
+	}
+}
+
+// TestCrashAllocatesWrittenPages: a snapshot of a 16 MiB device with 5
+// written pages costs the 5 pages plus page-table overhead, not a page
+// table over the whole device (4,096 entries, 32 KiB).
+func TestCrashAllocatesWrittenPages(t *testing.T) {
+	d := New(Config{})
+	for pg := uint64(0); pg < 5; pg++ {
+		d.Persist(0, pg*61*PageSize, line(byte(pg)))
+	}
+	const runs = 20
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		sinkImage = d.Crash()
+	}
+	runtime.ReadMemStats(&m1)
+	per := (m1.TotalAlloc - m0.TotalAlloc) / runs
+	if limit := uint64(5*PageSize + 4096); per > limit {
+		t.Errorf("Crash allocates %d B per snapshot, want at most %d (5 pages + 4 KiB)", per, limit)
+	}
+}
+
 // TestSnapshotIndependent: a snapshot neither sees later persists nor
 // writes back into the live durable image.
 func TestSnapshotIndependent(t *testing.T) {
@@ -201,17 +294,22 @@ func BenchmarkPersist(b *testing.B) {
 
 var sinkImage *Image
 
-// BenchmarkCrash snapshots a durable image with 64 written pages, about
-// what a crash campaign point leaves.
+// BenchmarkCrash snapshots a durable image with 5 written pages, what a
+// crash campaign point leaves (about 20 KiB of page slab per point),
+// and with 64, spread over the device's page-table chunks.
 func BenchmarkCrash(b *testing.B) {
-	d := New(Config{})
-	for pg := uint64(0); pg < 64; pg++ {
-		d.PersistAsync(0, pg*61*PageSize%DefaultSize, line(byte(pg)))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkImage = d.Crash()
+	for _, pages := range []uint64{5, 64} {
+		b.Run(fmt.Sprintf("pages%d", pages), func(b *testing.B) {
+			d := New(Config{})
+			for pg := uint64(0); pg < pages; pg++ {
+				d.PersistAsync(0, pg*61*PageSize%DefaultSize, line(byte(pg)))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkImage = d.Crash()
+			}
+		})
 	}
 }
 

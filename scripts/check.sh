@@ -1,9 +1,9 @@
 #!/bin/sh
 # check.sh - the repo's pre-merge gate: formatting, vet (go vet plus
 # the slpmtvet analyzer suite), build (native, windows and darwin), full
-# test suite, race-detector
-# passes, and one traced 2-core run replayed through the persist-order
-# sanitizer and the critical-path analyzer.
+# test suite, one run of each engine/pmem/recovery microbenchmark,
+# race-detector passes, and one traced 2-core run replayed through the
+# persist-order sanitizer and the critical-path analyzer.
 #
 # Usage: scripts/check.sh   (or: make check)
 set -eu
@@ -33,6 +33,9 @@ GOOS=darwin GOARCH=arm64 go build ./...
 
 echo "== go test =="
 go test ./...
+
+echo "== benchmark smoke (each microbenchmark once) =="
+go test -run '^$' -bench . -benchtime 1x ./internal/engine/ ./internal/pmem/ ./internal/recovery/
 
 echo "== go test -race =="
 go test -race . ./internal/bench/ ./internal/cache/ ./internal/machine/ ./internal/trace/...
