@@ -1,6 +1,8 @@
 package slpmt
 
 import (
+	"fmt"
+
 	"github.com/persistmem/slpmt/internal/engine"
 	"github.com/persistmem/slpmt/internal/machine"
 	"github.com/persistmem/slpmt/internal/mem"
@@ -14,11 +16,14 @@ import (
 // queue), and one persistent heap — or, with Options.Sockets > 1, a
 // socket-per-device topology with a per-core sharded heap (each core
 // allocating from its home socket's arena). Each core runs its own
-// transaction
-// engine with a private log region; cross-engine conflicts are detected
-// through the coherence bus — a remote store checks every other
-// engine's retained-transaction signatures and forces lazy drains on a
-// hit (§III-C3 applied across cores).
+// transaction engine with a private log region; cross-engine conflicts
+// are detected through the coherence bus — a remote store checks every
+// other engine's retained-transaction signatures and forces lazy drains
+// on a hit (§III-C3 applied across cores).
+//
+// The Cluster is the only way a platform is built: a System from New is
+// core 0 of a 1-core Cluster, so every harness drives one code path at
+// any core count.
 //
 // Execution is simulated on one OS thread by deterministically
 // interleaving the cores at transaction granularity (see Interleave),
@@ -38,70 +43,85 @@ type tickMux struct{ c *machine.Core }
 
 func (t *tickMux) Tick(n uint64) { t.c.Tick(n) }
 
+// MaxCores is the largest core count a Cluster supports (Interleave
+// tracks finished cores in one 64-bit mask).
+const MaxCores = 64
+
 // NewCluster builds a platform with the given core count. Every core
-// runs the same scheme. NewCluster(1, opts) is timing-equivalent to
-// New(opts).
+// runs the same scheme. New(opts) is core 0 of NewCluster(1, opts).
 func NewCluster(cores int, opts Options) *Cluster {
 	if cores < 1 {
 		cores = 1
 	}
+	if cores > MaxCores {
+		panic(fmt.Sprintf("slpmt: NewCluster supports at most %d cores, got %d", MaxCores, cores))
+	}
 	name, cfg, mc := opts.resolve()
 	mc.Cores = cores
 	plat := machine.New(mc)
-	cl := &Cluster{Plat: plat}
+	cl := &Cluster{Plat: plat, Sys: make([]*System, cores)}
 	cl.tick.c = plat.Core(0)
-	var heaps []*txheap.Heap
+	var shared *txheap.Heap
+	var sharded []*txheap.Heap
 	if plat.Topo.Sockets() > 1 {
 		// Sharded heap: one handle per core, allocating from the core's
-		// home-socket arena with a shared global fallback. Each handle
-		// charges its own core's clock, so the classic tickMux routing
-		// is unnecessary on this path.
+		// home-socket arena with a shared global fallback (even one core
+		// allocates through it, so its objects land on its home socket's
+		// stripe). Each handle charges its own core's clock, so the
+		// classic tickMux routing is unnecessary on this path.
 		clks := make([]txheap.Ticker, cores)
 		layouts := make([]mem.Layout, cores)
 		for i := 0; i < cores; i++ {
 			clks[i] = plat.Core(i)
 			layouts[i] = plat.Core(i).Layout
 		}
-		heaps = txheap.NewSharded(clks, layouts, opts.AllocCycles)
+		sharded = txheap.NewSharded(clks, layouts, opts.AllocCycles)
 	} else {
-		shared := txheap.New(&cl.tick, plat.Layout, opts.AllocCycles)
-		heaps = make([]*txheap.Heap, cores)
-		for i := range heaps {
-			heaps[i] = shared
-		}
+		shared = txheap.New(&cl.tick, plat.Layout, opts.AllocCycles)
 	}
-	engines := make([]*engine.Engine, cores)
-	for i := 0; i < cores; i++ {
+	systems := make([]System, cores)
+	for i := range systems {
 		c := plat.Core(i)
 		e := engine.New(c, cfg)
-		engines[i] = e
-		heap := heaps[i]
+		heap := shared
+		if sharded != nil {
+			heap = sharded[i]
+		}
 		if cfg.CommitWindow > 1 {
-			// See New: epoch-quarantined frees release only once the
-			// freeing epoch's commit point is durable. Group closes seal
-			// every core's epoch together, so releasing the shared
-			// heap's parked frees at any engine's close is sound. On a
-			// sharded heap each engine's close releases its own
-			// handle's frees; sibling handles' frees wait for their own
-			// core's close, which only lengthens the quarantine
-			// (conservative, still sound).
+			// Committed frees stay quarantined until their epoch's commit
+			// point is durable — reuse inside the window would scribble
+			// log-free stores over blocks the durable state still
+			// reaches. Group closes seal every core's epoch together, so
+			// releasing the shared heap's parked frees at any engine's
+			// close is sound. On a sharded heap each engine's close
+			// releases its own handle's frees; sibling handles' frees
+			// wait for their own core's close, which only lengthens the
+			// quarantine (conservative, still sound).
 			heap.EpochQuarantine(true)
 			e.SetEpochCloseHook(heap.ReleaseEpochFrees)
 		}
-		cl.Sys = append(cl.Sys, &System{Eng: e, Mach: c, Heap: heap, scheme: name})
+		systems[i] = System{Eng: e, Mach: c, Heap: heap, scheme: name}
+		cl.Sys[i] = &systems[i]
+	}
+	if cores == 1 {
+		return cl
 	}
 	plat.OnRemoteStore = func(src int, line mem.Addr) {
-		for i, e := range engines {
+		for i, s := range cl.Sys {
 			if i != src {
-				e.CoherenceStore(line)
+				s.Eng.CoherenceStore(line)
 			}
 		}
 	}
-	if cfg.CommitWindow > 1 && cores > 1 {
+	if cfg.CommitWindow > 1 {
 		// Transactions on different cores exchange cache lines inside a
 		// commit window, so per-core epochs must become durable together:
 		// the group coordinates atomic multi-core closes and numbers
 		// transactions from one cluster-global sequence.
+		engines := make([]*engine.Engine, cores)
+		for i, s := range cl.Sys {
+			engines[i] = s.Eng
+		}
 		engine.NewEpochGroup(engines)
 	}
 	return cl
@@ -129,12 +149,12 @@ func (cl *Cluster) Use(i int) *System {
 // logically independent (e.g. sharded key streams); the simulator does
 // not model speculative conflict aborts between in-flight transactions.
 func (cl *Cluster) Interleave(stream func(core int, sys *System) bool) {
-	done := make([]bool, len(cl.Sys))
-	remaining := len(cl.Sys)
-	for remaining > 0 {
+	var done uint64 // bit i set: core i's stream is finished
+	all := uint64(1)<<len(cl.Sys) - 1
+	for done != all {
 		pick := -1
 		for i, s := range cl.Sys {
-			if done[i] {
+			if done&(1<<i) != 0 {
 				continue
 			}
 			if pick < 0 || s.Mach.Clk < cl.Sys[pick].Mach.Clk {
@@ -142,8 +162,7 @@ func (cl *Cluster) Interleave(stream func(core int, sys *System) bool) {
 			}
 		}
 		if !stream(pick, cl.Use(pick)) {
-			done[pick] = true
-			remaining--
+			done |= 1 << pick
 		}
 	}
 }

@@ -151,3 +151,37 @@ func TestClusterPerCoreLogRegionsDisjoint(t *testing.T) {
 		}
 	}
 }
+
+func TestSingleCorePlatformAllocs(t *testing.T) {
+	// New is core 0 of NewCluster(1): the 1-core platform carries no
+	// per-core slices or coherence hooks beyond what a System needs.
+	for _, tc := range []struct {
+		window int
+		max    float64
+	}{{1, 41}, {16, 45}} {
+		opts := slpmt.Options{Scheme: "SLPMT", CommitWindow: tc.window}
+		if n := testing.AllocsPerRun(10, func() { slpmt.New(opts) }); n > tc.max {
+			t.Errorf("W=%d: New makes %v allocations, want <= %v", tc.window, n, tc.max)
+		}
+		if n := testing.AllocsPerRun(10, func() { slpmt.NewCluster(1, opts) }); n > tc.max {
+			t.Errorf("W=%d: NewCluster(1) makes %v allocations, want <= %v", tc.window, n, tc.max)
+		}
+	}
+}
+
+func TestInterleaveSingleCoreDoesNotAllocate(t *testing.T) {
+	cl := slpmt.NewCluster(1, slpmt.Options{Scheme: "SLPMT"})
+	steps := 0
+	n := testing.AllocsPerRun(100, func() {
+		cl.Interleave(func(core int, sys *slpmt.System) bool {
+			steps++
+			return steps%3 != 0
+		})
+	})
+	if n != 0 {
+		t.Errorf("Interleave on a 1-core cluster makes %v allocations, want 0", n)
+	}
+	if steps != 3*101 {
+		t.Errorf("stream ran %d steps, want %d", steps, 3*101)
+	}
+}

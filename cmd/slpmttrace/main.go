@@ -11,9 +11,9 @@
 //	slpmttrace -cores 2 -crash 120 -recover          # 2-core cluster: every
 //	                                                 # per-core log is dumped
 //
-// The -cores/-seed knobs match slpmtbench: cores > 1 shards the same
-// deterministic key stream round-robin across a cluster, and the crash
-// point counts machine-wide persist events.
+// The -cores/-seed knobs match slpmtbench: the deterministic key stream
+// is sharded round-robin across a cluster of that many cores, and the
+// crash point counts machine-wide persist events.
 //
 // -trace-stream switches to binlog inspection mode: instead of
 // executing a run, the given SLPSEG01 stream directory (written by
@@ -39,6 +39,7 @@ import (
 	"os"
 
 	"github.com/persistmem/slpmt"
+	"github.com/persistmem/slpmt/internal/bench"
 	"github.com/persistmem/slpmt/internal/logfmt"
 	"github.com/persistmem/slpmt/internal/machine"
 	"github.com/persistmem/slpmt/internal/mem"
@@ -152,48 +153,13 @@ func head(p []byte, n int) []byte {
 	return p
 }
 
+// execute runs the deterministic key stream sharded round-robin across
+// a cores-wide cluster (see bench.Shard), crashing when the machine-wide
+// persist total hits the requested event (whichever core issues it).
 func execute(workload, scheme string, n, value, cores int, seed, crash uint64) (img *pmem.Image, crashed bool, events uint64) {
-	if cores > 1 {
-		return executeMulti(workload, scheme, n, value, cores, seed, crash)
-	}
-	w := workloads.MustNew(workload)
-	sys := slpmt.New(slpmt.Options{Scheme: scheme, ComputeCyclesPerOp: w.ComputeCost()})
-	sys.Mach.CrashAfter = crash
-	defer func() {
-		events = sys.Mach.PersistCount
-	}()
-	run := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(machine.CrashSignal); !ok {
-					panic(r)
-				}
-				crashed = true
-			}
-		}()
-		if err := w.Setup(sys); err != nil {
-			return err
-		}
-		load := ycsb.Load{N: n, ValueSize: value, Seed: seed}
-		return load.Each(func(k uint64, v []byte) error { return w.Insert(sys, k, v) })
-	}
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "slpmttrace: %v\n", err)
-		os.Exit(1)
-	}
-	return sys.Mach.Crash(), crashed, sys.Mach.PersistCount
-}
-
-// executeMulti runs the same deterministic stream sharded round-robin
-// across a cluster, crashing when the machine-wide persist total hits
-// the requested event (whichever core issues it).
-func executeMulti(workload, scheme string, n, value, cores int, seed, crash uint64) (img *pmem.Image, crashed bool, events uint64) {
 	w := workloads.MustNew(workload)
 	cl := slpmt.NewCluster(cores, slpmt.Options{Scheme: scheme, ComputeCyclesPerOp: w.ComputeCost()})
 	cl.Plat.CrashAfterTotal = crash
-	defer func() {
-		events = cl.Plat.PersistTotal
-	}()
 	run := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -208,25 +174,11 @@ func executeMulti(workload, scheme string, n, value, cores int, seed, crash uint
 		}
 		load := ycsb.Load{N: n, ValueSize: value, Seed: seed}
 		keys := load.Keys()
-		next := make([]int, cores)
-		for i := range next {
-			next[i] = i
-		}
-		var opErr error
-		cl.Interleave(func(core int, sys *slpmt.System) bool {
-			j := next[core]
-			if j >= len(keys) || opErr != nil {
-				return false
-			}
-			next[core] = j + cores
-			k := keys[j]
-			if e := w.Insert(sys, k, load.Value(k)); e != nil {
-				opErr = e
-				return false
-			}
-			return next[core] < len(keys)
+		var buf []byte
+		return bench.Shard(cl, len(keys), func(sys *slpmt.System, i int) error {
+			buf = load.ValueInto(buf, keys[i])
+			return w.Insert(sys, keys[i], buf)
 		})
-		return opErr
 	}
 	if err := run(); err != nil {
 		fmt.Fprintf(os.Stderr, "slpmttrace: %v\n", err)

@@ -99,7 +99,7 @@ func build(sys *slpmt.System, crashAfter uint64) (head slpmt.Addr, img *pmem.Ima
 	}); err != nil {
 		log.Fatal(err)
 	}
-	sys.Mach.CrashAfter = crashAfter
+	sys.Mach.Machine().CrashAfterTotal = crashAfter
 	cur := head
 	for v := uint64(1); v <= 5; v++ {
 		if err := sys.Update(func(tx *slpmt.Tx) error {
@@ -117,7 +117,7 @@ func main() {
 	sys := slpmt.New(slpmt.Options{Scheme: "SLPMT"})
 	head, img, _ := build(sys, 0)
 	fmt.Println("clean run, durable list:", dump(img, head))
-	total := sys.Mach.PersistCount
+	total := sys.Mach.Machine().PersistTotal
 	logRecords := sys.Stats().LogRecordsCreated
 	fmt.Printf("undo records: %d total — 1 for the setup's root store, then exactly 1 per insert\n", logRecords)
 	fmt.Printf("(the other three pointer writes of each insert are log-free storeTs)\n\n")

@@ -46,11 +46,10 @@ type RunConfig struct {
 	// Verify runs the structure's invariant check after the measured
 	// region (errors are reported in the result).
 	Verify bool
-	// Cores is the simulated core count (0 or 1 = the single-core
-	// platform). Multi-core runs shard the key stream round-robin
-	// across the cores of one shared structure and interleave them
-	// deterministically; Cycles is then the parallel phase's makespan
-	// (see RunMulti).
+	// Cores is the simulated core count (0 = 1). The key stream is
+	// sharded round-robin across the cores of one shared structure and
+	// the cores are interleaved deterministically; Cycles is the
+	// parallel phase's makespan (see Run).
 	Cores int
 	// Sockets is the PM socket (NUMA node) count: each socket is its
 	// own device behind a hop-linear interconnect and the heap is
@@ -178,12 +177,17 @@ func runTracer(cfg RunConfig) *trace.Tracer {
 	return nil
 }
 
-// Run executes one benchmark under one scheme and returns the measured
-// region's statistics.
+// Run executes one benchmark on a Cores-wide cluster (0 or 1 = one
+// core): the structure is built once on core 0, the deterministic key
+// stream is sharded round-robin across the cores (see Shard), and the
+// per-core insert streams run under the cluster's deterministic
+// interleaver. The measured region starts at a clock barrier after
+// setup and ends when the last core finishes its shard plus the final
+// lazy drain, so Cycles is the parallel makespan; Counters is the
+// merged per-core delta. Results are exactly reproducible for a given
+// (config, seed).
 func Run(cfg RunConfig) Result {
-	if cfg.Cores > 1 {
-		return RunMulti(cfg)
-	}
+	cores := max(cfg.Cores, 1)
 	w := workloads.MustNew(cfg.Workload)
 	var mc machine.Config
 	mc.PM.Banks = cfg.Banks
@@ -194,9 +198,9 @@ func Run(cfg RunConfig) Result {
 	}
 	var prof *profile.Profile
 	if cfg.Profile || cfg.CritPath {
-		prof = profile.New(1)
+		prof = profile.New(cores)
 	}
-	sys := slpmt.New(slpmt.Options{
+	cl := slpmt.NewCluster(cores, slpmt.Options{
 		Scheme:             cfg.Scheme,
 		Machine:            mc,
 		PMWriteNanos:       cfg.PMWriteNanos,
@@ -207,25 +211,27 @@ func Run(cfg RunConfig) Result {
 		Trace:              tr,
 		Profile:            prof,
 	})
-	if err := w.Setup(sys); err != nil {
+	if err := w.Setup(cl.Use(0)); err != nil {
 		panic(fmt.Sprintf("bench: setup %s: %v", cfg.Workload, err))
 	}
-	// Seal any epoch left open by setup so the measured region starts at
-	// a durability boundary and carries none of setup's deferred work.
-	sys.FinishEpoch()
+	// Seal any epoch setup left open so the measured region starts at a
+	// durability boundary and carries none of setup's deferred work
+	// (setup runs on core 0 only; a grouped close seals every core).
+	cl.Use(0).FinishEpoch()
 
 	load := ycsb.Load{N: cfg.N, ValueSize: cfg.ValueSize, Seed: cfg.Seed}
-	start := sys.Stats().Snapshot()
-	startCycles := sys.Cycles()
-	// The topology is the occupancy surface: on a single-device machine
-	// it delegates to the one device, so the gauges are unchanged.
-	topo := sys.Mach.Machine().Topo
+	keys := load.Keys()
+	start := cl.Stats()
+	startClk := cl.SyncClocks()
+	// The topology is the occupancy surface: it covers every socket's
+	// queue and delegates to the one device on single-socket machines.
+	// The window restarts at the measured region's boundary.
+	topo := cl.Plat.Topo
+	topo.ResetOccupancy(startClk)
 	var sw *streamRun
 	if tr != nil {
-		// Drop setup events and restart the occupancy window at the
-		// measured region's boundary.
+		// Drop setup events.
 		tr.Reset()
-		topo.ResetOccupancy(startCycles)
 		if cfg.StreamDir != "" {
 			// Attach the binlog sink after the boundary so the stream
 			// holds exactly the measured region.
@@ -236,8 +242,10 @@ func Run(cfg RunConfig) Result {
 		// Drop setup charges: the breakdown covers the measured region.
 		prof.Reset()
 	}
-	err := load.Each(func(key uint64, value []byte) error {
-		return w.Insert(sys, key, value)
+	var value []byte
+	err := Shard(cl, len(keys), func(sys *slpmt.System, i int) error {
+		value = load.ValueInto(value, keys[i])
+		return w.Insert(sys, keys[i], value)
 	})
 	if err != nil {
 		panic(fmt.Sprintf("bench: %s/%s insert: %v", cfg.Scheme, cfg.Workload, err))
@@ -245,27 +253,40 @@ func Run(cfg RunConfig) Result {
 	// Account deferred lazy persists inside the measured region so lazy
 	// schemes are not credited with traffic that merely moved past the
 	// measurement boundary.
-	sys.DrainLazy()
+	cl.DrainLazy()
+
+	merged := cl.Stats()
 	res := Result{
 		RunConfig: cfg,
-		Cycles:    sys.Cycles() - startCycles,
-		Counters:  sys.Stats().Delta(start),
+		Cycles:    cl.MaxClk() - startClk,
+		Counters:  merged.Delta(start),
+	}
+	// Retire entries that finished before the region's end so drain
+	// events and the occupancy integral cover the whole interval.
+	topo.QueueDepth(cl.MaxClk())
+	if cores > 1 {
+		// The parallel phase's WPQ pressure is the scaling story, so a
+		// multi-core run reports the gauges whether or not it is traced.
+		res.Counters.WPQOccMaxBytes, res.Counters.WPQOccAvgBytes = topo.OccupancyStats()
 	}
 	if tr != nil {
-		// Retire entries that finished before the region's end so drain
-		// events and the occupancy integral cover the whole interval.
-		topo.QueueDepth(sys.Cycles())
 		reduceTrace(&res, tr, sw, topo)
 	}
 	if topo.Sockets() > 1 {
 		res.PerSocket = &SocketBreakdown{Stats: topo.SocketStats()}
 	}
 	if prof != nil {
-		// Snapshot before verification advances the clock further.
-		res.Causes = prof.Breakdown([]uint64{res.Cycles})
+		// Snapshot before verification advances the clocks further. Each
+		// core's total is its own clock advance since the barrier (the
+		// cores finish at different clocks; Cycles is the max).
+		totals := make([]uint64, cores)
+		for i := range totals {
+			totals[i] = cl.Plat.Core(i).Clk - startClk
+		}
+		res.Causes = prof.Breakdown(totals)
 	}
 	if cfg.Verify {
-		res.VerifyErr = w.Check(sys, load.Oracle())
+		res.VerifyErr = w.Check(cl.Use(0), load.Oracle())
 	}
 	if c := collector.Load(); c != nil {
 		c.Add(res)

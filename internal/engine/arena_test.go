@@ -96,11 +96,11 @@ func TestScratchArenaCrashRecovery(t *testing.T) {
 		t.Run(cfg.Name, func(t *testing.T) {
 			// Reference run to learn the commit's persist-event count.
 			e, m, base := arenaSetup(cfg)
-			start := m.PersistCount
+			start := m.Machine().PersistTotal
 			e.Begin()
 			arenaTx(e, base, 200)
 			e.Commit()
-			total := m.PersistCount - start
+			total := m.Machine().PersistTotal - start
 			for pt := uint64(1); pt <= total; pt += 37 {
 				img, seq := arenaCrash(cfg, pt)
 				if img == nil {
@@ -126,7 +126,7 @@ func TestScratchArenaCrashRecovery(t *testing.T) {
 // number, or nil if the run finished first.
 func arenaCrash(cfg Config, pt uint64) (img *pmem.Image, seq uint64) {
 	e, m, base := arenaSetup(cfg)
-	m.CrashAfter = m.PersistCount + pt
+	m.Machine().CrashAfterTotal = m.Machine().PersistTotal + pt
 	defer func() {
 		r := recover()
 		if r == nil {

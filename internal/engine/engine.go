@@ -298,10 +298,7 @@ func (e *Engine) Begin() {
 	}
 	e.scratchOff = 0
 	e.cur.sig.Clear()
-	mode := uint64(logfmt.ModeUndo)
-	if e.cfg.Mode == Redo {
-		mode = logfmt.ModeRedo
-	}
+	mode := e.logMode()
 	if e.grouped() {
 		e.beginEpochTxn(mode)
 		e.m.Stats.TxBegins++
@@ -861,6 +858,27 @@ func (e *Engine) mirrorBufferStats() {
 	e.m.Stats.LogBufferStalls = s.Stalls
 }
 
+// syncLog drains the log buffer as one stream charged to log.persist,
+// then waits once for the streamed lines' durability (the ordering
+// barrier of Figure 4). The barrier charges to the caller's cause
+// context.
+func (e *Engine) syncLog() {
+	prev := e.m.SetCause(profile.CauseLogPersist)
+	e.m.PushStream()
+	e.sink.drain()
+	e.m.PopStream()
+	e.m.SetCause(prev)
+	e.m.AckBarrier()
+}
+
+// logMode is the log header's mode field for the engine's logging mode.
+func (e *Engine) logMode() uint64 {
+	if e.cfg.Mode == Redo {
+		return logfmt.ModeRedo
+	}
+	return logfmt.ModeUndo
+}
+
 // commitUndo: logs -> logged+log-free data lines -> commit record. The
 // log drain streams through the buffer's packing engine (no per-line
 // acknowledgement; one durability barrier at the end), then the data
@@ -869,18 +887,13 @@ func (e *Engine) commitUndo() {
 	// Stage 1: drain the log buffer; the ordering barrier (Figure 4:
 	// logs before logged data lines) waits for the streamed lines'
 	// completion once, not per line — the commit engine pipelines.
-	prev := e.m.SetCause(profile.CauseLogPersist)
-	e.m.PushStream()
-	e.sink.drain()
-	e.m.PopStream()
-	e.m.SetCause(prev)
-	e.m.AckBarrier()
+	e.syncLog()
 	// Stage 2: persist the marked data lines. The commit walk visits the
 	// transaction's private lines in cache-scan order, issuing one
 	// coherence-level persist request per line and waiting for its
 	// completion — the serialized critical path that lazy persistency
 	// takes transactions off of.
-	prev = e.m.SetCause(profile.CauseCommitData)
+	prev := e.m.SetCause(profile.CauseCommitData)
 	e.persistMarkedLines()
 	e.m.SetCause(prev)
 	e.writeCommitMarker()
@@ -903,12 +916,8 @@ func (e *Engine) commitRedo() {
 		}
 	}
 	// 2. Redo records (refreshed to final values) and commit marker.
-	e.m.SetCause(profile.CauseLogPersist)
-	e.m.PushStream()
-	e.sink.drain()
-	e.m.PopStream()
 	e.m.SetCause(prev)
-	e.m.AckBarrier()
+	e.syncLog()
 	e.writeCommitMarker()
 	// 3. Logged data lines (in-place update is now safe; wsKeyBuf still
 	// holds the sorted write set from stage 1).
@@ -1023,12 +1032,7 @@ func (e *Engine) prepareSync() {
 	// The window's one drain + sync; the barrier charges to log.epoch
 	// (the AckBarrier picks up the active context) so the amortization
 	// is visible per-cause next to the per-transaction log.sync bucket.
-	prev := e.m.SetCause(profile.CauseLogPersist)
-	e.m.PushStream()
-	e.sink.drain()
-	e.m.PopStream()
-	e.m.SetCause(prev)
-	e.m.AckBarrier()
+	e.syncLog()
 	e.m.SetCause(prevEpoch)
 }
 
@@ -1064,10 +1068,7 @@ func (e *Engine) preparePersist() {
 // through the close reopens the stream around itself.
 func (e *Engine) finishClose() {
 	reopen := e.cur.active
-	mode := uint64(logfmt.ModeUndo)
-	if e.cfg.Mode == Redo {
-		mode = logfmt.ModeRedo
-	}
+	mode := e.logMode()
 	prevEpoch := e.m.SetCause(profile.CauseLogEpoch)
 
 	closed := e.epoch
@@ -1283,10 +1284,7 @@ func (e *Engine) clearTxMeta() {
 func (e *Engine) writeCommitMarker() {
 	prev := e.m.SetCause(profile.CauseCommitMarker)
 	defer e.m.SetCause(prev)
-	mode := uint64(logfmt.ModeUndo)
-	if e.cfg.Mode == Redo {
-		mode = logfmt.ModeRedo
-	}
+	mode := e.logMode()
 	e.w.writeHeader(logfmt.Header{
 		Magic:     logfmt.Magic,
 		Seq:       e.cur.seq,
@@ -1314,12 +1312,7 @@ func (e *Engine) abortGrouped() {
 		// image is only correct once every logged old value has been
 		// applied back, and records buffered at abort time would
 		// otherwise vanish.
-		prev := e.m.SetCause(profile.CauseLogPersist)
-		e.m.PushStream()
-		e.sink.drain()
-		e.m.PopStream()
-		e.m.SetCause(prev)
-		e.m.AckBarrier()
+		e.syncLog()
 	} else {
 		e.sink.clear()
 	}
@@ -1408,10 +1401,7 @@ func (e *Engine) Abort() {
 	}
 	clear(e.suppressed)
 
-	mode := uint64(logfmt.ModeUndo)
-	if e.cfg.Mode == Redo {
-		mode = logfmt.ModeRedo
-	}
+	mode := e.logMode()
 	e.w.writeHeader(logfmt.Header{
 		Magic:     logfmt.Magic,
 		Seq:       e.cur.seq,
@@ -1433,10 +1423,5 @@ func (e *Engine) Abort() {
 // when the thread is switched back in.
 func (e *Engine) ContextSwitch() {
 	e.forceCloseEpoch()
-	prev := e.m.SetCause(profile.CauseLogPersist)
-	e.m.PushStream()
-	e.sink.drain()
-	e.m.PopStream()
-	e.m.SetCause(prev)
-	e.m.AckBarrier()
+	e.syncLog()
 }

@@ -464,9 +464,9 @@ func TestUndoOrderingUnderCrash(t *testing.T) {
 			e.StoreU64(base+mem.Addr(i)*mem.LineSize, 100+uint64(i), isa.Store, isa.Plain)
 		}
 		e.Commit()
-		m.CrashAfter = 0
-		startEvents := m.PersistCount
-		m.CrashAfter = startEvents + crashAt
+		m.Machine().CrashAfterTotal = 0
+		startEvents := m.Machine().PersistTotal
+		m.Machine().CrashAfterTotal = startEvents + crashAt
 
 		func() {
 			defer func() {
@@ -483,7 +483,7 @@ func TestUndoOrderingUnderCrash(t *testing.T) {
 			}
 			e.Commit()
 		}()
-		return crashed, m.PM, m.PersistCount - startEvents
+		return crashed, m.PM, m.Machine().PersistTotal - startEvents
 	}
 
 	_, _, total := run(1 << 30)

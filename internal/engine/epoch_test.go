@@ -213,8 +213,8 @@ func TestEpochW1MatchesPerTxn(t *testing.T) {
 	if m0.Clk != m1.Clk {
 		t.Errorf("W=1 clock %d != per-txn clock %d", m1.Clk, m0.Clk)
 	}
-	if m0.PersistCount != m1.PersistCount {
-		t.Errorf("W=1 persists %d != per-txn persists %d", m1.PersistCount, m0.PersistCount)
+	if m0.Machine().PersistTotal != m1.Machine().PersistTotal {
+		t.Errorf("W=1 persists %d != per-txn persists %d", m1.Machine().PersistTotal, m0.Machine().PersistTotal)
 	}
 	if !reflect.DeepEqual(m0.Stats, m1.Stats) {
 		t.Errorf("W=1 stats differ:\n  per-txn: %+v\n  W=1:     %+v", m0.Stats, m1.Stats)

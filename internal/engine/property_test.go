@@ -55,7 +55,7 @@ func randomProgram(seed int64, cfg Config, crashAt uint64) (m *machine.Core, ref
 	rng := rand.New(rand.NewSource(seed))
 	m = machine.New(machine.Config{}).Core(0)
 	e := New(m, cfg)
-	m.CrashAfter = crashAt
+	m.Machine().CrashAfterTotal = crashAt
 
 	const span = 64 * mem.LineSize // working region
 	base := m.Layout.HeapBase
@@ -156,7 +156,7 @@ func TestPropertyCrashRecovery(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		// Reference run to learn the event count.
 		mRef, _, _ := randomProgram(seed, slpmtCfg(), 0)
-		total := mRef.PersistCount
+		total := mRef.Machine().PersistTotal
 		for point := uint64(3); point <= total; point += 13 {
 			m, ref, crashed := randomProgram(seed, slpmtCfg(), point)
 			if !crashed {

@@ -140,9 +140,9 @@ type Machine struct {
 
 	// PersistTotal counts durable-write events machine-wide (across all
 	// cores, in interleave order); with CrashAfterTotal != 0 the machine
-	// panics with CrashSignal when the total reaches it — the global
-	// crash-injection counter for multi-core campaigns, where per-core
-	// persist counts depend on the interleaving.
+	// panics with CrashSignal when the total reaches it — the
+	// crash-injection mechanism (every distinct durable state lies at a
+	// persist-event boundary), one counter at any core count.
 	PersistTotal    uint64
 	CrashAfterTotal uint64
 

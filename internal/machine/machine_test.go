@@ -195,7 +195,7 @@ func TestWritebackFilterSuppresses(t *testing.T) {
 
 func TestCrashInjection(t *testing.T) {
 	m := newM()
-	m.CrashAfter = 2
+	m.Machine().CrashAfterTotal = 2
 	a := m.Layout.HeapBase
 	m.WriteU64(a, 5)
 	m.AccessLine(a, true)

@@ -272,10 +272,48 @@ func (d *Device) panicTooLarge(n int) {
 //slpmt:noalloc
 func (d *Device) Persist(now uint64, addr uint64, data []byte) (stall uint64) {
 	d.lastWaited = 0
-	n := len(data)
-	if n == 0 {
+	if len(data) == 0 {
 		return 0
 	}
+	stall, t, fin := d.enqueueWait(now, addr, data)
+	// Synchronous persist: the commit engine issues one coherence-level
+	// persist request per line and waits for the controller's completion
+	// acknowledgement before the next ordering-constrained operation, so
+	// the core observes the write's service time (bank-pipelined) plus
+	// the acknowledgement round trip. Streamed persists (PersistStream)
+	// pay only queue backpressure; background persists (PersistAsync)
+	// are posted.
+	stall += fin - t
+	d.totalStall += stall - d.cfg.EnqueueCycles
+	return stall + d.cfg.AckCycles
+}
+
+// PersistStream is the path of pipelined hardware engines that stream
+// packed lines to the memory controller (the log buffer drain): the
+// core pays the enqueue latency and any wait for WPQ space, but not the
+// per-line completion or acknowledgement. Callers needing an
+// end-of-stream durability point add one AckCycles barrier.
+//
+//slpmt:noalloc
+func (d *Device) PersistStream(now uint64, addr uint64, data []byte) (stall uint64) {
+	d.lastWaited = 0
+	if len(data) == 0 {
+		return 0
+	}
+	stall, _, _ = d.enqueueWait(now, addr, data)
+	d.totalStall += stall - d.cfg.EnqueueCycles
+	return stall
+}
+
+// enqueueWait is the enqueue core of Persist and PersistStream: it
+// range-checks the non-empty write, makes it durable, waits for WPQ
+// space, and enqueues the entry. It returns the stall so far (enqueue
+// latency plus the wait), the enqueue time t, and the entry's finish
+// time fin.
+//
+//slpmt:noalloc
+func (d *Device) enqueueWait(now uint64, addr uint64, data []byte) (stall, t, fin uint64) {
+	n := len(data)
 	if addr+uint64(n) > d.cfg.Size {
 		d.panicOutOfRange("persist", addr, n)
 	}
@@ -286,7 +324,7 @@ func (d *Device) Persist(now uint64, addr uint64, data []byte) (stall uint64) {
 	d.durable.write(addr, data)
 
 	stall = d.cfg.EnqueueCycles
-	t := now + stall
+	t = now + stall
 	d.drainUpTo(t)
 	var waited uint64
 	for d.usedBytes+n > d.cfg.WPQBytes {
@@ -301,62 +339,10 @@ func (d *Device) Persist(now uint64, addr uint64, data []byte) (stall uint64) {
 		d.tr.Emit(d.curCore, t, trace.KWPQStall, addr, waited)
 	}
 	d.lastWaited = waited
-	fin := d.bankFinish(t)
+	fin = d.bankFinish(t)
 	d.enqueue(entry{bytes: n, addr: addr, finish: fin, core: d.curCore}, t)
 	d.tr.Emit(d.curCore, t, trace.KWPQEnqueue, addr, uint64(d.usedBytes)|d.sockTag)
-	// Synchronous persist: the commit engine issues one coherence-level
-	// persist request per line and waits for the controller's completion
-	// acknowledgement before the next ordering-constrained operation, so
-	// the core observes the write's service time (bank-pipelined) plus
-	// the acknowledgement round trip. Streamed persists (PersistStream)
-	// pay only queue backpressure; background persists (PersistAsync)
-	// are posted.
-	stall += fin - t
-	d.totalStall += stall - d.cfg.EnqueueCycles
-	stall += d.cfg.AckCycles
-	return stall
-}
-
-// PersistStream is the path of pipelined hardware engines that stream
-// packed lines to the memory controller (the log buffer drain): the
-// core pays the enqueue latency and any wait for WPQ space, but not the
-// per-line completion or acknowledgement. Callers needing an
-// end-of-stream durability point add one AckCycles barrier.
-//
-//slpmt:noalloc
-func (d *Device) PersistStream(now uint64, addr uint64, data []byte) (stall uint64) {
-	d.lastWaited = 0
-	n := len(data)
-	if n == 0 {
-		return 0
-	}
-	if addr+uint64(n) > d.cfg.Size {
-		d.panicOutOfRange("persist", addr, n)
-	}
-	if n > d.cfg.WPQBytes {
-		d.panicTooLarge(n)
-	}
-	d.durable.write(addr, data)
-	stall = d.cfg.EnqueueCycles
-	t := now + stall
-	d.drainUpTo(t)
-	var waited uint64
-	for d.usedBytes+n > d.cfg.WPQBytes {
-		wait := d.queue[0].finish - t
-		stall += wait
-		waited += wait
-		t = d.queue[0].finish
-		d.drainUpTo(t)
-	}
-	if waited > 0 {
-		d.tr.Emit(d.curCore, t, trace.KWPQStall, addr, waited)
-	}
-	d.lastWaited = waited
-	fin := d.bankFinish(t)
-	d.enqueue(entry{bytes: n, addr: addr, finish: fin, core: d.curCore}, t)
-	d.tr.Emit(d.curCore, t, trace.KWPQEnqueue, addr, uint64(d.usedBytes)|d.sockTag)
-	d.totalStall += stall - d.cfg.EnqueueCycles
-	return stall
+	return stall, t, fin
 }
 
 // LastWaited returns the WPQ-space wait (cycles) incurred by the most

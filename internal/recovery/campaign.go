@@ -21,9 +21,9 @@ type CampaignConfig struct {
 	N         int // operations per run
 	ValueSize int
 	Seed      uint64
-	// Cores runs each point on a multi-core cluster (insert stream
-	// sharded round-robin, crash point counted against the machine-wide
-	// persist total). 0 or 1 is the single-core campaign; Mixed is
+	// Cores is the simulated core count of each point's cluster (0 =
+	// 1): the op stream is sharded round-robin and the crash point is
+	// counted against the machine-wide persist total. Mixed is
 	// insert-only cross-core and therefore rejected with Cores > 1.
 	Cores int
 	// Sockets runs each point on a multi-socket PM topology with the
@@ -192,58 +192,15 @@ func (info *runInfo) runOp(w workloads.Workload, sys *slpmt.System, ops []campai
 	return nil
 }
 
-// execute runs the workload over ops, crashing after the given persist
-// event (0 = run to completion).
+// execute runs the workload over ops on a Cores-wide cluster (0 or 1 =
+// one core), crashing after the given machine-wide persist event (0 =
+// run to completion), so points land on whichever core issues the Nth
+// persist. The op stream is sharded round-robin across the cores and
+// run under the cluster interleaver (see bench.Shard). The interleaver
+// schedules at transaction granularity — at most one operation is ever
+// in flight — so the oracle bracket (before/after around the pending
+// op) is sound at any core count.
 func execute(cfg CampaignConfig, ops []campaignOp, crashAfter uint64) (info runInfo, totalPersists uint64, err error) {
-	if cfg.Cores > 1 {
-		return executeMulti(cfg, ops, crashAfter)
-	}
-	info = newRunInfo(len(ops))
-	w := workloads.MustNew(cfg.Workload)
-	sys := slpmt.New(slpmt.Options{
-		Scheme:             cfg.Scheme,
-		ComputeCyclesPerOp: w.ComputeCost(),
-		CommitWindow:       cfg.CommitWindow,
-		Sockets:            cfg.Sockets,
-	})
-	sys.Mach.CrashAfter = crashAfter
-
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(machine.CrashSignal); !ok {
-				panic(r)
-			}
-			info.crashed = true
-			info.img = sys.Mach.Crash()
-		}
-		totalPersists = sys.Mach.PersistCount
-	}()
-
-	if err := w.Setup(sys); err != nil {
-		return info, 0, fmt.Errorf("setup: %w", err)
-	}
-	// Close setup's epoch (no-op without a window) so crash points —
-	// which start after setup's persist count — never revert it.
-	sys.FinishEpoch()
-	for i := range ops {
-		if err := info.runOp(w, sys, ops, i); err != nil {
-			return info, 0, err
-		}
-	}
-	sys.DrainLazy()
-	info.img = sys.Mach.Crash()
-	return info, sys.Mach.PersistCount, nil
-}
-
-// executeMulti is execute on a Cores-wide cluster: the deterministic
-// insert stream is sharded round-robin across the cores and run under
-// the cluster interleaver, with the crash point counted against the
-// machine-wide persist total (so points land on whichever core issues
-// the Nth persist). The interleaver schedules at transaction
-// granularity — at most one operation is ever in flight — so the
-// single-core oracle bracket (before/after around the pending op) is
-// sound unchanged.
-func executeMulti(cfg CampaignConfig, ops []campaignOp, crashAfter uint64) (info runInfo, totalPersists uint64, err error) {
 	info = newRunInfo(len(ops))
 	w := workloads.MustNew(cfg.Workload)
 	cl := slpmt.NewCluster(cfg.Cores, slpmt.Options{
@@ -268,29 +225,17 @@ func executeMulti(cfg CampaignConfig, ops []campaignOp, crashAfter uint64) (info
 	if err := w.Setup(cl.Use(0)); err != nil {
 		return info, 0, fmt.Errorf("setup: %w", err)
 	}
-	// A grouped close seals every core's epoch, so closing core 0's
-	// (the only one setup ran on) makes all of setup durable.
+	// Close setup's epoch (no-op without a window) so crash points —
+	// which start after setup's persist count — never revert it. A
+	// grouped close seals every core's epoch, so closing core 0's (the
+	// only one setup ran on) makes all of setup durable.
 	cl.Use(0).FinishEpoch()
-	next := make([]int, cfg.Cores)
-	for i := range next {
-		next[i] = i
-	}
-	var opErr error
-	cl.Interleave(func(core int, sys *slpmt.System) bool {
-		j := next[core]
-		if j >= len(ops) || opErr != nil {
-			return false
-		}
-		next[core] = j + cfg.Cores
-		// The interleaver runs whole transactions, so completion order
-		// here IS the cluster-global commit order.
-		if opErr = info.runOp(w, sys, ops, j); opErr != nil {
-			return false
-		}
-		return next[core] < len(ops)
-	})
-	if opErr != nil {
-		return info, 0, opErr
+	// The interleaver runs whole transactions, so completion order here
+	// IS the cluster-global commit order.
+	if err := bench.Shard(cl, len(ops), func(sys *slpmt.System, i int) error {
+		return info.runOp(w, sys, ops, i)
+	}); err != nil {
+		return info, 0, err
 	}
 	cl.DrainLazy()
 	info.img = cl.Plat.Crash()
@@ -411,20 +356,12 @@ func verifyPrefix(rec workloads.Recoverable, ops []campaignOp, info runInfo, bou
 // re-running setup — there is no structure to verify).
 func setupPersists(cfg CampaignConfig) (uint64, error) {
 	w := workloads.MustNew(cfg.Workload)
-	if cfg.Cores > 1 {
-		cl := slpmt.NewCluster(cfg.Cores, slpmt.Options{Scheme: cfg.Scheme, CommitWindow: cfg.CommitWindow, Sockets: cfg.Sockets})
-		if err := w.Setup(cl.Use(0)); err != nil {
-			return 0, err
-		}
-		cl.Use(0).FinishEpoch()
-		return cl.Plat.PersistTotal, nil
-	}
-	sys := slpmt.New(slpmt.Options{Scheme: cfg.Scheme, CommitWindow: cfg.CommitWindow, Sockets: cfg.Sockets})
-	if err := w.Setup(sys); err != nil {
+	cl := slpmt.NewCluster(cfg.Cores, slpmt.Options{Scheme: cfg.Scheme, CommitWindow: cfg.CommitWindow, Sockets: cfg.Sockets})
+	if err := w.Setup(cl.Use(0)); err != nil {
 		return 0, err
 	}
-	sys.FinishEpoch()
-	return sys.Mach.PersistCount, nil
+	cl.Use(0).FinishEpoch()
+	return cl.Plat.PersistTotal, nil
 }
 
 // pointOutcome is one crash point's contribution to the campaign.

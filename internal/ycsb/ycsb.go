@@ -10,6 +10,7 @@ package ycsb
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync"
 )
 
@@ -101,6 +102,17 @@ func (l Load) Value(key uint64) []byte {
 	v := make([]byte, l.ValueSize)
 	l.fillValue(key, v)
 	return v
+}
+
+// ValueInto writes key's value payload (the bytes Value returns) into
+// buf, growing it only when it is shorter than ValueSize, and returns
+// it. Callers that pick keys themselves reuse one buffer this way, as
+// Each does.
+func (l Load) ValueInto(buf []byte, key uint64) []byte {
+	l = l.withDefaults()
+	buf = slices.Grow(buf[:0], l.ValueSize)[:l.ValueSize]
+	l.fillValue(key, buf)
+	return buf
 }
 
 // fillValue writes the deterministic payload of key into v (the

@@ -37,13 +37,10 @@ go test ./...
 echo "== benchmark smoke (each microbenchmark once) =="
 go test -run '^$' -bench . -benchtime 1x ./internal/engine/ ./internal/pmem/ ./internal/recovery/
 
-echo "== go test -race =="
-go test -race . ./internal/bench/ ./internal/cache/ ./internal/machine/ ./internal/trace/...
-go test -race ./internal/experiments/ \
-	./internal/recovery/ -run 'Parallel|ForEach|Grid|RunAll|Collector|Smoke'
+echo "== go test -race (make race) =="
+make race
 
-echo "== traced run (streamed sanitizer + critical-path conservation) =="
-go run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 \
-	-trace-stream stream-out -sanitize -critpath -hotlines 10
+echo "== traced run: streamed sanitizer + critical-path conservation (make trace-gate) =="
+make trace-gate
 
 echo "ALL CHECKS PASSED"

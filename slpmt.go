@@ -29,8 +29,9 @@
 // NewCluster builds the multi-core variant: N Systems, one per core,
 // over a shared LLC, PM device, and persistent heap, with MESI-lite
 // coherence and cross-core conflict detection; Interleave runs their
-// transaction streams under a deterministic scheduler. A 1-core
-// Cluster behaves identically to a System.
+// transaction streams under a deterministic scheduler. A System is
+// core 0 of a 1-core Cluster: New builds exactly that, so the two are
+// identical by construction.
 package slpmt
 
 import (
@@ -192,30 +193,9 @@ func (opts Options) resolve() (string, engine.Config, machine.Config) {
 	return name, cfg, mc
 }
 
-// New builds a single-core System for the given options.
-func New(opts Options) *System {
-	name, cfg, mc := opts.resolve()
-	m := machine.New(mc)
-	c := m.Core(0)
-	e := engine.New(c, cfg)
-	var h *txheap.Heap
-	if m.Topo.Sockets() > 1 {
-		// Multi-socket layouts carve per-core arenas; even one core
-		// allocates through the sharded handle so its objects land on
-		// its home socket's stripe.
-		h = txheap.NewSharded([]txheap.Ticker{c}, []mem.Layout{c.Layout}, opts.AllocCycles)[0]
-	} else {
-		h = txheap.New(c, c.Layout, opts.AllocCycles)
-	}
-	if cfg.CommitWindow > 1 {
-		// Committed frees stay quarantined until their epoch's commit
-		// point is durable — reuse inside the window would scribble
-		// log-free stores over blocks the durable state still reaches.
-		h.EpochQuarantine(true)
-		e.SetEpochCloseHook(h.ReleaseEpochFrees)
-	}
-	return &System{Eng: e, Mach: c, Heap: h, scheme: name}
-}
+// New builds a single-core System for the given options: core 0 of
+// NewCluster(1, opts).
+func New(opts Options) *System { return NewCluster(1, opts).Sys[0] }
 
 // Scheme returns the scheme name the system models.
 func (s *System) Scheme() string { return s.scheme }
