@@ -62,13 +62,14 @@ bench:
 # layer by layer: cache lookup/insert/locate, the core's eviction
 # cascade, PM persist, async backlog and crash snapshot, log-buffer
 # insert/merge, the engine, the tracer's disabled/enabled emit costs, a
-# serial crash campaign, workload point reads and short scans, and one
-# small durable transaction through the public API.
+# serial crash campaign, workload point reads and short scans, one
+# small durable transaction through the public API, and building a
+# platform (NewCluster at 1 core, 4 cores and 4 cores on 2 sockets).
 microbench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/cache/ ./internal/machine/ \
 		./internal/pmem/ ./internal/logbuf/ ./internal/engine/ ./internal/ycsb/ \
 		./internal/trace/ ./internal/recovery/ ./internal/workloads/
-	$(GO) test -run xxx -bench '^BenchmarkUpdate$$' -benchmem .
+	$(GO) test -run xxx -bench '^(BenchmarkUpdate|BenchmarkNewCluster)$$' -benchmem .
 
 # Experiments gated by the perf-regression baseline (default flag
 # parameters: n=1000, value=256, seed=0 — what `-compare baselines/`

@@ -234,3 +234,25 @@ func BenchmarkUpdate(b *testing.B) {
 		}
 	}
 }
+
+// sinkCluster keeps BenchmarkNewCluster's result live.
+var sinkCluster *slpmt.Cluster
+
+// BenchmarkNewCluster measures building a platform: the machine, one
+// engine and heap handle per core, and the coherence and epoch wiring.
+// Every harness builds one platform per experiment cell, so this is a
+// per-cell host cost.
+func BenchmarkNewCluster(b *testing.B) {
+	for _, tc := range []struct {
+		name           string
+		cores, sockets int
+	}{{"1c", 1, 1}, {"4c", 4, 1}, {"4c2s", 4, 2}} {
+		b.Run(tc.name, func(b *testing.B) {
+			opts := slpmt.Options{Scheme: schemes.SLPMT, Sockets: tc.sockets}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkCluster = slpmt.NewCluster(tc.cores, opts)
+			}
+		})
+	}
+}

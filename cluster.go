@@ -13,9 +13,10 @@ import (
 
 // Cluster is a multi-core simulated platform: one System per core, all
 // sharing the LLC, the persistent-memory device (and its write pending
-// queue), and one persistent heap — or, with Options.Sockets > 1, a
-// socket-per-device topology with a per-core sharded heap (each core
-// allocating from its home socket's arena). Each core runs its own
+// queue), and one persistent heap. Each core allocates through its own
+// heap handle, charged to its own clock; with Options.Sockets > 1 the
+// device becomes a socket-per-device topology and each handle allocates
+// from its home socket's arena first. Each core runs its own
 // transaction engine with a private log region; cross-engine conflicts
 // are detected through the coherence bus — a remote store checks every
 // other engine's retained-transaction signatures and forces lazy drains
@@ -33,15 +34,7 @@ type Cluster struct {
 	Plat *machine.Machine
 	// Sys holds one System per core.
 	Sys []*System
-
-	tick tickMux
 }
-
-// tickMux charges heap-operation cycles to whichever core is currently
-// executing; the shared txheap sees one Ticker.
-type tickMux struct{ c *machine.Core }
-
-func (t *tickMux) Tick(n uint64) { t.c.Tick(n) }
 
 // MaxCores is the largest core count a Cluster supports (Interleave
 // tracks finished cores in one 64-bit mask).
@@ -60,43 +53,23 @@ func NewCluster(cores int, opts Options) *Cluster {
 	mc.Cores = cores
 	plat := machine.New(mc)
 	cl := &Cluster{Plat: plat, Sys: make([]*System, cores)}
-	cl.tick.c = plat.Core(0)
-	var shared *txheap.Heap
-	var sharded []*txheap.Heap
-	if plat.Topo.Sockets() > 1 {
-		// Sharded heap: one handle per core, allocating from the core's
-		// home-socket arena with a shared global fallback (even one core
-		// allocates through it, so its objects land on its home socket's
-		// stripe). Each handle charges its own core's clock, so the
-		// classic tickMux routing is unnecessary on this path.
-		clks := make([]txheap.Ticker, cores)
-		layouts := make([]mem.Layout, cores)
-		for i := 0; i < cores; i++ {
-			clks[i] = plat.Core(i)
-			layouts[i] = plat.Core(i).Layout
-		}
-		sharded = txheap.NewSharded(clks, layouts, opts.AllocCycles)
-	} else {
-		shared = txheap.New(&cl.tick, plat.Layout, opts.AllocCycles)
-	}
+	// One heap handle per core over the shared heap; on a multi-socket
+	// machine each handle allocates from its home-socket arena first.
+	heaps := txheap.New(plat.Layouts(), func(i int) txheap.Ticker { return plat.Core(i) }, opts.AllocCycles)
 	systems := make([]System, cores)
 	for i := range systems {
 		c := plat.Core(i)
 		e := engine.New(c, cfg)
-		heap := shared
-		if sharded != nil {
-			heap = sharded[i]
-		}
+		heap := heaps[i]
 		if cfg.CommitWindow > 1 {
 			// Committed frees stay quarantined until their epoch's commit
 			// point is durable — reuse inside the window would scribble
 			// log-free stores over blocks the durable state still
-			// reaches. Group closes seal every core's epoch together, so
-			// releasing the shared heap's parked frees at any engine's
-			// close is sound. On a sharded heap each engine's close
-			// releases its own handle's frees; sibling handles' frees
-			// wait for their own core's close, which only lengthens the
-			// quarantine (conservative, still sound).
+			// reaches. Each engine's close releases its own handle's
+			// frees; group closes seal every core's epoch together, and
+			// a sibling handle's frees that wait for their own core's
+			// close only lengthen the quarantine (conservative, still
+			// sound).
 			heap.EpochQuarantine(true)
 			e.SetEpochCloseHook(heap.ReleaseEpochFrees)
 		}
@@ -127,13 +100,10 @@ func NewCluster(cores int, opts Options) *Cluster {
 	return cl
 }
 
-// Use selects core i for direct driving (heap costs charge to it) and
-// returns its System — the way single-threaded phases (setup, loading)
-// run on a cluster. Interleave selects cores itself.
-func (cl *Cluster) Use(i int) *System {
-	cl.tick.c = cl.Sys[i].Mach
-	return cl.Sys[i]
-}
+// Use returns core i's System — the way single-threaded phases (setup,
+// loading) run on a cluster. It has no side effect: every System's heap
+// handle already charges its own core. Interleave selects cores itself.
+func (cl *Cluster) Use(i int) *System { return cl.Sys[i] }
 
 // Interleave runs per-core operation streams to completion under the
 // deterministic scheduler: at every step the unfinished core with the

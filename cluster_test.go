@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/persistmem/slpmt"
+	"github.com/persistmem/slpmt/internal/profile"
 )
 
 // runShardedInserts drives n insert transactions sharded round-robin
@@ -126,6 +127,59 @@ func TestClusterSingleCoreMatchesSystem(t *testing.T) {
 	}
 	if c1, c2 := run(sys), run(cl.Use(0)); c1 != c2 {
 		t.Errorf("1-core cluster clock %d differs from System clock %d", c2, c1)
+	}
+}
+
+// TestClusterHeapHandlesPerCore: on one socket every core allocates
+// through its own heap handle, which charges its own clock as compute
+// whether or not Use selected the core, and all handles share one span.
+func TestClusterHeapHandlesPerCore(t *testing.T) {
+	const allocCycles = 1 << 20 // dwarfs every other cost of the transaction
+	prof := profile.New(2)
+	cl := slpmt.NewCluster(2, slpmt.Options{Scheme: "SLPMT", AllocCycles: allocCycles, Profile: prof})
+	clk0, clk1 := cl.Sys[0].Mach.Clk, cl.Sys[1].Mach.Clk
+	var a slpmt.Addr
+	if err := cl.Sys[1].Update(func(tx *slpmt.Tx) error {
+		a = tx.Alloc(64)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := cl.Sys[0].Mach.Clk; got != clk0 {
+		t.Errorf("core 0 clock moved %d -> %d on core 1's allocation", clk0, got)
+	}
+	if got := cl.Sys[1].Mach.Clk; got < clk1+allocCycles {
+		t.Errorf("core 1 clock %d -> %d, want an advance of at least %d", clk1, got, allocCycles)
+	}
+	causes := prof.Breakdown([]uint64{cl.Sys[0].Mach.Clk, cl.Sys[1].Mach.Clk}).Cores[1].Causes
+	if causes[profile.CauseCompute] < allocCycles || causes[profile.CauseAllocArena] != 0 {
+		t.Errorf("core 1 charged compute %d and alloc.arena %d, want the allocation (%d) in compute only",
+			causes[profile.CauseCompute], causes[profile.CauseAllocArena], allocCycles)
+	}
+
+	// A block allocated on core 0 and freed on core 1 goes back to the
+	// one shared span: core 0 gets it again.
+	if err := cl.Sys[0].Update(func(tx *slpmt.Tx) error {
+		a = tx.Alloc(64)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Sys[1].Update(func(tx *slpmt.Tx) error {
+		tx.Free(a)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var again slpmt.Addr
+	if err := cl.Sys[0].Update(func(tx *slpmt.Tx) error {
+		again = tx.Alloc(64)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if again != a {
+		t.Errorf("block freed on core 1 not handed out again: got %#x, want %#x", again, a)
 	}
 }
 

@@ -136,13 +136,13 @@ func main() {
 		fmt.Println("  workload is not Recoverable")
 		os.Exit(1)
 	}
-	rep, heap, err := recovery.RecoverN(img, rec, *cores)
+	rep, heaps, err := recovery.RecoverSharded(img, rec, *cores, 1)
 	if err != nil {
 		fmt.Printf("  FAILED: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Printf("  %s\n", rep)
-	_, _, _, live := heap.Stats()
+	_, _, _, live := heaps[0].Stats()
 	fmt.Printf("  rebuilt heap: %d live bytes\n", live)
 }
 

@@ -110,11 +110,6 @@ type Config struct {
 	// of per transaction. 0 or 1 selects the per-transaction protocol,
 	// which is bit-exact with the pre-epoch engine.
 	CommitWindow int
-	// EpochCycleBudget bounds commit latency under group commit: an
-	// open epoch is force-closed at the next commit once this many
-	// cycles have elapsed since it opened, even if fewer than
-	// CommitWindow transactions have committed. 0 disables the budget.
-	EpochCycleBudget uint64
 }
 
 // Validate checks internal consistency.
@@ -133,9 +128,6 @@ func (c Config) Validate() error {
 	}
 	if c.CommitWindow < 0 {
 		return fmt.Errorf("engine: invalid commit window %d", c.CommitWindow)
-	}
-	if c.EpochCycleBudget != 0 && c.CommitWindow <= 1 {
-		return fmt.Errorf("engine: epoch cycle budget requires a commit window above 1")
 	}
 	return nil
 }

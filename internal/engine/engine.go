@@ -82,16 +82,15 @@ type Engine struct {
 	epoch        uint64 // current epoch counter (header stamp)
 	epochOpen    bool   // an epoch is accepting commits
 	epochTxns    int    // transactions committed into the open epoch
-	epochClk     uint64 // core clock at epoch open (cycle-budget flush)
 	epochLastSeq uint64 // seq of the youngest committed transaction
 	txnStartOff  uint64 // running transaction's first record offset
 	closedSeq    uint64 // highest seq covered by a durable epoch close
 	// epochPending accumulates the committed transactions' eager
-	// write-set lines (class bits ORed) until the close's data flush;
-	// epochLogged their non-lazy logged lines, which gate evictions
-	// (undo: unsynced records; redo: writeback suppression).
+	// write-set lines (class bits ORed) until the close's data flush.
+	// Its entries with wsLogged set are the non-lazy logged lines,
+	// which gate evictions (undo: unsynced records; redo: writeback
+	// suppression).
 	epochPending map[mem.Addr]uint8
-	epochLogged  map[mem.Addr]struct{}
 	epochKeyBuf  []mem.Addr
 	// group coordinates multi-core closes: non-nil only on clustered
 	// engines with CommitWindow > 1, where per-core epochs must commit
@@ -161,7 +160,6 @@ func New(m *machine.Core, cfg Config) *Engine {
 	}
 	if cfg.CommitWindow > 1 {
 		e.epochPending = make(map[mem.Addr]uint8)
-		e.epochLogged = make(map[mem.Addr]struct{})
 	}
 	e.w = newLogWriter(m)
 	refresh := e.refreshRecord
@@ -337,7 +335,6 @@ func (e *Engine) beginEpochTxn(mode uint64) {
 		e.epoch++
 		e.epochOpen = true
 		e.epochTxns = 0
-		e.epochClk = e.m.Clk
 		e.w.reset(e.seq)
 		e.w.writeHeader(logfmt.Header{
 			Magic:       logfmt.Magic,
@@ -377,7 +374,7 @@ func (e *Engine) beginEpochTxn(mode uint64) {
 // force-persists. Installed only above W=1; at W=1 commit cleans every
 // logged line before another core can take it.
 func (e *Engine) onCoherenceTake(addr mem.Addr) bool {
-	_, epochLine := e.epochLogged[addr]
+	epochLine := e.epochPending[addr]&wsLogged != 0
 	if epochLine || e.sink.hasLine(addr) {
 		e.m.PushAsync()
 		e.sink.flushLine(addr)
@@ -732,7 +729,7 @@ func (e *Engine) onL2Evict(l cache.Line) cache.Line {
 	defer e.m.PopAsync()
 	if l.LogBits != 0 || e.sink.hasLine(l.Addr) {
 		e.sink.flushLine(l.Addr)
-	} else if _, ok := e.epochLogged[l.Addr]; ok {
+	} else if e.epochPending[l.Addr]&wsLogged != 0 {
 		// A line committed into the open epoch evicts: its records were
 		// spilled at the next Begin (log bits already cleared), but the
 		// watermark may not cover them yet — sync before the data line
@@ -751,7 +748,7 @@ func (e *Engine) onL2Evict(l cache.Line) cache.Line {
 				return l
 			}
 		}
-		if _, ok := e.epochLogged[l.Addr]; ok {
+		if e.epochPending[l.Addr]&wsLogged != 0 {
 			// Same fence at epoch granularity: data logged by a committed
 			// window transaction waits for the epoch's commit marker.
 			return l
@@ -781,7 +778,7 @@ func (e *Engine) writebackFilter(addr mem.Addr) bool {
 			return false
 		}
 	}
-	if _, ok := e.epochLogged[addr]; ok {
+	if e.epochPending[addr]&wsLogged != 0 {
 		// Logged data committed into the open epoch must not reach PM
 		// through a natural L3 writeback before the epoch's marker.
 		e.suppressed[addr] = struct{}{}
@@ -840,8 +837,7 @@ func (e *Engine) Commit() {
 	e.m.Stats.TxCommits++
 	e.m.Trace(trace.KTxCommit, 0, e.cur.seq)
 	e.mirrorBufferStats()
-	if e.grouped() && (e.epochTxns >= e.cfg.CommitWindow ||
-		(e.cfg.EpochCycleBudget > 0 && e.m.Clk-e.epochClk >= e.cfg.EpochCycleBudget)) {
+	if e.grouped() && e.epochTxns >= e.cfg.CommitWindow {
 		e.closeEpoch()
 	}
 }
@@ -947,8 +943,8 @@ func (e *Engine) commitRedo() {
 // log bits clear so the next transaction in the window logs its own
 // old/new values for shared lines (making the epoch's record stream
 // reversible/replayable as a whole), while persist bits survive until
-// the close's data flush. The transaction's eager write-set lines and
-// its non-lazy logged lines accumulate in the epoch sets.
+// the close's data flush. The transaction's eager write-set lines
+// accumulate in epochPending with their class bits.
 func (e *Engine) commitGrouped() {
 	for _, p := range e.txLines() {
 		p.Line.LogBits = 0
@@ -960,11 +956,7 @@ func (e *Engine) commitGrouped() {
 			// commit point, records discarded, structure-recoverable.
 			continue
 		}
-		cls := e.cur.writeLines[la]
-		e.epochPending[la] |= uint8(cls) // the classes, not the mask
-		if cls&wsLogged != 0 {
-			e.epochLogged[la] = struct{}{}
-		}
+		e.epochPending[la] |= uint8(e.cur.writeLines[la]) // the classes, not the mask
 	}
 	e.epochTxns++
 	e.epochLastSeq = e.cur.seq
@@ -1142,11 +1134,8 @@ func (e *Engine) finishClose() {
 	// and the durable image decides which prefix actually survived.
 	e.closedSeq = e.epochLastSeq
 	clear(e.epochPending)
-	clear(e.epochLogged)
 	e.epochTxns = 0
-	if reopen {
-		e.epochClk = e.m.Clk
-	} else {
+	if !reopen {
 		e.epochOpen = false
 	}
 	e.m.SetCause(prevEpoch)

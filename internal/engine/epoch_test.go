@@ -173,26 +173,6 @@ func TestEpochAbortMidWindow(t *testing.T) {
 	}
 }
 
-// TestEpochCycleBudget: the budget bounds commit-to-durability latency
-// by force-closing at the first commit past the deadline.
-func TestEpochCycleBudget(t *testing.T) {
-	cfg := windowCfg(1 << 20) // window never fills on its own
-	cfg.EpochCycleBudget = 1  // every commit is past the deadline
-	e, m := newEng(cfg)
-	base := m.Layout.HeapBase
-	for i := 0; i < 3; i++ {
-		e.Begin()
-		e.StoreU64(base+mem.Addr(i)*mem.LineSize, uint64(i+1), isa.Store, isa.Plain)
-		e.Commit()
-	}
-	if m.Stats.EpochCloses != 3 {
-		t.Errorf("cycle budget closed %d epochs over 3 commits, want 3", m.Stats.EpochCloses)
-	}
-	if got := m.PM.ReadU64(base + 2*mem.LineSize); got != 3 {
-		t.Errorf("budget-closed data not durable (got %d)", got)
-	}
-}
-
 // TestEpochW1MatchesPerTxn: CommitWindow=1 must be indistinguishable
 // from the per-transaction protocol — same cycles, same persist
 // counts, same durable bytes.

@@ -102,7 +102,7 @@ func fig13(out io.Writer, base bench.RunConfig) error {
 		// Verify the replayed durable state with the recovery checker.
 		img := sys.Mach.Crash()
 		rec := workloads.MustNew(w).(workloads.Recoverable)
-		if _, _, err := recovery.Recover(img, rec); err != nil {
+		if _, _, err := recovery.RecoverSharded(img, rec, 1, 1); err != nil {
 			return fmt.Errorf("%s replay recovery: %w", w, err)
 		}
 		load := ycsb.Load{N: base.N, ValueSize: base.ValueSize, Seed: base.Seed}

@@ -145,9 +145,9 @@ func (c *Core) SetCause(cause profile.Cause) profile.Cause {
 // Tick advances the clock by n compute cycles.
 func (c *Core) Tick(n uint64) { c.charge(profile.CauseCompute, n) }
 
-// TickArena advances the clock by n cycles attributed to the sharded
-// per-core heap allocator (txheap.NewSharded charges through it so
-// arena-allocator time stays distinguishable from workload compute).
+// TickArena advances the clock by n cycles attributed to the per-core
+// arena allocator (txheap handles with a local arena charge through it
+// so arena-allocator time stays distinguishable from workload compute).
 func (c *Core) TickArena(n uint64) { c.charge(profile.CauseAllocArena, n) }
 
 // ReadMem copies the current (volatile) contents at addr into p. Purely
@@ -247,11 +247,9 @@ func (c *Core) AccessLine(addr mem.Addr, write bool) *cache.Line {
 
 	// PM demand fill: a miss served by a remote socket's medium pays the
 	// interconnect distance on top of the device read latency.
-	if t := c.sh.Topo; t != nil && t.Sockets() > 1 {
-		if extra := t.ReadExtra(c.Home, c.Layout.SocketOf(la)); extra != 0 {
-			c.Trace(trace.KWPQRemote, la, extra)
-			c.charge(profile.CauseWPQRemote, extra)
-		}
+	if extra := c.sh.Topo.ReadExtra(c.Home, c.Layout.SocketOf(la)); extra != 0 {
+		c.Trace(trace.KWPQRemote, la, extra)
+		c.charge(profile.CauseWPQRemote, extra)
 	}
 	c.charge(profile.CausePMRead, c.sh.PM.ReadCycles())
 	c.Stats.PMReadBytes += mem.LineSize
@@ -381,20 +379,19 @@ func (c *Core) AckBarrier() {
 // address range: cores arbitrate at their own (interleaved) clocks, and
 // a cross-socket persist first pays the interconnect hop distance —
 // stalling the core on the sync/stream paths, delaying the posted entry
-// on the async path.
+// on the async path. On one socket every address maps to socket 0 and
+// the distance matrix is zero.
 func (c *Core) persist(addr mem.Addr, data []byte) {
-	dev := c.PM
+	t := c.sh.Topo
+	s := c.Layout.SocketOf(addr)
+	dev := t.Dev(s)
 	var hop uint64 // posted-path interconnect delay (async persists)
-	if t := c.sh.Topo; t != nil && t.Sockets() > 1 {
-		s := c.Layout.SocketOf(addr)
-		dev = t.Dev(s)
-		if extra := t.EnqueueExtra(c.Home, s); extra != 0 {
-			c.Trace(trace.KWPQRemote, addr, extra)
-			if c.asyncDepth > 0 {
-				hop = extra
-			} else {
-				c.charge(profile.CauseWPQRemote, extra)
-			}
+	if extra := t.EnqueueExtra(c.Home, s); extra != 0 {
+		c.Trace(trace.KWPQRemote, addr, extra)
+		if c.asyncDepth > 0 {
+			hop = extra
+		} else {
+			c.charge(profile.CauseWPQRemote, extra)
 		}
 	}
 	dev.SetCore(c.ID)

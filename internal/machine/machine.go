@@ -132,9 +132,10 @@ type Machine struct {
 	PM *pmem.Device
 	// Topo is the PM socket topology (always non-nil; one socket on the
 	// historical single-device machine).
-	Topo   *pmem.Topology
-	Layout mem.Layout // core 0's view; heap/root regions are shared
-	cores  []*Core
+	Topo    *pmem.Topology
+	Layout  mem.Layout // core 0's view; heap/root regions are shared
+	layouts []mem.Layout
+	cores   []*Core
 
 	vol *pmem.Memory // functional program view of the PM address space
 
@@ -173,12 +174,13 @@ func New(cfg Config) *Machine {
 	dev := topo.Dev(0)
 	layouts := mem.MultiLayoutSockets(dev.Size(), cfg.Cores, topo.Sockets())
 	m := &Machine{
-		cfg:    cfg,
-		L3:     cache.New(cfg.L3),
-		PM:     dev,
-		Topo:   topo,
-		Layout: layouts[0],
-		vol:    pmem.NewMemory(dev.Size()),
+		cfg:     cfg,
+		L3:      cache.New(cfg.L3),
+		PM:      dev,
+		Topo:    topo,
+		Layout:  layouts[0],
+		layouts: layouts,
+		vol:     pmem.NewMemory(dev.Size()),
 	}
 	topo.SetTracer(cfg.Trace)
 	m.cores = make([]*Core, cfg.Cores)
@@ -210,6 +212,10 @@ func (m *Machine) Core(i int) *Core { return m.cores[i] }
 
 // Cores returns the cores (shared slice; do not mutate).
 func (m *Machine) Cores() []*Core { return m.cores }
+
+// Layouts returns the per-core address maps in core order (shared
+// slice; do not mutate).
+func (m *Machine) Layouts() []mem.Layout { return m.layouts }
 
 // MergedStats sums the per-core counters into one aggregate view.
 func (m *Machine) MergedStats() stats.Counters {

@@ -213,6 +213,14 @@ func (l Layout) SocketOf(a Addr) int {
 	if l.Sockets < 2 {
 		return 0
 	}
+	return l.stripedSocketOf(a)
+}
+
+// stripedSocketOf is SocketOf on a multi-socket layout, kept out of line
+// so the single-socket case inlines into the persist path.
+//
+//go:noinline
+func (l Layout) stripedSocketOf(a Addr) int {
 	if a >= l.RootBase {
 		return 0
 	}

@@ -19,8 +19,8 @@
 //     reads) on top of the device's local latency. Socket-local
 //     accesses pay zero extra.
 //
-// A 1-socket Topology is a thin wrapper around a classic Device and is
-// cycle-identical to it.
+// A 1-socket Topology has one device and an all-zero distance matrix,
+// and is cycle-identical to that device alone.
 package pmem
 
 import (

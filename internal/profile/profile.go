@@ -82,10 +82,10 @@ const (
 	// from) a remote socket's device pays before the device's own
 	// latency. Always zero on a single-socket machine.
 	CauseWPQRemote
-	// CauseAllocArena is time in the sharded per-core heap allocator
-	// (txheap.NewSharded). The classic shared heap charges plain
-	// CauseCompute; the sharded allocator charges here so arena
-	// management stays visible in NUMA breakdowns.
+	// CauseAllocArena is time in a heap handle with a local arena (a
+	// multi-socket machine's per-core txheap handles). Handles without
+	// an arena charge plain CauseCompute; arena handles charge here so
+	// arena management stays visible in NUMA breakdowns.
 	CauseAllocArena
 
 	numCauses

@@ -26,11 +26,11 @@ type CampaignConfig struct {
 	// counted against the machine-wide persist total. Mixed is
 	// insert-only cross-core and therefore rejected with Cores > 1.
 	Cores int
-	// Sockets runs each point on a multi-socket PM topology with the
-	// sharded per-core heap (0 or 1 = the single-device machine).
-	// Recovery then rebuilds the heap as per-core arena handles and the
-	// verifier additionally asserts every arena's live extents
-	// reconciled with the durable prefix (txheap.Heap.Check).
+	// Sockets runs each point on a multi-socket PM topology, where
+	// every core's heap handle allocates from its home-socket arena (0
+	// or 1 = the single-device machine). The verifier then additionally
+	// asserts every arena's live extents reconciled with the durable
+	// prefix (txheap.Heap.Check).
 	Sockets int
 	// Mixed interleaves updates and deletes with the inserts (for
 	// workloads implementing Mutable); default is the paper's
@@ -266,7 +266,7 @@ func verifyPoint(cfg CampaignConfig, ops []campaignOp, info runInfo, res *Campai
 	res.RecordsApplied += rep.RecordsApplied
 	res.LeakedBytes += rep.Heap.ReclaimedBytes
 	if sockets > 1 {
-		// Sharded rebuild: every arena (and the global fallback) must
+		// Arena rebuild: every arena (and the global fallback) must
 		// tile exactly into live blocks, free extents, and virgin space.
 		if err := heaps[0].Check(); err != nil {
 			return fmt.Errorf("sharded heap reconciliation: %w", err)

@@ -63,11 +63,11 @@ func (r *Report) String() string {
 		r.Heap.ReclaimedGaps, r.Heap.ReclaimedBytes)
 }
 
-// ApplyLog performs phase 1 on the image: undo records of an active
-// transaction are applied in reverse; redo records of a committed
-// transaction are replayed in order.
+// ApplyLog performs phase 1 on the image of a single-core machine: undo
+// records of an active transaction are applied in reverse; redo records
+// of a committed transaction are replayed in order.
 func ApplyLog(img *pmem.Image) (*Report, error) {
-	return applyLogRegion(img, mem.DefaultLayout(img.Size()))
+	return applyLogs(img, []mem.Layout{mem.DefaultLayout(img.Size())})
 }
 
 // logUnit is one parsed application unit: a whole per-transaction log
@@ -231,16 +231,36 @@ func groupDesc(img *pmem.Image, layout mem.Layout) [logfmt.MaxGroupCores]logfmt.
 	return logfmt.DecodeGroupDesc(line[:])
 }
 
-// applyLogRegion applies one core's hardware log, addressed by its
-// layout, to the image.
-func applyLogRegion(img *pmem.Image, layout mem.Layout) (*Report, error) {
-	desc := groupDesc(img, layout)
-	rep, units, err := parseLogRegion(img, layout, desc[0])
-	if err != nil {
-		return rep, err
+// applyLogs is phase 1 for an image taken from a machine with the given
+// per-core layouts: every core's private hardware log is parsed against
+// the shared group descriptor, the resulting per-transaction units are
+// merged by their boundary records' cluster-global sequence (legacy
+// streams fall back to (epoch, header seq)), and applied — redo units
+// replay forward in global commit order, undo units revert in reverse
+// global commit order. The global order matters: inside a commit
+// window, transactions on different cores interleave writes to shared
+// lines, and only applying their records in exact global order
+// restores every word to its last group-committed value. The report
+// carries core 0's header fields and the record total across all logs.
+func applyLogs(img *pmem.Image, layouts []mem.Layout) (*Report, error) {
+	desc := groupDesc(img, layouts[0])
+	var rep *Report
+	var units []*logUnit
+	for i, layout := range layouts {
+		var ent logfmt.GroupEntry
+		if i < logfmt.MaxGroupCores {
+			ent = desc[i]
+		}
+		r, us, err := parseLogRegion(img, layout, ent)
+		if err != nil {
+			return r, fmt.Errorf("recovery: core %d log: %w", i, err)
+		}
+		if rep == nil {
+			rep = r
+		}
+		units = append(units, us...)
 	}
-	// Units arrive in stream (ascending) order: redo replays forward,
-	// undo reverts youngest-first.
+	sort.SliceStable(units, func(i, j int) bool { return units[i].less(units[j]) })
 	for _, u := range units {
 		if !u.undo {
 			rep.RecordsApplied += u.apply(img)
@@ -254,77 +274,20 @@ func applyLogRegion(img *pmem.Image, layout mem.Layout) (*Report, error) {
 	return rep, nil
 }
 
-// Recover runs the full three-phase recovery for a workload's structure
-// over the image, returning the report. The returned heap is the
-// reconstructed allocator (positioned over the image's layout).
-func Recover(img *pmem.Image, w workloads.Recoverable) (*Report, *txheap.Heap, error) {
-	return RecoverN(img, w, 1)
-}
-
-// RecoverN is Recover for an image taken from a machine with the given
-// core count: every core's private hardware log is parsed against the
-// shared group descriptor, the resulting per-transaction units are
-// merged by their boundary records' cluster-global sequence (legacy
-// streams fall back to (epoch, header seq)), and applied — redo units
-// replay forward in global commit order, undo units revert in reverse
-// global commit order. The global order matters: inside a commit
-// window, transactions on different cores interleave writes to shared
-// lines, and only applying their records in exact global order
-// restores every word to its last group-committed value. The report
-// carries core 0's header fields and the record total across all logs;
-// the heap is rebuilt over the multi-core address map, whose heap
-// region is smaller than the single-core one.
-func RecoverN(img *pmem.Image, w workloads.Recoverable, cores int) (*Report, *txheap.Heap, error) {
-	rep, heaps, err := RecoverSharded(img, w, cores, 1)
+// RecoverSharded runs the full three-phase recovery for a workload's
+// structure over an image taken from a machine with the given core and
+// socket counts: phase 1 applies every core's log (applyLogs), phase 2
+// runs the structure's fix-up, and phase 3 rebuilds the allocator from
+// the reachability scan as the machine's per-core heap handles — each
+// arena of a multi-socket layout reconciling its own reachable extents
+// with the durable prefix. Returns the report and one heap handle per
+// core, all sharing the rebuilt spans.
+func RecoverSharded(img *pmem.Image, w workloads.Recoverable, cores, sockets int) (*Report, []*txheap.Heap, error) {
+	layouts := mem.MultiLayoutSockets(img.Size(), cores, sockets)
+	rep, err := applyLogs(img, layouts)
 	if err != nil {
 		return rep, nil, err
 	}
-	return rep, heaps[0], nil
-}
-
-// RecoverSharded is RecoverN for an image taken from a multi-socket
-// machine with a sharded per-core heap: log application and the
-// structure fix-up are identical (the log regions do not move), but the
-// allocator is rebuilt as the per-core arena handles of the sharded
-// layout, each arena reconciling its own reachable extents with the
-// durable prefix. Returns one heap handle per core (all sharing the
-// rebuilt spans); with sockets <= 1 the single classic heap is returned
-// in every slot.
-func RecoverSharded(img *pmem.Image, w workloads.Recoverable, cores, sockets int) (*Report, []*txheap.Heap, error) {
-	if cores < 1 {
-		cores = 1
-	}
-	layouts := mem.MultiLayoutSockets(img.Size(), cores, sockets)
-	desc := groupDesc(img, layouts[0])
-	var rep *Report
-	var units []*logUnit
-	for i, layout := range layouts {
-		var ent logfmt.GroupEntry
-		if i < logfmt.MaxGroupCores {
-			ent = desc[i]
-		}
-		r, us, err := parseLogRegion(img, layout, ent)
-		if err != nil {
-			return r, nil, fmt.Errorf("recovery: core %d log: %w", i, err)
-		}
-		if rep == nil {
-			rep = r
-		}
-		units = append(units, us...)
-	}
-	sort.SliceStable(units, func(i, j int) bool { return units[i].less(units[j]) })
-	applied := 0
-	for _, u := range units {
-		if !u.undo {
-			applied += u.apply(img)
-		}
-	}
-	for i := len(units) - 1; i >= 0; i-- {
-		if units[i].undo {
-			applied += units[i].apply(img)
-		}
-	}
-	rep.RecordsApplied = applied
 	if err := w.Recover(img); err != nil {
 		return rep, nil, fmt.Errorf("recovery: structure fix-up: %w", err)
 	}
@@ -332,16 +295,7 @@ func RecoverSharded(img *pmem.Image, w workloads.Recoverable, cores, sockets int
 	if err != nil {
 		return rep, nil, fmt.Errorf("recovery: reachability: %w", err)
 	}
-	heaps := make([]*txheap.Heap, cores)
-	if sockets > 1 {
-		heaps = txheap.NewSharded(make([]txheap.Ticker, cores), layouts, 0)
-		rep.Heap = txheap.RebuildSharded(heaps, reach)
-	} else {
-		heap := txheap.New(nil, layouts[0], 0)
-		rep.Heap = heap.Rebuild(reach)
-		for i := range heaps {
-			heaps[i] = heap
-		}
-	}
+	heaps := txheap.New(layouts, nil, 0)
+	rep.Heap = txheap.Rebuild(heaps, reach)
 	return rep, heaps, nil
 }

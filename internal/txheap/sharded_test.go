@@ -12,7 +12,7 @@ import (
 func newSharded(t *testing.T) ([]*Heap, []mem.Layout) {
 	t.Helper()
 	layouts := mem.MultiLayoutSockets(64<<20, 4, 2)
-	return NewSharded(nil, layouts, 1), layouts
+	return New(layouts, nil, 1), layouts
 }
 
 func TestShardedArenaCarving(t *testing.T) {
@@ -156,7 +156,7 @@ func TestRebuildShardedReconciles(t *testing.T) {
 	heaps[3].BeginTx()                   // a handle crashed inside a transaction
 	heaps[3].Alloc(32)
 
-	rep := RebuildSharded(heaps, []Extent{{a, 64}, {c, 128}, {d, LargeAllocBytes}})
+	rep := Rebuild(heaps, []Extent{{a, 64}, {c, 128}, {d, LargeAllocBytes}})
 	if rep.ReachableBlocks != 3 {
 		t.Errorf("reachable blocks = %d, want 3", rep.ReachableBlocks)
 	}
@@ -180,11 +180,26 @@ func TestRebuildShardedReconciles(t *testing.T) {
 	}
 }
 
-func TestNewShardedRequiresArenas(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewSharded on a single-socket layout should panic")
+// tickCounter records compute and arena charges separately.
+type tickCounter struct{ compute, arena uint64 }
+
+func (c *tickCounter) Tick(n uint64)      { c.compute += n }
+func (c *tickCounter) TickArena(n uint64) { c.arena += n }
+
+// TestAllocChargesByArena: a handle with a local arena charges its
+// allocator cycles through TickArena, a handle without one charges
+// plain compute — each to its own core's clock.
+func TestAllocChargesByArena(t *testing.T) {
+	for _, sockets := range []int{1, 2} {
+		clks := make([]tickCounter, 2)
+		heaps := New(mem.MultiLayoutSockets(64<<20, 2, sockets), func(i int) Ticker { return &clks[i] }, 5)
+		heaps[1].Alloc(64)
+		want := tickCounter{compute: 5}
+		if sockets > 1 {
+			want = tickCounter{arena: 5}
 		}
-	}()
-	NewSharded(nil, mem.MultiLayout(64<<20, 2), 1)
+		if clks[1] != want || clks[0] != (tickCounter{}) {
+			t.Errorf("%d socket(s): core charges %+v, want core 1 %+v and core 0 nothing", sockets, clks, want)
+		}
+	}
 }

@@ -25,15 +25,16 @@
 // with a bump pointer for virgin space.
 //
 // Space management is factored into spans — contiguous regions each
-// with their own free list and bump pointer. The classic shared heap
-// (New) is one span over the whole heap region. On a multi-socket
-// topology (NewSharded) every core gets its own Heap handle whose
-// allocation order is [local arena span, shared global fallback span]:
-// the arena is a socket-local stripe of the heap (mem.Layout.ArenaBase),
-// so allocation metadata stops being a cross-core serialization point
-// and fresh objects land on the allocating core's home socket. Frees
-// and rebuilds route by address to the owning span, whichever handle
-// performs them.
+// with their own free list and bump pointer. New gives every core its
+// own Heap handle, and all handles share one global span. On a
+// single-socket machine no arenas are carved and the global span is the
+// whole heap region. On a multi-socket topology core i's handle first
+// allocates from its local arena span, a socket-local stripe of the
+// heap (mem.Layout.ArenaBase), and falls back to the global span past
+// the last arena: allocation metadata stops being a cross-core
+// serialization point and fresh objects land on the allocating core's
+// home socket. Frees and rebuilds route by address to the owning span,
+// whichever handle performs them.
 package txheap
 
 import (
@@ -58,7 +59,7 @@ type Ticker interface {
 	Tick(cycles uint64)
 }
 
-// arenaTicker is the optional charging surface of sharded heaps: when
+// arenaTicker is the optional charging surface of arena handles: when
 // the Ticker also implements it, arena-allocator cycles are charged
 // through TickArena (profile.CauseAllocArena) instead of plain compute.
 type arenaTicker interface {
@@ -69,16 +70,16 @@ type arenaTicker interface {
 // operation.
 const DefaultAllocCycles = 40
 
-// LargeAllocBytes is the sharded-heap threshold above which an
+// LargeAllocBytes is the arena-handle threshold above which an
 // allocation goes to the shared global fallback span instead of the
 // local arena. The fallback region is line-interleaved across sockets
 // (mem.Layout.SocketOf), so a large shared object — a bucket array, a
 // setup-built spine — spreads its persist traffic over every device
-// rather than camping on the allocating core's socket. Classic
-// (non-sharded) heaps ignore the threshold.
+// rather than camping on the allocating core's socket. Handles without
+// an arena ignore the threshold.
 const LargeAllocBytes = 2048
 
-// BurstSpillBytes is the sharded-heap per-transaction allocation budget
+// BurstSpillBytes is the arena-handle per-transaction allocation budget
 // a local arena serves before the transaction's remaining allocations
 // spill to the interleaved fallback span. A transaction allocating far
 // more than a typical operation (a rehash copying every node, a bulk
@@ -90,9 +91,9 @@ const LargeAllocBytes = 2048
 const BurstSpillBytes = 8 << 10
 
 // span is one contiguous space-managed region: a sorted coalescing
-// free-extent list plus a bump pointer for virgin space. Sharded heaps
-// share span pointers across handles; the interleaved scheduler runs
-// one core at a time, so no locking is needed (mutex-free by design).
+// free-extent list plus a bump pointer for virgin space. Every handle
+// of a machine shares its spans; the interleaved scheduler runs one
+// core at a time, so no locking is needed (mutex-free by design).
 type span struct {
 	base      mem.Addr
 	limit     mem.Addr
@@ -102,8 +103,8 @@ type span struct {
 	liveBytes uint64
 }
 
-func newSpan(base mem.Addr, size uint64) *span {
-	return &span{
+func newSpan(base mem.Addr, size uint64) span {
+	return span{
 		base:      base,
 		limit:     base + mem.Addr(size),
 		bump:      base,
@@ -240,95 +241,77 @@ func (ix *extIndex) lookup(ext []Extent, addr mem.Addr) bool {
 	return addr < e.End()
 }
 
-// Heap is one allocation handle: transaction bookkeeping plus an
-// ordered list of spans to allocate from. The classic shared heap has
-// one handle with one span; a sharded heap has one handle per core,
-// all sharing the same spans (each handle preferring its local arena).
+// Heap is one core's allocation handle: transaction bookkeeping plus
+// the spans it allocates from — its local arena, if the layout carves
+// one, then the global span shared by every handle of the machine.
 // Not safe for concurrent use.
 type Heap struct {
 	clk         Ticker
-	atick       arenaTicker // non-nil on sharded heaps whose clock supports arena charging
-	spans       []*span     // allocation preference order
-	all         []*span     // every span of the machine (free/rebuild routing)
-	shared      *span       // sharded heaps: the global fallback, preferred for large allocations
+	atick       arenaTicker // non-nil on arena handles whose clock supports arena charging
+	arena       *span       // the core's local arena (nil when no arenas are carved)
+	global      *span       // the shared global span, preferred for large allocations
+	all         []span      // every span of the machine, arenas first (free/rebuild routing)
 	allocCycles uint64
 
-	inTx         bool
-	txAllocs     []Extent // allocations made by the current transaction
-	txFrees      []Extent // frees made by the current transaction
-	txBytes      uint64   // bytes allocated by the current transaction (burst detection)
-	txAllocIdx   extIndex // sorted lookup cache over txAllocs
-	txFreeIdx    extIndex // sorted lookup cache over txFrees
-	epochHold    bool     // extend the free quarantine to the epoch close
-	epochFrees   []Extent // committed frees awaiting their epoch's durability
-	totalAllocs  uint64
-	totalFrees   uint64
-	totalBytes   uint64
-	rebuiltGaps  uint64
-	rebuiltBytes uint64
+	inTx        bool
+	txAllocs    []Extent // allocations made by the current transaction
+	txFrees     []Extent // frees made by the current transaction
+	txBytes     uint64   // bytes allocated by the current transaction (burst detection)
+	txAllocIdx  extIndex // sorted lookup cache over txAllocs
+	txFreeIdx   extIndex // sorted lookup cache over txFrees
+	epochHold   bool     // extend the free quarantine to the epoch close
+	epochFrees  []Extent // committed frees awaiting their epoch's durability
+	totalAllocs uint64
+	totalFrees  uint64
+	totalBytes  uint64
 }
 
-// New creates a heap over [layout.HeapBase, HeapBase+HeapSize). clk may
-// be nil (no timing charged).
-func New(clk Ticker, layout mem.Layout, allocCycles uint64) *Heap {
-	if allocCycles == 0 {
-		allocCycles = DefaultAllocCycles
-	}
-	s := newSpan(layout.HeapBase, layout.HeapSize)
-	return &Heap{
-		clk:         clk,
-		spans:       []*span{s},
-		all:         []*span{s},
-		allocCycles: allocCycles,
-	}
-}
-
-// NewSharded creates the per-core heap handles of a multi-socket
-// machine. Core i's handle allocates from its local arena span
-// (layouts[i].ArenaBase, a stripe on the core's home socket) first and
-// falls back to the shared global span — the stripes past the last
-// core's arena. All handles share the spans: frees and rebuilds route
-// by address to the owning span regardless of which handle performs
-// them. clks[i] (may be nil) is charged core i's allocator cycles,
-// through TickArena when supported (profile.CauseAllocArena).
-func NewSharded(clks []Ticker, layouts []mem.Layout, allocCycles uint64) []*Heap {
+// New creates the heap handles of a machine, one per core layout. All
+// handles share one global span: the whole heap when the layouts carve
+// no arenas (a single-socket machine), otherwise the stripes past the
+// last core's arena. With arenas, core i's handle allocates from its
+// local arena (layouts[i].ArenaBase, a stripe on the core's home
+// socket) first. Frees and rebuilds route by address to the owning
+// span regardless of which handle performs them. clk (may be nil)
+// returns the clock core i's allocator cycles are charged to: an arena
+// handle charges through TickArena when the clock supports it
+// (profile.CauseAllocArena), any other handle charges plain compute.
+func New(layouts []mem.Layout, clk func(core int) Ticker, allocCycles uint64) []*Heap {
 	if allocCycles == 0 {
 		allocCycles = DefaultAllocCycles
 	}
 	if len(layouts) == 0 {
-		panic("txheap: NewSharded with no layouts")
-	}
-	l0 := layouts[0]
-	if l0.ArenaSize == 0 {
-		panic("txheap: NewSharded needs a multi-socket layout (no arenas carved)")
+		panic("txheap: New with no layouts")
 	}
 	cores := len(layouts)
-	all := make([]*span, 0, cores+1)
-	for i := 0; i < cores; i++ {
-		all = append(all, newSpan(layouts[i].ArenaBase, layouts[i].ArenaSize))
-	}
-	// Global fallback: everything past the last arena, shared by every
-	// handle. Mutex-free like the arenas — the deterministic interleaver
-	// runs one core at a time.
-	fbBase := layouts[cores-1].ArenaBase + mem.Addr(layouts[cores-1].ArenaSize)
-	fbEnd := l0.HeapBase + mem.Addr(l0.HeapSize)
-	if fbBase >= fbEnd {
-		panic("txheap: no room for the global fallback span")
-	}
-	fallback := newSpan(fbBase, uint64(fbEnd-fbBase))
-	all = append(all, fallback)
-
-	heaps := make([]*Heap, cores)
-	for i := 0; i < cores; i++ {
-		h := &Heap{
-			spans:       []*span{all[i], fallback},
-			all:         all,
-			shared:      fallback,
-			allocCycles: allocCycles,
+	l0 := layouts[0]
+	heapEnd := l0.HeapBase + mem.Addr(l0.HeapSize)
+	arenas := l0.ArenaSize != 0
+	var all []span
+	if arenas {
+		all = make([]span, 0, cores+1)
+		for _, l := range layouts {
+			all = append(all, newSpan(l.ArenaBase, l.ArenaSize))
 		}
-		if i < len(clks) && clks[i] != nil {
-			h.clk = clks[i]
-			if at, ok := clks[i].(arenaTicker); ok {
+		// Global fallback: everything past the last arena.
+		fbBase := layouts[cores-1].ArenaBase + mem.Addr(layouts[cores-1].ArenaSize)
+		if fbBase >= heapEnd {
+			panic("txheap: no room for the global fallback span")
+		}
+		all = append(all, newSpan(fbBase, uint64(heapEnd-fbBase)))
+	} else {
+		all = []span{newSpan(l0.HeapBase, l0.HeapSize)}
+	}
+	global := &all[len(all)-1]
+	heaps := make([]*Heap, cores)
+	for i := range heaps {
+		h := &Heap{global: global, all: all, allocCycles: allocCycles}
+		if arenas {
+			h.arena = &all[i]
+		}
+		if clk != nil {
+			h.clk = clk(i)
+			if at, ok := h.clk.(arenaTicker); ok && h.arena != nil {
 				h.atick = at
 			}
 		}
@@ -350,9 +333,9 @@ func (h *Heap) tick() {
 // spanOf returns the span containing addr, or nil. The span count is
 // cores+1 at most, so a linear scan is fine.
 func (h *Heap) spanOf(addr mem.Addr) *span {
-	for _, s := range h.all {
-		if s.contains(addr) {
-			return s
+	for i := range h.all {
+		if h.all[i].contains(addr) {
+			return &h.all[i]
 		}
 	}
 	return nil
@@ -437,12 +420,12 @@ func (h *Heap) AbortTx() {
 }
 
 // Alloc returns the address of a fresh block of at least size bytes
-// (rounded up to a word multiple), taken from the first span in the
-// handle's preference order with room (local arena before the global
-// fallback on sharded heaps; allocations of LargeAllocBytes or more go
-// to the fallback first, whose lines interleave across sockets). Panics
-// when every span is exhausted — the simulated workloads size the heap
-// generously.
+// (rounded up to a word multiple). An arena handle takes it from its
+// local arena first and then from the global span; allocations of
+// LargeAllocBytes or more, and those past a transaction's
+// BurstSpillBytes, go to the global span first, whose lines interleave
+// across sockets. Panics when every span is exhausted — the simulated
+// workloads size the heap generously.
 func (h *Heap) Alloc(size uint64) mem.Addr {
 	if size == 0 {
 		size = mem.WordSize
@@ -452,19 +435,18 @@ func (h *Heap) Alloc(size uint64) mem.Addr {
 
 	var addr mem.Addr
 	ok := false
-	if h.shared != nil && (size >= LargeAllocBytes || h.txBytes >= BurstSpillBytes) {
-		addr, ok = h.shared.alloc(size)
+	if h.arena != nil && size < LargeAllocBytes && h.txBytes < BurstSpillBytes {
+		addr, ok = h.arena.alloc(size)
 	}
 	if !ok {
-		for _, s := range h.spans {
-			if addr, ok = s.alloc(size); ok {
-				break
-			}
-		}
+		addr, ok = h.global.alloc(size)
+	}
+	if !ok && h.arena != nil {
+		addr, ok = h.arena.alloc(size)
 	}
 	if !ok {
-		last := h.spans[len(h.spans)-1]
-		panic(fmt.Sprintf("txheap: out of memory (want %d bytes, bump %#x, limit %#x)", size, last.bump, last.limit))
+		g := h.global
+		panic(fmt.Sprintf("txheap: out of memory (want %d bytes, bump %#x, limit %#x)", size, g.bump, g.limit))
 	}
 	h.totalAllocs++
 	h.totalBytes += size
@@ -538,12 +520,12 @@ func (h *Heap) InTxFree(addr mem.Addr) bool {
 // spans, whichever handle is asked).
 func (h *Heap) Live() []Extent {
 	n := 0
-	for _, s := range h.all {
-		n += len(s.allocated)
+	for i := range h.all {
+		n += len(h.all[i].allocated)
 	}
 	out := make([]Extent, 0, n)
-	for _, s := range h.all {
-		for a, sz := range s.allocated { //slpmt:determinism-ok: collected extents are sorted below
+	for i := range h.all {
+		for a, sz := range h.all[i].allocated { //slpmt:determinism-ok: collected extents are sorted below
 			out = append(out, Extent{a, sz})
 		}
 	}
@@ -554,19 +536,20 @@ func (h *Heap) Live() []Extent {
 // Stats returns (allocs, frees, bytes allocated, live bytes). The
 // operation totals are this handle's own; live bytes are machine-wide.
 func (h *Heap) Stats() (allocs, frees, bytes, live uint64) {
-	for _, s := range h.all {
-		live += s.liveBytes
+	for i := range h.all {
+		live += h.all[i].liveBytes
 	}
 	return h.totalAllocs, h.totalFrees, h.totalBytes, live
 }
 
 // Arenas returns the handle's span boundaries in allocation-preference
-// order — the local arena first on sharded heaps, the global fallback
-// (or the classic whole-heap span) last.
+// order — the local arena first if one is carved, the global span last.
 func (h *Heap) Arenas() []Extent {
-	out := make([]Extent, 0, len(h.spans))
-	for _, s := range h.spans {
-		out = append(out, Extent{s.base, uint64(s.limit - s.base)})
+	out := make([]Extent, 0, 2)
+	for _, s := range [2]*span{h.arena, h.global} {
+		if s != nil {
+			out = append(out, Extent{s.base, uint64(s.limit - s.base)})
+		}
 	}
 	return out
 }
@@ -583,21 +566,25 @@ type RebuildReport struct {
 	ReclaimedBytes uint64
 }
 
-// Rebuild reconstructs the allocator state after a crash from the set of
-// reachable extents (the mark phase's output): each extent is routed to
-// its owning span, reachable blocks become the live set, every gap
-// below a span's high-water mark becomes free space. Panics if an
-// extent lies outside every span (a corrupt reachability scan). Returns
-// a report of what was reclaimed.
-func (h *Heap) Rebuild(reachable []Extent) RebuildReport {
+// Rebuild reconstructs the allocator state of a machine's handles after
+// a crash from the set of reachable extents (the mark phase's output):
+// each extent is routed to its owning span, reachable blocks become the
+// live set, every gap below a span's high-water mark becomes free
+// space, and every handle's transaction bookkeeping is cleared. The
+// handles share their spans, so the space reconstruction itself runs
+// once. Panics if an extent lies outside every span (a corrupt
+// reachability scan). Returns a report of what was reclaimed.
+func Rebuild(heaps []*Heap, reachable []Extent) RebuildReport {
 	sorted := make([]Extent, len(reachable))
 	copy(sorted, reachable)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Addr < sorted[j].Addr })
 
+	h := heaps[0]
 	var rep RebuildReport
 	// The spans of a layout are disjoint and the extents sorted, so a
 	// span's extents form a contiguous run.
-	for _, s := range h.all {
+	for i := range h.all {
+		s := &h.all[i]
 		lo := sort.Search(len(sorted), func(i int) bool { return sorted[i].Addr >= s.base })
 		hi := lo
 		for hi < len(sorted) && sorted[hi].Addr < s.limit {
@@ -612,9 +599,9 @@ func (h *Heap) Rebuild(reachable []Extent) RebuildReport {
 			}
 		}
 	}
-	h.resetTx()
-	h.rebuiltGaps += uint64(rep.ReclaimedGaps)
-	h.rebuiltBytes += rep.ReclaimedBytes
+	for _, h := range heaps {
+		h.resetTx()
+	}
 	return rep
 }
 
@@ -629,25 +616,14 @@ func (h *Heap) resetTx() {
 	h.epochFrees = h.epochFrees[:0]
 }
 
-// RebuildSharded reconstructs a sharded heap's spans from the
-// reachability scan and clears every handle's transaction bookkeeping.
-// The handles share their spans, so the space reconstruction itself is
-// performed once.
-func RebuildSharded(heaps []*Heap, reachable []Extent) RebuildReport {
-	rep := heaps[0].Rebuild(reachable)
-	for _, h := range heaps[1:] {
-		h.resetTx()
-	}
-	return rep
-}
-
 // Check verifies the allocator's span invariant: within every span, the
 // live blocks and the free extents tile [base, bump) exactly — no
 // overlap, no unaccounted gap — and nothing lies beyond the bump
-// pointer. Crash campaigns run it after a sharded rebuild to assert
-// every arena reconciled its live extents with the durable prefix.
+// pointer. Crash campaigns run it after a rebuild to assert every
+// span reconciled its live extents with the durable prefix.
 func (h *Heap) Check() error {
-	for si, s := range h.all {
+	for si := range h.all {
+		s := &h.all[si]
 		ext := make([]Extent, 0, len(s.allocated)+len(s.free))
 		for a, sz := range s.allocated { //slpmt:determinism-ok: collected extents are sorted below
 			ext = append(ext, Extent{a, sz})

@@ -9,7 +9,7 @@ import (
 )
 
 func newHeap() *Heap {
-	return New(nil, mem.DefaultLayout(16<<20), 1)
+	return New([]mem.Layout{mem.DefaultLayout(16 << 20)}, nil, 1)[0]
 }
 
 func TestAllocAlignsAndSeparates(t *testing.T) {
@@ -116,7 +116,7 @@ func TestRebuild(t *testing.T) {
 	b := h.Alloc(32)
 	c := h.Alloc(128)
 	_ = b // b becomes unreachable (leaked by a crashed transaction)
-	rep := h.Rebuild([]Extent{{a, 64}, {c, 128}})
+	rep := Rebuild([]*Heap{h}, []Extent{{a, 64}, {c, 128}})
 	if rep.ReachableBlocks != 2 || rep.ReachableBytes != 192 {
 		t.Errorf("report: %+v", rep)
 	}
@@ -138,7 +138,7 @@ func TestRebuildOverlapPanics(t *testing.T) {
 			t.Error("overlapping extents should panic")
 		}
 	}()
-	h.Rebuild([]Extent{{a, 64}, {a + 32, 64}})
+	Rebuild([]*Heap{h}, []Extent{{a, 64}, {a + 32, 64}})
 }
 
 // TestAllocFreeProperty: under random alloc/free sequences, live blocks
@@ -186,7 +186,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestOutOfMemoryPanics(t *testing.T) {
-	h := New(nil, mem.Layout{HeapBase: 64, HeapSize: 128}, 1)
+	h := New([]mem.Layout{{HeapBase: 64, HeapSize: 128}}, nil, 1)[0]
 	h.Alloc(128)
 	defer func() {
 		if recover() == nil {

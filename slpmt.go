@@ -105,10 +105,6 @@ type Options struct {
 	// epoch close (see engine.Config.CommitWindow). 0 or 1 = the
 	// per-transaction protocol.
 	CommitWindow int
-	// EpochCycleBudget force-closes an open epoch at the next commit
-	// after this many cycles, bounding commit-to-durability latency
-	// under group commit. 0 disables the budget.
-	EpochCycleBudget uint64
 	// Trace, when non-nil, attaches a cycle-level event tracer to the
 	// simulated machine (see internal/trace). Tracing is observation
 	// only: it never changes timing or counters.
@@ -128,8 +124,9 @@ func EvaluatedSchemes() []string { return schemes.Evaluated() }
 
 // System is one simulated core with a transaction engine and a
 // persistent heap. Not safe for concurrent use. Systems of a
-// multi-core platform (see NewCluster) share the heap, the LLC and the
-// PM device with their sibling cores.
+// multi-core platform (see NewCluster) share the heap's space, the LLC
+// and the PM device with their sibling cores; each allocates through
+// its own heap handle.
 type System struct {
 	Eng  *engine.Engine
 	Mach *machine.Core
@@ -172,7 +169,6 @@ func (opts Options) resolve() (string, engine.Config, machine.Config) {
 	}
 	cfg.ComputeCyclesPerOp = opts.ComputeCyclesPerOp
 	cfg.CommitWindow = opts.CommitWindow
-	cfg.EpochCycleBudget = opts.EpochCycleBudget
 	mc := opts.Machine
 	if opts.PMWriteNanos != 0 {
 		mc.PM.WriteCycles = opts.PMWriteNanos * pmem.CyclesPerNs
