@@ -63,7 +63,7 @@ func main() {
 			fail = true
 			continue
 		}
-		fmt.Printf("%-10s OK: %d crash points over %d persist events; %d undo records applied; "+
+		fmt.Printf("%-10s OK: %d crash points over %d persist events; %d log records applied; "+
 			"%d in-flight txns found durable; %d B leaked memory collected\n",
 			w, res.PointsTested, res.TotalPersistEvents, res.RecordsApplied,
 			res.PendingAccepted, res.LeakedBytes)

@@ -245,13 +245,19 @@ var ErrCorrupt = errors.New("logfmt: corrupt record stream")
 // bytes of earlier transactions below a conservative watermark). The
 // returned slices alias raw.
 func ParseRecords(raw []byte, seq uint64) ([]Record, error) {
+	return AppendRecords(nil, raw, seq)
+}
+
+// AppendRecords is ParseRecords appending the decoded records to out,
+// so a reader that parses many logs can reuse one slice. On error it
+// returns out with the records decoded before the fault.
+func AppendRecords(out []Record, raw []byte, seq uint64) ([]Record, error) {
 	hdr := DecodeHeader(raw)
 	limit := int(hdr.Watermark)
 	if limit > len(raw) {
-		return nil, fmt.Errorf("%w: watermark %d beyond log area", ErrCorrupt, limit)
+		return out, fmt.Errorf("%w: watermark %d beyond log area", ErrCorrupt, limit)
 	}
 	want := Tag(seq)
-	var out []Record
 	off := RecordsStart
 	for off+8 <= limit {
 		w := binary.LittleEndian.Uint64(raw[off:])
@@ -324,13 +330,19 @@ func DecodeGroupDesc(raw []byte) [MaxGroupCores]GroupEntry {
 // record crossing the region end is an error. The returned slices alias
 // raw.
 func ParseRegion(raw []byte, from, to uint64) ([]Record, error) {
+	return AppendRegion(nil, raw, from, to)
+}
+
+// AppendRegion is ParseRegion appending the decoded records to out, so
+// a reader that parses many logs can reuse one slice. On error it
+// returns out with the records decoded before the fault.
+func AppendRegion(out []Record, raw []byte, from, to uint64) ([]Record, error) {
 	if from < RecordsStart {
 		from = RecordsStart
 	}
 	if to > uint64(len(raw)) {
-		return nil, fmt.Errorf("%w: region end %d beyond log area", ErrCorrupt, to)
+		return out, fmt.Errorf("%w: region end %d beyond log area", ErrCorrupt, to)
 	}
-	var out []Record
 	off := int(from)
 	limit := int(to)
 	for off+8 <= limit {

@@ -246,20 +246,16 @@ func execute(cfg CampaignConfig, ops []campaignOp, crashAfter uint64) (info runI
 // pre-operation committed state, accepting the in-flight transaction as
 // either durably committed or cleanly reverted. The oracle is one map,
 // built by replaying the completed operations in their order: O(ops)
-// per point.
-func verifyPoint(cfg CampaignConfig, ops []campaignOp, info runInfo, res *CampaignResult) error {
-	w := workloads.MustNew(cfg.Workload) // fresh instance: no volatile state survives
+// per point. The workload is instantiated afresh, so no volatile state
+// survives from the run or an earlier point; everything else comes
+// from v.
+func (v *verifier) verifyPoint(cfg CampaignConfig, ops []campaignOp, info runInfo, res *CampaignResult) error {
+	w := workloads.MustNew(cfg.Workload)
 	rec := w.(workloads.Recoverable)
 
-	cores := cfg.Cores
-	if cores < 1 {
-		cores = 1
-	}
-	sockets := cfg.Sockets
-	if sockets < 1 {
-		sockets = 1
-	}
-	rep, heaps, err := RecoverSharded(info.img, rec, cores, sockets)
+	cores := max(cfg.Cores, 1)
+	sockets := max(cfg.Sockets, 1)
+	rep, heaps, err := v.recover(info.img, rec, cores, sockets)
 	if err != nil {
 		return err
 	}
@@ -274,10 +270,10 @@ func verifyPoint(cfg CampaignConfig, ops []campaignOp, info runInfo, res *Campai
 	}
 
 	if cfg.CommitWindow > 1 {
-		return verifyPrefix(rec, ops, info, cores*cfg.CommitWindow+1, res)
+		return v.verifyPrefix(rec, ops, info, cores*cfg.CommitWindow+1, res)
 	}
 
-	oracle := make(map[uint64][]byte, len(info.done)+1)
+	oracle := v.oracleMap(len(info.done) + 1)
 	for _, i := range info.done {
 		applyOracle(oracle, ops[i])
 	}
@@ -295,6 +291,15 @@ func verifyPoint(cfg CampaignConfig, ops []campaignOp, info runInfo, res *Campai
 	return fmt.Errorf("durable state invalid (pending key %d): %v", info.pendingKey(ops), errBefore)
 }
 
+// oracleMap returns v's oracle map, emptied; hint sizes it on first use.
+func (v *verifier) oracleMap(hint int) map[uint64][]byte {
+	if v.oracle == nil {
+		v.oracle = make(map[uint64][]byte, hint)
+	}
+	clear(v.oracle)
+	return v.oracle
+}
+
 // undoEntry restores one oracle key to its value before an operation.
 type undoEntry struct {
 	key     uint64
@@ -309,19 +314,22 @@ type undoEntry struct {
 // crash. Candidates are checked newest first: the replay records undo
 // entries for the operations it may have to revert, then reverts them
 // one at a time.
-func verifyPrefix(rec workloads.Recoverable, ops []campaignOp, info runInfo, bound int, res *CampaignResult) error {
+func (v *verifier) verifyPrefix(rec workloads.Recoverable, ops []campaignOp, info runInfo, bound int, res *CampaignResult) error {
 	seq := info.done
 	if info.pending >= 0 {
 		seq = append(seq, info.pending)
 	}
 	// len(seq)+1 prefixes exist, the empty (post-setup) one included.
 	reverts := min(bound, len(seq)+1) - 1
-	oracle := make(map[uint64][]byte, len(seq))
+	oracle := v.oracleMap(len(seq))
 	split := len(seq) - reverts
 	for _, i := range seq[:split] {
 		applyOracle(oracle, ops[i])
 	}
-	undo := make([]undoEntry, reverts)
+	if cap(v.undo) < reverts {
+		v.undo = make([]undoEntry, reverts)
+	}
+	undo := v.undo[:reverts]
 	for u, i := range seq[split:] {
 		val, present := oracle[ops[i].key]
 		undo[u] = undoEntry{ops[i].key, val, present}
@@ -371,11 +379,13 @@ type pointOutcome struct {
 	err     error
 }
 
-// testPoint executes one crash point and verifies the recovered image,
-// returning its isolated contribution. Every run is deterministic and
-// self-contained, so points can execute in any order (or concurrently)
-// and aggregate to the same campaign result.
-func testPoint(cfg CampaignConfig, ops []campaignOp, point uint64) pointOutcome {
+// testPoint executes one crash point and verifies the recovered image
+// with v, returning its isolated contribution. Every run is
+// deterministic and self-contained, and v keeps buffers but no results
+// from one point to the next, so points can execute in any order (or
+// concurrently, each with its own verifier) and aggregate to the same
+// campaign result.
+func testPoint(v *verifier, cfg CampaignConfig, ops []campaignOp, point uint64) pointOutcome {
 	var out pointOutcome
 	info, _, err := execute(cfg, ops, point)
 	if err != nil {
@@ -387,7 +397,7 @@ func testPoint(cfg CampaignConfig, ops []campaignOp, point uint64) pointOutcome 
 		return out
 	}
 	out.crashed = true
-	if err := verifyPoint(cfg, ops, info, &out.sub); err != nil {
+	if err := v.verifyPoint(cfg, ops, info, &out.sub); err != nil {
 		out.err = fmt.Errorf("crash point %d: %w", point, err)
 	}
 	return out
@@ -441,9 +451,11 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	}
 	if workers <= 1 {
 		// Serial sweep: stop executing at the first error or
-		// beyond-the-run point, exactly like the historical loop.
+		// beyond-the-run point, exactly like the historical loop. One
+		// verifier serves every point.
+		v := new(verifier)
 		for _, point := range points {
-			out := testPoint(cfg, ops, point)
+			out := testPoint(v, cfg, ops, point)
 			if out.err != nil {
 				return res, out.err
 			}
@@ -457,7 +469,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 
 	outs := make([]pointOutcome, len(points))
 	if err := bench.ForEachWorkers(len(points), workers, func(i int) error {
-		outs[i] = testPoint(cfg, ops, points[i])
+		outs[i] = testPoint(new(verifier), cfg, ops, points[i])
 		return nil
 	}); err != nil {
 		return res, err

@@ -21,8 +21,9 @@
 package recovery
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/persistmem/slpmt/internal/logfmt"
 	"github.com/persistmem/slpmt/internal/mem"
@@ -67,14 +68,41 @@ func (r *Report) String() string {
 // records of an active transaction are applied in reverse; redo records
 // of a committed transaction are replayed in order.
 func ApplyLog(img *pmem.Image) (*Report, error) {
-	return applyLogs(img, []mem.Layout{mem.DefaultLayout(img.Size())})
+	return new(verifier).applyLogs(img, []mem.Layout{mem.DefaultLayout(img.Size())})
+}
+
+// verifier is the host state of recovering and verifying crash images,
+// kept from one image to the next so that a sweep over many crash
+// points allocates it once: the layouts and heap handles of the
+// machine, phase 1's raw-log, record and unit buffers, and the oracle
+// map and undo slice the campaign checks a recovered image against.
+// Every recovery entry point runs through it; a one-shot caller uses a
+// fresh one. A verifier serves the images of one machine shape (image
+// size, cores, sockets), which is all a campaign produces. Not safe
+// for concurrent use: a serial sweep owns one, and a parallel sweep
+// gives each job its own.
+type verifier struct {
+	layouts []mem.Layout   // nil until the first recovery
+	heaps   []*txheap.Heap // nil until the first rebuild
+
+	// Phase 1 buffers. records view raw and units view records; each
+	// buffer only grows within an image, and growing copies it and
+	// leaves the old array as it was, so earlier views stay valid.
+	raw   []byte          // every core's log prefix, back to back
+	recs  []logfmt.Record // every core's parsed records
+	units []logUnit
+	rep   Report
+
+	oracle map[uint64][]byte // see oracleMap
+	undo   []undoEntry       // see verifyPrefix
 }
 
 // logUnit is one parsed application unit: a whole per-transaction log
 // (legacy W=1 streams) or one transaction's slice of an epoch stream,
 // cut at its boundary record. Units are ordered across cores by the
 // boundary's cluster-global sequence when present, falling back to
-// (epoch, header seq) for legacy streams.
+// (epoch, header seq) for legacy streams. recs views the records its
+// region parsed into the verifier's record buffer.
 type logUnit struct {
 	epoch, seq uint64
 	gseq       uint64 // boundary record's global sequence
@@ -83,17 +111,17 @@ type logUnit struct {
 	recs       []logfmt.Record
 }
 
-// less orders units for application: redo units replay forward in
-// ascending order, undo units revert in descending order (the caller
-// walks the sorted slice backwards).
-func (u *logUnit) less(v *logUnit) bool {
+// compareUnits orders units for application: redo units replay
+// forward in ascending order, undo units revert in descending order
+// (the caller walks the sorted slice backwards).
+func compareUnits(u, v logUnit) int {
 	if u.hasG && v.hasG {
-		return u.gseq < v.gseq
+		return cmp.Compare(u.gseq, v.gseq)
 	}
 	if u.epoch != v.epoch {
-		return u.epoch < v.epoch
+		return cmp.Compare(u.epoch, v.epoch)
 	}
-	return u.seq < v.seq
+	return cmp.Compare(u.seq, v.seq)
 }
 
 // apply writes the unit's records into the image: redo units replay
@@ -122,31 +150,46 @@ func (u *logUnit) apply(img *pmem.Image) int {
 }
 
 // splitUnits cuts an epoch-stream region into per-transaction units at
-// its boundary records. Records ahead of the first boundary (none are
-// expected: every grouped transaction opens with one) fall into a
-// legacy-keyed unit so they are still applied.
-func splitUnits(recs []logfmt.Record, hdr logfmt.Header, undo bool) []*logUnit {
-	var units []*logUnit
-	var cur *logUnit
-	for _, r := range recs {
-		if logfmt.IsBoundary(r) {
-			cur = &logUnit{epoch: hdr.Epoch, undo: undo, gseq: logfmt.BoundarySeq(r), hasG: true}
-			units = append(units, cur)
+// its boundary records and appends them to units. Each unit views the
+// records after its boundary up to the next one. Records ahead of the
+// first boundary (none are expected: every grouped transaction opens
+// with one) form a legacy-keyed unit so they are still applied.
+func splitUnits(units []logUnit, recs []logfmt.Record, hdr logfmt.Header, undo bool) []logUnit {
+	open := logUnit{epoch: hdr.Epoch, seq: hdr.Seq, undo: undo}
+	lo := 0 // first record of the open unit
+	for i, r := range recs {
+		if !logfmt.IsBoundary(r) {
 			continue
 		}
-		if cur == nil {
-			cur = &logUnit{epoch: hdr.Epoch, seq: hdr.Seq, undo: undo}
-			units = append(units, cur)
+		if open.hasG || i > lo {
+			open.recs = recs[lo:i]
+			units = append(units, open)
 		}
-		cur.recs = append(cur.recs, r)
+		open = logUnit{epoch: hdr.Epoch, undo: undo, gseq: logfmt.BoundarySeq(r), hasG: true}
+		lo = i + 1
+	}
+	if open.hasG || len(recs) > lo {
+		open.recs = recs[lo:]
+		units = append(units, open)
 	}
 	return units
 }
 
+// readLog copies the first n bytes of a core's log area onto the end of
+// v.raw and returns them.
+func (v *verifier) readLog(img *pmem.Image, layout mem.Layout, n uint64) []byte {
+	start := len(v.raw)
+	v.raw = slices.Grow(v.raw, int(n))[:start+int(n)]
+	raw := v.raw[start:]
+	img.Read(layout.LogBase, raw)
+	return raw
+}
+
 // parseLogRegion decodes one core's hardware log, addressed by its
-// layout, into application units (empty when the log demands no
-// action). ent is the core's group-descriptor entry (the zero value
-// for solo machines, whose descriptor line was never written).
+// layout, and appends its application units to v.units (none when the
+// log demands no action). ent is the core's group-descriptor entry
+// (the zero value for solo machines, whose descriptor line was never
+// written).
 //
 // A header with CommittedTo at or beyond the record area marks an
 // epoch (group-commit) stream. The stream's committed boundary B is
@@ -168,14 +211,14 @@ func splitUnits(recs []logfmt.Record, hdr logfmt.Header, undo bool) []*logUnit {
 // CommittedTo of zero is a legacy per-transaction stream and keeps the
 // original semantics: reverse an ACTIVE undo log, replay a COMMITTED
 // redo log.
-func parseLogRegion(img *pmem.Image, layout mem.Layout, ent logfmt.GroupEntry) (*Report, []*logUnit, error) {
+func (v *verifier) parseLogRegion(img *pmem.Image, layout mem.Layout, ent logfmt.GroupEntry) (Report, error) {
 	var line [logfmt.RecordsStart]byte
 	img.Read(layout.LogBase, line[:])
 	hdr := logfmt.DecodeHeader(line[:])
-	rep := &Report{LogSeq: hdr.Seq, LogState: hdr.State, Mode: hdr.Mode, LogEpoch: hdr.Epoch}
+	rep := Report{LogSeq: hdr.Seq, LogState: hdr.State, Mode: hdr.Mode, LogEpoch: hdr.Epoch}
 	if hdr.Magic != logfmt.Magic {
 		// Never initialized: fresh image, nothing to do.
-		return rep, nil, nil
+		return rep, nil
 	}
 	boundary := hdr.CommittedTo
 	if uint64(ent.Epoch) == hdr.Epoch && uint64(ent.Boundary) > boundary {
@@ -184,44 +227,40 @@ func parseLogRegion(img *pmem.Image, layout mem.Layout, ent logfmt.GroupEntry) (
 	// Every parse below stops at the watermark or the boundary, so only
 	// that prefix of the log area is copied out. A bound past the area
 	// keeps the whole area, so the parsers still report it.
-	raw := make([]byte, min(layout.LogSize, max(hdr.Watermark, boundary, logfmt.RecordsStart)))
-	img.Read(layout.LogBase, raw)
+	raw := v.readLog(img, layout, min(layout.LogSize, max(hdr.Watermark, boundary, logfmt.RecordsStart)))
+	first := len(v.recs)
+	var err error
+	undo := false
 	if hdr.CommittedTo >= logfmt.RecordsStart {
-		switch hdr.Mode {
-		case logfmt.ModeUndo:
-			if hdr.Watermark > boundary {
-				recs, err := logfmt.ParseRegion(raw, boundary, hdr.Watermark)
-				if err != nil {
-					return rep, nil, fmt.Errorf("recovery: %w", err)
-				}
-				return rep, splitUnits(recs, hdr, true), nil
-			}
-		case logfmt.ModeRedo:
-			if boundary > logfmt.RecordsStart {
-				recs, err := logfmt.ParseRegion(raw, logfmt.RecordsStart, boundary)
-				if err != nil {
-					return rep, nil, fmt.Errorf("recovery: %w", err)
-				}
-				return rep, splitUnits(recs, hdr, false), nil
-			}
+		switch {
+		case hdr.Mode == logfmt.ModeUndo && hdr.Watermark > boundary:
+			v.recs, err = logfmt.AppendRegion(v.recs, raw, boundary, hdr.Watermark)
+			undo = true
+		case hdr.Mode == logfmt.ModeRedo && boundary > logfmt.RecordsStart:
+			v.recs, err = logfmt.AppendRegion(v.recs, raw, logfmt.RecordsStart, boundary)
+		default:
+			return rep, nil
 		}
-		return rep, nil, nil
+		if err != nil {
+			return rep, fmt.Errorf("recovery: %w", err)
+		}
+		v.units = splitUnits(v.units, v.recs[first:], hdr, undo)
+		return rep, nil
 	}
 	switch {
 	case hdr.State == logfmt.StateActive && hdr.Mode == logfmt.ModeUndo:
-		recs, err := logfmt.ParseRecords(raw, hdr.Seq)
-		if err != nil {
-			return rep, nil, fmt.Errorf("recovery: %w", err)
-		}
-		return rep, []*logUnit{{seq: hdr.Seq, undo: true, recs: recs}}, nil
+		v.recs, err = logfmt.AppendRecords(v.recs, raw, hdr.Seq)
+		undo = true
 	case hdr.State == logfmt.StateCommitted && hdr.Mode == logfmt.ModeRedo:
-		recs, err := logfmt.ParseRecords(raw, hdr.Seq)
-		if err != nil {
-			return rep, nil, fmt.Errorf("recovery: %w", err)
-		}
-		return rep, []*logUnit{{seq: hdr.Seq, recs: recs}}, nil
+		v.recs, err = logfmt.AppendRecords(v.recs, raw, hdr.Seq)
+	default:
+		return rep, nil
 	}
-	return rep, nil, nil
+	if err != nil {
+		return rep, fmt.Errorf("recovery: %w", err)
+	}
+	v.units = append(v.units, logUnit{seq: hdr.Seq, undo: undo, recs: v.recs[first:]})
+	return rep, nil
 }
 
 // groupDesc reads the group-commit descriptor line from the image.
@@ -241,37 +280,36 @@ func groupDesc(img *pmem.Image, layout mem.Layout) [logfmt.MaxGroupCores]logfmt.
 // window, transactions on different cores interleave writes to shared
 // lines, and only applying their records in exact global order
 // restores every word to its last group-committed value. The report
-// carries core 0's header fields and the record total across all logs.
-func applyLogs(img *pmem.Image, layouts []mem.Layout) (*Report, error) {
+// carries core 0's header fields and the record total across all logs;
+// it lives in v and is valid until v's next recovery.
+func (v *verifier) applyLogs(img *pmem.Image, layouts []mem.Layout) (*Report, error) {
 	desc := groupDesc(img, layouts[0])
-	var rep *Report
-	var units []*logUnit
+	v.raw, v.recs, v.units = v.raw[:0], v.recs[:0], v.units[:0]
 	for i, layout := range layouts {
 		var ent logfmt.GroupEntry
 		if i < logfmt.MaxGroupCores {
 			ent = desc[i]
 		}
-		r, us, err := parseLogRegion(img, layout, ent)
+		r, err := v.parseLogRegion(img, layout, ent)
+		if i == 0 || err != nil {
+			v.rep = r
+		}
 		if err != nil {
-			return r, fmt.Errorf("recovery: core %d log: %w", i, err)
-		}
-		if rep == nil {
-			rep = r
-		}
-		units = append(units, us...)
-	}
-	sort.SliceStable(units, func(i, j int) bool { return units[i].less(units[j]) })
-	for _, u := range units {
-		if !u.undo {
-			rep.RecordsApplied += u.apply(img)
+			return &v.rep, fmt.Errorf("recovery: core %d log: %w", i, err)
 		}
 	}
-	for i := len(units) - 1; i >= 0; i-- {
-		if units[i].undo {
-			rep.RecordsApplied += units[i].apply(img)
+	slices.SortStableFunc(v.units, compareUnits)
+	for i := range v.units {
+		if !v.units[i].undo {
+			v.rep.RecordsApplied += v.units[i].apply(img)
 		}
 	}
-	return rep, nil
+	for i := len(v.units) - 1; i >= 0; i-- {
+		if v.units[i].undo {
+			v.rep.RecordsApplied += v.units[i].apply(img)
+		}
+	}
+	return &v.rep, nil
 }
 
 // RecoverSharded runs the full three-phase recovery for a workload's
@@ -280,11 +318,23 @@ func applyLogs(img *pmem.Image, layouts []mem.Layout) (*Report, error) {
 // runs the structure's fix-up, and phase 3 rebuilds the allocator from
 // the reachability scan as the machine's per-core heap handles — each
 // arena of a multi-socket layout reconciling its own reachable extents
-// with the durable prefix. Returns the report and one heap handle per
-// core, all sharing the rebuilt spans.
+// with the durable prefix. A reachability scan the allocator cannot
+// rebuild from (overlapping extents, or one outside the heap) is a
+// recovery failure. Returns the report and one heap handle per core,
+// all sharing the rebuilt spans.
 func RecoverSharded(img *pmem.Image, w workloads.Recoverable, cores, sockets int) (*Report, []*txheap.Heap, error) {
-	layouts := mem.MultiLayoutSockets(img.Size(), cores, sockets)
-	rep, err := applyLogs(img, layouts)
+	return new(verifier).recover(img, w, cores, sockets)
+}
+
+// recover is RecoverSharded on v's buffers. The layouts and heap
+// handles are made on the first call and kept; kept handles are reset
+// before the rebuild, so they come out exactly as fresh ones would.
+// The report and the handles are valid until v's next recovery.
+func (v *verifier) recover(img *pmem.Image, w workloads.Recoverable, cores, sockets int) (*Report, []*txheap.Heap, error) {
+	if v.layouts == nil {
+		v.layouts = mem.MultiLayoutSockets(img.Size(), cores, sockets)
+	}
+	rep, err := v.applyLogs(img, v.layouts)
 	if err != nil {
 		return rep, nil, err
 	}
@@ -295,7 +345,13 @@ func RecoverSharded(img *pmem.Image, w workloads.Recoverable, cores, sockets int
 	if err != nil {
 		return rep, nil, fmt.Errorf("recovery: reachability: %w", err)
 	}
-	heaps := txheap.New(layouts, nil, 0)
-	rep.Heap = txheap.Rebuild(heaps, reach)
-	return rep, heaps, nil
+	if v.heaps == nil {
+		v.heaps = txheap.New(v.layouts, nil, 0)
+	} else {
+		txheap.Reset(v.heaps)
+	}
+	if rep.Heap, err = txheap.Rebuild(v.heaps, reach); err != nil {
+		return rep, nil, fmt.Errorf("recovery: heap rebuild: %w", err)
+	}
+	return rep, v.heaps, nil
 }

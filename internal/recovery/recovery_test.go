@@ -34,7 +34,7 @@ func TestCrashCampaignAllWorkloads(t *testing.T) {
 			if res.PointsTested < 10 {
 				t.Fatalf("too few crash points tested: %d", res.PointsTested)
 			}
-			t.Logf("%s: %d points over %d events, %d undo records applied, %d pending-accepted, %d bytes collected",
+			t.Logf("%s: %d points over %d events, %d log records applied, %d pending-accepted, %d bytes collected",
 				w, res.PointsTested, res.TotalPersistEvents, res.RecordsApplied, res.PendingAccepted, res.LeakedBytes)
 		})
 	}
@@ -44,7 +44,7 @@ func TestCrashCampaignAllWorkloads(t *testing.T) {
 // the richest annotation mix: log-free values, lazy rehash moves)
 // across every scheme, including the redo variants.
 func TestCrashCampaignSchemes(t *testing.T) {
-	for _, s := range []string{"FG", "FG+LG", "FG+LZ", "SLPMT", "SLPMT-CL", "ATOM", "EDE", "SLPMT-spec"} {
+	for _, s := range []string{"FG", "FG+LG", "FG+LZ", "SLPMT", "SLPMT-CL", "ATOM", "EDE", "SLPMT-spec", "FG-redo", "SLPMT-redo"} {
 		s := s
 		t.Run(s, func(t *testing.T) {
 			t.Parallel()

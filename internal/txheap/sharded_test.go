@@ -156,7 +156,10 @@ func TestRebuildShardedReconciles(t *testing.T) {
 	heaps[3].BeginTx()                   // a handle crashed inside a transaction
 	heaps[3].Alloc(32)
 
-	rep := Rebuild(heaps, []Extent{{a, 64}, {c, 128}, {d, LargeAllocBytes}})
+	rep, err := Rebuild(heaps, []Extent{{a, 64}, {c, 128}, {d, LargeAllocBytes}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.ReachableBlocks != 3 {
 		t.Errorf("reachable blocks = %d, want 3", rep.ReachableBlocks)
 	}

@@ -38,7 +38,9 @@
 package txheap
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/persistmem/slpmt/internal/mem"
@@ -174,14 +176,14 @@ func (s *span) insertFree(e Extent) {
 // free space, and the bump pointer retreats to the last reachable byte
 // — trailing allocations a crashed transaction leaked return to virgin
 // space (counted as reclaimed when rebuilding a live handle).
-func (s *span) rebuild(sorted []Extent, rep *RebuildReport) {
-	s.allocated = make(map[mem.Addr]uint64, len(sorted))
+func (s *span) rebuild(sorted []Extent, rep *RebuildReport) error {
+	clear(s.allocated)
 	s.free = s.free[:0]
 	s.liveBytes = 0
 	cursor := s.base
 	for _, e := range sorted {
 		if e.Addr < cursor {
-			panic(fmt.Sprintf("txheap: overlapping reachable extents at %#x", e.Addr))
+			return fmt.Errorf("txheap: overlapping reachable extents at %#x", e.Addr)
 		}
 		if gap := uint64(e.Addr - cursor); gap > 0 {
 			s.insertFree(Extent{cursor, gap})
@@ -199,6 +201,16 @@ func (s *span) rebuild(sorted []Extent, rep *RebuildReport) {
 		rep.ReclaimedBytes += uint64(s.bump - cursor)
 	}
 	s.bump = cursor
+	return nil
+}
+
+// reset returns the span to virgin space with nothing allocated,
+// keeping its buffers.
+func (s *span) reset() {
+	s.bump = s.base
+	s.free = s.free[:0]
+	clear(s.allocated)
+	s.liveBytes = 0
 }
 
 // extIndex is the lazily sorted lookup cache behind InTxAlloc/InTxFree:
@@ -572,12 +584,12 @@ type RebuildReport struct {
 // live set, every gap below a span's high-water mark becomes free
 // space, and every handle's transaction bookkeeping is cleared. The
 // handles share their spans, so the space reconstruction itself runs
-// once. Panics if an extent lies outside every span (a corrupt
-// reachability scan). Returns a report of what was reclaimed.
-func Rebuild(heaps []*Heap, reachable []Extent) RebuildReport {
-	sorted := make([]Extent, len(reachable))
-	copy(sorted, reachable)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Addr < sorted[j].Addr })
+// once. Rebuild sorts reachable by address in place. Returns a report
+// of what was reclaimed, or an error when the extents overlap or one
+// lies outside every span (a corrupt reachability scan); the handles
+// are then unusable until the next Reset.
+func Rebuild(heaps []*Heap, reachable []Extent) (RebuildReport, error) {
+	slices.SortFunc(reachable, func(a, b Extent) int { return cmp.Compare(a.Addr, b.Addr) })
 
 	h := heaps[0]
 	var rep RebuildReport
@@ -585,24 +597,42 @@ func Rebuild(heaps []*Heap, reachable []Extent) RebuildReport {
 	// span's extents form a contiguous run.
 	for i := range h.all {
 		s := &h.all[i]
-		lo := sort.Search(len(sorted), func(i int) bool { return sorted[i].Addr >= s.base })
+		lo := sort.Search(len(reachable), func(i int) bool { return reachable[i].Addr >= s.base })
 		hi := lo
-		for hi < len(sorted) && sorted[hi].Addr < s.limit {
+		for hi < len(reachable) && reachable[hi].Addr < s.limit {
 			hi++
 		}
-		s.rebuild(sorted[lo:hi], &rep)
+		if err := s.rebuild(reachable[lo:hi], &rep); err != nil {
+			return rep, err
+		}
 	}
-	if rep.ReachableBlocks != len(sorted) {
-		for _, e := range sorted {
+	if rep.ReachableBlocks != len(reachable) {
+		for _, e := range reachable {
 			if h.spanOf(e.Addr) == nil {
-				panic(fmt.Sprintf("txheap: reachable extent %#x outside every span", e.Addr))
+				return rep, fmt.Errorf("txheap: reachable extent %#x outside every span", e.Addr)
 			}
 		}
 	}
 	for _, h := range heaps {
 		h.resetTx()
 	}
-	return rep
+	return rep, nil
+}
+
+// Reset returns a machine's handles to the state New left them in:
+// every span virgin and empty, every handle's operation totals and
+// transaction bookkeeping zero. A Reset followed by Rebuild gives the
+// same heap, and the same report, as a Rebuild on fresh handles, while
+// keeping the handles' buffers.
+func Reset(heaps []*Heap) {
+	for i := range heaps[0].all {
+		heaps[0].all[i].reset()
+	}
+	for _, h := range heaps {
+		h.resetTx()
+		h.epochHold = false
+		h.totalAllocs, h.totalFrees, h.totalBytes = 0, 0, 0
+	}
 }
 
 // resetTx clears the handle's transaction bookkeeping (post-rebuild).

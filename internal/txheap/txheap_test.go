@@ -2,6 +2,8 @@ package txheap
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -116,7 +118,10 @@ func TestRebuild(t *testing.T) {
 	b := h.Alloc(32)
 	c := h.Alloc(128)
 	_ = b // b becomes unreachable (leaked by a crashed transaction)
-	rep := Rebuild([]*Heap{h}, []Extent{{a, 64}, {c, 128}})
+	rep, err := Rebuild([]*Heap{h}, []Extent{{a, 64}, {c, 128}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.ReachableBlocks != 2 || rep.ReachableBytes != 192 {
 		t.Errorf("report: %+v", rep)
 	}
@@ -130,15 +135,63 @@ func TestRebuild(t *testing.T) {
 	}
 }
 
-func TestRebuildOverlapPanics(t *testing.T) {
+// TestRebuildCorruptScanErrors: a reachability scan the allocator cannot
+// rebuild from is reported as an error, not a panic, so a corrupt crash
+// image fails its point instead of the process.
+func TestRebuildCorruptScanErrors(t *testing.T) {
 	h := newHeap()
 	a := h.Alloc(64)
-	defer func() {
-		if recover() == nil {
-			t.Error("overlapping extents should panic")
+	if _, err := Rebuild([]*Heap{h}, []Extent{{a, 64}, {a + 32, 64}}); err == nil || !strings.Contains(err.Error(), "overlapping") {
+		t.Errorf("overlapping extents: err = %v", err)
+	}
+	if _, err := Rebuild([]*Heap{h}, []Extent{{0, 64}}); err == nil || !strings.Contains(err.Error(), "outside every span") {
+		t.Errorf("extent outside the heap: err = %v", err)
+	}
+}
+
+// TestResetRebuildMatchesFresh: Reset plus Rebuild on handles that have
+// allocated, freed and crashed mid-transaction gives the report, live
+// set, free space and totals of a Rebuild on fresh handles.
+func TestResetRebuildMatchesFresh(t *testing.T) {
+	for _, sockets := range []int{1, 2} {
+		layouts := mem.MultiLayoutSockets(64<<20, 2, sockets)
+		used := New(layouts, nil, 1)
+		a := used[0].Alloc(64)
+		b := used[1].Alloc(LargeAllocBytes)
+		used[0].Free(used[0].Alloc(96))
+		used[1].BeginTx()
+		used[1].Alloc(32)
+		reach := func() []Extent { return []Extent{{b, LargeAllocBytes}, {a, 64}} }
+
+		fresh := New(layouts, nil, 1)
+		want, err := Rebuild(fresh, reach())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	Rebuild([]*Heap{h}, []Extent{{a, 64}, {a + 32, 64}})
+		Reset(used)
+		got, err := Rebuild(used, reach())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%d socket(s): report %+v, fresh %+v", sockets, got, want)
+		}
+		for i := range used {
+			if !slices.Equal(used[i].Live(), fresh[i].Live()) {
+				t.Errorf("%d socket(s): core %d live %v, fresh %v", sockets, i, used[i].Live(), fresh[i].Live())
+			}
+			var gs, ws [4]uint64
+			gs[0], gs[1], gs[2], gs[3] = used[i].Stats()
+			ws[0], ws[1], ws[2], ws[3] = fresh[i].Stats()
+			if gs != ws {
+				t.Errorf("%d socket(s): core %d stats %v, fresh %v", sockets, i, gs, ws)
+			}
+			// The same allocation lands at the same address.
+			if g, w := used[i].Alloc(48), fresh[i].Alloc(48); g != w {
+				t.Errorf("%d socket(s): core %d next alloc %#x, fresh %#x", sockets, i, g, w)
+			}
+		}
+	}
 }
 
 // TestAllocFreeProperty: under random alloc/free sequences, live blocks

@@ -270,6 +270,9 @@ func (t *Tree) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 
 // CheckDurable implements workloads.Recoverable.
 func (t *Tree) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
+	if err := workloads.CheckCount("avl", readRoot(img, workloads.RootCount), oracle); err != nil {
+		return err
+	}
 	seen := 0
 	var firstErr error
 	var walk func(n mem.Addr, lo, hi uint64) uint64

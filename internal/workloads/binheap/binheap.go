@@ -288,11 +288,11 @@ func (h *Heap) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 
 // CheckDurable implements workloads.Recoverable.
 func (h *Heap) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
-	arr := mem.Addr(readRoot(img, workloads.RootMain))
 	size := readRoot(img, workloads.RootCount)
-	if size != uint64(len(oracle)) {
-		return fmt.Errorf("heap durable: size %d, oracle %d", size, len(oracle))
+	if err := workloads.CheckCount("heap", size, oracle); err != nil {
+		return err
 	}
+	arr := mem.Addr(readRoot(img, workloads.RootMain))
 	seen := h.rd.Seen(len(oracle))
 	for i := uint64(0); i < size; i++ {
 		e := arr + mem.Addr(i*entSize)

@@ -206,6 +206,9 @@ func (l *List) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 
 // CheckDurable implements workloads.Recoverable.
 func (l *List) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
+	if err := workloads.CheckCount("dlist", readRoot(img, workloads.RootCount), oracle); err != nil {
+		return err
+	}
 	seen := l.rd.Seen(len(oracle))
 	prev := mem.Addr(0)
 	for n := mem.Addr(readRoot(img, workloads.RootMain)); n != 0; n = mem.Addr(img.ReadU64(n + offNext)) {
@@ -228,9 +231,6 @@ func (l *List) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 	}
 	if len(seen) != len(oracle) {
 		return fmt.Errorf("dlist durable: %d keys, oracle %d", len(seen), len(oracle))
-	}
-	if c := readRoot(img, workloads.RootCount); c != uint64(len(oracle)) {
-		return fmt.Errorf("dlist durable: count %d, oracle %d", c, len(oracle))
 	}
 	return nil
 }

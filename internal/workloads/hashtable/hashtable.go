@@ -301,9 +301,11 @@ func (t *Table) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 
 // CheckDurable implements workloads.Recoverable.
 func (t *Table) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
+	if err := workloads.CheckCount("hashtable", readRoot(img, workloads.RootCount), oracle); err != nil {
+		return err
+	}
 	arr := mem.Addr(readRoot(img, workloads.RootMain))
 	nb := readRoot(img, workloads.RootMeta)
-	count := readRoot(img, workloads.RootCount)
 	if nb == 0 {
 		return fmt.Errorf("hashtable durable: zero buckets")
 	}
@@ -335,9 +337,6 @@ func (t *Table) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 	}
 	if len(seen) != len(oracle) {
 		return fmt.Errorf("hashtable durable: %d keys, oracle %d", len(seen), len(oracle))
-	}
-	if count != uint64(len(oracle)) {
-		return fmt.Errorf("hashtable durable: count %d, oracle %d", count, len(oracle))
 	}
 	return nil
 }

@@ -150,6 +150,9 @@ func (kv *KV) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 
 // CheckDurable implements workloads.Recoverable.
 func (kv *KV) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
+	if err := workloads.CheckCount(kv.name, readRoot(img, workloads.RootCount), oracle); err != nil {
+		return err
+	}
 	if err := kv.idx.checkDurable(img); err != nil {
 		return err
 	}
@@ -187,9 +190,6 @@ func (kv *KV) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 	}
 	if len(seen) != len(oracle) {
 		return fmt.Errorf("%s durable: %d keys, oracle %d", kv.name, len(seen), len(oracle))
-	}
-	if count := readRoot(img, workloads.RootCount); count != uint64(len(oracle)) {
-		return fmt.Errorf("%s durable: count %d, oracle %d", kv.name, count, len(oracle))
 	}
 	return nil
 }

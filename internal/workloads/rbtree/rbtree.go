@@ -378,6 +378,9 @@ func (t *Tree) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 
 // CheckDurable implements workloads.Recoverable.
 func (t *Tree) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
+	if err := workloads.CheckCount("rbtree", readRoot(img, workloads.RootCount), oracle); err != nil {
+		return err
+	}
 	root := mem.Addr(readRoot(img, workloads.RootMain))
 	seen := t.rd.Seen(len(oracle))
 	var firstErr error

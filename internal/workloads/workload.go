@@ -168,6 +168,31 @@ func (s *Scratch) Seen(hint int) map[uint64]bool {
 	return s.seen
 }
 
+// countError is CheckCount's rejection. Its message is formatted only
+// when Error is called, so rejecting a candidate oracle costs one small
+// allocation.
+type countError struct {
+	structure string
+	count     uint64
+	oracle    int
+}
+
+func (e *countError) Error() string {
+	return fmt.Sprintf("%s durable: count %d, oracle %d", e.structure, e.count, e.oracle)
+}
+
+// CheckCount compares a structure's durable element count (its
+// RootCount root) with the oracle's size. Every CheckDurable calls it
+// before walking the structure: a crash campaign checks several
+// candidate oracles against one image, and a candidate of the wrong
+// size is rejected in O(1).
+func CheckCount(structure string, count uint64, oracle map[uint64][]byte) error {
+	if count == uint64(len(oracle)) {
+		return nil
+	}
+	return &countError{structure, count, len(oracle)}
+}
+
 // CheckOracle is a helper: verifies Get returns every oracle pair.
 func CheckOracle(sys *slpmt.System, w Workload, oracle map[uint64][]byte) error {
 	for k, want := range oracle {
