@@ -87,14 +87,6 @@ type Line struct {
 // Dirty reports whether the line holds data newer than memory.
 func (l *Line) Dirty() bool { return l.State == Modified }
 
-// ClearMeta resets the SLPMT metadata (persist/log/txid), leaving the
-// coherence state intact.
-func (l *Line) ClearMeta() {
-	l.Persist = false
-	l.LogBits = 0
-	l.TxID = 0
-}
-
 // L1LogMaskFull is the LogBits value of a fully logged L1 line.
 const L1LogMaskFull = 0xFF
 

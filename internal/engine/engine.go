@@ -84,7 +84,6 @@ type Engine struct {
 	epochTxns    int    // transactions committed into the open epoch
 	epochLastSeq uint64 // seq of the youngest committed transaction
 	txnStartOff  uint64 // running transaction's first record offset
-	closedSeq    uint64 // highest seq covered by a durable epoch close
 	// epochPending accumulates the committed transactions' eager
 	// write-set lines (class bits ORed) until the close's data flush.
 	// Its entries with wsLogged set are the non-lazy logged lines,
@@ -102,6 +101,11 @@ type Engine struct {
 	// gseqBuf is the boundary record's payload scratch (the writer
 	// copies it out immediately; a field keeps Begin allocation-free).
 	gseqBuf [8]byte
+
+	// logRaw and logRecs are ownRecords' buffers, kept across calls so
+	// an abort reads back its log without allocating.
+	logRaw  []byte
+	logRecs []logfmt.Record
 
 	// lazyPool recycles the per-transaction lazy-line sets that Commit
 	// hands off to retainedTx entries, so a steady stream of lazy
@@ -186,32 +190,11 @@ func (e *Engine) Config() Config { return e.cfg }
 // Core returns the underlying core.
 func (e *Engine) Core() *machine.Core { return e.m }
 
-// InTx reports whether a transaction is active.
-func (e *Engine) InTx() bool { return e.cur.active }
-
 // Seq returns the current transaction sequence number.
 func (e *Engine) Seq() uint64 { return e.seq }
 
 // grouped reports whether group commit (epoch batching) is active.
 func (e *Engine) grouped() bool { return e.cfg.CommitWindow > 1 }
-
-// Epoch returns the current epoch counter (introspection for tests).
-func (e *Engine) Epoch() uint64 { return e.epoch }
-
-// EpochOpen reports whether an epoch is still accepting commits, i.e.
-// some committed transactions are not yet durable (tests, harnesses).
-func (e *Engine) EpochOpen() bool { return e.epochOpen && e.epochTxns > 0 }
-
-// ClosedSeq returns the highest transaction sequence number covered by
-// a durable epoch close — the crash campaign's durability frontier.
-// Below W=2 every commit is its own durability point, so it equals
-// Seq().
-func (e *Engine) ClosedSeq() uint64 {
-	if !e.grouped() {
-		return e.seq
-	}
-	return e.closedSeq
-}
 
 // refreshRecord gives a record its final payload at spill time: undo
 // records keep the old value captured at store time; redo records are
@@ -307,6 +290,7 @@ func (e *Engine) Begin() {
 	// this one. Posted: durable at enqueue under ADR.
 	e.m.PushAsync()
 	e.w.reset(e.seq)
+	e.txnStartOff = e.w.nextOff
 	e.w.writeHeader(logfmt.Header{
 		Magic:     logfmt.Magic,
 		Seq:       e.seq,
@@ -368,31 +352,18 @@ func (e *Engine) beginEpochTxn(mode uint64) {
 // only at the next Begin), so the data persist would break the
 // epoch-granular log-before-data invariant; the records are made
 // durable first — posted writes, since enqueue order is the ADR
-// durability order. Redo mode goes further: logged epoch data must not
-// reach PM before the epoch's commit point at all, so the take is
-// vetoed and the line joins the suppressed set that the close
-// force-persists. Installed only above W=1; at W=1 commit cleans every
-// logged line before another core can take it.
+// durability order. Redo mode goes further: the take is vetoed by the
+// same rule as an L3 writeback (writebackFilter), and the line joins
+// the suppressed set that the close force-persists. Installed only
+// above W=1; at W=1 commit cleans every logged line before another
+// core can take it.
 func (e *Engine) onCoherenceTake(addr mem.Addr) bool {
-	epochLine := e.epochPending[addr]&wsLogged != 0
-	if epochLine || e.sink.hasLine(addr) {
+	if e.epochPending[addr]&wsLogged != 0 || e.sink.hasLine(addr) {
 		e.m.PushAsync()
 		e.sink.flushLine(addr)
 		e.m.PopAsync()
 	}
-	if e.cfg.Mode == Redo {
-		if e.cur.active {
-			if cls, ok := e.cur.writeLines[addr]; ok && cls&wsLogged != 0 {
-				e.suppressed[addr] = struct{}{}
-				return false
-			}
-		}
-		if epochLine {
-			e.suppressed[addr] = struct{}{}
-			return false
-		}
-	}
-	return true
+	return e.writebackFilter(addr)
 }
 
 // Load performs a transactional (or, outside a transaction, plain) read
@@ -727,32 +698,15 @@ func (e *Engine) onL2Evict(l cache.Line) cache.Line {
 	// Eviction handling is background hardware activity.
 	e.m.PushAsync()
 	defer e.m.PopAsync()
-	if l.LogBits != 0 || e.sink.hasLine(l.Addr) {
-		e.sink.flushLine(l.Addr)
-	} else if e.epochPending[l.Addr]&wsLogged != 0 {
-		// A line committed into the open epoch evicts: its records were
-		// spilled at the next Begin (log bits already cleared), but the
-		// watermark may not cover them yet — sync before the data line
-		// can reach PM.
+	// A line committed into the open epoch has had its records spilled
+	// at the next Begin (log bits already cleared), but the watermark may
+	// not cover them yet: sync before the data line can reach PM.
+	if l.LogBits != 0 || e.sink.hasLine(l.Addr) || e.epochPending[l.Addr]&wsLogged != 0 {
 		e.sink.flushLine(l.Addr)
 	}
-	if !l.Persist {
+	if !l.Persist || e.redoFenced(l.Addr) {
+		// A fenced line stays dirty; its L3 writeback meets the filter.
 		return l
-	}
-	if e.cfg.Mode == Redo {
-		if e.cur.active {
-			if cls, ok := e.cur.writeLines[l.Addr]; ok && cls&wsLogged != 0 {
-				// Redo-logged data must not reach PM before the commit
-				// record; the line stays dirty and its L3 writeback is
-				// suppressed by the filter.
-				return l
-			}
-		}
-		if e.epochPending[l.Addr]&wsLogged != 0 {
-			// Same fence at epoch granularity: data logged by a committed
-			// window transaction waits for the epoch's commit marker.
-			return l
-		}
 	}
 	e.m.ForcePersistLine(l.Addr)
 	e.m.Stats.EvictLinePersists++
@@ -769,22 +723,51 @@ func (e *Engine) onL3Writeback(addr mem.Addr) {
 	}
 }
 
-// writebackFilter suppresses L3 writebacks of the current redo
-// transaction's logged lines.
+// txLogged reports whether the running transaction has logged the
+// line.
+//
+//slpmt:noalloc
+func (e *Engine) txLogged(la mem.Addr) bool {
+	return e.cur.active && e.cur.writeLines[la]&wsLogged != 0
+}
+
+// redoFenced is the redo half of Figure 4's ordering: logged data must
+// not reach PM before its commit record. That holds for the running
+// transaction's logged lines and, under group commit, for the logged
+// lines of transactions committed into the still-open epoch, whose
+// commit point is the epoch close.
+//
+//slpmt:noalloc
+func (e *Engine) redoFenced(la mem.Addr) bool {
+	return e.cfg.Mode == Redo && (e.txLogged(la) || e.epochPending[la]&wsLogged != 0)
+}
+
+// writebackFilter vetoes a fenced line's writeback (an L3 eviction or
+// a remote core's take) and remembers the line, so the commit that
+// lifts the fence force-persists it.
+//
+//slpmt:noalloc
 func (e *Engine) writebackFilter(addr mem.Addr) bool {
-	if e.cur.active {
-		if cls, ok := e.cur.writeLines[addr]; ok && cls&wsLogged != 0 {
-			e.suppressed[addr] = struct{}{}
-			return false
-		}
-	}
-	if e.epochPending[addr]&wsLogged != 0 {
-		// Logged data committed into the open epoch must not reach PM
-		// through a natural L3 writeback before the epoch's marker.
+	if e.redoFenced(addr) {
 		e.suppressed[addr] = struct{}{}
 		return false
 	}
 	return true
+}
+
+// persistLoggedLine persists a logged data line once its commit record
+// is durable; a line whose writeback the filter vetoed is
+// force-persisted (it may no longer be privately cached).
+//
+//slpmt:noalloc
+func (e *Engine) persistLoggedLine(la mem.Addr) {
+	if _, ok := e.suppressed[la]; ok {
+		e.m.ForcePersistLine(la)
+		e.m.Stats.EagerLinePersists++
+		delete(e.suppressed, la)
+	} else if e.m.PersistLine(la) {
+		e.m.Stats.EagerLinePersists++
+	}
 }
 
 // Commit makes the transaction durable, enforcing the Figure 4 persist
@@ -925,12 +908,7 @@ func (e *Engine) commitRedo() {
 		if _, lazy := e.cur.lazyLines[la]; lazy {
 			continue
 		}
-		if _, wasSuppressed := e.suppressed[la]; wasSuppressed {
-			e.m.ForcePersistLine(la)
-			e.m.Stats.EagerLinePersists++
-		} else if e.m.PersistLine(la) {
-			e.m.Stats.EagerLinePersists++
-		}
+		e.persistLoggedLine(la)
 	}
 	e.m.SetCause(prev)
 	clear(e.suppressed)
@@ -1109,13 +1087,7 @@ func (e *Engine) finishClose() {
 				}
 				continue
 			}
-			if _, wasSuppressed := e.suppressed[la]; wasSuppressed {
-				e.m.ForcePersistLine(la)
-				e.m.Stats.EagerLinePersists++
-				delete(e.suppressed, la)
-			} else if e.m.PersistLine(la) {
-				e.m.Stats.EagerLinePersists++
-			}
+			e.persistLoggedLine(la)
 		}
 		if len(skipped) > 0 {
 			e.shadowPersistCommitted(skipped, committedEnd)
@@ -1129,10 +1101,6 @@ func (e *Engine) finishClose() {
 
 	e.m.Trace(trace.KEpochClose, mem.Addr(mode-logfmt.ModeUndo), closed)
 	e.m.Stats.EpochCloses++
-	// The frontier advances only after the commit point persisted: a
-	// crash during the close leaves closedSeq at the previous epoch,
-	// and the durable image decides which prefix actually survived.
-	e.closedSeq = e.epochLastSeq
 	clear(e.epochPending)
 	e.epochTxns = 0
 	if !reopen {
@@ -1150,11 +1118,7 @@ func (e *Engine) activeLogged(la mem.Addr) bool {
 	if e.group != nil {
 		return e.group.activeLogged(la)
 	}
-	if !e.cur.active {
-		return false
-	}
-	cls, ok := e.cur.writeLines[la]
-	return ok && cls&wsLogged != 0
+	return e.txLogged(la)
 }
 
 // shadowPersistCommitted pins the committed values of the given lines
@@ -1164,12 +1128,7 @@ func (e *Engine) activeLogged(la mem.Addr) bool {
 // results are persisted WITHOUT touching the volatile lines, which
 // hold a running transaction's newer, uncommitted data.
 func (e *Engine) shadowPersistCommitted(lines []mem.Addr, to uint64) {
-	raw := make([]byte, to)
-	e.m.PM.Read(e.m.Layout.LogBase, raw)
-	recs, err := logfmt.ParseRegion(raw, logfmt.RecordsStart, to)
-	if err != nil {
-		panic(fmt.Sprintf("engine: corrupt own log at epoch close: %v", err))
-	}
+	recs := e.ownRecords(logfmt.RecordsStart, to)
 	img := make(map[mem.Addr][]byte, len(lines))
 	for _, la := range lines {
 		buf := make([]byte, mem.LineSize)
@@ -1285,13 +1244,45 @@ func (e *Engine) writeCommitMarker() {
 	e.m.Trace(trace.KCommitMarker, mem.Addr(mode-logfmt.ModeUndo), e.cur.seq)
 }
 
-// abortGrouped revokes a transaction running under group commit. The
-// committed prefix of the window seals first — closeEpoch with reopen
-// splits the stream at the aborting transaction's first record and
-// makes every committed transaction of the window durable — so the
-// abort proper concerns only the record suffix [txnStartOff, nextOff).
-// The caller (Abort) then runs the shared tail: dropping and restoring
-// the transaction's logged lines and retiring the header to Idle.
+// ownRecords parses this core's durable record stream in [from, to).
+// The log's first to bytes are read into a buffer kept across calls;
+// the records alias it and stay valid until the next call. The parse
+// is tag-agnostic: below the watermark a W=1 stream holds only the
+// running transaction's records (Begin resets it), and an epoch stream
+// is delimited by offsets alone.
+func (e *Engine) ownRecords(from, to uint64) []logfmt.Record {
+	e.logRaw = slices.Grow(e.logRaw[:0], int(to))[:to]
+	e.m.PM.Read(e.m.Layout.LogBase, e.logRaw)
+	recs, err := logfmt.AppendRegion(e.logRecs[:0], e.logRaw, from, to)
+	if err != nil {
+		panic(fmt.Sprintf("engine: corrupt own log: %v", err))
+	}
+	e.logRecs = recs
+	return recs
+}
+
+// persistRecords applies records to cache and PM, newest first when
+// reverse (undo rollback), skipping transaction-boundary records.
+//
+//slpmt:noalloc
+func (e *Engine) persistRecords(recs []logfmt.Record, reverse bool) {
+	for i := range recs {
+		r := recs[i]
+		if reverse {
+			r = recs[len(recs)-1-i]
+		}
+		if logfmt.IsBoundary(r) {
+			continue
+		}
+		e.m.PersistData(r.Addr, r.Data)
+	}
+}
+
+// abortGrouped prepares Abort under group commit. The committed prefix
+// of the window seals first — closeEpoch with reopen splits the stream
+// at the aborting transaction's first record and makes every committed
+// transaction of the window durable — so what Abort then reverts is
+// only the record suffix [txnStartOff, nextOff), as on a W=1 stream.
 func (e *Engine) abortGrouped() {
 	if e.epochOpen && e.epochTxns > 0 {
 		e.closeEpoch()
@@ -1305,26 +1296,7 @@ func (e *Engine) abortGrouped() {
 	} else {
 		e.sink.clear()
 	}
-	raw := make([]byte, e.m.Layout.LogSize)
-	e.m.PM.Read(e.m.Layout.LogBase, raw)
-	if e.cfg.Mode == Undo {
-		// Reverse-apply the suffix. Restoring straight from the durable
-		// image (the W=1 path) would resurrect pre-EPOCH values — the
-		// committed window transactions' data may have persisted only at
-		// the close just issued — but their committed values are exactly
-		// this transaction's logged old values, so applying the suffix
-		// back restores them to cache and PM.
-		recs, err := logfmt.ParseRegion(raw, e.txnStartOff, e.w.nextOff)
-		if err != nil {
-			panic(fmt.Sprintf("engine: corrupt own log on abort: %v", err))
-		}
-		for i := len(recs) - 1; i >= 0; i-- {
-			if logfmt.IsBoundary(recs[i]) {
-				continue
-			}
-			e.m.PersistData(recs[i].Addr, recs[i].Data)
-		}
-	} else {
+	if e.cfg.Mode == Redo {
 		// Redo records of the aborting transaction are unwanted new
 		// values and stay ignored (the marker's CommittedTo fences them
 		// off). But committed logged lines this transaction also wrote
@@ -1332,16 +1304,7 @@ func (e *Engine) abortGrouped() {
 		// with the running transaction), so replay the committed region
 		// forward to pin their committed values into cache and PM before
 		// the header drops to Idle.
-		recs, err := logfmt.ParseRegion(raw, logfmt.RecordsStart, e.txnStartOff)
-		if err != nil {
-			panic(fmt.Sprintf("engine: corrupt own log on abort: %v", err))
-		}
-		for _, r := range recs {
-			if logfmt.IsBoundary(r) {
-				continue
-			}
-			e.m.PersistData(r.Addr, r.Data)
-		}
+		e.persistRecords(e.ownRecords(logfmt.RecordsStart, e.txnStartOff), false)
 	}
 	e.epochOpen = false
 	e.epochTxns = 0
@@ -1359,21 +1322,15 @@ func (e *Engine) Abort() {
 		e.abortGrouped()
 	} else {
 		e.sink.clear()
-
-		if e.cfg.Mode == Undo {
-			// Apply durable undo records to persistent data (records for
-			// never-evicted lines never reached PM; their volatile updates
-			// are dropped below).
-			raw := make([]byte, e.m.Layout.LogSize)
-			e.m.PM.Read(e.m.Layout.LogBase, raw)
-			recs, err := logfmt.ParseRecords(raw, e.cur.seq)
-			if err != nil {
-				panic(fmt.Sprintf("engine: corrupt own log on abort: %v", err))
-			}
-			for i := len(recs) - 1; i >= 0; i-- {
-				e.m.PersistData(recs[i].Addr, recs[i].Data)
-			}
-		}
+	}
+	if e.cfg.Mode == Undo {
+		// Apply the transaction's durable undo records back, newest
+		// first (records of never-evicted lines never reached PM; their
+		// volatile updates are dropped below). Under group commit the
+		// suffix also restores the committed window's values, which may
+		// have persisted only at the close just issued: they are exactly
+		// this transaction's logged old values.
+		e.persistRecords(e.ownRecords(e.txnStartOff, e.w.hdr.Watermark), true)
 	}
 
 	// Invalidate the transaction's logged lines and restore their

@@ -79,10 +79,7 @@ func (g *EpochGroup) nextSeq() uint64 {
 // (in-flight) contents out of PM.
 func (g *EpochGroup) activeLogged(la mem.Addr) bool {
 	for _, e := range g.engines {
-		if !e.cur.active {
-			continue
-		}
-		if cls, ok := e.cur.writeLines[la]; ok && cls&wsLogged != 0 {
+		if e.txLogged(la) {
 			return true
 		}
 	}

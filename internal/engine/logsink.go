@@ -27,15 +27,11 @@ type logWriter struct {
 	base mem.Addr // log area base
 	size uint64   // log area size
 
-	seq       uint64 // owning transaction sequence (record tags)
-	hdr       logfmt.Header
-	buf       []byte // serialized bytes not yet aligned-flushed
-	bufStart  uint64 // offset (from base) of buf[0]
-	nextOff   uint64 // offset of the byte after the last appended record
-	flushedTo uint64 // offset up to which lines have been persisted
-
-	recordsPersisted uint64
-	bytesPersisted   uint64
+	seq      uint64 // owning transaction sequence (record tags)
+	hdr      logfmt.Header
+	buf      []byte // serialized bytes not yet aligned-flushed
+	bufStart uint64 // offset (from base) of buf[0]
+	nextOff  uint64 // offset of the byte after the last appended record
 }
 
 func newLogWriter(m *machine.Core) *logWriter {
@@ -52,7 +48,6 @@ func (w *logWriter) reset(seq uint64) {
 	w.buf = w.buf[:0]
 	w.bufStart = logfmt.RecordsStart
 	w.nextOff = logfmt.RecordsStart
-	w.flushedTo = logfmt.RecordsStart
 }
 
 // writeHeader persists the log header line and remembers it so sync can
@@ -75,8 +70,6 @@ func (w *logWriter) append(r logbuf.Record) {
 	w.buf = append(w.buf, hdr[:]...)
 	w.buf = append(w.buf, r.Data...)
 	w.nextOff += uint64(need)
-	w.recordsPersisted++
-	w.bytesPersisted += uint64(need)
 	w.m.Stats.LogRecordsPersisted++
 	w.m.Stats.LogBytesPersisted += uint64(need)
 	// The record has entered the durable log stream; its end offset lets
@@ -91,9 +84,6 @@ func (w *logWriter) flushFull() {
 		w.m.PersistLogLine(w.base+w.bufStart, w.buf[:mem.LineSize])
 		w.buf = append(w.buf[:0], w.buf[mem.LineSize:]...)
 		w.bufStart += mem.LineSize
-		if w.bufStart > w.flushedTo {
-			w.flushedTo = w.bufStart
-		}
 	}
 }
 

@@ -34,9 +34,6 @@ func LineAddr(a Addr) Addr { return a &^ (LineSize - 1) }
 // LineOffset returns the byte offset of a within its cache line.
 func LineOffset(a Addr) int { return int(a & (LineSize - 1)) }
 
-// WordAddr returns the address of the 8-byte word containing a.
-func WordAddr(a Addr) Addr { return a &^ (WordSize - 1) }
-
 // WordIndex returns the index (0..7) of the word containing a within its
 // cache line.
 func WordIndex(a Addr) int { return int(a&(LineSize-1)) >> WordShift }

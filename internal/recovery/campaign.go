@@ -384,9 +384,12 @@ type pointOutcome struct {
 // deterministic and self-contained, and v keeps buffers but no results
 // from one point to the next, so points can execute in any order (or
 // concurrently, each with its own verifier) and aggregate to the same
-// campaign result.
-func testPoint(v *verifier, cfg CampaignConfig, ops []campaignOp, point uint64) pointOutcome {
-	var out pointOutcome
+// campaign result. A panic while recovering or checking the image (a
+// structure walk following a garbage pointer) fails the point like any
+// other invalid image, so serial and parallel sweeps report the same
+// crash point; out is a named result so the recovered value is what
+// the caller sees.
+func testPoint(v *verifier, cfg CampaignConfig, ops []campaignOp, point uint64) (out pointOutcome) {
 	info, _, err := execute(cfg, ops, point)
 	if err != nil {
 		out.err = fmt.Errorf("crash point %d: %w", point, err)
@@ -397,6 +400,11 @@ func testPoint(v *verifier, cfg CampaignConfig, ops []campaignOp, point uint64) 
 		return out
 	}
 	out.crashed = true
+	defer func() {
+		if r := recover(); r != nil {
+			out.err = fmt.Errorf("crash point %d: recovery panicked: %v", point, r)
+		}
+	}()
 	if err := v.verifyPoint(cfg, ops, info, &out.sub); err != nil {
 		out.err = fmt.Errorf("crash point %d: %w", point, err)
 	}

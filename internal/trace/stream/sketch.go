@@ -36,9 +36,6 @@ func (q *QSketch) Add(v uint64) {
 // N returns the number of samples added.
 func (q *QSketch) N() uint64 { return q.n }
 
-// Max returns the largest sample added.
-func (q *QSketch) Max() uint64 { return q.max }
-
 // Reset clears the sketch.
 func (q *QSketch) Reset() { *q = QSketch{} }
 

@@ -71,10 +71,9 @@ type Telemetry struct {
 	chargeCum  [256]uint64
 	chargeSeen [256]bool
 
-	series   []Interval
-	consErr  error
-	emitErr  error
-	lateEvts uint64
+	series  []Interval
+	consErr error
+	emitErr error
 }
 
 // NewTelemetry returns a snapshotter with the given window length in
@@ -98,8 +97,7 @@ func (t *Telemetry) Consume(e trace.Event) {
 		if t.started {
 			// A straggler for an already-closed interval (a core idle
 			// long enough to fall behind every other): fold it into the
-			// oldest open window and count it so the skew is visible.
-			t.lateEvts++
+			// oldest open window.
 			idx = t.minOpen
 		} else {
 			t.started = true
@@ -236,10 +234,6 @@ func (t *Telemetry) Flush() {
 
 // Intervals returns the closed intervals in time order.
 func (t *Telemetry) Intervals() []Interval { return t.series }
-
-// Late returns how many straggler events were folded into a later
-// window because their own had already closed.
-func (t *Telemetry) Late() uint64 { return t.lateEvts }
 
 // Err returns the first conservation violation or NDJSON write error.
 func (t *Telemetry) Err() error {

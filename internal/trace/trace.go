@@ -194,7 +194,6 @@ type Tracer struct {
 	dropped uint64
 	mask    uint64
 	sink    Sink
-	spilled uint64
 }
 
 // New returns a tracer with the given ring capacity (<= 0 selects
@@ -215,14 +214,6 @@ func (t *Tracer) SetMask(m uint64) { t.mask = m }
 // stays bounded by the ring itself. Pass nil to detach.
 func (t *Tracer) SetSink(s Sink) { t.sink = s }
 
-// Spilled returns how many events have been handed to the sink.
-func (t *Tracer) Spilled() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.spilled
-}
-
 // Flush hands the buffered tail to the attached sink, leaving the ring
 // empty. Harnesses call it once at the end of the measured region so
 // the on-disk stream covers every event; a no-op without a sink.
@@ -236,7 +227,6 @@ func (t *Tracer) Flush() {
 // spill exchanges the first n buffered events for a fresh buffer. Not
 // on the noalloc emit path: the defensive re-size below may allocate.
 func (t *Tracer) spill(n int) {
-	t.spilled += uint64(n)
 	nb := t.sink.Spill(t.buf[:n])
 	if cap(nb) < cap(t.buf) { // sink returned a short buffer; keep capacity stable
 		nb = make([]Event, cap(t.buf))
@@ -319,7 +309,6 @@ func (t *Tracer) Reset() {
 	t.head = 0
 	t.full = false
 	t.dropped = 0
-	t.spilled = 0
 	if t.sink != nil {
 		t.sink.Reset()
 	}

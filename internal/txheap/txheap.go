@@ -508,13 +508,6 @@ func (h *Heap) SizeOf(addr mem.Addr) uint64 {
 // insertFree routes an extent to its owning span's free list.
 func (h *Heap) insertFree(e Extent) { h.spanOf(e.Addr).insertFree(e) }
 
-// TxAllocs returns the extents allocated by the current transaction —
-// the provenance set the compiler's Pattern 1 analysis consumes: stores
-// into these extents are log-free candidates. The returned slice
-// aliases the heap's internal buffer and is valid only until the next
-// allocator operation; callers must not retain or mutate it.
-func (h *Heap) TxAllocs() []Extent { return h.txAllocs }
-
 // InTxAlloc reports whether addr lies inside a block allocated by the
 // current transaction. Long provenance sets are answered from a sorted
 // index built once per lookup batch (the extents are disjoint).
