@@ -40,10 +40,14 @@ vet:
 # obligations; zero violations and zero dropped events required) and
 # the causal critical-path analyzer, whose conservation contract (path
 # length == makespan) is enforced inside the harness. The
-# blame/slack/hot-line report lands in stream-out/critpath.txt.
+# blame/slack/hot-line report lands in stream-out/critpath.txt, and
+# slpmttrace's post-hoc replay of the saved binlog must reproduce it
+# byte for byte.
 trace-gate:
 	$(GO) run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 \
 		-trace-stream stream-out -sanitize -critpath -hotlines 10
+	$(GO) run ./cmd/slpmttrace -trace-stream stream-out -critpath -hotlines 10 | \
+		tail -n +3 | diff - stream-out/critpath.txt
 
 # Full gate: formatting, vet, build, tests, race subset.
 check:

@@ -102,6 +102,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"github.com/persistmem/slpmt/internal/bench"
@@ -151,30 +152,22 @@ func run() error {
 	base := bench.RunConfig{N: *n, ValueSize: *value, Seed: *seed, Verify: true, Cores: *cores, CommitWindow: *window,
 		Sockets: *sockets, RemoteNanos: *remoteNs}
 
-	if *streamD != "" {
-		base.Scheme = *scheme
-		base.Workload = *workload
-		return runStreamed(os.Stdout, base, *streamD, *interval, *sanitize, *critpath, *hotlines)
+	if err := checkModes(*streamD, *sanitize, *critpath, *tracePth, *flamePth); err != nil {
+		return err
 	}
-	if *sanitize {
-		base.Scheme = *scheme
-		base.Workload = *workload
-		return runSanitized(os.Stdout, base)
-	}
-	if *critpath {
-		base.Scheme = *scheme
-		base.Workload = *workload
-		return runCritPath(os.Stdout, base, *hotlines)
-	}
-	if *tracePth != "" {
-		base.Scheme = *scheme
-		base.Workload = *workload
-		return runTraced(os.Stdout, base, *tracePth)
-	}
-	if *flamePth != "" {
-		base.Scheme = *scheme
-		base.Workload = *workload
-		return runFlame(os.Stdout, base, *flamePth)
+	single := base
+	single.Scheme, single.Workload = *scheme, *workload
+	switch {
+	case *streamD != "":
+		return runStreamed(os.Stdout, single, *streamD, *interval, *sanitize, *critpath, *hotlines)
+	case *sanitize:
+		return runSanitized(os.Stdout, single)
+	case *critpath:
+		return runCritPath(os.Stdout, single, *hotlines)
+	case *tracePth != "":
+		return runTraced(os.Stdout, single, *tracePth)
+	case *flamePth != "":
+		return runFlame(os.Stdout, single, *flamePth)
 	}
 	jsonDocs := *jsonOut || *compare != ""
 
@@ -230,6 +223,26 @@ func run() error {
 		if err := pprof.WriteHeapProfile(f); err != nil {
 			return fmt.Errorf("memprofile: %w", err)
 		}
+	}
+	return nil
+}
+
+// checkModes rejects a combination of single-run modes of which run
+// would execute one and silently ignore the rest: -trace-stream
+// composes with -sanitize and -critpath, and every other pair
+// conflicts.
+func checkModes(streamDir string, sanitize, critpath bool, tracePath, flamePath string) error {
+	var modes []string
+	on := map[string]bool{"-trace-stream": streamDir != "", "-sanitize": sanitize && streamDir == "",
+		"-critpath": critpath && streamDir == "", "-trace": tracePath != "", "-flame": flamePath != ""}
+	for _, m := range []string{"-trace-stream", "-sanitize", "-critpath", "-trace", "-flame"} {
+		if on[m] {
+			modes = append(modes, m)
+		}
+	}
+	if len(modes) > 1 {
+		return fmt.Errorf("single-run modes %s do not combine (only -trace-stream composes, with -sanitize and -critpath)",
+			strings.Join(modes, " and "))
 	}
 	return nil
 }

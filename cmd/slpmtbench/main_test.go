@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"strings"
 	"testing"
 
 	"github.com/persistmem/slpmt/internal/bench"
@@ -121,5 +122,30 @@ func TestScalingJSONDeterministic(t *testing.T) {
 	b2, _ := json.Marshal(doc2["results"])
 	if string(b1) != string(b2) {
 		t.Error("scaling results differ between two identical runs")
+	}
+}
+
+// TestCheckModes: a single-run mode that run would ignore is an error
+// naming the conflicting flags; -trace-stream composes with -sanitize
+// and -critpath.
+func TestCheckModes(t *testing.T) {
+	for _, tc := range []struct {
+		stream         string
+		sanitize, crit bool
+		trace, flame   string
+		want           string // "" = accepted
+	}{
+		{"", false, false, "", "", ""},
+		{"", true, false, "", "", ""},
+		{"out", true, true, "", "", ""},
+		{"", true, false, "x.json", "", "-sanitize and -trace"},
+		{"", false, true, "", "f.folded", "-critpath and -flame"},
+		{"", true, true, "", "", "-sanitize and -critpath"},
+		{"out", true, false, "x.json", "", "-trace-stream and -trace"},
+	} {
+		err := checkModes(tc.stream, tc.sanitize, tc.crit, tc.trace, tc.flame)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%+v: error %v, want %q", tc, err, tc.want)
+		}
 	}
 }

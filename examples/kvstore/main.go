@@ -48,12 +48,13 @@ func main() {
 				log.Fatal(err)
 			}
 			sys.DrainLazy()
+			// Read the figures before Check: it walks the oracle map in
+			// random order, so its cycles would make the table vary.
+			cycles, pmBytes := sys.Cycles(), sys.Stats().PMWriteBytes()
 			if err := w.Check(sys, load.Oracle()); err != nil {
 				log.Fatalf("%s/%s: %v", backend, scheme, err)
 			}
-			c := sys.Stats()
-			fmt.Printf("  %6d/%5d",
-				sys.Cycles()/uint64(*n), c.PMWriteBytes()/uint64(*n))
+			fmt.Printf("  %6d/%5d", cycles/uint64(*n), pmBytes/uint64(*n))
 		}
 		fmt.Println()
 	}

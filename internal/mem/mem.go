@@ -129,19 +129,13 @@ func DefaultLayout(size uint64) Layout {
 	return coreLayout(size, 1, 1, 0)
 }
 
-// MultiLayout returns the per-core address maps of a machine with the
-// given core count. Every core shares the heap and the root directory;
-// each core owns a private 4 MiB hardware log region, stacked downward
-// from the root directory (core 0 highest, so MultiLayout(size, 1)[0]
-// is exactly the historical single-core DefaultLayout).
-func MultiLayout(size uint64, cores int) []Layout {
-	return MultiLayoutSockets(size, cores, 1)
-}
-
 // MultiLayoutSockets returns the per-core address maps of a machine
-// whose PM is a multi-socket topology. The address map itself (heap,
-// log regions, root directory) is byte-identical to MultiLayout for any
-// socket count; sockets only adds an interpretation of it:
+// whose PM is a multi-socket topology. Every core shares the heap and
+// the root directory; each core owns a private 4 MiB hardware log
+// region, stacked downward from the root directory (core 0 highest, so
+// MultiLayoutSockets(size, 1, 1)[0] is exactly DefaultLayout). The
+// address map itself (heap, log regions, root directory) is the same
+// for any socket count; sockets only adds an interpretation of it:
 //
 //   - The heap is striped over the sockets at SocketStripe granularity
 //     (see SocketOf). Core i's local arena is stripe i — on core i's
@@ -154,7 +148,7 @@ func MultiLayout(size uint64, cores int) []Layout {
 //   - The root directory (and the group-commit descriptor line) lives
 //     on socket 0.
 //
-// With sockets < 2 the result is exactly MultiLayout's.
+// With sockets < 2 there is no stripe or arena.
 func MultiLayoutSockets(size uint64, cores, sockets int) []Layout {
 	cores, sockets = max(cores, 1), max(sockets, 1)
 	out := make([]Layout, cores)

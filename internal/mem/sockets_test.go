@@ -8,7 +8,7 @@ import "testing"
 // interpretation (SocketOf) and the arena carve-out on top of it.
 func TestMultiLayoutSocketsMapUnchanged(t *testing.T) {
 	const size, cores = 64 << 20, 4
-	base := MultiLayout(size, cores)
+	base := MultiLayoutSockets(size, cores, 1)
 	for _, sockets := range []int{2, 4} {
 		ls := MultiLayoutSockets(size, cores, sockets)
 		for i := range ls {
@@ -34,7 +34,7 @@ func TestMultiLayoutSocketsArenas(t *testing.T) {
 		}
 	}
 	// Single-socket layouts carve no arenas.
-	for _, l := range MultiLayout(64<<20, 3) {
+	for _, l := range MultiLayoutSockets(64<<20, 3, 1) {
 		if l.ArenaBase != 0 || l.ArenaSize != 0 {
 			t.Errorf("single-socket layout carved an arena: %+v", l)
 		}

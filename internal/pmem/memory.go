@@ -248,6 +248,13 @@ func (img *Image) WriteU64(addr uint64, v uint64) {
 	img.Write(addr, b[:])
 }
 
+// Clone returns an independent copy of img.
+func (img *Image) Clone() *Image {
+	c := newImage(img.size)
+	img.ForEachPage(func(base uint64, page []byte) { c.Write(base, page) })
+	return c
+}
+
 // ForEachPage calls fn, in ascending address order, with the base
 // address and contents of every page the image holds. fn must not
 // retain or modify page.

@@ -57,6 +57,14 @@ type CampaignConfig struct {
 	Parallel int
 }
 
+// check rejects the configurations no crash driver runs.
+func (cfg CampaignConfig) check() error {
+	if cfg.Mixed && cfg.Cores > 1 {
+		return fmt.Errorf("campaign: Mixed streams are not sharded across cores (cores=%d)", cfg.Cores)
+	}
+	return nil
+}
+
 // CampaignResult summarizes a campaign.
 type CampaignResult struct {
 	TotalPersistEvents uint64
@@ -169,10 +177,6 @@ type runInfo struct {
 	crashed bool
 }
 
-func newRunInfo(ops int) runInfo {
-	return runInfo{done: make([]int, 0, ops), pending: -1}
-}
-
 // pendingKey is the in-flight operation's key, or 0 if none.
 func (info *runInfo) pendingKey(ops []campaignOp) uint64 {
 	if info.pending < 0 {
@@ -201,7 +205,7 @@ func (info *runInfo) runOp(w workloads.Workload, sys *slpmt.System, ops []campai
 // in flight — so the oracle bracket (before/after around the pending
 // op) is sound at any core count.
 func execute(cfg CampaignConfig, ops []campaignOp, crashAfter uint64) (info runInfo, totalPersists uint64, err error) {
-	info = newRunInfo(len(ops))
+	info = runInfo{done: make([]int, 0, len(ops)), pending: -1}
 	w := workloads.MustNew(cfg.Workload)
 	cl := slpmt.NewCluster(cfg.Cores, slpmt.Options{
 		Scheme:             cfg.Scheme,
@@ -281,14 +285,17 @@ func (v *verifier) verifyPoint(cfg CampaignConfig, ops []campaignOp, info runInf
 	if errBefore == nil {
 		return nil
 	}
-	if info.pending >= 0 {
-		applyOracle(oracle, ops[info.pending])
-		if err := rec.CheckDurable(info.img, oracle); err == nil {
-			res.PendingAccepted++
-			return nil
-		}
+	if info.pending < 0 {
+		return fmt.Errorf("durable state invalid (no op pending): %v", errBefore)
 	}
-	return fmt.Errorf("durable state invalid (pending key %d): %v", info.pendingKey(ops), errBefore)
+	applyOracle(oracle, ops[info.pending])
+	errAfter := rec.CheckDurable(info.img, oracle)
+	if errAfter == nil {
+		res.PendingAccepted++
+		return nil
+	}
+	return fmt.Errorf("durable state invalid (pending key %d): before the op: %v; after it: %v",
+		ops[info.pending].key, errBefore, errAfter)
 }
 
 // oracleMap returns v's oracle map, emptied; hint sizes it on first use.
@@ -384,11 +391,7 @@ type pointOutcome struct {
 // deterministic and self-contained, and v keeps buffers but no results
 // from one point to the next, so points can execute in any order (or
 // concurrently, each with its own verifier) and aggregate to the same
-// campaign result. A panic while recovering or checking the image (a
-// structure walk following a garbage pointer) fails the point like any
-// other invalid image, so serial and parallel sweeps report the same
-// crash point; out is a named result so the recovered value is what
-// the caller sees.
+// campaign result.
 func testPoint(v *verifier, cfg CampaignConfig, ops []campaignOp, point uint64) (out pointOutcome) {
 	info, _, err := execute(cfg, ops, point)
 	if err != nil {
@@ -400,15 +403,59 @@ func testPoint(v *verifier, cfg CampaignConfig, ops []campaignOp, point uint64) 
 		return out
 	}
 	out.crashed = true
+	out.err = v.checkPoint(cfg, ops, info, point, &out.sub)
+	return out
+}
+
+// checkPoint verifies a crashed run's image with v and adds the point's
+// contribution to res. A panic while recovering or checking the image
+// (a structure walk following a garbage pointer) fails the point like
+// any other invalid image, so sweeps and RunPoint report the same error
+// for the same point.
+func (v *verifier) checkPoint(cfg CampaignConfig, ops []campaignOp, info runInfo, point uint64, res *CampaignResult) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			out.err = fmt.Errorf("crash point %d: recovery panicked: %v", point, r)
+			err = fmt.Errorf("crash point %d: recovery panicked: %v", point, r)
 		}
 	}()
-	if err := v.verifyPoint(cfg, ops, info, &out.sub); err != nil {
-		out.err = fmt.Errorf("crash point %d: %w", point, err)
+	if err := v.verifyPoint(cfg, ops, info, res); err != nil {
+		return fmt.Errorf("crash point %d: %w", point, err)
 	}
-	return out
+	return nil
+}
+
+// RunPoint runs crash point point (the number a failing campaign
+// reports) of cfg's campaign alone, through the sweep's driver and
+// check, so err is the campaign's error for the point. img is the crash
+// image before recovery, which runs on a copy; past the run's end,
+// crashed is false and img is the completed run's. res is the point's
+// contribution, with the run's persist count as TotalPersistEvents. A
+// nil img means no point ran: cfg is invalid, the point is in set-up,
+// or an operation failed.
+func RunPoint(cfg CampaignConfig, point uint64) (img *pmem.Image, crashed bool, res CampaignResult, err error) {
+	if err := cfg.check(); err != nil {
+		return nil, false, res, err
+	}
+	setup, err := setupPersists(cfg)
+	if err != nil {
+		return nil, false, res, err
+	}
+	if point <= setup {
+		return nil, false, res, fmt.Errorf("crash point %d falls in set-up (persist events 1-%d)", point, setup)
+	}
+	ops := genOps(cfg)
+	info, total, err := execute(cfg, ops, point)
+	if err != nil {
+		return nil, false, res, fmt.Errorf("crash point %d: %w", point, err)
+	}
+	res.TotalPersistEvents = total
+	if !info.crashed {
+		return info.img, false, res, nil
+	}
+	res.PointsTested = 1
+	img, info.img = info.img, info.img.Clone()
+	err = new(verifier).checkPoint(cfg, ops, info, point, &res)
+	return img, true, res, err
 }
 
 // accumulate folds one tested point into the campaign totals.
@@ -427,8 +474,8 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	if cfg.Stride == 0 {
 		cfg.Stride = 1
 	}
-	if cfg.Mixed && cfg.Cores > 1 {
-		return nil, fmt.Errorf("campaign: Mixed streams are not sharded across cores (cores=%d)", cfg.Cores)
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	ops := genOps(cfg)
 	// Reference run: count persist events and confirm a clean pass.

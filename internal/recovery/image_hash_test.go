@@ -54,22 +54,7 @@ func hashCampaigns() map[string]CampaignConfig {
 // recovery, and requires both to equal the golden hashes, which were
 // taken from a flat byte-array image.
 func TestCrashImagesMatchGolden(t *testing.T) {
-	f, err := os.Open("testdata/crash_images.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	want := map[string][]string{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if line := sc.Text(); !strings.HasPrefix(line, "#") {
-			name, rest, _ := strings.Cut(line, " ")
-			want[name] = append(want[name], rest)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
+	want := readImageGolden(t)
 	cs := hashCampaigns()
 	if len(want) != len(cs) {
 		t.Fatalf("golden file has %d campaigns, want %d", len(want), len(cs))
@@ -86,6 +71,70 @@ func TestCrashImagesMatchGolden(t *testing.T) {
 				if got[i] != want[name][i] {
 					t.Fatalf("point %d: got %q, golden %q", i, got[i], want[name][i])
 				}
+			}
+		})
+	}
+}
+
+// readImageGolden returns testdata/crash_images.golden's lines by
+// campaign, each without its campaign name.
+func readImageGolden(t *testing.T) map[string][]string {
+	f, err := os.Open("testdata/crash_images.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string][]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if line := sc.Text(); !strings.HasPrefix(line, "#") {
+			name, rest, _ := strings.Cut(line, " ")
+			want[name] = append(want[name], rest)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestRunPointMatchesGolden runs every stride-1 crash point of two
+// hashCampaigns alone through RunPoint: each point must pass, return
+// the golden crash image before recovery, and the points' results must
+// add up to the campaign's.
+func TestRunPointMatchesGolden(t *testing.T) {
+	want := readImageGolden(t)
+	for _, name := range []string{"hashtable-SLPMT-w1", "kv-btree-SLPMT-w16"} {
+		cfg := hashCampaigns()[name]
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			var sum CampaignResult
+			for _, line := range want[name] {
+				var point uint64
+				var crash string
+				if _, err := fmt.Sscanf(line, "%d %s", &point, &crash); err != nil {
+					t.Fatalf("golden line %q: %v", line, err)
+				}
+				img, crashed, res, err := RunPoint(cfg, point)
+				if err != nil {
+					t.Fatalf("point %d: %v", point, err)
+				}
+				if !crashed || imageHash(img) != crash {
+					t.Fatalf("point %d: crashed=%v image %s, golden %s", point, crashed, imageHash(img), crash)
+				}
+				sum.PointsTested += res.PointsTested
+				sum.PendingAccepted += res.PendingAccepted
+				sum.RecordsApplied += res.RecordsApplied
+				sum.LeakedBytes += res.LeakedBytes
+			}
+			cfg.Parallel = 1
+			res, err := RunCampaign(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum.TotalPersistEvents = res.TotalPersistEvents
+			if sum != *res {
+				t.Errorf("points add up to %+v, campaign %+v", sum, *res)
 			}
 		})
 	}

@@ -1,7 +1,8 @@
 // Package panicpoint_test checks that a crash campaign turns a panic
-// inside recovery into a failed crash point. It is a package of its own
-// because the workload registry is process-global: the panicking
-// workload registered here must not join the recovery package's
+// inside recovery into a failed crash point, and that RunPoint fails a
+// point exactly as the campaign does. It is a package of its own
+// because the workload registry is process-global: the failing
+// workloads registered here must not join the recovery package's
 // every-workload campaigns.
 package panicpoint_test
 
@@ -30,8 +31,22 @@ func (p panicky) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 	return p.Table.CheckDurable(img, oracle)
 }
 
+// failing is the hashtable whose durable check rejects every oracle of
+// failKeys keys or more.
+type failing struct{ *hashtable.Table }
+
+const failKeys = 12
+
+func (f failing) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
+	if len(oracle) >= failKeys {
+		return fmt.Errorf("refused at %d keys", len(oracle))
+	}
+	return f.Table.CheckDurable(img, oracle)
+}
+
 func init() {
 	workloads.Register("panicky-hashtable", func() workloads.Workload { return panicky{hashtable.New()} })
+	workloads.Register("failing-hashtable", func() workloads.Workload { return failing{hashtable.New()} })
 }
 
 // TestCampaignReportsRecoveryPanic runs the same campaign serially and
@@ -61,4 +76,29 @@ func TestCampaignReportsRecoveryPanic(t *testing.T) {
 		t.Errorf("serial and parallel campaigns disagree:\n  serial:   %s\n  parallel: %s", errs[0], errs[1])
 	}
 	t.Log(errs[0])
+}
+
+// TestRunPointReportsCampaignError runs the point a stride-1 campaign
+// fails at alone: RunPoint must return the campaign's error text, for
+// an invalid durable state and for a recovery panic alike.
+func TestRunPointReportsCampaignError(t *testing.T) {
+	for _, w := range []string{"failing-hashtable", "panicky-hashtable"} {
+		cfg := recovery.CampaignConfig{Workload: w, Scheme: "SLPMT", N: 30, ValueSize: 32, Stride: 1, Parallel: 1}
+		_, want := recovery.RunCampaign(cfg)
+		if want == nil {
+			t.Fatalf("%s: campaign passed", w)
+		}
+		var point uint64
+		if _, err := fmt.Sscanf(want.Error(), "crash point %d:", &point); err != nil {
+			t.Fatalf("%s: campaign error %q names no crash point", w, want)
+		}
+		img, crashed, _, err := recovery.RunPoint(cfg, point)
+		if img == nil || !crashed || err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: RunPoint(%d): crashed=%v, %v\n  campaign: %v", w, point, crashed, err, want)
+		}
+		t.Log(want)
+		if _, _, res, err := recovery.RunPoint(cfg, point-1); err != nil || res.PointsTested != 1 {
+			t.Errorf("%s: point %d before the campaign's failure: %+v, %v", w, point-1, res, err)
+		}
+	}
 }

@@ -49,21 +49,6 @@ type Report struct {
 	Heap txheap.RebuildReport
 }
 
-// String implements fmt.Stringer.
-func (r *Report) String() string {
-	state := "idle"
-	switch r.LogState {
-	case logfmt.StateActive:
-		state = "active"
-	case logfmt.StateCommitted:
-		state = "committed"
-	}
-	return fmt.Sprintf("recovery: txn %d %s, %d records applied; heap: %d blocks / %d B live, %d gaps / %d B reclaimed",
-		r.LogSeq, state, r.RecordsApplied,
-		r.Heap.ReachableBlocks, r.Heap.ReachableBytes,
-		r.Heap.ReclaimedGaps, r.Heap.ReclaimedBytes)
-}
-
 // ApplyLog performs phase 1 on the image of a single-core machine: undo
 // records of an active transaction are applied in reverse; redo records
 // of a committed transaction are replayed in order.
