@@ -115,42 +115,50 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "slpmtbench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args and runs the selected experiments or single-run
+// mode.
+func run(args []string) error {
+	fs := flag.NewFlagSet("slpmtbench", flag.ExitOnError)
 	var (
-		exp      = flag.String("experiment", "all", "experiment to run (fig8..fig14, headline, ablation, model, mixes, scaling, breakdown, window, numa, all)")
-		n        = flag.Int("n", 1000, "insert operations per run")
-		value    = flag.Int("value", 256, "value size in bytes")
-		seed     = flag.Uint64("seed", 0, "key-stream seed (0 = default)")
-		cores    = flag.Int("cores", 1, "simulated core count (scaling sweeps its own counts)")
-		window   = flag.Int("commit-window", 0, "group-commit window W (0 or 1 = per-transaction protocol; the window experiment sweeps its own values)")
-		parallel = flag.Int("parallel", 0, "worker count for experiment grids (0 = GOMAXPROCS)")
-		jsonOut  = flag.Bool("json", false, "write machine-readable BENCH_<experiment>.json per experiment")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile taken after the sweep to this file")
-		tracePth = flag.String("trace", "", "trace one run of -workload/-scheme and export its events to this path as Perfetto JSON")
-		streamD  = flag.String("trace-stream", "", "stream one run of -workload/-scheme into an SLPSEG01 binlog directory (bounded memory; composes with -sanitize and -critpath)")
-		interval = flag.Uint64("interval", 0, "telemetry snapshot interval in cycles for -trace-stream (0 = default)")
-		sanitize = flag.Bool("sanitize", false, "replay one run of -workload/-scheme through the persist-order sanitizer (exit nonzero on violations)")
-		critpath = flag.Bool("critpath", false, "run one -workload/-scheme execution under the causal critical-path analyzer and print the blame/slack/hot-line report (composes with -trace-stream)")
-		hotlines = flag.Int("hotlines", 10, "hot lines to list in the -critpath report")
-		flamePth = flag.String("flame", "", "profile one run of -workload/-scheme, print the cycle-attribution breakdown, and write folded stacks to this path")
-		compare  = flag.String("compare", "", "diff each experiment's BENCH json against <dir>/BENCH_<experiment>.json and exit nonzero on regressions (implies -json)")
-		workload = flag.String("workload", "hashtable", "workload for -trace/-sanitize/-flame mode")
-		scheme   = flag.String("scheme", "SLPMT", "scheme for -trace/-sanitize/-flame mode")
-		sockets  = flag.Int("sockets", 0, "PM sockets: each is its own device behind the interconnect distance matrix (0 or 1 = single device; the numa experiment sweeps its own counts)")
-		remoteNs = flag.Uint64("remote-nanos", 0, "per-hop remote persist-enqueue latency in ns, remote fills pay double (0 = defaults; needs -sockets > 1)")
+		exp      = fs.String("experiment", "all", "experiment to run (fig8..fig14, headline, ablation, model, mixes, scaling, breakdown, window, numa, all)")
+		n        = fs.Int("n", 1000, "insert operations per run")
+		value    = fs.Int("value", 256, "value size in bytes")
+		seed     = fs.Uint64("seed", 0, "key-stream seed (0 = default)")
+		cores    = fs.Int("cores", 1, "simulated core count (scaling sweeps its own counts)")
+		window   = fs.Int("commit-window", 0, "group-commit window W (0 or 1 = per-transaction protocol; the window experiment sweeps its own values)")
+		parallel = fs.Int("parallel", 0, "worker count for experiment grids (0 = GOMAXPROCS)")
+		jsonOut  = fs.Bool("json", false, "write machine-readable BENCH_<experiment>.json per experiment")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile taken after the sweep to this file")
+		tracePth = fs.String("trace", "", "trace one run of -workload/-scheme and export its events to this path as Perfetto JSON")
+		streamD  = fs.String("trace-stream", "", "stream one run of -workload/-scheme into an SLPSEG01 binlog directory (bounded memory; composes with -sanitize and -critpath)")
+		interval = fs.Uint64("interval", 0, "telemetry snapshot interval in cycles for -trace-stream (0 = default)")
+		sanitize = fs.Bool("sanitize", false, "replay one run of -workload/-scheme through the persist-order sanitizer (exit nonzero on violations)")
+		critpath = fs.Bool("critpath", false, "run one -workload/-scheme execution under the causal critical-path analyzer and print the blame/slack/hot-line report (composes with -trace-stream)")
+		hotlines = fs.Int("hotlines", 10, "hot lines to list in the -critpath report")
+		flamePth = fs.String("flame", "", "profile one run of -workload/-scheme, print the cycle-attribution breakdown, and write folded stacks to this path")
+		compare  = fs.String("compare", "", "diff each experiment's BENCH json against <dir>/BENCH_<experiment>.json and exit nonzero on regressions (implies -json)")
+		workload = fs.String("workload", "hashtable", "workload for -trace/-sanitize/-flame mode")
+		scheme   = fs.String("scheme", "SLPMT", "scheme for -trace/-sanitize/-flame mode")
+		sockets  = fs.Int("sockets", 0, "PM sockets: each is its own device behind the interconnect distance matrix (0 or 1 = single device; the numa experiment sweeps its own counts)")
+		remoteNs = fs.Uint64("remote-nanos", 0, "per-hop remote persist-enqueue latency in ns, remote fills pay double (0 = defaults; needs -sockets > 1)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	bench.SetParallelism(*parallel)
 	base := bench.RunConfig{N: *n, ValueSize: *value, Seed: *seed, Verify: true, Cores: *cores, CommitWindow: *window,
 		Sockets: *sockets, RemoteNanos: *remoteNs}
+	if err := base.Validate(); err != nil {
+		return err
+	}
 
 	if err := checkModes(*streamD, *sanitize, *critpath, *tracePth, *flamePth); err != nil {
 		return err

@@ -149,3 +149,28 @@ func TestCheckModes(t *testing.T) {
 		}
 	}
 }
+
+// TestOutOfRangeFlags checks that numeric flags outside their range fail
+// as flag errors naming the flag, before any run starts. Unchecked, most
+// of these panic inside every job of the grid, and -cores -2 silently
+// runs one core.
+func TestOutOfRangeFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-commit-window", "-3"}, "-commit-window -3: must not be negative"},
+		{[]string{"-n", "-5"}, "-n -5: must not be negative"},
+		{[]string{"-value", "-8"}, "-value -8: must not be negative"},
+		{[]string{"-sockets", "-1"}, "-sockets -1: must not be negative"},
+		{[]string{"-cores", "20", "-commit-window", "4"}, "-cores 20: group commit (commit window 4) supports at most 8 cores"},
+		{[]string{"-cores", "100"}, "-cores 100: must be 0..64"},
+		{[]string{"-cores", "-2"}, "-cores -2: must be 0..64"},
+		{[]string{"-cores", "-2", "-sanitize"}, "-cores -2"},
+	} {
+		err := run(append([]string{"-experiment", "headline"}, tc.args...))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}

@@ -71,6 +71,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if *point != 0 {
 		if *all {
 			return errors.New("-point inspects one workload's crash point; it does not combine with -all")

@@ -93,3 +93,31 @@ func TestPointRejections(t *testing.T) {
 		}
 	}
 }
+
+// TestOutOfRangeFlags checks that numeric flags outside their range fail
+// as flag errors naming the flag, before any campaign runs. Unchecked,
+// -n, -value, -commit-window and -cores 100 panic inside the runs, and
+// a negative -sockets silently runs one socket.
+func TestOutOfRangeFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-n", "-5"}, "-n -5: must not be negative"},
+		{[]string{"-value", "-8"}, "-value -8: must not be negative"},
+		{[]string{"-commit-window", "-2"}, "-commit-window -2: must not be negative"},
+		{[]string{"-sockets", "-1"}, "-sockets -1: must not be negative"},
+		{[]string{"-cores", "100"}, "-cores 100: must be 0..64"},
+		{[]string{"-cores", "9", "-commit-window", "4"}, "-cores 9: group commit (commit window 4) supports at most 8 cores"},
+		{[]string{"-all", "-n", "-5"}, "-n -5"},
+		{[]string{"-n", "-5", "-point", "20"}, "-n -5"},
+	} {
+		out, fail, err := runCLI(append([]string{"-workload", "hashtable"}, tc.args...)...)
+		if err == nil || err == errFailed || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want %q", tc.args, err, tc.want)
+		}
+		if out != "" || fail != "" {
+			t.Errorf("%v: printed %q / %q before failing", tc.args, out, fail)
+		}
+	}
+}

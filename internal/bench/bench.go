@@ -12,6 +12,7 @@ import (
 
 	"github.com/persistmem/slpmt"
 	"github.com/persistmem/slpmt/internal/critpath"
+	"github.com/persistmem/slpmt/internal/logfmt"
 	"github.com/persistmem/slpmt/internal/machine"
 	"github.com/persistmem/slpmt/internal/pmem"
 	"github.com/persistmem/slpmt/internal/profile"
@@ -100,6 +101,32 @@ type RunConfig struct {
 	// the ring size never matters there). Observation-only like Profile:
 	// cycles, counters and goldens are byte-identical with it on.
 	CritPath bool
+}
+
+// Validate reports the first field of cfg that no run accepts: a
+// negative N, ValueSize, CommitWindow or Sockets, Cores outside
+// 0..slpmt.MaxCores, or more than logfmt.MaxGroupCores cores under group
+// commit (CommitWindow > 1), whose descriptor is one line. Zero keeps
+// meaning the default everywhere. The error names the field by the
+// command-line flag that sets it (slpmtbench and slpmtcrash name them
+// alike), so the CLIs print it as a flag error.
+func (cfg RunConfig) Validate() error {
+	for _, f := range []struct {
+		flag string
+		v    int
+	}{{"-n", cfg.N}, {"-value", cfg.ValueSize}, {"-commit-window", cfg.CommitWindow}, {"-sockets", cfg.Sockets}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %d: must not be negative (0 = the default)", f.flag, f.v)
+		}
+	}
+	switch {
+	case cfg.Cores < 0 || cfg.Cores > slpmt.MaxCores:
+		return fmt.Errorf("-cores %d: must be 0..%d (0 = one core)", cfg.Cores, slpmt.MaxCores)
+	case cfg.CommitWindow > 1 && cfg.Cores > logfmt.MaxGroupCores:
+		return fmt.Errorf("-cores %d: group commit (commit window %d) supports at most %d cores",
+			cfg.Cores, cfg.CommitWindow, logfmt.MaxGroupCores)
+	}
+	return nil
 }
 
 // Result is the outcome of one benchmark execution.

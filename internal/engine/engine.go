@@ -16,38 +16,46 @@ import (
 	"github.com/persistmem/slpmt/internal/trace"
 )
 
-// Write-set entries (txState.writeLines values). The low byte holds
-// the line's classes (a line with any logged word is a logged line;
-// Figure 4 orders persists by these classes). The high byte is the
-// line's logged-word mask: the words this transaction has created
-// records for (bit 0 alone under line granularity). It has the shape of
-// the hardware's per-line log bitmap, but unlike the cache's LogBits it
-// is not lost when the line drops to L3, so a re-logged word counts as
-// a duplicate.
+// Write-set entries (txState.ws values). The low byte holds the line's
+// classes (a line with any logged word is a logged line; Figure 4
+// orders persists by these classes) and its lazy bit: set while the
+// line's persist bit is clear after a lazy storeT, so Commit defers it
+// (§III-C1). The high byte is the line's logged-word mask: the words
+// this transaction has created records for (bit 0 alone under line
+// granularity). It has the shape of the hardware's per-line log bitmap,
+// but unlike the cache's LogBits it is not lost when the line drops to
+// L3, so a re-logged word counts as a duplicate.
 const (
 	wsLogged    = 1 << 0
 	wsLogFree   = 1 << 1
+	wsLazy      = 1 << 2
 	wsWordShift = 8
 )
+
+// lazyDone marks a retained lazy line that reached PM by natural
+// writeback. Line addresses are 64-byte aligned, so addr|lazyDone sorts
+// where addr did and the list stays sorted.
+const lazyDone = 1
 
 // retainedTx is a committed transaction whose lazily persistent data is
 // still volatile: its working-set signature stays live until every lazy
 // line has reached PM (§III-C).
 type retainedTx struct {
-	id   uint8 // transaction ID (0..NumTxIDs-1)
-	seq  uint64
-	sig  *signature.Signature
-	lazy map[mem.Addr]struct{} // line addresses still to persist
+	id  uint8 // transaction ID (0..NumTxIDs-1)
+	seq uint64
+	sig *signature.Signature
+	// lazy holds the lazy line addresses in ascending order; an entry
+	// marked lazyDone has already reached PM.
+	lazy []mem.Addr
 }
 
 // txState is the engine's view of the currently executing transaction.
 type txState struct {
-	active     bool
-	id         uint8
-	seq        uint64
-	sig        *signature.Signature
-	lazyLines  map[mem.Addr]struct{} // lines with persist bit clear
-	writeLines map[mem.Addr]uint16   // line -> ws class bits | logged-word mask<<wsWordShift
+	active bool
+	id     uint8
+	seq    uint64
+	sig    *signature.Signature
+	ws     lineSet // write set: line -> ws class bits | wsLazy | logged-word mask<<wsWordShift
 }
 
 // lineID encodes a transaction ID into the cache-line TxID field;
@@ -77,8 +85,8 @@ type Engine struct {
 	// CommitWindow committed transactions in one contiguous slice of
 	// the log stream; their ordering persists (watermark sync,
 	// durability barrier, data flush, commit marker) are issued once at
-	// the epoch close. The maps are nil below W=2, so every lookup on
-	// the per-transaction paths stays a nil-map probe.
+	// the epoch close. epochPending stays empty below W=2, so every
+	// lookup on the per-transaction paths returns at its first check.
 	epoch        uint64 // current epoch counter (header stamp)
 	epochOpen    bool   // an epoch is accepting commits
 	epochTxns    int    // transactions committed into the open epoch
@@ -89,8 +97,7 @@ type Engine struct {
 	// Its entries with wsLogged set are the non-lazy logged lines,
 	// which gate evictions (undo: unsynced records; redo: writeback
 	// suppression).
-	epochPending map[mem.Addr]uint8
-	epochKeyBuf  []mem.Addr
+	epochPending lineSet
 	// group coordinates multi-core closes: non-nil only on clustered
 	// engines with CommitWindow > 1, where per-core epochs must commit
 	// atomically as a group (see EpochGroup).
@@ -107,10 +114,10 @@ type Engine struct {
 	logRaw  []byte
 	logRecs []logfmt.Record
 
-	// lazyPool recycles the per-transaction lazy-line sets that Commit
-	// hands off to retainedTx entries, so a steady stream of lazy
-	// transactions allocates no new maps.
-	lazyPool []map[mem.Addr]struct{}
+	// lazyPool recycles the lazy-line lists that Commit hands off to
+	// retainedTx entries, so a steady stream of lazy transactions
+	// allocates no new lists.
+	lazyPool [][]mem.Addr
 
 	// scratch is the per-transaction arena for log-record payloads.
 	// Records never outlive their transaction (the sink drains at commit
@@ -120,15 +127,6 @@ type Engine struct {
 	scratch    []byte
 	scratchOff int
 
-	// lazyKeyBuf and wsKeyBuf are reusable scratch slices for iterating
-	// the per-transaction line maps in address order: map iteration
-	// order is randomized, and the persist sequence it would produce
-	// leaks into the event trace (WPQ enqueue addresses), breaking
-	// replay determinism. Two buffers because a commit walks the lazy
-	// set and the write set in overlapping scopes.
-	lazyKeyBuf []mem.Addr
-	wsKeyBuf   []mem.Addr
-
 	// walkBuf is the reusable list of located lines the commit walks
 	// (txLines, epochLines) visit.
 	walkBuf []machine.PrivateLine
@@ -137,18 +135,6 @@ type Engine struct {
 	// updates and persist bits). The next commit under the same ID
 	// walks them too, as the commit scan matches them by TxID.
 	abortedLines [NumTxIDs][]mem.Addr
-}
-
-// sortedKeys collects m's line addresses into buf (reused across calls)
-// and returns them sorted, so map-backed persist loops run in a
-// deterministic address order.
-func sortedKeys[V any](buf []mem.Addr, m map[mem.Addr]V) []mem.Addr {
-	buf = buf[:0]
-	for la := range m { //slpmt:determinism-ok: collected keys are sorted below
-		buf = append(buf, la)
-	}
-	slices.Sort(buf)
-	return buf
 }
 
 // New wires an engine to a machine. The machine's eviction hooks are
@@ -161,9 +147,6 @@ func New(m *machine.Core, cfg Config) *Engine {
 		cfg:        cfg,
 		m:          m,
 		suppressed: make(map[mem.Addr]struct{}),
-	}
-	if cfg.CommitWindow > 1 {
-		e.epochPending = make(map[mem.Addr]uint8)
 	}
 	e.w = newLogWriter(m)
 	refresh := e.refreshRecord
@@ -234,9 +217,11 @@ func (e *Engine) scratchBytes(n int) []byte {
 // Begin starts a durable transaction: allocates a transaction ID (forcing
 // lazy persists of a recycled ID's owner, §III-C2) and initializes the
 // durable log header so recovery can identify an in-flight transaction.
+//
+//slpmt:noalloc
 func (e *Engine) Begin() {
 	if e.cur.active {
-		panic("engine: nested transactions are not supported")
+		panic("engine: nested transactions are not supported") //slpmt:noalloc-escape-ok: misuse panic; a constant message needs no allocation
 	}
 	if e.group != nil {
 		// Clustered group commit numbers transactions from the shared
@@ -258,25 +243,14 @@ func (e *Engine) Begin() {
 			break
 		}
 	}
-	// Reuse the per-transaction tracking maps and the record-payload
-	// arena: Commit hands lazyLines off to a retainedTx (replaced from
-	// the recycle pool here), while writeLines (with the logged-word
-	// masks) never escapes the transaction and is merely cleared; the
-	// arena rewinds to the start of its largest block.
+	// Reuse the write set and the record-payload arena: the set resets
+	// in O(1) whatever capacity an earlier transaction grew it to, and
+	// the arena rewinds to the start of its largest block.
 	e.cur.active = true
 	e.cur.id = id
 	e.cur.seq = e.seq
 	e.cur.sig = &e.sigs[id]
-	if e.cur.lazyLines == nil {
-		e.cur.lazyLines = e.takeLazySet()
-	} else {
-		clear(e.cur.lazyLines)
-	}
-	if e.cur.writeLines == nil {
-		e.cur.writeLines = make(map[mem.Addr]uint16)
-	} else {
-		clear(e.cur.writeLines)
-	}
+	e.cur.ws.reset()
 	e.scratchOff = 0
 	e.cur.sig.Clear()
 	mode := e.logMode()
@@ -358,7 +332,7 @@ func (e *Engine) beginEpochTxn(mode uint64) {
 // above W=1; at W=1 commit cleans every logged line before another
 // core can take it.
 func (e *Engine) onCoherenceTake(addr mem.Addr) bool {
-	if e.epochPending[addr]&wsLogged != 0 || e.sink.hasLine(addr) {
+	if e.epochPending.val(addr)&wsLogged != 0 || e.sink.hasLine(addr) {
 		e.m.PushAsync()
 		e.sink.flushLine(addr)
 		e.m.PopAsync()
@@ -445,7 +419,10 @@ func (e *Engine) storeOne(a mem.Addr, data []byte, bits isa.Bits) {
 		return
 	}
 
-	ws := e.cur.writeLines[line]
+	// One probe finds or inserts the line; nothing inserts into the
+	// write set before the entry is written back below.
+	pos := e.cur.ws.find(line)
+	ws := e.cur.ws.ents[pos].val
 	if bits.Log {
 		prev := e.m.SetCause(profile.CauseLogAppend)
 		if e.cfg.Buffer == BufferTiered {
@@ -465,12 +442,12 @@ func (e *Engine) storeOne(a mem.Addr, data []byte, bits isa.Bits) {
 	}
 	if bits.Persist {
 		l.Persist = true
-		delete(e.cur.lazyLines, line)
+		ws &^= wsLazy
 	} else if !l.Persist {
 		// storeT with lazy set and no earlier eager store to this line:
 		// the line is lazily persistent (§III-C1; a later store or
 		// eager storeT cancels this, handled above).
-		e.cur.lazyLines[line] = struct{}{}
+		ws |= wsLazy
 	}
 	l.TxID = lineID(e.cur.id)
 	e.cur.sig.Add(line)
@@ -479,7 +456,7 @@ func (e *Engine) storeOne(a mem.Addr, data []byte, bits isa.Bits) {
 	} else {
 		ws |= wsLogFree
 	}
-	e.cur.writeLines[line] = ws
+	e.cur.ws.ents[pos].val = ws
 	e.m.WriteMem(a, data)
 }
 
@@ -606,31 +583,21 @@ func (e *Engine) persistRetainedThrough(idx int) {
 	defer e.m.PopAsync()
 	for i := 0; i <= idx; i++ {
 		r := &e.retained[i]
-		e.lazyKeyBuf = sortedKeys(e.lazyKeyBuf, r.lazy)
-		for _, la := range e.lazyKeyBuf {
-			if e.m.PersistLine(la) {
+		// The drain persists the lines still volatile when it starts; a
+		// writeback marking one of them mid-drain does not skip it.
+		r.lazy = slices.DeleteFunc(r.lazy, func(la mem.Addr) bool { return la&lazyDone != 0 })
+		for _, la := range r.lazy {
+			if e.m.PersistLine(la &^ lazyDone) {
 				e.m.Stats.LazyLinePersists++
 			} else {
 				e.m.Stats.LazyLinesElided++
 			}
 		}
 		r.sig.Clear()
-		clear(r.lazy)
-		e.lazyPool = append(e.lazyPool, r.lazy)
+		e.lazyPool = append(e.lazyPool, r.lazy[:0])
 		r.lazy = nil
 	}
 	e.retained = append(e.retained[:0], e.retained[idx+1:]...)
-}
-
-// takeLazySet returns an empty lazy-line set, recycled from released
-// retained transactions when possible.
-func (e *Engine) takeLazySet() map[mem.Addr]struct{} {
-	if n := len(e.lazyPool); n > 0 {
-		m := e.lazyPool[n-1]
-		e.lazyPool = e.lazyPool[:n-1]
-		return m
-	}
-	return make(map[mem.Addr]struct{})
 }
 
 // DrainLazy persists every retained transaction's lazy data — the effect
@@ -649,7 +616,11 @@ func (e *Engine) DrainLazy() {
 func (e *Engine) RetainedLazyLines() int {
 	n := 0
 	for i := range e.retained {
-		n += len(e.retained[i].lazy)
+		for _, la := range e.retained[i].lazy {
+			if la&lazyDone == 0 {
+				n++
+			}
+		}
 	}
 	return n
 }
@@ -701,7 +672,7 @@ func (e *Engine) onL2Evict(l cache.Line) cache.Line {
 	// A line committed into the open epoch has had its records spilled
 	// at the next Begin (log bits already cleared), but the watermark may
 	// not cover them yet: sync before the data line can reach PM.
-	if l.LogBits != 0 || e.sink.hasLine(l.Addr) || e.epochPending[l.Addr]&wsLogged != 0 {
+	if l.LogBits != 0 || e.sink.hasLine(l.Addr) || e.epochPending.val(l.Addr)&wsLogged != 0 {
 		e.sink.flushLine(l.Addr)
 	}
 	if !l.Persist || e.redoFenced(l.Addr) {
@@ -716,10 +687,14 @@ func (e *Engine) onL2Evict(l cache.Line) cache.Line {
 }
 
 // onL3Writeback retires lazy tracking for a line that reached PM by
-// natural cache overflow.
+// natural cache overflow: each retained list finds the line by binary
+// search and marks it lazyDone.
 func (e *Engine) onL3Writeback(addr mem.Addr) {
 	for i := range e.retained {
-		delete(e.retained[i].lazy, addr)
+		lazy := e.retained[i].lazy
+		if j, ok := slices.BinarySearch(lazy, addr); ok {
+			lazy[j] |= lazyDone
+		}
 	}
 }
 
@@ -728,7 +703,7 @@ func (e *Engine) onL3Writeback(addr mem.Addr) {
 //
 //slpmt:noalloc
 func (e *Engine) txLogged(la mem.Addr) bool {
-	return e.cur.active && e.cur.writeLines[la]&wsLogged != 0
+	return e.cur.active && e.cur.ws.val(la)&wsLogged != 0
 }
 
 // redoFenced is the redo half of Figure 4's ordering: logged data must
@@ -739,7 +714,7 @@ func (e *Engine) txLogged(la mem.Addr) bool {
 //
 //slpmt:noalloc
 func (e *Engine) redoFenced(la mem.Addr) bool {
-	return e.cfg.Mode == Redo && (e.txLogged(la) || e.epochPending[la]&wsLogged != 0)
+	return e.cfg.Mode == Redo && (e.txLogged(la) || e.epochPending.val(la)&wsLogged != 0)
 }
 
 // writebackFilter vetoes a fenced line's writeback (an L3 eviction or
@@ -782,9 +757,17 @@ func (e *Engine) Commit() {
 	// Discard buffered records belonging to lazily persistent lines
 	// (§III-B2): their data will not persist at commit, so an undo
 	// record for them is unnecessary — the data is recoverable anyway.
-	e.lazyKeyBuf = sortedKeys(e.lazyKeyBuf, e.cur.lazyLines)
-	for _, la := range e.lazyKeyBuf {
-		if n := e.sink.discardLine(la); n > 0 {
+	// The write set goes into address order here, the order of every
+	// later walk of it in this commit.
+	ws := &e.cur.ws
+	ws.sortByAddr()
+	nLazy := 0
+	for _, en := range ws.ents {
+		if en.val&wsLazy == 0 {
+			continue
+		}
+		nLazy++
+		if n := e.sink.discardLine(en.addr); n > 0 {
 			e.m.Stats.LogRecordsDiscarded += uint64(n)
 		}
 	}
@@ -796,23 +779,29 @@ func (e *Engine) Commit() {
 		e.commitRedo()
 	}
 	e.abortedLines[e.cur.id] = e.abortedLines[e.cur.id][:0]
-	// Retain the working set while lazy data is volatile (§III-C). The
-	// lazy set's ownership moves to the retained entry; Begin replaces
-	// it from the recycle pool.
-	if len(e.cur.lazyLines) > 0 {
-		e.m.Stats.LazyLinesDeferred += uint64(len(e.cur.lazyLines))
-		// lazyKeyBuf still holds the sorted lazy set from the discard
-		// walk above (the commit stages do not touch it).
-		for _, la := range e.lazyKeyBuf {
-			e.m.Trace(trace.KLazyDefer, la, e.cur.seq)
+	// Retain the working set while lazy data is volatile (§III-C): the
+	// lazy lines, already in address order, go to a list from the
+	// recycle pool.
+	if nLazy > 0 {
+		e.m.Stats.LazyLinesDeferred += uint64(nLazy)
+		var lazy []mem.Addr
+		if n := len(e.lazyPool); n > 0 {
+			lazy = e.lazyPool[n-1]
+			e.lazyPool = e.lazyPool[:n-1]
+		}
+		lazy = slices.Grow(lazy, nLazy)
+		for _, en := range ws.ents {
+			if en.val&wsLazy != 0 {
+				lazy = append(lazy, en.addr)
+				e.m.Trace(trace.KLazyDefer, en.addr, e.cur.seq)
+			}
 		}
 		e.retained = append(e.retained, retainedTx{
 			id:   e.cur.id,
 			seq:  e.cur.seq,
 			sig:  e.cur.sig,
-			lazy: e.cur.lazyLines,
+			lazy: lazy,
 		})
-		e.cur.lazyLines = nil
 	} else {
 		e.cur.sig.Clear()
 	}
@@ -881,16 +870,13 @@ func (e *Engine) commitUndo() {
 // commitRedo: log-free lines -> logs -> commit record -> logged lines.
 func (e *Engine) commitRedo() {
 	// 1. Log-free lines must reach PM before the logged data (Fig. 4).
+	// Commit sorted the write set by address.
 	prev := e.m.SetCause(profile.CauseCommitData)
-	e.wsKeyBuf = sortedKeys(e.wsKeyBuf, e.cur.writeLines)
-	for _, la := range e.wsKeyBuf {
-		if e.cur.writeLines[la]&wsLogged != 0 {
+	for _, en := range e.cur.ws.ents {
+		if en.val&(wsLogged|wsLazy) != 0 {
 			continue
 		}
-		if _, lazy := e.cur.lazyLines[la]; lazy {
-			continue
-		}
-		if e.m.PersistLine(la) {
+		if e.m.PersistLine(en.addr) {
 			e.m.Stats.EagerLinePersists++
 		}
 	}
@@ -898,17 +884,13 @@ func (e *Engine) commitRedo() {
 	e.m.SetCause(prev)
 	e.syncLog()
 	e.writeCommitMarker()
-	// 3. Logged data lines (in-place update is now safe; wsKeyBuf still
-	// holds the sorted write set from stage 1).
+	// 3. Logged data lines (in-place update is now safe).
 	prev = e.m.SetCause(profile.CauseCommitData)
-	for _, la := range e.wsKeyBuf {
-		if e.cur.writeLines[la]&wsLogged == 0 {
+	for _, en := range e.cur.ws.ents {
+		if en.val&(wsLogged|wsLazy) != wsLogged {
 			continue
 		}
-		if _, lazy := e.cur.lazyLines[la]; lazy {
-			continue
-		}
-		e.persistLoggedLine(la)
+		e.persistLoggedLine(en.addr)
 	}
 	e.m.SetCause(prev)
 	clear(e.suppressed)
@@ -927,14 +909,13 @@ func (e *Engine) commitGrouped() {
 	for _, p := range e.txLines() {
 		p.Line.LogBits = 0
 	}
-	e.wsKeyBuf = sortedKeys(e.wsKeyBuf, e.cur.writeLines)
-	for _, la := range e.wsKeyBuf {
-		if _, lazy := e.cur.lazyLines[la]; lazy {
+	for _, en := range e.cur.ws.ents { // sorted by Commit
+		if en.val&wsLazy != 0 {
 			// Lazy lines keep their W=1 contract: no persist at any
 			// commit point, records discarded, structure-recoverable.
 			continue
 		}
-		e.epochPending[la] |= uint8(e.cur.writeLines[la]) // the classes, not the mask
+		e.epochPending.or(en.addr, en.val&(wsLogged|wsLogFree)) // the classes, not the mask
 	}
 	e.epochTxns++
 	e.epochLastSeq = e.cur.seq
@@ -997,7 +978,9 @@ func (e *Engine) closeEpoch() {
 // if the crash fell in between.
 func (e *Engine) prepareSync() {
 	prevEpoch := e.m.SetCause(profile.CauseLogEpoch)
-	e.epochKeyBuf = sortedKeys(e.epochKeyBuf, e.epochPending)
+	// The close's data walks (preparePersist, finishClose) run in
+	// address order.
+	e.epochPending.sortByAddr()
 
 	// The window's one drain + sync; the barrier charges to log.epoch
 	// (the AckBarrier picks up the active context) so the amortization
@@ -1017,11 +1000,11 @@ func (e *Engine) prepareSync() {
 func (e *Engine) preparePersist() {
 	prevEpoch := e.m.SetCause(profile.CauseLogEpoch)
 	prev := e.m.SetCause(profile.CauseCommitData)
-	for _, la := range e.epochKeyBuf {
-		if e.cfg.Mode == Redo && e.epochPending[la]&wsLogged != 0 {
+	for _, en := range e.epochPending.ents {
+		if e.cfg.Mode == Redo && en.val&wsLogged != 0 {
 			continue
 		}
-		if e.m.PersistLine(la) {
+		if e.m.PersistLine(en.addr) {
 			e.m.Stats.EagerLinePersists++
 		}
 	}
@@ -1077,8 +1060,9 @@ func (e *Engine) finishClose() {
 		// data).
 		prev = e.m.SetCause(profile.CauseCommitData)
 		var skipped []mem.Addr
-		for _, la := range e.epochKeyBuf {
-			if e.epochPending[la]&wsLogged == 0 {
+		for _, en := range e.epochPending.ents {
+			la := en.addr
+			if en.val&wsLogged == 0 {
 				continue
 			}
 			if e.activeLogged(la) {
@@ -1101,7 +1085,7 @@ func (e *Engine) finishClose() {
 
 	e.m.Trace(trace.KEpochClose, mem.Addr(mode-logfmt.ModeUndo), closed)
 	e.m.Stats.EpochCloses++
-	clear(e.epochPending)
+	e.epochPending.reset()
 	e.epochTxns = 0
 	if !reopen {
 		e.epochOpen = false
@@ -1147,7 +1131,7 @@ func (e *Engine) shadowPersistCommitted(lines []mem.Addr, to uint64) {
 			src += n
 		})
 	}
-	for _, la := range lines { // lines arrive sorted (epochKeyBuf order)
+	for _, la := range lines { // lines arrive sorted (epochPending order)
 		e.m.PersistShadow(la, img[la])
 	}
 }
@@ -1164,7 +1148,7 @@ func (e *Engine) clearEpochPersistBits() {
 // epochLines returns the private-cache lines of the epoch's pending set
 // in commit-scan order (see txLines).
 func (e *Engine) epochLines() []machine.PrivateLine {
-	e.walkBuf = collectPrivate(e.m, e.walkBuf[:0], e.epochPending)
+	e.walkBuf = collectPrivate(e.m, e.walkBuf[:0], e.epochPending.ents, 0)
 	slices.SortFunc(e.walkBuf, byScanPos)
 	return e.walkBuf
 }
@@ -1179,8 +1163,9 @@ func (e *Engine) epochLines() []machine.PrivateLine {
 // their metadata cleared by that commit and would be no-ops. The
 // result is valid until the next cache access: persists move no lines.
 func (e *Engine) txLines() []machine.PrivateLine {
-	buf := collectPrivate(e.m, e.walkBuf[:0], e.cur.writeLines)
-	for _, la := range e.abortedLines[e.cur.id] {
+	aborted := e.abortedLines[e.cur.id]
+	buf := collectPrivate(e.m, e.walkBuf[:0], e.cur.ws.ents, len(aborted))
+	for _, la := range aborted {
 		buf = e.m.LocatePrivate(buf, la)
 	}
 	id := lineID(e.cur.id)
@@ -1193,10 +1178,13 @@ func (e *Engine) txLines() []machine.PrivateLine {
 	return buf
 }
 
-// collectPrivate appends the private-cache copies of m's lines to buf.
-func collectPrivate[V any](c *machine.Core, buf []machine.PrivateLine, m map[mem.Addr]V) []machine.PrivateLine {
-	for la := range m { //slpmt:determinism-ok: callers sort the located lines by scan position
-		buf = c.LocatePrivate(buf, la)
+// collectPrivate appends the private-cache copies of the entries' lines
+// to buf, first growing it for them and extra more lines (L1 and L2
+// are exclusive: a line has at most one private copy).
+func collectPrivate(c *machine.Core, buf []machine.PrivateLine, ents []lineEntry, extra int) []machine.PrivateLine {
+	buf = slices.Grow(buf, len(ents)+extra)
+	for _, en := range ents {
+		buf = c.LocatePrivate(buf, en.addr)
 	}
 	return buf
 }
@@ -1336,14 +1324,14 @@ func (e *Engine) Abort() {
 	// Invalidate the transaction's logged lines and restore their
 	// volatile contents from (now reverted) PM. Log-free lines keep
 	// their updates; the caller's recovery reverts them structurally.
-	e.wsKeyBuf = sortedKeys(e.wsKeyBuf, e.cur.writeLines)
-	for _, la := range e.wsKeyBuf {
-		if e.cur.writeLines[la]&wsLogged == 0 {
-			e.abortedLines[e.cur.id] = append(e.abortedLines[e.cur.id], la)
+	e.cur.ws.sortByAddr()
+	for _, en := range e.cur.ws.ents {
+		if en.val&wsLogged == 0 {
+			e.abortedLines[e.cur.id] = append(e.abortedLines[e.cur.id], en.addr)
 			continue
 		}
-		e.m.DropLine(la)
-		e.m.RestoreLineFromDurable(la)
+		e.m.DropLine(en.addr)
+		e.m.RestoreLineFromDurable(en.addr)
 	}
 	clear(e.suppressed)
 

@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/persistmem/slpmt/internal/isa"
 	"github.com/persistmem/slpmt/internal/logfmt"
 	"github.com/persistmem/slpmt/internal/machine"
 	"github.com/persistmem/slpmt/internal/mem"
+	"github.com/persistmem/slpmt/internal/trace"
 )
 
 func slpmtCfg() Config {
@@ -619,5 +622,117 @@ func TestIncorrectLazyAnnotation(t *testing.T) {
 	e.DrainLazy()
 	if m.PM.ReadU64(base) != 2 {
 		t.Error("lazy value never became durable")
+	}
+}
+
+// TestCommitStreamAllocFree pins the steady-state commit path at zero
+// allocations: once a 4,096-line transaction has grown the line sets
+// and walk buffers, a stream of transactions (an eager store and a lazy
+// storeT each) allocates nothing, whether the lazy lines drain through
+// transaction-ID recycling or through DrainLazy, which recycles their
+// lists.
+func TestCommitStreamAllocFree(t *testing.T) {
+	for _, mode := range []LogMode{Undo, Redo} {
+		for _, w := range []int{1, 16} {
+			cfg := slpmtCfg()
+			cfg.Mode, cfg.CommitWindow = mode, w
+			t.Run(fmt.Sprintf("%v/W%d", mode, w), func(t *testing.T) {
+				e, m := newEng(cfg)
+				base := m.Layout.HeapBase
+				e.Begin()
+				for i := 0; i < 4096; i++ {
+					e.StoreU64(base+mem.Addr(i)*mem.LineSize, uint64(i), isa.Store, isa.Plain)
+				}
+				e.Commit()
+				i := 0
+				stream := func() {
+					for n := 0; n < 64; n++ {
+						e.Begin()
+						e.StoreU64(base+mem.Addr(i%64)*mem.LineSize, uint64(i), isa.Store, isa.Plain)
+						e.StoreU64(base+mem.Addr(64+i%64)*mem.LineSize, uint64(i), isa.StoreT, isa.LazyLogFree)
+						e.Commit()
+						i++
+					}
+					e.DrainLazy()
+				}
+				stream() // brings the lazy-list pool to its working size
+				if n := testing.AllocsPerRun(20, stream); n != 0 {
+					t.Errorf("%v allocations per 64-transaction stream, want 0", n)
+				}
+				if e.m.Stats.LazyLinesDeferred == 0 {
+					t.Error("no lazy line was deferred")
+				}
+			})
+		}
+	}
+}
+
+// TestDataPersistsInAddressOrder pins the persist order the address
+// sorts keep. Two transactions store their lines in descending order,
+// the second below the first, with line i written with attrs[i%3]
+// (logged, log-free, lazy). Every walk that persists data lines — a
+// redo commit's log-free and logged stages, the epoch close's, the lazy
+// drain of each retained transaction — must reach the WPQ in ascending
+// address order. (The undo flush walks in cache-scan order, which is
+// address order for these lines.)
+func TestDataPersistsInAddressOrder(t *testing.T) {
+	attrs := []isa.Attr{isa.Plain, isa.LogFree, isa.LazyLogFree}
+	// Line i's class bit is 1<<(i%3).
+	const logged, logFree, lazy, eager = 1, 2, 4, 1 | 2
+	// walk returns, in ascending order, the lines of the given
+	// transactions (0: lines 16..31, 1: lines 0..15) whose class is in
+	// classes.
+	walk := func(classes int, txns ...int) []int {
+		var out []int
+		for i := 0; i < 32; i++ {
+			if classes&(1<<(i%3)) != 0 && slices.Contains(txns, 1-i/16) {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	drains := [][]int{walk(lazy, 0), walk(lazy, 1)}
+	for _, tc := range []struct {
+		mode  LogMode
+		w     int
+		walks [][]int
+	}{
+		{Undo, 1, append([][]int{walk(eager, 0), walk(eager, 1)}, drains...)},
+		{Undo, 4, append([][]int{walk(eager, 0, 1)}, drains...)},
+		{Redo, 1, append([][]int{walk(logFree, 0), walk(logged, 0), walk(logFree, 1), walk(logged, 1)}, drains...)},
+		{Redo, 4, append([][]int{walk(logFree, 0, 1), walk(logged, 0, 1)}, drains...)},
+	} {
+		cfg := slpmtCfg()
+		cfg.Mode, cfg.CommitWindow = tc.mode, tc.w
+		t.Run(fmt.Sprintf("%v/W%d", tc.mode, tc.w), func(t *testing.T) {
+			tr := trace.New(1 << 16)
+			tr.SetMask(trace.Mask(trace.KWPQEnqueue))
+			m := machine.New(machine.Config{Trace: tr}).Core(0)
+			e := New(m, cfg)
+			base := m.Layout.HeapBase
+			for _, first := range []int{16, 0} {
+				e.Begin()
+				for i := first + 15; i >= first; i-- {
+					e.StoreU64(base+mem.Addr(i)*mem.LineSize, uint64(i), isa.StoreT, attrs[i%len(attrs)])
+				}
+				e.Commit()
+			}
+			e.FinishEpoch()
+			e.DrainLazy()
+			var got, want []mem.Addr
+			for _, ev := range tr.Events() {
+				if m.Layout.InHeap(ev.Addr, mem.LineSize) {
+					got = append(got, ev.Addr)
+				}
+			}
+			for _, w := range tc.walks {
+				for _, i := range w {
+					want = append(want, base+mem.Addr(i)*mem.LineSize)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("heap lines reach the WPQ as\n%#x\nwant\n%#x", got, want)
+			}
+		})
 	}
 }

@@ -1,0 +1,170 @@
+package engine
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+
+	"github.com/persistmem/slpmt/internal/mem"
+)
+
+// lineSet is a set of cache-line addresses, each carrying a small value
+// (the write set's class bits and logged-word mask, an epoch's pending
+// classes):
+//
+//   - ents is dense and in insertion order until sortByAddr puts it in
+//     address order, which is the order every persist loop needs; the
+//     walks range over it directly.
+//   - idx is an open-addressing (linear-probe) index over ents whose
+//     slots hold gen<<slotPosBits | pos+1. A slot stamped with another
+//     generation reads as empty, so reset only truncates ents and bumps
+//     gen: its cost does not follow the capacity a large transaction
+//     left behind. The index is zeroed only when the generation wraps.
+//
+// Nothing is ever deleted; callers clear bits in the value instead.
+// ents and idx grow together (ents' capacity is half the index's, the
+// maximum load), so steady state allocates nothing. A set holds at most
+// maxSetLines lines.
+type lineSet struct {
+	ents []lineEntry
+	idx  []uint32
+	gen  uint32 // current slot stamp; 0 only before the first growth
+}
+
+// lineEntry is one member of a lineSet.
+type lineEntry struct {
+	addr mem.Addr
+	val  uint16
+}
+
+const (
+	slotPosBits = 20
+	slotPosMask = 1<<slotPosBits - 1
+	slotGenMax  = 1<<(32-slotPosBits) - 1
+	minLineIdx  = 16 // smallest index: 8 entries
+	// maxSetLines is the largest load of the largest index whose
+	// positions (pos+1) fit in slotPosBits.
+	maxSetLines = 1 << (slotPosBits - 1)
+)
+
+// home is the line's first probe slot (Fibonacci hashing of the line
+// address; len(idx) is a power of two).
+func (s *lineSet) home(a mem.Addr) int {
+	return int(uint32((a>>6)*0x9E3779B97F4A7C15>>32)) & (len(s.idx) - 1)
+}
+
+// lookup returns the line's position in ents, or -1.
+//
+//slpmt:noalloc
+func (s *lineSet) lookup(a mem.Addr) int {
+	if len(s.idx) == 0 {
+		return -1
+	}
+	mask := len(s.idx) - 1
+	for i := s.home(a); ; i = (i + 1) & mask {
+		v := s.idx[i]
+		if v>>slotPosBits != s.gen {
+			return -1
+		}
+		if p := int(v&slotPosMask) - 1; s.ents[p].addr == a {
+			return p
+		}
+	}
+}
+
+// val returns the line's value, 0 for a line not in the set.
+//
+//slpmt:noalloc
+func (s *lineSet) val(a mem.Addr) uint16 {
+	if p := s.lookup(a); p >= 0 {
+		return s.ents[p].val
+	}
+	return 0
+}
+
+// find returns the line's position in ents, inserting it with value 0
+// if absent: one probe whether or not the line was present, unless the
+// insertion must first grow the index. The position stays valid until
+// the next insertion or sort.
+//
+//slpmt:noalloc
+func (s *lineSet) find(a mem.Addr) int {
+	if 2*(len(s.ents)+1) > len(s.idx) {
+		if p := s.lookup(a); p >= 0 {
+			return p
+		}
+		s.grow()
+	}
+	mask := len(s.idx) - 1
+	for i := s.home(a); ; i = (i + 1) & mask {
+		v := s.idx[i]
+		if v>>slotPosBits != s.gen {
+			p := len(s.ents)
+			s.ents = append(s.ents, lineEntry{addr: a}) //slpmt:noalloc-ok: capacity grows with the index in grow, so this never reallocates
+			s.idx[i] = s.gen<<slotPosBits | uint32(p+1)
+			return p
+		}
+		if p := int(v&slotPosMask) - 1; s.ents[p].addr == a {
+			return p
+		}
+	}
+}
+
+// or sets bits in the line's value, inserting the line if absent.
+//
+//slpmt:noalloc
+func (s *lineSet) or(a mem.Addr, bits uint16) { s.ents[s.find(a)].val |= bits }
+
+// reset empties the set in O(1): the entries truncate and the index's
+// generation moves on, so every slot reads as empty.
+//
+//slpmt:noalloc
+func (s *lineSet) reset() {
+	s.ents = s.ents[:0]
+	s.nextGen()
+}
+
+// nextGen invalidates every index slot, zeroing the index only when the
+// generation stamp wraps.
+func (s *lineSet) nextGen() {
+	s.gen++
+	if s.gen > slotGenMax {
+		clear(s.idx)
+		s.gen = 1
+	}
+}
+
+// grow doubles the index and sizes ents' capacity to the new maximum
+// load, then re-indexes every entry.
+func (s *lineSet) grow() {
+	n := max(2*len(s.idx), minLineIdx)
+	if n/2 > maxSetLines {
+		panic(fmt.Sprintf("engine: line set exceeds %d lines", maxSetLines))
+	}
+	s.idx = make([]uint32, n)
+	s.gen = 1
+	s.ents = slices.Grow(s.ents, n/2-len(s.ents))
+	s.reindex()
+}
+
+// reindex stamps every entry into the index under the current
+// generation; slots of older generations count as empty.
+func (s *lineSet) reindex() {
+	mask := len(s.idx) - 1
+	for p, en := range s.ents {
+		i := s.home(en.addr)
+		for s.idx[i]>>slotPosBits == s.gen {
+			i = (i + 1) & mask
+		}
+		s.idx[i] = s.gen<<slotPosBits | uint32(p+1)
+	}
+}
+
+// sortByAddr puts the entries in ascending address order — the
+// deterministic persist order of the commit, close and abort walks —
+// and re-indexes them so lookups stay valid during those walks.
+func (s *lineSet) sortByAddr() {
+	slices.SortFunc(s.ents, func(x, y lineEntry) int { return cmp.Compare(x.addr, y.addr) })
+	s.nextGen()
+	s.reindex()
+}

@@ -126,9 +126,8 @@ func BenchmarkMicroLogAppendSync(b *testing.B) {
 
 // BenchmarkMicroSmallTxAfterLargeTx runs one ~4,096-line transaction,
 // then b.N one-store transactions: the cost a workload's rare large
-// transaction (a hash-table rehash) leaves on every later Begin, which
-// clears the per-transaction maps at the capacity the large one grew
-// them to.
+// transaction (a hash-table rehash) leaves on every later one, whose
+// Begin resets the write set the large one grew.
 func BenchmarkMicroSmallTxAfterLargeTx(b *testing.B) {
 	e, m := newEng(slpmtCfg())
 	base := m.Layout.HeapBase
@@ -143,6 +142,61 @@ func BenchmarkMicroSmallTxAfterLargeTx(b *testing.B) {
 		e.Begin()
 		e.StoreU64(base+mem.Addr(i%16)*mem.LineSize, uint64(i), isa.Store, isa.Plain)
 		e.Commit()
+	}
+}
+
+// BenchmarkMicroCommitWriteSet times whole transactions by write-set
+// size: each writes its lines once, every fourth one with a lazy storeT
+// (so Commit discards and defers those), and commits per transaction
+// (w1) or into a 16-transaction epoch (w16). The cost is the engine's
+// commit layer: the write-set probes, the address-ordered walks and
+// the lazy hand-off, on top of the simulated persists. Transactions
+// rotate over 2*NumTxIDs disjoint regions, so a store meets no retained
+// transaction's lines. Large signatures still report false hits, whose
+// forced drains split the open epoch around the running transaction.
+// Without a full close the log stream then never resets and the log
+// region overflows, a known defect (ROADMAP item 17); the FinishEpoch
+// after every 16 transactions avoids it, as a harness's durability
+// boundaries do.
+func BenchmarkMicroCommitWriteSet(b *testing.B) {
+	for _, w := range []int{1, 16} {
+		for _, lines := range []int{16, 256, 4096} {
+			b.Run(fmt.Sprintf("w%d/lines%d", w, lines), func(b *testing.B) {
+				cfg := slpmtCfg()
+				cfg.CommitWindow = w
+				e, m := newEng(cfg)
+				base := m.Layout.HeapBase
+				txn := func(i int) {
+					e.Begin()
+					region := base + mem.Addr(i%(2*NumTxIDs)*lines)*mem.LineSize
+					for j := 0; j < lines; j++ {
+						a := region + mem.Addr(j)*mem.LineSize
+						if j%4 == 3 {
+							e.StoreU64(a, uint64(i), isa.StoreT, isa.LazyLogFree)
+						} else {
+							e.StoreU64(a, uint64(i), isa.Store, isa.Plain)
+						}
+					}
+					e.Commit()
+					if i%16 == 15 {
+						e.FinishEpoch()
+					}
+				}
+				const warm = 32 // two 16-transaction epochs: every buffer at size
+				for i := 0; i < warm; i++ {
+					txn(i)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					txn(i)
+				}
+				b.StopTimer()
+				e.FinishEpoch()
+				e.DrainLazy()
+				b.ReportMetric(float64(m.Clk)/float64(b.N+warm), "simcycles/txn")
+			})
+		}
 	}
 }
 

@@ -53,7 +53,7 @@ func checkTxWalk(t *testing.T, where string, e *Engine, cov *walkCoverage) {
 			if walk[j].Pos >= e.m.L1.Lines() {
 				cov.l2Lines++
 			}
-			if _, ws := e.cur.writeLines[l.Addr]; !ws && aborted[l.Addr] && l.Persist {
+			if ws := e.cur.ws.lookup(l.Addr) >= 0; !ws && aborted[l.Addr] && l.Persist {
 				cov.abortedLines++
 			}
 			j++
@@ -75,8 +75,7 @@ func checkTxWalk(t *testing.T, where string, e *Engine, cov *walkCoverage) {
 func checkEpochWalk(t *testing.T, where string, e *Engine, cov *walkCoverage) {
 	t.Helper()
 	full := fullPrivateScan(e.m, func(l *cache.Line) bool {
-		_, ok := e.epochPending[l.Addr]
-		return ok
+		return e.epochPending.lookup(l.Addr) >= 0
 	})
 	walk := e.epochLines()
 	if len(walk) != len(full) {

@@ -57,8 +57,17 @@ type CampaignConfig struct {
 	Parallel int
 }
 
-// check rejects the configurations no crash driver runs.
-func (cfg CampaignConfig) check() error {
+// Validate rejects the configurations no crash driver runs: the run-shape
+// fields outside what a benchmark run accepts (bench.RunConfig.Validate:
+// negative N, ValueSize, CommitWindow or Sockets, Cores outside
+// 0..slpmt.MaxCores, group commit on more cores than its descriptor
+// holds), and Mixed streams across cores.
+func (cfg CampaignConfig) Validate() error {
+	shape := bench.RunConfig{N: cfg.N, ValueSize: cfg.ValueSize, Cores: cfg.Cores,
+		Sockets: cfg.Sockets, CommitWindow: cfg.CommitWindow}
+	if err := shape.Validate(); err != nil {
+		return err
+	}
 	if cfg.Mixed && cfg.Cores > 1 {
 		return fmt.Errorf("campaign: Mixed streams are not sharded across cores (cores=%d)", cfg.Cores)
 	}
@@ -433,7 +442,7 @@ func (v *verifier) checkPoint(cfg CampaignConfig, ops []campaignOp, info runInfo
 // nil img means no point ran: cfg is invalid, the point is in set-up,
 // or an operation failed.
 func RunPoint(cfg CampaignConfig, point uint64) (img *pmem.Image, crashed bool, res CampaignResult, err error) {
-	if err := cfg.check(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, false, res, err
 	}
 	setup, err := setupPersists(cfg)
@@ -474,7 +483,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	if cfg.Stride == 0 {
 		cfg.Stride = 1
 	}
-	if err := cfg.check(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	ops := genOps(cfg)

@@ -1,6 +1,7 @@
 package recovery_test
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/persistmem/slpmt/internal/recovery"
@@ -74,6 +75,47 @@ func TestCampaignMultiCoreRejectsMixed(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("Mixed+Cores>1 must be rejected")
+	}
+}
+
+// TestCampaignRejectsOutOfRangeShapes checks that RunCampaign and
+// RunPoint return an error naming the offending flag, before anything
+// runs, for each shape field outside its range. Unchecked, most of
+// these panic inside the runs, and negative Cores or Sockets silently
+// run one.
+func TestCampaignRejectsOutOfRangeShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mod  func(*recovery.CampaignConfig)
+		want string
+	}{
+		{"negative N", func(c *recovery.CampaignConfig) { c.N = -5 }, "-n -5"},
+		{"negative value", func(c *recovery.CampaignConfig) { c.ValueSize = -8 }, "-value -8"},
+		{"negative window", func(c *recovery.CampaignConfig) { c.CommitWindow = -2 }, "-commit-window -2"},
+		{"negative sockets", func(c *recovery.CampaignConfig) { c.Sockets = -1 }, "-sockets -1"},
+		{"negative cores", func(c *recovery.CampaignConfig) { c.Cores = -2 }, "-cores -2"},
+		{"too many cores", func(c *recovery.CampaignConfig) { c.Cores = 100 }, "-cores 100"},
+		{"group past descriptor", func(c *recovery.CampaignConfig) { c.Cores, c.CommitWindow = 9, 4 }, "at most 8 cores"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := recovery.CampaignConfig{Workload: "hashtable", Scheme: "SLPMT", N: 10, ValueSize: 16}
+			tc.mod(&cfg)
+			if _, err := recovery.RunCampaign(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("RunCampaign: error %v, want %q", err, tc.want)
+			}
+			if img, _, _, err := recovery.RunPoint(cfg, 50); img != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("RunPoint: image %v, error %v, want %q", img != nil, err, tc.want)
+			}
+		})
+	}
+	// Zero keeps meaning the default, and eight cores still group.
+	for _, cfg := range []recovery.CampaignConfig{
+		{Workload: "hashtable", Scheme: "SLPMT"},
+		{Workload: "hashtable", Scheme: "SLPMT", N: 10, ValueSize: 16, Cores: 8, CommitWindow: 4},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
+		}
 	}
 }
 
