@@ -34,6 +34,9 @@ type Cluster struct {
 	Plat *machine.Machine
 	// Sys holds one System per core.
 	Sys []*System
+
+	heaps []*txheap.Heap     // Sys[i].Heap, for txheap.Reset
+	group *engine.EpochGroup // nil unless CommitWindow > 1 on several cores
 }
 
 // MaxCores is the largest core count a Cluster supports (Interleave
@@ -55,38 +58,28 @@ func NewCluster(cores int, opts Options) *Cluster {
 	cl := &Cluster{Plat: plat, Sys: make([]*System, cores)}
 	// One heap handle per core over the shared heap; on a multi-socket
 	// machine each handle allocates from its home-socket arena first.
-	heaps := txheap.New(plat.Layouts(), func(i int) txheap.Ticker { return plat.Core(i) }, opts.AllocCycles)
+	cl.heaps = txheap.New(plat.Layouts(), func(i int) txheap.Ticker { return plat.Core(i) }, opts.AllocCycles)
 	systems := make([]System, cores)
 	for i := range systems {
 		c := plat.Core(i)
 		e := engine.New(c, cfg)
-		heap := heaps[i]
+		heap := cl.heaps[i]
 		if cfg.CommitWindow > 1 {
-			// Committed frees stay quarantined until their epoch's commit
-			// point is durable — reuse inside the window would scribble
-			// log-free stores over blocks the durable state still
-			// reaches. Each engine's close releases its own handle's
-			// frees; group closes seal every core's epoch together, and
-			// a sibling handle's frees that wait for their own core's
-			// close only lengthen the quarantine (conservative, still
-			// sound).
-			heap.EpochQuarantine(true)
 			e.SetEpochCloseHook(heap.ReleaseEpochFrees)
 		}
 		systems[i] = System{Eng: e, Mach: c, Heap: heap, scheme: name}
 		cl.Sys[i] = &systems[i]
 	}
-	if cores == 1 {
-		return cl
-	}
-	plat.OnRemoteStore = func(src int, line mem.Addr) {
-		for i, s := range cl.Sys {
-			if i != src {
-				s.Eng.CoherenceStore(line)
+	if cores > 1 {
+		plat.OnRemoteStore = func(src int, line mem.Addr) {
+			for i, s := range cl.Sys {
+				if i != src {
+					s.Eng.CoherenceStore(line)
+				}
 			}
 		}
 	}
-	if cfg.CommitWindow > 1 {
+	if cores > 1 && cfg.CommitWindow > 1 {
 		// Transactions on different cores exchange cache lines inside a
 		// commit window, so per-core epochs must become durable together:
 		// the group coordinates atomic multi-core closes and numbers
@@ -95,9 +88,57 @@ func NewCluster(cores int, opts Options) *Cluster {
 		for i, s := range cl.Sys {
 			engines[i] = s.Eng
 		}
-		engine.NewEpochGroup(engines)
+		cl.group = engine.NewEpochGroup(engines)
 	}
+	cl.quarantine()
 	return cl
+}
+
+// quarantine extends the heap handles' free quarantine to the epoch
+// close under group commit. Committed frees stay quarantined until
+// their epoch's commit point is durable — reuse inside the window would
+// scribble log-free stores over blocks the durable state still
+// reaches. Each engine's close releases its own handle's frees (the
+// hook NewCluster installs); group closes seal every core's epoch
+// together, and a sibling handle's frees that wait for their own
+// core's close only lengthen the quarantine (conservative, still
+// sound).
+func (cl *Cluster) quarantine() {
+	if cl.Sys[0].Eng.Config().CommitWindow > 1 {
+		for _, h := range cl.heaps {
+			h.EpochQuarantine(true)
+		}
+	}
+}
+
+// Reset returns the cluster to the state NewCluster left it in, as if
+// it had been built anew with the same core count and Options, while
+// keeping every buffer and memory mapping the platform has grown: a
+// crash sweep resets one cluster per point instead of building one.
+// Every layer is reset — machine (clocks, counters, caches, WPQs, both
+// memory images, the crash point), engines and their epoch group, heap
+// handles, and each System's recorder and strip mode. A Trace or
+// Profile given in Options is kept and not reset. Reset panics while
+// any of the cluster's Systems is inside Update; after a crash (the
+// machine's CrashSignal panic) it is the way to reuse the platform.
+func (cl *Cluster) Reset() {
+	for _, s := range cl.Sys {
+		if s.inTx {
+			panic("slpmt: Cluster.Reset inside Update")
+		}
+	}
+	cl.Plat.Reset()
+	for _, s := range cl.Sys {
+		s.Eng.Reset()
+		s.reset()
+	}
+	if cl.group != nil {
+		cl.group.Reset()
+	}
+	// txheap.Reset also clears the epoch quarantine, which group commit
+	// needs back on.
+	txheap.Reset(cl.heaps)
+	cl.quarantine()
 }
 
 // Use returns core i's System — the way single-threaded phases (setup,

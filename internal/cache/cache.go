@@ -165,14 +165,21 @@ func New(cfg Config) *Cache {
 	if setCount&(setCount-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", cfg.Name, setCount))
 	}
-	c := &Cache{
-		cfg:      cfg,
-		lines:    mem.MapZeroed[Line](lines),
-		setCount: setCount,
-		setMask:  uint64(setCount - 1),
-	}
+	c := &Cache{cfg: cfg, lines: mem.MapZeroed[Line](lines)}
+	c.Reset()
 	runtime.SetFinalizer(c, (*Cache).release)
 	return c
+}
+
+// Reset empties the level and zeroes its counters, returning it to the
+// state New left it in while keeping its tag array. A level no line was
+// ever inserted into is still all zero, so New's call clears nothing.
+func (c *Cache) Reset() {
+	if c.tick != 0 {
+		mem.Rezero(c.lines)
+	}
+	setCount := len(c.lines) / c.cfg.Ways
+	*c = Cache{cfg: c.cfg, lines: c.lines, setCount: setCount, setMask: uint64(setCount - 1)}
 }
 
 func (c *Cache) release() {

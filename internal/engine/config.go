@@ -126,6 +126,12 @@ func (c Config) Validate() error {
 	if c.Speculative && c.Granularity != Word {
 		return fmt.Errorf("engine: speculative logging requires word granularity")
 	}
+	if c.Buffer == BufferDirect && c.Mode == Redo {
+		// The direct sink takes a record's payload when the record is
+		// created, before the store writes memory, so a redo record
+		// would hold the old value and replay would undo the commit.
+		return fmt.Errorf("engine: the direct log path supports undo logging only")
+	}
 	if c.CommitWindow < 0 {
 		return fmt.Errorf("engine: invalid commit window %d", c.CommitWindow)
 	}

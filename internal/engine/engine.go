@@ -164,7 +164,49 @@ func New(m *machine.Core, cfg Config) *Engine {
 	if cfg.CommitWindow > 1 {
 		m.OnCoherenceTake = e.onCoherenceTake
 	}
+	e.Reset()
 	return e
+}
+
+// Reset returns the engine to the state New left it in: no transaction
+// running or retained, no epoch open, sequence numbers and transaction
+// IDs restarting, the log buffer empty. Its buffers (write sets, log
+// staging, record arena, lazy-list pool) are kept, and so are its
+// wiring: the hooks it installed on its core, its EpochGroup, and its
+// epoch-close hook. The core and the group are reset by their owners.
+func (e *Engine) Reset() {
+	for i := range e.retained {
+		if r := e.retained[i].lazy; cap(r) > 0 {
+			e.lazyPool = append(e.lazyPool, r[:0])
+		}
+	}
+	clear(e.suppressed)
+	e.w.wipe()
+	e.sink.wipe()
+	ws, pending, aborted := e.cur.ws, e.epochPending, e.abortedLines
+	ws.reset()
+	pending.reset()
+	for i := range aborted {
+		aborted[i] = aborted[i][:0]
+	}
+	*e = Engine{
+		cfg:          e.cfg,
+		m:            e.m,
+		w:            e.w,
+		sink:         e.sink,
+		cur:          txState{ws: ws},
+		retained:     e.retained[:0],
+		suppressed:   e.suppressed,
+		epochPending: pending,
+		group:        e.group,
+		onEpochClose: e.onEpochClose,
+		logRaw:       e.logRaw[:0],
+		logRecs:      e.logRecs[:0],
+		lazyPool:     e.lazyPool,
+		scratch:      e.scratch,
+		walkBuf:      e.walkBuf[:0],
+		abortedLines: aborted,
+	}
 }
 
 // Config returns the engine's configuration.
@@ -242,6 +284,15 @@ func (e *Engine) Begin() {
 			e.persistRetainedThrough(i)
 			break
 		}
+	}
+	// A forced drain mid-transaction closes the open epoch and reopens
+	// it around the running transaction without resetting the log
+	// stream, so a chain of them can grow one stream past the log
+	// area. Once the open stream holds more than half the area, the
+	// epoch closes in full here, between transactions, as a harness's
+	// FinishEpoch would, and the next transaction opens a new stream.
+	if e.epochOpen && e.w.nextOff > e.w.size/2 {
+		e.forceCloseEpoch()
 	}
 	// Reuse the write set and the record-payload arena: the set resets
 	// in O(1) whatever capacity an earlier transaction grew it to, and

@@ -736,3 +736,35 @@ func TestDataPersistsInAddressOrder(t *testing.T) {
 		})
 	}
 }
+
+// TestConfigValidate: Validate accepts every scheme-shaped
+// configuration and rejects the combinations no design models,
+// including redo logging through the direct log path, whose records
+// would carry the old values.
+func TestConfigValidate(t *testing.T) {
+	direct := fgCfg()
+	direct.Buffer = BufferDirect
+	directRedo := direct
+	directRedo.Mode = Redo
+	lineSpec := slpmtCfg()
+	lineSpec.Granularity = Line
+	lineSpec.Speculative = true
+	negWindow := slpmtCfg()
+	negWindow.CommitWindow = -1
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"SLPMT", slpmtCfg(), true},
+		{"FG", fgCfg(), true},
+		{"direct-undo", direct, true},
+		{"direct-redo", directRedo, false},
+		{"line-speculative", lineSpec, false},
+		{"negative-window", negWindow, false},
+	} {
+		if err := tc.cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}

@@ -63,7 +63,16 @@ func NewEpochGroup(engines []*Engine) *EpochGroup {
 		}
 		e.group = g
 	}
+	g.Reset()
 	return g
+}
+
+// Reset returns the group to the state NewEpochGroup left it in: the
+// global sequence restarts and the volatile descriptor is empty. The
+// engines are reset by their owner.
+func (g *EpochGroup) Reset() {
+	clear(g.vec)
+	*g = EpochGroup{engines: g.engines, descAddr: g.descAddr, vec: g.vec}
 }
 
 // nextSeq allocates the next cluster-global transaction sequence

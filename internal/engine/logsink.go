@@ -35,10 +35,19 @@ type logWriter struct {
 }
 
 func newLogWriter(m *machine.Core) *logWriter {
-	return &logWriter{
-		m:    m,
-		base: m.Layout.LogBase,
-		size: m.Layout.LogSize,
+	w := &logWriter{m: m}
+	w.wipe()
+	return w
+}
+
+// wipe returns the writer to the state newLogWriter left it in, with
+// no stream and no header, keeping its staging buffer.
+func (w *logWriter) wipe() {
+	*w = logWriter{
+		m:    w.m,
+		base: w.m.Layout.LogBase,
+		size: w.m.Layout.LogSize,
+		buf:  w.buf[:0],
 	}
 }
 
@@ -133,6 +142,9 @@ type logSink interface {
 	clear()
 	// buffered returns a snapshot of the not-yet-persisted records.
 	buffered() []logbuf.Record
+	// wipe drops all buffered state and zeroes the counters, returning
+	// the sink to its newly built state.
+	wipe()
 }
 
 // refreshFn lets the redo engine refresh a record's payload to the
@@ -180,6 +192,11 @@ func (s *tieredSink) drain() {
 func (s *tieredSink) spill() { s.buf.DrainAll() }
 
 func (s *tieredSink) clear() { s.buf.Clear() }
+
+func (s *tieredSink) wipe() {
+	s.buf.Reset()
+	s.dirty = false
+}
 
 func (s *tieredSink) buffered() []logbuf.Record { return s.buf.Records() }
 
@@ -232,5 +249,7 @@ func (s *directSink) drain() {
 func (s *directSink) spill() {}
 
 func (s *directSink) clear() { s.dirty = false }
+
+func (s *directSink) wipe() { s.dirty = false }
 
 func (s *directSink) buffered() []logbuf.Record { return nil }

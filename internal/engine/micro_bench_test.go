@@ -153,11 +153,9 @@ func BenchmarkMicroSmallTxAfterLargeTx(b *testing.B) {
 // the lazy hand-off, on top of the simulated persists. Transactions
 // rotate over 2*NumTxIDs disjoint regions, so a store meets no retained
 // transaction's lines. Large signatures still report false hits, whose
-// forced drains split the open epoch around the running transaction.
-// Without a full close the log stream then never resets and the log
-// region overflows, a known defect (ROADMAP item 17); the FinishEpoch
-// after every 16 transactions avoids it, as a harness's durability
-// boundaries do.
+// forced drains split the open epoch around the running transaction;
+// the epoch then closes in full once its stream passes half the log
+// area (see Begin).
 func BenchmarkMicroCommitWriteSet(b *testing.B) {
 	for _, w := range []int{1, 16} {
 		for _, lines := range []int{16, 256, 4096} {
@@ -178,9 +176,6 @@ func BenchmarkMicroCommitWriteSet(b *testing.B) {
 						}
 					}
 					e.Commit()
-					if i%16 == 15 {
-						e.FinishEpoch()
-					}
 				}
 				const warm = 32 // two 16-transaction epochs: every buffer at size
 				for i := 0; i < warm; i++ {

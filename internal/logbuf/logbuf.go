@@ -124,7 +124,19 @@ func New(spill func([]Record)) *Buffer {
 	for t := range b.tiers {
 		b.tiers[t] = make([]Record, 0, TierRecords)
 	}
+	b.Reset()
 	return b
+}
+
+// Reset empties the buffer without spilling and zeroes its counters,
+// returning it to the state New left it in; the tiers' storage and the
+// spill callback are kept.
+func (b *Buffer) Reset() {
+	tiers := b.tiers
+	for t := range tiers {
+		tiers[t] = tiers[t][:0]
+	}
+	*b = Buffer{tiers: tiers, Spill: b.Spill, taken: b.taken[:0]}
 }
 
 // Len returns the number of records currently buffered.

@@ -92,6 +92,33 @@ type Core struct {
 	WritebackFilter func(addr mem.Addr) bool
 }
 
+// reset returns the core to the state Machine.New left it in: empty
+// private caches, a zero clock and zero counters, no async or stream
+// section open. Its identity, its observers and the hooks its engine
+// installed are kept.
+func (c *Core) reset() {
+	c.L1.Reset()
+	c.L2.Reset()
+	*c.Stats = stats.Counters{}
+	*c = Core{
+		ID:              c.ID,
+		Home:            c.Home,
+		L1:              c.L1,
+		L2:              c.L2,
+		PM:              c.PM,
+		Layout:          c.Layout,
+		Stats:           c.Stats,
+		sh:              c.sh,
+		tr:              c.tr,
+		prof:            c.prof,
+		OnL1Demote:      c.OnL1Demote,
+		OnL2Evict:       c.OnL2Evict,
+		OnL3Writeback:   c.OnL3Writeback,
+		OnCoherenceTake: c.OnCoherenceTake,
+		WritebackFilter: c.WritebackFilter,
+	}
+}
+
 // Machine returns the shared machine this core belongs to.
 func (c *Core) Machine() *Machine { return c.sh }
 

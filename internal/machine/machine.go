@@ -198,7 +198,39 @@ func New(cfg Config) *Machine {
 			prof:   cfg.Profile,
 		}
 	}
+	m.reset()
 	return m
+}
+
+// Reset returns the machine to the state New left it in — every cache
+// empty, every clock and counter zero, the WPQs empty, the volatile and
+// durable images all zero, no crash point armed — while keeping its
+// mappings, buffers and hooks. The tracer and profile attached through
+// Config are kept as they are: they observe, and are not reset.
+func (m *Machine) Reset() {
+	m.vol.Zero()
+	m.Topo.Reset()
+	m.reset()
+}
+
+// reset is the part of Reset that New shares: it clears nothing that
+// a new machine already holds as zero (the images and tag arrays).
+func (m *Machine) reset() {
+	m.L3.Reset()
+	for _, c := range m.cores {
+		c.reset()
+	}
+	*m = Machine{
+		cfg:           m.cfg,
+		L3:            m.L3,
+		PM:            m.PM,
+		Topo:          m.Topo,
+		Layout:        m.Layout,
+		layouts:       m.layouts,
+		cores:         m.cores,
+		vol:           m.vol,
+		OnRemoteStore: m.OnRemoteStore,
+	}
 }
 
 // Config returns the machine configuration.
@@ -248,6 +280,10 @@ func (m *Machine) SyncClocks() uint64 {
 
 // Crash returns the durable image as of now — the ADR crash snapshot.
 func (m *Machine) Crash() *pmem.Image { return m.PM.Crash() }
+
+// CrashInto is Crash into a caller-supplied image, whose page buffers
+// it reuses (see pmem.Device.CrashInto).
+func (m *Machine) CrashInto(img *pmem.Image) *pmem.Image { return m.PM.CrashInto(img) }
 
 // snoopFetch services core c's bus request for line la after it missed
 // in c's private caches: remote private copies are downgraded (read) or

@@ -40,3 +40,26 @@ func TestMappingsReleased(t *testing.T) {
 		t.Errorf("live machine read %d after GC, want 99", v)
 	}
 }
+
+// TestRezero: a rezeroed mapping reads as zero everywhere, stays
+// mapped, and takes writes again.
+func TestRezero(t *testing.T) {
+	const n = 3*4096/8 + 5 // spans pages, ends mid-page
+	s := mem.MapZeroed[uint64](n)
+	defer mem.Unmap(s)
+	live := mem.LiveMappings()
+	for i := range s {
+		s[i] = uint64(i) + 1
+	}
+	mem.Rezero(s)
+	for i, v := range s {
+		if v != 0 {
+			t.Fatalf("word %d = %d after Rezero, want 0", i, v)
+		}
+	}
+	s[n-1] = 7
+	if s[n-1] != 7 || mem.LiveMappings() != live {
+		t.Errorf("after Rezero: write read back %d, live mappings %d (was %d)", s[n-1], mem.LiveMappings(), live)
+	}
+	mem.Rezero(s[:0]) // an empty slice is a no-op
+}

@@ -40,6 +40,13 @@ func (m *Memory) release() {
 // Size returns the image size in bytes.
 func (m *Memory) Size() uint64 { return uint64(len(m.b)) }
 
+// Zero returns the whole image to zero, keeping its mapping (see
+// mem.Rezero).
+func (m *Memory) Zero() {
+	mem.Rezero(m.b)
+	runtime.KeepAlive(m)
+}
+
 // Read copies len(p) bytes at addr into p.
 func (m *Memory) Read(addr uint64, p []byte) {
 	copy(p, m.b[addr:addr+uint64(len(p))])
@@ -65,6 +72,12 @@ func (m *Memory) WriteU64(addr uint64, v uint64) {
 	runtime.KeepAlive(m)
 }
 
+// clearRange zeroes the n bytes at addr.
+func (m *Memory) clearRange(addr, n uint64) {
+	clear(m.b[addr : addr+n])
+	runtime.KeepAlive(m)
+}
+
 // durableImage is the persist domain's contents: a Memory plus one bit
 // per page ever written, so a crash snapshot copies only those pages.
 type durableImage struct {
@@ -77,6 +90,18 @@ func newDurableImage(size uint64) *durableImage {
 	return &durableImage{mem: NewMemory(size), written: make([]uint64, (pages+63)/64)}
 }
 
+// reset zeroes the written pages and forgets them: the image reads as
+// a new one again, at a cost that follows the pages written.
+func (d *durableImage) reset() {
+	for i, w := range d.written {
+		for ; w != 0; w &= w - 1 {
+			pg := uint64(i*chunkPages + bits.TrailingZeros64(w))
+			d.mem.clearRange(pg*PageSize, min(PageSize, d.mem.Size()-pg*PageSize))
+		}
+	}
+	clear(d.written)
+}
+
 // write stores p (non-empty) at addr and marks its pages written.
 //
 //slpmt:noalloc
@@ -87,9 +112,11 @@ func (d *durableImage) write(addr uint64, p []byte) {
 	}
 }
 
-// snapshot copies the written pages into a new Image: one slab for all
-// of them and one for the page-table chunks that hold them.
-func (d *durableImage) snapshot() *Image {
+// snapshot copies the written pages into an Image: one slab for all of
+// them and one for the page-table chunks that hold them. A non-nil into
+// of the same size is overwritten and returned: its earlier contents
+// are dropped, and its slabs are reused when they are large enough.
+func (d *durableImage) snapshot(into *Image) *Image {
 	pages, chunks := 0, 0
 	for _, w := range d.written {
 		if w != 0 {
@@ -97,15 +124,25 @@ func (d *durableImage) snapshot() *Image {
 			chunks++
 		}
 	}
-	img := newImage(d.mem.Size())
-	slab := make([][PageSize]byte, pages)
-	tables := make([]imageChunk, chunks)
+	img := into
+	if img == nil || img.size != d.mem.Size() {
+		img = newImage(d.mem.Size())
+	}
+	clear(img.chunks)
+	if cap(img.slab) < pages {
+		img.slab = make([][PageSize]byte, pages)
+	}
+	if cap(img.tables) < chunks {
+		img.tables = make([]imageChunk, chunks)
+	}
+	slab, tables := img.slab[:pages], img.tables[:chunks]
 	for i, w := range d.written {
 		if w == 0 {
 			continue
 		}
 		c := &tables[0]
 		tables = tables[1:]
+		*c = imageChunk{}
 		img.chunks[i] = c
 		for ; w != 0; w &= w - 1 {
 			j := bits.TrailingZeros64(w)
@@ -140,6 +177,10 @@ type imageChunk [chunkPages]*[PageSize]byte
 type Image struct {
 	size   uint64
 	chunks []*imageChunk // nil: no page of the chunk held
+	// slab and tables back the pages and chunks a snapshot fills; a
+	// later snapshot into the same Image reuses them.
+	slab   [][PageSize]byte
+	tables []imageChunk
 }
 
 func newImage(size uint64) *Image {

@@ -139,10 +139,7 @@ type Device struct {
 // New returns a device with the given configuration.
 func New(cfg Config) *Device {
 	cfg = cfg.withDefaults()
-	return &Device{
-		cfg:     cfg,
-		durable: newDurableImage(cfg.Size),
-	}
+	return newShared(cfg, newDurableImage(cfg.Size), 0)
 }
 
 // newShared returns a per-socket device of a Topology: it shares the
@@ -150,11 +147,24 @@ func New(cfg Config) *Device {
 // whole physical address space — durability is global) but owns its own
 // WPQ, banks, and occupancy clock (timing is per socket).
 func newShared(cfg Config, durable *durableImage, socket int) *Device {
-	return &Device{
-		cfg:     cfg,
-		durable: durable,
-		socket:  socket,
-		sockTag: trace.WPQArgTag(socket),
+	d := &Device{cfg: cfg, durable: durable, socket: socket}
+	d.reset()
+	return d
+}
+
+// reset returns the device's timing state to the state newShared left
+// it in: an empty WPQ, zero totals and occupancy. It keeps the queue's
+// buffers and the tracer. The durable image, which the sockets of a
+// Topology share, is reset by the Topology.
+func (d *Device) reset() {
+	*d = Device{
+		cfg:     d.cfg,
+		durable: d.durable,
+		queue:   d.queue[:0],
+		recent:  d.recent[:0],
+		tr:      d.tr,
+		socket:  d.socket,
+		sockTag: trace.WPQArgTag(d.socket),
 	}
 }
 
@@ -454,7 +464,12 @@ func (d *Device) ReadU64(addr uint64) uint64 { return d.durable.mem.ReadU64(addr
 // Crash returns a crash snapshot of the device. Because durability is
 // applied at WPQ enqueue, the snapshot is simply a copy of the durable
 // image's written pages — exactly the ADR semantics.
-func (d *Device) Crash() *Image { return d.durable.snapshot() }
+func (d *Device) Crash() *Image { return d.durable.snapshot(nil) }
+
+// CrashInto is Crash writing the snapshot into img, whose page buffers
+// it reuses, and returning it; a nil img, or one of another size, gets
+// a new Image instead. img's earlier contents are lost.
+func (d *Device) CrashInto(img *Image) *Image { return d.durable.snapshot(img) }
 
 // Stats returns (entries enqueued, cycles stalled on a full WPQ) since
 // creation.

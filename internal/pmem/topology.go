@@ -146,6 +146,17 @@ func (t *Topology) SetTracer(tr *trace.Tracer) {
 // snapshot is complete regardless of which sockets absorbed writes.
 func (t *Topology) Crash() *Image { return t.devs[0].Crash() }
 
+// Reset returns every socket's device and the shared durable image to
+// the state NewTopology left them in: empty WPQs, zero totals and
+// occupancy, an all-zero image. It keeps the queues' buffers, the
+// image's mapping and the tracer.
+func (t *Topology) Reset() {
+	t.devs[0].durable.reset()
+	for _, d := range t.devs {
+		d.reset()
+	}
+}
+
 // ResetOccupancy restarts every socket's occupancy window at cycle now.
 func (t *Topology) ResetOccupancy(now uint64) {
 	for _, d := range t.devs {

@@ -213,15 +213,15 @@ func (info *runInfo) runOp(w workloads.Workload, sys *slpmt.System, ops []campai
 // schedules at transaction granularity — at most one operation is ever
 // in flight — so the oracle bracket (before/after around the pending
 // op) is sound at any core count.
-func execute(cfg CampaignConfig, ops []campaignOp, crashAfter uint64) (info runInfo, totalPersists uint64, err error) {
-	info = runInfo{done: make([]int, 0, len(ops)), pending: -1}
+//
+// The run uses v's platform: the cluster is built on v's first run and
+// Reset for every later one, and the image is written into v's image
+// buffer. info (its image and completed-op list) is therefore valid
+// until v's next run; a fresh verifier runs on a fresh platform.
+func (v *verifier) execute(cfg CampaignConfig, ops []campaignOp, crashAfter uint64) (info runInfo, totalPersists uint64, err error) {
+	info = runInfo{done: v.done[:0], pending: -1}
 	w := workloads.MustNew(cfg.Workload)
-	cl := slpmt.NewCluster(cfg.Cores, slpmt.Options{
-		Scheme:             cfg.Scheme,
-		ComputeCyclesPerOp: w.ComputeCost(),
-		CommitWindow:       cfg.CommitWindow,
-		Sockets:            cfg.Sockets,
-	})
+	cl := v.platform(cfg, w)
 	cl.Plat.CrashAfterTotal = crashAfter
 
 	defer func() {
@@ -230,9 +230,10 @@ func execute(cfg CampaignConfig, ops []campaignOp, crashAfter uint64) (info runI
 				panic(r)
 			}
 			info.crashed = true
-			info.img = cl.Plat.Crash()
+			info.img = v.crashImage()
 		}
 		totalPersists = cl.Plat.PersistTotal
+		v.done = info.done
 	}()
 
 	if err := w.Setup(cl.Use(0)); err != nil {
@@ -251,8 +252,31 @@ func execute(cfg CampaignConfig, ops []campaignOp, crashAfter uint64) (info runI
 		return info, 0, err
 	}
 	cl.DrainLazy()
-	info.img = cl.Plat.Crash()
+	info.img = v.crashImage()
 	return info, cl.Plat.PersistTotal, nil
+}
+
+// platform returns v's cluster for a run of cfg's workload w: built on
+// first use, Reset to its newly built state on every later one.
+func (v *verifier) platform(cfg CampaignConfig, w workloads.Workload) *slpmt.Cluster {
+	if v.cl != nil {
+		v.cl.Reset()
+		return v.cl
+	}
+	v.cl = slpmt.NewCluster(cfg.Cores, slpmt.Options{
+		Scheme:             cfg.Scheme,
+		ComputeCyclesPerOp: w.ComputeCost(),
+		CommitWindow:       cfg.CommitWindow,
+		Sockets:            cfg.Sockets,
+	})
+	return v.cl
+}
+
+// crashImage snapshots v's cluster's durable image into v's image
+// buffer and returns it.
+func (v *verifier) crashImage() *pmem.Image {
+	v.img = v.cl.Plat.CrashInto(v.img)
+	return v.img
 }
 
 // verifyPoint recovers a crash image and verifies it against the
@@ -402,7 +426,7 @@ type pointOutcome struct {
 // concurrently, each with its own verifier) and aggregate to the same
 // campaign result.
 func testPoint(v *verifier, cfg CampaignConfig, ops []campaignOp, point uint64) (out pointOutcome) {
-	info, _, err := execute(cfg, ops, point)
+	info, _, err := v.execute(cfg, ops, point)
 	if err != nil {
 		out.err = fmt.Errorf("crash point %d: %w", point, err)
 		return out
@@ -453,7 +477,9 @@ func RunPoint(cfg CampaignConfig, point uint64) (img *pmem.Image, crashed bool, 
 		return nil, false, res, fmt.Errorf("crash point %d falls in set-up (persist events 1-%d)", point, setup)
 	}
 	ops := genOps(cfg)
-	info, total, err := execute(cfg, ops, point)
+	// A verifier of its own: the image it returns is not reused.
+	v := new(verifier)
+	info, total, err := v.execute(cfg, ops, point)
 	if err != nil {
 		return nil, false, res, fmt.Errorf("crash point %d: %w", point, err)
 	}
@@ -463,7 +489,7 @@ func RunPoint(cfg CampaignConfig, point uint64) (img *pmem.Image, crashed bool, 
 	}
 	res.PointsTested = 1
 	img, info.img = info.img, info.img.Clone()
-	err = new(verifier).checkPoint(cfg, ops, info, point, &res)
+	err = v.checkPoint(cfg, ops, info, point, &res)
 	return img, true, res, err
 }
 
@@ -487,8 +513,10 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		return nil, err
 	}
 	ops := genOps(cfg)
-	// Reference run: count persist events and confirm a clean pass.
-	ref, total, err := execute(cfg, ops, 0)
+	// Reference run: count persist events and confirm a clean pass. It
+	// runs on a platform of its own, which no crash point resets: a
+	// caller may still read its Systems when the campaign returns.
+	ref, total, err := new(verifier).execute(cfg, ops, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -516,7 +544,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	if workers <= 1 {
 		// Serial sweep: stop executing at the first error or
 		// beyond-the-run point, exactly like the historical loop. One
-		// verifier serves every point.
+		// verifier, and so one platform, serves every point.
 		v := new(verifier)
 		for _, point := range points {
 			out := testPoint(v, cfg, ops, point)
@@ -531,9 +559,19 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		return res, nil
 	}
 
+	// Each worker takes a verifier from the free list for a job and puts
+	// it back after, so at most one verifier per worker is ever built.
 	outs := make([]pointOutcome, len(points))
+	free := make(chan *verifier, workers)
 	if err := bench.ForEachWorkers(len(points), workers, func(i int) error {
-		outs[i] = testPoint(new(verifier), cfg, ops, points[i])
+		var v *verifier
+		select {
+		case v = <-free:
+		default:
+			v = new(verifier)
+		}
+		outs[i] = testPoint(v, cfg, ops, points[i])
+		free <- v
 		return nil
 	}); err != nil {
 		return res, err

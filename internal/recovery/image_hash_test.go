@@ -141,10 +141,14 @@ func TestRunPointMatchesGolden(t *testing.T) {
 }
 
 // crashImageHashes runs every stride-1 crash point of cfg and returns,
-// per point, "event crash-hash recovered-hash".
+// per point, "event crash-hash recovered-hash". Like a serial sweep it
+// runs every point, and the reference run before them, on one verifier,
+// so each point executes on a platform Reset from the one before and
+// the golden hashes pin the reset state at every point.
 func crashImageHashes(t *testing.T, cfg CampaignConfig) []string {
 	ops := genOps(cfg)
-	ref, total, err := execute(cfg, ops, 0)
+	v := new(verifier)
+	ref, total, err := v.execute(cfg, ops, 0)
 	if err != nil || ref.crashed {
 		t.Fatalf("reference run: crashed=%v err=%v", ref.crashed, err)
 	}
@@ -154,7 +158,7 @@ func crashImageHashes(t *testing.T, cfg CampaignConfig) []string {
 	}
 	var out []string
 	for p := setup + 1; p <= total; p++ {
-		info, _, err := execute(cfg, ops, p)
+		info, _, err := v.execute(cfg, ops, p)
 		if err != nil {
 			t.Fatalf("point %d: %v", p, err)
 		}
@@ -163,7 +167,7 @@ func crashImageHashes(t *testing.T, cfg CampaignConfig) []string {
 		}
 		crash := imageHash(info.img)
 		rec := workloads.MustNew(cfg.Workload).(workloads.Recoverable)
-		if _, _, err := RecoverSharded(info.img, rec, max(cfg.Cores, 1), max(cfg.Sockets, 1)); err != nil {
+		if _, _, err := v.recover(info.img, rec, max(cfg.Cores, 1), max(cfg.Sockets, 1)); err != nil {
 			t.Fatalf("point %d: %v", p, err)
 		}
 		out = append(out, fmt.Sprintf("%d %s %s", p, crash, imageHash(info.img)))

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/persistmem/slpmt"
 	"github.com/persistmem/slpmt/internal/logfmt"
 	"github.com/persistmem/slpmt/internal/mem"
 	"github.com/persistmem/slpmt/internal/pmem"
@@ -56,17 +57,23 @@ func ApplyLog(img *pmem.Image) (*Report, error) {
 	return new(verifier).applyLogs(img, []mem.Layout{mem.DefaultLayout(img.Size())})
 }
 
-// verifier is the host state of recovering and verifying crash images,
-// kept from one image to the next so that a sweep over many crash
-// points allocates it once: the layouts and heap handles of the
-// machine, phase 1's raw-log, record and unit buffers, and the oracle
-// map and undo slice the campaign checks a recovered image against.
-// Every recovery entry point runs through it; a one-shot caller uses a
-// fresh one. A verifier serves the images of one machine shape (image
-// size, cores, sockets), which is all a campaign produces. Not safe
-// for concurrent use: a serial sweep owns one, and a parallel sweep
-// gives each job its own.
+// verifier is the host state of running, recovering and verifying
+// crash points, kept from one point to the next so that a sweep over
+// many crash points allocates it once: the cluster the runs execute on
+// and the image their crash snapshots fill, the completed-op list, the
+// layouts and heap handles of the machine, phase 1's raw-log, record
+// and unit buffers, and the oracle map and undo slice the campaign
+// checks a recovered image against. Every recovery entry point runs
+// through it; a one-shot caller uses a fresh one. A verifier serves
+// one campaign configuration (its platform is built for it), and so
+// the images of one machine shape (image size, cores, sockets). Not
+// safe for concurrent use: a serial sweep owns one, and a parallel
+// sweep gives each worker its own.
 type verifier struct {
+	cl   *slpmt.Cluster // nil until the first run; see execute
+	img  *pmem.Image    // the last run's image, reused by the next
+	done []int          // see runInfo.done
+
 	layouts []mem.Layout   // nil until the first recovery
 	heaps   []*txheap.Heap // nil until the first rebuild
 

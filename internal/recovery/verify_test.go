@@ -139,7 +139,7 @@ func storedPoints(tb testing.TB) []storedPoint {
 		{Workload: "kv-btree", Scheme: "SLPMT", N: 240, ValueSize: 64, Seed: 1, CommitWindow: 16},
 	} {
 		ops := genOps(cfg)
-		_, total, err := execute(cfg, ops, 0)
+		_, total, err := new(verifier).execute(cfg, ops, 0)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func storedPoints(tb testing.TB) []storedPoint {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		info, _, err := execute(cfg, ops, setup+(total-setup)/2)
+		info, _, err := new(verifier).execute(cfg, ops, setup+(total-setup)/2)
 		if err != nil || !info.crashed {
 			tb.Fatalf("%s: crashed=%v err=%v", cfg.Workload, info.crashed, err)
 		}

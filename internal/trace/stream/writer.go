@@ -53,9 +53,18 @@ type maskedConsumer struct {
 
 // Optional consumer hooks: a consumer implementing resetter is cleared
 // at the measured-region boundary (Tracer.Reset); one implementing
-// flusher is finalized at Close, before the sentinel is written.
-type resetter interface{ Reset() }
-type flusher interface{ Flush() }
+// flusher is finalized at Close, before the sentinel is written. Both
+// embed Consumer, which every value they are asserted on is, so a
+// static call graph resolves them to consumers only and not to every
+// type with a Reset or Flush method.
+type resetter interface {
+	Consumer
+	Reset()
+}
+type flusher interface {
+	Consumer
+	Flush()
+}
 
 // NewWriter creates the stream directory (clearing any previous
 // stream's segments and sentinel), attaches the given live consumers,

@@ -189,6 +189,12 @@ func (opts Options) resolve() (string, engine.Config, machine.Config) {
 	return name, cfg, mc
 }
 
+// reset returns the System to its newly built state: no transaction
+// open, no Recorder, strip mode off. Tx.Copy's staging buffer is kept.
+func (s *System) reset() {
+	*s = System{Eng: s.Eng, Mach: s.Mach, Heap: s.Heap, scheme: s.scheme, copyBuf: s.copyBuf}
+}
+
 // New builds a single-core System for the given options: core 0 of
 // NewCluster(1, opts).
 func New(opts Options) *System { return NewCluster(1, opts).Sys[0] }
