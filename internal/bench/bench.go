@@ -313,6 +313,12 @@ func Run(cfg RunConfig) Result {
 		res.Causes = prof.Breakdown(totals)
 	}
 	if cfg.Verify {
+		if tr != nil {
+			// The region is over: keep verification's loads out of the
+			// ring, then give the tracer back its filter.
+			defer tr.SetMask(tr.Mask())
+			tr.SetMask(0)
+		}
 		res.VerifyErr = w.Check(cl.Use(0), load.Oracle())
 	}
 	if c := collector.Load(); c != nil {

@@ -63,3 +63,27 @@ func TestExternalTracerCapturesFullDetail(t *testing.T) {
 		t.Error("summary must cover the run's commits")
 	}
 }
+
+// Verification runs after the measured region, so a caller's ring must
+// hold the same events with Verify on and off (the field's doc promises
+// the region only), and the tracer must keep its filter afterwards.
+func TestVerifyLeavesTraceRingToRegion(t *testing.T) {
+	ring := func(verify bool) *trace.Tracer {
+		tr := trace.New(1 << 14)
+		r := Run(RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 80, ValueSize: 64, Cores: 2, Verify: verify, Trace: tr})
+		if r.VerifyErr != nil {
+			t.Fatal(r.VerifyErr)
+		}
+		if tr.Dropped() != 0 {
+			t.Fatalf("ring too small: %d events dropped", tr.Dropped())
+		}
+		return tr
+	}
+	off, on := ring(false), ring(true)
+	if on.Len() != off.Len() {
+		t.Fatalf("ring holds %d events with Verify on, %d with it off", on.Len(), off.Len())
+	}
+	if on.Mask() != trace.AllKinds {
+		t.Fatalf("tracer filter after Run = %#x, want AllKinds", on.Mask())
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"github.com/persistmem/slpmt/internal/logfmt"
 	"github.com/persistmem/slpmt/internal/machine"
 	"github.com/persistmem/slpmt/internal/mem"
+	"github.com/persistmem/slpmt/internal/pmem"
 	"github.com/persistmem/slpmt/internal/trace"
 )
 
@@ -452,13 +453,12 @@ func TestNonTransactionalStore(t *testing.T) {
 	}
 }
 
-// TestUndoOrderingUnderCrash: mini crash campaign over a single
-// transaction — at every persist-event crash point, recovery restores
-// either the complete old state or (after the marker) the new one.
+// TestUndoOrderingUnderCrash crashes an undo transaction that rewrites
+// four lines at every persist event, applies the image's log the way
+// recovery does, and requires the old values (100-103) before the
+// commit marker and the new ones (200-203) after it.
 func TestUndoOrderingUnderCrash(t *testing.T) {
-	run := func(crashAt uint64) (crashed bool, img interface {
-		ReadU64(uint64) uint64
-	}, total uint64) {
+	run := func(crashAt uint64) (img *pmem.Image, seq, total uint64) {
 		e, m := newEng(slpmtCfg())
 		base := m.Layout.HeapBase
 		// Committed baseline.
@@ -467,9 +467,9 @@ func TestUndoOrderingUnderCrash(t *testing.T) {
 			e.StoreU64(base+mem.Addr(i)*mem.LineSize, 100+uint64(i), isa.Store, isa.Plain)
 		}
 		e.Commit()
-		m.Machine().CrashAfterTotal = 0
 		startEvents := m.Machine().PersistTotal
 		m.Machine().CrashAfterTotal = startEvents + crashAt
+		seq = e.Seq() + 1 // the transaction the crash interrupts
 
 		func() {
 			defer func() {
@@ -477,7 +477,6 @@ func TestUndoOrderingUnderCrash(t *testing.T) {
 					if _, ok := r.(machine.CrashSignal); !ok {
 						panic(r)
 					}
-					crashed = true
 				}
 			}()
 			e.Begin()
@@ -486,43 +485,20 @@ func TestUndoOrderingUnderCrash(t *testing.T) {
 			}
 			e.Commit()
 		}()
-		return crashed, m.PM, m.Machine().PersistTotal - startEvents
+		return m.Machine().Crash(), seq, m.Machine().PersistTotal - startEvents
 	}
 
 	_, _, total := run(1 << 30)
+	base := mem.DefaultLayout(pmem.DefaultSize).HeapBase
 	for pt := uint64(1); pt <= total; pt++ {
-		crashed, pm, _ := run(pt)
-		if !crashed {
-			continue
+		img, seq, _ := run(pt)
+		want := uint64(100)
+		if arenaRecover(t, img, seq) {
+			want = 200
 		}
-		e2, m2 := newEng(slpmtCfg())
-		_ = e2
-		base := m2.Layout.HeapBase
-		// Recover: parse the log from the crashed device's state.
-		raw := make([]byte, 4096)
-		pmDev := pm
-		_ = pmDev
-		// Read header+records through the image-equivalent interface.
-		hdrSeq := pm.ReadU64(m2.Layout.LogBase + logfmt.OffSeq)
-		state := pm.ReadU64(m2.Layout.LogBase + logfmt.OffState)
-		_ = raw
-		old := pm.ReadU64(base)
-		if state == logfmt.StateCommitted && hdrSeq == 2 {
-			// Post-marker: all new values must already be durable.
-			for i := 0; i < 4; i++ {
-				if got := pm.ReadU64(uint64(base) + uint64(i)*mem.LineSize); got != 200+uint64(i) {
-					t.Fatalf("crash@%d: committed txn incomplete: word %d = %d", pt, i, got)
-				}
-			}
-		} else if state == logfmt.StateActive && hdrSeq == 2 {
-			// Pre-marker: old values must be recoverable; this is
-			// exercised end-to-end by the recovery package's campaign,
-			// so here we only require that any durable new value has a
-			// durable undo record (watermark covers it) — checked by
-			// the full campaign; minimal sanity: line 0 is either old
-			// or new, never garbage.
-			if old != 100 && old != 200 {
-				t.Fatalf("crash@%d: torn value %d", pt, old)
+		for i := uint64(0); i < 4; i++ {
+			if got := img.ReadU64(base + i*mem.LineSize); got != want+i {
+				t.Fatalf("crash@%d/%d: word %d = %d after recovery, want %d", pt, total, i, got, want+i)
 			}
 		}
 	}

@@ -190,6 +190,11 @@ func (c *Core) ReadU64(addr mem.Addr) uint64 { return c.sh.vol.ReadU64(addr) }
 // WriteU64 writes a little-endian word into the volatile image.
 func (c *Core) WriteU64(addr mem.Addr, v uint64) { c.sh.vol.WriteU64(addr, v) }
 
+// VolatileView returns a read-only image of the volatile memory that
+// copies nothing: its pages are the volatile image's own (see
+// pmem.Memory.View). The structure checkers read it like a crash image.
+func (c *Core) VolatileView() *pmem.Image { return c.sh.vol.View() }
+
 // AccessLine simulates one load or store touching the line containing
 // addr: the hierarchy walk, latency accounting, metadata propagation
 // across levels, coherence with the other cores' private caches, and

@@ -72,6 +72,28 @@ func (m *Memory) WriteU64(addr uint64, v uint64) {
 	runtime.KeepAlive(m)
 }
 
+// View returns an Image over m's own pages: it copies nothing, so it
+// reads what m holds when it is read, and it keeps m reachable for as
+// long as it is itself. A view is read-only; Write panics on it. Only a
+// partial last page, which no page pointer can alias, is copied.
+func (m *Memory) View() *Image {
+	img := newImage(m.Size())
+	img.src = m
+	img.tables = make([]imageChunk, len(img.chunks))
+	for base := uint64(0); base < m.Size(); base += PageSize {
+		pg := base / PageSize
+		c := &img.tables[pg/chunkPages]
+		img.chunks[pg/chunkPages] = c
+		if m.Size()-base >= PageSize {
+			c[pg%chunkPages] = (*[PageSize]byte)(m.b[base:])
+		} else {
+			c[pg%chunkPages] = new([PageSize]byte)
+			copy(c[pg%chunkPages][:], m.b[base:])
+		}
+	}
+	return img
+}
+
 // clearRange zeroes the n bytes at addr.
 func (m *Memory) clearRange(addr, n uint64) {
 	clear(m.b[addr : addr+n])
@@ -168,7 +190,9 @@ type imageChunk [chunkPages]*[PageSize]byte
 // Image is a crash snapshot: the durable contents of the device at the
 // instant of a (simulated) power failure, after the ADR domain has been
 // flushed. It holds a copy of the written pages only; every other page
-// reads as zero. Recovery reads and repairs an Image in place.
+// reads as zero. Recovery reads and repairs an Image in place. An Image
+// can also be a read-only view of a Memory (Memory.View), whose pages
+// are the Memory's own.
 //
 // The page table has two levels, so an image costs in proportion to
 // the pages it holds rather than to its size: a directory with one
@@ -181,6 +205,10 @@ type Image struct {
 	// later snapshot into the same Image reuses them.
 	slab   [][PageSize]byte
 	tables []imageChunk
+	// src is the Memory a view's pages alias (nil: not a view). Holding
+	// it keeps the mapping alive; the read methods end with
+	// runtime.KeepAlive(img) so it outlives their last page access.
+	src *Memory
 }
 
 func newImage(size uint64) *Image {
@@ -225,6 +253,7 @@ func (img *Image) Read(addr uint64, p []byte) {
 		p = p[n:]
 		addr += uint64(n)
 	}
+	runtime.KeepAlive(img)
 }
 
 // zeroPage is what an absent page holds.
@@ -244,18 +273,22 @@ func (img *Image) Equal(addr uint64, p []byte) bool {
 			have = page[off : off+n]
 		}
 		if !bytes.Equal(p[:n], have) {
-			return false
+			break
 		}
 		p = p[n:]
 		addr += n
 	}
-	return true
+	runtime.KeepAlive(img) //slpmt:noalloc-ok: a pointer fits an interface word, so boxing it allocates nothing
+	return len(p) == 0
 }
 
 // Write copies p into the image at addr, allocating any absent page
 // (and page-table chunk) it touches.
 func (img *Image) Write(addr uint64, p []byte) {
 	img.check("write", addr, len(p))
+	if img.src != nil {
+		panic("pmem: write to a read-only view")
+	}
 	for len(p) > 0 {
 		pg, off := addr/PageSize, addr%PageSize
 		c := img.chunks[pg/chunkPages]
@@ -311,4 +344,5 @@ func (img *Image) ForEachPage(fn func(base uint64, page []byte)) {
 			}
 		}
 	}
+	runtime.KeepAlive(img)
 }

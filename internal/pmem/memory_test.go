@@ -335,3 +335,45 @@ func BenchmarkPersistAsyncBacklog(b *testing.B) {
 	}
 	sinkStall = now
 }
+
+// TestViewAliasesMemory: a view reads the memory's current bytes
+// (later writes included, a partial last page as of View), copies no
+// image, refuses writes, and keeps its memory mapped after the last
+// reference to the Memory itself is gone.
+func TestViewAliasesMemory(t *testing.T) {
+	m := NewMemory(DefaultSize)
+	m.WriteU64(PageSize+8, 7)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	v := m.View()
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > DefaultSize/64 {
+		t.Errorf("View allocated %d bytes for a %d-byte memory", grew, DefaultSize)
+	}
+	m.WriteU64(3*PageSize, 9)
+	if v.ReadU64(PageSize+8) != 7 || v.ReadU64(3*PageSize) != 9 || !v.Equal(PageSize+8, []byte{7, 0}) {
+		t.Error("view does not read the memory's current bytes")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Write on a view did not panic")
+			}
+		}()
+		v.WriteU64(0, 1)
+	}()
+
+	m = nil
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	if v.ReadU64(3*PageSize) != 9 {
+		t.Error("view lost its memory's contents after GC")
+	}
+
+	odd := NewMemory(2*PageSize + 16)
+	odd.WriteU64(2*PageSize+8, 5)
+	if ov := odd.View(); ov.ReadU64(2*PageSize+8) != 5 || ov.Size() != 2*PageSize+16 {
+		t.Error("view of a partial last page reads wrong")
+	}
+}

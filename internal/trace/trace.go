@@ -209,6 +209,9 @@ func New(capacity int) *Tracer {
 // are rejected in Emit's fast path.
 func (t *Tracer) SetMask(m uint64) { t.mask = m }
 
+// Mask returns the installed kind filter.
+func (t *Tracer) Mask() uint64 { return t.mask }
+
 // SetSink attaches a spill sink: from now on a full ring is handed to
 // the sink instead of wrapping, so no events are dropped and memory
 // stays bounded by the ring itself. Pass nil to detach.

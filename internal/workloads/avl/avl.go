@@ -195,56 +195,12 @@ func (t *Tree) Get(sys *slpmt.System, key uint64) (val []byte, ok bool) {
 	return val, ok
 }
 
-// Check implements workloads.Workload: BST order, AVL balance, height
-// consistency and the oracle.
+// Check implements workloads.Workload (see workloads.Check).
 func (t *Tree) Check(sys *slpmt.System, oracle map[uint64][]byte) error {
-	var err error
-	count := 0
-	sys.View(func(tx *slpmt.Tx) {
-		var walk func(n slpmt.Addr, lo, hi uint64) uint64
-		walk = func(n slpmt.Addr, lo, hi uint64) uint64 {
-			if n == 0 || err != nil {
-				return 0
-			}
-			k := tx.LoadU64(n + offKey)
-			if k <= lo || k >= hi {
-				err = fmt.Errorf("avl: BST violation at key %d", k)
-				return 0
-			}
-			count++
-			hl := walk(slpmt.Addr(tx.LoadU64(n+offLeft)), lo, k)
-			hr := walk(slpmt.Addr(tx.LoadU64(n+offRight)), k, hi)
-			if err != nil {
-				return 0
-			}
-			if d := int64(hl) - int64(hr); d > 1 || d < -1 {
-				err = fmt.Errorf("avl: imbalance at key %d", k)
-				return 0
-			}
-			h := 1 + maxU(hl, hr)
-			if tx.LoadU64(n+offHeight) != h {
-				err = fmt.Errorf("avl: stale height at key %d", k)
-				return 0
-			}
-			return h
-		}
-		walk(slpmt.Addr(tx.Root(workloads.RootMain)), 0, ^uint64(0))
-	})
-	if err != nil {
-		return err
-	}
-	if count != len(oracle) {
-		return fmt.Errorf("avl: %d nodes, oracle %d", count, len(oracle))
-	}
-	return workloads.CheckOracle(sys, t, oracle)
+	return workloads.Check(sys, t, oracle)
 }
 
 // --- Recovery over the durable image -------------------------------
-
-func readRoot(img *pmem.Image, slot int) uint64 {
-	l := mem.DefaultLayout(img.Size())
-	return img.ReadU64(l.RootBase + mem.Addr(slot*8))
-}
 
 // Recover implements workloads.Recoverable. The AVL tree uses no lazy
 // persistency and its log-free data is only ever in unreachable fresh
@@ -264,13 +220,13 @@ func (t *Tree) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 		walk(mem.Addr(img.ReadU64(n + offLeft)))
 		walk(mem.Addr(img.ReadU64(n + offRight)))
 	}
-	walk(mem.Addr(readRoot(img, workloads.RootMain)))
+	walk(mem.Addr(workloads.ReadRoot(img, workloads.RootMain)))
 	return out, nil
 }
 
 // CheckDurable implements workloads.Recoverable.
 func (t *Tree) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
-	if err := workloads.CheckCount("avl", readRoot(img, workloads.RootCount), oracle); err != nil {
+	if err := workloads.CheckCount("avl", workloads.ReadRoot(img, workloads.RootCount), oracle); err != nil {
 		return err
 	}
 	seen := 0
@@ -304,9 +260,14 @@ func (t *Tree) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 			firstErr = fmt.Errorf("avl durable: imbalance at %d", k)
 			return 0
 		}
-		return 1 + maxU(hl, hr)
+		h := 1 + maxU(hl, hr)
+		if img.ReadU64(n+offHeight) != h {
+			firstErr = fmt.Errorf("avl durable: stale height at %d", k)
+			return 0
+		}
+		return h
 	}
-	walk(mem.Addr(readRoot(img, workloads.RootMain)), 0, ^uint64(0))
+	walk(mem.Addr(workloads.ReadRoot(img, workloads.RootMain)), 0, ^uint64(0))
 	if firstErr != nil {
 		return firstErr
 	}

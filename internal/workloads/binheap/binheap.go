@@ -20,7 +20,6 @@ package binheap
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/persistmem/slpmt"
 	"github.com/persistmem/slpmt/internal/mem"
@@ -187,93 +186,39 @@ func (h *Heap) Get(sys *slpmt.System, key uint64) (val []byte, ok bool) {
 	return val, ok
 }
 
-// Check implements workloads.Workload: heap order plus oracle multiset.
+// Check implements workloads.Workload (see workloads.Check).
 func (h *Heap) Check(sys *slpmt.System, oracle map[uint64][]byte) error {
-	var err error
-	sys.View(func(tx *slpmt.Tx) {
-		arr := slpmt.Addr(tx.Root(workloads.RootMain))
-		size := tx.Root(workloads.RootCount)
-		if size != uint64(len(oracle)) {
-			err = fmt.Errorf("heap: size %d, oracle %d", size, len(oracle))
-			return
-		}
-		var keys []uint64
-		for i := uint64(0); i < size; i++ {
-			k := tx.LoadU64(slot(arr, i) + entKey)
-			keys = append(keys, k)
-			if i > 0 {
-				p := (i - 1) / 2
-				if tx.LoadU64(slot(arr, p)+entKey) < k {
-					err = fmt.Errorf("heap: order violation at index %d", i)
-					return
-				}
-			}
-		}
-		err = matchKeys(keys, oracle, "heap")
-	})
-	if err != nil {
-		return err
-	}
-	return workloads.CheckOracle(sys, h, oracle)
-}
-
-// matchKeys verifies the key multiset equals the oracle key set.
-func matchKeys(keys []uint64, oracle map[uint64][]byte, who string) error {
-	if len(keys) != len(oracle) {
-		return fmt.Errorf("%s: %d keys, oracle %d", who, len(keys), len(oracle))
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for i := 1; i < len(keys); i++ {
-		if keys[i] == keys[i-1] {
-			return fmt.Errorf("%s: duplicate key %d", who, keys[i])
-		}
-	}
-	for _, k := range keys {
-		if _, ok := oracle[k]; !ok {
-			return fmt.Errorf("%s: unexpected key %d", who, k)
-		}
-	}
-	return nil
+	return workloads.Check(sys, h, oracle)
 }
 
 // --- Recovery over the durable image -------------------------------
 
-func layout(img *pmem.Image) mem.Layout { return mem.DefaultLayout(img.Size()) }
-
-func readRoot(img *pmem.Image, slot int) uint64 {
-	return img.ReadU64(layout(img).RootBase + mem.Addr(slot*8))
-}
-
-func writeRoot(img *pmem.Image, slot int, v uint64) {
-	img.WriteU64(layout(img).RootBase+mem.Addr(slot*8), v)
-}
-
 // Recover implements workloads.Recoverable: re-executes an in-flight
 // array growth from the intact old array.
 func (h *Heap) Recover(img *pmem.Image) error {
-	oldArr := mem.Addr(readRoot(img, workloads.RootMoveSrc))
+	oldArr := mem.Addr(workloads.ReadRoot(img, workloads.RootMoveSrc))
 	if oldArr == 0 {
 		return nil
 	}
-	oldCap := readRoot(img, workloads.RootAux)
-	newArr := mem.Addr(readRoot(img, workloads.RootMain))
-	size := readRoot(img, workloads.RootCount)
+	oldCap := workloads.ReadRoot(img, workloads.RootAux)
+	newArr := mem.Addr(workloads.ReadRoot(img, workloads.RootMain))
+	size := workloads.ReadRoot(img, workloads.RootCount)
 	if size > oldCap {
 		return fmt.Errorf("heap recover: size %d exceeds old capacity %d", size, oldCap)
 	}
 	buf := make([]byte, size*entSize)
 	img.Read(oldArr, buf)
 	img.Write(newArr, buf)
-	writeRoot(img, workloads.RootMoveSrc, 0)
-	writeRoot(img, workloads.RootAux, 0)
+	workloads.WriteRoot(img, workloads.RootMoveSrc, 0)
+	workloads.WriteRoot(img, workloads.RootAux, 0)
 	return nil
 }
 
 // Reach implements workloads.Recoverable.
 func (h *Heap) Reach(img *pmem.Image) ([]txheap.Extent, error) {
-	arr := mem.Addr(readRoot(img, workloads.RootMain))
-	capn := readRoot(img, workloads.RootMeta)
-	size := readRoot(img, workloads.RootCount)
+	arr := mem.Addr(workloads.ReadRoot(img, workloads.RootMain))
+	capn := workloads.ReadRoot(img, workloads.RootMeta)
+	size := workloads.ReadRoot(img, workloads.RootCount)
 	if arr == 0 || capn == 0 {
 		return nil, fmt.Errorf("heap reach: no array")
 	}
@@ -288,11 +233,11 @@ func (h *Heap) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 
 // CheckDurable implements workloads.Recoverable.
 func (h *Heap) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
-	size := readRoot(img, workloads.RootCount)
+	size := workloads.ReadRoot(img, workloads.RootCount)
 	if err := workloads.CheckCount("heap", size, oracle); err != nil {
 		return err
 	}
-	arr := mem.Addr(readRoot(img, workloads.RootMain))
+	arr := mem.Addr(workloads.ReadRoot(img, workloads.RootMain))
 	seen := h.rd.Seen(len(oracle))
 	for i := uint64(0); i < size; i++ {
 		e := arr + mem.Addr(i*entSize)

@@ -142,39 +142,12 @@ func (l *List) Delete(sys *slpmt.System, key uint64) error {
 	})
 }
 
-// Check implements workloads.Workload: the prev chain must invert the
-// next chain, and contents must match the oracle.
+// Check implements workloads.Workload (see workloads.Check).
 func (l *List) Check(sys *slpmt.System, oracle map[uint64][]byte) error {
-	var err error
-	count := uint64(0)
-	sys.View(func(tx *slpmt.Tx) {
-		prev := slpmt.Addr(0)
-		n := slpmt.Addr(tx.Root(workloads.RootMain))
-		for n != 0 {
-			if slpmt.Addr(tx.LoadU64(n+offPrev)) != prev {
-				err = fmt.Errorf("dlist: prev pointer broken at node %#x", n)
-				return
-			}
-			count++
-			prev = n
-			n = slpmt.Addr(tx.LoadU64(n + offNext))
-		}
-	})
-	if err != nil {
-		return err
-	}
-	if count != uint64(len(oracle)) {
-		return fmt.Errorf("dlist: %d nodes, oracle %d", count, len(oracle))
-	}
-	return workloads.CheckOracle(sys, l, oracle)
+	return workloads.Check(sys, l, oracle)
 }
 
 // --- Recovery over the durable image -------------------------------
-
-func readRoot(img *pmem.Image, slot int) uint64 {
-	la := mem.DefaultLayout(img.Size())
-	return img.ReadU64(la.RootBase + mem.Addr(slot*8))
-}
 
 // Recover implements workloads.Recoverable: the Figure 1(d) fix-up —
 // rebuild every prev pointer from the (logged, undo-restored) next
@@ -182,7 +155,7 @@ func readRoot(img *pmem.Image, slot int) uint64 {
 func (l *List) Recover(img *pmem.Image) error {
 	prev := mem.Addr(0)
 	steps := 0
-	for n := mem.Addr(readRoot(img, workloads.RootMain)); n != 0; n = mem.Addr(img.ReadU64(n + offNext)) {
+	for n := mem.Addr(workloads.ReadRoot(img, workloads.RootMain)); n != 0; n = mem.Addr(img.ReadU64(n + offNext)) {
 		if steps++; steps > 1<<22 {
 			return fmt.Errorf("dlist recover: cycle suspected")
 		}
@@ -197,7 +170,7 @@ func (l *List) Recover(img *pmem.Image) error {
 // Reach implements workloads.Recoverable.
 func (l *List) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 	var out []txheap.Extent
-	for n := mem.Addr(readRoot(img, workloads.RootMain)); n != 0; n = mem.Addr(img.ReadU64(n + offNext)) {
+	for n := mem.Addr(workloads.ReadRoot(img, workloads.RootMain)); n != 0; n = mem.Addr(img.ReadU64(n + offNext)) {
 		vlen := img.ReadU64(n + offVLen)
 		out = append(out, txheap.Extent{Addr: n, Size: offVal + vlen})
 	}
@@ -206,12 +179,12 @@ func (l *List) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 
 // CheckDurable implements workloads.Recoverable.
 func (l *List) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
-	if err := workloads.CheckCount("dlist", readRoot(img, workloads.RootCount), oracle); err != nil {
+	if err := workloads.CheckCount("dlist", workloads.ReadRoot(img, workloads.RootCount), oracle); err != nil {
 		return err
 	}
 	seen := l.rd.Seen(len(oracle))
 	prev := mem.Addr(0)
-	for n := mem.Addr(readRoot(img, workloads.RootMain)); n != 0; n = mem.Addr(img.ReadU64(n + offNext)) {
+	for n := mem.Addr(workloads.ReadRoot(img, workloads.RootMain)); n != 0; n = mem.Addr(img.ReadU64(n + offNext)) {
 		if mem.Addr(img.ReadU64(n+offPrev)) != prev {
 			return fmt.Errorf("dlist durable: prev broken at %#x", n)
 		}

@@ -59,7 +59,7 @@ func TestPrevRebuiltAfterCorruption(t *testing.T) {
 	sys.DrainLazy()
 	img := sys.Mach.Crash()
 	// Corrupt every prev pointer.
-	n := readRoot(img, workloads.RootMain)
+	n := workloads.ReadRoot(img, workloads.RootMain)
 	for n != 0 {
 		img.WriteU64(n+offPrev, 0xdeadbeef)
 		n = img.ReadU64(n + offNext)

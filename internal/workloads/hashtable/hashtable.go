@@ -197,63 +197,24 @@ func (t *Table) Get(sys *slpmt.System, key uint64) (val []byte, ok bool) {
 	return val, ok
 }
 
-// Check implements workloads.Workload.
+// Check implements workloads.Workload (see workloads.Check).
 func (t *Table) Check(sys *slpmt.System, oracle map[uint64][]byte) error {
-	var err error
-	sys.View(func(tx *slpmt.Tx) {
-		arr := slpmt.Addr(tx.Root(workloads.RootMain))
-		nb := tx.Root(workloads.RootMeta)
-		count := tx.Root(workloads.RootCount)
-		seen := uint64(0)
-		for b := uint64(0); b < nb; b++ {
-			n := slpmt.Addr(tx.LoadU64(arr + slpmt.Addr(8*b)))
-			for n != 0 {
-				key := tx.LoadU64(n + offKey)
-				if hash(key)%nb != b {
-					err = fmt.Errorf("hashtable: key %d in wrong bucket %d", key, b)
-					return
-				}
-				if _, inOracle := oracle[key]; !inOracle {
-					err = fmt.Errorf("hashtable: unexpected key %d", key)
-					return
-				}
-				seen++
-				n = slpmt.Addr(tx.LoadU64(n + offNext))
-			}
-		}
-		if seen != uint64(len(oracle)) || count != uint64(len(oracle)) {
-			err = fmt.Errorf("hashtable: count mismatch: walked %d, count %d, oracle %d",
-				seen, count, len(oracle))
-		}
-	})
-	if err != nil {
-		return err
-	}
-	return workloads.CheckOracle(sys, t, oracle)
+	return workloads.Check(sys, t, oracle)
 }
 
 // --- Recovery over the durable image -------------------------------
-
-func rootAddr(img *pmem.Image, slot int) mem.Addr {
-	l := mem.DefaultLayout(img.Size())
-	return l.RootBase + mem.Addr(slot*8)
-}
-
-func readRoot(img *pmem.Image, slot int) uint64 { return img.ReadU64(rootAddr(img, slot)) }
-
-func writeRoot(img *pmem.Image, slot int, v uint64) { img.WriteU64(rootAddr(img, slot), v) }
 
 // Recover implements workloads.Recoverable: if a rehash was in flight
 // (RootMoveSrc set), rebuild the new table by relinking the intact old
 // nodes; the lazy copies become garbage for the collector.
 func (t *Table) Recover(img *pmem.Image) error {
-	oldArr := mem.Addr(readRoot(img, workloads.RootMoveSrc))
+	oldArr := mem.Addr(workloads.ReadRoot(img, workloads.RootMoveSrc))
 	if oldArr == 0 {
 		return nil
 	}
-	oldN := readRoot(img, workloads.RootAux)
-	newArr := mem.Addr(readRoot(img, workloads.RootMain))
-	newN := readRoot(img, workloads.RootMeta)
+	oldN := workloads.ReadRoot(img, workloads.RootAux)
+	newArr := mem.Addr(workloads.ReadRoot(img, workloads.RootMain))
+	newN := workloads.ReadRoot(img, workloads.RootMeta)
 	if newN == 0 || oldN == 0 || newArr == 0 {
 		return fmt.Errorf("hashtable recover: inconsistent roots (old=%#x/%d new=%#x/%d)",
 			oldArr, oldN, newArr, newN)
@@ -275,15 +236,15 @@ func (t *Table) Recover(img *pmem.Image) error {
 			n = next
 		}
 	}
-	writeRoot(img, workloads.RootMoveSrc, 0)
-	writeRoot(img, workloads.RootAux, 0)
+	workloads.WriteRoot(img, workloads.RootMoveSrc, 0)
+	workloads.WriteRoot(img, workloads.RootAux, 0)
 	return nil
 }
 
 // Reach implements workloads.Recoverable.
 func (t *Table) Reach(img *pmem.Image) ([]txheap.Extent, error) {
-	arr := mem.Addr(readRoot(img, workloads.RootMain))
-	nb := readRoot(img, workloads.RootMeta)
+	arr := mem.Addr(workloads.ReadRoot(img, workloads.RootMain))
+	nb := workloads.ReadRoot(img, workloads.RootMeta)
 	if arr == 0 || nb == 0 {
 		return nil, fmt.Errorf("hashtable reach: no table")
 	}
@@ -301,11 +262,11 @@ func (t *Table) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 
 // CheckDurable implements workloads.Recoverable.
 func (t *Table) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
-	if err := workloads.CheckCount("hashtable", readRoot(img, workloads.RootCount), oracle); err != nil {
+	if err := workloads.CheckCount("hashtable", workloads.ReadRoot(img, workloads.RootCount), oracle); err != nil {
 		return err
 	}
-	arr := mem.Addr(readRoot(img, workloads.RootMain))
-	nb := readRoot(img, workloads.RootMeta)
+	arr := mem.Addr(workloads.ReadRoot(img, workloads.RootMain))
+	nb := workloads.ReadRoot(img, workloads.RootMeta)
 	if nb == 0 {
 		return fmt.Errorf("hashtable durable: zero buckets")
 	}

@@ -210,7 +210,7 @@ func (b *btree) walkDurable(img *pmem.Image, fn func(uint64, mem.Addr) error) er
 		}
 		return nil
 	}
-	return walk(mem.Addr(readRoot(img, workloads.RootMain)))
+	return walk(mem.Addr(workloads.ReadRoot(img, workloads.RootMain)))
 }
 
 func (b *btree) nodesDurable(img *pmem.Image) ([]txheap.Extent, error) {
@@ -229,14 +229,14 @@ func (b *btree) nodesDurable(img *pmem.Image) ([]txheap.Extent, error) {
 		}
 		return nil
 	}
-	if err := walk(mem.Addr(readRoot(img, workloads.RootMain))); err != nil {
+	if err := walk(mem.Addr(workloads.ReadRoot(img, workloads.RootMain))); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 func (b *btree) checkDurable(img *pmem.Image) error {
-	root := mem.Addr(readRoot(img, workloads.RootMain))
+	root := mem.Addr(workloads.ReadRoot(img, workloads.RootMain))
 	depth := -1
 	var walk func(x mem.Addr, lo, hi uint64, d int) error
 	walk = func(x mem.Addr, lo, hi uint64, d int) error {

@@ -177,7 +177,7 @@ func (c *ctree) walkDurable(img *pmem.Image, fn func(uint64, mem.Addr) error) er
 		}
 		return walk(img.ReadU64(n + ctChild1))
 	}
-	return walk(readRoot(img, workloads.RootMain))
+	return walk(workloads.ReadRoot(img, workloads.RootMain))
 }
 
 func (c *ctree) nodesDurable(img *pmem.Image) ([]txheap.Extent, error) {
@@ -198,7 +198,7 @@ func (c *ctree) nodesDurable(img *pmem.Image) ([]txheap.Extent, error) {
 		}
 		return walk(img.ReadU64(n + ctChild1))
 	}
-	if err := walk(readRoot(img, workloads.RootMain)); err != nil {
+	if err := walk(workloads.ReadRoot(img, workloads.RootMain)); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -250,5 +250,5 @@ func (c *ctree) checkDurable(img *pmem.Image) error {
 		}
 		return nil
 	}
-	return walk(readRoot(img, workloads.RootMain), 64)
+	return walk(workloads.ReadRoot(img, workloads.RootMain), 64)
 }

@@ -110,22 +110,12 @@ func (kv *KV) Get(sys *slpmt.System, key uint64) (val []byte, ok bool) {
 	return val, ok
 }
 
-// Check implements workloads.Workload.
+// Check implements workloads.Workload (see workloads.Check).
 func (kv *KV) Check(sys *slpmt.System, oracle map[uint64][]byte) error {
-	var count uint64
-	sys.View(func(tx *slpmt.Tx) { count = tx.Root(workloads.RootCount) })
-	if count != uint64(len(oracle)) {
-		return fmt.Errorf("%s: count %d, oracle %d", kv.name, count, len(oracle))
-	}
-	return workloads.CheckOracle(sys, kv, oracle)
+	return workloads.Check(sys, kv, oracle)
 }
 
 // --- Recovery over the durable image -------------------------------
-
-func readRoot(img *pmem.Image, slot int) uint64 {
-	l := mem.DefaultLayout(img.Size())
-	return img.ReadU64(l.RootBase + mem.Addr(slot*8))
-}
 
 // Recover implements workloads.Recoverable.
 func (kv *KV) Recover(img *pmem.Image) error { return kv.idx.recover(img) }
@@ -150,7 +140,7 @@ func (kv *KV) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 
 // CheckDurable implements workloads.Recoverable.
 func (kv *KV) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
-	if err := workloads.CheckCount(kv.name, readRoot(img, workloads.RootCount), oracle); err != nil {
+	if err := workloads.CheckCount(kv.name, workloads.ReadRoot(img, workloads.RootCount), oracle); err != nil {
 		return err
 	}
 	if err := kv.idx.checkDurable(img); err != nil {

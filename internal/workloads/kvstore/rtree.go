@@ -218,7 +218,7 @@ func (r *rtree) walkDurable(img *pmem.Image, fn func(uint64, mem.Addr) error) er
 		}
 		return nil
 	}
-	return walk(readRoot(img, workloads.RootMain))
+	return walk(workloads.ReadRoot(img, workloads.RootMain))
 }
 
 func (r *rtree) nodesDurable(img *pmem.Image) ([]txheap.Extent, error) {
@@ -241,7 +241,7 @@ func (r *rtree) nodesDurable(img *pmem.Image) ([]txheap.Extent, error) {
 		}
 		return nil
 	}
-	if err := walk(readRoot(img, workloads.RootMain)); err != nil {
+	if err := walk(workloads.ReadRoot(img, workloads.RootMain)); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -292,5 +292,5 @@ func (r *rtree) checkDurable(img *pmem.Image) error {
 		}
 		return nil
 	}
-	return walk(readRoot(img, workloads.RootMain), 0, 0)
+	return walk(workloads.ReadRoot(img, workloads.RootMain), 0, 0)
 }

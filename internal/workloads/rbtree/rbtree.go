@@ -256,83 +256,18 @@ func (t *Tree) Get(sys *slpmt.System, key uint64) (val []byte, ok bool) {
 	return val, ok
 }
 
-// Check implements workloads.Workload: verifies the red-black
-// invariants, parent-pointer consistency, and the oracle.
+// Check implements workloads.Workload (see workloads.Check).
 func (t *Tree) Check(sys *slpmt.System, oracle map[uint64][]byte) error {
-	var err error
-	count := 0
-	sys.View(func(tx *slpmt.Tx) {
-		root := slpmt.Addr(tx.Root(workloads.RootMain))
-		if root == 0 {
-			if len(oracle) != 0 {
-				err = fmt.Errorf("rbtree: empty tree, oracle has %d", len(oracle))
-			}
-			return
-		}
-		if fColor(tx, root) != black {
-			err = fmt.Errorf("rbtree: red root")
-			return
-		}
-		var walk func(n slpmt.Addr, lo, hi uint64, parent slpmt.Addr) int
-		walk = func(n slpmt.Addr, lo, hi uint64, parent slpmt.Addr) int {
-			if err != nil {
-				return 0
-			}
-			if n == 0 {
-				return 1
-			}
-			k := fKey(tx, n)
-			if k <= lo || k >= hi {
-				err = fmt.Errorf("rbtree: BST violation at key %d", k)
-				return 0
-			}
-			if slpmt.Addr(fParent(tx, n)) != parent {
-				err = fmt.Errorf("rbtree: bad parent pointer at key %d", k)
-				return 0
-			}
-			c := fColor(tx, n)
-			l, r := slpmt.Addr(fLeft(tx, n)), slpmt.Addr(fRight(tx, n))
-			if c == red {
-				if (l != 0 && fColor(tx, l) == red) || (r != 0 && fColor(tx, r) == red) {
-					err = fmt.Errorf("rbtree: red-red violation at key %d", k)
-					return 0
-				}
-			}
-			count++
-			bl := walk(l, lo, k, n)
-			br := walk(r, k, hi, n)
-			if err == nil && bl != br {
-				err = fmt.Errorf("rbtree: black-height mismatch at key %d", k)
-			}
-			if c == black {
-				return bl + 1
-			}
-			return bl
-		}
-		walk(root, 0, ^uint64(0), 0)
-	})
-	if err != nil {
-		return err
-	}
-	if count != len(oracle) {
-		return fmt.Errorf("rbtree: %d nodes, oracle %d", count, len(oracle))
-	}
-	return workloads.CheckOracle(sys, t, oracle)
+	return workloads.Check(sys, t, oracle)
 }
 
 // --- Recovery over the durable image -------------------------------
-
-func layout(img *pmem.Image) mem.Layout { return mem.DefaultLayout(img.Size()) }
-
-func readRoot(img *pmem.Image, slot int) uint64 {
-	return img.ReadU64(layout(img).RootBase + mem.Addr(slot*8))
-}
 
 // Recover implements workloads.Recoverable: rebuilds every parent
 // pointer from the (logged, undo-restored) child links — the recovery
 // counterpart of marking parent stores lazy+log-free.
 func (t *Tree) Recover(img *pmem.Image) error {
-	root := mem.Addr(readRoot(img, workloads.RootMain))
+	root := mem.Addr(workloads.ReadRoot(img, workloads.RootMain))
 	if root == 0 {
 		return nil
 	}
@@ -370,7 +305,7 @@ func (t *Tree) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 		}
 		return walk(mem.Addr(img.ReadU64(n + offRight)))
 	}
-	if err := walk(mem.Addr(readRoot(img, workloads.RootMain))); err != nil {
+	if err := walk(mem.Addr(workloads.ReadRoot(img, workloads.RootMain))); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -378,10 +313,10 @@ func (t *Tree) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 
 // CheckDurable implements workloads.Recoverable.
 func (t *Tree) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
-	if err := workloads.CheckCount("rbtree", readRoot(img, workloads.RootCount), oracle); err != nil {
+	if err := workloads.CheckCount("rbtree", workloads.ReadRoot(img, workloads.RootCount), oracle); err != nil {
 		return err
 	}
-	root := mem.Addr(readRoot(img, workloads.RootMain))
+	root := mem.Addr(workloads.ReadRoot(img, workloads.RootMain))
 	seen := t.rd.Seen(len(oracle))
 	var firstErr error
 	var walk func(n mem.Addr, lo, hi uint64, parent mem.Addr) int

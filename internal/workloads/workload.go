@@ -25,6 +25,7 @@ import (
 	"sort"
 
 	"github.com/persistmem/slpmt"
+	"github.com/persistmem/slpmt/internal/mem"
 	"github.com/persistmem/slpmt/internal/pmem"
 	"github.com/persistmem/slpmt/internal/txheap"
 )
@@ -47,7 +48,9 @@ type Workload interface {
 	// must copy it.
 	Get(sys *slpmt.System, key uint64) ([]byte, bool)
 	// Check verifies the volatile structure against an oracle of every
-	// inserted pair plus the structure's own invariants.
+	// inserted pair plus the structure's own invariants: CheckDurable
+	// over a view of the volatile memory, then Get for every oracle
+	// pair (the package-level Check).
 	Check(sys *slpmt.System, oracle map[uint64][]byte) error
 	// ComputeCost is the workload's suggested compute-cycles-per-op
 	// knob, modelling its non-memory work relative to the others.
@@ -65,8 +68,24 @@ type Recoverable interface {
 	// roots in the image — the mark phase of the leak collector.
 	Reach(img *pmem.Image) ([]txheap.Extent, error)
 	// CheckDurable verifies the structure in the image against the
-	// oracle of transactions known committed at the crash point.
+	// oracle of transactions known committed at the crash point: the
+	// structure's invariants, every key and value, no duplicates, and
+	// the count. It is the structure's only checker; Check runs it over
+	// a read-only view of the volatile memory.
 	CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error
+}
+
+// Check is every structure's Workload.Check: w's CheckDurable over a
+// view of sys's volatile memory, which copies nothing and simulates no
+// load, then CheckOracle, so the Get path is exercised too.
+func Check(sys *slpmt.System, w interface {
+	Workload
+	Recoverable
+}, oracle map[uint64][]byte) error {
+	if err := w.CheckDurable(sys.Mach.VolatileView(), oracle); err != nil {
+		return fmt.Errorf("volatile view: %w", err)
+	}
+	return CheckOracle(sys, w, oracle)
 }
 
 // Factory builds a fresh workload instance.
@@ -136,6 +155,17 @@ const (
 	// RootAux is free for structure-specific use.
 	RootAux = 4
 )
+
+// ReadRoot reads root slot slot of the directory in img. The directory
+// sits at the same address for every core count (mem.Layout.RootBase).
+func ReadRoot(img *pmem.Image, slot int) uint64 { return img.ReadU64(rootAddr(img, slot)) }
+
+// WriteRoot stores v in root slot slot of the directory in img.
+func WriteRoot(img *pmem.Image, slot int, v uint64) { img.WriteU64(rootAddr(img, slot), v) }
+
+func rootAddr(img *pmem.Image, slot int) mem.Addr {
+	return mem.DefaultLayout(img.Size()).RootBase + mem.Addr(slot*8)
+}
 
 // Scratch is a workload instance's reusable read-side state: the buffer
 // Get and Scan return values in, and the key set CheckDurable fills.

@@ -23,7 +23,7 @@ echo "== go vet =="
 go vet ./...
 
 echo "== slpmtvet (determinism / noalloc / trace coverage) =="
-go run ./cmd/slpmtvet
+go run ./cmd/slpmtvet -time
 
 echo "== go build =="
 go build ./...
