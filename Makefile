@@ -33,19 +33,23 @@ vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/slpmtvet -time
 
-# Traced-run gate: one 2-core hashtable run streams its trace into an
-# SLPSEG01 binlog (stream-out/, with NDJSON telemetry), and the binlog
-# replays through the persist-order sanitizer (internal/trace/sanitize.go:
-# log-before-data, commit-marker order, WPQ FIFO, lazy-drain
-# obligations; zero violations and zero dropped events required) and
-# the causal critical-path analyzer, whose conservation contract (path
-# length == makespan) is enforced inside the harness. The
+# Traced-run gate: the one 2-core hashtable run CI traces. It streams
+# its trace into an SLPSEG01 binlog (stream-out/, with NDJSON
+# telemetry), and every analysis reads that binlog: the persist-order
+# sanitizer (internal/trace/sanitize.go: log-before-data, commit-marker
+# order, WPQ FIFO, lazy-drain obligations; zero violations and zero
+# dropped events required), the causal critical-path analyzer, whose
+# conservation contract (path length == makespan) is enforced inside
+# the harness, and the Perfetto export (stream-out/sample-trace.json,
+# opens in ui.perfetto.dev). The same run's cycle attribution lands as
+# folded stacks in stream-out/hashtable-2c.folded. The
 # blame/slack/hot-line report lands in stream-out/critpath.txt, and
 # slpmttrace's post-hoc replay of the saved binlog must reproduce it
 # byte for byte.
 trace-gate:
 	$(GO) run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 \
-		-trace-stream stream-out -sanitize -critpath -hotlines 10
+		-trace-stream stream-out -sanitize -critpath -hotlines 10 \
+		-trace stream-out/sample-trace.json -flame stream-out/hashtable-2c.folded
 	$(GO) run ./cmd/slpmttrace -trace-stream stream-out -critpath -hotlines 10 | \
 		tail -n +3 | diff - stream-out/critpath.txt
 
@@ -53,14 +57,11 @@ trace-gate:
 check:
 	./scripts/check.sh
 
-# Benchmark artifacts: the core-scaling sweep with interval metrics
-# (BENCH_scaling.json) plus one traced 2-core sample run whose Perfetto
-# export (sample-trace.json) opens in ui.perfetto.dev. Sized to finish
-# in CI minutes; raise -n locally for paper-scale numbers.
+# Benchmark artifact: the core-scaling sweep with interval metrics
+# (BENCH_scaling.json). Sized to finish in CI minutes; raise -n locally
+# for paper-scale numbers. The traced sample run is make trace-gate's.
 bench:
 	$(GO) run ./cmd/slpmtbench -experiment scaling -n 300 -value 64 -json
-	$(GO) run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 \
-		-trace sample-trace.json
 
 # Micro-benchmarks for the simulator hot paths (allocations reported),
 # layer by layer: cache lookup/insert/locate, the core's eviction

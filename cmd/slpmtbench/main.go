@@ -35,63 +35,33 @@
 //
 //	slpmtbench -experiment headline -json -compare baselines/
 //
-// -flame switches to single-run profiling mode: one run of -workload
-// under -scheme executes with the cycle-attribution profiler attached,
-// the per-cause breakdown prints to stdout, and folded stacks
-// (scheme;workload;coreN;group;cause count) are written to the given
-// path for flamegraph tools:
-//
-//	slpmtbench -workload hashtable -cores 2 -flame out.folded
-//
-// -trace switches to single-run tracing mode: instead of an experiment
-// grid, one run of -workload under -scheme executes with the cycle-level
-// tracer attached, the latency/WPQ metrics print to stdout, and the full
-// event stream is exported to the given path as Perfetto/Chrome
-// trace_event JSON (load it at https://ui.perfetto.dev). Binary capture
-// is -trace-stream:
-//
-//	slpmtbench -workload hashtable -cores 2 -trace out.json
-//
-// -trace-stream switches to streaming single-run mode: the run's event
-// stream spills into a chunked SLPSEG01 binlog under the given
-// directory as it executes (memory stays bounded by the spill ring plus
-// one segment buffer, so it scales to runs the in-memory ring cannot
-// hold), live telemetry snapshots are written to telemetry.ndjson (one
-// line per -interval cycles), and the printed latency/WPQ metrics come
-// from the online streaming consumers. Tail the directory live with
-// `slpmttrace -trace-stream dir -follow`. Combining with -sanitize
-// replays the binlog through the persist-order checker instead of
-// keeping the event stream in memory, and with -critpath feeds the
-// binlog to the critical-path analyzer; the one traced gate run of
-// scripts/check.sh and CI combines all three:
-//
-//	slpmtbench -workload hashtable -cores 2 -trace-stream out/ -interval 65536
-//	slpmtbench -workload hashtable -cores 2 -trace-stream out/ -sanitize -critpath -hotlines 10
-//
-// -sanitize runs one -workload/-scheme execution under the persist-order
-// sanitizer (stream.Sanitize): the run is traced with the sanitizer's
-// kind mask and the event stream is replayed against the paper's §III
+// The single-run flags -trace-stream, -trace, -sanitize, -critpath and
+// -flame turn the command into one run of -workload under -scheme, and
+// each adds a section to that run's output; they combine freely. A run
+// that needs events streams them into an SLPSEG01 binlog (bounded
+// memory at any -n): into the -trace-stream directory, with its NDJSON
+// telemetry (one line per -interval cycles; tail it live with
+// `slpmttrace -trace-stream dir -follow`), or into a temporary
+// directory removed on exit. Every traced run prints the latency
+// summary and WPQ series. -trace exports the binlog's events as
+// Perfetto/Chrome trace_event JSON (load it at https://ui.perfetto.dev).
+// -sanitize replays the binlog against the paper's §III persist
 // ordering rules (log records durable before their data lines, commit
 // marker ordering per log mode, WPQ FIFO retirement, lazy-drain
-// completion before conflicting stores). Violations print to stdout and
-// make the command exit nonzero:
+// completion before conflicting stores) and exits nonzero on a
+// violation. -critpath prints the causal critical path of the
+// makespan, whose length the harness checks against the measured
+// cycles: per-cause blame, DAG slack, what-if projections and the
+// -hotlines most contended lines; with -trace-stream the report also
+// lands in <dir>/critpath.txt. -flame prints the cycle-attribution
+// breakdown and writes folded stacks (scheme;workload;coreN;group;cause
+// count) for flamegraph tools; alone, it runs untraced. A failed
+// verification or sanitizer replay still writes every requested file
+// before the command exits nonzero. The traced gate of
+// scripts/check.sh and CI is one such run:
 //
-//	slpmtbench -workload hashtable -cores 2 -sanitize
-//
-// -critpath runs one -workload/-scheme execution under the causal
-// critical-path analyzer: the measured region's charge/wait streams are
-// replayed into a cross-core blocking DAG and the report prints the
-// makespan's critical path with a per-cause breakdown (critical share
-// vs raw core-cycle share), the DAG slack ranking, what-if projections
-// (commit flush async, WPQ infinite, remote hops zeroed, W→∞), and the
-// hot-line contention observatory (-hotlines caps the listing). The
-// conservation contract — critical-path length == measured makespan —
-// is enforced, and the analysis is observation-only. Composing with
-// -trace-stream feeds the analyzer from the on-disk binlog instead of
-// the ring (and writes the report to <dir>/critpath.txt):
-//
-//	slpmtbench -workload hashtable -cores 2 -critpath -hotlines 5
-//	slpmtbench -workload hashtable -cores 2 -trace-stream out/ -critpath
+//	slpmtbench -workload hashtable -cores 2 -n 300 -value 64 -trace-stream out/ \
+//		-sanitize -critpath -hotlines 10 -trace out/sample-trace.json -flame out/hashtable-2c.folded
 package main
 
 import (
@@ -102,15 +72,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"github.com/persistmem/slpmt/internal/bench"
 	"github.com/persistmem/slpmt/internal/experiments"
-	"github.com/persistmem/slpmt/internal/profile"
 	"github.com/persistmem/slpmt/internal/report"
-	"github.com/persistmem/slpmt/internal/trace"
-	"github.com/persistmem/slpmt/internal/trace/stream"
 	_ "github.com/persistmem/slpmt/internal/workloads/all"
 )
 
@@ -136,16 +102,16 @@ func run(args []string) error {
 		jsonOut  = fs.Bool("json", false, "write machine-readable BENCH_<experiment>.json per experiment")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile taken after the sweep to this file")
-		tracePth = fs.String("trace", "", "trace one run of -workload/-scheme and export its events to this path as Perfetto JSON")
-		streamD  = fs.String("trace-stream", "", "stream one run of -workload/-scheme into an SLPSEG01 binlog directory (bounded memory; composes with -sanitize and -critpath)")
-		interval = fs.Uint64("interval", 0, "telemetry snapshot interval in cycles for -trace-stream (0 = default)")
-		sanitize = fs.Bool("sanitize", false, "replay one run of -workload/-scheme through the persist-order sanitizer (exit nonzero on violations)")
-		critpath = fs.Bool("critpath", false, "run one -workload/-scheme execution under the causal critical-path analyzer and print the blame/slack/hot-line report (composes with -trace-stream)")
+		tracePth = fs.String("trace", "", "single run: export its events to this path as Perfetto JSON")
+		streamD  = fs.String("trace-stream", "", "single run: keep its SLPSEG01 binlog, telemetry and critpath report in this directory")
+		interval = fs.Uint64("interval", 0, "telemetry snapshot interval in cycles of a traced single run (0 = default)")
+		sanitize = fs.Bool("sanitize", false, "single run: replay it through the persist-order sanitizer (exit nonzero on violations)")
+		critpath = fs.Bool("critpath", false, "single run: print its causal critical path (blame/slack/hot-line report)")
 		hotlines = fs.Int("hotlines", 10, "hot lines to list in the -critpath report")
-		flamePth = fs.String("flame", "", "profile one run of -workload/-scheme, print the cycle-attribution breakdown, and write folded stacks to this path")
+		flamePth = fs.String("flame", "", "single run: print its cycle attribution and write folded stacks to this path")
 		compare  = fs.String("compare", "", "diff each experiment's BENCH json against <dir>/BENCH_<experiment>.json and exit nonzero on regressions (implies -json)")
-		workload = fs.String("workload", "hashtable", "workload for -trace/-sanitize/-flame mode")
-		scheme   = fs.String("scheme", "SLPMT", "scheme for -trace/-sanitize/-flame mode")
+		workload = fs.String("workload", "hashtable", "workload of the single run")
+		scheme   = fs.String("scheme", "SLPMT", "scheme of the single run")
 		sockets  = fs.Int("sockets", 0, "PM sockets: each is its own device behind the interconnect distance matrix (0 or 1 = single device; the numa experiment sweeps its own counts)")
 		remoteNs = fs.Uint64("remote-nanos", 0, "per-hop remote persist-enqueue latency in ns, remote fills pay double (0 = defaults; needs -sockets > 1)")
 	)
@@ -156,26 +122,16 @@ func run(args []string) error {
 	bench.SetParallelism(*parallel)
 	base := bench.RunConfig{N: *n, ValueSize: *value, Seed: *seed, Verify: true, Cores: *cores, CommitWindow: *window,
 		Sockets: *sockets, RemoteNanos: *remoteNs}
+	one := single{streamDir: *streamD, interval: *interval, tracePath: *tracePth, flamePath: *flamePth,
+		sanitize: *sanitize, critpath: *critpath, hotlines: *hotlines}
+	if one.on() {
+		base.Scheme, base.Workload = *scheme, *workload
+	}
 	if err := base.Validate(); err != nil {
 		return err
 	}
-
-	if err := checkModes(*streamD, *sanitize, *critpath, *tracePth, *flamePth); err != nil {
-		return err
-	}
-	single := base
-	single.Scheme, single.Workload = *scheme, *workload
-	switch {
-	case *streamD != "":
-		return runStreamed(os.Stdout, single, *streamD, *interval, *sanitize, *critpath, *hotlines)
-	case *sanitize:
-		return runSanitized(os.Stdout, single)
-	case *critpath:
-		return runCritPath(os.Stdout, single, *hotlines)
-	case *tracePth != "":
-		return runTraced(os.Stdout, single, *tracePth)
-	case *flamePth != "":
-		return runFlame(os.Stdout, single, *flamePth)
+	if one.on() {
+		return runSingle(os.Stdout, base, one)
 	}
 	jsonDocs := *jsonOut || *compare != ""
 
@@ -235,103 +191,6 @@ func run(args []string) error {
 	return nil
 }
 
-// checkModes rejects a combination of single-run modes of which run
-// would execute one and silently ignore the rest: -trace-stream
-// composes with -sanitize and -critpath, and every other pair
-// conflicts.
-func checkModes(streamDir string, sanitize, critpath bool, tracePath, flamePath string) error {
-	var modes []string
-	on := map[string]bool{"-trace-stream": streamDir != "", "-sanitize": sanitize && streamDir == "",
-		"-critpath": critpath && streamDir == "", "-trace": tracePath != "", "-flame": flamePath != ""}
-	for _, m := range []string{"-trace-stream", "-sanitize", "-critpath", "-trace", "-flame"} {
-		if on[m] {
-			modes = append(modes, m)
-		}
-	}
-	if len(modes) > 1 {
-		return fmt.Errorf("single-run modes %s do not combine (only -trace-stream composes, with -sanitize and -critpath)",
-			strings.Join(modes, " and "))
-	}
-	return nil
-}
-
-// runTraced executes one benchmark with the full-detail tracer
-// attached, prints the reduced metrics, and exports the event stream to
-// path as Perfetto JSON.
-func runTraced(out io.Writer, cfg bench.RunConfig, path string) error {
-	tr := trace.New(trace.DefaultCapacity)
-	cfg.Trace = tr
-	r := bench.Run(cfg)
-	if r.VerifyErr != nil {
-		return fmt.Errorf("%s/%s failed verification: %v", cfg.Scheme, cfg.Workload, r.VerifyErr)
-	}
-
-	cores := cfg.Cores
-	if cores < 1 {
-		cores = 1
-	}
-	fmt.Fprintf(out, "traced run: %s/%s n=%d value=%dB cores=%d seed=%d\n",
-		cfg.Scheme, cfg.Workload, r.N, r.ValueSize, cores, cfg.Seed)
-	fmt.Fprintf(out, "cycles: %d\n", r.Cycles)
-	fmt.Fprintf(out, "events: %d captured, %d dropped\n\n", r.Summary.Events, r.Summary.Dropped)
-	fmt.Fprint(out, r.Summary.String())
-	if r.WPQ != nil {
-		fmt.Fprintf(out, "\nWPQ occupancy over the run (high-water %dB, mean %dB):\n",
-			r.Counters.WPQOccMaxBytes, r.Counters.WPQOccAvgBytes)
-		fmt.Fprint(out, r.WPQ.String())
-	}
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := trace.WritePerfetto(f, tr.Events(), trace.PerfettoOptions{}); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "\nwrote %s (%d events)\n", path, tr.Len())
-	return nil
-}
-
-// runSanitized executes one benchmark with a sanitizer-masked tracer
-// and replays the event stream through the persist-order checker. Any
-// violation (or a truncated stream, which would make the replay
-// unsound) is an error.
-func runSanitized(out io.Writer, cfg bench.RunConfig) error {
-	tr := trace.New(trace.DefaultCapacity)
-	tr.SetMask(trace.SanitizeMask())
-	cfg.Trace = tr
-	r := bench.Run(cfg)
-	if r.VerifyErr != nil {
-		return fmt.Errorf("%s/%s failed verification: %v", cfg.Scheme, cfg.Workload, r.VerifyErr)
-	}
-
-	zs := stream.NewSanitize()
-	if _, err := stream.Feed(stream.Events(tr.Events()), zs); err != nil {
-		return err
-	}
-	rep := zs.Report(tr.Dropped())
-	cores := cfg.Cores
-	if cores < 1 {
-		cores = 1
-	}
-	fmt.Fprintf(out, "sanitized run: %s/%s n=%d value=%dB cores=%d seed=%d\n",
-		cfg.Scheme, cfg.Workload, r.N, r.ValueSize, cores, cfg.Seed)
-	fmt.Fprintf(out, "events: %d replayed, %d transactions, %d aborts\n",
-		rep.Events, rep.Transactions, rep.Aborts)
-	if rep.Truncated {
-		return fmt.Errorf("trace ring overflowed (%d events dropped); the replay is unsound — reduce -n", tr.Dropped())
-	}
-	if !rep.Clean() {
-		for _, v := range rep.Violations {
-			fmt.Fprintf(out, "violation: %s\n", v)
-		}
-		return fmt.Errorf("%d persist-order violations", rep.Total)
-	}
-	fmt.Fprintln(out, "persist-order sanitizer: 0 violations")
-	return nil
-}
-
 // runOne executes one experiment, optionally collecting every benchmark
 // result it produces into BENCH_<name>.json.
 func runOne(name string, base bench.RunConfig, jsonOut bool) error {
@@ -379,45 +238,4 @@ func compareOne(out io.Writer, dir, name string) (bool, error) {
 	c := report.Compare(baseline, cand)
 	fmt.Fprint(out, c.String())
 	return c.Pass(), nil
-}
-
-// runFlame executes one profiled benchmark, prints the cycle
-// attribution, and writes folded stacks (scheme;workload;core;group;
-// cause count) for flamegraph tools.
-func runFlame(out io.Writer, cfg bench.RunConfig, path string) error {
-	cfg.Profile = true
-	r := bench.Run(cfg)
-	if r.VerifyErr != nil {
-		return fmt.Errorf("%s/%s failed verification: %v", cfg.Scheme, cfg.Workload, r.VerifyErr)
-	}
-	cores := cfg.Cores
-	if cores < 1 {
-		cores = 1
-	}
-	fmt.Fprintf(out, "profiled run: %s/%s n=%d value=%dB cores=%d seed=%d\n",
-		cfg.Scheme, cfg.Workload, r.N, r.ValueSize, cores, cfg.Seed)
-	fmt.Fprintf(out, "cycles: %d\n", r.Cycles)
-	if err := r.Causes.Conserved(); err != nil {
-		return fmt.Errorf("attribution broke conservation: %w", err)
-	}
-	merged := r.Causes.Merged()
-	total := merged.Sum()
-	fmt.Fprintf(out, "attributed core-cycles: %d (conservation holds on all %d cores)\n\n", total, cores)
-	for _, name := range r.Causes.SortedNames() {
-		c, _ := profile.ByName(name)
-		v := merged[c]
-		fmt.Fprintf(out, "%6.2f%%  %-13s %12d  %s\n",
-			100*float64(v)/float64(total), name, v, report.CauseHelp(name))
-	}
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := profile.WriteFolded(f, cfg.Scheme+";"+cfg.Workload, r.Causes); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "\nwrote %s\n", path)
-	return nil
 }

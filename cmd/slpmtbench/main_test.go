@@ -125,35 +125,11 @@ func TestScalingJSONDeterministic(t *testing.T) {
 	}
 }
 
-// TestCheckModes: a single-run mode that run would ignore is an error
-// naming the conflicting flags; -trace-stream composes with -sanitize
-// and -critpath.
-func TestCheckModes(t *testing.T) {
-	for _, tc := range []struct {
-		stream         string
-		sanitize, crit bool
-		trace, flame   string
-		want           string // "" = accepted
-	}{
-		{"", false, false, "", "", ""},
-		{"", true, false, "", "", ""},
-		{"out", true, true, "", "", ""},
-		{"", true, false, "x.json", "", "-sanitize and -trace"},
-		{"", false, true, "", "f.folded", "-critpath and -flame"},
-		{"", true, true, "", "", "-sanitize and -critpath"},
-		{"out", true, false, "x.json", "", "-trace-stream and -trace"},
-	} {
-		err := checkModes(tc.stream, tc.sanitize, tc.crit, tc.trace, tc.flame)
-		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
-			t.Errorf("%+v: error %v, want %q", tc, err, tc.want)
-		}
-	}
-}
-
-// TestOutOfRangeFlags checks that numeric flags outside their range fail
-// as flag errors naming the flag, before any run starts. Unchecked, most
-// of these panic inside every job of the grid, and -cores -2 silently
-// runs one core.
+// TestOutOfRangeFlags checks that numeric flags outside their range and
+// unknown single-run scheme or workload names fail as flag errors
+// naming the flag, before any run starts. Unchecked, most of these
+// panic inside every job of the grid or the single run, and -cores -2
+// silently runs one core.
 func TestOutOfRangeFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -167,6 +143,8 @@ func TestOutOfRangeFlags(t *testing.T) {
 		{[]string{"-cores", "100"}, "-cores 100: must be 0..64"},
 		{[]string{"-cores", "-2"}, "-cores -2: must be 0..64"},
 		{[]string{"-cores", "-2", "-sanitize"}, "-cores -2"},
+		{[]string{"-workload", "nosuch", "-sanitize"}, "-workload nosuch: unknown workload"},
+		{[]string{"-scheme", "nosuch", "-flame", "x.folded"}, "-scheme nosuch: unknown scheme"},
 	} {
 		err := run(append([]string{"-experiment", "headline"}, tc.args...))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

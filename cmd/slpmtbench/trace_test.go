@@ -12,23 +12,17 @@ import (
 	_ "github.com/persistmem/slpmt/internal/workloads/all"
 )
 
-// The acceptance path: a 2-core traced run must emit a Perfetto-loadable
-// document with one named track per core and the WPQ counter track, and
-// the text report must carry the latency histograms and WPQ series.
-func TestTracedRunEmitsPerfettoSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.json")
-	var out bytes.Buffer
-	cfg := bench.RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 80, ValueSize: 64, Cores: 2, Verify: true}
-	if err := runTraced(&out, cfg, path); err != nil {
-		t.Fatalf("runTraced: %v", err)
-	}
+// perfettoDoc decodes a Perfetto export and counts its thread tracks,
+// counter samples, spans and instants by name.
+type perfettoDoc struct {
+	threads  map[string]bool
+	counters int
+	spans    int
+	instants map[string]int
+}
 
-	for _, want := range []string{"commit latency (cycles): p50=", "WPQ occupancy over the run", "occ.max"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("report missing %q:\n%s", want, out.String())
-		}
-	}
-
+func readPerfetto(t *testing.T, path string) perfettoDoc {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -42,29 +36,108 @@ func TestTracedRunEmitsPerfettoSchema(t *testing.T) {
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("trace export holds no events")
 	}
-	threads := map[string]bool{}
-	counter := 0
-	spans := 0
+	pd := perfettoDoc{threads: map[string]bool{}, instants: map[string]int{}}
 	for _, m := range doc.TraceEvents {
 		switch m["ph"] {
 		case "M":
 			if m["name"] == "thread_name" {
-				threads[m["args"].(map[string]any)["name"].(string)] = true
+				pd.threads[m["args"].(map[string]any)["name"].(string)] = true
 			}
 		case "C":
-			counter++
+			pd.counters++
 		case "X":
-			spans++
+			pd.spans++
+		case "i":
+			pd.instants[m["name"].(string)]++
 		}
 	}
-	if !threads["core 0"] || !threads["core 1"] {
-		t.Errorf("per-core tracks missing: %v", threads)
+	return pd
+}
+
+// The acceptance path: a 2-core traced run must emit a Perfetto-loadable
+// document with one named track per core and the WPQ counter track, and
+// the text report must carry the latency histograms and WPQ series. The
+// binlog it streams through lives in a temporary directory that is gone
+// when the run returns.
+func TestTracedRunEmitsPerfettoSchema(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	path := filepath.Join(t.TempDir(), "out.json")
+	var out bytes.Buffer
+	cfg := bench.RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 80, ValueSize: 64, Cores: 2, Verify: true}
+	if err := runSingle(&out, cfg, single{tracePath: path}); err != nil {
+		t.Fatalf("runSingle: %v", err)
 	}
-	if counter == 0 {
+
+	for _, want := range []string{"commit latency (cycles): p50=", "WPQ occupancy over the run", "occ.max"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report missing %q:\n%s", want, out.String())
+		}
+	}
+	pd := readPerfetto(t, path)
+	if !pd.threads["core 0"] || !pd.threads["core 1"] {
+		t.Errorf("per-core tracks missing: %v", pd.threads)
+	}
+	if pd.counters == 0 {
 		t.Error("no WPQ counter-track samples exported")
 	}
-	if spans == 0 {
+	if pd.spans == 0 {
 		t.Error("no transaction spans exported")
+	}
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Errorf("temporary binlog left behind: %v", left)
+	}
+}
+
+// All five single-run flags on one 2-core SLPMT hashtable run: one
+// binlog feeds every section, and every file lands.
+func TestSingleRunAllSections(t *testing.T) {
+	dir := t.TempDir()
+	streamDir := filepath.Join(dir, "stream")
+	s := single{streamDir: streamDir, tracePath: filepath.Join(dir, "trace.json"),
+		flamePath: filepath.Join(dir, "run.folded"), sanitize: true, critpath: true, hotlines: 5}
+	var out bytes.Buffer
+	cfg := bench.RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 80, ValueSize: 64, Cores: 2, Verify: true}
+	if err := runSingle(&out, cfg, s); err != nil {
+		t.Fatalf("runSingle: %v\n%s", err, out.String())
+	}
+	text := out.String()
+	for _, want := range []string{
+		"run: SLPMT/hashtable n=80 value=64B cores=2",
+		"binlog: 1 segments in " + streamDir + ", closed=true",
+		"telemetry: ",
+		", 0 dropped",
+		"commit latency (cycles): p50=",
+		"WPQ occupancy over the run",
+		"attributed core-cycles: ",
+		"wrote " + s.flamePath,
+		"wrote " + s.tracePath + " (",
+		"persist-order sanitizer: 0 violations",
+		"critical path: makespan ",
+		"hot lines (top 5 of ",
+		"wrote " + filepath.Join(streamDir, "critpath.txt"),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("output missing %q:\n%s", want, text)
+		}
+	}
+
+	for _, f := range []string{bench.TelemetryFile, "critpath.txt"} {
+		if fi, err := os.Stat(filepath.Join(streamDir, f)); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v (empty or missing)", f, err)
+		}
+	}
+	rep, err := os.ReadFile(filepath.Join(streamDir, "critpath.txt"))
+	if err != nil || !strings.Contains(text, "\n"+string(rep)) {
+		t.Errorf("critpath.txt (%v) is not the printed report", err)
+	}
+	folded, err := os.ReadFile(s.flamePath)
+	if err != nil || !strings.HasPrefix(string(folded), "SLPMT;hashtable;core0;") {
+		t.Errorf("folded stacks %q (%v): want SLPMT;hashtable;core0;... lines", folded, err)
+	}
+	// -critpath's and -flame's attribution profile adds charge instants.
+	if pd := readPerfetto(t, s.tracePath); pd.instants["charge"] == 0 || pd.spans == 0 {
+		t.Errorf("trace export holds %d charge instants and %d spans; want both", pd.instants["charge"], pd.spans)
 	}
 }
 

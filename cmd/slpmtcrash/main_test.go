@@ -94,10 +94,11 @@ func TestPointRejections(t *testing.T) {
 	}
 }
 
-// TestOutOfRangeFlags checks that numeric flags outside their range fail
-// as flag errors naming the flag, before any campaign runs. Unchecked,
-// -n, -value, -commit-window and -cores 100 panic inside the runs, and
-// a negative -sockets silently runs one socket.
+// TestOutOfRangeFlags checks that numeric flags outside their range and
+// unknown scheme or workload names fail as flag errors naming the flag,
+// before any campaign runs. Unchecked, the names, -n, -value,
+// -commit-window and -cores 100 panic inside the runs, and a negative
+// -sockets silently runs one socket.
 func TestOutOfRangeFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -111,6 +112,8 @@ func TestOutOfRangeFlags(t *testing.T) {
 		{[]string{"-cores", "9", "-commit-window", "4"}, "-cores 9: group commit (commit window 4) supports at most 8 cores"},
 		{[]string{"-all", "-n", "-5"}, "-n -5"},
 		{[]string{"-n", "-5", "-point", "20"}, "-n -5"},
+		{[]string{"-scheme", "nosuch"}, "-scheme nosuch: unknown scheme"},
+		{[]string{"-workload", "nosuch"}, "-workload nosuch: unknown workload"},
 	} {
 		out, fail, err := runCLI(append([]string{"-workload", "hashtable"}, tc.args...)...)
 		if err == nil || err == errFailed || !strings.Contains(err.Error(), tc.want) {

@@ -7,6 +7,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -104,13 +105,20 @@ type RunConfig struct {
 }
 
 // Validate reports the first field of cfg that no run accepts: a
-// negative N, ValueSize, CommitWindow or Sockets, Cores outside
+// Scheme or Workload no registry knows (empty ones are left to the
+// caller), a negative N, ValueSize, CommitWindow or Sockets, Cores outside
 // 0..slpmt.MaxCores, or more than logfmt.MaxGroupCores cores under group
 // commit (CommitWindow > 1), whose descriptor is one line. Zero keeps
 // meaning the default everywhere. The error names the field by the
 // command-line flag that sets it (slpmtbench and slpmtcrash name them
 // alike), so the CLIs print it as a flag error.
 func (cfg RunConfig) Validate() error {
+	switch {
+	case cfg.Scheme != "" && !slices.Contains(slpmt.Schemes(), cfg.Scheme):
+		return fmt.Errorf("-scheme %s: unknown scheme (have %v)", cfg.Scheme, slpmt.Schemes())
+	case cfg.Workload != "" && !slices.Contains(workloads.Names(), cfg.Workload):
+		return fmt.Errorf("-workload %s: unknown workload (have %v)", cfg.Workload, workloads.Names())
+	}
 	for _, f := range []struct {
 		flag string
 		v    int

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -36,8 +37,9 @@ func sanitizeReport(t *testing.T, src stream.Source, dropped uint64) *trace.Repo
 
 // A streamed run reduces exactly like a ring run: against the same
 // config traced into a full-detail ring with zero drops, it has the
-// same cycles and counters, and its Summary, WPQ series and sanitizer
-// report (replayed from the binlog) equal the ring's. Covers single-
+// same cycles and counters, and its Summary, WPQ series, sanitizer
+// report and Perfetto export (replayed from the binlog) equal the
+// ring's. Covers single-
 // and multi-core.
 func TestStreamedRunMatchesBuffered(t *testing.T) {
 	for _, cores := range []int{1, 2} {
@@ -85,6 +87,24 @@ func TestStreamedRunMatchesBuffered(t *testing.T) {
 		}
 		if want.Transactions == 0 {
 			t.Fatalf("cores=%d: sanitizer replayed no transactions", cores)
+		}
+
+		// Perfetto: the binlog's events export byte for byte like the
+		// ring's (slpmtbench -trace writes the binlog's).
+		var evs []trace.Event
+		if _, err := d.Iter(func(e trace.Event) { evs = append(evs, e) }); err != nil {
+			t.Fatal(err)
+		}
+		var fromLog, fromRing bytes.Buffer
+		if err := trace.WritePerfetto(&fromLog, evs, trace.PerfettoOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.WritePerfetto(&fromRing, tr.Events(), trace.PerfettoOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fromLog.Bytes(), fromRing.Bytes()) {
+			t.Fatalf("cores=%d: Perfetto export of the binlog (%d B) differs from the ring's (%d B)",
+				cores, fromLog.Len(), fromRing.Len())
 		}
 
 		// Telemetry: interval series present, in order, with the NDJSON

@@ -57,14 +57,14 @@ type CampaignConfig struct {
 	Parallel int
 }
 
-// Validate rejects the configurations no crash driver runs: the run-shape
+// Validate rejects the configurations no crash driver runs: the run
 // fields outside what a benchmark run accepts (bench.RunConfig.Validate:
-// negative N, ValueSize, CommitWindow or Sockets, Cores outside
-// 0..slpmt.MaxCores, group commit on more cores than its descriptor
-// holds), and Mixed streams across cores.
+// an unknown Scheme or Workload, negative N, ValueSize, CommitWindow or
+// Sockets, Cores outside 0..slpmt.MaxCores, group commit on more cores
+// than its descriptor holds), and Mixed streams across cores.
 func (cfg CampaignConfig) Validate() error {
-	shape := bench.RunConfig{N: cfg.N, ValueSize: cfg.ValueSize, Cores: cfg.Cores,
-		Sockets: cfg.Sockets, CommitWindow: cfg.CommitWindow}
+	shape := bench.RunConfig{Scheme: cfg.Scheme, Workload: cfg.Workload, N: cfg.N, ValueSize: cfg.ValueSize,
+		Cores: cfg.Cores, Sockets: cfg.Sockets, CommitWindow: cfg.CommitWindow}
 	if err := shape.Validate(); err != nil {
 		return err
 	}

@@ -204,51 +204,49 @@ func (c *ctree) nodesDurable(img *pmem.Image) ([]txheap.Extent, error) {
 	return out, nil
 }
 
-// checkDurable verifies crit-bit invariants: child subtrees agree with
-// the branch bit, and bit indices strictly decrease downward.
+// checkDurable verifies crit-bit invariants: no internal node has a nil
+// child, bit indices strictly decrease downward, and every leaf's key
+// agrees with the branch its path took at each ancestor's bit. The bit
+// order bounds the recursion at 64 internal nodes, so a corrupt image
+// (a zeroed or looping child) fails the check instead of the stack.
 func (c *ctree) checkDurable(img *pmem.Image) error {
-	var walk func(p uint64, parentBit int64) error
-	walk = func(p uint64, parentBit int64) error {
-		if p == 0 {
-			return nil
-		}
+	// path holds the branch taken at each ancestor; the bit order
+	// keeps it within 64 entries.
+	var path [64]struct{ bit, side uint64 }
+	depth := 0
+	var walk func(p, above uint64) error
+	walk = func(p, above uint64) error {
 		if ctIsLeaf(p) {
+			k := img.ReadU64(ctUntag(p) + ctLeafKey)
+			for _, b := range path[:depth] {
+				if keyBit(k, b.bit) != b.side {
+					return fmt.Errorf("ctree durable: key %d on wrong side of bit %d", k, b.bit)
+				}
+			}
 			return nil
 		}
 		n := ctUntag(p)
 		bit := img.ReadU64(n + ctBit)
-		if int64(bit) >= parentBit {
-			return fmt.Errorf("ctree durable: bit order violation (%d under %d)", bit, parentBit)
+		if bit >= above {
+			return fmt.Errorf("ctree durable: bit order violation (%d under %d)", bit, above)
 		}
 		for side := uint64(0); side <= 1; side++ {
 			ch := img.ReadU64(n + ctChild0 + mem.Addr(8*side))
 			if ch == 0 {
 				return fmt.Errorf("ctree durable: nil child under bit %d", bit)
 			}
-			// Every key in the subtree must have bit value == side.
-			var checkKeys func(q uint64) error
-			checkKeys = func(q uint64) error {
-				if ctIsLeaf(q) {
-					k := img.ReadU64(ctUntag(q) + ctLeafKey)
-					if keyBit(k, bit) != side {
-						return fmt.Errorf("ctree durable: key %d on wrong side of bit %d", k, bit)
-					}
-					return nil
-				}
-				m := ctUntag(q)
-				if err := checkKeys(img.ReadU64(m + ctChild0)); err != nil {
-					return err
-				}
-				return checkKeys(img.ReadU64(m + ctChild1))
-			}
-			if err := checkKeys(ch); err != nil {
-				return err
-			}
-			if err := walk(ch, int64(bit)); err != nil {
+			path[depth].bit, path[depth].side = bit, side
+			depth++
+			err := walk(ch, bit)
+			depth--
+			if err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return walk(workloads.ReadRoot(img, workloads.RootMain), 64)
+	if root := workloads.ReadRoot(img, workloads.RootMain); root != 0 {
+		return walk(root, 64)
+	}
+	return nil
 }

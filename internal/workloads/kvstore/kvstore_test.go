@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -146,6 +147,32 @@ func TestCtreeBitDiscrimination(t *testing.T) {
 	}
 	if _, ok := kv.Get(sys, 4); ok {
 		t.Fatal("phantom key found")
+	}
+}
+
+// A zeroed grandchild pointer is a nil child below the root's own
+// children: CheckDurable must report it, not walk address 0 as an
+// internal node forever.
+func TestCtreeCheckDurableRejectsNilGrandchild(t *testing.T) {
+	// Root branches on bit 40; its 0 side holds 1, 2, 3 under bit 1.
+	keys := []uint64{1, 2, 3, 1 << 40}
+	kv, sys := insertKeys(t, "kv-ctree", keys)
+	sys.DrainLazy()
+	img := sys.Mach.Crash()
+	root := ctUntag(workloads.ReadRoot(img, workloads.RootMain))
+	child := img.ReadU64(uint64(root + ctChild0))
+	if ctIsLeaf(child) {
+		t.Fatal("root's 0 side is a leaf; the keys no longer build a grandchild")
+	}
+	img.WriteU64(uint64(ctUntag(child)+ctChild0), 0)
+
+	oracle := map[uint64][]byte{}
+	for _, k := range keys {
+		oracle[k], _ = kv.Get(sys, k)
+	}
+	err := kv.CheckDurable(img, oracle)
+	if err == nil || !strings.Contains(err.Error(), "nil child under bit") {
+		t.Fatalf("CheckDurable on a zeroed grandchild: %v, want a nil-child error", err)
 	}
 }
 

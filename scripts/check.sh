@@ -4,7 +4,8 @@
 # test suite, one run of each engine/pmem/recovery microbenchmark and of
 # the machine and cluster constructor benchmarks,
 # race-detector passes, and one traced 2-core run replayed through the
-# persist-order sanitizer and the critical-path analyzer.
+# persist-order sanitizer and the critical-path analyzer, exported to
+# Perfetto and profiled into folded stacks.
 #
 # Usage: scripts/check.sh   (or: make check)
 set -eu
@@ -42,7 +43,7 @@ go test -run '^$' -bench '^BenchmarkNew(Cluster)?$' -benchtime 1x . ./internal/m
 echo "== go test -race (make race) =="
 make race
 
-echo "== traced run: streamed sanitizer + critical-path conservation (make trace-gate) =="
+echo "== traced run: streamed sanitizer, critical-path conservation, Perfetto and folded stacks (make trace-gate) =="
 make trace-gate
 
 echo "ALL CHECKS PASSED"
