@@ -108,14 +108,23 @@ type campaignOp struct {
 func genOps(cfg CampaignConfig) []campaignOp {
 	load := ycsb.Load{N: cfg.N, ValueSize: cfg.ValueSize, Seed: cfg.Seed}
 	keys := load.Keys()
+	// Every op carries at most one value of the load's value size, and
+	// there are at most len(keys) ops, so one slab holds them all.
+	size := len(load.ValueInto(nil, 0))
+	slab := make([]byte, len(keys)*size)
+	value := func(k uint64) []byte {
+		v := load.ValueInto(slab[:0:size], k)
+		slab = slab[size:]
+		return v
+	}
 	if !cfg.Mixed {
 		ops := make([]campaignOp, 0, len(keys))
 		for _, k := range keys {
-			ops = append(ops, campaignOp{opInsert, k, load.Value(k)})
+			ops = append(ops, campaignOp{opInsert, k, value(k)})
 		}
 		return ops
 	}
-	var ops []campaignOp
+	ops := make([]campaignOp, 0, cfg.N)
 	var live []uint64
 	rng := cfg.Seed*0x9e3779b97f4a7c15 + 0x1234
 	next := func(n uint64) uint64 {
@@ -133,11 +142,11 @@ func genOps(cfg CampaignConfig) []campaignOp {
 			}
 			k := keys[ki]
 			ki++
-			ops = append(ops, campaignOp{opInsert, k, load.Value(k)})
+			ops = append(ops, campaignOp{opInsert, k, value(k)})
 			live = append(live, k)
 		case next(100) < 50:
 			k := live[next(uint64(len(live)))]
-			nv := load.Value(k ^ uint64(len(ops)))
+			nv := value(k ^ uint64(len(ops)))
 			ops = append(ops, campaignOp{opUpdate, k, nv})
 		default:
 			i := next(uint64(len(live)))
@@ -353,7 +362,10 @@ type undoEntry struct {
 // operation's, and no further back than bound candidates from the
 // crash. Candidates are checked newest first: the replay records undo
 // entries for the operations it may have to revert, then reverts them
-// one at a time.
+// one at a time. The newest candidate is always checked, since its
+// error is the one reported; an older one only when its size equals
+// the image's RootCount, because CheckDurable rejects any other size
+// (see workloads.Recoverable).
 func (v *verifier) verifyPrefix(rec workloads.Recoverable, ops []campaignOp, info runInfo, bound int, res *CampaignResult) error {
 	seq := info.done
 	if info.pending >= 0 {
@@ -375,15 +387,18 @@ func (v *verifier) verifyPrefix(rec workloads.Recoverable, ops []campaignOp, inf
 		undo[u] = undoEntry{ops[i].key, val, present}
 		applyOracle(oracle, ops[i])
 	}
+	count := workloads.ReadRoot(info.img, workloads.RootCount)
 	var firstErr error
 	for c := 0; ; c++ {
-		if err := rec.CheckDurable(info.img, oracle); err == nil {
-			if info.pending >= 0 && c == 0 {
-				res.PendingAccepted++
+		if c == 0 || uint64(len(oracle)) == count {
+			if err := rec.CheckDurable(info.img, oracle); err == nil {
+				if info.pending >= 0 && c == 0 {
+					res.PendingAccepted++
+				}
+				return nil
+			} else if firstErr == nil {
+				firstErr = err
 			}
-			return nil
-		} else if firstErr == nil {
-			firstErr = err
 		}
 		if c == reverts {
 			break
@@ -401,10 +416,11 @@ func (v *verifier) verifyPrefix(rec workloads.Recoverable, ops []campaignOp, inf
 // setupPersists counts the persist events of Setup alone, so the
 // campaign can start crashing after initialization (a crash during
 // setup reverts to an uninitialized image, which applications handle by
-// re-running setup — there is no structure to verify).
-func setupPersists(cfg CampaignConfig) (uint64, error) {
+// re-running setup — there is no structure to verify). It runs on v's
+// platform, like execute.
+func (v *verifier) setupPersists(cfg CampaignConfig) (uint64, error) {
 	w := workloads.MustNew(cfg.Workload)
-	cl := slpmt.NewCluster(cfg.Cores, slpmt.Options{Scheme: cfg.Scheme, CommitWindow: cfg.CommitWindow, Sockets: cfg.Sockets})
+	cl := v.platform(cfg, w)
 	if err := w.Setup(cl.Use(0)); err != nil {
 		return 0, err
 	}
@@ -469,7 +485,9 @@ func RunPoint(cfg CampaignConfig, point uint64) (img *pmem.Image, crashed bool, 
 	if err := cfg.Validate(); err != nil {
 		return nil, false, res, err
 	}
-	setup, err := setupPersists(cfg)
+	// A verifier of its own: the image it returns is not reused.
+	v := new(verifier)
+	setup, err := v.setupPersists(cfg)
 	if err != nil {
 		return nil, false, res, err
 	}
@@ -477,8 +495,6 @@ func RunPoint(cfg CampaignConfig, point uint64) (img *pmem.Image, crashed bool, 
 		return nil, false, res, fmt.Errorf("crash point %d falls in set-up (persist events 1-%d)", point, setup)
 	}
 	ops := genOps(cfg)
-	// A verifier of its own: the image it returns is not reused.
-	v := new(verifier)
 	info, total, err := v.execute(cfg, ops, point)
 	if err != nil {
 		return nil, false, res, fmt.Errorf("crash point %d: %w", point, err)
@@ -523,7 +539,11 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	if ref.crashed {
 		return nil, fmt.Errorf("reference run crashed unexpectedly")
 	}
-	setup, err := setupPersists(cfg)
+	// The sweep's first verifier counts the set-up persists on its
+	// platform, and its crash snapshots fill the reference run's image,
+	// which nothing reads after this.
+	v := &verifier{img: ref.img}
+	setup, err := v.setupPersists(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -545,7 +565,6 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		// Serial sweep: stop executing at the first error or
 		// beyond-the-run point, exactly like the historical loop. One
 		// verifier, and so one platform, serves every point.
-		v := new(verifier)
 		for _, point := range points {
 			out := testPoint(v, cfg, ops, point)
 			if out.err != nil {
@@ -561,8 +580,10 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 
 	// Each worker takes a verifier from the free list for a job and puts
 	// it back after, so at most one verifier per worker is ever built.
+	// The list starts with v.
 	outs := make([]pointOutcome, len(points))
 	free := make(chan *verifier, workers)
+	free <- v
 	if err := bench.ForEachWorkers(len(points), workers, func(i int) error {
 		var v *verifier
 		select {

@@ -23,7 +23,7 @@ func TestCampaignParallelReuseMatchesFreshPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			setup, err := setupPersists(cfg)
+			setup, err := new(verifier).setupPersists(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

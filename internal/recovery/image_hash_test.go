@@ -152,7 +152,7 @@ func crashImageHashes(t *testing.T, cfg CampaignConfig) []string {
 	if err != nil || ref.crashed {
 		t.Fatalf("reference run: crashed=%v err=%v", ref.crashed, err)
 	}
-	setup, err := setupPersists(cfg)
+	setup, err := v.setupPersists(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

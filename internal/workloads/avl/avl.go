@@ -209,7 +209,8 @@ func (t *Tree) Recover(img *pmem.Image) error { return nil }
 
 // Reach implements workloads.Recoverable.
 func (t *Tree) Reach(img *pmem.Image) ([]txheap.Extent, error) {
-	var out []txheap.Extent
+	count := workloads.ReadRoot(img, workloads.RootCount)
+	out := make([]txheap.Extent, 0, workloads.ReachCap(img, count, offVal))
 	var walk func(n mem.Addr)
 	walk = func(n mem.Addr) {
 		if n == 0 {

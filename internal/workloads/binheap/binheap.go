@@ -222,7 +222,9 @@ func (h *Heap) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 	if arr == 0 || capn == 0 {
 		return nil, fmt.Errorf("heap reach: no array")
 	}
-	out := []txheap.Extent{{Addr: arr, Size: capn * entSize}}
+	// The array and one value block per entry.
+	out := make([]txheap.Extent, 0, workloads.ReachCap(img, min(size, capn)+1, valBytes))
+	out = append(out, txheap.Extent{Addr: arr, Size: capn * entSize})
 	for i := uint64(0); i < size; i++ {
 		vb := mem.Addr(img.ReadU64(arr + mem.Addr(i*entSize) + entVPtr))
 		vlen := img.ReadU64(vb + valLen)
@@ -238,7 +240,8 @@ func (h *Heap) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 		return err
 	}
 	arr := mem.Addr(workloads.ReadRoot(img, workloads.RootMain))
-	seen := h.rd.Seen(len(oracle))
+	seen := workloads.KeySet()
+	defer workloads.PutKeySet(seen)
 	for i := uint64(0); i < size; i++ {
 		e := arr + mem.Addr(i*entSize)
 		k := img.ReadU64(e + entKey)

@@ -169,7 +169,8 @@ func (l *List) Recover(img *pmem.Image) error {
 
 // Reach implements workloads.Recoverable.
 func (l *List) Reach(img *pmem.Image) ([]txheap.Extent, error) {
-	var out []txheap.Extent
+	count := workloads.ReadRoot(img, workloads.RootCount)
+	out := make([]txheap.Extent, 0, workloads.ReachCap(img, count, offVal))
 	for n := mem.Addr(workloads.ReadRoot(img, workloads.RootMain)); n != 0; n = mem.Addr(img.ReadU64(n + offNext)) {
 		vlen := img.ReadU64(n + offVLen)
 		out = append(out, txheap.Extent{Addr: n, Size: offVal + vlen})
@@ -182,7 +183,8 @@ func (l *List) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 	if err := workloads.CheckCount("dlist", workloads.ReadRoot(img, workloads.RootCount), oracle); err != nil {
 		return err
 	}
-	seen := l.rd.Seen(len(oracle))
+	seen := workloads.KeySet()
+	defer workloads.PutKeySet(seen)
 	prev := mem.Addr(0)
 	for n := mem.Addr(workloads.ReadRoot(img, workloads.RootMain)); n != 0; n = mem.Addr(img.ReadU64(n + offNext)) {
 		if mem.Addr(img.ReadU64(n+offPrev)) != prev {

@@ -248,7 +248,10 @@ func (t *Table) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 	if arr == 0 || nb == 0 {
 		return nil, fmt.Errorf("hashtable reach: no table")
 	}
-	out := []txheap.Extent{{Addr: arr, Size: nb * 8}}
+	// The bucket array and one node per counted key.
+	count := workloads.ReadRoot(img, workloads.RootCount)
+	out := make([]txheap.Extent, 0, workloads.ReachCap(img, count+1, offVal))
+	out = append(out, txheap.Extent{Addr: arr, Size: nb * 8})
 	for b := uint64(0); b < nb; b++ {
 		n := mem.Addr(img.ReadU64(arr + mem.Addr(8*b)))
 		for n != 0 {
@@ -270,7 +273,8 @@ func (t *Table) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 	if nb == 0 {
 		return fmt.Errorf("hashtable durable: zero buckets")
 	}
-	seen := t.rd.Seen(len(oracle))
+	seen := workloads.KeySet()
+	defer workloads.PutKeySet(seen)
 	for b := uint64(0); b < nb; b++ {
 		n := mem.Addr(img.ReadU64(arr + mem.Addr(8*b)))
 		for n != 0 {

@@ -213,27 +213,25 @@ func (b *btree) walkDurable(img *pmem.Image, fn func(uint64, mem.Addr) error) er
 	return walk(mem.Addr(workloads.ReadRoot(img, workloads.RootMain)))
 }
 
-func (b *btree) nodesDurable(img *pmem.Image) ([]txheap.Extent, error) {
-	var out []txheap.Extent
-	var walk func(x mem.Addr) error
-	walk = func(x mem.Addr) error {
-		out = append(out, txheap.Extent{Addr: x, Size: btSize})
-		if img.ReadU64(x+btLeaf) == 1 {
-			return nil
-		}
-		n := int(img.ReadU64(x + btN))
-		for i := 0; i <= n; i++ {
-			if err := walk(mem.Addr(img.ReadU64(x + mem.Addr(btKid(i))))); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(mem.Addr(workloads.ReadRoot(img, workloads.RootMain))); err != nil {
-		return nil, err
-	}
-	return out, nil
+func (b *btree) appendNodes(out []txheap.Extent, img *pmem.Image) []txheap.Extent {
+	return btNodes(out, img, mem.Addr(workloads.ReadRoot(img, workloads.RootMain)))
 }
+
+// btNodes appends the extents of the subtree at x, preorder.
+func btNodes(out []txheap.Extent, img *pmem.Image, x mem.Addr) []txheap.Extent {
+	out = append(out, txheap.Extent{Addr: x, Size: btSize})
+	if img.ReadU64(x+btLeaf) == 1 {
+		return out
+	}
+	n := int(img.ReadU64(x + btN))
+	for i := 0; i <= n; i++ {
+		out = btNodes(out, img, mem.Addr(img.ReadU64(x+mem.Addr(btKid(i)))))
+	}
+	return out
+}
+
+// maxNodes: every node but the root holds at least btreeT-1 keys.
+func (b *btree) maxNodes(count uint64) uint64 { return count/(btreeT-1) + 1 }
 
 func (b *btree) checkDurable(img *pmem.Image) error {
 	root := mem.Addr(workloads.ReadRoot(img, workloads.RootMain))

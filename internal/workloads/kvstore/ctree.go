@@ -180,29 +180,27 @@ func (c *ctree) walkDurable(img *pmem.Image, fn func(uint64, mem.Addr) error) er
 	return walk(workloads.ReadRoot(img, workloads.RootMain))
 }
 
-func (c *ctree) nodesDurable(img *pmem.Image) ([]txheap.Extent, error) {
-	var out []txheap.Extent
-	var walk func(p uint64) error
-	walk = func(p uint64) error {
-		if p == 0 {
-			return nil
-		}
-		if ctIsLeaf(p) {
-			out = append(out, txheap.Extent{Addr: ctUntag(p), Size: ctLeafSize})
-			return nil
-		}
-		n := ctUntag(p)
-		out = append(out, txheap.Extent{Addr: n, Size: ctSize})
-		if err := walk(img.ReadU64(n + ctChild0)); err != nil {
-			return err
-		}
-		return walk(img.ReadU64(n + ctChild1))
-	}
-	if err := walk(workloads.ReadRoot(img, workloads.RootMain)); err != nil {
-		return nil, err
-	}
-	return out, nil
+func (c *ctree) appendNodes(out []txheap.Extent, img *pmem.Image) []txheap.Extent {
+	return ctNodes(out, img, workloads.ReadRoot(img, workloads.RootMain))
 }
+
+// ctNodes appends the extents of the subtree at tagged pointer p,
+// preorder.
+func ctNodes(out []txheap.Extent, img *pmem.Image, p uint64) []txheap.Extent {
+	if p == 0 {
+		return out
+	}
+	if ctIsLeaf(p) {
+		return append(out, txheap.Extent{Addr: ctUntag(p), Size: ctLeafSize})
+	}
+	n := ctUntag(p)
+	out = append(out, txheap.Extent{Addr: n, Size: ctSize})
+	out = ctNodes(out, img, img.ReadU64(n+ctChild0))
+	return ctNodes(out, img, img.ReadU64(n+ctChild1))
+}
+
+// maxNodes: one leaf per key and one fewer internal nodes.
+func (c *ctree) maxNodes(count uint64) uint64 { return 2 * count }
 
 // checkDurable verifies crit-bit invariants: no internal node has a nil
 // child, bit indices strictly decrease downward, and every leaf's key

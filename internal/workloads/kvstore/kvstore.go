@@ -40,10 +40,12 @@ type index interface {
 	lookup(tx *slpmt.Tx, key uint64) (slpmt.Addr, bool)
 	// computeCost is the backend's compute-cycles-per-op knob.
 	computeCost() uint64
-	// walkDurable visits every (key, vptr) pair in the image.
-	walkDurable(img *pmem.Image, fn func(key uint64, vptr mem.Addr) error) error
-	// nodesDurable returns the index's own node extents in the image.
-	nodesDurable(img *pmem.Image) ([]txheap.Extent, error)
+	// appendNodes appends the index's own node extents in the image to
+	// out and returns it.
+	appendNodes(out []txheap.Extent, img *pmem.Image) []txheap.Extent
+	// maxNodes bounds the node count of a valid index holding count
+	// keys; Reach pre-sizes its extent slice with it.
+	maxNodes(count uint64) uint64
 	// checkDurable verifies backend-specific structural invariants.
 	checkDurable(img *pmem.Image) error
 	// recover repairs backend-specific log-free/lazy state post-crash.
@@ -123,11 +125,10 @@ func (kv *KV) Recover(img *pmem.Image) error { return kv.idx.recover(img) }
 // Reach implements workloads.Recoverable: index nodes plus every
 // reachable value block.
 func (kv *KV) Reach(img *pmem.Image) ([]txheap.Extent, error) {
-	out, err := kv.idx.nodesDurable(img)
-	if err != nil {
-		return nil, err
-	}
-	err = kv.idx.walkDurable(img, func(key uint64, vptr mem.Addr) error {
+	count := workloads.ReadRoot(img, workloads.RootCount)
+	out := make([]txheap.Extent, 0, workloads.ReachCap(img, kv.idx.maxNodes(count)+count, valBytes))
+	out = kv.idx.appendNodes(out, img)
+	err := kv.walkDurable(img, func(key uint64, vptr mem.Addr) error {
 		vlen := img.ReadU64(vptr + valLen)
 		out = append(out, txheap.Extent{Addr: vptr, Size: valBytes + vlen})
 		return nil
@@ -138,6 +139,22 @@ func (kv *KV) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 	return out, nil
 }
 
+// walkDurable visits every (key, vptr) pair of the index in the image.
+// Each index's walkDurable is called on its concrete type: through an
+// interface, fn would escape and every caller's closure would be
+// allocated.
+func (kv *KV) walkDurable(img *pmem.Image, fn func(key uint64, vptr mem.Addr) error) error {
+	switch idx := kv.idx.(type) {
+	case *btree:
+		return idx.walkDurable(img, fn)
+	case *ctree:
+		return idx.walkDurable(img, fn)
+	case *rtree:
+		return idx.walkDurable(img, fn)
+	}
+	panic(fmt.Sprintf("kvstore: no durable walk for index %T", kv.idx))
+}
+
 // CheckDurable implements workloads.Recoverable.
 func (kv *KV) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 	if err := workloads.CheckCount(kv.name, workloads.ReadRoot(img, workloads.RootCount), oracle); err != nil {
@@ -146,8 +163,9 @@ func (kv *KV) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 	if err := kv.idx.checkDurable(img); err != nil {
 		return err
 	}
-	seen := kv.rd.Seen(len(oracle))
-	visit := func(key uint64, vptr mem.Addr) error {
+	seen := workloads.KeySet()
+	defer workloads.PutKeySet(seen)
+	err := kv.walkDurable(img, func(key uint64, vptr mem.Addr) error {
 		want, ok := oracle[key]
 		if !ok {
 			return fmt.Errorf("%s durable: unexpected key %d", kv.name, key)
@@ -164,17 +182,7 @@ func (kv *KV) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 			return fmt.Errorf("%s durable: key %d value mismatch", kv.name, key)
 		}
 		return nil
-	}
-	// Concrete calls: through the index interface, visit would escape.
-	var err error
-	switch idx := kv.idx.(type) {
-	case *btree:
-		err = idx.walkDurable(img, visit)
-	case *ctree:
-		err = idx.walkDurable(img, visit)
-	case *rtree:
-		err = idx.walkDurable(img, visit)
-	}
+	})
 	if err != nil {
 		return err
 	}

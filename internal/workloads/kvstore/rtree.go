@@ -221,31 +221,30 @@ func (r *rtree) walkDurable(img *pmem.Image, fn func(uint64, mem.Addr) error) er
 	return walk(workloads.ReadRoot(img, workloads.RootMain))
 }
 
-func (r *rtree) nodesDurable(img *pmem.Image) ([]txheap.Extent, error) {
-	var out []txheap.Extent
-	var walk func(p uint64) error
-	walk = func(p uint64) error {
-		if p == 0 {
-			return nil
-		}
-		if rtIsLeaf(p) {
-			out = append(out, txheap.Extent{Addr: rtUntag(p), Size: rtLeafSize})
-			return nil
-		}
-		n := rtUntag(p)
-		out = append(out, txheap.Extent{Addr: n, Size: rtSize})
-		for i := uint64(0); i < 16; i++ {
-			if err := walk(img.ReadU64(n + mem.Addr(rtKid(i)))); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(workloads.ReadRoot(img, workloads.RootMain)); err != nil {
-		return nil, err
-	}
-	return out, nil
+func (r *rtree) appendNodes(out []txheap.Extent, img *pmem.Image) []txheap.Extent {
+	return rtNodes(out, img, workloads.ReadRoot(img, workloads.RootMain))
 }
+
+// rtNodes appends the extents of the subtree at tagged pointer p,
+// preorder.
+func rtNodes(out []txheap.Extent, img *pmem.Image, p uint64) []txheap.Extent {
+	if p == 0 {
+		return out
+	}
+	if rtIsLeaf(p) {
+		return append(out, txheap.Extent{Addr: rtUntag(p), Size: rtLeafSize})
+	}
+	n := rtUntag(p)
+	out = append(out, txheap.Extent{Addr: n, Size: rtSize})
+	for i := uint64(0); i < 16; i++ {
+		out = rtNodes(out, img, img.ReadU64(n+mem.Addr(rtKid(i))))
+	}
+	return out
+}
+
+// maxNodes: one leaf per key, and every branch has at least two
+// children, so fewer branches than leaves.
+func (r *rtree) maxNodes(count uint64) uint64 { return 2 * count }
 
 // checkDurable verifies that every leaf's key matches the nibble path
 // and prefix chain leading to it.

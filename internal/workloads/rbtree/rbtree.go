@@ -292,7 +292,8 @@ func (t *Tree) Recover(img *pmem.Image) error {
 
 // Reach implements workloads.Recoverable.
 func (t *Tree) Reach(img *pmem.Image) ([]txheap.Extent, error) {
-	var out []txheap.Extent
+	count := workloads.ReadRoot(img, workloads.RootCount)
+	out := make([]txheap.Extent, 0, workloads.ReachCap(img, count, offVal))
 	var walk func(n mem.Addr) error
 	walk = func(n mem.Addr) error {
 		if n == 0 {
@@ -317,7 +318,9 @@ func (t *Tree) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 		return err
 	}
 	root := mem.Addr(workloads.ReadRoot(img, workloads.RootMain))
-	seen := t.rd.Seen(len(oracle))
+	// The strict BST bounds admit no duplicate key, so a count of the
+	// nodes that pass is the number of distinct keys, as in avl.
+	seen := 0
 	var firstErr error
 	var walk func(n mem.Addr, lo, hi uint64, parent mem.Addr) int
 	walk = func(n mem.Addr, lo, hi uint64, parent mem.Addr) int {
@@ -345,7 +348,7 @@ func (t *Tree) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 			firstErr = fmt.Errorf("rbtree durable: value mismatch at %d", k)
 			return 0
 		}
-		seen[k] = true
+		seen++
 		c := img.ReadU64(n + offColor)
 		l := mem.Addr(img.ReadU64(n + offLeft))
 		r := mem.Addr(img.ReadU64(n + offRight))
@@ -374,8 +377,8 @@ func (t *Tree) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 	if firstErr != nil {
 		return firstErr
 	}
-	if len(seen) != len(oracle) {
-		return fmt.Errorf("rbtree durable: %d keys, oracle %d", len(seen), len(oracle))
+	if seen != len(oracle) {
+		return fmt.Errorf("rbtree durable: %d keys, oracle %d", seen, len(oracle))
 	}
 	return nil
 }

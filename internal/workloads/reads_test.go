@@ -35,8 +35,8 @@ func loaded(tb testing.TB, name string, n int) (workloads.Workload, *slpmt.Syste
 
 // TestReadsDoNotAllocate: after one warm-up call, the read side of
 // every workload allocates nothing. Get (hit and miss) and Scan return
-// views of the instance's buffer, and a repeated CheckDurable reuses
-// the instance's key set.
+// views of the instance's buffer, and CheckDurable takes its key set
+// from the package free list, on a fresh instance too.
 func TestReadsDoNotAllocate(t *testing.T) {
 	const hit, miss = 1*2654435761 + 1, 3
 	for _, name := range workloads.Names() {
@@ -74,6 +74,18 @@ func TestReadsDoNotAllocate(t *testing.T) {
 				}
 				var err error
 				zero("CheckDurable", func() { err = rec.CheckDurable(img, oracle) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				// One instance per call: zero's warm-up, then
+				// AllocsPerRun's warm-up and 20 runs.
+				fresh := make([]workloads.Recoverable, 22)
+				for i := range fresh {
+					fresh[i] = workloads.MustNew(name).(workloads.Recoverable)
+				}
+				zero("CheckDurable on a fresh instance", func() {
+					err, fresh = fresh[0].CheckDurable(img, oracle), fresh[1:]
+				})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/persistmem/slpmt"
 	"github.com/persistmem/slpmt/internal/mem"
@@ -70,8 +71,11 @@ type Recoverable interface {
 	// CheckDurable verifies the structure in the image against the
 	// oracle of transactions known committed at the crash point: the
 	// structure's invariants, every key and value, no duplicates, and
-	// the count. It is the structure's only checker; Check runs it over
-	// a read-only view of the volatile memory.
+	// the count. The count is the RootCount root, compared first with
+	// CheckCount, so an oracle of another size never passes; a crash
+	// campaign relies on that to skip such candidates unchecked. It is
+	// the structure's only checker; Check runs it over a read-only view
+	// of the volatile memory.
 	CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error
 }
 
@@ -168,11 +172,12 @@ func rootAddr(img *pmem.Image, slot int) mem.Addr {
 }
 
 // Scratch is a workload instance's reusable read-side state: the buffer
-// Get and Scan return values in, and the key set CheckDurable fills.
-// Reads allocate nothing after warm-up. Not safe for concurrent use.
+// Get and Scan return values in. Reads allocate nothing after warm-up.
+// The key sets CheckDurable fills are not kept here but in a package
+// free list (KeySet), so a fresh instance's check allocates nothing
+// either. Not safe for concurrent use.
 type Scratch struct {
-	buf  []byte
-	seen map[uint64]bool
+	buf []byte
 }
 
 // Value loads the value whose length word is at lenAt and whose bytes
@@ -189,18 +194,63 @@ func (s *Scratch) Value(tx *slpmt.Tx, lenAt, valAt slpmt.Addr) []byte {
 	return v
 }
 
-// Seen returns s's key set, emptied; hint sizes it on first use.
-func (s *Scratch) Seen(hint int) map[uint64]bool {
-	if s.seen == nil {
-		s.seen = make(map[uint64]bool, hint)
+// keySets holds the emptied key sets of CheckDurable's duplicate
+// checks for the next check to reuse. A crash campaign checks every
+// point's image with a fresh workload instance, so a set kept per
+// instance would be built once per point. Unlike a sync.Pool, the list
+// is not emptied by garbage collections (nor thinned by the race
+// detector), so a check's allocations do not depend on when one ran.
+var keySets struct {
+	sync.Mutex
+	free []map[uint64]bool
+}
+
+// keptKeys is the most keys a set may have held and still be kept.
+// Crash campaigns check a few hundred keys per point (240 in the
+// repository's benchmark). A larger set, from a one-off check of a
+// structure of thousands of keys, is left to the garbage collector, so
+// the list never pins one.
+const keptKeys = 512
+
+// KeySet returns an empty key set, reused when one is free. The caller
+// hands it back with PutKeySet when its check returns, on every path.
+func KeySet() map[uint64]bool {
+	keySets.Lock()
+	defer keySets.Unlock()
+	n := len(keySets.free)
+	if n == 0 {
+		return map[uint64]bool{}
 	}
-	clear(s.seen)
-	return s.seen
+	seen := keySets.free[n-1]
+	keySets.free = keySets.free[:n-1]
+	return seen
+}
+
+// PutKeySet empties seen and keeps it for the next KeySet, unless it
+// held more than keptKeys keys. The caller must not use seen afterwards.
+func PutKeySet(seen map[uint64]bool) {
+	if len(seen) > keptKeys {
+		return
+	}
+	clear(seen)
+	keySets.Lock()
+	keySets.free = append(keySets.free, seen)
+	keySets.Unlock()
+}
+
+// ReachCap is the capacity a Reach pre-sizes its extent slice with:
+// want extents, but no more than img could hold blocks of at least
+// minBytes. want comes from the image's RootCount, so a corrupt count
+// cannot make Reach allocate more than the image could hold.
+func ReachCap(img *pmem.Image, want, minBytes uint64) int {
+	return int(min(want, img.Size()/minBytes))
 }
 
 // countError is CheckCount's rejection. Its message is formatted only
-// when Error is called, so rejecting a candidate oracle costs one small
-// allocation.
+// when Error is called, so a rejection costs one small allocation. A
+// crash campaign's prefix search skips the older candidates of the
+// wrong size before CheckDurable (see Recoverable.CheckDurable), so it
+// pays this only for the candidates it checks.
 type countError struct {
 	structure string
 	count     uint64
@@ -213,9 +263,8 @@ func (e *countError) Error() string {
 
 // CheckCount compares a structure's durable element count (its
 // RootCount root) with the oracle's size. Every CheckDurable calls it
-// before walking the structure: a crash campaign checks several
-// candidate oracles against one image, and a candidate of the wrong
-// size is rejected in O(1).
+// before walking the structure, so a candidate oracle of the wrong size
+// is rejected in O(1).
 func CheckCount(structure string, count uint64, oracle map[uint64][]byte) error {
 	if count == uint64(len(oracle)) {
 		return nil

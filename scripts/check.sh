@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh - the repo's pre-merge gate: formatting, vet (go vet plus
 # the slpmtvet analyzer suite), build (native, windows and darwin), full
-# test suite, one run of each engine/pmem/recovery microbenchmark and of
-# the machine and cluster constructor benchmarks,
+# test suite, one run of each engine/pmem/recovery/workloads
+# microbenchmark and of the machine and cluster constructor benchmarks,
 # race-detector passes, and one traced 2-core run replayed through the
 # persist-order sanitizer and the critical-path analyzer, exported to
 # Perfetto and profiled into folded stacks.
@@ -37,7 +37,7 @@ echo "== go test =="
 go test ./...
 
 echo "== benchmark smoke (each microbenchmark once) =="
-go test -run '^$' -bench . -benchtime 1x ./internal/engine/ ./internal/pmem/ ./internal/recovery/
+go test -run '^$' -bench . -benchtime 1x ./internal/engine/ ./internal/pmem/ ./internal/recovery/ ./internal/workloads/
 go test -run '^$' -bench '^BenchmarkNew(Cluster)?$' -benchtime 1x . ./internal/machine/
 
 echo "== go test -race (make race) =="
