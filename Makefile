@@ -65,7 +65,7 @@ bench:
 
 # Micro-benchmarks for the simulator hot paths (allocations reported),
 # layer by layer: cache lookup/insert/locate, the core's eviction
-# cascade, PM persist, async backlog and crash snapshot, log-buffer
+# cascade and commit walk, PM persist, async backlog and crash snapshot, log-buffer
 # insert/merge, the engine, the tracer's disabled/enabled emit costs, a
 # serial crash campaign, workload point reads and short scans, one
 # small durable transaction through the public API, and building a

@@ -254,6 +254,10 @@ func (c *Cache) Locate(addr mem.Addr) (*Line, int) {
 // largest index Locate returns.
 func (c *Cache) Lines() int { return c.setCount * c.cfg.Ways }
 
+// At returns the line at position idx as Locate numbers them, valid or
+// not. Like Peek it leaves LRU and counters alone.
+func (c *Cache) At(idx int) *Line { return &c.lines[idx] }
+
 // Insert places a line with the given contents into the cache and
 // returns a pointer to it. If a victim had to be evicted, its copy is
 // returned with evicted=true. The caller (the machine layer) is

@@ -157,7 +157,8 @@ func TestLineHoldsNoPointers(t *testing.T) {
 }
 
 // TestLocateMatchesForEachOrder: Locate's index is the line's rank in
-// ForEach order, so sorting located lines by it reproduces a full scan.
+// ForEach order, so sorting located lines by it reproduces a full scan,
+// and At resolves the index back to the line.
 func TestLocateMatchesForEachOrder(t *testing.T) {
 	c := New(Config{Name: "t", SizeBytes: 16 * mem.LineSize, Ways: 4, LatencyCycles: 1})
 	// Fill out of address order, with an eviction and a removal, so way
@@ -169,7 +170,7 @@ func TestLocateMatchesForEachOrder(t *testing.T) {
 	prev := -1
 	c.ForEach(func(l *Line) {
 		got, idx := c.Locate(l.Addr + 8)
-		if got != l || idx <= prev || idx >= c.Lines() {
+		if got != l || idx <= prev || idx >= c.Lines() || c.At(idx) != l {
 			t.Errorf("Locate(%#x) = %p/%d after index %d; ForEach has %p", l.Addr, got, idx, prev, l)
 		}
 		prev = idx

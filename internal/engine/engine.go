@@ -127,9 +127,9 @@ type Engine struct {
 	scratch    []byte
 	scratchOff int
 
-	// walkBuf is the reusable list of located lines the commit walks
-	// (txLines, epochLines) visit.
-	walkBuf []machine.PrivateLine
+	// walkBuf is the reusable list of the scan positions of the located
+	// lines the commit walks (txLines, epochLines) visit.
+	walkBuf []machine.ScanPos
 	// abortedLines holds, per transaction ID, the write-set lines an
 	// abort left cached with their metadata (log-free lines keep their
 	// updates and persist bits). The next commit under the same ID
@@ -473,7 +473,7 @@ func (e *Engine) storeOne(a mem.Addr, data []byte, bits isa.Bits) {
 	// One probe finds or inserts the line; nothing inserts into the
 	// write set before the entry is written back below.
 	pos := e.cur.ws.find(line)
-	ws := e.cur.ws.ents[pos].val
+	ws := e.cur.ws.ents[pos].val()
 	if bits.Log {
 		prev := e.m.SetCause(profile.CauseLogAppend)
 		if e.cfg.Buffer == BufferTiered {
@@ -507,7 +507,7 @@ func (e *Engine) storeOne(a mem.Addr, data []byte, bits isa.Bits) {
 	} else {
 		ws |= wsLogFree
 	}
-	e.cur.ws.ents[pos].val = ws
+	e.cur.ws.ents[pos] = e.cur.ws.ents[pos].withVal(ws)
 	e.m.WriteMem(a, data)
 }
 
@@ -814,11 +814,11 @@ func (e *Engine) Commit() {
 	ws.sortByAddr()
 	nLazy := 0
 	for _, en := range ws.ents {
-		if en.val&wsLazy == 0 {
+		if en.val()&wsLazy == 0 {
 			continue
 		}
 		nLazy++
-		if n := e.sink.discardLine(en.addr); n > 0 {
+		if n := e.sink.discardLine(en.addr()); n > 0 {
 			e.m.Stats.LogRecordsDiscarded += uint64(n)
 		}
 	}
@@ -842,9 +842,9 @@ func (e *Engine) Commit() {
 		}
 		lazy = slices.Grow(lazy, nLazy)
 		for _, en := range ws.ents {
-			if en.val&wsLazy != 0 {
-				lazy = append(lazy, en.addr)
-				e.m.Trace(trace.KLazyDefer, en.addr, e.cur.seq)
+			if en.val()&wsLazy != 0 {
+				lazy = append(lazy, en.addr())
+				e.m.Trace(trace.KLazyDefer, en.addr(), e.cur.seq)
 			}
 		}
 		e.retained = append(e.retained, retainedTx{
@@ -924,10 +924,10 @@ func (e *Engine) commitRedo() {
 	// Commit sorted the write set by address.
 	prev := e.m.SetCause(profile.CauseCommitData)
 	for _, en := range e.cur.ws.ents {
-		if en.val&(wsLogged|wsLazy) != 0 {
+		if en.val()&(wsLogged|wsLazy) != 0 {
 			continue
 		}
-		if e.m.PersistLine(en.addr) {
+		if e.m.PersistLine(en.addr()) {
 			e.m.Stats.EagerLinePersists++
 		}
 	}
@@ -938,10 +938,10 @@ func (e *Engine) commitRedo() {
 	// 3. Logged data lines (in-place update is now safe).
 	prev = e.m.SetCause(profile.CauseCommitData)
 	for _, en := range e.cur.ws.ents {
-		if en.val&(wsLogged|wsLazy) != wsLogged {
+		if en.val()&(wsLogged|wsLazy) != wsLogged {
 			continue
 		}
-		e.persistLoggedLine(en.addr)
+		e.persistLoggedLine(en.addr())
 	}
 	e.m.SetCause(prev)
 	clear(e.suppressed)
@@ -958,15 +958,15 @@ func (e *Engine) commitRedo() {
 // accumulate in epochPending with their class bits.
 func (e *Engine) commitGrouped() {
 	for _, p := range e.txLines() {
-		p.Line.LogBits = 0
+		e.m.PrivateLine(p).LogBits = 0
 	}
 	for _, en := range e.cur.ws.ents { // sorted by Commit
-		if en.val&wsLazy != 0 {
+		if en.val()&wsLazy != 0 {
 			// Lazy lines keep their W=1 contract: no persist at any
 			// commit point, records discarded, structure-recoverable.
 			continue
 		}
-		e.epochPending.or(en.addr, en.val&(wsLogged|wsLogFree)) // the classes, not the mask
+		e.epochPending.or(en.addr(), en.val()&(wsLogged|wsLogFree)) // the classes, not the mask
 	}
 	e.epochTxns++
 	e.epochLastSeq = e.cur.seq
@@ -1052,10 +1052,10 @@ func (e *Engine) preparePersist() {
 	prevEpoch := e.m.SetCause(profile.CauseLogEpoch)
 	prev := e.m.SetCause(profile.CauseCommitData)
 	for _, en := range e.epochPending.ents {
-		if e.cfg.Mode == Redo && en.val&wsLogged != 0 {
+		if e.cfg.Mode == Redo && en.val()&wsLogged != 0 {
 			continue
 		}
-		if e.m.PersistLine(en.addr) {
+		if e.m.PersistLine(en.addr()) {
 			e.m.Stats.EagerLinePersists++
 		}
 	}
@@ -1112,8 +1112,8 @@ func (e *Engine) finishClose() {
 		prev = e.m.SetCause(profile.CauseCommitData)
 		var skipped []mem.Addr
 		for _, en := range e.epochPending.ents {
-			la := en.addr
-			if en.val&wsLogged == 0 {
+			la := en.addr()
+			if en.val()&wsLogged == 0 {
 				continue
 			}
 			if e.activeLogged(la) {
@@ -1192,62 +1192,61 @@ func (e *Engine) shadowPersistCommitted(lines []mem.Addr, to uint64) {
 // commit walk's metadata clear.
 func (e *Engine) clearEpochPersistBits() {
 	for _, p := range e.epochLines() {
-		p.Line.Persist = false
+		e.m.PrivateLine(p).Persist = false
 	}
 }
 
-// epochLines returns the private-cache lines of the epoch's pending set
-// in commit-scan order (see txLines).
-func (e *Engine) epochLines() []machine.PrivateLine {
+// epochLines returns the scan positions of the epoch's pending set's
+// private-cache lines in commit-scan order (see txLines).
+func (e *Engine) epochLines() []machine.ScanPos {
 	e.walkBuf = collectPrivate(e.m, e.walkBuf[:0], e.epochPending.ents, 0)
-	slices.SortFunc(e.walkBuf, byScanPos)
+	slices.Sort(e.walkBuf)
 	return e.walkBuf
 }
 
-// txLines returns the private-cache lines the hardware's commit scan
-// (§II) matches by the running transaction's ID, in that scan's order
-// (L1 before L2, then set, then way), so the WPQ sees the same persist
-// sequence as a walk over every private line. Only this core's stores
-// stamp a line's TxID, so the candidates are the write set plus the
-// surviving lines of aborted transactions that held the same ID; lines
-// of earlier committed holders still carrying the recycled ID had
-// their metadata cleared by that commit and would be no-ops. The
-// result is valid until the next cache access: persists move no lines.
-func (e *Engine) txLines() []machine.PrivateLine {
+// txLines returns the scan positions of the private-cache lines the
+// hardware's commit scan (§II) matches by the running transaction's ID,
+// in that scan's order (L1 before L2, then set, then way), so the WPQ
+// sees the same persist sequence as a walk over every private line.
+// Only this core's stores stamp a line's TxID, so the candidates are the
+// write set plus the surviving lines of aborted transactions that held
+// the same ID; lines of earlier committed holders still carrying the
+// recycled ID had their metadata cleared by that commit and would be
+// no-ops. The result is valid until the next cache access: persists
+// move no lines.
+func (e *Engine) txLines() []machine.ScanPos {
 	aborted := e.abortedLines[e.cur.id]
 	buf := collectPrivate(e.m, e.walkBuf[:0], e.cur.ws.ents, len(aborted))
 	for _, la := range aborted {
 		buf = e.m.LocatePrivate(buf, la)
 	}
 	id := lineID(e.cur.id)
-	buf = slices.DeleteFunc(buf, func(p machine.PrivateLine) bool { return p.Line.TxID != id })
-	slices.SortFunc(buf, byScanPos)
+	buf = slices.DeleteFunc(buf, func(p machine.ScanPos) bool { return e.m.PrivateLine(p).TxID != id })
+	slices.Sort(buf)
 	// An aborted line the running transaction also wrote is located
 	// twice.
-	buf = slices.CompactFunc(buf, func(a, b machine.PrivateLine) bool { return a.Pos == b.Pos })
+	buf = slices.Compact(buf)
 	e.walkBuf = buf
 	return buf
 }
 
-// collectPrivate appends the private-cache copies of the entries' lines
-// to buf, first growing it for them and extra more lines (L1 and L2
-// are exclusive: a line has at most one private copy).
-func collectPrivate(c *machine.Core, buf []machine.PrivateLine, ents []lineEntry, extra int) []machine.PrivateLine {
+// collectPrivate appends the scan positions of the private-cache copies
+// of the entries' lines to buf, first growing it for them and extra more
+// lines (L1 and L2 are exclusive: a line has at most one private copy).
+func collectPrivate(c *machine.Core, buf []machine.ScanPos, ents []lineEntry, extra int) []machine.ScanPos {
 	buf = slices.Grow(buf, len(ents)+extra)
 	for _, en := range ents {
-		buf = c.LocatePrivate(buf, en.addr)
+		buf = c.LocatePrivate(buf, en.addr())
 	}
 	return buf
 }
-
-func byScanPos(a, b machine.PrivateLine) int { return a.Pos - b.Pos }
 
 // persistMarkedLines walks the transaction's lines in commit-scan order
 // (§II), persisting every line whose persist bit is set and clearing the
 // transaction's metadata.
 func (e *Engine) persistMarkedLines() {
 	for _, p := range e.txLines() {
-		l := p.Line
+		l := e.m.PrivateLine(p)
 		if l.Persist {
 			if e.m.PersistLine(l.Addr) {
 				e.m.Stats.EagerLinePersists++
@@ -1262,8 +1261,9 @@ func (e *Engine) persistMarkedLines() {
 // redo commit.
 func (e *Engine) clearTxMeta() {
 	for _, p := range e.txLines() {
-		p.Line.Persist = false
-		p.Line.LogBits = 0
+		l := e.m.PrivateLine(p)
+		l.Persist = false
+		l.LogBits = 0
 	}
 }
 
@@ -1377,12 +1377,12 @@ func (e *Engine) Abort() {
 	// their updates; the caller's recovery reverts them structurally.
 	e.cur.ws.sortByAddr()
 	for _, en := range e.cur.ws.ents {
-		if en.val&wsLogged == 0 {
-			e.abortedLines[e.cur.id] = append(e.abortedLines[e.cur.id], en.addr)
+		if en.val()&wsLogged == 0 {
+			e.abortedLines[e.cur.id] = append(e.abortedLines[e.cur.id], en.addr())
 			continue
 		}
-		e.m.DropLine(en.addr)
-		e.m.RestoreLineFromDurable(en.addr)
+		e.m.DropLine(en.addr())
+		e.m.RestoreLineFromDurable(en.addr())
 	}
 	clear(e.suppressed)
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -14,7 +13,8 @@ import (
 //
 //   - ents is dense and in insertion order until sortByAddr puts it in
 //     address order, which is the order every persist loop needs; the
-//     walks range over it directly.
+//     walks range over it directly. Each entry is one packed word (see
+//     lineEntry).
 //   - idx is an open-addressing (linear-probe) index over ents whose
 //     slots hold gen<<slotPosBits | pos+1. A slot stamped with another
 //     generation reads as empty, so reset only truncates ents and bumps
@@ -24,18 +24,37 @@ import (
 // Nothing is ever deleted; callers clear bits in the value instead.
 // ents and idx grow together (ents' capacity is half the index's, the
 // maximum load), so steady state allocates nothing. A set holds at most
-// maxSetLines lines.
+// maxSetLines lines, keyed by line: any address within a line names it.
 type lineSet struct {
 	ents []lineEntry
 	idx  []uint32
 	gen  uint32 // current slot stamp; 0 only before the first growth
 }
 
-// lineEntry is one member of a lineSet.
-type lineEntry struct {
-	addr mem.Addr
-	val  uint16
-}
+// lineEntry is one member of a lineSet packed into one word: the line
+// number (address >> mem.LineShift) in the bits above entValBits, the
+// value in the low entValBits. Line numbers below 1<<(64-entValBits),
+// addresses below 1<<54, pack losslessly; PM devices stop at 4 GiB
+// (pmem.MaxSize). As each line is in a set once, ordering entries as
+// integers orders them by address.
+type lineEntry uint64
+
+const entValBits = 16
+
+// lineKey is the line's entry with value 0.
+func lineKey(a mem.Addr) lineEntry { return lineEntry(a>>mem.LineShift) << entValBits }
+
+// addr returns the entry's line address.
+func (en lineEntry) addr() mem.Addr { return mem.Addr(en>>entValBits) << mem.LineShift }
+
+// val returns the entry's value.
+func (en lineEntry) val() uint16 { return uint16(en) }
+
+// is reports whether the entry is line a's.
+func (en lineEntry) is(a mem.Addr) bool { return en>>entValBits == lineEntry(a>>mem.LineShift) }
+
+// withVal returns the entry with its value replaced by v.
+func (en lineEntry) withVal(v uint16) lineEntry { return en&^(1<<entValBits-1) | lineEntry(v) }
 
 const (
 	slotPosBits = 20
@@ -66,7 +85,7 @@ func (s *lineSet) lookup(a mem.Addr) int {
 		if v>>slotPosBits != s.gen {
 			return -1
 		}
-		if p := int(v&slotPosMask) - 1; s.ents[p].addr == a {
+		if p := int(v&slotPosMask) - 1; s.ents[p].is(a) {
 			return p
 		}
 	}
@@ -77,7 +96,7 @@ func (s *lineSet) lookup(a mem.Addr) int {
 //slpmt:noalloc
 func (s *lineSet) val(a mem.Addr) uint16 {
 	if p := s.lookup(a); p >= 0 {
-		return s.ents[p].val
+		return s.ents[p].val()
 	}
 	return 0
 }
@@ -100,11 +119,11 @@ func (s *lineSet) find(a mem.Addr) int {
 		v := s.idx[i]
 		if v>>slotPosBits != s.gen {
 			p := len(s.ents)
-			s.ents = append(s.ents, lineEntry{addr: a}) //slpmt:noalloc-ok: capacity grows with the index in grow, so this never reallocates
+			s.ents = append(s.ents, lineKey(a)) //slpmt:noalloc-ok: capacity grows with the index in grow, so this never reallocates
 			s.idx[i] = s.gen<<slotPosBits | uint32(p+1)
 			return p
 		}
-		if p := int(v&slotPosMask) - 1; s.ents[p].addr == a {
+		if p := int(v&slotPosMask) - 1; s.ents[p].is(a) {
 			return p
 		}
 	}
@@ -113,7 +132,7 @@ func (s *lineSet) find(a mem.Addr) int {
 // or sets bits in the line's value, inserting the line if absent.
 //
 //slpmt:noalloc
-func (s *lineSet) or(a mem.Addr, bits uint16) { s.ents[s.find(a)].val |= bits }
+func (s *lineSet) or(a mem.Addr, bits uint16) { s.ents[s.find(a)] |= lineEntry(bits) }
 
 // reset empties the set in O(1): the entries truncate and the index's
 // generation moves on, so every slot reads as empty.
@@ -152,7 +171,7 @@ func (s *lineSet) grow() {
 func (s *lineSet) reindex() {
 	mask := len(s.idx) - 1
 	for p, en := range s.ents {
-		i := s.home(en.addr)
+		i := s.home(en.addr())
 		for s.idx[i]>>slotPosBits == s.gen {
 			i = (i + 1) & mask
 		}
@@ -164,7 +183,7 @@ func (s *lineSet) reindex() {
 // deterministic persist order of the commit, close and abort walks —
 // and re-indexes them so lookups stay valid during those walks.
 func (s *lineSet) sortByAddr() {
-	slices.SortFunc(s.ents, func(x, y lineEntry) int { return cmp.Compare(x.addr, y.addr) })
+	slices.Sort(s.ents)
 	s.nextGen()
 	s.reindex()
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"github.com/persistmem/slpmt/internal/mem"
 )
@@ -11,15 +12,26 @@ import (
 // lineSet and a map model through the same seeded stream of set (find
 // and store), or, get (lookup and val), reset and sort operations.
 // Bursts of fresh lines grow the index several times, and the resets
-// and sorts wrap the generation stamp more than twice. After every sort the entries must be in ascending
-// address order and every model line must still be found.
+// and sorts wrap the generation stamp more than twice. Values span all
+// 16 bits, and half the lines sit at the top of the packed entry's line
+// range, so a value bit leaking into the line number (or back) shows.
+// After every sort the entries must be in ascending address order and
+// every model line must still be found.
 func Test_LineSet_Matches_Model_When_Random_Operations_Applied(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var s lineSet
 	model := map[mem.Addr]uint16{}
 	// Lines come from a pool larger than any one set, so lookups miss as
-	// well as hit, and colliding probe chains form.
-	addr := func() mem.Addr { return mem.Addr(rng.Intn(6000)+1) * mem.LineSize }
+	// well as hit, and colliding probe chains form. The pool's upper half
+	// ends at the largest line number an entry holds.
+	const topLine = 1<<(64-entValBits) - 1
+	addr := func() mem.Addr {
+		n := mem.Addr(rng.Intn(6000))
+		if n < 3000 {
+			return (n + 1) * mem.LineSize
+		}
+		return (topLine - (n - 3000)) * mem.LineSize
+	}
 
 	check := func(op int, a mem.Addr) {
 		t.Helper()
@@ -44,10 +56,11 @@ func Test_LineSet_Matches_Model_When_Random_Operations_Applied(t *testing.T) {
 		switch r := rng.Intn(100); {
 		case r < 40:
 			a, v := addr(), uint16(rng.Intn(1<<16))
-			s.ents[s.find(a)].val = v
+			p := s.find(a)
+			s.ents[p] = s.ents[p].withVal(v)
 			model[a] = v
 		case r < 55:
-			a, bits := addr(), uint16(1)<<uint(rng.Intn(16))
+			a, bits := addr(), uint16(rng.Intn(1<<16))
 			s.or(a, bits)
 			model[a] |= bits
 		case r < 75:
@@ -55,9 +68,10 @@ func Test_LineSet_Matches_Model_When_Random_Operations_Applied(t *testing.T) {
 		case r < 76:
 			// A burst of fresh lines: the set grows past its index.
 			for n := rng.Intn(3000); n > 0; n-- {
-				a := addr()
-				s.ents[s.find(a)].val = uint16(n)
-				model[a] = uint16(n)
+				a, v := addr(), uint16(rng.Intn(1<<16))
+				p := s.find(a)
+				s.ents[p] = s.ents[p].withVal(v)
+				model[a] = v
 			}
 		case r < 90:
 			before := s.gen
@@ -66,9 +80,9 @@ func Test_LineSet_Matches_Model_When_Random_Operations_Applied(t *testing.T) {
 				wraps++
 			}
 			for i := 1; i < len(s.ents); i++ {
-				if s.ents[i-1].addr >= s.ents[i].addr {
+				if s.ents[i-1].addr() >= s.ents[i].addr() {
 					t.Fatalf("op %d: sorted entries %d and %d out of order: %#x, %#x",
-						op, i-1, i, s.ents[i-1].addr, s.ents[i].addr)
+						op, i-1, i, s.ents[i-1].addr(), s.ents[i].addr())
 				}
 			}
 			checkAll(op)
@@ -102,6 +116,22 @@ func Test_LineSet_Matches_Model_When_Random_Operations_Applied(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		if a := mem.Addr(i) * mem.LineSize; w.lookup(a) >= 0 {
 			t.Errorf("line %#x survives %d resets", a, slotGenMax)
+		}
+	}
+}
+
+// TestLineEntryPacked pins a line-set entry at one word, its line
+// number and value round-tripping at the edges of both fields.
+func TestLineEntryPacked(t *testing.T) {
+	if got := unsafe.Sizeof(lineEntry(0)); got != 8 {
+		t.Errorf("lineEntry is %d bytes, want 8", got)
+	}
+	for _, a := range []mem.Addr{0, mem.LineSize, (1<<(64-entValBits) - 1) * mem.LineSize} {
+		for _, v := range []uint16{0, 1, 0x8000, 0xFFFF} {
+			en := lineKey(a).withVal(0xFFFF).withVal(v)
+			if en.addr() != a || en.val() != v || !en.is(a) || !en.is(a+mem.LineSize-1) {
+				t.Errorf("entry for line %#x value %#x reads line %#x value %#x", a, v, en.addr(), en.val())
+			}
 		}
 	}
 }

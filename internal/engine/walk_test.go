@@ -49,8 +49,8 @@ func checkTxWalk(t *testing.T, where string, e *Engine, cov *walkCoverage) {
 	}
 	j := 0
 	for _, l := range full {
-		if j < len(walk) && walk[j].Line == l {
-			if walk[j].Pos >= e.m.L1.Lines() {
+		if j < len(walk) && e.m.PrivateLine(walk[j]) == l {
+			if int(walk[j]) >= e.m.L1.Lines() {
 				cov.l2Lines++
 			}
 			if ws := e.cur.ws.lookup(l.Addr) >= 0; !ws && aborted[l.Addr] && l.Persist {
@@ -81,9 +81,9 @@ func checkEpochWalk(t *testing.T, where string, e *Engine, cov *walkCoverage) {
 	if len(walk) != len(full) {
 		t.Fatalf("%s: epoch walk visits %d lines, full scan %d", where, len(walk), len(full))
 	}
-	for i := range walk {
-		if walk[i].Line != full[i] {
-			t.Fatalf("%s: epoch walk line %d is %#x, full scan has %#x", where, i, walk[i].Line.Addr, full[i].Addr)
+	for i, p := range walk {
+		if l := e.m.PrivateLine(p); l != full[i] {
+			t.Fatalf("%s: epoch walk line %d is %#x, full scan has %#x", where, i, l.Addr, full[i].Addr)
 		}
 	}
 	cov.epochLines += len(walk)

@@ -686,27 +686,33 @@ func (c *Core) FindCached(addr mem.Addr) (int, *cache.Line) {
 	return 0, nil
 }
 
-// PrivateLine is a line resident in a core's private caches, tagged
-// with its position in their scan order: L1 before L2, then set, then
-// way.
-type PrivateLine struct {
-	Pos  int
-	Line *cache.Line
-}
+// ScanPos is a line's position in the scan order of a core's private
+// caches: L1 before L2, then set, then way. PrivateLine resolves it.
+type ScanPos uint32
 
-// LocatePrivate appends the private-cache copies of the line holding
-// addr to buf. Sorting a set of located lines by Pos yields the order
-// in which the commit hardware's scan of the private caches (§II)
-// visits them, at a cost proportional to the set rather than to the
-// cache size.
-func (c *Core) LocatePrivate(buf []PrivateLine, addr mem.Addr) []PrivateLine {
+// LocatePrivate appends the scan positions of the private-cache copies
+// of the line holding addr to buf. Sorting a set of located positions
+// yields the order in which the commit hardware's scan of the private
+// caches (§II) visits their lines, at a cost proportional to the set
+// rather than to the cache size.
+func (c *Core) LocatePrivate(buf []ScanPos, addr mem.Addr) []ScanPos {
 	if l, i := c.L1.Locate(addr); l != nil {
-		buf = append(buf, PrivateLine{Pos: i, Line: l})
+		buf = append(buf, ScanPos(i))
 	}
 	if l, i := c.L2.Locate(addr); l != nil {
-		buf = append(buf, PrivateLine{Pos: c.L1.Lines() + i, Line: l})
+		buf = append(buf, ScanPos(c.L1.Lines()+i))
 	}
 	return buf
+}
+
+// PrivateLine returns the private-cache line at scan position p. A
+// position LocatePrivate returned names its line until the next cache
+// access moves lines.
+func (c *Core) PrivateLine(p ScanPos) *cache.Line {
+	if n := c.L1.Lines(); int(p) >= n {
+		return c.L2.At(int(p) - n)
+	}
+	return c.L1.At(int(p))
 }
 
 // DropLine removes the line containing addr from this core's hierarchy

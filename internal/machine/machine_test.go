@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/persistmem/slpmt/internal/cache"
 	"github.com/persistmem/slpmt/internal/mem"
@@ -235,5 +237,46 @@ func TestPersistCountsTraffic(t *testing.T) {
 	m.PersistLogLine(m.Layout.LogBase, []byte{1, 2, 3})
 	if m.Stats.PMWriteBytesLog != 64 {
 		t.Errorf("log traffic = %d, want line-granular 64", m.Stats.PMWriteBytesLog)
+	}
+}
+
+// TestLocatePrivate: scan positions are 4 bytes, number L1 before L2,
+// and resolve to the very lines the caches hold; an uncached line has
+// none.
+func TestLocatePrivate(t *testing.T) {
+	if got := unsafe.Sizeof(ScanPos(0)); got != 4 {
+		t.Errorf("ScanPos is %d bytes, want 4", got)
+	}
+	m := newM()
+	base := m.Layout.HeapBase
+	// Nine lines of one L1 set: the first is evicted into L2.
+	stride := mem.Addr(64 * 64)
+	for i := 0; i <= 8; i++ {
+		m.AccessLine(base+stride*mem.Addr(i), true)
+	}
+	var buf []ScanPos
+	for i := 8; i >= 0; i-- {
+		buf = m.LocatePrivate(buf, base+stride*mem.Addr(i))
+	}
+	buf = m.LocatePrivate(buf, base+64)
+	if len(buf) != 9 {
+		t.Fatalf("located %d lines, want 9", len(buf))
+	}
+	if int(buf[8]) < m.L1.Lines() {
+		t.Errorf("L2 line at position %d, inside L1's %d", buf[8], m.L1.Lines())
+	}
+	for i, p := range buf {
+		a := base + stride*mem.Addr(8-i)
+		want := m.L1.Peek(a)
+		if want == nil {
+			want = m.L2.Peek(a)
+		}
+		if got := m.PrivateLine(p); got != want {
+			t.Errorf("position %d resolves to line %#x, want %#x", p, got.Addr, a)
+		}
+	}
+	slices.Sort(buf)
+	if m.PrivateLine(buf[8]).Addr != base {
+		t.Errorf("last in scan order is %#x, want the L2 line %#x", m.PrivateLine(buf[8]).Addr, base)
 	}
 }

@@ -28,9 +28,11 @@ import (
 // Config parameterizes the device. Zero values are replaced by the
 // paper's defaults (Table III).
 type Config struct {
-	// Size is the device capacity in bytes. Default 16 MiB.
+	// Size is the device capacity in bytes. Default 16 MiB; at most
+	// MaxSize, so a WPQ entry's address fits 32 bits.
 	Size uint64
-	// WPQBytes is the write pending queue capacity. Default 512.
+	// WPQBytes is the write pending queue capacity. Default 512; at most
+	// MaxWPQBytes, so a WPQ entry's byte count fits 16 bits.
 	WPQBytes int
 	// EnqueueCycles is the cost of entering the WPQ (the paper's "4ns
 	// latency" for the persist operation). Default 8 cycles (4 ns @2 GHz).
@@ -65,6 +67,11 @@ const (
 	DefaultBanks         = 2
 	// CyclesPerNs converts Table III nanosecond figures to core cycles.
 	CyclesPerNs = 2
+
+	// MaxSize and MaxWPQBytes bound the packed WPQ entry's fields (see
+	// entry); New and NewTopology panic on a larger configuration.
+	MaxSize     = 1 << 32
+	MaxWPQBytes = 1<<16 - 1
 )
 
 func (c Config) withDefaults() Config {
@@ -92,12 +99,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// entry is one in-flight WPQ element.
+// validate panics on a configuration the packed WPQ entry cannot
+// represent.
+func (c Config) validate() {
+	if c.Size > MaxSize {
+		panic(fmt.Sprintf("pmem: device size %#x exceeds %#x", c.Size, uint64(MaxSize)))
+	}
+	if c.WPQBytes < 0 || c.WPQBytes > MaxWPQBytes {
+		panic(fmt.Sprintf("pmem: WPQ capacity %d outside 0..%d", c.WPQBytes, MaxWPQBytes))
+	}
+}
+
+// entry is one in-flight WPQ element, packed into 16 bytes: an
+// asynchronous backlog can hold thousands of them. Size <= MaxSize
+// keeps every address within 32 bits, and WPQBytes <= MaxWPQBytes
+// every entry's byte count (which never exceeds the queue) within 16.
 type entry struct {
-	bytes  int
-	addr   uint64 // persisted line address, for drain trace attribution
 	finish uint64 // cycle at which the entry has drained to the medium
-	core   uint8  // enqueuing core, for trace attribution
+	addr   uint32 // persisted line address, for drain trace attribution
+	bytes  uint16
+	core   uint8 // enqueuing core, for trace attribution
 }
 
 // Device is a simulated persistent memory module with an ADR persist
@@ -137,8 +158,11 @@ type Device struct {
 }
 
 // New returns a device with the given configuration.
+//
+// It panics if cfg.Size exceeds MaxSize or cfg.WPQBytes MaxWPQBytes.
 func New(cfg Config) *Device {
 	cfg = cfg.withDefaults()
+	cfg.validate()
 	return newShared(cfg, newDurableImage(cfg.Size), 0)
 }
 
@@ -147,7 +171,9 @@ func New(cfg Config) *Device {
 // whole physical address space — durability is global) but owns its own
 // WPQ, banks, and occupancy clock (timing is per socket).
 func newShared(cfg Config, durable *durableImage, socket int) *Device {
-	d := &Device{cfg: cfg, durable: durable, socket: socket}
+	// bankFinish trims recent once it passes 4·Banks entries.
+	d := &Device{cfg: cfg, durable: durable, socket: socket,
+		recent: make([]uint64, 0, 4*cfg.Banks+1)}
 	d.reset()
 	return d
 }
@@ -228,8 +254,8 @@ func (d *Device) drainUpTo(now uint64) {
 	for i < len(d.queue) && d.queue[i].finish <= now {
 		e := d.queue[i]
 		d.occAdvance(e.finish)
-		d.usedBytes -= e.bytes
-		d.tr.Emit(e.core, e.finish, trace.KWPQDrain, e.addr, uint64(d.usedBytes)|d.sockTag)
+		d.usedBytes -= int(e.bytes)
+		d.tr.Emit(e.core, e.finish, trace.KWPQDrain, uint64(e.addr), uint64(d.usedBytes)|d.sockTag)
 		i++
 	}
 	if i > 0 {
@@ -250,7 +276,7 @@ func (d *Device) enqueue(e entry, t uint64) {
 	for i := len(d.queue) - 1; i > 0 && d.queue[i-1].finish > d.queue[i].finish; i-- {
 		d.queue[i-1], d.queue[i] = d.queue[i], d.queue[i-1]
 	}
-	d.usedBytes += e.bytes
+	d.usedBytes += int(e.bytes)
 	if d.usedBytes > d.occMax {
 		d.occMax = d.usedBytes
 	}
@@ -350,7 +376,7 @@ func (d *Device) enqueueWait(now uint64, addr uint64, data []byte) (stall, t, fi
 	}
 	d.lastWaited = waited
 	fin = d.bankFinish(t)
-	d.enqueue(entry{bytes: n, addr: addr, finish: fin, core: d.curCore}, t)
+	d.enqueue(entry{finish: fin, addr: uint32(addr), bytes: uint16(n), core: d.curCore}, t)
 	d.tr.Emit(d.curCore, t, trace.KWPQEnqueue, addr, uint64(d.usedBytes)|d.sockTag)
 	return stall, t, fin
 }
@@ -392,7 +418,8 @@ func (d *Device) bankFinish(t uint64) uint64 {
 // buffer spills, and lazy-persistency drains, which the paper places
 // off the program's critical path (§III-B2, §III-C3). The implicit
 // buffering beyond the WPQ capacity models the dirty lines parking in
-// the cache hierarchy until the queue can take them.
+// the cache hierarchy until the queue can take them. Like Persist, it
+// takes at most one WPQ's worth of bytes.
 //
 //slpmt:noalloc
 func (d *Device) PersistAsync(now uint64, addr uint64, data []byte) (stall uint64) {
@@ -403,6 +430,9 @@ func (d *Device) PersistAsync(now uint64, addr uint64, data []byte) (stall uint6
 	}
 	if addr+uint64(n) > d.cfg.Size {
 		d.panicOutOfRange("persist", addr, n)
+	}
+	if n > d.cfg.WPQBytes {
+		d.panicTooLarge(n)
 	}
 	d.durable.write(addr, data)
 	t := now + d.cfg.EnqueueCycles
@@ -416,7 +446,7 @@ func (d *Device) PersistAsync(now uint64, addr uint64, data []byte) (stall uint6
 	if d.usedBytes+n > d.cfg.WPQBytes {
 		freed := 0
 		for _, e := range d.queue {
-			freed += e.bytes
+			freed += int(e.bytes)
 			if e.finish > tStart {
 				tStart = e.finish
 			}
@@ -426,7 +456,7 @@ func (d *Device) PersistAsync(now uint64, addr uint64, data []byte) (stall uint6
 		}
 	}
 	fin := d.bankFinish(tStart)
-	d.enqueue(entry{bytes: n, addr: addr, finish: fin, core: d.curCore}, t)
+	d.enqueue(entry{finish: fin, addr: uint32(addr), bytes: uint16(n), core: d.curCore}, t)
 	d.tr.Emit(d.curCore, t, trace.KWPQEnqueue, addr, uint64(d.usedBytes)|d.sockTag)
 	return d.cfg.EnqueueCycles
 }

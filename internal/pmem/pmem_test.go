@@ -2,7 +2,9 @@ package pmem
 
 import (
 	"bytes"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 func line(b byte) []byte {
@@ -109,6 +111,77 @@ func TestPersistBoundsChecks(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// mustPanic runs fn and fails unless it panics with a message holding
+// want.
+func mustPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, want) {
+			t.Errorf("panic %v, want one mentioning %q", r, want)
+		}
+	}()
+	fn()
+}
+
+// TestConfigLimits: the packed WPQ entry holds a 32-bit address and a
+// 16-bit byte count, so New and NewTopology refuse a larger device or
+// queue before building anything, and a queue of exactly MaxWPQBytes
+// takes and retires a full-size entry.
+func TestConfigLimits(t *testing.T) {
+	for _, cfg := range []Config{{Size: MaxSize + PageSize}, {WPQBytes: MaxWPQBytes + 1}, {WPQBytes: -1}} {
+		want := "WPQ capacity"
+		if cfg.Size != 0 {
+			want = "device size"
+		}
+		mustPanic(t, want, func() { New(cfg) })
+		mustPanic(t, want, func() { NewTopology(TopoConfig{Sockets: 2, Dev: cfg}) })
+	}
+
+	d := New(Config{Size: 1 << 20, WPQBytes: MaxWPQBytes, Banks: 1})
+	d.PersistAsync(0, 0, make([]byte, MaxWPQBytes))
+	if d.usedBytes != MaxWPQBytes {
+		t.Errorf("full-size entry occupies %d bytes, want %d", d.usedBytes, MaxWPQBytes)
+	}
+	if got := d.QueueDepth(1 << 40); got != 0 || d.usedBytes != 0 {
+		t.Errorf("after the drain: %d entries, %d bytes queued", got, d.usedBytes)
+	}
+}
+
+// TestPersistAsyncTooLarge: a posted persist, like a synchronous one,
+// takes at most one WPQ's worth of bytes.
+func TestPersistAsyncTooLarge(t *testing.T) {
+	d := New(Config{Size: 1 << 20, WPQBytes: 128})
+	d.PersistAsync(0, 0, make([]byte, 128))
+	mustPanic(t, "larger than WPQ: 129 > 128", func() { d.PersistAsync(0, 0, make([]byte, 129)) })
+	mustPanic(t, "larger than WPQ: 129 > 128", func() { d.Persist(0, 0, make([]byte, 129)) })
+}
+
+// TestPackedEntry pins the WPQ entry at 16 bytes, and the bank window's
+// buffer at the 4·Banks+1 entries bankFinish can hold: it is allocated
+// once and survives a topology reset.
+func TestPackedEntry(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 16 {
+		t.Errorf("WPQ entry is %d bytes, want 16", got)
+	}
+	topo := NewTopology(TopoConfig{Dev: Config{Size: 1 << 20, Banks: 3}})
+	d := topo.Dev(0)
+	buf := d.recent[:1]
+	for round := 0; round < 2; round++ {
+		for i := uint64(0); i < 100; i++ {
+			d.PersistAsync(i*8, i*64%(1<<20), line(1))
+			if len(d.recent) > 4*3+1 {
+				t.Fatalf("bank window holds %d finish times", len(d.recent))
+			}
+		}
+		if cap(d.recent) != 4*3+1 || &d.recent[:1][0] != &buf[0] {
+			t.Fatalf("round %d: bank window reallocated (cap %d)", round, cap(d.recent))
+		}
+		topo.Reset()
 	}
 }
 

@@ -73,12 +73,14 @@ type Topology struct {
 	read [][]uint64
 }
 
-// NewTopology builds the per-socket devices and the distance matrix.
+// NewTopology builds the per-socket devices and the distance matrix. It
+// panics on a device configuration New rejects.
 func NewTopology(cfg TopoConfig) *Topology {
 	if cfg.Sockets < 1 {
 		cfg.Sockets = 1
 	}
 	dev := cfg.Dev.withDefaults()
+	dev.validate()
 	if cfg.RemoteEnqueueCycles == 0 {
 		cfg.RemoteEnqueueCycles = DefaultRemoteEnqueueCycles
 	}

@@ -15,15 +15,16 @@ import (
 type campaignShape struct {
 	name string
 	cfg  recovery.CampaignConfig
-	// maxAllocs bounds the host allocations per crash point of one
-	// campaign (see TestCampaignAllocsPerPoint).
-	maxAllocs float64
+	// maxAllocs and maxAllocsRace bound the host allocations per crash
+	// point of one campaign in a normal and a -race build (see
+	// TestCampaignAllocsPerPoint).
+	maxAllocs, maxAllocsRace float64
 }
 
 func campaignShapes() []campaignShape {
 	shapes := []campaignShape{
-		{"hashtable-w1", recovery.CampaignConfig{Workload: "hashtable", Mixed: true}, 16},
-		{"kv-btree-w16", recovery.CampaignConfig{Workload: "kv-btree", CommitWindow: 16}, 11},
+		{"hashtable-w1", recovery.CampaignConfig{Workload: "hashtable", Mixed: true}, 10, 12.3},
+		{"kv-btree-w16", recovery.CampaignConfig{Workload: "kv-btree", CommitWindow: 16}, 9.4, 10},
 	}
 	for i := range shapes {
 		cfg := &shapes[i].cfg
@@ -53,16 +54,24 @@ func campaignCost(tb testing.TB, cfg recovery.CampaignConfig, n int) (points int
 // once and bounds its host allocations per crash point, the campaign's
 // reference and set-up runs included. A point's verification allocates
 // next to nothing (TestVerifyPointAllocs); what is left is its run's
-// workload instance and the run's own growth. The ceilings leave about
-// 10% over the measured 14.6 and 9.7: the first campaign in a process
+// workload instance and the run's own growth. The ceilings leave 5–10%
+// over the measured 9.1–9.5 and 8.5–8.6 (14.6 and 9.7 before the hashtable
+// reused its rehash buffers and the verifier stopped building the
+// errors of skipped candidates): the first campaign in a process
 // also pays one-time costs, such as the memoized key stream and the
 // first key sets, and the runtime's own allocations land in the count.
+// Race instrumentation doubles some allocation sites (every
+// slices.Grow among them), so a -race build is held to 10% over its own measured 11.2 and 9.2.
 func TestCampaignAllocsPerPoint(t *testing.T) {
 	for _, s := range campaignShapes() {
 		points, allocs, _ := campaignCost(t, s.cfg, 1)
 		got := float64(allocs) / float64(points)
-		if got > s.maxAllocs {
-			t.Errorf("%s: %.1f allocations per crash point, want at most %.0f", s.name, got, s.maxAllocs)
+		limit := s.maxAllocs
+		if raceBuild {
+			limit = s.maxAllocsRace
+		}
+		if got > limit {
+			t.Errorf("%s: %.1f allocations per crash point, want at most %.1f", s.name, got, limit)
 		}
 		t.Logf("%s: %.1f allocations per crash point over %d points", s.name, got, points)
 	}

@@ -323,21 +323,35 @@ func (v *verifier) verifyPoint(cfg CampaignConfig, ops []campaignOp, info runInf
 	for _, i := range info.done {
 		applyOracle(oracle, ops[i])
 	}
-	errBefore := rec.CheckDurable(info.img, oracle)
-	if errBefore == nil {
-		return nil
+	// The "before" candidate is checked only at the image's RootCount
+	// (see verifyPrefix); its error is built only if "after" fails too.
+	var errBefore error
+	checked := uint64(len(oracle)) == workloads.ReadRoot(info.img, workloads.RootCount)
+	if checked {
+		if errBefore = rec.CheckDurable(info.img, oracle); errBefore == nil {
+			return nil
+		}
 	}
 	if info.pending < 0 {
+		if !checked {
+			errBefore = rec.CheckDurable(info.img, oracle)
+		}
 		return fmt.Errorf("durable state invalid (no op pending): %v", errBefore)
 	}
-	applyOracle(oracle, ops[info.pending])
+	op := ops[info.pending]
+	val, present := oracle[op.key]
+	applyOracle(oracle, op)
 	errAfter := rec.CheckDurable(info.img, oracle)
 	if errAfter == nil {
 		res.PendingAccepted++
 		return nil
 	}
+	if !checked {
+		undoEntry{op.key, val, present}.apply(oracle)
+		errBefore = rec.CheckDurable(info.img, oracle)
+	}
 	return fmt.Errorf("durable state invalid (pending key %d): before the op: %v; after it: %v",
-		ops[info.pending].key, errBefore, errAfter)
+		op.key, errBefore, errAfter)
 }
 
 // oracleMap returns v's oracle map, emptied; hint sizes it on first use.
@@ -356,16 +370,26 @@ type undoEntry struct {
 	present bool
 }
 
+// apply reverts the entry's operation in oracle.
+func (u undoEntry) apply(oracle map[uint64][]byte) {
+	if u.present {
+		oracle[u.key] = u.val
+	} else {
+		delete(oracle, u.key)
+	}
+}
+
 // verifyPrefix is verifyPoint under group commit: the recovered image
 // must equal the oracle after some completed prefix (all-or-nothing per
 // epoch — a torn window matches nothing), including the in-flight
 // operation's, and no further back than bound candidates from the
 // crash. Candidates are checked newest first: the replay records undo
 // entries for the operations it may have to revert, then reverts them
-// one at a time. The newest candidate is always checked, since its
-// error is the one reported; an older one only when its size equals
-// the image's RootCount, because CheckDurable rejects any other size
-// (see workloads.Recoverable).
+// one at a time. A candidate is checked only when its size equals the
+// image's RootCount, because CheckDurable rejects any other size (see
+// workloads.Recoverable). The newest candidate's error is the one
+// reported; when every candidate fails and the newest was skipped, the
+// reverted operations are re-applied to build that error.
 func (v *verifier) verifyPrefix(rec workloads.Recoverable, ops []campaignOp, info runInfo, bound int, res *CampaignResult) error {
 	seq := info.done
 	if info.pending >= 0 {
@@ -390,24 +414,26 @@ func (v *verifier) verifyPrefix(rec workloads.Recoverable, ops []campaignOp, inf
 	count := workloads.ReadRoot(info.img, workloads.RootCount)
 	var firstErr error
 	for c := 0; ; c++ {
-		if c == 0 || uint64(len(oracle)) == count {
+		if uint64(len(oracle)) == count {
 			if err := rec.CheckDurable(info.img, oracle); err == nil {
 				if info.pending >= 0 && c == 0 {
 					res.PendingAccepted++
 				}
 				return nil
-			} else if firstErr == nil {
+			} else if c == 0 {
 				firstErr = err
 			}
 		}
 		if c == reverts {
 			break
 		}
-		if u := undo[reverts-1-c]; u.present {
-			oracle[u.key] = u.val
-		} else {
-			delete(oracle, u.key)
+		undo[reverts-1-c].apply(oracle)
+	}
+	if firstErr == nil {
+		for _, i := range seq[split:] {
+			applyOracle(oracle, ops[i])
 		}
+		firstErr = rec.CheckDurable(info.img, oracle)
 	}
 	return fmt.Errorf("durable state matches no committed prefix within %d operations of the crash (pending key %d): %v",
 		bound, info.pendingKey(ops), firstErr)

@@ -102,3 +102,27 @@ func TestRunPointReportsCampaignError(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignErrorText pins the failure text of two campaigns whose
+// reported candidate has the wrong size for the image, so the verifier
+// skips it and builds its error only once every candidate has failed:
+// the W=1 "before the op" candidate (one key short of the durable
+// count) and the newest W=2 prefix (one key past it).
+func TestCampaignErrorText(t *testing.T) {
+	for _, tc := range []struct {
+		window int
+		stride uint64
+		want   string
+	}{
+		{1, 1, "crash point 99: durable state invalid (pending key 7285346741127956506): " +
+			"before the op: hashtable durable: count 12, oracle 11; after it: refused at 12 keys"},
+		{2, 2, "crash point 65: durable state matches no committed prefix within 3 operations " +
+			"of the crash (pending key 2499333874296720844): refused at 13 keys"},
+	} {
+		cfg := recovery.CampaignConfig{Workload: "failing-hashtable", Scheme: "SLPMT", N: 40, ValueSize: 32,
+			Stride: tc.stride, Parallel: 1, CommitWindow: tc.window}
+		if _, err := recovery.RunCampaign(cfg); err == nil || err.Error() != tc.want {
+			t.Errorf("W=%d: campaign error\n  %v\nwant\n  %s", tc.window, err, tc.want)
+		}
+	}
+}

@@ -1,0 +1,6 @@
+//go:build race
+
+package recovery_test
+
+// raceBuild reports a -race build, whose instrumentation allocates.
+const raceBuild = true

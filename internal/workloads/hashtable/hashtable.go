@@ -22,6 +22,7 @@ package hashtable
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/persistmem/slpmt"
 	"github.com/persistmem/slpmt/internal/mem"
@@ -80,8 +81,7 @@ func hash(key uint64) uint64 {
 func (t *Table) Setup(sys *slpmt.System) error {
 	return sys.Update(func(tx *slpmt.Tx) error {
 		arr := tx.Alloc(initialBuckets * 8)
-		zeros := make([]byte, initialBuckets*8)
-		tx.StoreT(arr, zeros, slpmt.LogFree)
+		tx.StoreT(arr, zeros(initialBuckets*8), slpmt.LogFree)
 		tx.SetRoot(workloads.RootMain, uint64(arr))
 		tx.SetRoot(workloads.RootMeta, initialBuckets)
 		tx.SetRoot(workloads.RootCount, 0)
@@ -115,7 +115,7 @@ func (t *Table) Insert(sys *slpmt.System, key uint64, value []byte) error {
 		tx.SetRoot(workloads.RootCount, count)
 
 		if count > maxLoad*nb {
-			t.rehash(tx, arr, nb)
+			t.rehash(tx, arr, nb, count)
 		}
 		return nil
 	})
@@ -140,14 +140,28 @@ func (t *Table) releaseStash(tx *slpmt.Tx) {
 	t.stashArrSz = 0
 }
 
+// zeroSrc is the clearing source of new bucket arrays up to 128 Ki
+// buckets. Nothing writes it, so tables on concurrent goroutines
+// (parallel crash campaigns) share it.
+var zeroSrc [1 << 20]byte
+
+// zeros returns n zero bytes, which the caller must not write.
+func zeros(n int) []byte {
+	if n <= len(zeroSrc) {
+		return zeroSrc[:n:n]
+	}
+	return make([]byte, n)
+}
+
 // rehash doubles the table by copying every node into new chains
 // (Pattern 2 lazy moves), keeping the old array and nodes intact for
-// crash recovery.
-func (t *Table) rehash(tx *slpmt.Tx, oldArr slpmt.Addr, oldN uint64) {
+// crash recovery. count is the table's record count, the nodes it
+// moves.
+func (t *Table) rehash(tx *slpmt.Tx, oldArr slpmt.Addr, oldN, count uint64) {
 	newN := oldN * 2
 	newArr := tx.Alloc(newN * 8)
-	zeros := make([]byte, newN*8)
-	tx.StoreT(newArr, zeros, slpmt.LazyLogFree)
+	tx.StoreT(newArr, zeros(int(newN*8)), slpmt.LazyLogFree)
+	t.stashNodes = slices.Grow(t.stashNodes, int(count))
 
 	for b := uint64(0); b < oldN; b++ {
 		n := slpmt.Addr(tx.LoadU64(oldArr + slpmt.Addr(8*b)))
