@@ -66,14 +66,15 @@ bench:
 # Micro-benchmarks for the simulator hot paths (allocations reported),
 # layer by layer: cache lookup/insert/locate, the core's eviction
 # cascade and commit walk, PM persist, async backlog and crash snapshot, log-buffer
-# insert/merge, the engine, the tracer's disabled/enabled emit costs, a
-# serial crash campaign, workload point reads and short scans, one
-# small durable transaction through the public API, and building a
-# platform (NewCluster at 1 core, 4 cores and 4 cores on 2 sockets).
+# insert/merge, heap alloc/free churn inside transactions, the engine,
+# the tracer's disabled/enabled emit costs, a serial crash campaign,
+# workload point reads and short scans, one small durable transaction
+# through the public API, and building a platform (NewCluster at 1
+# core, 4 cores and 4 cores on 2 sockets).
 microbench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/cache/ ./internal/machine/ \
-		./internal/pmem/ ./internal/logbuf/ ./internal/engine/ ./internal/ycsb/ \
-		./internal/trace/ ./internal/recovery/ ./internal/workloads/
+		./internal/pmem/ ./internal/logbuf/ ./internal/txheap/ ./internal/engine/ \
+		./internal/ycsb/ ./internal/trace/ ./internal/recovery/ ./internal/workloads/
 	$(GO) test -run xxx -bench '^(BenchmarkUpdate|BenchmarkNewCluster)$$' -benchmem .
 
 # Experiments gated by the perf-regression baseline (default flag

@@ -33,9 +33,17 @@ const (
 )
 
 // lazyDone marks a retained lazy line that reached PM by natural
-// writeback. Line addresses are 64-byte aligned, so addr|lazyDone sorts
-// where addr did and the list stays sorted.
+// writeback: bit 0 of the line's lazy-list entry (see lazyEntry).
 const lazyDone = 1
+
+// lazyEntry is a retained lazy line's list entry: its line number
+// shifted left by one, leaving bit 0 for lazyDone, so a marked entry
+// sorts where the unmarked one did and the list stays sorted. PM is at
+// most 4 GiB (pmem.New), so a line number needs 26 bits.
+func lazyEntry(line mem.Addr) uint32 { return uint32(line>>mem.LineShift) << 1 }
+
+// lazyLine returns the line address of a lazy-list entry.
+func lazyLine(en uint32) mem.Addr { return mem.Addr(en>>1) << mem.LineShift }
 
 // retainedTx is a committed transaction whose lazily persistent data is
 // still volatile: its working-set signature stays live until every lazy
@@ -44,9 +52,9 @@ type retainedTx struct {
 	id  uint8 // transaction ID (0..NumTxIDs-1)
 	seq uint64
 	sig *signature.Signature
-	// lazy holds the lazy line addresses in ascending order; an entry
-	// marked lazyDone has already reached PM.
-	lazy []mem.Addr
+	// lazy holds the lazy lines' entries (lazyEntry) in ascending
+	// order; an entry marked lazyDone has already reached PM.
+	lazy []uint32
 }
 
 // txState is the engine's view of the currently executing transaction.
@@ -117,15 +125,17 @@ type Engine struct {
 	// lazyPool recycles the lazy-line lists that Commit hands off to
 	// retainedTx entries, so a steady stream of lazy transactions
 	// allocates no new lists.
-	lazyPool [][]mem.Addr
+	lazyPool [][]uint32
 
-	// scratch is the per-transaction arena for log-record payloads.
-	// Records never outlive their transaction (the sink drains at commit
-	// and clears at abort; the log writer copies payloads out), so the
-	// arena resets at Begin instead of allocating per word. It holds the
-	// newest and largest block (see scratchBytes).
-	scratch    []byte
-	scratchOff int
+	// recBuf is the one payload buffer every record the engine creates
+	// or refreshes is read into (logStore, onL1Demote, refreshRecord).
+	// One buffer suffices because no payload lives in it for long: the
+	// log buffer's Insert copies a store-time record into its own tier
+	// storage before any drain can run refreshRecord, and the log
+	// writer copies a refreshed record into its staging bytes before the
+	// next refresh. A direct sink appends an undo record, which refresh
+	// leaves as it is, the same way.
+	recBuf [mem.LineSize]byte
 
 	// walkBuf is the reusable list of the scan positions of the located
 	// lines the commit walks (txLines, epochLines) visit.
@@ -171,9 +181,9 @@ func New(m *machine.Core, cfg Config) *Engine {
 // Reset returns the engine to the state New left it in: no transaction
 // running or retained, no epoch open, sequence numbers and transaction
 // IDs restarting, the log buffer empty. Its buffers (write sets, log
-// staging, record arena, lazy-list pool) are kept, and so are its
-// wiring: the hooks it installed on its core, its EpochGroup, and its
-// epoch-close hook. The core and the group are reset by their owners.
+// staging, lazy-list pool) are kept, and so is its wiring: the hooks it
+// installed on its core, its EpochGroup, and its epoch-close hook. The
+// core and the group are reset by their owners.
 func (e *Engine) Reset() {
 	for i := range e.retained {
 		if r := e.retained[i].lazy; cap(r) > 0 {
@@ -203,7 +213,6 @@ func (e *Engine) Reset() {
 		logRaw:       e.logRaw[:0],
 		logRecs:      e.logRecs[:0],
 		lazyPool:     e.lazyPool,
-		scratch:      e.scratch,
 		walkBuf:      e.walkBuf[:0],
 		abortedLines: aborted,
 	}
@@ -229,31 +238,9 @@ func (e *Engine) refreshRecord(r logbuf.Record) logbuf.Record {
 	if e.cfg.Mode == Undo {
 		return r
 	}
-	data := e.scratchBytes(len(r.Data))
+	data := e.recBuf[:len(r.Data)]
 	e.m.ReadMem(r.Addr, data)
 	return logbuf.Record{Addr: r.Addr, Data: data, Speculative: r.Speculative}
-}
-
-// scratchBlock is the arena's first block size: more than most
-// transactions log, and small enough that a short-lived System does not
-// pay for a large transaction it never runs.
-const scratchBlock = 512
-
-// scratchBytes returns n bytes of transaction-lifetime scratch from the
-// arena. A full block is replaced by one at least twice its size, so a
-// transaction's payloads need O(log bytes) blocks, and the newest (the
-// largest) is kept across transactions: once a workload's largest
-// transaction has run, the arena stops allocating. Earlier blocks stay
-// alive through the records referencing them until the transaction
-// ends; the arena as a whole is recycled at Begin.
-func (e *Engine) scratchBytes(n int) []byte {
-	if e.scratchOff+n > len(e.scratch) {
-		e.scratch = make([]byte, max(2*len(e.scratch), n, scratchBlock))
-		e.scratchOff = 0
-	}
-	p := e.scratch[e.scratchOff : e.scratchOff+n : e.scratchOff+n]
-	e.scratchOff += n
-	return p
 }
 
 // Begin starts a durable transaction: allocates a transaction ID (forcing
@@ -294,15 +281,13 @@ func (e *Engine) Begin() {
 	if e.epochOpen && e.w.nextOff > e.w.size/2 {
 		e.forceCloseEpoch()
 	}
-	// Reuse the write set and the record-payload arena: the set resets
-	// in O(1) whatever capacity an earlier transaction grew it to, and
-	// the arena rewinds to the start of its largest block.
+	// Reuse the write set: it resets in O(1) whatever capacity an
+	// earlier transaction grew it to.
 	e.cur.active = true
 	e.cur.id = id
 	e.cur.seq = e.seq
 	e.cur.sig = &e.sigs[id]
 	e.cur.ws.reset()
-	e.scratchOff = 0
 	e.cur.sig.Clear()
 	mode := e.logMode()
 	if e.grouped() {
@@ -533,7 +518,7 @@ func (e *Engine) logStore(l *cache.Line, a mem.Addr, size int, ws uint16) uint16
 	}
 	logged := uint8(ws >> wsWordShift)
 	if e.cfg.Granularity == Line {
-		data := e.scratchBytes(mem.LineSize) //slpmt:noalloc-escape-ok: arena growth is amortized; steady state reuses the block
+		data := e.recBuf[:]
 		e.m.ReadMem(line, data)
 		e.sink.add(logbuf.Record{Addr: line, Data: data})
 		e.m.Trace(trace.KLogAppend, line, mem.LineSize)
@@ -549,7 +534,7 @@ func (e *Engine) logStore(l *cache.Line, a mem.Addr, size int, ws uint16) uint16
 				continue
 			}
 			wa := line + mem.Addr(w*mem.WordSize)
-			data := e.scratchBytes(mem.WordSize) //slpmt:noalloc-escape-ok: arena growth is amortized; steady state reuses the block
+			data := e.recBuf[:mem.WordSize]
 			e.m.ReadMem(wa, data)
 			e.sink.add(logbuf.Record{Addr: wa, Data: data})
 			e.m.Trace(trace.KLogAppend, wa, mem.WordSize)
@@ -636,9 +621,9 @@ func (e *Engine) persistRetainedThrough(idx int) {
 		r := &e.retained[i]
 		// The drain persists the lines still volatile when it starts; a
 		// writeback marking one of them mid-drain does not skip it.
-		r.lazy = slices.DeleteFunc(r.lazy, func(la mem.Addr) bool { return la&lazyDone != 0 })
-		for _, la := range r.lazy {
-			if e.m.PersistLine(la &^ lazyDone) {
+		r.lazy = slices.DeleteFunc(r.lazy, func(en uint32) bool { return en&lazyDone != 0 })
+		for _, en := range r.lazy {
+			if e.m.PersistLine(lazyLine(en)) {
 				e.m.Stats.LazyLinePersists++
 			} else {
 				e.m.Stats.LazyLinesElided++
@@ -667,8 +652,8 @@ func (e *Engine) DrainLazy() {
 func (e *Engine) RetainedLazyLines() int {
 	n := 0
 	for i := range e.retained {
-		for _, la := range e.retained[i].lazy {
-			if la&lazyDone == 0 {
+		for _, en := range e.retained[i].lazy {
+			if en&lazyDone == 0 {
 				n++
 			}
 		}
@@ -703,7 +688,7 @@ func (e *Engine) onL1Demote(l cache.Line) cache.Line {
 				continue
 			}
 			wa := l.Addr + mem.Addr(w*mem.WordSize)
-			data := e.scratchBytes(mem.WordSize)
+			data := e.recBuf[:mem.WordSize]
 			e.m.ReadMem(wa, data)
 			e.sink.add(logbuf.Record{Addr: wa, Data: data, Speculative: true})
 			e.m.Stats.SpeculativeRecords++
@@ -743,7 +728,7 @@ func (e *Engine) onL2Evict(l cache.Line) cache.Line {
 func (e *Engine) onL3Writeback(addr mem.Addr) {
 	for i := range e.retained {
 		lazy := e.retained[i].lazy
-		if j, ok := slices.BinarySearch(lazy, addr); ok {
+		if j, ok := slices.BinarySearch(lazy, lazyEntry(addr)); ok {
 			lazy[j] |= lazyDone
 		}
 	}
@@ -835,7 +820,7 @@ func (e *Engine) Commit() {
 	// recycle pool.
 	if nLazy > 0 {
 		e.m.Stats.LazyLinesDeferred += uint64(nLazy)
-		var lazy []mem.Addr
+		var lazy []uint32
 		if n := len(e.lazyPool); n > 0 {
 			lazy = e.lazyPool[n-1]
 			e.lazyPool = e.lazyPool[:n-1]
@@ -843,7 +828,7 @@ func (e *Engine) Commit() {
 		lazy = slices.Grow(lazy, nLazy)
 		for _, en := range ws.ents {
 			if en.val()&wsLazy != 0 {
-				lazy = append(lazy, en.addr())
+				lazy = append(lazy, lazyEntry(en.addr()))
 				e.m.Trace(trace.KLazyDefer, en.addr(), e.cur.seq)
 			}
 		}

@@ -493,7 +493,7 @@ func TestUndoOrderingUnderCrash(t *testing.T) {
 	for pt := uint64(1); pt <= total; pt++ {
 		img, seq, _ := run(pt)
 		want := uint64(100)
-		if arenaRecover(t, img, seq) {
+		if payloadRecover(t, img, seq) {
 			want = 200
 		}
 		for i := uint64(0); i < 4; i++ {

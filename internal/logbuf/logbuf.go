@@ -17,10 +17,12 @@
 //
 // The buffer is a pure in-memory structure: spilling is delegated to the
 // owner through the Spill callback, which the transaction engine wires
-// to the machine's WPQ. The buffer owns the payloads of merged records,
-// like the hardware's fixed tier storage, and reuses that storage once a
-// record leaves the buffer; inserting, merging and spilling allocate
-// nothing.
+// to the machine's WPQ. Like the hardware's fixed tier storage, the
+// buffer owns every record's payload: Insert copies the caller's bytes
+// into storage of the record's tier, a merge fills storage of the next
+// tier, and storage is reused once a record leaves the buffer. A caller
+// may therefore reuse one payload buffer for every insert; inserting,
+// merging and spilling allocate nothing.
 package logbuf
 
 import (
@@ -91,9 +93,9 @@ type Stats struct {
 	Stalls    uint64 // inserts that forced a tier drain
 }
 
-// chunkSlots is the number of payload chunks each merged tier (1-3)
-// owns: its TierRecords buffered records plus the one record a merge or
-// an insert into a full tier holds while the tier drains.
+// chunkSlots is the number of payload chunks each tier owns: its
+// TierRecords buffered records plus the one record an insert or a merge
+// holds while the tier drains.
 const chunkSlots = TierRecords + 1
 
 // Buffer is the four-tier log buffer. Not safe for concurrent use.
@@ -107,12 +109,10 @@ type Buffer struct {
 	Spill func([]Record)
 	stats Stats
 
-	// store holds the payloads of merged records: chunkSlots chunks of
-	// DataSize(t) bytes for each tier t >= 1 (tier 0 records are never
-	// the product of a merge). used[t] has bit i set while chunk i of
-	// tier t backs a live record. Inserted records keep the caller's
-	// payload.
-	store [chunkSlots * (16 + 32 + 64)]byte
+	// store holds every buffered record's payload: chunkSlots chunks of
+	// DataSize(t) bytes for each tier t. used[t] has bit i set while
+	// chunk i of tier t backs a live record.
+	store [chunkSlots * (8 + 16 + 32 + 64)]byte
 	used  [Tiers]uint16
 	// taken is takeLine's reusable result.
 	taken []Record
@@ -154,7 +154,9 @@ func (b *Buffer) Stats() Stats { return b.stats }
 // Insert adds a word-granularity record (len(Data)==8) created by a
 // store, coalescing it up the tiers. Records of larger sizes may also be
 // inserted directly (cache-line-granularity schemes insert 64-byte
-// records).
+// records). The payload is copied into the buffer before anything else
+// happens, so the caller may overwrite r.Data once Insert returns, and
+// so may a Spill callback that a drain inside Insert runs.
 func (b *Buffer) Insert(r Record) {
 	t := r.Tier()
 	if t < 0 {
@@ -164,6 +166,9 @@ func (b *Buffer) Insert(r Record) {
 		panic(fmt.Sprintf("logbuf: record %#x not aligned to %d", r.Addr, len(r.Data)))
 	}
 	b.stats.Inserted++
+	data := b.alloc(t)
+	copy(data, r.Data)
+	r.Data = data
 	b.insert(t, r)
 }
 
@@ -216,11 +221,11 @@ func (b *Buffer) merge(t int, a, c Record) Record {
 	}
 }
 
-// chunk returns payload chunk i of tier t (t >= 1).
+// chunk returns payload chunk i of tier t.
 func (b *Buffer) chunk(t, i int) []byte {
 	size := DataSize(t)
-	// Tiers 1..t-1 precede tier t: chunkSlots*(16+32+...+8<<(t-1)) bytes.
-	off := chunkSlots*DataSize(0)*((1<<t)-2) + i*size
+	// Tiers 0..t-1 precede tier t: chunkSlots*(8+16+...+8<<(t-1)) bytes.
+	off := chunkSlots*DataSize(0)*((1<<t)-1) + i*size
 	return b.store[off : off+size : off+size]
 }
 
@@ -236,12 +241,9 @@ func (b *Buffer) alloc(t int) []byte {
 	return b.chunk(t, i)
 }
 
-// release frees the chunk backing r's payload, if the buffer owns it.
+// release frees the chunk backing r's payload.
 func (b *Buffer) release(r Record) {
 	t := r.Tier()
-	if t <= 0 {
-		return
-	}
 	for u := b.used[t]; u != 0; u &= u - 1 {
 		i := bits.TrailingZeros16(u)
 		if &b.chunk(t, i)[0] == &r.Data[0] {
@@ -349,7 +351,8 @@ func (b *Buffer) Clear() int {
 }
 
 // Records returns a snapshot of all buffered records (for tests). The
-// payloads of merged records stay valid only until the next insert.
+// payloads are the buffer's own and stay valid only until the next
+// insert.
 func (b *Buffer) Records() []Record {
 	out := make([]Record, 0, b.Len())
 	for t := range b.tiers {

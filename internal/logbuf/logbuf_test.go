@@ -1,6 +1,8 @@
 package logbuf
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -196,6 +198,81 @@ func TestPayloadPreservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBufferOwnsPayloads: Insert copies the record's payload, so
+// records inserted from one caller buffer, overwritten after every
+// Insert, keep their original bytes: word records at tier 0 (isolated
+// words and buddies that merge) and line records inserted directly at
+// tier 3, whether they leave by a tier drain, a FlushLine or DrainAll,
+// or are read back through Records.
+func TestBufferOwnsPayloads(t *testing.T) {
+	for _, size := range []int{DataSize(0), DataSize(Tiers - 1)} {
+		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
+			var buf [mem.LineSize]byte
+			want := map[mem.Addr]uint64{} // word address -> inserted word
+			left := map[mem.Addr]bool{}   // words not yet spilled
+			phase := "tier drain"
+			check := func(how string, rs []Record) {
+				t.Helper()
+				for _, r := range rs {
+					for w := 0; w < len(r.Data); w += mem.WordSize {
+						a := r.Addr + mem.Addr(w)
+						if got := binary.LittleEndian.Uint64(r.Data[w:]); got != want[a] {
+							t.Errorf("%s: word %#x = %#x, inserted %#x", how, a, got, want[a])
+						}
+					}
+				}
+			}
+			spilled := 0
+			b := New(func(rs []Record) {
+				check(phase, rs)
+				for _, r := range rs {
+					for w := 0; w < len(r.Data); w += mem.WordSize {
+						delete(left, r.Addr+mem.Addr(w))
+					}
+				}
+				spilled += len(rs)
+			})
+			n := 0
+			insert := func(a mem.Addr) {
+				for w := 0; w < size; w += mem.WordSize {
+					n++
+					v := uint64(n)<<8 | uint64(w)
+					binary.LittleEndian.PutUint64(buf[w:], v)
+					want[a+mem.Addr(w)], left[a+mem.Addr(w)] = v, true
+				}
+				b.Insert(Record{Addr: a, Data: buf[:size]})
+				for i := range buf {
+					buf[i] = 0xEE
+				}
+			}
+			// Isolated records of distinct lines: the ninth drains the
+			// tier.
+			for i := 0; i < 2*TierRecords+3; i++ {
+				insert(mem.Addr(0x10000 + i*2*mem.LineSize))
+			}
+			if size == mem.WordSize {
+				// Buddies: a whole line of words merges up to tier 3.
+				for w := 0; w < mem.WordsPerLine; w++ {
+					insert(0x40000 + mem.Addr(w*mem.WordSize))
+				}
+			}
+			if spilled == 0 {
+				t.Fatal("no tier drained")
+			}
+			check("Records", b.Records())
+			phase = "FlushLine"
+			if b.FlushLine(0x10000+mem.Addr((2*TierRecords+2)*2*mem.LineSize)) != 1 {
+				t.Fatal("FlushLine found no record")
+			}
+			phase = "DrainAll"
+			b.DrainAll()
+			if len(left) != 0 {
+				t.Errorf("%d inserted words never spilled", len(left))
+			}
+		})
 	}
 }
 

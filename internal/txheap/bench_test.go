@@ -1,0 +1,66 @@
+package txheap
+
+import (
+	"testing"
+
+	"github.com/persistmem/slpmt/internal/mem"
+)
+
+// churn is one transaction of BenchmarkAllocFree: it frees eight of
+// the standing blocks and allocates a replacement for each, of a size
+// that cycles through a few words.
+func churn(h *Heap, live []mem.Addr, i int) {
+	h.BeginTx()
+	for j := 0; j < 8; j++ {
+		k := (i*8 + j) % len(live)
+		h.Free(live[k])
+		live[k] = h.Alloc(uint64(16 + 8*((i+j)%12)))
+	}
+	h.CommitTx()
+}
+
+// BenchmarkAllocFree runs alloc/free churn inside transactions over a
+// standing population of 256 blocks: the quarantined frees return to
+// the free list at each commit and the next transaction reuses them.
+// Once the free list and the transaction's extent lists have grown, an
+// operation allocates nothing. Run with
+// `go test -run '^$' -bench . -benchmem ./internal/txheap/`.
+func BenchmarkAllocFree(b *testing.B) {
+	h := newHeap()
+	live := make([]mem.Addr, 256)
+	for i := range live {
+		live[i] = h.Alloc(uint64(16 + 8*(i%12)))
+	}
+	for i := 0; i < 1024; i++ {
+		churn(h, live, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		churn(h, live, i)
+	}
+}
+
+// TestCheckAllocFree: Check walks the block index of every span without
+// allocating, on a heap with live, quarantined and free blocks in both
+// arenas and the global span.
+func TestCheckAllocFree(t *testing.T) {
+	heaps, _ := newSharded(t)
+	var blocks []mem.Addr
+	for i := 0; i < 64; i++ {
+		blocks = append(blocks, heaps[i%4].Alloc(uint64(8+8*(i%9))))
+	}
+	blocks = append(blocks, heaps[1].Alloc(LargeAllocBytes))
+	for i := 0; i < len(blocks); i += 3 {
+		heaps[0].Free(blocks[i])
+	}
+	heaps[2].BeginTx()
+	heaps[2].Free(blocks[1])
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := heaps[3].Check(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Check allocates %.1f times per call, want 0", allocs)
+	}
+}

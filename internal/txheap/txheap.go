@@ -22,7 +22,12 @@
 //     list and its frees are cancelled.
 //
 // The allocator is first-fit over a sorted, coalescing free-extent list,
-// with a bump pointer for virgin space.
+// with a bump pointer for virgin space. Blocks are recorded in a block
+// index of two bits per heap word (a block starts here; a live block
+// starts here) kept in demand-zero memory, and a block's size is not
+// stored: blocks, quarantined frees and free extents tile each span
+// below its bump pointer, so a block ends where the next block or free
+// extent starts, or at the bump pointer.
 //
 // Space management is factored into spans — contiguous regions each
 // with their own free list and bump pointer. New gives every core its
@@ -40,6 +45,8 @@ package txheap
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
 
@@ -92,45 +99,166 @@ const LargeAllocBytes = 2048
 // stay arena-local.
 const BurstSpillBytes = 8 << 10
 
+// blockIndex is a machine heap's block index: two bits per heap word.
+// The start bit says a block starts at the word, whether the block is
+// live or quarantined (freed by a transaction whose frees are not yet
+// released); the live bit says a live block starts there. The bits of
+// words 64k..64k+63 are the pair bits[2k] (start) and bits[2k+1]
+// (live). The index lives in demand-zero memory, so a fresh heap pays
+// only for the pages its blocks touch, and every set bit lies below
+// its span's bump pointer, so Reset and Rebuild clear only that much.
+type blockIndex struct {
+	base mem.Addr // heap base: the address of word 0
+	bits []uint64
+}
+
+func newBlockIndex(base mem.Addr, size uint64) *blockIndex {
+	words := size >> mem.WordShift
+	ix := &blockIndex{base: base, bits: mem.MapZeroed[uint64](int(2 * ((words + 63) / 64)))}
+	runtime.SetFinalizer(ix, (*blockIndex).release)
+	return ix
+}
+
+func (ix *blockIndex) release() {
+	mem.Unmap(ix.bits)
+	ix.bits = nil
+}
+
+// at returns the index of the start-bit word holding a's bits and a's
+// bit in it (the live-bit word follows at index k+1).
+func (ix *blockIndex) at(a mem.Addr) (k int, bit uint64) {
+	w := uint64(a-ix.base) >> mem.WordShift
+	return int(w>>6) * 2, 1 << (w & 63)
+}
+
+// isStart reports whether a block, live or quarantined, starts at a.
+func (ix *blockIndex) isStart(a mem.Addr) bool {
+	k, bit := ix.at(a)
+	return ix.bits[k]&bit != 0
+}
+
+// isLive reports whether a live block starts at a; a must be word
+// aligned, or no block starts there.
+func (ix *blockIndex) isLive(a mem.Addr) bool {
+	if !mem.AlignedTo(a, mem.WordSize) {
+		return false
+	}
+	k, bit := ix.at(a)
+	return ix.bits[k+1]&bit != 0
+}
+
+// setLive marks a live block starting at a.
+func (ix *blockIndex) setLive(a mem.Addr) {
+	k, bit := ix.at(a)
+	ix.bits[k] |= bit
+	ix.bits[k+1] |= bit
+}
+
+// quarantine turns the live block at a into a quarantined one.
+func (ix *blockIndex) quarantine(a mem.Addr) {
+	k, bit := ix.at(a)
+	ix.bits[k+1] &^= bit
+}
+
+// drop removes the block starting at a, live or quarantined.
+func (ix *blockIndex) drop(a mem.Addr) {
+	k, bit := ix.at(a)
+	ix.bits[k] &^= bit
+	ix.bits[k+1] &^= bit
+}
+
+// nextStart returns the first block start in [a, limit), or limit.
+func (ix *blockIndex) nextStart(a, limit mem.Addr) mem.Addr {
+	if a >= limit {
+		return limit
+	}
+	w := uint64(a-ix.base) >> mem.WordShift
+	end := uint64(limit-ix.base) >> mem.WordShift
+	k := w >> 6
+	word := ix.bits[2*k] >> (w & 63) << (w & 63)
+	for word == 0 {
+		k++
+		if k<<6 >= end {
+			return limit
+		}
+		word = ix.bits[2*k]
+	}
+	if f := k<<6 + uint64(bits.TrailingZeros64(word)); f < end {
+		return ix.base + mem.Addr(f<<mem.WordShift)
+	}
+	return limit
+}
+
+// clear drops every block starting in [lo, hi).
+func (ix *blockIndex) clear(lo, hi mem.Addr) {
+	if lo >= hi {
+		return
+	}
+	w0 := uint64(lo-ix.base) >> mem.WordShift
+	w1 := uint64(hi-ix.base-1)>>mem.WordShift + 1
+	for k := w0 >> 6; k<<6 < w1; k++ {
+		mask := ^uint64(0)
+		if k == w0>>6 {
+			mask &= ^uint64(0) << (w0 & 63)
+		}
+		if (k+1)<<6 > w1 {
+			mask &= ^uint64(0) >> (64 - w1&63)
+		}
+		ix.bits[2*k] &^= mask
+		ix.bits[2*k+1] &^= mask
+	}
+}
+
 // span is one contiguous space-managed region: a sorted coalescing
-// free-extent list plus a bump pointer for virgin space. Every handle
-// of a machine shares its spans; the interleaved scheduler runs one
-// core at a time, so no locking is needed (mutex-free by design).
+// free-extent list plus a bump pointer for virgin space, over the
+// machine's block index. Every handle of a machine shares its spans;
+// the interleaved scheduler runs one core at a time, so no locking is
+// needed (mutex-free by design).
 type span struct {
 	base      mem.Addr
 	limit     mem.Addr
 	bump      mem.Addr
-	free      []Extent            // sorted by Addr, non-adjacent
-	allocated map[mem.Addr]uint64 // live blocks: addr -> size
+	free      []Extent // sorted by Addr, non-adjacent
+	ix        *blockIndex
 	liveBytes uint64
 }
 
-func newSpan(base mem.Addr, size uint64) span {
+func newSpan(ix *blockIndex, base mem.Addr, size uint64) span {
 	return span{
-		base:      base,
-		limit:     base + mem.Addr(size),
-		bump:      base,
-		allocated: make(map[mem.Addr]uint64),
+		base:  base,
+		limit: base + mem.Addr(size),
+		bump:  base,
+		ix:    ix,
 	}
 }
 
 // contains reports whether addr lies inside the span's region.
 func (s *span) contains(addr mem.Addr) bool { return addr >= s.base && addr < s.limit }
 
+// blockEnd returns the end of the block starting at addr: the next
+// block start, the next free extent or the bump pointer, whichever
+// comes first.
+func (s *span) blockEnd(addr mem.Addr) mem.Addr {
+	limit := s.bump
+	i := sort.Search(len(s.free), func(i int) bool { return s.free[i].Addr > addr })
+	if i < len(s.free) {
+		limit = min(limit, s.free[i].Addr)
+	}
+	return s.ix.nextStart(addr+mem.WordSize, limit)
+}
+
 // alloc takes size bytes from the span: first-fit over the free list,
 // then the bump pointer. Returns false when the span is exhausted.
 func (s *span) alloc(size uint64) (mem.Addr, bool) {
-	if addr, ok := s.allocFromFree(size); ok {
-		s.allocated[addr] = size
-		s.liveBytes += size
-		return addr, true
+	addr, ok := s.allocFromFree(size)
+	if !ok {
+		if s.bump+mem.Addr(size) > s.limit {
+			return 0, false
+		}
+		addr = s.bump
+		s.bump += mem.Addr(size)
 	}
-	if s.bump+mem.Addr(size) > s.limit {
-		return 0, false
-	}
-	addr := s.bump
-	s.bump += mem.Addr(size)
-	s.allocated[addr] = size
+	s.ix.setLive(addr)
 	s.liveBytes += size
 	return addr, true
 }
@@ -150,6 +278,12 @@ func (s *span) allocFromFree(size uint64) (mem.Addr, bool) {
 		}
 	}
 	return 0, false
+}
+
+// release returns a block, live or quarantined, to the free list.
+func (s *span) release(e Extent) {
+	s.ix.drop(e.Addr)
+	s.insertFree(e)
 }
 
 // insertFree adds an extent to the sorted free list, coalescing with
@@ -175,14 +309,18 @@ func (s *span) insertFree(e Extent) {
 // reachable blocks become the live set, every gap between them becomes
 // free space, and the bump pointer retreats to the last reachable byte
 // — trailing allocations a crashed transaction leaked return to virgin
-// space (counted as reclaimed when rebuilding a live handle).
+// space (counted as reclaimed when rebuilding a live handle). A block
+// covers its extent rounded up to whole words, as Alloc rounded it.
 func (s *span) rebuild(sorted []Extent, rep *RebuildReport) error {
-	clear(s.allocated)
+	s.ix.clear(s.base, s.bump)
 	s.free = s.free[:0]
 	s.liveBytes = 0
 	cursor := s.base
 	for _, e := range sorted {
 		if e.Addr < cursor {
+			// Keep the blocks marked so far below the bump pointer,
+			// where the next Reset clears them.
+			s.bump = max(s.bump, cursor)
 			return fmt.Errorf("txheap: overlapping reachable extents at %#x", e.Addr)
 		}
 		if gap := uint64(e.Addr - cursor); gap > 0 {
@@ -190,11 +328,12 @@ func (s *span) rebuild(sorted []Extent, rep *RebuildReport) error {
 			rep.ReclaimedGaps++
 			rep.ReclaimedBytes += gap
 		}
-		s.allocated[e.Addr] = e.Size
-		s.liveBytes += e.Size
+		end := mem.AlignUp(e.End(), mem.WordSize)
+		s.ix.setLive(e.Addr)
+		s.liveBytes += uint64(end - e.Addr)
 		rep.ReachableBlocks++
 		rep.ReachableBytes += e.Size
-		cursor = e.End()
+		cursor = end
 	}
 	if cursor < s.bump {
 		rep.ReclaimedGaps++
@@ -207,9 +346,9 @@ func (s *span) rebuild(sorted []Extent, rep *RebuildReport) error {
 // reset returns the span to virgin space with nothing allocated,
 // keeping its buffers.
 func (s *span) reset() {
+	s.ix.clear(s.base, s.bump)
 	s.bump = s.base
 	s.free = s.free[:0]
-	clear(s.allocated)
 	s.liveBytes = 0
 }
 
@@ -299,20 +438,21 @@ func New(layouts []mem.Layout, clk func(core int) Ticker, allocCycles uint64) []
 	l0 := layouts[0]
 	heapEnd := l0.HeapBase + mem.Addr(l0.HeapSize)
 	arenas := l0.ArenaSize != 0
+	ix := newBlockIndex(l0.HeapBase, l0.HeapSize)
 	var all []span
 	if arenas {
 		all = make([]span, 0, cores+1)
 		for _, l := range layouts {
-			all = append(all, newSpan(l.ArenaBase, l.ArenaSize))
+			all = append(all, newSpan(ix, l.ArenaBase, l.ArenaSize))
 		}
 		// Global fallback: everything past the last arena.
 		fbBase := layouts[cores-1].ArenaBase + mem.Addr(layouts[cores-1].ArenaSize)
 		if fbBase >= heapEnd {
 			panic("txheap: no room for the global fallback span")
 		}
-		all = append(all, newSpan(fbBase, uint64(heapEnd-fbBase)))
+		all = append(all, newSpan(ix, fbBase, uint64(heapEnd-fbBase)))
 	} else {
-		all = []span{newSpan(l0.HeapBase, l0.HeapSize)}
+		all = []span{newSpan(ix, l0.HeapBase, l0.HeapSize)}
 	}
 	global := &all[len(all)-1]
 	heaps := make([]*Heap, cores)
@@ -376,7 +516,7 @@ func (h *Heap) CommitTx() {
 		h.epochFrees = append(h.epochFrees, h.txFrees...)
 	} else {
 		for _, e := range h.txFrees {
-			h.insertFree(e)
+			h.release(e)
 		}
 	}
 	h.inTx = false
@@ -401,27 +541,27 @@ func (h *Heap) EpochQuarantine(on bool) { h.epochHold = on }
 // no longer be rolled back).
 func (h *Heap) ReleaseEpochFrees() {
 	for _, e := range h.epochFrees {
-		h.insertFree(e)
+		h.release(e)
 	}
 	h.epochFrees = h.epochFrees[:0]
 }
 
-// AbortTx rolls the allocator back: the transaction's allocations return
-// to the free list and its frees are reinstated as live.
+// AbortTx rolls the allocator back: the transaction's frees are
+// reinstated as live and its allocations return to the free list (in
+// that order, so a block it both allocated and freed ends up free).
 func (h *Heap) AbortTx() {
 	if !h.inTx {
 		panic("txheap: AbortTx outside transaction")
 	}
-	for _, e := range h.txAllocs {
-		s := h.spanOf(e.Addr)
-		delete(s.allocated, e.Addr)
-		s.liveBytes -= e.Size
-		s.insertFree(e)
-	}
 	for _, e := range h.txFrees {
 		s := h.spanOf(e.Addr)
-		s.allocated[e.Addr] = e.Size
+		s.ix.setLive(e.Addr)
 		s.liveBytes += e.Size
+	}
+	for _, e := range h.txAllocs {
+		s := h.spanOf(e.Addr)
+		s.liveBytes -= e.Size
+		s.release(e)
 	}
 	h.inTx = false
 	h.txAllocs = h.txAllocs[:0]
@@ -472,41 +612,38 @@ func (h *Heap) Alloc(size uint64) mem.Addr {
 
 // Free releases the block at addr, routing to the span that owns the
 // address. Inside a transaction the memory is quarantined until commit.
-// Freeing an unknown address panics (catching workload bugs early).
+// Freeing an address where no live block starts panics (catching
+// workload bugs early).
 func (h *Heap) Free(addr mem.Addr) {
 	s := h.spanOf(addr)
-	var size uint64
-	ok := false
-	if s != nil {
-		size, ok = s.allocated[addr]
-	}
-	if !ok {
+	if s == nil || !s.ix.isLive(addr) {
 		panic(fmt.Sprintf("txheap: free of unallocated address %#x", addr))
 	}
 	h.tick()
-	delete(s.allocated, addr)
-	s.liveBytes -= size
+	e := Extent{addr, uint64(s.blockEnd(addr) - addr)}
+	s.liveBytes -= e.Size
 	h.totalFrees++
-	e := Extent{addr, size}
 	if h.inTx {
+		s.ix.quarantine(addr)
 		h.txFrees = append(h.txFrees, e)
 		h.txFreeIdx.invalidate()
 	} else {
-		s.insertFree(e)
+		s.release(e)
 	}
 }
 
 // SizeOf returns the allocation size of a live block, or 0 if addr is
 // not a live block start.
 func (h *Heap) SizeOf(addr mem.Addr) uint64 {
-	if s := h.spanOf(addr); s != nil {
-		return s.allocated[addr]
+	if s := h.spanOf(addr); s != nil && s.ix.isLive(addr) {
+		return uint64(s.blockEnd(addr) - addr)
 	}
 	return 0
 }
 
-// insertFree routes an extent to its owning span's free list.
-func (h *Heap) insertFree(e Extent) { h.spanOf(e.Addr).insertFree(e) }
+// release returns a quarantined block to its owning span's free
+// list.
+func (h *Heap) release(e Extent) { h.spanOf(e.Addr).release(e) }
 
 // InTxAlloc reports whether addr lies inside a block allocated by the
 // current transaction. Long provenance sets are answered from a sorted
@@ -522,19 +659,18 @@ func (h *Heap) InTxFree(addr mem.Addr) bool {
 }
 
 // Live returns the machine-wide live extents, sorted by address (all
-// spans, whichever handle is asked).
+// spans, whichever handle is asked): a scan of each span's block starts
+// in address order, the spans themselves being laid out in that order.
 func (h *Heap) Live() []Extent {
-	n := 0
+	var out []Extent
 	for i := range h.all {
-		n += len(h.all[i].allocated)
-	}
-	out := make([]Extent, 0, n)
-	for i := range h.all {
-		for a, sz := range h.all[i].allocated { //slpmt:determinism-ok: collected extents are sorted below
-			out = append(out, Extent{a, sz})
+		s := &h.all[i]
+		for a := s.ix.nextStart(s.base, s.bump); a < s.bump; a = s.ix.nextStart(a+mem.WordSize, s.bump) {
+			if s.ix.isLive(a) {
+				out = append(out, Extent{a, uint64(s.blockEnd(a) - a)})
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
 
@@ -640,34 +776,55 @@ func (h *Heap) resetTx() {
 }
 
 // Check verifies the allocator's span invariant: within every span, the
-// live blocks and the free extents tile [base, bump) exactly — no
-// overlap, no unaccounted gap — and nothing lies beyond the bump
-// pointer. Crash campaigns run it after a rebuild to assert every
-// span reconciled its live extents with the durable prefix.
+// blocks (live, or quarantined by a transaction whose frees are not yet
+// released) and the free extents tile [base, bump) exactly — no
+// overlap, no unaccounted gap — nothing lies beyond the bump pointer,
+// and the live blocks add up to the span's live bytes. Crash campaigns
+// run it after a rebuild to assert every span reconciled its live
+// extents with the durable prefix. It scans the block index in address
+// order and allocates only to report a failure.
 func (h *Heap) Check() error {
 	for si := range h.all {
 		s := &h.all[si]
-		ext := make([]Extent, 0, len(s.allocated)+len(s.free))
-		for a, sz := range s.allocated { //slpmt:determinism-ok: collected extents are sorted below
-			ext = append(ext, Extent{a, sz})
+		var live uint64
+		cursor, fi := s.base, 0
+		for cursor < s.bump {
+			if fi < len(s.free) && s.free[fi].Addr < cursor {
+				return fmt.Errorf("txheap: span %d: extent %#x overlaps previous (cursor %#x)", si, s.free[fi].Addr, cursor)
+			}
+			limit := s.bump
+			if fi < len(s.free) {
+				limit = s.free[fi].Addr
+			}
+			if limit == cursor {
+				end := s.free[fi].End()
+				if a := s.ix.nextStart(cursor, end); a < end {
+					return fmt.Errorf("txheap: span %d: block %#x overlaps free extent [%#x,%#x)", si, a, cursor, end)
+				}
+				cursor = end
+				fi++
+				continue
+			}
+			if !s.ix.isStart(cursor) {
+				return fmt.Errorf("txheap: span %d: unaccounted gap [%#x,%#x)", si, cursor, s.ix.nextStart(cursor, limit))
+			}
+			end := s.ix.nextStart(cursor+mem.WordSize, limit)
+			if s.ix.isLive(cursor) {
+				live += uint64(end - cursor)
+			}
+			cursor = end
 		}
-		ext = append(ext, s.free...)
-		sort.Slice(ext, func(i, j int) bool { return ext[i].Addr < ext[j].Addr })
-		cursor := s.base
-		for _, e := range ext {
-			if e.Addr < cursor {
-				return fmt.Errorf("txheap: span %d: extent %#x overlaps previous (cursor %#x)", si, e.Addr, cursor)
+		if fi < len(s.free) {
+			if s.free[fi].Addr < cursor {
+				return fmt.Errorf("txheap: span %d: extent %#x overlaps previous (cursor %#x)", si, s.free[fi].Addr, cursor)
 			}
-			if e.Addr > cursor {
-				return fmt.Errorf("txheap: span %d: unaccounted gap [%#x,%#x)", si, cursor, e.Addr)
-			}
-			cursor = e.End()
+			cursor = s.free[len(s.free)-1].End()
 		}
 		if cursor > s.bump {
 			return fmt.Errorf("txheap: span %d: extents reach %#x beyond bump %#x", si, cursor, s.bump)
 		}
-		if cursor < s.bump {
-			return fmt.Errorf("txheap: span %d: extents end at %#x short of bump %#x", si, cursor, s.bump)
+		if live != s.liveBytes {
+			return fmt.Errorf("txheap: span %d: live blocks hold %d bytes, counted %d", si, live, s.liveBytes)
 		}
 	}
 	return nil

@@ -1,11 +1,11 @@
 #!/bin/sh
 # check.sh - the repo's pre-merge gate: formatting, vet (go vet plus
 # the slpmtvet analyzer suite), build (native, windows and darwin), full
-# test suite, one run of each cache/machine/engine/pmem/recovery/workloads
-# microbenchmark and of the cluster constructor benchmark,
-# race-detector passes, and one traced 2-core run replayed through the
-# persist-order sanitizer and the critical-path analyzer, exported to
-# Perfetto and profiled into folded stacks.
+# test suite, one run of each cache/machine/engine/pmem/logbuf/txheap/
+# recovery/workloads microbenchmark and of the cluster constructor
+# benchmark, race-detector passes, and one traced 2-core run replayed
+# through the persist-order sanitizer and the critical-path analyzer,
+# exported to Perfetto and profiled into folded stacks.
 #
 # Usage: scripts/check.sh   (or: make check)
 set -eu
@@ -38,7 +38,7 @@ go test ./...
 
 echo "== benchmark smoke (each microbenchmark once) =="
 go test -run '^$' -bench . -benchtime 1x ./internal/cache/ ./internal/machine/ ./internal/engine/ \
-	./internal/pmem/ ./internal/recovery/ ./internal/workloads/
+	./internal/pmem/ ./internal/logbuf/ ./internal/txheap/ ./internal/recovery/ ./internal/workloads/
 go test -run '^$' -bench '^BenchmarkNewCluster$' -benchtime 1x .
 
 echo "== go test -race (make race) =="
