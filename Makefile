@@ -16,12 +16,14 @@ test:
 # Race-detector pass: full tests over the root package (cluster), the
 # bench harness, the caches (off-heap tag arrays released by a
 # finalizer), the machine, and the tracer with its streaming binlog
-# (double-buffered writer goroutine), plus the targeted subset that
-# exercises the parallel experiment runner.
+# (double-buffered writer goroutine), plus the targeted subsets that
+# exercise the parallel experiment runner and the workloads' shared
+# free lists.
 race:
 	$(GO) test -race . ./internal/bench/ ./internal/cache/ ./internal/machine/ ./internal/trace/...
 	$(GO) test -race ./internal/experiments/ \
 		./internal/recovery/ -run 'Parallel|ForEach|Grid|RunAll|Collector|Smoke'
+	$(GO) test -race ./internal/workloads/ -run 'FreeList|KeySet'
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

@@ -82,7 +82,7 @@ func dump(img *pmem.Image, head mem.Addr) string {
 func build(sys *slpmt.System, crashAfter uint64) (head slpmt.Addr, img *pmem.Image, crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(machine.CrashSignal); !ok {
+			if _, ok := r.(*machine.CrashSignal); !ok {
 				panic(r)
 			}
 			crashed = true

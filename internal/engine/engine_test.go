@@ -474,7 +474,7 @@ func TestUndoOrderingUnderCrash(t *testing.T) {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					if _, ok := r.(machine.CrashSignal); !ok {
+					if _, ok := r.(*machine.CrashSignal); !ok {
 						panic(r)
 					}
 				}

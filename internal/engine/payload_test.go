@@ -128,7 +128,7 @@ func payloadCrash(cfg Config, pt uint64) (img *pmem.Image, seq uint64) {
 		if r == nil {
 			return
 		}
-		if _, ok := r.(machine.CrashSignal); !ok {
+		if _, ok := r.(*machine.CrashSignal); !ok {
 			panic(r)
 		}
 		img = m.Crash()

@@ -63,7 +63,7 @@ func randomProgram(seed int64, cfg Config, crashAt uint64) (m *machine.Core, ref
 
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(machine.CrashSignal); !ok {
+			if _, ok := r.(*machine.CrashSignal); !ok {
 				panic(r)
 			}
 			crashed = true

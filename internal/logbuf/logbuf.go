@@ -28,6 +28,7 @@ package logbuf
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"github.com/persistmem/slpmt/internal/mem"
 )
@@ -221,11 +222,14 @@ func (b *Buffer) merge(t int, a, c Record) Record {
 	}
 }
 
+// tierOff is the offset in store of tier t's first chunk. Tiers 0..t-1
+// precede it: chunkSlots*(8+16+...+8<<(t-1)) bytes.
+func tierOff(t int) int { return chunkSlots * DataSize(0) * ((1 << t) - 1) }
+
 // chunk returns payload chunk i of tier t.
 func (b *Buffer) chunk(t, i int) []byte {
 	size := DataSize(t)
-	// Tiers 0..t-1 precede tier t: chunkSlots*(8+16+...+8<<(t-1)) bytes.
-	off := chunkSlots*DataSize(0)*((1<<t)-1) + i*size
+	off := tierOff(t) + i*size
 	return b.store[off : off+size : off+size]
 }
 
@@ -241,16 +245,17 @@ func (b *Buffer) alloc(t int) []byte {
 	return b.chunk(t, i)
 }
 
-// release frees the chunk backing r's payload.
+// release frees the chunk backing r's payload. Every buffered record's
+// payload is a chunk of store (Insert and merge copy into one), so the
+// chunk's index follows from the payload's offset in store.
 func (b *Buffer) release(r Record) {
 	t := r.Tier()
-	for u := b.used[t]; u != 0; u &= u - 1 {
-		i := bits.TrailingZeros16(u)
-		if &b.chunk(t, i)[0] == &r.Data[0] {
-			b.used[t] &^= 1 << i
-			return
-		}
+	off := int(uintptr(unsafe.Pointer(unsafe.SliceData(r.Data))) - uintptr(unsafe.Pointer(&b.store)))
+	bit := uint16(1) << ((off - tierOff(t)) / DataSize(t))
+	if b.used[t]&bit == 0 {
+		panic("logbuf: released a payload the buffer does not hold")
 	}
+	b.used[t] &^= bit
 }
 
 // drainTier spills every record of tier t.

@@ -436,7 +436,8 @@ func (c *Core) persist(addr mem.Addr, data []byte) {
 		} else {
 			dev.Persist(c.Clk, addr, data)
 		}
-		panic(CrashSignal{At: c.sh.PersistTotal})
+		c.sh.crash.At = c.sh.PersistTotal
+		panic(&c.sh.crash)
 	}
 	var stall uint64
 	switch {

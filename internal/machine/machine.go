@@ -141,11 +141,15 @@ type Machine struct {
 
 	// PersistTotal counts durable-write events machine-wide (across all
 	// cores, in interleave order); with CrashAfterTotal != 0 the machine
-	// panics with CrashSignal when the total reaches it — the
+	// panics with a *CrashSignal when the total reaches it — the
 	// crash-injection mechanism (every distinct durable state lies at a
 	// persist-event boundary), one counter at any core count.
 	PersistTotal    uint64
 	CrashAfterTotal uint64
+
+	// crash is the panic value of an injected crash: a pointer to it
+	// boxes without allocating (see CrashSignal).
+	crash CrashSignal
 
 	// OnRemoteStore is invoked when core src issues a bus write request
 	// (read-for-ownership or shared->modified upgrade) for a line. The
@@ -157,6 +161,9 @@ type Machine struct {
 
 // CrashSignal is the panic value thrown when an injected crash point is
 // reached; crash campaigns recover it and snapshot the durable image.
+// The value thrown is a *CrashSignal that points into the machine, so
+// raising it allocates nothing; it holds its At until the machine's
+// next crash.
 type CrashSignal struct {
 	// At is the persist-event index at which the crash fired.
 	At uint64

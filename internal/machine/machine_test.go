@@ -206,7 +206,7 @@ func TestCrashInjection(t *testing.T) {
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				if sig, ok := r.(CrashSignal); ok && sig.At == 2 {
+				if sig, ok := r.(*CrashSignal); ok && sig.At == 2 {
 					crashed = true
 				} else {
 					panic(r)

@@ -17,14 +17,15 @@ type campaignShape struct {
 	cfg  recovery.CampaignConfig
 	// maxAllocs and maxAllocsRace bound the host allocations per crash
 	// point of one campaign in a normal and a -race build (see
-	// TestCampaignAllocsPerPoint).
-	maxAllocs, maxAllocsRace float64
+	// TestCampaignAllocsPerPoint), and maxBytes its host heap bytes per
+	// crash point in a normal build (TestCampaignBytesPerPoint).
+	maxAllocs, maxAllocsRace, maxBytes float64
 }
 
 func campaignShapes() []campaignShape {
 	shapes := []campaignShape{
-		{"hashtable-w1", recovery.CampaignConfig{Workload: "hashtable", Mixed: true}, 10, 12.3},
-		{"kv-btree-w16", recovery.CampaignConfig{Workload: "kv-btree", CommitWindow: 16}, 9.4, 10},
+		{"hashtable-w1", recovery.CampaignConfig{Workload: "hashtable", Mixed: true}, 6.9, 6.9, 2270},
+		{"kv-btree-w16", recovery.CampaignConfig{Workload: "kv-btree", CommitWindow: 16}, 6.6, 7.2, 4110},
 	}
 	for i := range shapes {
 		cfg := &shapes[i].cfg
@@ -53,15 +54,18 @@ func campaignCost(tb testing.TB, cfg recovery.CampaignConfig, n int) (points int
 // TestCampaignAllocsPerPoint runs each of BenchmarkCampaign's campaigns
 // once and bounds its host allocations per crash point, the campaign's
 // reference and set-up runs included. A point's verification allocates
-// next to nothing (TestVerifyPointAllocs); what is left is its run's
-// workload instance and the run's own growth. The ceilings leave 5–10%
-// over the measured 9.1–9.5 and 8.5–8.6 (14.6 and 9.7 before the hashtable
-// reused its rehash buffers and the verifier stopped building the
-// errors of skipped candidates): the first campaign in a process
+// only its workload instance (TestVerifyPointAllocs); what is left is
+// its run's workload instance and the run's own growth. The ceilings
+// leave about 10% over the measured 5.7–6.3 and 5.9–6.0 (8.7–8.8 and
+// 7.8 before the extents and the rehash stash came from free lists and
+// the crash signal stopped allocating; 14.6 and 9.7 before the
+// hashtable reused its rehash buffers and the verifier stopped building
+// the errors of skipped candidates): the first campaign in a process
 // also pays one-time costs, such as the memoized key stream and the
-// first key sets, and the runtime's own allocations land in the count.
-// Race instrumentation doubles some allocation sites (every
-// slices.Grow among them), so a -race build is held to 10% over its own measured 11.2 and 9.2.
+// first buffers of the free lists, and the runtime's own allocations
+// land in the count. Race instrumentation doubles some allocation sites
+// (every slices.Grow among them), so a -race build is held to about 10%
+// over its own measured 6.3 and 6.5 (10.8 and 8.4 before).
 func TestCampaignAllocsPerPoint(t *testing.T) {
 	for _, s := range campaignShapes() {
 		points, allocs, _ := campaignCost(t, s.cfg, 1)
@@ -74,6 +78,28 @@ func TestCampaignAllocsPerPoint(t *testing.T) {
 			t.Errorf("%s: %.1f allocations per crash point, want at most %.1f", s.name, got, limit)
 		}
 		t.Logf("%s: %.1f allocations per crash point over %d points", s.name, got, points)
+	}
+}
+
+// TestCampaignBytesPerPoint runs each of BenchmarkCampaign's campaigns
+// once and bounds its host heap bytes per crash point, the campaign's
+// reference and set-up runs included. The ceilings are about 10% over
+// the measured 1,760–2,062 and 3,443–3,739 B (the high ends in a
+// process that runs this test alone, which pays the one-time costs);
+// BenchmarkCampaign read 2,800 and 6,281 before the extents and the
+// rehash stash came from free lists. Race instrumentation allocates on
+// its own, so a race build skips it.
+func TestCampaignBytesPerPoint(t *testing.T) {
+	if raceBuild {
+		t.Skip("race instrumentation allocates on its own")
+	}
+	for _, s := range campaignShapes() {
+		points, _, bytes := campaignCost(t, s.cfg, 1)
+		got := float64(bytes) / float64(points)
+		if got > s.maxBytes {
+			t.Errorf("%s: %.0f host heap bytes per crash point, want at most %.0f", s.name, got, s.maxBytes)
+		}
+		t.Logf("%s: %.0f host heap bytes per crash point over %d points", s.name, got, points)
 	}
 }
 

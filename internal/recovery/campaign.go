@@ -235,7 +235,7 @@ func (v *verifier) execute(cfg CampaignConfig, ops []campaignOp, crashAfter uint
 
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(machine.CrashSignal); !ok {
+			if _, ok := r.(*machine.CrashSignal); !ok {
 				panic(r)
 			}
 			info.crashed = true

@@ -342,7 +342,11 @@ func (v *verifier) recover(img *pmem.Image, w workloads.Recoverable, cores, sock
 	} else {
 		txheap.Reset(v.heaps)
 	}
-	if rep.Heap, err = txheap.Rebuild(v.heaps, reach); err != nil {
+	rep.Heap, err = txheap.Rebuild(v.heaps, reach)
+	// Rebuild keeps no reference to the scan, so its slice goes back to
+	// the workloads' free list for the next point's Reach.
+	workloads.PutReach(reach)
+	if err != nil {
 		return rep, nil, fmt.Errorf("recovery: heap rebuild: %w", err)
 	}
 	return rep, v.heaps, nil

@@ -168,17 +168,19 @@ func (p *storedPoint) clone() runInfo {
 
 // TestVerifyPointAllocs pins the host allocations of verifying one
 // crash point with a verifier that has verified one before: the fresh
-// workload instance (one object for hashtable, two for kv-btree) and
-// the reachability scan's one pre-sized extent slice. The key sets come
-// from the workloads' free list, and both the W=1 check and the prefix
-// search skip the candidates of the wrong size unchecked, building a
-// rejected candidate's error only when every candidate fails. The
-// limits are the measured 2 and 2 plus one. Before the verifier existed
-// these points cost 41 and 75 allocations; before the free list, the
+// workload instance, one object for both structures. The key sets and
+// the reachability scan's extent slice come from the workloads' free
+// lists (recovery hands the slice back after the heap rebuild), and
+// both the W=1 check and the prefix search skip the candidates of the
+// wrong size unchecked, building a rejected candidate's error only when
+// every candidate fails. The limits are the measured 1 and 1, with no
+// margin: the count is exact. Before the verifier existed these points
+// cost 41 and 75 allocations; before the key-set free list, the
 // pre-sized reach and the count skip, 12 and 29; before the skipped
-// candidates' errors were deferred, 2 and 3.
+// candidates' errors were deferred, 2 and 3; before the extent free
+// list, 2 and 2.
 func TestVerifyPointAllocs(t *testing.T) {
-	limits := map[string]float64{"hashtable-w1": 3, "kv-btree-w16": 3}
+	limits := map[string]float64{"hashtable-w1": 1, "kv-btree-w16": 1}
 	for _, p := range storedPoints(t) {
 		const runs = 4
 		infos := make([]runInfo, runs+1) // AllocsPerRun adds a warm-up run

@@ -223,7 +223,7 @@ func (h *Heap) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 		return nil, fmt.Errorf("heap reach: no array")
 	}
 	// The array and one value block per entry.
-	out := make([]txheap.Extent, 0, workloads.ReachCap(img, min(size, capn)+1, valBytes))
+	out := workloads.ReachBuf(img, min(size, capn)+1, valBytes)
 	out = append(out, txheap.Extent{Addr: arr, Size: capn * entSize})
 	for i := uint64(0); i < size; i++ {
 		vb := mem.Addr(img.ReadU64(arr + mem.Addr(i*entSize) + entVPtr))

@@ -170,7 +170,7 @@ func (l *List) Recover(img *pmem.Image) error {
 // Reach implements workloads.Recoverable.
 func (l *List) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 	count := workloads.ReadRoot(img, workloads.RootCount)
-	out := make([]txheap.Extent, 0, workloads.ReachCap(img, count, offVal))
+	out := workloads.ReachBuf(img, count, offVal)
 	for n := mem.Addr(workloads.ReadRoot(img, workloads.RootMain)); n != 0; n = mem.Addr(img.ReadU64(n + offNext)) {
 		vlen := img.ReadU64(n + offVLen)
 		out = append(out, txheap.Extent{Addr: n, Size: offVal + vlen})

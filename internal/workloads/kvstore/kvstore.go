@@ -126,7 +126,7 @@ func (kv *KV) Recover(img *pmem.Image) error { return kv.idx.recover(img) }
 // reachable value block.
 func (kv *KV) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 	count := workloads.ReadRoot(img, workloads.RootCount)
-	out := make([]txheap.Extent, 0, workloads.ReachCap(img, kv.idx.maxNodes(count)+count, valBytes))
+	out := workloads.ReachBuf(img, kv.idx.maxNodes(count)+count, valBytes)
 	out = kv.idx.appendNodes(out, img)
 	err := kv.walkDurable(img, func(key uint64, vptr mem.Addr) error {
 		vlen := img.ReadU64(vptr + valLen)

@@ -293,7 +293,7 @@ func (t *Tree) Recover(img *pmem.Image) error {
 // Reach implements workloads.Recoverable.
 func (t *Tree) Reach(img *pmem.Image) ([]txheap.Extent, error) {
 	count := workloads.ReadRoot(img, workloads.RootCount)
-	out := make([]txheap.Extent, 0, workloads.ReachCap(img, count, offVal))
+	out := workloads.ReachBuf(img, count, offVal)
 	var walk func(n mem.Addr) error
 	walk = func(n mem.Addr) error {
 		if n == 0 {

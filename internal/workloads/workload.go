@@ -66,7 +66,10 @@ type Recoverable interface {
 	// fixes log-free and lazily-persistent data (Pattern 1/2 recovery).
 	Recover(img *pmem.Image) error
 	// Reach returns every heap extent reachable from the structure's
-	// roots in the image — the mark phase of the leak collector.
+	// roots in the image — the mark phase of the leak collector. The
+	// slice comes from ReachBuf and belongs to the caller, which may
+	// keep it. Recovery drops it once the heap is rebuilt, so it hands
+	// it back with PutReach for the next scan to reuse.
 	Reach(img *pmem.Image) ([]txheap.Extent, error)
 	// CheckDurable verifies the structure in the image against the
 	// oracle of transactions known committed at the crash point: the
@@ -173,9 +176,10 @@ func rootAddr(img *pmem.Image, slot int) mem.Addr {
 
 // Scratch is a workload instance's reusable read-side state: the buffer
 // Get and Scan return values in. Reads allocate nothing after warm-up.
-// The key sets CheckDurable fills are not kept here but in a package
-// free list (KeySet), so a fresh instance's check allocates nothing
-// either. Not safe for concurrent use.
+// The key sets CheckDurable fills and the extent slices Reach returns
+// are not kept here but in package free lists (KeySet, ReachBuf), so a
+// fresh instance's check and scan allocate nothing either. Not safe for
+// concurrent use.
 type Scratch struct {
 	buf []byte
 }
@@ -194,16 +198,68 @@ func (s *Scratch) Value(tx *slpmt.Tx, lenAt, valAt slpmt.Addr) []byte {
 	return v
 }
 
-// keySets holds the emptied key sets of CheckDurable's duplicate
-// checks for the next check to reuse. A crash campaign checks every
-// point's image with a fresh workload instance, so a set kept per
-// instance would be built once per point. Unlike a sync.Pool, the list
-// is not emptied by garbage collections (nor thinned by the race
-// detector), so a check's allocations do not depend on when one ran.
-var keySets struct {
-	sync.Mutex
-	free []map[uint64]bool
+// FreeList is a stack of emptied buffers kept for reuse: the key sets
+// of CheckDurable's duplicate checks, the extent slices of Reach, and
+// the hashtable's stash of moved nodes. A crash campaign runs and
+// checks every point with a fresh workload instance, so a buffer kept
+// per instance would be built once per point; a package-level list
+// serves every point, and every worker of a parallel sweep. It holds at
+// most as many buffers as were ever out at once. Unlike a sync.Pool,
+// the list is not emptied by garbage collections (nor thinned by the
+// race detector), so allocation counts do not depend on when one ran.
+// Safe for concurrent use.
+type FreeList[B any] struct {
+	// Keep is the largest size, in elements, a buffer may have and still
+	// be kept, so a one-off large structure, or a corrupt count in a
+	// durable image, never pins its buffer.
+	Keep int
+
+	mu   sync.Mutex
+	free []B
 }
+
+// Get pops the buffer put last; ok is false when the list is empty.
+func (l *FreeList[B]) Get() (b B, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return b, false
+	}
+	b = l.free[n-1]
+	var zero B
+	l.free[n-1] = zero
+	l.free = l.free[:n-1]
+	return b, true
+}
+
+// Put keeps b, a buffer of size elements, for a later Get, unless size
+// exceeds Keep. The caller must not use b afterwards.
+func (l *FreeList[B]) Put(b B, size int) {
+	if size > l.Keep {
+		return
+	}
+	l.mu.Lock()
+	l.free = append(l.free, b)
+	l.mu.Unlock()
+}
+
+// GetSlice returns an empty slice with room for n elements: the buffer
+// l put last if it has the room, a new one otherwise. A new one has
+// room for twice the old one's elements (up to Keep) when that is more,
+// so a sweep whose sizes creep up point by point regrows its buffer a
+// logarithmic number of times.
+func GetSlice[E any](l *FreeList[[]E], n int) []E {
+	s, _ := l.Get()
+	if cap(s) < n {
+		s = make([]E, 0, max(n, min(2*cap(s), l.Keep)))
+	}
+	return s[:0]
+}
+
+// PutSlice hands s back to l for a later GetSlice, unless its capacity
+// exceeds l.Keep. The caller must not use s afterwards.
+func PutSlice[E any](l *FreeList[[]E], s []E) { l.Put(s[:0], cap(s)) }
 
 // keptKeys is the most keys a set may have held and still be kept.
 // Crash campaigns check a few hundred keys per point (240 in the
@@ -212,39 +268,49 @@ var keySets struct {
 // the list never pins one.
 const keptKeys = 512
 
+// keySets holds the key sets of CheckDurable's duplicate checks.
+var keySets = FreeList[map[uint64]bool]{Keep: keptKeys}
+
 // KeySet returns an empty key set, reused when one is free. The caller
 // hands it back with PutKeySet when its check returns, on every path.
 func KeySet() map[uint64]bool {
-	keySets.Lock()
-	defer keySets.Unlock()
-	n := len(keySets.free)
-	if n == 0 {
+	seen, ok := keySets.Get()
+	if !ok {
 		return map[uint64]bool{}
 	}
-	seen := keySets.free[n-1]
-	keySets.free = keySets.free[:n-1]
+	clear(seen)
 	return seen
 }
 
-// PutKeySet empties seen and keeps it for the next KeySet, unless it
-// held more than keptKeys keys. The caller must not use seen afterwards.
-func PutKeySet(seen map[uint64]bool) {
-	if len(seen) > keptKeys {
-		return
-	}
-	clear(seen)
-	keySets.Lock()
-	keySets.free = append(keySets.free, seen)
-	keySets.Unlock()
+// PutKeySet keeps seen for the next KeySet, unless it held more than
+// keptKeys keys. The caller must not use seen afterwards.
+func PutKeySet(seen map[uint64]bool) { keySets.Put(seen, len(seen)) }
+
+// keptExtents is the largest extent slice kept: four per kept key set's
+// keys. A structure of keptKeys keys reaches at most three blocks per
+// key (a kv-ctree or kv-rtree value block and its two index nodes) plus
+// its array, so the scan of every structure whose key set is kept keeps
+// its slice too, at 32 KiB a slice. A slice pre-sized from a corrupt
+// RootCount, which only the image's size clamps (see ReachBuf), is far
+// larger and is dropped.
+const keptExtents = 4 * keptKeys
+
+// extents holds the extent slices of Reach.
+var extents = FreeList[[]txheap.Extent]{Keep: keptExtents}
+
+// ReachBuf returns the empty extent slice a Reach appends to, reused
+// when one is free, with room for want extents, but no more than img
+// could hold blocks of at least minBytes. want comes from the image's
+// RootCount, so a corrupt count cannot make Reach allocate more than
+// the image could hold. A caller that drops the scan hands the slice
+// back with PutReach.
+func ReachBuf(img *pmem.Image, want, minBytes uint64) []txheap.Extent {
+	return GetSlice(&extents, int(min(want, img.Size()/minBytes)))
 }
 
-// ReachCap is the capacity a Reach pre-sizes its extent slice with:
-// want extents, but no more than img could hold blocks of at least
-// minBytes. want comes from the image's RootCount, so a corrupt count
-// cannot make Reach allocate more than the image could hold.
-func ReachCap(img *pmem.Image, want, minBytes uint64) int {
-	return int(min(want, img.Size()/minBytes))
-}
+// PutReach keeps a Reach result for the next ReachBuf, unless it is
+// larger than keptExtents. The caller must not use ext afterwards.
+func PutReach(ext []txheap.Extent) { PutSlice(&extents, ext) }
 
 // countError is CheckCount's rejection. Its message is formatted only
 // when Error is called, so a rejection costs one small allocation. A

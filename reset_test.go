@@ -57,7 +57,7 @@ func runWorkload(t *testing.T, cl *slpmt.Cluster, name string, n int, seed, cras
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				if _, ok := r.(machine.CrashSignal); !ok {
+				if _, ok := r.(*machine.CrashSignal); !ok {
 					panic(r)
 				}
 			}
