@@ -121,6 +121,10 @@ type entry struct {
 	core   uint8 // enqueuing core, for trace attribution
 }
 
+// minQueueCap is the WPQ backlog's first capacity, in entries: twice
+// the 64 B lines a default 512 B queue holds.
+const minQueueCap = 16
+
 // Device is a simulated persistent memory module with an ADR persist
 // domain. It is not safe for concurrent use.
 type Device struct {
@@ -269,9 +273,16 @@ func (d *Device) drainUpTo(now uint64) {
 // yields monotone finish times — the insertion is then a plain append.
 // On a multi-core machine the cores arbitrate for the WPQ at their own
 // interleaved clock values, so a core that is behind in time can insert
-// an entry that finishes before already-queued ones.
+// an entry that finishes before already-queued ones. A full backlog
+// doubles its capacity (append grows a large slice by only 1.25x, and
+// a lazy drain's backlog reaches thousands of entries).
 func (d *Device) enqueue(e entry, t uint64) {
 	d.occAdvance(t)
+	if len(d.queue) == cap(d.queue) {
+		q := make([]entry, len(d.queue), max(2*cap(d.queue), minQueueCap))
+		copy(q, d.queue)
+		d.queue = q
+	}
 	d.queue = append(d.queue, e)
 	for i := len(d.queue) - 1; i > 0 && d.queue[i-1].finish > d.queue[i].finish; i-- {
 		d.queue[i-1], d.queue[i] = d.queue[i], d.queue[i-1]

@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -182,6 +183,30 @@ func TestPackedEntry(t *testing.T) {
 			t.Fatalf("round %d: bank window reallocated (cap %d)", round, cap(d.recent))
 		}
 		topo.Reset()
+	}
+}
+
+// TestBacklogGrowsByDoubling posts 16,384 asynchronous 64 B entries to
+// a device whose write latency keeps every one of them queued: the
+// backlog's growth must allocate at most twice the final backlog's
+// bytes, as doubling does (append's 1.25x steps for large slices
+// allocate about five times them).
+func TestBacklogGrowsByDoubling(t *testing.T) {
+	const posts = 16384
+	d := New(Config{Size: posts * 64, WriteCycles: 1 << 40, Banks: 1})
+	data := line(1)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := uint64(0); i < posts; i++ {
+		d.PersistAsync(i*8, i*64, data)
+	}
+	runtime.ReadMemStats(&m1)
+	if len(d.queue) != posts {
+		t.Fatalf("%d entries queued, want %d", len(d.queue), posts)
+	}
+	backlog := uint64(len(d.queue)) * uint64(unsafe.Sizeof(entry{}))
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 2*backlog {
+		t.Errorf("posting %d entries allocated %d bytes, want at most %d (twice the %d-byte backlog)", posts, got, 2*backlog, backlog)
 	}
 }
 

@@ -22,7 +22,7 @@ func churn(h *Heap, live []mem.Addr, i int) {
 // BenchmarkAllocFree runs alloc/free churn inside transactions over a
 // standing population of 256 blocks: the quarantined frees return to
 // the free list at each commit and the next transaction reuses them.
-// Once the free list and the transaction's extent lists have grown, an
+// Once the free list and the handle's extent log have grown, an
 // operation allocates nothing. Run with
 // `go test -run '^$' -bench . -benchmem ./internal/txheap/`.
 func BenchmarkAllocFree(b *testing.B) {
@@ -38,6 +38,44 @@ func BenchmarkAllocFree(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		churn(h, live, i)
+	}
+}
+
+// TestHeapLogReuse: under the epoch quarantine, a rehash-shaped pair —
+// one transaction allocating 2,048 node copies, the next freeing the
+// 2,048 old nodes, then the epoch close's release — reuses the handle's
+// extent log and the span's free list once they have grown, and
+// allocates nothing.
+func TestHeapLogReuse(t *testing.T) {
+	const nodes = 2048
+	h := newHeap()
+	h.EpochQuarantine(true)
+	old, copies := make([]mem.Addr, nodes), make([]mem.Addr, nodes)
+	for i := range old {
+		old[i] = h.Alloc(48)
+	}
+	rehash := func() {
+		h.BeginTx()
+		for i := range copies {
+			copies[i] = h.Alloc(48)
+		}
+		h.CommitTx()
+		h.BeginTx()
+		for _, a := range old {
+			h.Free(a)
+		}
+		h.CommitTx()
+		h.ReleaseEpochFrees()
+		old, copies = copies, old
+	}
+	for i := 0; i < 4; i++ {
+		rehash()
+	}
+	if allocs := testing.AllocsPerRun(20, rehash); allocs != 0 {
+		t.Errorf("a rehash-shaped transaction pair allocates %.1f times, want 0", allocs)
+	}
+	if err := h.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -77,15 +77,18 @@ func freePanics(h *Heap, addr mem.Addr) (msg string) {
 // Test_Heap_Matches_Model_When_Random_Operations_Applied drives a
 // machine's heap handles and a map model through the same seeded
 // stream of allocations, frees, transaction begins, commits and aborts,
-// epoch quarantines and releases, Resets, and Rebuilds from the model's
-// live set, on one socket (one shared span) and on two (per-core
-// arenas plus the global span). Sizes run from one word past
-// LargeAllocBytes, and bursts pass BurstSpillBytes, so every span is
-// used. After every step each live block's SizeOf, Live, the Stats live
-// bytes and Check must agree with the model; quarantined blocks must
-// read as not live and must not be handed out again. Freeing an
-// unknown, interior or already freed address must panic with the
-// unallocated-address message and change nothing.
+// epoch quarantines and releases (also inside an open transaction, the
+// order of every window-closing commit), blocks one transaction both
+// allocates and frees (committed under the quarantine, and aborted),
+// Resets, and Rebuilds from the model's live set, on one socket (one
+// shared span) and on two (per-core arenas plus the global span). Sizes
+// run from one word past LargeAllocBytes, and bursts pass
+// BurstSpillBytes, so every span is used. After every step each live
+// block's SizeOf, Live, the Stats live bytes and Check must agree with
+// the model; quarantined blocks must read as not live and must not be
+// handed out again. Freeing an unknown, interior or already freed
+// address must panic with the unallocated-address message and change
+// nothing.
 func Test_Heap_Matches_Model_When_Random_Operations_Applied(t *testing.T) {
 	for _, sockets := range []int{1, 2} {
 		t.Run(fmt.Sprintf("sockets=%d", sockets), func(t *testing.T) {
@@ -151,7 +154,7 @@ func Test_Heap_Matches_Model_When_Random_Operations_Applied(t *testing.T) {
 				return cand[rng.Intn(len(cand))], true
 			}
 
-			alloc := func(h int, size uint64) {
+			alloc := func(h int, size uint64) mem.Addr {
 				a := heaps[h].Alloc(size)
 				size = uint64(mem.AlignUp(mem.Addr(max(size, 1)), mem.WordSize))
 				if !mem.AlignedTo(a, mem.WordSize) || claimed(a, size) {
@@ -161,12 +164,42 @@ func Test_Heap_Matches_Model_When_Random_Operations_Applied(t *testing.T) {
 				if m.inTx[h] {
 					m.allocs[h] = append(m.allocs[h], Extent{a, size})
 				}
+				return a
+			}
+			free := func(h int, a mem.Addr) {
+				heaps[h].Free(a)
+				if m.inTx[h] {
+					m.frees[h] = append(m.frees[h], Extent{a, m.live[a]})
+				}
+				delete(m.live, a)
+				m.gone = append(m.gone, a)
+			}
+			begin := func(h int) {
+				heaps[h].BeginTx()
+				m.inTx[h] = true
+			}
+			commit := func(h int) {
+				heaps[h].CommitTx()
+				if m.hold[h] {
+					m.epoch[h] = append(m.epoch[h], m.frees[h]...)
+				}
+				m.inTx[h], m.allocs[h], m.frees[h] = false, nil, nil
+			}
+			abort := func(h int) {
+				heaps[h].AbortTx()
+				for _, e := range m.frees[h] {
+					m.live[e.Addr] = e.Size
+				}
+				for _, e := range m.allocs[h] {
+					delete(m.live, e.Addr)
+				}
+				m.inTx[h], m.allocs[h], m.frees[h] = false, nil, nil
 			}
 
 			for op := 0; op < 6000; op++ {
 				h := rng.Intn(handles)
 				var what string
-				switch r := rng.Intn(100); {
+				switch r := rng.Intn(106); {
 				case r < 30 || len(m.live) < 4:
 					what = "alloc"
 					size := uint64(rng.Intn(200) + 1)
@@ -185,12 +218,7 @@ func Test_Heap_Matches_Model_When_Random_Operations_Applied(t *testing.T) {
 					if !ok {
 						continue
 					}
-					heaps[h].Free(a)
-					if m.inTx[h] {
-						m.frees[h] = append(m.frees[h], Extent{a, m.live[a]})
-					}
-					delete(m.live, a)
-					m.gone = append(m.gone, a)
+					free(h, a)
 				case r < 66:
 					what = "bad free"
 					var a mem.Addr
@@ -223,31 +251,19 @@ func Test_Heap_Matches_Model_When_Random_Operations_Applied(t *testing.T) {
 						continue
 					}
 					what = "begin"
-					heaps[h].BeginTx()
-					m.inTx[h] = true
+					begin(h)
 				case r < 82:
 					if !m.inTx[h] {
 						continue
 					}
 					what = "commit"
-					heaps[h].CommitTx()
-					if m.hold[h] {
-						m.epoch[h] = append(m.epoch[h], m.frees[h]...)
-					}
-					m.inTx[h], m.allocs[h], m.frees[h] = false, nil, nil
+					commit(h)
 				case r < 88:
 					if !m.inTx[h] {
 						continue
 					}
 					what = "abort"
-					heaps[h].AbortTx()
-					for _, e := range m.frees[h] {
-						m.live[e.Addr] = e.Size
-					}
-					for _, e := range m.allocs[h] {
-						delete(m.live, e.Addr)
-					}
-					m.inTx[h], m.allocs[h], m.frees[h] = false, nil, nil
+					abort(h)
 				case r < 92:
 					what = "epoch hold"
 					m.hold[h] = !m.hold[h]
@@ -264,10 +280,40 @@ func Test_Heap_Matches_Model_When_Random_Operations_Applied(t *testing.T) {
 					for i := range m.inTx {
 						m.inTx[i], m.allocs[i], m.frees[i], m.epoch[i] = false, nil, nil, nil
 					}
-				default:
+				case r < 100:
 					what = "reset"
 					Reset(heaps)
 					m = newHeapModel(handles)
+				case r < 103:
+					// The order of every window-closing commit: the
+					// engine closes the epoch inside its Commit, while
+					// the heap transaction is still open.
+					what = "epoch release inside a transaction"
+					if !m.inTx[h] {
+						begin(h)
+					}
+					alloc(h, uint64(rng.Intn(200)+1))
+					if a, ok := pickLive(h); ok {
+						free(h, a)
+					}
+					heaps[h].ReleaseEpochFrees()
+					m.epoch[h] = nil
+				default:
+					what = "block allocated and freed by one transaction"
+					for _, aborted := range []bool{false, true} {
+						if !m.inTx[h] {
+							begin(h)
+						}
+						free(h, alloc(h, uint64(rng.Intn(200)+1)))
+						if aborted {
+							abort(h)
+						} else {
+							m.hold[h] = true
+							heaps[h].EpochQuarantine(true)
+							commit(h)
+						}
+						checkAll(op, what)
+					}
 				}
 				checkAll(op, what)
 			}

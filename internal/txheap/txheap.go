@@ -29,6 +29,13 @@
 // below its bump pointer, so a block ends where the next block or free
 // extent starts, or at the bump pointer.
 //
+// Each handle keeps one extent log of packed 8-byte entries: the frees
+// of committed transactions still parked under the epoch quarantine,
+// then, past a boundary, the running transaction's allocations and
+// frees. Commit drops the transaction's allocations and releases or
+// parks its frees; abort reinstates its frees and releases its
+// allocations; an epoch close releases the parked prefix.
+//
 // Space management is factored into spans — contiguous regions each
 // with their own free list and bump pointer. New gives every core its
 // own Heap handle, and all handles share one global span. On a
@@ -352,46 +359,6 @@ func (s *span) reset() {
 	s.liveBytes = 0
 }
 
-// extIndex is the lazily sorted lookup cache behind InTxAlloc/InTxFree:
-// the per-transaction extent lists are append-only between resets, so
-// the cache sorts once per batch of lookups instead of scanning
-// linearly on every store (a hot path of the engine's Pattern 1
-// analysis). The backing buffer is reused across transactions.
-type extIndex struct {
-	sorted []Extent
-	clean  bool
-}
-
-func (ix *extIndex) invalidate() { ix.clean = false }
-
-// extIndexLinearMax is the list length below which a plain linear scan
-// beats maintaining the sorted cache.
-const extIndexLinearMax = 8
-
-// lookup reports whether addr lies inside any extent of ext.
-func (ix *extIndex) lookup(ext []Extent, addr mem.Addr) bool {
-	if len(ext) <= extIndexLinearMax {
-		for _, e := range ext {
-			if addr >= e.Addr && addr < e.End() {
-				return true
-			}
-		}
-		return false
-	}
-	if !ix.clean {
-		ix.sorted = append(ix.sorted[:0], ext...)
-		sort.Slice(ix.sorted, func(i, j int) bool { return ix.sorted[i].Addr < ix.sorted[j].Addr })
-		ix.clean = true
-	}
-	// First extent starting past addr; the candidate is its predecessor.
-	i := sort.Search(len(ix.sorted), func(i int) bool { return ix.sorted[i].Addr > addr })
-	if i == 0 {
-		return false
-	}
-	e := ix.sorted[i-1]
-	return addr < e.End()
-}
-
 // Heap is one core's allocation handle: transaction bookkeeping plus
 // the spans it allocates from — its local arena, if the layout carves
 // one, then the global span shared by every handle of the machine.
@@ -405,13 +372,10 @@ type Heap struct {
 	allocCycles uint64
 
 	inTx        bool
-	txAllocs    []Extent // allocations made by the current transaction
-	txFrees     []Extent // frees made by the current transaction
+	log         []uint64 // extent log (see logEntry): parked epoch frees, then the running transaction's entries
+	txStart     int      // log[txStart:] is the running transaction's; len(log) outside one
 	txBytes     uint64   // bytes allocated by the current transaction (burst detection)
-	txAllocIdx  extIndex // sorted lookup cache over txAllocs
-	txFreeIdx   extIndex // sorted lookup cache over txFrees
 	epochHold   bool     // extend the free quarantine to the epoch close
-	epochFrees  []Extent // committed frees awaiting their epoch's durability
 	totalAllocs uint64
 	totalFrees  uint64
 	totalBytes  uint64
@@ -437,6 +401,9 @@ func New(layouts []mem.Layout, clk func(core int) Ticker, allocCycles uint64) []
 	cores := len(layouts)
 	l0 := layouts[0]
 	heapEnd := l0.HeapBase + mem.Addr(l0.HeapSize)
+	if heapEnd > 1<<32 {
+		panic("txheap: heap past 4 GiB") // log entries pack addresses into 32 bits
+	}
 	arenas := l0.ArenaSize != 0
 	ix := newBlockIndex(l0.HeapBase, l0.HeapSize)
 	var all []span
@@ -493,38 +460,55 @@ func (h *Heap) spanOf(addr mem.Addr) *span {
 	return nil
 }
 
+// A log entry packs one extent of a handle's extent log into a word:
+// the address in the high 32 bits, the size (a word multiple) in the
+// low 32, and bit 0 (logFree) set for a free. New keeps the heap below
+// 4 GiB (pmem.MaxSize), so both halves fit 32 bits.
+const logFree = 1
+
+func logEntry(addr mem.Addr, size uint64) uint64 { return addr<<32 | size }
+
+func logExtent(v uint64) Extent { return Extent{v >> 32, v & (1<<32 - 2)} }
+
 // BeginTx marks the start of a transaction (called by the ptx facade).
 func (h *Heap) BeginTx() {
 	if h.inTx {
 		panic("txheap: nested BeginTx")
 	}
 	h.inTx = true
-	h.txAllocs = h.txAllocs[:0]
-	h.txFrees = h.txFrees[:0]
+	h.txStart = len(h.log)
 	h.txBytes = 0
-	h.txAllocIdx.invalidate()
-	h.txFreeIdx.invalidate()
+}
+
+// endTx closes the running transaction, whose entries are gone from
+// the log or became parked frees.
+func (h *Heap) endTx() {
+	h.inTx = false
+	h.txStart = len(h.log)
+	h.txBytes = 0
 }
 
 // CommitTx releases quarantined frees to the free list — or, under
-// the epoch quarantine, parks them until the epoch's commit point.
+// the epoch quarantine, parks them until the epoch's commit point by
+// compacting them in place over the transaction's allocations.
 func (h *Heap) CommitTx() {
 	if !h.inTx {
 		panic("txheap: CommitTx outside transaction")
 	}
-	if h.epochHold {
-		h.epochFrees = append(h.epochFrees, h.txFrees...)
-	} else {
-		for _, e := range h.txFrees {
-			h.release(e)
+	n := h.txStart
+	for _, v := range h.log[h.txStart:] {
+		if v&logFree == 0 {
+			continue // a committed allocation needs no bookkeeping
+		}
+		if h.epochHold {
+			h.log[n] = v
+			n++
+		} else {
+			h.release(logExtent(v))
 		}
 	}
-	h.inTx = false
-	h.txAllocs = h.txAllocs[:0]
-	h.txFrees = h.txFrees[:0]
-	h.txBytes = 0
-	h.txAllocIdx.invalidate()
-	h.txFreeIdx.invalidate()
+	h.log = h.log[:n]
+	h.endTx()
 }
 
 // EpochQuarantine extends the commit-time free quarantine to the
@@ -538,12 +522,16 @@ func (h *Heap) EpochQuarantine(on bool) { h.epochHold = on }
 
 // ReleaseEpochFrees returns every epoch-parked extent to the free
 // list. Called when an epoch's commit point is durable (its frees can
-// no longer be rolled back).
+// no longer be rolled back). An engine closes the epoch inside its
+// Commit, before the heap commits, so a running transaction's entries
+// stay in the log, slid down to its start; its frees wait for the next
+// close.
 func (h *Heap) ReleaseEpochFrees() {
-	for _, e := range h.epochFrees {
-		h.release(e)
+	for _, v := range h.log[:h.txStart] {
+		h.release(logExtent(v))
 	}
-	h.epochFrees = h.epochFrees[:0]
+	h.log = h.log[:copy(h.log, h.log[h.txStart:])]
+	h.txStart = 0
 }
 
 // AbortTx rolls the allocator back: the transaction's frees are
@@ -553,22 +541,25 @@ func (h *Heap) AbortTx() {
 	if !h.inTx {
 		panic("txheap: AbortTx outside transaction")
 	}
-	for _, e := range h.txFrees {
-		s := h.spanOf(e.Addr)
-		s.ix.setLive(e.Addr)
-		s.liveBytes += e.Size
+	tx := h.log[h.txStart:]
+	for _, v := range tx {
+		if v&logFree != 0 {
+			e := logExtent(v)
+			s := h.spanOf(e.Addr)
+			s.ix.setLive(e.Addr)
+			s.liveBytes += e.Size
+		}
 	}
-	for _, e := range h.txAllocs {
-		s := h.spanOf(e.Addr)
-		s.liveBytes -= e.Size
-		s.release(e)
+	for _, v := range tx {
+		if v&logFree == 0 {
+			e := logExtent(v)
+			s := h.spanOf(e.Addr)
+			s.liveBytes -= e.Size
+			s.release(e)
+		}
 	}
-	h.inTx = false
-	h.txAllocs = h.txAllocs[:0]
-	h.txFrees = h.txFrees[:0]
-	h.txBytes = 0
-	h.txAllocIdx.invalidate()
-	h.txFreeIdx.invalidate()
+	h.log = h.log[:h.txStart]
+	h.endTx()
 }
 
 // Alloc returns the address of a fresh block of at least size bytes
@@ -603,8 +594,7 @@ func (h *Heap) Alloc(size uint64) mem.Addr {
 	h.totalAllocs++
 	h.totalBytes += size
 	if h.inTx {
-		h.txAllocs = append(h.txAllocs, Extent{addr, size})
-		h.txAllocIdx.invalidate()
+		h.log = append(h.log, logEntry(addr, size))
 		h.txBytes += size
 	}
 	return addr
@@ -625,8 +615,7 @@ func (h *Heap) Free(addr mem.Addr) {
 	h.totalFrees++
 	if h.inTx {
 		s.ix.quarantine(addr)
-		h.txFrees = append(h.txFrees, e)
-		h.txFreeIdx.invalidate()
+		h.log = append(h.log, logEntry(e.Addr, e.Size)|logFree)
 	} else {
 		s.release(e)
 	}
@@ -644,19 +633,6 @@ func (h *Heap) SizeOf(addr mem.Addr) uint64 {
 // release returns a quarantined block to its owning span's free
 // list.
 func (h *Heap) release(e Extent) { h.spanOf(e.Addr).release(e) }
-
-// InTxAlloc reports whether addr lies inside a block allocated by the
-// current transaction. Long provenance sets are answered from a sorted
-// index built once per lookup batch (the extents are disjoint).
-func (h *Heap) InTxAlloc(addr mem.Addr) bool {
-	return h.txAllocIdx.lookup(h.txAllocs, addr)
-}
-
-// InTxFree reports whether addr lies inside a block freed by the
-// current transaction (stores to it need no persistence, §IV-B).
-func (h *Heap) InTxFree(addr mem.Addr) bool {
-	return h.txFreeIdx.lookup(h.txFrees, addr)
-}
 
 // Live returns the machine-wide live extents, sorted by address (all
 // spans, whichever handle is asked): a scan of each span's block starts
@@ -766,13 +742,8 @@ func Reset(heaps []*Heap) {
 
 // resetTx clears the handle's transaction bookkeeping (post-rebuild).
 func (h *Heap) resetTx() {
-	h.inTx = false
-	h.txAllocs = h.txAllocs[:0]
-	h.txFrees = h.txFrees[:0]
-	h.txBytes = 0
-	h.txAllocIdx.invalidate()
-	h.txFreeIdx.invalidate()
-	h.epochFrees = h.epochFrees[:0]
+	h.log = h.log[:0]
+	h.endTx()
 }
 
 // Check verifies the allocator's span invariant: within every span, the

@@ -1,6 +1,7 @@
 package txheap
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -92,12 +93,6 @@ func TestAbortRollsBack(t *testing.T) {
 	h.BeginTx()
 	inTx := h.Alloc(16)
 	h.Free(pre)
-	if !h.InTxAlloc(inTx) || h.InTxAlloc(pre) {
-		t.Error("InTxAlloc misclassifies")
-	}
-	if !h.InTxFree(pre) {
-		t.Error("InTxFree misclassifies")
-	}
 	h.AbortTx()
 	if h.SizeOf(pre) != 16 {
 		t.Error("abort did not reinstate the freed block")
@@ -247,4 +242,15 @@ func TestOutOfMemoryPanics(t *testing.T) {
 		}
 	}()
 	h.Alloc(8)
+}
+
+// TestHeapPast4GiBPanics: a log entry packs an address into 32 bits, so
+// New refuses a heap that ends past 4 GiB.
+func TestHeapPast4GiBPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "past 4 GiB") {
+			t.Errorf("heap ending past 4 GiB: panic %v", r)
+		}
+	}()
+	New([]mem.Layout{{HeapBase: 1<<32 - 64, HeapSize: 128}}, nil, 1)
 }

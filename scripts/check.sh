@@ -1,11 +1,12 @@
 #!/bin/sh
 # check.sh - the repo's pre-merge gate: formatting, vet (go vet plus
 # the slpmtvet analyzer suite), build (native, windows and darwin), full
-# test suite, one run of each cache/machine/engine/pmem/logbuf/txheap/
-# recovery/workloads microbenchmark and of the cluster constructor
-# benchmark, race-detector passes, and one traced 2-core run replayed
-# through the persist-order sanitizer and the critical-path analyzer,
-# exported to Perfetto and profiled into folded stacks.
+# test suite, vet and tests of the perfbench module, one run of each
+# cache/machine/engine/pmem/logbuf/txheap/recovery/workloads
+# microbenchmark and of the cluster constructor benchmark,
+# race-detector passes, and one traced 2-core run replayed through the
+# persist-order sanitizer and the critical-path analyzer, exported to
+# Perfetto and profiled into folded stacks.
 #
 # Usage: scripts/check.sh   (or: make check)
 set -eu
@@ -35,6 +36,9 @@ GOOS=darwin GOARCH=arm64 go build ./...
 
 echo "== go test =="
 go test ./...
+
+echo "== perfbench (own module: a main-module API change that breaks it fails here) =="
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== benchmark smoke (each microbenchmark once) =="
 go test -run '^$' -bench . -benchtime 1x ./internal/cache/ ./internal/machine/ ./internal/engine/ \
