@@ -15,7 +15,10 @@
 //	slpmtbench -experiment model     # timing-model knob sensitivity
 //	slpmtbench -experiment mixes     # YCSB A/B/C/E blends (extension)
 //	slpmtbench -experiment scaling   # throughput/traffic vs core count (extension)
+//	slpmtbench -experiment breakdown # cycle attribution by cause group (extension)
 //	slpmtbench -experiment window    # group-commit window sensitivity (extension)
+//	slpmtbench -experiment numa      # multi-socket PM topology (extension)
+//	slpmtbench -experiment critpath  # causal critical path of the makespan (extension)
 //	slpmtbench -experiment all       # everything
 //
 // Flags -n, -value and -seed override the workload parameters. -cores
@@ -92,7 +95,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("slpmtbench", flag.ExitOnError)
 	var (
-		exp      = fs.String("experiment", "all", "experiment to run (fig8..fig14, headline, ablation, model, mixes, scaling, breakdown, window, numa, all)")
+		exp      = fs.String("experiment", "all", "experiment to run ("+experiments.NamesHelp()+")")
 		n        = fs.Int("n", 1000, "insert operations per run")
 		value    = fs.Int("value", 256, "value size in bytes")
 		seed     = fs.Uint64("seed", 0, "key-stream seed (0 = default)")

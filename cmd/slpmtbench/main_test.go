@@ -85,6 +85,23 @@ func TestBenchJSONSchema(t *testing.T) {
 	}
 }
 
+// TestMixesJSONRecordsEveryCell: the mixes experiment's cells are
+// bench runs, so its document holds each (mix, scheme) cell once,
+// verified.
+func TestMixesJSONRecordsEveryCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the mixes grid; skipped in -short")
+	}
+	cells := map[string]bool{}
+	for _, r := range checkSchema(t, genReport(t, "mixes", bench.RunConfig{ValueSize: 32, Verify: true})) {
+		m := r.(map[string]any)
+		cells[m["mix"].(string)+"/"+m["scheme"].(string)] = true
+	}
+	if len(cells) != 16 {
+		t.Errorf("%d distinct mix/scheme cells, want 16: %v", len(cells), cells)
+	}
+}
+
 func TestScalingJSONDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the scaling sweep twice; skipped in -short")

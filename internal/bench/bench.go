@@ -1,10 +1,11 @@
 // Package bench is the experiment harness: it runs (scheme × workload ×
-// parameter) grids of ycsb-load and renders the paper's figures as text
-// tables (speedups over the FG baseline, persistent-memory write-traffic
-// reductions, and sensitivity sweeps).
+// parameter) grids of ycsb-load or of a YCSB mix and renders the
+// paper's figures as text tables (speedups over the FG baseline,
+// persistent-memory write-traffic reductions, and sensitivity sweeps).
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -30,7 +31,8 @@ type RunConfig struct {
 	Scheme string
 	// Workload is the benchmark name (workloads package).
 	Workload string
-	// N is the number of insert operations (0 = 1000).
+	// N is the number of insert operations, or of a Mix's operations
+	// (0 = 1000).
 	N int
 	// ValueSize is the value payload in bytes (0 = 256).
 	ValueSize int
@@ -42,6 +44,12 @@ type RunConfig struct {
 	WPQBytes int
 	// Seed selects the deterministic key stream (0 = default).
 	Seed uint64
+	// Mix, when set, runs a YCSB operation blend instead of the load:
+	// its Records keys are inserted before the measured region, which
+	// then runs the mix's N operations (ycsb.Mix.Ops), each through
+	// workloads.Apply. The zero Mix is the paper's ycsb-load. A mix
+	// runs on one core.
+	Mix ycsb.Mix
 	// CommitWindow is the group-commit window W (0 or 1 = the
 	// per-transaction protocol; see engine.Config.CommitWindow).
 	CommitWindow int
@@ -107,8 +115,9 @@ type RunConfig struct {
 // Validate reports the first field of cfg that no run accepts: a
 // Scheme or Workload no registry knows (empty ones are left to the
 // caller), a negative N, ValueSize, CommitWindow or Sockets, Cores outside
-// 0..slpmt.MaxCores, or more than logfmt.MaxGroupCores cores under group
-// commit (CommitWindow > 1), whose descriptor is one line. Zero keeps
+// 0..slpmt.MaxCores, a Mix on more than one core (its op stream is one
+// core's), or more than logfmt.MaxGroupCores cores under group commit
+// (CommitWindow > 1), whose descriptor is one line. Zero keeps
 // meaning the default everywhere. The error names the field by the
 // command-line flag that sets it (slpmtbench and slpmtcrash name them
 // alike), so the CLIs print it as a flag error.
@@ -130,6 +139,8 @@ func (cfg RunConfig) Validate() error {
 	switch {
 	case cfg.Cores < 0 || cfg.Cores > slpmt.MaxCores:
 		return fmt.Errorf("-cores %d: must be 0..%d (0 = one core)", cfg.Cores, slpmt.MaxCores)
+	case cfg.Cores > 1 && cfg.Mix != (ycsb.Mix{}):
+		return fmt.Errorf("-cores %d: the %s mix runs on one core", cfg.Cores, cfg.Mix.Name)
 	case cfg.CommitWindow > 1 && cfg.Cores > logfmt.MaxGroupCores:
 		return fmt.Errorf("-cores %d: group commit (commit window %d) supports at most %d cores",
 			cfg.Cores, cfg.CommitWindow, logfmt.MaxGroupCores)
@@ -141,7 +152,7 @@ func (cfg RunConfig) Validate() error {
 type Result struct {
 	RunConfig
 	// Cycles is the simulated time of the measured region (the N
-	// inserts plus the final lazy drain).
+	// operations plus the final lazy drain).
 	Cycles uint64
 	// Counters is the counter delta over the measured region.
 	Counters stats.Counters
@@ -213,14 +224,14 @@ func runTracer(cfg RunConfig) *trace.Tracer {
 }
 
 // Run executes one benchmark on a Cores-wide cluster (0 or 1 = one
-// core): the structure is built once on core 0, the deterministic key
-// stream is sharded round-robin across the cores (see Shard), and the
-// per-core insert streams run under the cluster's deterministic
-// interleaver. The measured region starts at a clock barrier after
-// setup and ends when the last core finishes its shard plus the final
-// lazy drain, so Cycles is the parallel makespan; Counters is the
-// merged per-core delta. Results are exactly reproducible for a given
-// (config, seed).
+// core): the structure is built (and a Mix's table preloaded) once on
+// core 0, the deterministic op stream is sharded round-robin across the
+// cores (see Shard), and the per-core streams run under the cluster's
+// deterministic interleaver, each op through workloads.Apply. The
+// measured region starts at a clock barrier after setup and ends when
+// the last core finishes its shard plus the final lazy drain, so Cycles
+// is the parallel makespan; Counters is the merged per-core delta.
+// Results are exactly reproducible for a given (config, seed).
 func Run(cfg RunConfig) Result {
 	cores := max(cfg.Cores, 1)
 	w := workloads.MustNew(cfg.Workload)
@@ -249,13 +260,30 @@ func Run(cfg RunConfig) Result {
 	if err := w.Setup(cl.Use(0)); err != nil {
 		panic(fmt.Sprintf("bench: setup %s: %v", cfg.Workload, err))
 	}
-	// Seal any epoch setup left open so the measured region starts at a
-	// durability boundary and carries none of setup's deferred work
-	// (setup runs on core 0 only; a grouped close seals every core).
+	load := ycsb.Load{N: cfg.N, ValueSize: cfg.ValueSize, Seed: cfg.Seed}
+	// inserted is every insert the run makes outside ops: the load's,
+	// or a mix's preload. A mix's ops then change that table.
+	inserted := load
+	var keys []uint64
+	var ops []ycsb.MixOp
+	if cfg.Mix == (ycsb.Mix{}) {
+		keys = load.Keys()
+	} else {
+		// Preload the mix's table on core 0, outside the measured region.
+		inserted = cfg.Mix.Preload(load)
+		if err := inserted.Each(func(k uint64, v []byte) error {
+			return w.Insert(cl.Use(0), k, v)
+		}); err != nil {
+			panic(fmt.Sprintf("bench: %s/%s preload: %v", cfg.Scheme, cfg.Workload, err))
+		}
+		ops = cfg.Mix.Ops(load)
+	}
+	// Seal any epoch setup (and a preload) left open so the measured
+	// region starts at a durability boundary and carries none of their
+	// deferred work (both run on core 0 only; a grouped close seals
+	// every core).
 	cl.Use(0).FinishEpoch()
 
-	load := ycsb.Load{N: cfg.N, ValueSize: cfg.ValueSize, Seed: cfg.Seed}
-	keys := load.Keys()
 	start := cl.Stats()
 	startClk := cl.SyncClocks()
 	// The topology is the occupancy surface: it covers every socket's
@@ -277,13 +305,18 @@ func Run(cfg RunConfig) Result {
 		// Drop setup charges: the breakdown covers the measured region.
 		prof.Reset()
 	}
+	// The load streams its values through one buffer rather than
+	// generating every op up front.
 	var value []byte
-	err := Shard(cl, len(keys), func(sys *slpmt.System, i int) error {
+	err := Shard(cl, max(len(keys), len(ops)), func(sys *slpmt.System, i int) error {
+		if ops != nil {
+			return workloads.Apply(w, sys, ops[i])
+		}
 		value = load.ValueInto(value, keys[i])
-		return w.Insert(sys, keys[i], value)
+		return workloads.Apply(w, sys, ycsb.MixOp{Kind: ycsb.OpInsert, Key: keys[i], Value: value})
 	})
 	if err != nil {
-		panic(fmt.Sprintf("bench: %s/%s insert: %v", cfg.Scheme, cfg.Workload, err))
+		panic(fmt.Sprintf("bench: %s/%s %s: %v", cfg.Scheme, cfg.Workload, cmp.Or(cfg.Mix.Name, "insert"), err))
 	}
 	// Account deferred lazy persists inside the measured region so lazy
 	// schemes are not credited with traffic that merely moved past the
@@ -327,7 +360,11 @@ func Run(cfg RunConfig) Result {
 			defer tr.SetMask(tr.Mask())
 			tr.SetMask(0)
 		}
-		res.VerifyErr = w.Check(cl.Use(0), load.Oracle())
+		oracle := inserted.Oracle()
+		for i := range ops {
+			ops[i].ApplyTo(oracle)
+		}
+		res.VerifyErr = w.Check(cl.Use(0), oracle)
 	}
 	if c := collector.Load(); c != nil {
 		c.Add(res)

@@ -14,21 +14,23 @@ import (
 	"github.com/persistmem/slpmt/internal/ycsb"
 )
 
-func init() {
-	fig13Impl = fig13
+// loadInto sets w up on sys and inserts base's load: the end-to-end run
+// the compiler comparison measures, since the replayed trace covers
+// setup too.
+func loadInto(w workloads.Workload, sys *slpmt.System, base bench.RunConfig) error {
+	if err := w.Setup(sys); err != nil {
+		return err
+	}
+	load := ycsb.Load{N: base.N, ValueSize: base.ValueSize, Seed: base.Seed}
+	return load.Each(func(k uint64, v []byte) error { return w.Insert(sys, k, v) })
 }
 
-// runWhole runs a workload end-to-end (setup + inserts + lazy drain)
-// under a scheme and returns the total simulated cycles — the unit the
-// compiler comparison uses, since the replayed trace covers setup too.
+// runWhole runs a workload end to end (setup + inserts + lazy drain)
+// under a scheme and returns the total simulated cycles.
 func runWhole(scheme, workload string, base bench.RunConfig) (uint64, error) {
 	w := workloads.MustNew(workload)
 	sys := slpmt.New(slpmt.Options{Scheme: scheme, ComputeCyclesPerOp: w.ComputeCost()})
-	if err := w.Setup(sys); err != nil {
-		return 0, err
-	}
-	load := ycsb.Load{N: base.N, ValueSize: base.ValueSize, Seed: base.Seed}
-	if err := load.Each(func(k uint64, v []byte) error { return w.Insert(sys, k, v) }); err != nil {
+	if err := loadInto(w, sys, base); err != nil {
 		return 0, err
 	}
 	sys.DrainLazy()
@@ -43,20 +45,16 @@ func record(workload string, base bench.RunConfig) (*txir.Trace, error) {
 	rec := &txir.Recorder{}
 	sys.AttachRecorder(rec)
 	sys.SetStrip(true)
-	if err := w.Setup(sys); err != nil {
-		return nil, err
-	}
-	load := ycsb.Load{N: base.N, ValueSize: base.ValueSize, Seed: base.Seed}
-	if err := load.Each(func(k uint64, v []byte) error { return w.Insert(sys, k, v) }); err != nil {
+	if err := loadInto(w, sys, base); err != nil {
 		return nil, err
 	}
 	return &rec.Trace, nil
 }
 
-// fig13 reproduces Figure 13: compiler-inserted vs manual annotations
+// Fig13 reproduces Figure 13: compiler-inserted vs manual annotations
 // (left: speedup over the FG baseline; right: analysis time), plus the
 // variable-coverage count the paper reports in the text (16 of 26).
-func fig13(out io.Writer, base bench.RunConfig) error {
+func Fig13(out io.Writer, base bench.RunConfig) error {
 	ws := workloads.Kernels()
 	tb := bench.NewTable(
 		"Figure 13 (left): speedup over FG — manual vs compiler-inserted annotations",

@@ -6,73 +6,62 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"github.com/persistmem/slpmt/internal/bench"
 	"github.com/persistmem/slpmt/internal/schemes"
 	"github.com/persistmem/slpmt/internal/workloads"
 )
 
-// Run executes the named experiment, writing tables to w.
-func Run(w io.Writer, name string, base bench.RunConfig) error {
-	switch name {
-	case "fig8":
-		return Fig8(w, base)
-	case "fig9":
-		return Fig9(w, base)
-	case "fig10":
-		return Fig10(w, base)
-	case "fig11":
-		return Fig11(w, base)
-	case "fig12":
-		return Fig12(w, base)
-	case "fig13":
-		return Fig13(w, base)
-	case "fig14":
-		return Fig14(w, base)
-	case "headline":
-		return Headline(w, base)
-	case "ablation":
-		return Ablation(w, base)
-	case "model":
-		return Model(w, base)
-	case "mixes":
-		return Mixes(w, base)
-	case "scaling":
-		return Scaling(w, base)
-	case "breakdown":
-		return Breakdown(w, base)
-	case "window":
-		return Window(w, base)
-	case "numa":
-		return Numa(w, base)
-	case "critpath":
-		return CritPath(w, base)
-	case "all":
-		for _, n := range Names() {
-			if err := Run(w, n, base); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown experiment %q (try fig8..fig14, headline, ablation, model, mixes, scaling, breakdown, window, numa, critpath, all)", name)
-	}
-}
-
-// Names returns the individual experiment names in the order "all" runs
-// them. Everything before "scaling" reproduces the paper's single-core
+// registry lists every experiment in the order "all" runs them.
+// Everything before "scaling" reproduces the paper's single-core
 // evaluation unchanged; "scaling" (multi-core), "breakdown"
 // (cycle-attribution profiling), "window" (group-commit sensitivity),
 // "numa" (multi-device socket topology), and "critpath" (causal
 // critical-path analysis) are extensions.
-func Names() []string {
-	return []string{
-		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-		"headline", "ablation", "model", "mixes", "scaling", "breakdown",
-		"window", "numa", "critpath",
-	}
+var registry = []struct {
+	name string
+	run  func(io.Writer, bench.RunConfig) error
+}{
+	{"fig8", Fig8}, {"fig9", Fig9}, {"fig10", Fig10}, {"fig11", Fig11}, {"fig12", Fig12},
+	{"fig13", Fig13}, {"fig14", Fig14}, {"headline", Headline}, {"ablation", Ablation},
+	{"model", Model}, {"mixes", Mixes}, {"scaling", Scaling}, {"breakdown", Breakdown},
+	{"window", Window}, {"numa", Numa}, {"critpath", CritPath},
 }
+
+// Run executes the named experiment, or every one for "all", writing
+// tables to w.
+func Run(w io.Writer, name string, base bench.RunConfig) error {
+	for _, e := range registry {
+		if e.name == name {
+			return e.run(w, base)
+		}
+	}
+	if name != "all" {
+		return fmt.Errorf("unknown experiment %q (have %s)", name, NamesHelp())
+	}
+	for _, e := range registry {
+		if err := e.run(w, base); err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+// Names returns the individual experiment names in the order "all" runs
+// them.
+func Names() []string {
+	out := make([]string, len(registry))
+	for i, e := range registry {
+		out[i] = e.name
+	}
+	return out
+}
+
+// NamesHelp lists the names Run accepts, "all" last, for help and
+// error text.
+func NamesHelp() string { return strings.Join(append(Names(), "all"), ", ") }
 
 // checkVerify fails fast if any run's invariant check failed. The scan
 // order is deterministic so the reported failure (and therefore the

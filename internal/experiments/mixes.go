@@ -4,52 +4,44 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/persistmem/slpmt"
 	"github.com/persistmem/slpmt/internal/bench"
 	"github.com/persistmem/slpmt/internal/schemes"
-	"github.com/persistmem/slpmt/internal/workloads"
 	"github.com/persistmem/slpmt/internal/ycsb"
 )
 
 // Mixes runs the standard YCSB operation blends (A/B/C/E) over the
 // kv-btree — an extension beyond the paper's insert-only load phase,
 // showing where selective logging's benefit goes as reads and scans
-// take over (there is simply less persistence to optimize).
+// take over (there is simply less persistence to optimize). Every mix
+// runs ycsb.DefaultOps operations on one core; of base it takes only
+// the value size, seed, Verify and Profile.
 func Mixes(out io.Writer, base bench.RunConfig) error {
 	mixes := []ycsb.Mix{ycsb.WorkloadA(), ycsb.WorkloadB(), ycsb.WorkloadC(), ycsb.WorkloadE()}
 	ss := []string{schemes.FG, schemes.SLPMT, schemes.ATOM, schemes.EDE}
 	tb := bench.NewTable(
 		"YCSB mixes on kv-btree: cycles/op by scheme (SLPMT speedup over FG in parens)",
 		append([]string{"mix"}, ss...)...)
-	// Fan every (mix, scheme) cell across the worker pool; each cell
-	// builds its own system, so cells are independent.
-	cells := make([]uint64, len(mixes)*len(ss))
-	if err := bench.ForEach(len(cells), func(i int) error {
-		mix := mixes[i/len(ss)]
-		mix.ValueSize = base.ValueSize
-		if base.Seed != 0 {
-			mix.Seed = base.Seed
+	cfgs := make([]bench.RunConfig, 0, len(mixes)*len(ss))
+	for _, mix := range mixes {
+		for _, s := range ss {
+			cfgs = append(cfgs, bench.RunConfig{Scheme: s, Workload: "kv-btree", Mix: mix, N: ycsb.DefaultOps,
+				ValueSize: base.ValueSize, Seed: base.Seed, Verify: base.Verify, Profile: base.Profile})
 		}
-		s := ss[i%len(ss)]
-		c, err := runMix(s, mix)
-		if err != nil {
-			return fmt.Errorf("%s/%s: %w", mix.Name, s, err)
-		}
-		cells[i] = c
-		return nil
-	}); err != nil {
+	}
+	results, err := bench.RunAll(cfgs)
+	if err != nil {
 		return err
 	}
 	for mi, mix := range mixes {
-		cycles := map[string]uint64{}
-		for si, s := range ss {
-			cycles[s] = cells[mi*len(ss)+si]
-		}
+		rs := results[mi*len(ss) : (mi+1)*len(ss)] // rs[0] is FG's
 		row := []string{mix.Name}
-		for _, s := range ss {
-			cell := fmt.Sprintf("%d", cycles[s]/uint64(mix.N))
-			if s == schemes.SLPMT {
-				cell += fmt.Sprintf(" (%.2fx)", float64(cycles[schemes.FG])/float64(cycles[s]))
+		for si, r := range rs {
+			if r.VerifyErr != nil {
+				return fmt.Errorf("%s/%s failed verification: %v", mix.Name, ss[si], r.VerifyErr)
+			}
+			cell := fmt.Sprintf("%d", r.Cycles/ycsb.DefaultOps)
+			if ss[si] == schemes.SLPMT {
+				cell += fmt.Sprintf(" (%.2fx)", bench.Speedup(rs[0], r))
 			}
 			row = append(row, cell)
 		}
@@ -59,48 +51,4 @@ func Mixes(out io.Writer, base bench.RunConfig) error {
 	fmt.Fprintf(out, "(update-heavy mixes retain the paper's gains; read/scan-dominated mixes converge —\n"+
 		" selective logging only helps where transactions write)\n")
 	return nil
-}
-
-// runMix executes a mix over the kv-btree and returns the mixed phase's
-// cycles.
-func runMix(scheme string, mix ycsb.Mix) (uint64, error) {
-	w := workloads.MustNew("kv-btree")
-	sys := slpmt.New(slpmt.Options{Scheme: scheme, ComputeCyclesPerOp: w.ComputeCost()})
-	if err := w.Setup(sys); err != nil {
-		return 0, err
-	}
-	if err := mix.Preload().Each(func(k uint64, v []byte) error {
-		return w.Insert(sys, k, v)
-	}); err != nil {
-		return 0, err
-	}
-	mut := w.(workloads.Mutable)
-	rng := w.(workloads.Ranger)
-	start := sys.Cycles()
-	for _, op := range mix.Ops() {
-		switch op.Kind {
-		case ycsb.OpRead:
-			if _, ok := w.Get(sys, op.Key); !ok {
-				return 0, fmt.Errorf("read miss on %d", op.Key)
-			}
-		case ycsb.OpUpdate:
-			if err := mut.UpdateValue(sys, op.Key, op.Value); err != nil {
-				return 0, err
-			}
-		case ycsb.OpInsert:
-			if err := w.Insert(sys, op.Key, op.Value); err != nil {
-				return 0, err
-			}
-		case ycsb.OpScan:
-			n := 0
-			if err := rng.Scan(sys, op.Key, ^uint64(0), func(uint64, []byte) bool {
-				n++
-				return n < op.ScanLen
-			}); err != nil {
-				return 0, err
-			}
-		}
-	}
-	sys.DrainLazy()
-	return sys.Cycles() - start, nil
 }

@@ -86,98 +86,16 @@ type CampaignResult struct {
 	LeakedBytes     uint64
 }
 
-// opKind enumerates campaign operations.
-type opKind int
-
-const (
-	opInsert opKind = iota
-	opUpdate
-	opDelete
-)
-
-// campaignOp is one deterministic operation of the run.
-type campaignOp struct {
-	kind opKind
-	key  uint64
-	val  []byte
-}
-
-// genOps produces the deterministic operation stream. RunCampaign
-// calls it once; every run and every verification of the campaign
-// shares the result and only reads it.
-func genOps(cfg CampaignConfig) []campaignOp {
+// genOps produces the deterministic operation stream: the load's
+// inserts, or its churn of inserts, updates and deletes when Mixed.
+// RunCampaign calls it once; every run and every verification of the
+// campaign shares the result and only reads it.
+func genOps(cfg CampaignConfig) []ycsb.MixOp {
 	load := ycsb.Load{N: cfg.N, ValueSize: cfg.ValueSize, Seed: cfg.Seed}
-	keys := load.Keys()
-	// Every op carries at most one value of the load's value size, and
-	// there are at most len(keys) ops, so one slab holds them all.
-	size := len(load.ValueInto(nil, 0))
-	slab := make([]byte, len(keys)*size)
-	value := func(k uint64) []byte {
-		v := load.ValueInto(slab[:0:size], k)
-		slab = slab[size:]
-		return v
+	if cfg.Mixed {
+		return load.Churn()
 	}
-	if !cfg.Mixed {
-		ops := make([]campaignOp, 0, len(keys))
-		for _, k := range keys {
-			ops = append(ops, campaignOp{opInsert, k, value(k)})
-		}
-		return ops
-	}
-	ops := make([]campaignOp, 0, cfg.N)
-	var live []uint64
-	rng := cfg.Seed*0x9e3779b97f4a7c15 + 0x1234
-	next := func(n uint64) uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng % n
-	}
-	ki := 0
-	for len(ops) < cfg.N {
-		switch {
-		case len(live) < 4 || next(100) < 50:
-			if ki >= len(keys) {
-				return ops
-			}
-			k := keys[ki]
-			ki++
-			ops = append(ops, campaignOp{opInsert, k, value(k)})
-			live = append(live, k)
-		case next(100) < 50:
-			k := live[next(uint64(len(live)))]
-			nv := value(k ^ uint64(len(ops)))
-			ops = append(ops, campaignOp{opUpdate, k, nv})
-		default:
-			i := next(uint64(len(live)))
-			k := live[i]
-			ops = append(ops, campaignOp{opDelete, k, nil})
-			live = append(live[:i], live[i+1:]...)
-		}
-	}
-	return ops
-}
-
-// apply executes one op against the workload.
-func apply(w workloads.Workload, sys *slpmt.System, op campaignOp) error {
-	switch op.kind {
-	case opInsert:
-		return w.Insert(sys, op.key, op.val)
-	case opUpdate:
-		return w.(workloads.Mutable).UpdateValue(sys, op.key, op.val)
-	default:
-		return w.(workloads.Mutable).Delete(sys, op.key)
-	}
-}
-
-// applyOracle mutates the oracle per op.
-func applyOracle(oracle map[uint64][]byte, op campaignOp) {
-	switch op.kind {
-	case opInsert, opUpdate:
-		oracle[op.key] = op.val
-	default:
-		delete(oracle, op.key)
-	}
+	return load.Inserts()
 }
 
 // runInfo is the outcome of one (possibly crashed) execution. It
@@ -196,18 +114,18 @@ type runInfo struct {
 }
 
 // pendingKey is the in-flight operation's key, or 0 if none.
-func (info *runInfo) pendingKey(ops []campaignOp) uint64 {
+func (info *runInfo) pendingKey(ops []ycsb.MixOp) uint64 {
 	if info.pending < 0 {
 		return 0
 	}
-	return ops[info.pending].key
+	return ops[info.pending].Key
 }
 
 // runOp applies ops[i] with runInfo's bookkeeping around it.
-func (info *runInfo) runOp(w workloads.Workload, sys *slpmt.System, ops []campaignOp, i int) error {
+func (info *runInfo) runOp(w workloads.Workload, sys *slpmt.System, ops []ycsb.MixOp, i int) error {
 	info.pending = i
-	if err := apply(w, sys, ops[i]); err != nil {
-		return fmt.Errorf("op on key %d: %w", ops[i].key, err)
+	if err := workloads.Apply(w, sys, ops[i]); err != nil {
+		return fmt.Errorf("op on key %d: %w", ops[i].Key, err)
 	}
 	info.done = append(info.done, i)
 	info.pending = -1
@@ -227,7 +145,7 @@ func (info *runInfo) runOp(w workloads.Workload, sys *slpmt.System, ops []campai
 // Reset for every later one, and the image is written into v's image
 // buffer. info (its image and completed-op list) is therefore valid
 // until v's next run; a fresh verifier runs on a fresh platform.
-func (v *verifier) execute(cfg CampaignConfig, ops []campaignOp, crashAfter uint64) (info runInfo, totalPersists uint64, err error) {
+func (v *verifier) execute(cfg CampaignConfig, ops []ycsb.MixOp, crashAfter uint64) (info runInfo, totalPersists uint64, err error) {
 	info = runInfo{done: v.done[:0], pending: -1}
 	w := workloads.MustNew(cfg.Workload)
 	cl := v.platform(cfg, w)
@@ -295,7 +213,7 @@ func (v *verifier) crashImage() *pmem.Image {
 // per point. The workload is instantiated afresh, so no volatile state
 // survives from the run or an earlier point; everything else comes
 // from v.
-func (v *verifier) verifyPoint(cfg CampaignConfig, ops []campaignOp, info runInfo, res *CampaignResult) error {
+func (v *verifier) verifyPoint(cfg CampaignConfig, ops []ycsb.MixOp, info runInfo, res *CampaignResult) error {
 	w := workloads.MustNew(cfg.Workload)
 	rec := w.(workloads.Recoverable)
 
@@ -321,7 +239,7 @@ func (v *verifier) verifyPoint(cfg CampaignConfig, ops []campaignOp, info runInf
 
 	oracle := v.oracleMap(len(info.done) + 1)
 	for _, i := range info.done {
-		applyOracle(oracle, ops[i])
+		ops[i].ApplyTo(oracle)
 	}
 	// The "before" candidate is checked only at the image's RootCount
 	// (see verifyPrefix); its error is built only if "after" fails too.
@@ -338,20 +256,20 @@ func (v *verifier) verifyPoint(cfg CampaignConfig, ops []campaignOp, info runInf
 		}
 		return fmt.Errorf("durable state invalid (no op pending): %v", errBefore)
 	}
-	op := ops[info.pending]
-	val, present := oracle[op.key]
-	applyOracle(oracle, op)
+	op := &ops[info.pending]
+	undo := undoOp(oracle, op.Key)
+	op.ApplyTo(oracle)
 	errAfter := rec.CheckDurable(info.img, oracle)
 	if errAfter == nil {
 		res.PendingAccepted++
 		return nil
 	}
 	if !checked {
-		undoEntry{op.key, val, present}.apply(oracle)
+		undo.ApplyTo(oracle)
 		errBefore = rec.CheckDurable(info.img, oracle)
 	}
 	return fmt.Errorf("durable state invalid (pending key %d): before the op: %v; after it: %v",
-		op.key, errBefore, errAfter)
+		op.Key, errBefore, errAfter)
 }
 
 // oracleMap returns v's oracle map, emptied; hint sizes it on first use.
@@ -363,20 +281,13 @@ func (v *verifier) oracleMap(hint int) map[uint64][]byte {
 	return v.oracle
 }
 
-// undoEntry restores one oracle key to its value before an operation.
-type undoEntry struct {
-	key     uint64
-	val     []byte
-	present bool
-}
-
-// apply reverts the entry's operation in oracle.
-func (u undoEntry) apply(oracle map[uint64][]byte) {
-	if u.present {
-		oracle[u.key] = u.val
-	} else {
-		delete(oracle, u.key)
+// undoOp returns the op that restores key to its state in oracle: an
+// update back to its value, or a delete if it is absent.
+func undoOp(oracle map[uint64][]byte, key uint64) ycsb.MixOp {
+	if v, ok := oracle[key]; ok {
+		return ycsb.MixOp{Kind: ycsb.OpUpdate, Key: key, Value: v}
 	}
+	return ycsb.MixOp{Kind: ycsb.OpDelete, Key: key}
 }
 
 // verifyPrefix is verifyPoint under group commit: the recovered image
@@ -390,7 +301,7 @@ func (u undoEntry) apply(oracle map[uint64][]byte) {
 // workloads.Recoverable). The newest candidate's error is the one
 // reported; when every candidate fails and the newest was skipped, the
 // reverted operations are re-applied to build that error.
-func (v *verifier) verifyPrefix(rec workloads.Recoverable, ops []campaignOp, info runInfo, bound int, res *CampaignResult) error {
+func (v *verifier) verifyPrefix(rec workloads.Recoverable, ops []ycsb.MixOp, info runInfo, bound int, res *CampaignResult) error {
 	seq := info.done
 	if info.pending >= 0 {
 		seq = append(seq, info.pending)
@@ -400,16 +311,15 @@ func (v *verifier) verifyPrefix(rec workloads.Recoverable, ops []campaignOp, inf
 	oracle := v.oracleMap(len(seq))
 	split := len(seq) - reverts
 	for _, i := range seq[:split] {
-		applyOracle(oracle, ops[i])
+		ops[i].ApplyTo(oracle)
 	}
 	if cap(v.undo) < reverts {
-		v.undo = make([]undoEntry, reverts)
+		v.undo = make([]ycsb.MixOp, reverts)
 	}
 	undo := v.undo[:reverts]
 	for u, i := range seq[split:] {
-		val, present := oracle[ops[i].key]
-		undo[u] = undoEntry{ops[i].key, val, present}
-		applyOracle(oracle, ops[i])
+		undo[u] = undoOp(oracle, ops[i].Key)
+		ops[i].ApplyTo(oracle)
 	}
 	count := workloads.ReadRoot(info.img, workloads.RootCount)
 	var firstErr error
@@ -427,11 +337,11 @@ func (v *verifier) verifyPrefix(rec workloads.Recoverable, ops []campaignOp, inf
 		if c == reverts {
 			break
 		}
-		undo[reverts-1-c].apply(oracle)
+		undo[reverts-1-c].ApplyTo(oracle)
 	}
 	if firstErr == nil {
 		for _, i := range seq[split:] {
-			applyOracle(oracle, ops[i])
+			ops[i].ApplyTo(oracle)
 		}
 		firstErr = rec.CheckDurable(info.img, oracle)
 	}
@@ -467,7 +377,7 @@ type pointOutcome struct {
 // from one point to the next, so points can execute in any order (or
 // concurrently, each with its own verifier) and aggregate to the same
 // campaign result.
-func testPoint(v *verifier, cfg CampaignConfig, ops []campaignOp, point uint64) (out pointOutcome) {
+func testPoint(v *verifier, cfg CampaignConfig, ops []ycsb.MixOp, point uint64) (out pointOutcome) {
 	info, _, err := v.execute(cfg, ops, point)
 	if err != nil {
 		out.err = fmt.Errorf("crash point %d: %w", point, err)
@@ -487,7 +397,7 @@ func testPoint(v *verifier, cfg CampaignConfig, ops []campaignOp, point uint64) 
 // (a structure walk following a garbage pointer) fails the point like
 // any other invalid image, so sweeps and RunPoint report the same error
 // for the same point.
-func (v *verifier) checkPoint(cfg CampaignConfig, ops []campaignOp, info runInfo, point uint64, res *CampaignResult) (err error) {
+func (v *verifier) checkPoint(cfg CampaignConfig, ops []ycsb.MixOp, info runInfo, point uint64, res *CampaignResult) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("crash point %d: recovery panicked: %v", point, r)

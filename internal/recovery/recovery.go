@@ -31,6 +31,7 @@ import (
 	"github.com/persistmem/slpmt/internal/pmem"
 	"github.com/persistmem/slpmt/internal/txheap"
 	"github.com/persistmem/slpmt/internal/workloads"
+	"github.com/persistmem/slpmt/internal/ycsb"
 )
 
 // Report summarizes one recovery run.
@@ -86,7 +87,7 @@ type verifier struct {
 	rep   Report
 
 	oracle map[uint64][]byte // see oracleMap
-	undo   []undoEntry       // see verifyPrefix
+	undo   []ycsb.MixOp      // see verifyPrefix
 }
 
 // logUnit is one parsed application unit: a whole per-transaction log

@@ -10,6 +10,7 @@ import (
 	"github.com/persistmem/slpmt/internal/mem"
 	"github.com/persistmem/slpmt/internal/pmem"
 	_ "github.com/persistmem/slpmt/internal/workloads/all"
+	"github.com/persistmem/slpmt/internal/ycsb"
 )
 
 // wordRec is a one-word log record.
@@ -128,7 +129,7 @@ func TestApplyLogsOrder(t *testing.T) {
 type storedPoint struct {
 	name string
 	cfg  CampaignConfig
-	ops  []campaignOp
+	ops  []ycsb.MixOp
 	info runInfo
 }
 

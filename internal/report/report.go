@@ -35,6 +35,7 @@ type Result struct {
 	CommitWindow     int    `json:"commit_window,omitempty"`
 	Sockets          int    `json:"sockets,omitempty"`
 	RemoteNanos      uint64 `json:"remote_nanos,omitempty"`
+	Mix              string `json:"mix,omitempty"` // bench.RunConfig.Mix's name; empty for ycsb-load
 	Cycles           uint64 `json:"cycles"`
 	PMWriteBytesData uint64 `json:"pm_write_bytes_data"`
 	PMWriteBytesLog  uint64 `json:"pm_write_bytes_log"`
@@ -131,10 +132,15 @@ type HotLine struct {
 
 // Key identifies the run configuration: two results with the same key
 // measure the same point of the parameter grid and are comparable
-// across baseline and candidate documents.
+// across baseline and candidate documents. A mix's name is appended
+// only when set, so a load run's key is the one it always had.
 func (r Result) Key() string {
-	return fmt.Sprintf("%s|%s|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d",
+	k := fmt.Sprintf("%s|%s|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d",
 		r.Scheme, r.Workload, r.N, r.ValueSize, r.PMWriteNanos, r.Banks, r.WPQBytes, r.Cores, r.Seed, r.CommitWindow, r.Sockets, r.RemoteNanos)
+	if r.Mix != "" {
+		k += "|" + r.Mix
+	}
+	return k
 }
 
 // Report is the top-level BENCH_<experiment>.json document.
@@ -164,6 +170,7 @@ func FromResult(r bench.Result) Result {
 		CommitWindow:     r.RunConfig.CommitWindow,
 		Sockets:          r.RunConfig.Sockets,
 		RemoteNanos:      r.RunConfig.RemoteNanos,
+		Mix:              r.Mix.Name,
 		Cycles:           r.Cycles,
 		PMWriteBytesData: r.Counters.PMWriteBytesData,
 		PMWriteBytesLog:  r.Counters.PMWriteBytesLog,
@@ -320,7 +327,10 @@ func FromResults(name string, parallel int, wall time.Duration, mallocs, bytes u
 		if a.RemoteNanos != b.RemoteNanos {
 			return a.RemoteNanos < b.RemoteNanos
 		}
-		return a.Seed < b.Seed
+		if a.Seed != b.Seed {
+			return a.Seed < b.Seed
+		}
+		return a.Mix < b.Mix
 	})
 	if rep.TotalOps > 0 {
 		rep.AllocsPerOp = float64(mallocs) / float64(rep.TotalOps)

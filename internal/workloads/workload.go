@@ -29,6 +29,7 @@ import (
 	"github.com/persistmem/slpmt/internal/mem"
 	"github.com/persistmem/slpmt/internal/pmem"
 	"github.com/persistmem/slpmt/internal/txheap"
+	"github.com/persistmem/slpmt/internal/ycsb"
 )
 
 // Workload is one durable data structure under test. Implementations
@@ -354,7 +355,7 @@ func CheckOracle(sys *slpmt.System, w Workload, oracle map[uint64][]byte) error 
 }
 
 // ErrUnsupported is returned by Mutable operations a structure does not
-// implement.
+// implement, and by Apply for an op the structure has no method for.
 var ErrUnsupported = errors.New("workloads: operation not supported")
 
 // Mutable is implemented by workloads that support updates and deletes
@@ -379,4 +380,39 @@ type Mutable interface {
 // callback returns or calls the instance, so keeping it needs a copy.
 type Ranger interface {
 	Scan(sys *slpmt.System, from, to uint64, fn func(key uint64, value []byte) bool) error
+}
+
+// Apply runs op on w through sys: the one op switch of bench runs and
+// crash campaigns alike. An insert, update or delete is one durable
+// transaction; a read or scan runs through the volatile view. A read
+// that misses is an error; an update, delete or scan on a structure
+// without Mutable or Ranger, or an op of no known kind, returns
+// ErrUnsupported.
+func Apply(w Workload, sys *slpmt.System, op ycsb.MixOp) error {
+	switch op.Kind {
+	case ycsb.OpInsert:
+		return w.Insert(sys, op.Key, op.Value)
+	case ycsb.OpRead:
+		if _, ok := w.Get(sys, op.Key); !ok {
+			return fmt.Errorf("%s: read miss on key %d", w.Name(), op.Key)
+		}
+		return nil
+	case ycsb.OpUpdate:
+		if m, ok := w.(Mutable); ok {
+			return m.UpdateValue(sys, op.Key, op.Value)
+		}
+	case ycsb.OpDelete:
+		if m, ok := w.(Mutable); ok {
+			return m.Delete(sys, op.Key)
+		}
+	case ycsb.OpScan:
+		if r, ok := w.(Ranger); ok {
+			n := int32(0)
+			return r.Scan(sys, op.Key, ^uint64(0), func(uint64, []byte) bool {
+				n++
+				return n < op.ScanLen
+			})
+		}
+	}
+	return ErrUnsupported
 }

@@ -1,6 +1,9 @@
 package ycsb
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestKeysDeterministicUniqueNonzero(t *testing.T) {
 	l := Load{N: 5000, Seed: 7}
@@ -78,10 +81,10 @@ func TestOracleMatchesEach(t *testing.T) {
 
 func TestMixComposition(t *testing.T) {
 	for _, m := range []Mix{WorkloadA(), WorkloadB(), WorkloadC(), WorkloadE()} {
-		m.ValueSize = 16
-		ops := m.Ops()
-		if len(ops) != m.N {
-			t.Fatalf("%s: %d ops, want %d", m.Name, len(ops), m.N)
+		l := Load{ValueSize: 16}
+		ops := m.Ops(l)
+		if len(ops) != DefaultOps {
+			t.Fatalf("%s: %d ops, want %d", m.Name, len(ops), DefaultOps)
 		}
 		counts := map[OpKind]int{}
 		for _, op := range ops {
@@ -93,7 +96,7 @@ func TestMixComposition(t *testing.T) {
 			}
 		}
 		check := func(kind OpKind, pct int) {
-			got := counts[kind] * 100 / m.N
+			got := counts[kind] * 100 / DefaultOps
 			if got < pct-7 || got > pct+7 {
 				t.Errorf("%s: kind %d = %d%%, want ~%d%%", m.Name, kind, got, pct)
 			}
@@ -105,8 +108,8 @@ func TestMixComposition(t *testing.T) {
 }
 
 func TestMixDeterministic(t *testing.T) {
-	a := WorkloadA().Ops()
-	b := WorkloadA().Ops()
+	a := WorkloadA().Ops(Load{})
+	b := WorkloadA().Ops(Load{})
 	if len(a) != len(b) {
 		t.Fatal("length mismatch")
 	}
@@ -114,6 +117,64 @@ func TestMixDeterministic(t *testing.T) {
 		if a[i].Kind != b[i].Kind || a[i].Key != b[i].Key {
 			t.Fatal("mix not deterministic")
 		}
+	}
+}
+
+// TestMixOpSize pins the op layout: a crash campaign keeps one op per
+// operation for the whole sweep.
+func TestMixOpSize(t *testing.T) {
+	if s := unsafe.Sizeof(MixOp{}); s != 40 {
+		t.Errorf("MixOp is %d bytes, want 40", s)
+	}
+}
+
+// TestInsertsAndChurn: Inserts is the load in key order; Churn inserts
+// only keys not live, updates and deletes only live ones, and every
+// value is its key's payload (an update's is that of the key xor the
+// op's index).
+func TestInsertsAndChurn(t *testing.T) {
+	l := Load{N: 200, ValueSize: 24, Seed: 3}
+	keys := l.Keys()
+	for i, op := range l.Inserts() {
+		if op.Kind != OpInsert || op.Key != keys[i] || string(op.Value) != string(l.Value(keys[i])) {
+			t.Fatalf("insert %d: %+v", i, op)
+		}
+	}
+	ops := l.Churn()
+	if len(ops) != l.N {
+		t.Fatalf("%d churn ops, want %d", len(ops), l.N)
+	}
+	live := map[uint64]bool{}
+	counts := map[OpKind]int{}
+	for i, op := range ops {
+		counts[op.Kind]++
+		want := ""
+		switch op.Kind {
+		case OpInsert:
+			want = string(l.Value(op.Key))
+			if live[op.Key] {
+				t.Fatalf("op %d inserts live key %d", i, op.Key)
+			}
+			live[op.Key] = true
+		case OpUpdate:
+			want = string(l.Value(op.Key ^ uint64(i)))
+			if !live[op.Key] {
+				t.Fatalf("op %d updates dead key %d", i, op.Key)
+			}
+		case OpDelete:
+			if !live[op.Key] {
+				t.Fatalf("op %d deletes dead key %d", i, op.Key)
+			}
+			delete(live, op.Key)
+		default:
+			t.Fatalf("op %d: kind %d", i, op.Kind)
+		}
+		if string(op.Value) != want {
+			t.Fatalf("op %d: value %x, want %x", i, op.Value, want)
+		}
+	}
+	if counts[OpUpdate] == 0 || counts[OpDelete] == 0 {
+		t.Errorf("churn kinds %v: want updates and deletes", counts)
 	}
 }
 
@@ -176,10 +237,10 @@ func BenchmarkLoadKeys(b *testing.B) {
 func TestMixInsertKeysFresh(t *testing.T) {
 	m := WorkloadE()
 	pre := map[uint64]bool{}
-	for _, k := range m.Preload().Keys() {
+	for _, k := range m.Preload(Load{}).Keys() {
 		pre[k] = true
 	}
-	for _, op := range m.Ops() {
+	for _, op := range m.Ops(Load{}) {
 		if op.Kind == OpInsert && pre[op.Key] {
 			t.Fatalf("insert reused preloaded key %d", op.Key)
 		}
