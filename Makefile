@@ -44,16 +44,23 @@ vet:
 # conservation contract (path length == makespan) is enforced inside
 # the harness, and the Perfetto export (stream-out/sample-trace.json,
 # opens in ui.perfetto.dev). The same run's cycle attribution lands as
-# folded stacks in stream-out/hashtable-2c.folded. The
-# blame/slack/hot-line report lands in stream-out/critpath.txt, and
-# slpmttrace's post-hoc replay of the saved binlog must reproduce it
-# byte for byte.
+# folded stacks in stream-out/hashtable-2c.folded, the blame/slack/
+# hot-line report in stream-out/critpath.txt and its printed output in
+# stream-out/run.txt. Then `slpmtbench -replay` reads the saved binlog
+# without rerunning (stream-out/replay.txt): its latency summary, WPQ
+# series, sanitizer section and critical path must reproduce the live
+# run's byte for byte, and its critical path must be critpath.txt.
 trace-gate:
+	@mkdir -p stream-out
 	$(GO) run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 \
 		-trace-stream stream-out -sanitize -critpath -hotlines 10 \
-		-trace stream-out/sample-trace.json -flame stream-out/hashtable-2c.folded
-	$(GO) run ./cmd/slpmttrace -trace-stream stream-out -critpath -hotlines 10 | \
-		tail -n +3 | diff - stream-out/critpath.txt
+		-trace stream-out/sample-trace.json -flame stream-out/hashtable-2c.folded \
+		>stream-out/run.txt || { cat stream-out/run.txt; exit 1; }
+	@cat stream-out/run.txt
+	$(GO) run ./cmd/slpmtbench -replay stream-out -sanitize -critpath -hotlines 10 >stream-out/replay.txt
+	sed -n '/^events: /,$$p' stream-out/run.txt | grep -v '^wrote ' >stream-out/run-sections.txt
+	sed -n '/^events: /,$$p' stream-out/replay.txt | diff stream-out/run-sections.txt -
+	sed -n '/^critical path: /,$$p' stream-out/replay.txt | diff - stream-out/critpath.txt
 
 # Full gate: formatting, vet, build, tests, race subset.
 check:

@@ -21,53 +21,43 @@
 //	slpmtbench -experiment critpath  # causal critical path of the makespan (extension)
 //	slpmtbench -experiment all       # everything
 //
-// Flags -n, -value and -seed override the workload parameters. -cores
-// runs any experiment on a multi-core platform (sharded key streams,
-// deterministic interleaving); the scaling experiment sweeps its own
-// core counts.
-// -parallel sets the worker count for the experiment grids (0 =
-// GOMAXPROCS; results are identical at any setting). -json additionally
-// writes a machine-readable BENCH_<experiment>.json per experiment
-// (including the cycles_by_cause attribution breakdown), and
-// -cpuprofile / -memprofile capture pprof profiles of the sweep.
+// -n, -value and -seed set the workload parameters, -cores the
+// simulated core count (sharded key streams, deterministic
+// interleaving) and -parallel the worker count (0 = GOMAXPROCS;
+// results are identical at any setting). -json writes a BENCH_<name>.json
+// per experiment, with the cycles_by_cause breakdown; -compare diffs
+// it against the committed baseline in a directory and exits nonzero
+// on drift (the CI perf-regression gate); -cpuprofile and -memprofile
+// capture pprof profiles of the sweep.
 //
-// -compare diffs each experiment's fresh BENCH json against the
-// committed baseline in the given directory (see baselines/) with
-// per-metric tolerances, prints the delta table, and exits nonzero on
-// drift — the CI perf-regression gate:
-//
-//	slpmtbench -experiment headline -json -compare baselines/
-//
-// The single-run flags -trace-stream, -trace, -sanitize, -critpath and
-// -flame turn the command into one run of -workload under -scheme, and
-// each adds a section to that run's output; they combine freely. A run
-// that needs events streams them into an SLPSEG01 binlog (bounded
-// memory at any -n): into the -trace-stream directory, with its NDJSON
-// telemetry (one line per -interval cycles; tail it live with
-// `slpmttrace -trace-stream dir -follow`), or into a temporary
-// directory removed on exit. Every traced run prints the latency
-// summary and WPQ series. -trace exports the binlog's events as
-// Perfetto/Chrome trace_event JSON (load it at https://ui.perfetto.dev).
-// -sanitize replays the binlog against the paper's §III persist
-// ordering rules (log records durable before their data lines, commit
-// marker ordering per log mode, WPQ FIFO retirement, lazy-drain
-// completion before conflicting stores) and exits nonzero on a
-// violation. -critpath prints the causal critical path of the
-// makespan, whose length the harness checks against the measured
-// cycles: per-cause blame, DAG slack, what-if projections and the
-// -hotlines most contended lines; with -trace-stream the report also
-// lands in <dir>/critpath.txt. -flame prints the cycle-attribution
-// breakdown and writes folded stacks (scheme;workload;coreN;group;cause
-// count) for flamegraph tools; alone, it runs untraced. A failed
-// verification or sanitizer replay still writes every requested file
-// before the command exits nonzero. The traced gate of
-// scripts/check.sh and CI is one such run:
+// Setting -workload or -scheme (a comma list or "all"), or a section
+// flag, selects one run of each scheme instead. Each prints its
+// counter block (cycles, PM write traffic, cycles/op, every counter),
+// then the sections asked for: -flame (cycle attribution, plus folded
+// stacks for flamegraph tools), and from the run's SLPSEG01 binlog the
+// latency summary and WPQ series, -trace (Perfetto JSON), -sanitize
+// (the §III persist-order rules; nonzero exit on a violation) and
+// -critpath (blame, slack and hot lines of the makespan's causal
+// critical path). The binlog stays in -trace-stream's directory, with
+// NDJSON telemetry and critpath.txt, or in a temporary one. The traced
+// gate of scripts/check.sh is one such run:
 //
 //	slpmtbench -workload hashtable -cores 2 -n 300 -value 64 -trace-stream out/ \
 //		-sanitize -critpath -hotlines 10 -trace out/sample-trace.json -flame out/hashtable-2c.folded
+//
+// -replay reads a saved binlog without running anything: its segment
+// headers and first -records events (-follow tails a stream still
+// being written), then the same sections as the live run, byte for
+// byte:
+//
+//	slpmtbench -replay out/ -sanitize -critpath -hotlines 10
+//
+// The three modes exclude each other, and a flag the chosen mode does
+// not read is an error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -75,66 +65,142 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
+	"github.com/persistmem/slpmt"
 	"github.com/persistmem/slpmt/internal/bench"
 	"github.com/persistmem/slpmt/internal/experiments"
 	"github.com/persistmem/slpmt/internal/report"
 	_ "github.com/persistmem/slpmt/internal/workloads/all"
+	"github.com/persistmem/slpmt/internal/ycsb"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "slpmtbench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// run parses args and runs the selected experiments or single-run
-// mode.
-func run(args []string) error {
+// runFlags are the flags every run-producing mode reads.
+const runFlags = "n value seed cores commit-window sockets remote-nanos parallel "
+
+// modeFlags lists, per mode, the flags it reads; setting any other one
+// is an error.
+var modeFlags = map[string]string{
+	"-experiment":  runFlags + "experiment json compare cpuprofile memprofile",
+	"a single run": runFlags + "workload scheme writelat trace trace-stream interval sanitize critpath hotlines flame",
+	"-replay":      "replay records follow trace sanitize critpath hotlines",
+}
+
+// run parses args and runs the selected experiments, single run or
+// replay, printing to out.
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("slpmtbench", flag.ExitOnError)
 	var (
-		exp      = fs.String("experiment", "all", "experiment to run ("+experiments.NamesHelp()+")")
-		n        = fs.Int("n", 1000, "insert operations per run")
+		exp      = fs.String("experiment", "all", "experiment to run ("+strings.Join(experiments.Names(), ", ")+", all)")
+		n        = fs.Int("n", ycsb.DefaultOps, "insert operations per run")
 		value    = fs.Int("value", 256, "value size in bytes")
 		seed     = fs.Uint64("seed", 0, "key-stream seed (0 = default)")
 		cores    = fs.Int("cores", 1, "simulated core count (scaling sweeps its own counts)")
 		window   = fs.Int("commit-window", 0, "group-commit window W (0 or 1 = per-transaction protocol; the window experiment sweeps its own values)")
-		parallel = fs.Int("parallel", 0, "worker count for experiment grids (0 = GOMAXPROCS)")
+		parallel = fs.Int("parallel", 0, "worker count for experiment grids and a single run's schemes (0 = GOMAXPROCS)")
 		jsonOut  = fs.Bool("json", false, "write machine-readable BENCH_<experiment>.json per experiment")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile taken after the sweep to this file")
-		tracePth = fs.String("trace", "", "single run: export its events to this path as Perfetto JSON")
+		tracePth = fs.String("trace", "", "single run or replay: export its events to this path as Perfetto JSON")
 		streamD  = fs.String("trace-stream", "", "single run: keep its SLPSEG01 binlog, telemetry and critpath report in this directory")
-		interval = fs.Uint64("interval", 0, "telemetry snapshot interval in cycles of a traced single run (0 = default)")
-		sanitize = fs.Bool("sanitize", false, "single run: replay it through the persist-order sanitizer (exit nonzero on violations)")
-		critpath = fs.Bool("critpath", false, "single run: print its causal critical path (blame/slack/hot-line report)")
+		interval = fs.Uint64("interval", 0, "telemetry snapshot interval in cycles of a -trace-stream run (0 = default)")
+		sanitize = fs.Bool("sanitize", false, "single run or replay: replay its events through the persist-order sanitizer (exit nonzero on violations)")
+		critpath = fs.Bool("critpath", false, "single run or replay: print its causal critical path (blame/slack/hot-line report)")
 		hotlines = fs.Int("hotlines", 10, "hot lines to list in the -critpath report")
 		flamePth = fs.String("flame", "", "single run: print its cycle attribution and write folded stacks to this path")
 		compare  = fs.String("compare", "", "diff each experiment's BENCH json against <dir>/BENCH_<experiment>.json and exit nonzero on regressions (implies -json)")
 		workload = fs.String("workload", "hashtable", "workload of the single run")
-		scheme   = fs.String("scheme", "SLPMT", "scheme of the single run")
+		scheme   = fs.String("scheme", "SLPMT", "schemes of the single run: a comma list or \"all\"")
+		writeLat = fs.Uint64("writelat", 0, "single run: PM write latency override in ns (0 = the platform's)")
 		sockets  = fs.Int("sockets", 0, "PM sockets: each is its own device behind the interconnect distance matrix (0 or 1 = single device; the numa experiment sweeps its own counts)")
 		remoteNs = fs.Uint64("remote-nanos", 0, "per-hop remote persist-enqueue latency in ns, remote fills pay double (0 = defaults; needs -sockets > 1)")
+		replayD  = fs.String("replay", "", "read this saved SLPSEG01 binlog directory instead of running anything")
+		records  = fs.Int("records", 16, "replay: events to print")
+		follow   = fs.Bool("follow", false, "replay: tail a stream still being written; reads it once the writer closes it")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// The mode: -replay, else a single run if a flag of one is set, else
+	// -experiment. The modes exclude each other because each reads only
+	// its own flags.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	mode := "-experiment"
+	if set["replay"] {
+		mode = "-replay"
+	} else if slices.ContainsFunc(strings.Fields("workload scheme trace-stream flame trace sanitize critpath"),
+		func(f string) bool { return set[f] }) {
+		mode = "a single run"
 	}
 
 	bench.SetParallelism(*parallel)
 	base := bench.RunConfig{N: *n, ValueSize: *value, Seed: *seed, Verify: true, Cores: *cores, CommitWindow: *window,
 		Sockets: *sockets, RemoteNanos: *remoteNs}
+	cfgs := []bench.RunConfig{base}
+	if mode == "a single run" {
+		names := strings.Split(*scheme, ",")
+		if *scheme == "all" {
+			names = slpmt.Schemes()
+		}
+		cfgs = cfgs[:0]
+		for _, name := range names {
+			cfg := base
+			cfg.Scheme, cfg.Workload, cfg.PMWriteNanos = strings.TrimSpace(name), *workload, *writeLat
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	// Field errors come first: they name the value at fault.
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+	}
+	var stray []string
+	fs.Visit(func(f *flag.Flag) {
+		if !slices.Contains(strings.Fields(modeFlags[mode]), f.Name) {
+			stray = append(stray, "-"+f.Name)
+		}
+	})
+	switch {
+	case len(stray) > 0:
+		return fmt.Errorf("%s: not read by %s", strings.Join(stray, ", "), mode)
+	case set["interval"] && *streamD == "":
+		return errors.New("-interval needs -trace-stream")
+	case set["hotlines"] && !*critpath:
+		return errors.New("-hotlines needs -critpath")
+	case len(cfgs) > 1 && (*streamD != "" || *tracePth != "" || *flamePth != ""):
+		return fmt.Errorf("-scheme %s: -trace-stream, -trace and -flame write one run's files; name one scheme", *scheme)
+	case *exp == "mixes":
+		// It runs ycsb.DefaultOps operations on one core.
+		for _, f := range []struct {
+			flag   string
+			v      int
+			ignore bool
+		}{{"-n", *n, *n != ycsb.DefaultOps}, {"-cores", *cores, *cores > 1},
+			{"-commit-window", *window, *window > 1}, {"-sockets", *sockets, *sockets > 1}} {
+			if f.ignore {
+				return fmt.Errorf("%s %d: -experiment mixes runs %d operations on one core and ignores it", f.flag, f.v, ycsb.DefaultOps)
+			}
+		}
+	}
+
 	one := single{streamDir: *streamD, interval: *interval, tracePath: *tracePth, flamePath: *flamePth,
 		sanitize: *sanitize, critpath: *critpath, hotlines: *hotlines}
-	if one.on() {
-		base.Scheme, base.Workload = *scheme, *workload
-	}
-	if err := base.Validate(); err != nil {
-		return err
-	}
-	if one.on() {
-		return runSingle(os.Stdout, base, one)
+	switch mode {
+	case "a single run":
+		return runSingle(out, cfgs, one)
+	case "-replay":
+		return replay(out, *replayD, *records, *follow, one)
 	}
 	jsonDocs := *jsonOut || *compare != ""
 
@@ -150,21 +216,20 @@ func run(args []string) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	// Run "all" one experiment at a time (matching experiments.Run's own
-	// loop, blank line included) so -json can report each separately.
+	// "all" runs one experiment at a time, each followed by a blank
+	// line, so -json can report each separately.
 	names := []string{*exp}
-	trailingBlank := false
-	if *exp == "all" {
+	all := *exp == "all"
+	if all {
 		names = experiments.Names()
-		trailingBlank = true
 	}
 	regressed := 0
 	for _, name := range names {
-		if err := runOne(name, base, jsonDocs); err != nil {
+		if err := runOne(out, name, base, jsonDocs); err != nil {
 			return err
 		}
 		if *compare != "" {
-			ok, err := compareOne(os.Stdout, *compare, name)
+			ok, err := compareOne(out, *compare, name)
 			if err != nil {
 				return err
 			}
@@ -172,8 +237,8 @@ func run(args []string) error {
 				regressed++
 			}
 		}
-		if trailingBlank {
-			fmt.Println()
+		if all {
+			fmt.Fprintln(out)
 		}
 	}
 	if regressed > 0 {
@@ -196,9 +261,9 @@ func run(args []string) error {
 
 // runOne executes one experiment, optionally collecting every benchmark
 // result it produces into BENCH_<name>.json.
-func runOne(name string, base bench.RunConfig, jsonOut bool) error {
+func runOne(out io.Writer, name string, base bench.RunConfig, jsonOut bool) error {
 	if !jsonOut {
-		return experiments.Run(os.Stdout, name, base)
+		return experiments.Run(out, name, base)
 	}
 	// Machine-readable documents carry the cycle-attribution breakdown
 	// (observation-only: the numbers match an unprofiled run exactly).
@@ -210,7 +275,7 @@ func runOne(name string, base bench.RunConfig, jsonOut bool) error {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	err := experiments.Run(os.Stdout, name, base)
+	err := experiments.Run(out, name, base)
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
 	if err != nil {

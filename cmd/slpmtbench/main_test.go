@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ var resultKeys = []string{
 func genReport(t *testing.T, name string, base bench.RunConfig) map[string]any {
 	t.Helper()
 	t.Chdir(t.TempDir())
-	if err := runOne(name, base, true); err != nil {
+	if err := runOne(io.Discard, name, base, true); err != nil {
 		t.Fatalf("runOne(%s): %v", name, err)
 	}
 	data, err := os.ReadFile("BENCH_" + name + ".json")
@@ -142,11 +143,15 @@ func TestScalingJSONDeterministic(t *testing.T) {
 	}
 }
 
-// TestOutOfRangeFlags checks that numeric flags outside their range and
-// unknown single-run scheme or workload names fail as flag errors
-// naming the flag, before any run starts. Unchecked, most of these
-// panic inside every job of the grid or the single run, and -cores -2
-// silently runs one core.
+// TestOutOfRangeFlags checks that numeric flags outside their range,
+// unknown single-run scheme or workload names, modes that exclude each
+// other and flags the chosen mode would ignore all fail as flag errors
+// naming the flag, before any run starts. Unchecked, most of the range
+// errors panic inside every job of the grid or the single run, -cores
+// -2 silently runs one core, and -experiment mixes prints its default
+// single-core table whatever -n, -cores, -commit-window or -sockets
+// say. Field errors come first, so the rows that also set a single-run
+// flag next to -experiment report the field.
 func TestOutOfRangeFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -162,8 +167,36 @@ func TestOutOfRangeFlags(t *testing.T) {
 		{[]string{"-cores", "-2", "-sanitize"}, "-cores -2"},
 		{[]string{"-workload", "nosuch", "-sanitize"}, "-workload nosuch: unknown workload"},
 		{[]string{"-scheme", "nosuch", "-flame", "x.folded"}, "-scheme nosuch: unknown scheme"},
+		{[]string{"-scheme", "FG,nosuch"}, "-scheme nosuch: unknown scheme"},
+		{[]string{"-sanitize"}, "-experiment: not read by a single run"},
+		{[]string{"-replay", "x"}, "-experiment: not read by -replay"},
+		{[]string{"-hotlines", "5"}, "-hotlines: not read by -experiment"},
+		{[]string{"-writelat", "300"}, "-writelat: not read by -experiment"},
 	} {
-		err := run(append([]string{"-experiment", "headline"}, tc.args...))
+		err := run(append([]string{"-experiment", "headline"}, tc.args...), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want %q", tc.args, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-experiment", "mixes", "-cores", "2"}, "-cores 2: -experiment mixes runs 1000 operations on one core and ignores it"},
+		{[]string{"-experiment", "mixes", "-commit-window", "4"}, "-commit-window 4: -experiment mixes"},
+		{[]string{"-experiment", "mixes", "-sockets", "2"}, "-sockets 2: -experiment mixes"},
+		{[]string{"-experiment", "mixes", "-n", "200"}, "-n 200: -experiment mixes"},
+		{[]string{"-workload", "rbtree", "-replay", "x"}, "-workload: not read by -replay"},
+		{[]string{"-workload", "rbtree", "-json"}, "-json: not read by a single run"},
+		{[]string{"-workload", "rbtree", "-records", "3", "-follow"}, "-follow, -records: not read by a single run"},
+		{[]string{"-workload", "rbtree", "-interval", "1000"}, "-interval needs -trace-stream"},
+		{[]string{"-workload", "rbtree", "-hotlines", "5"}, "-hotlines needs -critpath"},
+		{[]string{"-scheme", "all", "-trace", "x.json"}, "-scheme all: -trace-stream, -trace and -flame write one run's files"},
+		{[]string{"-replay", "x", "-n", "10"}, "-n: not read by -replay"},
+		{[]string{"-replay", "x", "-hotlines", "5"}, "-hotlines needs -critpath"},
+		{[]string{"-records", "3"}, "-records: not read by -experiment"},
+	} {
+		err := run(tc.args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: error %v, want %q", tc.args, err, tc.want)
 		}

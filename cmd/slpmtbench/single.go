@@ -14,9 +14,9 @@ import (
 	"github.com/persistmem/slpmt/internal/trace/stream"
 )
 
-// single holds the single-run flags: the sections one run of
-// -workload/-scheme prints and the files it writes. They combine
-// freely.
+// single holds the section flags: the sections a single run (or, for
+// -trace, -sanitize and -critpath, a replay) prints and the files it
+// writes. They combine freely.
 type single struct {
 	streamDir string // -trace-stream: keep the binlog, telemetry and critpath.txt here
 	interval  uint64 // -interval: telemetry snapshot window in cycles
@@ -27,75 +27,103 @@ type single struct {
 	hotlines  int    // -hotlines: hot lines the critpath report lists
 }
 
-// on reports whether any single-run flag is set.
-func (s single) on() bool {
-	return s.streamDir != "" || s.tracePath != "" || s.flamePath != "" || s.sanitize || s.critpath
-}
-
-// runSingle executes one run of cfg and prints the sections s asks for.
-// A run that needs events streams them into an SLPSEG01 binlog, in
-// -trace-stream's directory or in a temporary one removed on return,
-// and every event section reads that binlog: the latency summary and
-// WPQ series (always), the Perfetto export, the sanitizer replay and
-// the critical path. A -flame-only run is untraced. A failed
-// verification or sanitizer replay still prints every section and
-// writes every file before the errors return.
-func runSingle(out io.Writer, cfg bench.RunConfig, s single) error {
-	cfg.Profile = s.flamePath != ""
-	cfg.CritPath = s.critpath
-	cfg.StreamDir, cfg.StreamInterval = s.streamDir, s.interval
-	if cfg.StreamDir == "" && (s.tracePath != "" || s.sanitize || s.critpath) {
-		dir, err := os.MkdirTemp("", "slpmtbench-stream-")
-		if err != nil {
-			return fmt.Errorf("binlog dir: %w", err)
+// runSingle runs cfgs (one workload under one or more schemes) on the
+// worker pool and prints each run in order: its counter block, then
+// the sections s asks for. A run that needs events streams them into
+// an SLPSEG01 binlog, in -trace-stream's directory or in a temporary
+// one removed on return, and printEvents reads that binlog. A
+// -flame-only run is untraced. A failed verification or sanitizer
+// replay still prints every section and writes every file before the
+// errors return.
+func runSingle(out io.Writer, cfgs []bench.RunConfig, s single) error {
+	traced := s.streamDir != "" || s.tracePath != "" || s.sanitize || s.critpath
+	for i := range cfgs {
+		cfg := &cfgs[i]
+		cfg.Profile = s.flamePath != ""
+		cfg.CritPath = s.critpath
+		cfg.StreamDir, cfg.StreamInterval = s.streamDir, s.interval
+		if cfg.StreamDir == "" && traced {
+			dir, err := os.MkdirTemp("", "slpmtbench-stream-")
+			if err != nil {
+				return fmt.Errorf("binlog dir: %w", err)
+			}
+			defer os.RemoveAll(dir)
+			cfg.StreamDir = dir
 		}
-		defer os.RemoveAll(dir)
-		cfg.StreamDir = dir
 	}
-	r := bench.Run(cfg)
+	results, err := bench.RunAll(cfgs)
+	if err != nil {
+		return err
+	}
 	var errs []error
-	if r.VerifyErr != nil {
-		errs = append(errs, fmt.Errorf("%s/%s failed verification: %v", cfg.Scheme, cfg.Workload, r.VerifyErr))
-	}
-	fmt.Fprintf(out, "run: %s/%s n=%d value=%dB cores=%d seed=%d\ncycles: %d\n",
-		cfg.Scheme, cfg.Workload, r.N, r.ValueSize, max(cfg.Cores, 1), cfg.Seed, r.Cycles)
-
-	var d *stream.Dir
-	if cfg.StreamDir != "" {
-		var err error
-		if d, err = stream.Open(cfg.StreamDir); err != nil {
+	for i := range results {
+		r := &results[i]
+		if i > 0 {
+			fmt.Fprintln(out)
+		}
+		fmt.Fprintf(out, "workload=%s scheme=%s n=%d value=%dB\n", r.Workload, r.Scheme, r.N, r.ValueSize)
+		fmt.Fprintf(out, "cycles=%d (%.1f us simulated)  pm-writes=%d bytes (%.1f per op)\n",
+			r.Cycles, float64(r.Cycles)/2000, r.PMWriteBytes(), float64(r.PMWriteBytes())/float64(r.N))
+		fmt.Fprintf(out, "cycles/op=%.0f\n\n%s", float64(r.Cycles)/float64(r.N), r.Counters.String())
+		if r.VerifyErr != nil {
+			errs = append(errs, fmt.Errorf("%s/%s failed verification: %v", r.Scheme, r.Workload, r.VerifyErr))
+		}
+		if s.flamePath != "" {
+			if err := printFlame(out, r, s.flamePath); err != nil {
+				return err
+			}
+		}
+		if !traced {
+			continue
+		}
+		d, err := stream.Open(r.StreamDir)
+		if err != nil {
 			return err
 		}
 		if s.streamDir != "" {
-			fmt.Fprintf(out, "binlog: %d segments in %s, closed=%v\n", len(d.Segments()), s.streamDir, d.Closed())
+			fmt.Fprintf(out, "\nbinlog: %d segments in %s, closed=%v\n", len(d.Segments()), s.streamDir, d.Closed())
 			fmt.Fprintf(out, "telemetry: %d intervals in %s\n",
 				len(r.Intervals.Intervals), filepath.Join(s.streamDir, bench.TelemetryFile))
 		}
-		fmt.Fprintf(out, "events: %d captured, %d dropped\n\n%s", r.Summary.Events, r.Summary.Dropped, r.Summary.String())
-		if r.WPQ != nil {
-			fmt.Fprintf(out, "\nWPQ occupancy over the run (high-water %dB, mean %dB):\n%s",
-				r.Counters.WPQOccMaxBytes, r.Counters.WPQOccAvgBytes, r.WPQ.String())
-		}
+		errs = append(errs, printEvents(out, d, r, s))
 	}
+	return errors.Join(errs...)
+}
 
-	if s.flamePath != "" {
-		if err := r.Causes.Conserved(); err != nil {
-			return fmt.Errorf("attribution broke conservation: %w", err)
-		}
-		merged := r.Causes.Merged()
-		total := merged.Sum()
-		fmt.Fprintf(out, "\nattributed core-cycles: %d (conservation holds on all %d cores)\n\n", total, max(cfg.Cores, 1))
-		for _, name := range r.Causes.SortedNames() {
-			c, _ := profile.ByName(name)
-			fmt.Fprintf(out, "%6.2f%%  %-13s %12d  %s\n",
-				100*float64(merged[c])/float64(total), name, merged[c], report.CauseHelp(name))
-		}
-		if err := writeFile(s.flamePath, func(w io.Writer) error {
-			return profile.WriteFolded(w, cfg.Scheme+";"+cfg.Workload, r.Causes)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", s.flamePath)
+// printFlame prints r's cycle attribution and writes its folded stacks
+// to path.
+func printFlame(out io.Writer, r *bench.Result, path string) error {
+	if err := r.Causes.Conserved(); err != nil {
+		return fmt.Errorf("attribution broke conservation: %w", err)
+	}
+	merged := r.Causes.Merged()
+	total := merged.Sum()
+	fmt.Fprintf(out, "\nattributed core-cycles: %d (conservation holds on all %d cores)\n\n", total, max(r.Cores, 1))
+	for _, name := range r.Causes.SortedNames() {
+		c, _ := profile.ByName(name)
+		fmt.Fprintf(out, "%6.2f%%  %-13s %12d  %s\n",
+			100*float64(merged[c])/float64(total), name, merged[c], report.CauseHelp(name))
+	}
+	if err := writeFile(path, func(w io.Writer) error {
+		return profile.WriteFolded(w, r.Scheme+";"+r.Workload, r.Causes)
+	}); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "wrote %s\n", path)
+	return nil
+}
+
+// printEvents prints the event sections of a run whose events d holds
+// and r has reduced (Result.ReduceEvents): the event count and latency
+// summary, the WPQ series, the Perfetto export, the sanitizer replay
+// and the critical path. A live run and -replay both print through it,
+// so their sections match byte for byte; only a live -trace-stream run
+// (s.streamDir) also writes critpath.txt. The sanitizer's verdict is
+// returned after every section is printed.
+func printEvents(out io.Writer, d *stream.Dir, r *bench.Result, s single) error {
+	fmt.Fprintf(out, "\nevents: %d captured, %d dropped\n\n%s", r.Summary.Events, r.Summary.Dropped, r.Summary.String())
+	if r.WPQ != nil {
+		fmt.Fprintf(out, "\nWPQ occupancy over the run:\n%s", r.WPQ.String())
 	}
 
 	if s.tracePath != "" {
@@ -108,9 +136,10 @@ func runSingle(out io.Writer, cfg bench.RunConfig, s single) error {
 		}); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "\nwrote %s (%d events)\n", s.tracePath, len(evs))
+		fmt.Fprintf(out, "wrote %s (%d events)\n", s.tracePath, len(evs))
 	}
 
+	var verdict error
 	if s.sanitize {
 		zs := stream.NewSanitize()
 		if _, err := stream.Feed(d, zs); err != nil {
@@ -124,9 +153,9 @@ func runSingle(out io.Writer, cfg bench.RunConfig, s single) error {
 		}
 		switch {
 		case rep.Truncated:
-			errs = append(errs, fmt.Errorf("run dropped %d events; the sanitizer replay is unsound", r.Summary.Dropped))
+			verdict = fmt.Errorf("run dropped %d events; the sanitizer replay is unsound", r.Summary.Dropped)
 		case !rep.Clean():
-			errs = append(errs, fmt.Errorf("%d persist-order violations", rep.Total))
+			verdict = fmt.Errorf("%d persist-order violations", rep.Total)
 		default:
 			fmt.Fprintln(out, "persist-order sanitizer: 0 violations")
 		}
@@ -138,12 +167,12 @@ func runSingle(out io.Writer, cfg bench.RunConfig, s single) error {
 		if s.streamDir != "" {
 			path := filepath.Join(s.streamDir, "critpath.txt")
 			if err := os.WriteFile(path, []byte(rep), 0o644); err != nil {
-				return fmt.Errorf("critpath report: %w", err)
+				return errors.Join(verdict, fmt.Errorf("critpath report: %w", err))
 			}
 			fmt.Fprintf(out, "wrote %s\n", path)
 		}
 	}
-	return errors.Join(errs...)
+	return verdict
 }
 
 // writeFile creates path and fills it with write.

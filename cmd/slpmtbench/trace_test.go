@@ -64,9 +64,8 @@ func TestTracedRunEmitsPerfettoSchema(t *testing.T) {
 	t.Setenv("TMPDIR", tmp)
 	path := filepath.Join(t.TempDir(), "out.json")
 	var out bytes.Buffer
-	cfg := bench.RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 80, ValueSize: 64, Cores: 2, Verify: true}
-	if err := runSingle(&out, cfg, single{tracePath: path}); err != nil {
-		t.Fatalf("runSingle: %v", err)
+	if err := run([]string{"-workload", "hashtable", "-n", "80", "-value", "64", "-cores", "2", "-trace", path}, &out); err != nil {
+		t.Fatalf("run: %v", err)
 	}
 
 	for _, want := range []string{"commit latency (cycles): p50=", "WPQ occupancy over the run", "occ.max"} {
@@ -94,24 +93,26 @@ func TestTracedRunEmitsPerfettoSchema(t *testing.T) {
 func TestSingleRunAllSections(t *testing.T) {
 	dir := t.TempDir()
 	streamDir := filepath.Join(dir, "stream")
-	s := single{streamDir: streamDir, tracePath: filepath.Join(dir, "trace.json"),
-		flamePath: filepath.Join(dir, "run.folded"), sanitize: true, critpath: true, hotlines: 5}
+	tracePath, flamePath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "run.folded")
 	var out bytes.Buffer
-	cfg := bench.RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 80, ValueSize: 64, Cores: 2, Verify: true}
-	if err := runSingle(&out, cfg, s); err != nil {
-		t.Fatalf("runSingle: %v\n%s", err, out.String())
+	if err := run([]string{"-workload", "hashtable", "-n", "80", "-value", "64", "-cores", "2",
+		"-trace-stream", streamDir, "-trace", tracePath, "-flame", flamePath,
+		"-sanitize", "-critpath", "-hotlines", "5"}, &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
 	}
 	text := out.String()
 	for _, want := range []string{
-		"run: SLPMT/hashtable n=80 value=64B cores=2",
+		"workload=hashtable scheme=SLPMT n=80 value=64B\ncycles=",
+		"\ncycles/op=",
+		"\ntx.commits ",
 		"binlog: 1 segments in " + streamDir + ", closed=true",
 		"telemetry: ",
 		", 0 dropped",
 		"commit latency (cycles): p50=",
 		"WPQ occupancy over the run",
 		"attributed core-cycles: ",
-		"wrote " + s.flamePath,
-		"wrote " + s.tracePath + " (",
+		"wrote " + flamePath,
+		"wrote " + tracePath + " (",
 		"persist-order sanitizer: 0 violations",
 		"critical path: makespan ",
 		"hot lines (top 5 of ",
@@ -131,13 +132,79 @@ func TestSingleRunAllSections(t *testing.T) {
 	if err != nil || !strings.Contains(text, "\n"+string(rep)) {
 		t.Errorf("critpath.txt (%v) is not the printed report", err)
 	}
-	folded, err := os.ReadFile(s.flamePath)
+	folded, err := os.ReadFile(flamePath)
 	if err != nil || !strings.HasPrefix(string(folded), "SLPMT;hashtable;core0;") {
 		t.Errorf("folded stacks %q (%v): want SLPMT;hashtable;core0;... lines", folded, err)
 	}
 	// -critpath's and -flame's attribution profile adds charge instants.
-	if pd := readPerfetto(t, s.tracePath); pd.instants["charge"] == 0 || pd.spans == 0 {
+	if pd := readPerfetto(t, tracePath); pd.instants["charge"] == 0 || pd.spans == 0 {
 		t.Errorf("trace export holds %d charge instants and %d spans; want both", pd.instants["charge"], pd.spans)
+	}
+}
+
+// eventSections returns a run's or replay's output from its event
+// count on, without the lines that name written files (only the live
+// run writes critpath.txt).
+func eventSections(t *testing.T, out string) string {
+	t.Helper()
+	i := strings.Index(out, "\nevents: ")
+	if i < 0 {
+		t.Fatalf("no event sections in:\n%s", out)
+	}
+	var keep []string
+	for _, l := range strings.SplitAfter(out[i:], "\n") {
+		if !strings.HasPrefix(l, "wrote ") {
+			keep = append(keep, l)
+		}
+	}
+	return strings.Join(keep, "")
+}
+
+// TestReplayMatchesLiveRun streams one small 2-core run and replays its
+// binlog: the dump lists its segments and events, and the replay's
+// latency summary, WPQ series, sanitizer and critical-path sections are
+// the live run's, byte for byte.
+func TestReplayMatchesLiveRun(t *testing.T) {
+	dir := t.TempDir()
+	var live, replayed bytes.Buffer
+	if err := run([]string{"-workload", "hashtable", "-n", "60", "-value", "64", "-cores", "2",
+		"-trace-stream", dir, "-sanitize", "-critpath", "-hotlines", "5"}, &live); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-replay", dir, "-records", "3", "-sanitize", "-critpath", "-hotlines", "5"}, &replayed); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"closed=true", "first 3 events:", "[  2] core=", "persist-order sanitizer: 0 violations", "critical path: makespan "} {
+		if !strings.Contains(replayed.String(), want) {
+			t.Errorf("replay lacks %q:\n%s", want, replayed.String())
+		}
+	}
+	if got, want := eventSections(t, replayed.String()), eventSections(t, live.String()); got != want {
+		t.Errorf("replayed sections differ from the live run's:\n%s\nlive:\n%s", got, want)
+	}
+}
+
+// TestSimOutputMatchesPreRefactorGolden pins a single run's counter
+// block to the golden captured from the pre-multi-core binaries
+// (commit 4495805): every scheme's block for one hashtable load on the
+// single-core platform is byte-identical.
+func TestSimOutputMatchesPreRefactorGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_sim_hashtable_n150_v64.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-workload", "hashtable", "-scheme", "all", "-n", "150", "-value", "64"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := out.String(), string(golden); got != want {
+		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("single-run output diverged from the golden at line %d:\n  want: %q\n  got:  %q", i+1, wl[i], gl[i])
+			}
+		}
+		t.Fatalf("single-run output has %d lines, the golden %d", len(gl), len(wl))
 	}
 }
 

@@ -16,7 +16,7 @@ func critCfg() RunConfig {
 
 // TestCritPathContract is the conservation contract on a real run: the
 // critical-path length equals the measured makespan cycles and the
-// per-cause critical shares sum to the path. (critAnalyze enforces this
+// per-cause critical shares sum to the path. (reduceTrace enforces this
 // with a panic; the test pins the observable values too.)
 func TestCritPathContract(t *testing.T) {
 	r := Run(critCfg())

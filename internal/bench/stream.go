@@ -74,11 +74,12 @@ func (s *streamRun) finish(tr *trace.Tracer) {
 }
 
 // reduceTrace folds the measured region's events into the result: the
-// latency summary, the WPQ series and occupancy gauges, the telemetry
-// interval series when the run streamed, and the critical path when the
-// config asks for it. Every analysis is a stream consumer fed from one
-// source — the on-disk binlog when the run streamed (closed here first),
-// the tracer's ring otherwise — so both pipelines reduce identically.
+// telemetry interval series when the run streamed, ReduceEvents'
+// sections and the occupancy gauges. Every analysis reads one source —
+// the on-disk binlog when the run streamed (closed here first), the
+// tracer's ring otherwise — so both pipelines reduce identically. The
+// conservation contract is enforced here, not just reported: the
+// critical-path length must equal the run's measured makespan.
 func reduceTrace(res *Result, tr *trace.Tracer, sw *streamRun, pm interface {
 	OccupancyStats() (uint64, uint64)
 }) {
@@ -97,39 +98,50 @@ func reduceTrace(res *Result, tr *trace.Tracer, sw *streamRun, pm interface {
 		}
 		res.Intervals = &IntervalSeries{Intervals: sw.tele.Intervals()}
 	}
-	summ := stream.NewSummarizer()
-	st, err := stream.Feed(src, summ)
-	if err != nil {
-		panic(fmt.Sprintf("bench: replay trace: %v", err))
+	if err := res.ReduceEvents(src, tr.Dropped()); err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
 	}
-	res.Summary = summ.Summary(st.Events, tr.Dropped())
-	if res.WPQ, err = stream.BucketWPQ(src, 16); err != nil {
-		panic(fmt.Sprintf("bench: trace wpq: %v", err))
+	if res.CritPath != nil && res.CritPath.Makespan != res.Cycles {
+		panic(fmt.Sprintf("bench: critpath makespan %d != measured %d cycles", res.CritPath.Makespan, res.Cycles))
 	}
 	res.Counters.WPQOccMaxBytes, res.Counters.WPQOccAvgBytes = pm.OccupancyStats()
-	if res.RunConfig.CritPath {
-		res.CritPath = critAnalyze(src, tr.Dropped(), res.Cycles)
-	}
 }
 
-// critAnalyze runs the causal critical-path analysis over the measured
-// region's events. The conservation contract is enforced here, not
-// just reported: the critical-path length must equal the run's measured
-// makespan.
-func critAnalyze(src stream.Source, dropped, cycles uint64) *critpath.Analysis {
-	cp := critpath.New()
-	if _, err := stream.Feed(src, cp); err != nil {
-		panic(fmt.Sprintf("bench: critpath replay: %v", err))
+// ReduceEvents replays a measured region's events from src into r: the
+// latency summary, the 16-bucket WPQ series and, when
+// r.RunConfig.CritPath is set, the causal critical path with its
+// internal accounting checked. dropped is the tracer's drop count. A
+// live run reduces its binlog or ring through it and slpmtbench -replay
+// a saved binlog, so both print the same sections. The critical path
+// refuses a dropped or torn stream: its causal replay needs every
+// event.
+func (r *Result) ReduceEvents(src stream.Source, dropped uint64) error {
+	summ := stream.NewSummarizer()
+	cs := []stream.Consumer{summ}
+	var cp *critpath.Analyzer
+	if r.RunConfig.CritPath {
+		cp = critpath.New()
+		cs = append(cs, cp)
 	}
-	an, err := cp.Analyze(dropped)
+	st, err := stream.Feed(src, cs...)
 	if err != nil {
-		panic(fmt.Sprintf("bench: critpath: %v", err))
+		return fmt.Errorf("replay trace: %w", err)
 	}
-	if err := an.Check(); err != nil {
-		panic(fmt.Sprintf("bench: critpath: %v", err))
+	r.Summary = summ.Summary(st.Events, dropped)
+	if r.WPQ, err = stream.BucketWPQ(src, 16); err != nil {
+		return fmt.Errorf("trace wpq: %w", err)
 	}
-	if an.Makespan != cycles {
-		panic(fmt.Sprintf("bench: critpath makespan %d != measured %d cycles", an.Makespan, cycles))
+	if cp == nil {
+		return nil
 	}
-	return an
+	if st.Torn != nil {
+		return fmt.Errorf("critpath: %w (the causal replay needs a complete stream)", st.Torn)
+	}
+	if r.CritPath, err = cp.Analyze(dropped); err == nil {
+		err = r.CritPath.Check()
+	}
+	if err != nil {
+		return fmt.Errorf("critpath: %w", err)
+	}
+	return nil
 }

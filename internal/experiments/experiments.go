@@ -29,24 +29,15 @@ var registry = []struct {
 	{"window", Window}, {"numa", Numa}, {"critpath", CritPath},
 }
 
-// Run executes the named experiment, or every one for "all", writing
-// tables to w.
+// Run executes the named experiment, writing its tables to w.
+// slpmtbench's "all" runs every one of Names in turn.
 func Run(w io.Writer, name string, base bench.RunConfig) error {
 	for _, e := range registry {
 		if e.name == name {
 			return e.run(w, base)
 		}
 	}
-	if name != "all" {
-		return fmt.Errorf("unknown experiment %q (have %s)", name, NamesHelp())
-	}
-	for _, e := range registry {
-		if err := e.run(w, base); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
+	return fmt.Errorf("unknown experiment %q (have %s, all)", name, strings.Join(Names(), ", "))
 }
 
 // Names returns the individual experiment names in the order "all" runs
@@ -58,10 +49,6 @@ func Names() []string {
 	}
 	return out
 }
-
-// NamesHelp lists the names Run accepts, "all" last, for help and
-// error text.
-func NamesHelp() string { return strings.Join(append(Names(), "all"), ", ") }
 
 // checkVerify fails fast if any run's invariant check failed. The scan
 // order is deterministic so the reported failure (and therefore the

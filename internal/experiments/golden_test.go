@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -76,36 +74,6 @@ func TestSingleCoreOutputMatchesPreRefactorGolden(t *testing.T) {
 	got := maskHostTime(buf.String())
 	if got != want {
 		t.Errorf("single-core experiment output diverged from pre-refactor golden%s",
-			firstDiff(want, got))
-	}
-}
-
-func TestSimOutputMatchesPreRefactorGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("execs the go tool; skipped in -short")
-	}
-	golden, err := os.ReadFile(filepath.Join("testdata", "golden_sim_hashtable_n150_v64.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gobin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skipf("go tool not on PATH: %v", err)
-	}
-	_, thisFile, _, ok := runtime.Caller(0)
-	if !ok {
-		t.Fatal("cannot locate test file")
-	}
-	repoRoot := filepath.Dir(filepath.Dir(filepath.Dir(thisFile)))
-	cmd := exec.Command(gobin, "run", "./cmd/slpmtsim",
-		"-workload", "hashtable", "-scheme", "all", "-n", "150", "-value", "64")
-	cmd.Dir = repoRoot
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("slpmtsim: %v\n%s", err, out)
-	}
-	if got, want := string(out), string(golden); got != want {
-		t.Errorf("slpmtsim single-core output diverged from pre-refactor golden%s",
 			firstDiff(want, got))
 	}
 }

@@ -107,30 +107,10 @@ func (d *Dir) Header(idx int) (SegmentHeader, error) {
 // rotation guarantees only the final segment can legitimately tear.
 func (d *Dir) Iter(fn func(trace.Event)) (*Stats, error) {
 	st := &Stats{Closed: d.closed}
-	for i, name := range d.segs {
-		data, err := os.ReadFile(filepath.Join(d.path, name))
-		if err != nil {
+	for i := range d.segs {
+		if err := d.readSegment(i, st, fn); err != nil || st.Torn != nil {
 			return st, err
 		}
-		n := 0
-		hdr, off, ok, err := decodeSegment(data, func(e trace.Event) {
-			n++
-			fn(e)
-		})
-		st.Events += n
-		st.Segments++
-		if err != nil {
-			return st, fmt.Errorf("stream: segment %s: %w", name, err)
-		}
-		if !ok {
-			torn := &TornError{Segment: name, Offset: off}
-			if i != len(d.segs)-1 {
-				return st, torn
-			}
-			st.Torn = torn
-			return st, nil
-		}
-		st.Dropped = hdr.Dropped
 	}
 	return st, nil
 }
@@ -151,6 +131,7 @@ func (d *Dir) Follow(fn func(trace.Event), poll time.Duration) (*Stats, error) {
 		if err := d.rescan(); err != nil {
 			return st, err
 		}
+		st.Closed = d.closed
 		// Segments strictly before the last are complete; with the
 		// sentinel present the last one is too.
 		complete := len(d.segs)
@@ -158,35 +139,46 @@ func (d *Dir) Follow(fn func(trace.Event), poll time.Duration) (*Stats, error) {
 			complete--
 		}
 		for ; read < complete; read++ {
-			data, err := os.ReadFile(filepath.Join(d.path, d.segs[read]))
-			if err != nil {
+			if err := d.readSegment(read, st, fn); err != nil || st.Torn != nil {
 				return st, err
 			}
-			n := 0
-			hdr, off, ok, err := decodeSegment(data, func(e trace.Event) {
-				n++
-				fn(e)
-			})
-			st.Events += n
-			st.Segments++
-			if err != nil {
-				return st, fmt.Errorf("stream: segment %s: %w", d.segs[read], err)
-			}
-			if !ok {
-				torn := &TornError{Segment: d.segs[read], Offset: off}
-				if d.closed && read == len(d.segs)-1 {
-					st.Torn = torn
-					st.Closed = true
-					return st, nil
-				}
-				return st, torn
-			}
-			st.Dropped = hdr.Dropped
 		}
 		if d.closed {
-			st.Closed = true
 			return st, nil
 		}
 		time.Sleep(poll)
 	}
+}
+
+// readSegment delivers the idx'th segment's events through fn and
+// folds it into st. A tear in the last segment is the durable prefix:
+// it sets st.Torn. A tear in any earlier one is corruption and a hard
+// error. (Follow never reads the last segment of a live stream, which
+// is still being written.)
+func (d *Dir) readSegment(idx int, st *Stats, fn func(trace.Event)) error {
+	name := d.segs[idx]
+	data, err := os.ReadFile(filepath.Join(d.path, name))
+	if err != nil {
+		return err
+	}
+	n := 0
+	hdr, off, ok, err := decodeSegment(data, func(e trace.Event) {
+		n++
+		fn(e)
+	})
+	st.Events += n
+	st.Segments++
+	if err != nil {
+		return fmt.Errorf("stream: segment %s: %w", name, err)
+	}
+	if !ok {
+		torn := &TornError{Segment: name, Offset: off}
+		if idx != len(d.segs)-1 {
+			return torn
+		}
+		st.Torn = torn
+		return nil
+	}
+	st.Dropped = hdr.Dropped
+	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"github.com/persistmem/slpmt/internal/profile"
 	"github.com/persistmem/slpmt/internal/trace"
@@ -67,6 +68,13 @@ func readAll(src Source) ([]trace.Event, *Stats, error) {
 	var events []trace.Event
 	st, err := src.Iter(func(e trace.Event) { events = append(events, e) })
 	return events, st, err
+}
+
+// followSource reads a closed stream through Dir.Follow.
+type followSource struct{ d *Dir }
+
+func (f followSource) Iter(fn func(trace.Event)) (*Stats, error) {
+	return f.d.Follow(fn, time.Millisecond)
 }
 
 // summarize feeds src to a fresh Summarizer and renders its summary.
@@ -243,25 +251,31 @@ func TestTornLastSegment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, st, err := readAll(dd)
-		if err != nil {
-			t.Fatalf("cut=%d: %v", cut, err)
-		}
-		if st.Torn == nil {
-			t.Fatalf("cut=%d: tear not reported", cut)
-		}
-		if st.Torn.Segment != segs[len(segs)-1] || st.Torn.Offset != int64(cut) {
-			t.Fatalf("cut=%d: tear at %s+%d", cut, st.Torn.Segment, st.Torn.Offset)
-		}
-		wantN := durable
-		if cut > headerLen {
-			wantN += (cut - headerLen) / trace.RecordSize
-		}
-		if len(got) != wantN {
-			t.Fatalf("cut=%d: recovered %d events, want %d", cut, len(got), wantN)
-		}
-		if !reflect.DeepEqual(got, evs[:wantN]) {
-			t.Fatalf("cut=%d: recovered prefix differs", cut)
+		// Iter and Follow (the stream is closed) must both recover it.
+		for _, read := range []struct {
+			name string
+			src  Source
+		}{{"Iter", dd}, {"Follow", followSource{dd}}} {
+			got, st, err := readAll(read.src)
+			if err != nil {
+				t.Fatalf("%s cut=%d: %v", read.name, cut, err)
+			}
+			if st.Torn == nil {
+				t.Fatalf("%s cut=%d: tear not reported", read.name, cut)
+			}
+			if st.Torn.Segment != segs[len(segs)-1] || st.Torn.Offset != int64(cut) {
+				t.Fatalf("%s cut=%d: tear at %s+%d", read.name, cut, st.Torn.Segment, st.Torn.Offset)
+			}
+			wantN := durable
+			if cut > headerLen {
+				wantN += (cut - headerLen) / trace.RecordSize
+			}
+			if len(got) != wantN {
+				t.Fatalf("%s cut=%d: recovered %d events, want %d", read.name, cut, len(got), wantN)
+			}
+			if !reflect.DeepEqual(got, evs[:wantN]) {
+				t.Fatalf("%s cut=%d: recovered prefix differs", read.name, cut)
+			}
 		}
 	}
 	// A torn non-final segment is corruption, not recovery.

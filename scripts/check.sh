@@ -6,7 +6,9 @@
 # microbenchmark and of the cluster constructor benchmark,
 # race-detector passes, and one traced 2-core run replayed through the
 # persist-order sanitizer and the critical-path analyzer, exported to
-# Perfetto and profiled into folded stacks.
+# Perfetto and profiled into folded stacks, whose saved binlog
+# slpmtbench -replay then reads back to the live run's summary,
+# sanitizer and critical-path sections byte for byte.
 #
 # Usage: scripts/check.sh   (or: make check)
 set -eu
@@ -48,7 +50,7 @@ go test -run '^$' -bench '^BenchmarkNewCluster$' -benchtime 1x .
 echo "== go test -race (make race) =="
 make race
 
-echo "== traced run: streamed sanitizer, critical-path conservation, Perfetto and folded stacks (make trace-gate) =="
+echo "== traced run: streamed sanitizer, critical-path conservation, Perfetto, folded stacks and the -replay diff (make trace-gate) =="
 make trace-gate
 
 echo "ALL CHECKS PASSED"
