@@ -180,18 +180,9 @@ func run(args []string, out io.Writer) error {
 		return errors.New("-hotlines needs -critpath")
 	case len(cfgs) > 1 && (*streamD != "" || *tracePth != "" || *flamePth != ""):
 		return fmt.Errorf("-scheme %s: -trace-stream, -trace and -flame write one run's files; name one scheme", *scheme)
-	case *exp == "mixes":
-		// It runs ycsb.DefaultOps operations on one core.
-		for _, f := range []struct {
-			flag   string
-			v      int
-			ignore bool
-		}{{"-n", *n, *n != ycsb.DefaultOps}, {"-cores", *cores, *cores > 1},
-			{"-commit-window", *window, *window > 1}, {"-sockets", *sockets, *sockets > 1}} {
-			if f.ignore {
-				return fmt.Errorf("%s %d: -experiment mixes runs %d operations on one core and ignores it", f.flag, f.v, ycsb.DefaultOps)
-			}
-		}
+	case *exp == "mixes" && len(experiments.MixesIgnores(base)) > 0:
+		return fmt.Errorf("%s: -experiment mixes runs %d operations on one core and ignores it",
+			experiments.MixesIgnores(base)[0], ycsb.DefaultOps)
 	}
 
 	one := single{streamDir: *streamD, interval: *interval, tracePath: *tracePth, flamePath: *flamePth,
@@ -262,6 +253,11 @@ func run(args []string, out io.Writer) error {
 // runOne executes one experiment, optionally collecting every benchmark
 // result it produces into BENCH_<name>.json.
 func runOne(out io.Writer, name string, base bench.RunConfig, jsonOut bool) error {
+	// An explicit -experiment mixes rejects the flags it ignores; inside
+	// "all" it says so before its table.
+	if ig := experiments.MixesIgnores(base); name == "mixes" && len(ig) > 0 {
+		fmt.Fprintf(out, "(mixes runs %d operations on one core; it ignores %s)\n", ycsb.DefaultOps, strings.Join(ig, ", "))
+	}
 	if !jsonOut {
 		return experiments.Run(out, name, base)
 	}

@@ -103,6 +103,26 @@ func TestMixesJSONRecordsEveryCell(t *testing.T) {
 	}
 }
 
+// Inside -experiment all, mixes says which flags it ignores in one line
+// before its table (an explicit -experiment mixes rejects them).
+func TestAllNamesFlagsMixesIgnores(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the mixes grid; skipped in -short")
+	}
+	var buf strings.Builder
+	if err := runOne(&buf, "mixes", bench.RunConfig{N: 200, Cores: 2, CommitWindow: 4, Sockets: 2, ValueSize: 32}, false); err != nil {
+		t.Fatal(err)
+	}
+	first, rest, _ := strings.Cut(buf.String(), "\n")
+	const want = "(mixes runs 1000 operations on one core; it ignores -n 200, -cores 2, -commit-window 4, -sockets 2)"
+	if first != want {
+		t.Fatalf("first line %q, want %q", first, want)
+	}
+	if !strings.HasPrefix(rest, "YCSB mixes on kv-btree") {
+		t.Fatalf("the note is not followed by the mixes table:\n%s", rest)
+	}
+}
+
 func TestScalingJSONDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the scaling sweep twice; skipped in -short")

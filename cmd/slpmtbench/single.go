@@ -115,33 +115,33 @@ func printFlame(out io.Writer, r *bench.Result, path string) error {
 
 // printEvents prints the event sections of a run whose events d holds
 // and r has reduced (Result.ReduceEvents): the event count and latency
-// summary, the WPQ series, the Perfetto export, the sanitizer replay
+// summary, the WPQ series bucketed from d, the Perfetto export, the sanitizer replay
 // and the critical path. A live run and -replay both print through it,
 // so their sections match byte for byte; only a live -trace-stream run
 // (s.streamDir) also writes critpath.txt. The sanitizer's verdict is
 // returned after every section is printed.
 func printEvents(out io.Writer, d *stream.Dir, r *bench.Result, s single) error {
 	fmt.Fprintf(out, "\nevents: %d captured, %d dropped\n\n%s", r.Summary.Events, r.Summary.Dropped, r.Summary.String())
-	if r.WPQ != nil {
-		fmt.Fprintf(out, "\nWPQ occupancy over the run:\n%s", r.WPQ.String())
+	wpq, err := stream.BucketWPQ(d, 16)
+	if err != nil {
+		return fmt.Errorf("trace wpq: %w", err)
+	}
+	if wpq != nil {
+		fmt.Fprintf(out, "\nWPQ occupancy over the run:\n%s", wpq.String())
 	}
 
 	if s.tracePath != "" {
-		var evs []trace.Event
-		if _, err := d.Iter(func(e trace.Event) { evs = append(evs, e) }); err != nil {
+		if err := writeFile(s.tracePath, func(w io.Writer) error {
+			return trace.WritePerfetto(w, d.ByCycle, trace.PerfettoOptions{})
+		}); err != nil {
 			return fmt.Errorf("trace export: %w", err)
 		}
-		if err := writeFile(s.tracePath, func(w io.Writer) error {
-			return trace.WritePerfetto(w, evs, trace.PerfettoOptions{})
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s (%d events)\n", s.tracePath, len(evs))
+		fmt.Fprintf(out, "wrote %s (%d events)\n", s.tracePath, r.Summary.Events)
 	}
 
 	var verdict error
 	if s.sanitize {
-		zs := stream.NewSanitize()
+		zs := trace.NewSanitizer()
 		if _, err := stream.Feed(d, zs); err != nil {
 			return fmt.Errorf("sanitizer replay: %w", err)
 		}

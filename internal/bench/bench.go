@@ -72,43 +72,41 @@ type RunConfig struct {
 	// twice that); 0 keeps the pmem defaults. The NUMA experiment's
 	// local/remote-ratio knob. Only meaningful with Sockets > 1.
 	RemoteNanos uint64
-	// Trace, when non-nil, attaches this tracer to the run's machine and
-	// the result carries the reduced latency/WPQ metrics. The caller
-	// owns the tracer (full event detail); setup events are cleared so
-	// the ring holds the measured region. One tracer must not be shared
-	// across concurrently executing runs (see SetParallelism).
+	// Trace, when non-nil, records the run into this tracer instead of
+	// an internal StreamRingEvents ring; it is the tests' reference
+	// path. The caller owns the tracer (full event detail); setup
+	// events are cleared so the ring holds the measured region, and
+	// without StreamDir the result's Summary and CritPath are reduced
+	// from the ring after the run. One tracer must not be shared across
+	// concurrently executing runs (see SetParallelism).
 	Trace *trace.Tracer
-	// Metrics, when Trace is nil, attaches an internal metrics-masked
-	// tracer (transaction lifecycle + WPQ kinds only) sized for
-	// reduction rather than export, populating Result.Summary and
-	// Result.WPQ without the caller managing a tracer.
+	// Metrics, when Trace is nil, records the transaction lifecycle and
+	// WPQ kinds (trace.MetricsMask) into one StreamRingEvents ring whose
+	// spills feed the latency summarizer live, populating
+	// Result.Summary however long the run.
 	Metrics bool
 	// Profile attaches a cycle-attribution profile to the run's machine
 	// and populates Result.Causes with the measured region's breakdown.
 	// Observation-only: cycles, counters and non-KCharge trace events
 	// are identical with or without it.
 	Profile bool
-	// StreamDir, when non-empty, streams the measured region's trace to
-	// an on-disk SLPSEG01 binlog in this directory: a spill sink is
-	// attached so the ring never drops however long the run, the
-	// Summary/WPQ reductions replay the binlog through the online
-	// consumers (identical to the in-memory ones by construction), and
+	// StreamDir, when non-empty, also keeps the measured region's trace
+	// as an on-disk SLPSEG01 binlog in this directory: the segment
+	// writer is one more consumer of the ring's spills, and
 	// Result.Intervals carries the live telemetry series (also written
-	// as NDJSON to StreamDir/telemetry.ndjson). Without Trace or
-	// Metrics, a full-detail spill ring of StreamRingEvents is
-	// attached. Observation-only: simulated cycles, counters, and
-	// goldens are byte-identical with streaming on.
+	// as NDJSON to StreamDir/telemetry.ndjson). Without Trace or Metrics
+	// the ring records full detail. Observation-only: simulated cycles,
+	// counters, and goldens are byte-identical with streaming on.
 	StreamDir string
 	// StreamInterval is the telemetry snapshot window in simulated
 	// cycles (0 = the stream package default).
 	StreamInterval uint64
-	// CritPath replays the measured region's trace through the causal
-	// critical-path analyzer and populates Result.CritPath. Implies a
-	// cycle-attribution profile (the analysis consumes the KCharge
-	// stream) and, without a caller tracer, attaches a full-detail one
-	// (CritPathRingEvents; streamed runs replay the binlog instead, so
-	// the ring size never matters there). Observation-only like Profile:
-	// cycles, counters and goldens are byte-identical with it on.
+	// CritPath feeds the measured region's full-detail trace to the
+	// causal critical-path analyzer as the ring spills and populates
+	// Result.CritPath. Implies a cycle-attribution profile (the
+	// analysis consumes the KCharge stream). Observation-only like
+	// Profile: cycles, counters and goldens are byte-identical with it
+	// on.
 	CritPath bool
 }
 
@@ -157,11 +155,8 @@ type Result struct {
 	// Counters is the counter delta over the measured region.
 	Counters stats.Counters
 	// Summary holds the trace-derived latency percentiles; zero unless
-	// the run was traced (Trace or Metrics set).
+	// the run was traced (Trace, Metrics, StreamDir or CritPath set).
 	Summary trace.Summary
-	// WPQ is the time-bucketed WPQ occupancy/stall series; nil unless
-	// the run was traced. A pointer keeps Result comparable with ==.
-	WPQ *trace.WPQSeries
 	// Causes is the cycle-attribution breakdown of the measured region,
 	// snapshotted before verification; nil unless Profile was set. A
 	// pointer keeps Result comparable with ==.
@@ -175,10 +170,11 @@ type Result struct {
 	// comparable.
 	Intervals *IntervalSeries
 	// CritPath is the causal critical-path analysis of the measured
-	// region; nil unless RunConfig.CritPath was set. The conservation
-	// contract (path length == Cycles, per-cause shares sum to the
-	// path) is checked before the result is returned. A pointer keeps
-	// Result comparable.
+	// region: the path, slack top, what-ifs and hot lines, with the
+	// DAG's size but not the DAG itself; nil unless RunConfig.CritPath
+	// was set. The conservation contract (path length == Cycles,
+	// per-cause shares sum to the path) is checked before the result is
+	// returned. A pointer keeps Result comparable.
 	CritPath *critpath.Analysis
 	// VerifyErr is non-nil if the post-run invariant check failed.
 	VerifyErr error
@@ -199,30 +195,6 @@ type IntervalSeries struct {
 	Intervals []stream.Interval
 }
 
-// runTracer resolves the tracer a run should attach: the caller's
-// full-detail tracer, an internal metrics-masked one, or nil.
-func runTracer(cfg RunConfig) *trace.Tracer {
-	if cfg.Trace != nil {
-		return cfg.Trace
-	}
-	if cfg.CritPath {
-		// The analysis needs full event detail (charges, stores,
-		// coherence, WPQ, signature hits) — a metrics-masked ring would
-		// starve it. Streamed runs spill, so the capacity is only the
-		// handoff granularity there.
-		if cfg.StreamDir != "" {
-			return trace.New(StreamRingEvents)
-		}
-		return trace.New(CritPathRingEvents)
-	}
-	if cfg.Metrics {
-		tr := trace.New(trace.MetricsCapacity)
-		tr.SetMask(trace.MetricsMask())
-		return tr
-	}
-	return nil
-}
-
 // Run executes one benchmark on a Cores-wide cluster (0 or 1 = one
 // core): the structure is built (and a Mix's table preloaded) once on
 // core 0, the deterministic op stream is sharded round-robin across the
@@ -238,9 +210,16 @@ func Run(cfg RunConfig) Result {
 	var mc machine.Config
 	mc.PM.Banks = cfg.Banks
 	mc.PM.WPQBytes = cfg.WPQBytes
-	tr := runTracer(cfg)
-	if cfg.StreamDir != "" && tr == nil {
+	// The caller's tracer, or one StreamRingEvents ring for a Metrics,
+	// CritPath or StreamDir run: full detail unless only Metrics asks,
+	// since the critical path needs charges, stores, coherence and
+	// signature hits.
+	tr := cfg.Trace
+	if tr == nil && (cfg.Metrics || cfg.CritPath || cfg.StreamDir != "") {
 		tr = trace.New(StreamRingEvents)
+		if cfg.Metrics && !cfg.CritPath {
+			tr.SetMask(trace.MetricsMask())
+		}
 	}
 	var prof *profile.Profile
 	if cfg.Profile || cfg.CritPath {
@@ -291,14 +270,14 @@ func Run(cfg RunConfig) Result {
 	// The window restarts at the measured region's boundary.
 	topo := cl.Plat.Topo
 	topo.ResetOccupancy(startClk)
-	var sw *streamRun
+	var pl *pipeline
 	if tr != nil {
 		// Drop setup events.
 		tr.Reset()
-		if cfg.StreamDir != "" {
-			// Attach the binlog sink after the boundary so the stream
-			// holds exactly the measured region.
-			sw = attachStream(cfg, tr)
+		if tr != cfg.Trace || cfg.StreamDir != "" {
+			// Attach the consumers after the boundary so they see
+			// exactly the measured region.
+			pl = attachStream(cfg, tr)
 		}
 	}
 	if prof != nil {
@@ -338,7 +317,7 @@ func Run(cfg RunConfig) Result {
 		res.Counters.WPQOccMaxBytes, res.Counters.WPQOccAvgBytes = topo.OccupancyStats()
 	}
 	if tr != nil {
-		reduceTrace(&res, tr, sw, topo)
+		reduceTrace(&res, tr, pl, topo)
 	}
 	if topo.Sockets() > 1 {
 		res.PerSocket = &SocketBreakdown{Stats: topo.SocketStats()}

@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
+
+	"github.com/persistmem/slpmt/internal/trace"
 )
 
 // critCfg is the critpath tests' standard cell: small enough to stay
@@ -127,5 +130,32 @@ func TestCritPathWindowProjectionBracket(t *testing.T) {
 			t.Errorf("%d cores: window-inf projection %.3fx outside [%.2f, %.2f] x measured %.3fx",
 				cores, proj, lo, hi, measured)
 		}
+	}
+}
+
+// A CritPath run without a binlog analyzes its events as the
+// StreamRingEvents ring spills: on a region that spills it several
+// times, its CritPath and Summary deep-equal those a caller's ring
+// large enough for the whole region reduces to.
+func TestCritPathSpilledMatchesCallerRing(t *testing.T) {
+	cfg := critCfg()
+	cfg.N = 1200
+	got := Run(cfg)
+	if got.Summary.Events < 4*StreamRingEvents {
+		t.Fatalf("region holds %d events; size it to spill the %d-event ring several times", got.Summary.Events, StreamRingEvents)
+	}
+	tr := trace.New(1 << 20)
+	ref := cfg
+	ref.Trace = tr
+	want := Run(ref)
+	if tr.Dropped() != 0 {
+		t.Fatalf("reference ring dropped %d events; enlarge it", tr.Dropped())
+	}
+	if got.Summary != want.Summary {
+		t.Fatalf("summary %+v, caller ring %+v", got.Summary, want.Summary)
+	}
+	if !reflect.DeepEqual(got.CritPath, want.CritPath) {
+		t.Fatalf("critical path differs from the caller ring's:\n--- spilled ---\n%s\n--- caller ring ---\n%s",
+			got.CritPath.Render(10), want.CritPath.Render(10))
 	}
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,95 +11,119 @@ import (
 	"github.com/persistmem/slpmt/internal/trace/stream"
 )
 
-// StreamRingEvents is the spill-ring capacity attached when a run
-// streams (RunConfig.StreamDir) without a caller-provided tracer: small
-// enough that trace-side memory is dominated by the segment buffer, big
-// enough that spill handoffs amortize.
+// StreamRingEvents is the capacity of the one ring a Metrics, CritPath
+// or StreamDir run records into without a caller-provided tracer:
+// 2^15 events of 32 B, 1 MiB. Each full ring spills to the run's
+// consumers, so a run of any length holds two such buffers; the size
+// only sets how often spills hand over.
 const StreamRingEvents = 1 << 15
-
-// CritPathRingEvents is the in-memory ring attached for a critpath run
-// without a caller tracer or a stream dir: full event detail for the
-// whole measured region, sized so the analyzer's Dropped check holds on
-// the bench-scale runs the analysis targets (the analyzer refuses a
-// lossy stream; stream to disk for bigger regions).
-const CritPathRingEvents = 1 << 21
 
 // TelemetryFile is the NDJSON telemetry file written inside StreamDir:
 // one line per closed interval (see stream.Interval).
 const TelemetryFile = "telemetry.ndjson"
 
-// streamRun carries one run's streaming state between attach and
-// reduce.
-type streamRun struct {
+// pipeline is one run's online analyses (cs): the latency summarizer
+// and, for a CritPath run, the critical-path analyzer. A live run feeds
+// them its ring's spills through w, which with a StreamDir also runs
+// the telemetry and writes the binlog; a replay feeds them a saved
+// stream, so both reduce identically.
+type pipeline struct {
+	summ *stream.Summarizer
+	cp   *critpath.Analyzer
+	cs   []stream.Consumer
 	w    *stream.Writer
-	tele *stream.Telemetry
+	tele *stream.Telemetry // nil without a StreamDir
 	nd   *os.File
-	dir  string
 }
 
-// attachStream starts the binlog writer with a live telemetry
-// snapshotter and attaches it as the tracer's spill sink. Called after
-// the measured-region Reset so setup events never reach the stream.
-func attachStream(cfg RunConfig, tr *trace.Tracer) *streamRun {
-	if err := os.MkdirAll(cfg.StreamDir, 0o755); err != nil {
-		panic(fmt.Sprintf("bench: stream dir: %v", err))
+func newPipeline(critPath bool) *pipeline {
+	p := &pipeline{summ: stream.NewSummarizer()}
+	p.cs = []stream.Consumer{p.summ}
+	if critPath {
+		p.cp = critpath.New()
+		p.cs = append(p.cs, p.cp)
 	}
-	nd, err := os.Create(filepath.Join(cfg.StreamDir, TelemetryFile))
-	if err != nil {
-		panic(fmt.Sprintf("bench: telemetry file: %v", err))
+	return p
+}
+
+// reduce folds the analyses into r: the latency summary over events
+// stream events with dropped lost, and the critical path with its
+// internal accounting checked. The critical path refuses a dropped or
+// torn stream: its causal replay needs every event.
+func (p *pipeline) reduce(r *Result, events int, dropped uint64, torn *stream.TornError) error {
+	r.Summary = p.summ.Summary(events, dropped)
+	if p.cp == nil {
+		return nil
 	}
-	tele := stream.NewTelemetry(cfg.StreamInterval, nd)
-	w, err := stream.NewWriter(cfg.StreamDir, 0, tele)
+	if torn != nil {
+		return fmt.Errorf("critpath: %w (the causal replay needs a complete stream)", torn)
+	}
+	an, err := p.cp.Analyze(dropped)
+	if err == nil {
+		err = an.Check()
+	}
 	if err != nil {
-		nd.Close()
+		return fmt.Errorf("critpath: %w", err)
+	}
+	r.CritPath = an
+	return nil
+}
+
+// attachStream attaches the run's pipeline as the tracer's spill sink,
+// after the measured-region Reset so setup events never reach it.
+func attachStream(cfg RunConfig, tr *trace.Tracer) *pipeline {
+	p := newPipeline(cfg.CritPath)
+	cs := p.cs
+	if cfg.StreamDir != "" {
+		if err := os.MkdirAll(cfg.StreamDir, 0o755); err != nil {
+			panic(fmt.Sprintf("bench: stream dir: %v", err))
+		}
+		nd, err := os.Create(filepath.Join(cfg.StreamDir, TelemetryFile))
+		if err != nil {
+			panic(fmt.Sprintf("bench: telemetry file: %v", err))
+		}
+		p.nd, p.tele = nd, stream.NewTelemetry(cfg.StreamInterval, nd)
+		cs = append(cs, p.tele)
+	}
+	var err error
+	if p.w, err = stream.NewWriter(cfg.StreamDir, 0, cs...); err != nil {
 		panic(fmt.Sprintf("bench: stream writer: %v", err))
 	}
-	tr.SetSink(w)
-	return &streamRun{w: w, tele: tele, nd: nd, dir: cfg.StreamDir}
+	tr.SetSink(p.w)
+	return p
 }
 
-// finish flushes the ring's tail into the stream and closes the binlog
-// (final segment fsync + CLOSED sentinel). Must run after the last
-// trace event of the measured region (including the occupancy
-// retirement pass).
-func (s *streamRun) finish(tr *trace.Tracer) {
-	tr.Flush()
-	s.w.SetDropped(tr.Dropped())
-	if err := s.w.Close(); err != nil {
-		panic(fmt.Sprintf("bench: trace stream: %v", err))
-	}
-	if err := s.nd.Close(); err != nil {
-		panic(fmt.Sprintf("bench: telemetry file: %v", err))
-	}
-	tr.SetSink(nil)
-}
-
-// reduceTrace folds the measured region's events into the result: the
-// telemetry interval series when the run streamed, ReduceEvents'
-// sections and the occupancy gauges. Every analysis reads one source —
-// the on-disk binlog when the run streamed (closed here first), the
-// tracer's ring otherwise — so both pipelines reduce identically. The
-// conservation contract is enforced here, not just reported: the
+// reduceTrace folds the measured region's events into the result,
+// after the region's last trace event (the occupancy retirement pass
+// included). A live pipeline has reduced as it went and is finished
+// here; a caller's ring without a StreamDir (p == nil) is replayed
+// through ReduceEvents.
+// The conservation contract is enforced here, not just reported: the
 // critical-path length must equal the run's measured makespan.
-func reduceTrace(res *Result, tr *trace.Tracer, sw *streamRun, pm interface {
+func reduceTrace(res *Result, tr *trace.Tracer, p *pipeline, pm interface {
 	OccupancyStats() (uint64, uint64)
 }) {
-	var src stream.Source
-	if sw == nil {
-		src = stream.Events(tr.Events())
+	var err error
+	if p == nil {
+		err = res.ReduceEvents(stream.Events(tr.Events()), tr.Dropped())
 	} else {
-		sw.finish(tr)
-		d, err := stream.Open(sw.dir)
-		if err != nil {
-			panic(fmt.Sprintf("bench: open stream: %v", err))
+		// Hand the ring's tail to the consumers and close the writer
+		// (with a binlog: final segment fsync + CLOSED sentinel).
+		tr.Flush()
+		p.w.SetDropped(tr.Dropped())
+		if err := p.w.Close(); err != nil {
+			panic(fmt.Sprintf("bench: trace stream: %v", err))
 		}
-		src = d
-		if err := sw.tele.Err(); err != nil {
-			panic(fmt.Sprintf("bench: telemetry: %v", err))
+		tr.SetSink(nil)
+		if res.StreamDir != "" {
+			if err := errors.Join(p.nd.Close(), p.tele.Err()); err != nil {
+				panic(fmt.Sprintf("bench: telemetry: %v", err))
+			}
+			res.Intervals = &IntervalSeries{Intervals: p.tele.Intervals()}
 		}
-		res.Intervals = &IntervalSeries{Intervals: sw.tele.Intervals()}
+		err = p.reduce(res, int(p.w.Events()), tr.Dropped(), nil)
 	}
-	if err := res.ReduceEvents(src, tr.Dropped()); err != nil {
+	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
 	if res.CritPath != nil && res.CritPath.Makespan != res.Cycles {
@@ -108,40 +133,16 @@ func reduceTrace(res *Result, tr *trace.Tracer, sw *streamRun, pm interface {
 }
 
 // ReduceEvents replays a measured region's events from src into r: the
-// latency summary, the 16-bucket WPQ series and, when
-// r.RunConfig.CritPath is set, the causal critical path with its
-// internal accounting checked. dropped is the tracer's drop count. A
-// live run reduces its binlog or ring through it and slpmtbench -replay
-// a saved binlog, so both print the same sections. The critical path
-// refuses a dropped or torn stream: its causal replay needs every
-// event.
+// latency summary and, when r.RunConfig.CritPath is set, the causal
+// critical path with its internal accounting checked. dropped is the tracer's drop count.
+// slpmtbench -replay reduces a saved binlog through it, and a run a
+// caller's ring, with the pipeline a live run feeds, so every source
+// prints the same sections.
 func (r *Result) ReduceEvents(src stream.Source, dropped uint64) error {
-	summ := stream.NewSummarizer()
-	cs := []stream.Consumer{summ}
-	var cp *critpath.Analyzer
-	if r.RunConfig.CritPath {
-		cp = critpath.New()
-		cs = append(cs, cp)
-	}
-	st, err := stream.Feed(src, cs...)
+	p := newPipeline(r.RunConfig.CritPath)
+	st, err := stream.Feed(src, p.cs...)
 	if err != nil {
 		return fmt.Errorf("replay trace: %w", err)
 	}
-	r.Summary = summ.Summary(st.Events, dropped)
-	if r.WPQ, err = stream.BucketWPQ(src, 16); err != nil {
-		return fmt.Errorf("trace wpq: %w", err)
-	}
-	if cp == nil {
-		return nil
-	}
-	if st.Torn != nil {
-		return fmt.Errorf("critpath: %w (the causal replay needs a complete stream)", st.Torn)
-	}
-	if r.CritPath, err = cp.Analyze(dropped); err == nil {
-		err = r.CritPath.Check()
-	}
-	if err != nil {
-		return fmt.Errorf("critpath: %w", err)
-	}
-	return nil
+	return p.reduce(r, st.Events, dropped, st.Torn)
 }

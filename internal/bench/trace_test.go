@@ -35,9 +35,6 @@ func TestTracedRunIsTimingInvariant(t *testing.T) {
 		if got.Summary.CommitP50 == 0 || got.Summary.CommitP99 < got.Summary.CommitP50 {
 			t.Fatalf("cores=%d: implausible commit percentiles: %+v", cores, got.Summary)
 		}
-		if got.WPQ == nil || len(got.WPQ.Buckets) == 0 {
-			t.Fatalf("cores=%d: traced run produced no WPQ series", cores)
-		}
 	}
 }
 
@@ -85,5 +82,31 @@ func TestVerifyLeavesTraceRingToRegion(t *testing.T) {
 	}
 	if on.Mask() != trace.AllKinds {
 		t.Fatalf("tracer filter after Run = %#x, want AllKinds", on.Mask())
+	}
+}
+
+// A Metrics run reduces its events as the ring spills, so a region
+// with more masked events than a whole-region ring of 2^17 held drops
+// none, and its Summary is the one a caller's ring large enough for
+// the region reduces to.
+func TestMetricsRunDropsNothing(t *testing.T) {
+	cfg := RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 6000, ValueSize: 64, Metrics: true}
+	got := Run(cfg)
+	if got.Summary.Dropped != 0 {
+		t.Fatalf("metrics run dropped %d events", got.Summary.Dropped)
+	}
+	if got.Summary.Events <= 1<<17 {
+		t.Fatalf("region holds %d masked events; size it past 2^17", got.Summary.Events)
+	}
+	tr := trace.New(1 << 20)
+	tr.SetMask(trace.MetricsMask())
+	ref := cfg
+	ref.Metrics, ref.Trace = false, tr
+	want := Run(ref)
+	if tr.Dropped() != 0 {
+		t.Fatalf("reference ring dropped %d events; enlarge it", tr.Dropped())
+	}
+	if got.Summary != want.Summary {
+		t.Fatalf("metrics run summary %+v, caller ring %+v", got.Summary, want.Summary)
 	}
 }

@@ -1,6 +1,6 @@
 // Package critpath is the causal critical-path analyzer: it replays a
-// run's event stream (in-memory ring or SLPSEG01 binlog — the Analyzer
-// is an online stream consumer fed through stream.Feed) into a cross-core
+// run's event stream (the Analyzer is an online stream consumer, fed a
+// run's ring spills live or a saved binlog offline) into a cross-core
 // blocking DAG and answers the question per-core attribution cannot:
 // what chain of waits actually bounds the parallel makespan, and which
 // cache lines serialize it.
@@ -137,19 +137,18 @@ func blockingEdge(c profile.Cause) (EdgeKind, bool) {
 // Node is one DAG node: a maximal run of consecutive same-cause charge
 // segments on one core, [Start, End) in absolute cycles.
 type Node struct {
-	Core    int
-	Cause   profile.Cause
-	Start   uint64
-	End     uint64
-	Charges int // KCharge events coalesced into the node
+	Core  int
+	Cause profile.Cause
+	Start uint64
+	End   uint64
 }
 
 // Dur returns the node's duration in cycles.
 func (n Node) Dur() uint64 { return n.End - n.Start }
 
-// Edge is one waits-for DAG edge between node indices (into
-// Analysis.Nodes). Program-order edges are implicit per core and not
-// materialized; Edge carries only the cross-core wait relations.
+// Edge is one waits-for DAG edge between indices into the DAG's
+// core-major node list. Program-order edges are implicit per core and
+// not materialized; Edge carries only the cross-core wait relations.
 type Edge struct {
 	Kind     EdgeKind
 	From, To int
@@ -249,11 +248,11 @@ type Analysis struct {
 	Hops       int // cross-core hops on the path
 	HopsByEdge [numEdgeKinds]int
 
-	// The explicit DAG (for slack; the blame walk above is independent
-	// of it). Nodes are sorted by core then start; Edges carries the
-	// cross-core wait edges, sorted by (To, From, Kind).
-	Nodes    []Node
-	Edges    []Edge
+	// The explicit DAG's size: its nodes and cross-core wait edges. The
+	// DAG feeds the slack pass (the blame walk above is independent of
+	// it) and is not kept; SlackTop is what it yields.
+	Nodes    int
+	Edges    int
 	SlackTop []SlackEntry
 
 	WhatIf []Projection
@@ -300,13 +299,9 @@ type lineAgg struct {
 // emission order — the order both the ring and the binlog preserve —
 // then call Analyze once. Not safe for concurrent use.
 type Analyzer struct {
-	nodes    [256][]Node
-	openOK   [256]bool
-	base     [256]uint64
-	baseSeen [256]bool
-	totals   [256]profile.Vector
-	hints    [256][]hintRec
-	coreSeen [256]bool
+	nodes  [256][]Node // a core's region starts at its first node
+	totals [256]profile.Vector
+	hints  [256][]hintRec
 
 	lines map[uint64]*lineAgg
 
@@ -317,7 +312,6 @@ type Analyzer struct {
 
 	tileErr  error
 	causeErr error
-	events   uint64
 }
 
 // New returns an empty analyzer.
@@ -353,8 +347,6 @@ func (a *Analyzer) line(addr uint64) *lineAgg {
 
 // Consume folds one event into the analyzer.
 func (a *Analyzer) Consume(e trace.Event) {
-	a.events++
-	a.coreSeen[e.Core] = true
 	switch e.Kind {
 	case trace.KCharge:
 		a.consumeCharge(e)
@@ -438,12 +430,9 @@ func (a *Analyzer) consumeCharge(e trace.Event) {
 		return
 	}
 	start := e.Cycle - e.Arg
-	if !a.baseSeen[c] {
-		a.base[c], a.baseSeen[c] = start, true
-	}
 	a.totals[c][cause] += e.Arg
 	ns := a.nodes[c]
-	if a.openOK[c] {
+	if len(ns) > 0 {
 		top := &ns[len(ns)-1]
 		if top.End != start && a.tileErr == nil {
 			a.tileErr = fmt.Errorf("critpath: core %d charge stream does not tile: segment starts at %d, previous ends at %d",
@@ -451,12 +440,10 @@ func (a *Analyzer) consumeCharge(e trace.Event) {
 		}
 		if top.Cause == cause && top.End == start {
 			top.End = e.Cycle
-			top.Charges++
 			return
 		}
 	}
-	a.nodes[c] = append(ns, Node{Core: int(c), Cause: cause, Start: start, End: e.Cycle, Charges: 1})
-	a.openOK[c] = true
+	a.nodes[c] = append(ns, Node{Core: int(c), Cause: cause, Start: start, End: e.Cycle})
 }
 
 // Analyze computes the critical path, the DAG slack, the what-if
@@ -492,14 +479,14 @@ func (a *Analyzer) Analyze(dropped uint64) (*Analysis, error) {
 	start, end, m := ^uint64(0), uint64(0), cores[0]
 	for _, c := range cores {
 		ns := a.nodes[c]
-		if b := a.base[uint8(c)]; b < start {
+		if b := ns[0].Start; b < start {
 			start = b
 		}
 		if e := ns[len(ns)-1].End; e > end {
 			end, m = e, c
 		}
 		an.perCore = append(an.perCore, coreTotals{
-			core: c, base: a.base[uint8(c)], last: ns[len(ns)-1].End, causes: a.totals[c],
+			core: c, base: ns[0].Start, last: ns[len(ns)-1].End, causes: a.totals[c],
 		})
 		for cause, n := range a.totals[c] {
 			an.RawCycles[cause] += n
@@ -508,7 +495,9 @@ func (a *Analyzer) Analyze(dropped uint64) (*Analysis, error) {
 	an.Start, an.Makespan = start, end-start
 
 	a.walk(an, m, end)
-	a.dag(an, start, end)
+	nodes, edges := a.graph()
+	an.Nodes, an.Edges = len(nodes), len(edges)
+	an.SlackTop = slackTop(nodes, edges, end)
 	a.whatIf(an)
 	a.hotLines(an)
 	return an, nil
@@ -522,7 +511,7 @@ func (a *Analyzer) Analyze(dropped uint64) (*Analysis, error) {
 // end - base regardless of hop choices.
 func (a *Analyzer) walk(an *Analysis, m int, end uint64) {
 	x, cur := end, m
-	for x > a.base[uint8(cur)] {
+	for x > a.nodes[cur][0].Start {
 		ns := a.nodes[cur]
 		// Greatest segment with Start < x; tiling guarantees x <= End.
 		i := sort.Search(len(ns), func(i int) bool { return ns[i].Start >= x }) - 1
@@ -575,20 +564,22 @@ func (a *Analyzer) covers(c int, x uint64) bool {
 	if len(ns) == 0 {
 		return false
 	}
-	return a.base[uint8(c)] < x && x <= ns[len(ns)-1].End
+	return ns[0].Start < x && x <= ns[len(ns)-1].End
 }
 
-// dag materializes the flattened node list, the cross-core wait edges,
-// and the CPM slack pass.
-func (a *Analyzer) dag(an *Analysis, start, end uint64) {
+// graph materializes the DAG: the node list flattened core-major
+// (sorted by core, then start) and the cross-core wait edges, sorted
+// by (To, From, Kind).
+func (a *Analyzer) graph() ([]Node, []Edge) {
 	// Flatten nodes core-major; remember each core's offset.
+	var nodes []Node
 	off := map[int]int{}
 	for c := 0; c < 256; c++ {
 		if len(a.nodes[c]) == 0 {
 			continue
 		}
-		off[c] = len(an.Nodes)
-		an.Nodes = append(an.Nodes, a.nodes[c]...)
+		off[c] = len(nodes)
+		nodes = append(nodes, a.nodes[c]...)
 	}
 	// nodeAt finds the index of core c's node containing cycle
 	// (exclusive start, like the walk: [Start, End] covers Start < cycle
@@ -611,6 +602,7 @@ func (a *Analyzer) dag(an *Analysis, start, end uint64) {
 		}
 		return off[c] + i, true
 	}
+	var edges []Edge
 	seen := map[Edge]struct{}{}
 	for c := 0; c < 256; c++ {
 		for _, h := range a.hints[c] {
@@ -618,7 +610,7 @@ func (a *Analyzer) dag(an *Analysis, start, end uint64) {
 			if !ok {
 				continue
 			}
-			from, ok := lastBefore(int(h.peer), an.Nodes[to].Start)
+			from, ok := lastBefore(int(h.peer), nodes[to].Start)
 			if !ok {
 				continue
 			}
@@ -627,57 +619,63 @@ func (a *Analyzer) dag(an *Analysis, start, end uint64) {
 				continue
 			}
 			seen[e] = struct{}{}
-			an.Edges = append(an.Edges, e)
+			edges = append(edges, e)
 		}
 	}
-	sort.Slice(an.Edges, func(i, j int) bool {
-		if an.Edges[i].To != an.Edges[j].To {
-			return an.Edges[i].To < an.Edges[j].To
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].To != edges[j].To {
+			return edges[i].To < edges[j].To
 		}
-		if an.Edges[i].From != an.Edges[j].From {
-			return an.Edges[i].From < an.Edges[j].From
+		if edges[i].From != edges[j].From {
+			return edges[i].From < edges[j].From
 		}
-		return an.Edges[i].Kind < an.Edges[j].Kind
+		return edges[i].Kind < edges[j].Kind
 	})
+	return nodes, edges
+}
 
+// slackTop runs the CPM slack pass over the DAG and returns the nodes
+// with the most slack, capped at maxSlackTop. end is the makespan's
+// last cycle.
+func slackTop(nodes []Node, edges []Edge, end uint64) []SlackEntry {
 	// CPM backward pass for latest-finish times. Program-order edges
 	// chain each core; wait edges constrain the source to finish before
 	// the target starts (every edge satisfies End(from) <= Start(to), so
 	// processing nodes by descending End is reverse-topological).
-	lf := make([]uint64, len(an.Nodes))
+	lf := make([]uint64, len(nodes))
 	for i := range lf {
 		lf[i] = end
 	}
 	relax := func(from, to int) {
-		if ls := lf[to] - an.Nodes[to].Dur(); ls < lf[from] {
+		if ls := lf[to] - nodes[to].Dur(); ls < lf[from] {
 			lf[from] = ls
 		}
 	}
-	order := make([]int, len(an.Nodes))
+	order := make([]int, len(nodes))
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(i, j int) bool {
-		if an.Nodes[order[i]].End != an.Nodes[order[j]].End {
-			return an.Nodes[order[i]].End > an.Nodes[order[j]].End
+		if nodes[order[i]].End != nodes[order[j]].End {
+			return nodes[order[i]].End > nodes[order[j]].End
 		}
 		return order[i] > order[j]
 	})
 	inEdges := map[int][]Edge{}
-	for _, e := range an.Edges {
+	for _, e := range edges {
 		inEdges[e.To] = append(inEdges[e.To], e)
 	}
 	for _, v := range order {
 		// Program-order predecessor on the same core.
-		if v > 0 && an.Nodes[v-1].Core == an.Nodes[v].Core {
+		if v > 0 && nodes[v-1].Core == nodes[v].Core {
 			relax(v-1, v)
 		}
 		for _, e := range inEdges[v] {
 			relax(e.From, v)
 		}
 	}
-	entries := make([]SlackEntry, len(an.Nodes))
-	for i, n := range an.Nodes {
+	entries := make([]SlackEntry, len(nodes))
+	for i, n := range nodes {
 		entries[i] = SlackEntry{Node: n, Slack: lf[i] - n.End}
 	}
 	sort.Slice(entries, func(i, j int) bool {
@@ -695,8 +693,7 @@ func (a *Analyzer) dag(an *Analysis, start, end uint64) {
 	if len(entries) > maxSlackTop {
 		entries = entries[:maxSlackTop]
 	}
-	an.SlackTop = entries
-	_ = start
+	return entries
 }
 
 // whatIf computes the standard projections from the per-core totals.
@@ -797,7 +794,7 @@ func (an *Analysis) Render(hotN int) string {
 		fmt.Fprintf(&b, " (%s)", strings.Join(hs, " "))
 	}
 	b.WriteString("\n")
-	fmt.Fprintf(&b, "dag: %d nodes, %d wait edges\n", len(an.Nodes), len(an.Edges))
+	fmt.Fprintf(&b, "dag: %d nodes, %d wait edges\n", an.Nodes, an.Edges)
 
 	b.WriteString("\ncritical path by cause (critical share vs raw core-cycle share):\n")
 	rawTotal := an.RawCycles.Sum()
@@ -866,11 +863,4 @@ func sortedCauses(v *profile.Vector) []string {
 		names[i] = e.name
 	}
 	return names
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

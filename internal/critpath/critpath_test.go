@@ -109,10 +109,19 @@ func TestMicroDAGGolden(t *testing.T) {
 	// wait edge (core 1's first node -> core 0's stall node). The
 	// coherence hint at 1030 finds no source node that finishes before
 	// its target starts, so it stays a hint, not an edge.
-	if len(an.Nodes) != 5 || len(an.Edges) != 1 {
-		t.Fatalf("dag: %d nodes %d edges, want 5/1", len(an.Nodes), len(an.Edges))
+	// The Analysis keeps the counts; the analyzer rebuilds the DAG.
+	if an.Nodes != 5 || an.Edges != 1 {
+		t.Fatalf("dag: %d nodes %d edges, want 5/1", an.Nodes, an.Edges)
 	}
-	if e := an.Edges[0]; e.Kind != EdgeWPQDrain || e.From != 3 || e.To != 1 {
+	a := New()
+	if _, err := stream.Feed(stream.Events(microEvents()), a); err != nil {
+		t.Fatal(err)
+	}
+	nodes, edges := a.graph()
+	if len(nodes) != an.Nodes || len(edges) != an.Edges {
+		t.Fatalf("graph: %d nodes %d edges, analysis counted %d/%d", len(nodes), len(edges), an.Nodes, an.Edges)
+	}
+	if e := edges[0]; e.Kind != EdgeWPQDrain || e.From != 3 || e.To != 1 {
 		t.Fatalf("edge = %+v, want wpq.drain 3->1", e)
 	}
 

@@ -12,8 +12,8 @@ import (
 
 // critPathCores and critPathWindows are the cores x commit-window grid
 // the critpath experiment sweeps. The sweep is intentionally smaller
-// than ScalingCores x WindowSweep: every cell carries a full-detail
-// tracer ring plus the causal analyzer, so the grid covers the corners
+// than ScalingCores x WindowSweep: every cell traces in full detail
+// through the causal analyzer, so the grid covers the corners
 // that matter — serial vs contended cores, per-transaction vs
 // amortized windows.
 var (
@@ -95,7 +95,7 @@ func CritPath(out io.Writer, base bench.RunConfig) error {
 				fmt.Sprintf("%d", an.Makespan),
 				fmt.Sprintf("%d (%s)", an.PathLen, ck),
 				fmt.Sprintf("%d", an.Hops),
-				fmt.Sprintf("%d", len(an.Nodes)), fmt.Sprintf("%d", len(an.Edges)))
+				fmt.Sprintf("%d", an.Nodes), fmt.Sprintf("%d", an.Edges))
 
 			cause, crit, raw := dominantCause(an.PathCycles, an.RawCycles)
 			td.AddRow(fmt.Sprintf("%d", c), fmt.Sprintf("%d", win),

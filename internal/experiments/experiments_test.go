@@ -45,3 +45,17 @@ func TestUnknownExperiment(t *testing.T) {
 		t.Error("unknown experiment accepted")
 	}
 }
+
+// MixesIgnores names exactly the flags that differ from the defaults
+// mixes runs at, so a default run prints no note.
+func TestMixesIgnores(t *testing.T) {
+	for _, base := range []bench.RunConfig{{}, {N: 1000, Cores: 1, CommitWindow: 1, Sockets: 1}} {
+		if ig := MixesIgnores(base); len(ig) != 0 {
+			t.Errorf("%+v: defaults reported as ignored: %v", base, ig)
+		}
+	}
+	got := strings.Join(MixesIgnores(bench.RunConfig{N: 200, Cores: 2, CommitWindow: 4, Sockets: 2}), ", ")
+	if want := "-n 200, -cores 2, -commit-window 4, -sockets 2"; got != want {
+		t.Errorf("MixesIgnores = %q, want %q", got, want)
+	}
+}

@@ -9,12 +9,28 @@ import (
 	"github.com/persistmem/slpmt/internal/ycsb"
 )
 
+// MixesIgnores names, as "flag value", each of base's -n, -cores,
+// -commit-window and -sockets that differs from what Mixes runs.
+func MixesIgnores(base bench.RunConfig) []string {
+	var out []string
+	add := func(ignored bool, flag string, v int) {
+		if ignored {
+			out = append(out, fmt.Sprintf("%s %d", flag, v))
+		}
+	}
+	add(base.N != 0 && base.N != ycsb.DefaultOps, "-n", base.N)
+	add(base.Cores > 1, "-cores", base.Cores)
+	add(base.CommitWindow > 1, "-commit-window", base.CommitWindow)
+	add(base.Sockets > 1, "-sockets", base.Sockets)
+	return out
+}
+
 // Mixes runs the standard YCSB operation blends (A/B/C/E) over the
 // kv-btree — an extension beyond the paper's insert-only load phase,
 // showing where selective logging's benefit goes as reads and scans
 // take over (there is simply less persistence to optimize). Every mix
 // runs ycsb.DefaultOps operations on one core; of base it takes only
-// the value size, seed, Verify and Profile.
+// the value size, seed, Verify and Profile (see MixesIgnores).
 func Mixes(out io.Writer, base bench.RunConfig) error {
 	mixes := []ycsb.Mix{ycsb.WorkloadA(), ycsb.WorkloadB(), ycsb.WorkloadC(), ycsb.WorkloadE()}
 	ss := []string{schemes.FG, schemes.SLPMT, schemes.ATOM, schemes.EDE}

@@ -178,6 +178,11 @@ func Compare(baseline, candidate Report) *Comparison {
 			fmt.Sprintf("experiment mismatch: baseline %q vs candidate %q", baseline.Experiment, candidate.Experiment))
 		return c
 	}
+	// A gate that reads nothing is not a gate.
+	if len(baseline.Results) == 0 || len(candidate.Results) == 0 {
+		c.Failures = append(c.Failures, fmt.Sprintf("baseline holds %d results, candidate %d: both must hold some",
+			len(baseline.Results), len(candidate.Results)))
+	}
 
 	got := make(map[string]Result, len(candidate.Results))
 	for _, r := range candidate.Results {

@@ -44,6 +44,21 @@ func TestCompareIdentical(t *testing.T) {
 	}
 }
 
+// An experiment that records no results must not pass its gate with
+// zero metrics checked, on either side of the comparison.
+func TestCompareFailsOnEmptyReports(t *testing.T) {
+	empty := fixture()
+	empty.Results = nil
+	for want, c := range map[string]*Comparison{
+		"baseline holds 0 results, candidate 1": Compare(empty, fixture()),
+		"baseline holds 1 results, candidate 0": Compare(fixture(), empty),
+	} {
+		if c.Pass() || !strings.Contains(c.String(), want) {
+			t.Errorf("want a failure naming %q:\n%s", want, c)
+		}
+	}
+}
+
 func TestCompareToleratedDrift(t *testing.T) {
 	cand := fixture()
 	cand.Results[0].Cycles = 1_030_000                 // +3% < 5%

@@ -1,10 +1,11 @@
 package trace
 
 import (
+	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // PerfettoOptions parameterizes the Chrome/Perfetto trace_event export.
@@ -28,12 +29,6 @@ type pfEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// pfDoc is the top-level trace document.
-type pfDoc struct {
-	TraceEvents     []pfEvent `json:"traceEvents"`
-	DisplayTimeUnit string    `json:"displayTimeUnit"`
-}
-
 // Track layout: one process for the machine; thread tid = core ID + 1
 // for each core's events; the WPQ occupancy counter lives on the
 // process track.
@@ -42,131 +37,136 @@ const (
 	wpqTrack = "WPQ occupancy (bytes)"
 )
 
-// sortedCores returns the keys of a per-core span map in core order.
-func sortedCores[V any](m map[uint8]V) []uint8 {
-	out := make([]uint8, 0, len(m))
-	for c := range m { //slpmt:determinism-ok: collected keys are sorted below
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// pfOpen is a span start waiting for its end on one core.
+type pfOpen struct {
+	cycle, arg uint64
+	ok         bool
 }
 
-// WritePerfetto renders events as Chrome trace_event JSON loadable in
-// Perfetto (ui.perfetto.dev) or chrome://tracing: per-core tracks with
-// transaction/commit/lazy-drain spans and instant events, plus a WPQ
-// occupancy counter track reconstructed from the enqueue/drain stream.
-func WritePerfetto(w io.Writer, events []Event, opts PerfettoOptions) error {
-	cyclesPerUs := opts.CyclesPerUs
-	if cyclesPerUs <= 0 {
-		cyclesPerUs = 2000
+// pfEnc writes the trace_event document one entry at a time: each
+// entry is marshalled as it is produced, so the export never holds the
+// document.
+type pfEnc struct {
+	w           *bufio.Writer
+	cyclesPerUs float64
+	sep         string
+	err         error // the first marshalling error
+}
+
+func (p *pfEnc) ts(cycle uint64) float64 { return float64(cycle) / p.cyclesPerUs }
+
+func (p *pfEnc) write(ev pfEvent) {
+	ev.Pid = pfPid
+	b, err := json.Marshal(ev)
+	if err != nil {
+		p.err = cmp.Or(p.err, err)
+		return
 	}
-	ts := func(cycle uint64) float64 { return float64(cycle) / cyclesPerUs }
+	p.w.WriteString(p.sep)
+	p.w.Write(b) // the bufio.Writer keeps its first error for Flush
+	p.sep = ","
+}
 
-	// Sort by cycle (stable: emission order breaks ties) so span pairing
-	// and the counter series are chronological.
-	evs := make([]Event, len(events))
-	copy(evs, events)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Cycle < evs[j].Cycle })
+// span writes a complete ("X") span on core's track.
+func (p *pfEnc) span(core uint8, name, cat string, from, to uint64, args map[string]any) {
+	p.write(pfEvent{Name: name, Cat: cat, Ph: "X", Ts: p.ts(from), Dur: p.ts(to) - p.ts(from), Tid: int(core) + 1, Args: args})
+}
 
-	doc := pfDoc{DisplayTimeUnit: "ms"}
-	doc.TraceEvents = append(doc.TraceEvents, pfEvent{
-		Name: "process_name", Ph: "M", Pid: pfPid,
-		Args: map[string]any{"name": "slpmt machine"},
-	})
+// pfInstants maps each instant kind to its category and the arg keys
+// its Addr and Arg export under ("" = not exported).
+var pfInstants = [numKinds]struct{ cat, addr, arg string }{
+	KStore:        {"mem", "addr", "bytes"},
+	KStoreT:       {"mem", "addr", "bytes"},
+	KLogAppend:    {"mem", "addr", "bytes"},
+	KLogPersist:   {"log", "addr", "stream_off"},
+	KLogSync:      {"log", "", "watermark"},
+	KLazyDefer:    {"lazy", "addr", "seq"},
+	KCacheMiss:    {"cache", "addr", "level"},
+	KCacheEvict:   {"cache", "addr", "level"},
+	KCohSnoop:     {"coh", "addr", ""},
+	KCohInval:     {"coh", "addr", ""},
+	KCohDowngrade: {"coh", "addr", ""},
+	KCohWriteback: {"coh", "addr", ""},
+	KWPQStall:     {"wpq", "addr", "stall_cycles"},
+	KWPQRemote:    {"wpq", "addr", "hop_cycles"},
+	KSigHit:       {"lazy", "addr", "retained_txns"},
+	KCharge:       {"charge", "cause", "cycles"},
+}
+
+// instant writes an instant ("i") event on e's core track, named after
+// e's kind.
+func (p *pfEnc) instant(e Event, cat string, args map[string]any) {
+	p.write(pfEvent{Name: e.Kind.String(), Cat: cat, Ph: "i", Ts: p.ts(e.Cycle), Tid: int(e.Core) + 1, S: "t", Args: args})
+}
+
+// WritePerfetto renders the events each delivers as Chrome trace_event
+// JSON loadable in Perfetto (ui.perfetto.dev) or chrome://tracing:
+// per-core tracks with transaction/commit/lazy-drain spans and instant
+// events, plus a WPQ occupancy counter track reconstructed from the
+// enqueue/drain stream. each must deliver the events sorted by cycle,
+// stably (emission order breaks ties), so span pairing and the counter
+// series are chronological; stream's Dir.ByCycle orders a saved stream
+// so with bounded memory. Every entry is written as its event arrives,
+// so the export holds per-core span state only.
+func WritePerfetto(w io.Writer, each func(fn func(Event)) error, opts PerfettoOptions) error {
+	p := &pfEnc{w: bufio.NewWriter(w), cyclesPerUs: opts.CyclesPerUs}
+	if p.cyclesPerUs <= 0 {
+		p.cyclesPerUs = 2000
+	}
+	p.w.WriteString(`{"traceEvents":[`)
+	p.write(pfEvent{Name: "process_name", Ph: "M", Args: map[string]any{"name": "slpmt machine"}})
 
 	// Span pairing state, per core. Lazy-drain sections do not nest and
-	// transaction/commit spans match on the sequence number; ring
-	// overflow can orphan a start or an end — unmatched ends are
-	// dropped, unmatched starts are closed at the last event's cycle.
-	type open struct {
-		cycle uint64
-		arg   uint64
-	}
-	txOpen := map[uint8]open{}
-	commitOpen := map[uint8]open{}
-	lazyOpen := map[uint8]open{}
-	coresSeen := map[uint8]bool{}
+	// transaction/commit spans match on the sequence number; a cut
+	// stream can orphan a start or an end — unmatched ends are dropped,
+	// unmatched starts are closed at the last event's cycle.
+	var txOpen, commitOpen, lazyOpen [256]pfOpen
+	var coresSeen [256]bool
 	lastCycle := uint64(0)
 
-	span := func(core uint8, name, cat string, from, to uint64, args map[string]any) {
-		doc.TraceEvents = append(doc.TraceEvents, pfEvent{
-			Name: name, Cat: cat, Ph: "X",
-			Ts: ts(from), Dur: ts(to) - ts(from),
-			Pid: pfPid, Tid: int(core) + 1, Args: args,
-		})
-	}
-	instant := func(e Event, name, cat string, args map[string]any) {
-		doc.TraceEvents = append(doc.TraceEvents, pfEvent{
-			Name: name, Cat: cat, Ph: "i", Ts: ts(e.Cycle),
-			Pid: pfPid, Tid: int(e.Core) + 1, S: "t", Args: args,
-		})
-	}
-
-	for _, e := range evs {
+	err := each(func(e Event) {
 		coresSeen[e.Core] = true
-		if e.Cycle > lastCycle {
-			lastCycle = e.Cycle
-		}
+		lastCycle = max(lastCycle, e.Cycle)
 		switch e.Kind {
 		case KTxBegin:
-			txOpen[e.Core] = open{e.Cycle, e.Arg}
+			txOpen[e.Core] = pfOpen{e.Cycle, e.Arg, true}
 		case KCommitStart:
-			commitOpen[e.Core] = open{e.Cycle, e.Arg}
+			commitOpen[e.Core] = pfOpen{e.Cycle, e.Arg, true}
 		case KTxCommit, KTxAbort:
-			if o, ok := commitOpen[e.Core]; ok && e.Kind == KTxCommit {
-				span(e.Core, "commit", "tx", o.cycle, e.Cycle,
-					map[string]any{"seq": o.arg})
+			if o := commitOpen[e.Core]; o.ok && e.Kind == KTxCommit {
+				p.span(e.Core, "commit", "tx", o.cycle, e.Cycle, map[string]any{"seq": o.arg})
 			}
-			delete(commitOpen, e.Core)
-			if o, ok := txOpen[e.Core]; ok {
-				name := fmt.Sprintf("tx %d", o.arg)
+			commitOpen[e.Core].ok = false
+			if o := txOpen[e.Core]; o.ok {
 				args := map[string]any{"seq": o.arg}
 				if e.Kind == KTxAbort {
 					args["aborted"] = true
 				}
-				span(e.Core, name, "tx", o.cycle, e.Cycle, args)
-				delete(txOpen, e.Core)
+				p.span(e.Core, fmt.Sprintf("tx %d", o.arg), "tx", o.cycle, e.Cycle, args)
+				txOpen[e.Core].ok = false
 			}
 		case KLazyDrainStart:
-			lazyOpen[e.Core] = open{e.Cycle, e.Arg}
+			lazyOpen[e.Core] = pfOpen{e.Cycle, e.Arg, true}
 		case KLazyDrainEnd:
-			if o, ok := lazyOpen[e.Core]; ok {
-				span(e.Core, "lazy drain", "lazy", o.cycle, e.Cycle,
-					map[string]any{"retained_txns": o.arg})
-				delete(lazyOpen, e.Core)
+			if o := lazyOpen[e.Core]; o.ok {
+				p.span(e.Core, "lazy drain", "lazy", o.cycle, e.Cycle, map[string]any{"retained_txns": o.arg})
+				lazyOpen[e.Core].ok = false
 			}
-		case KStore, KStoreT, KLogAppend:
-			instant(e, e.Kind.String(), "mem",
-				map[string]any{"addr": e.Addr, "bytes": e.Arg})
-		case KLogPersist:
-			instant(e, e.Kind.String(), "log",
-				map[string]any{"addr": e.Addr, "stream_off": e.Arg})
-		case KLogSync:
-			instant(e, e.Kind.String(), "log",
-				map[string]any{"watermark": e.Arg})
+		case KStore, KStoreT, KLogAppend, KLogPersist, KLogSync, KLazyDefer, KCacheMiss, KCacheEvict,
+			KCohSnoop, KCohInval, KCohDowngrade, KCohWriteback, KWPQStall, KWPQRemote, KSigHit, KCharge:
+			in := pfInstants[e.Kind]
+			args := map[string]any{}
+			if in.addr != "" {
+				args[in.addr] = e.Addr
+			}
+			if in.arg != "" {
+				args[in.arg] = e.Arg
+			}
+			p.instant(e, in.cat, args)
 		case KCommitMarker:
-			mode := "undo"
-			if e.Addr == 1 {
-				mode = "redo"
-			}
-			instant(e, e.Kind.String(), "tx",
-				map[string]any{"seq": e.Arg, "mode": mode})
+			p.instant(e, "tx", map[string]any{"seq": e.Arg, "mode": logMode(e.Addr)})
 		case KEpochClose:
-			mode := "undo"
-			if e.Addr == 1 {
-				mode = "redo"
-			}
-			instant(e, e.Kind.String(), "log",
-				map[string]any{"epoch": e.Arg, "mode": mode})
-		case KLazyDefer:
-			instant(e, e.Kind.String(), "lazy",
-				map[string]any{"addr": e.Addr, "seq": e.Arg})
-		case KCacheMiss, KCacheEvict:
-			instant(e, e.Kind.String(), "cache",
-				map[string]any{"addr": e.Addr, "level": e.Arg})
-		case KCohSnoop, KCohInval, KCohDowngrade, KCohWriteback:
-			instant(e, e.Kind.String(), "coh", map[string]any{"addr": e.Addr})
+			p.instant(e, "log", map[string]any{"epoch": e.Arg, "mode": logMode(e.Addr)})
 		case KWPQEnqueue, KWPQDrain:
 			// One counter track per socket: socket 0 keeps the historical
 			// track name, so single-socket documents are unchanged.
@@ -174,50 +174,40 @@ func WritePerfetto(w io.Writer, events []Event, opts PerfettoOptions) error {
 			if s := WPQSocket(e.Arg); s != 0 {
 				name = fmt.Sprintf("%s [socket %d]", wpqTrack, s)
 			}
-			doc.TraceEvents = append(doc.TraceEvents, pfEvent{
-				Name: name, Ph: "C", Ts: ts(e.Cycle), Pid: pfPid,
-				Args: map[string]any{"bytes": WPQOcc(e.Arg)},
-			})
-		case KWPQStall:
-			instant(e, "wpq.stall", "wpq",
-				map[string]any{"addr": e.Addr, "stall_cycles": e.Arg})
-		case KWPQRemote:
-			instant(e, "wpq.remote", "wpq",
-				map[string]any{"addr": e.Addr, "hop_cycles": e.Arg})
-		case KSigHit:
-			instant(e, "sig.hit", "lazy",
-				map[string]any{"addr": e.Addr, "retained_txns": e.Arg})
-		case KCharge:
-			instant(e, "charge", "charge",
-				map[string]any{"cause": e.Addr, "cycles": e.Arg})
+			p.write(pfEvent{Name: name, Ph: "C", Ts: p.ts(e.Cycle), Args: map[string]any{"bytes": WPQOcc(e.Arg)}})
+		}
+	})
+	if err != nil {
+		return err
+	}
+	// Close the spans the stream cut off, then name the threads, each
+	// in core order.
+	for c, o := range txOpen {
+		if o.ok {
+			p.span(uint8(c), fmt.Sprintf("tx %d", o.arg), "tx", o.cycle, lastCycle, map[string]any{"seq": o.arg, "truncated": true})
 		}
 	}
-	// Close spans the ring's tail cut off, in core order so the exported
-	// document is deterministic (map iteration order is not).
-	for _, core := range sortedCores(txOpen) {
-		o := txOpen[core]
-		span(core, fmt.Sprintf("tx %d", o.arg), "tx", o.cycle, lastCycle,
-			map[string]any{"seq": o.arg, "truncated": true})
+	for c, o := range lazyOpen {
+		if o.ok {
+			p.span(uint8(c), "lazy drain", "lazy", o.cycle, lastCycle, map[string]any{"retained_txns": o.arg, "truncated": true})
+		}
 	}
-	for _, core := range sortedCores(lazyOpen) {
-		o := lazyOpen[core]
-		span(core, "lazy drain", "lazy", o.cycle, lastCycle,
-			map[string]any{"retained_txns": o.arg, "truncated": true})
+	for c, seen := range coresSeen {
+		if seen {
+			p.write(pfEvent{Name: "thread_name", Ph: "M", Tid: c + 1, Args: map[string]any{"name": fmt.Sprintf("core %d", c)}})
+		}
 	}
+	if p.err != nil {
+		return p.err
+	}
+	p.w.WriteString("],\"displayTimeUnit\":\"ms\"}\n")
+	return p.w.Flush()
+}
 
-	// Thread names, in core order for a stable document.
-	cores := make([]int, 0, len(coresSeen))
-	for c := range coresSeen {
-		cores = append(cores, int(c))
+// logMode names a commit marker's or epoch close's log mode (Addr).
+func logMode(addr uint64) string {
+	if addr == 1 {
+		return "redo"
 	}
-	sort.Ints(cores)
-	for _, c := range cores {
-		doc.TraceEvents = append(doc.TraceEvents, pfEvent{
-			Name: "thread_name", Ph: "M", Pid: pfPid, Tid: c + 1,
-			Args: map[string]any{"name": fmt.Sprintf("core %d", c)},
-		})
-	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	return "undo"
 }

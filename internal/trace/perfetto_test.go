@@ -3,8 +3,24 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"sort"
 	"testing"
 )
+
+// byCycle delivers a stably cycle-sorted copy of evs: the in-memory
+// order WritePerfetto requires.
+func byCycle(evs []Event) func(fn func(Event)) error {
+	sorted := append([]Event(nil), evs...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Cycle < sorted[j].Cycle })
+	return func(fn func(Event)) error {
+		for _, e := range sorted {
+			fn(e)
+		}
+		return nil
+	}
+}
 
 // decodePerfetto unmarshals an exported document for schema checks.
 func decodePerfetto(t *testing.T, data []byte) (events []map[string]any) {
@@ -39,7 +55,7 @@ func TestPerfettoSchema(t *testing.T) {
 		{Cycle: 50, Kind: KTxCommit, Core: 1, Arg: 2},
 	}
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, evs, PerfettoOptions{}); err != nil {
+	if err := WritePerfetto(&buf, byCycle(evs), PerfettoOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	out := decodePerfetto(t, buf.Bytes())
@@ -91,7 +107,7 @@ func TestPerfettoTimeConversion(t *testing.T) {
 		{Cycle: 4000, Kind: KTxCommit, Core: 0, Arg: 1},
 	}
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, evs, PerfettoOptions{}); err != nil {
+	if err := WritePerfetto(&buf, byCycle(evs), PerfettoOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range decodePerfetto(t, buf.Bytes()) {
@@ -112,7 +128,7 @@ func TestPerfettoClosesTruncatedSpans(t *testing.T) {
 		{Cycle: 200, Kind: KStore, Core: 0, Addr: 1, Arg: 8},
 	}
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, evs, PerfettoOptions{}); err != nil {
+	if err := WritePerfetto(&buf, byCycle(evs), PerfettoOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -126,5 +142,71 @@ func TestPerfettoClosesTruncatedSpans(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("orphaned tx begin must close as a truncated span")
+	}
+}
+
+// The export is written entry by entry, and its bytes are those of the
+// whole document the exporter encoded before it streamed: the golden
+// was written by that exporter from perfettoGoldenEvents.
+func TestPerfettoGoldenBytes(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "perfetto_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WritePerfetto(&buf, byCycle(perfettoGoldenEvents()), PerfettoOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("export differs from the golden:\ngot  %s\nwant %s", buf.Bytes(), want)
+	}
+}
+
+// perfettoGoldenEvents is a two-socket, three-core stream out of cycle
+// order that exercises every kind the exporter maps: an aborted and a
+// committed transaction, commit spans, redo and undo markers, an epoch
+// close, lazy drains, socket-tagged WPQ samples, and a transaction and
+// a lazy drain the stream cuts off.
+func perfettoGoldenEvents() []Event {
+	ev := func(core uint8, cyc uint64, k Kind, addr, arg uint64) Event {
+		return Event{Cycle: cyc, Addr: addr, Arg: arg, Kind: k, Core: core}
+	}
+	return []Event{
+		ev(0, 0, KTxBegin, 0, 1),
+		ev(1, 3, KTxBegin, 0, 2),
+		ev(0, 10, KStore, 0x1000, 8),
+		ev(0, 12, KStoreT, 0x1040, 16),
+		ev(0, 14, KLogAppend, 0x1000, 24),
+		ev(0, 16, KLogPersist, 0x1000, 64),
+		ev(0, 18, KLogSync, 0x800, 64),
+		ev(0, 20, KCommitStart, 0, 1),
+		ev(0, 22, KCommitMarker, 0, 1),
+		ev(1, 11, KCacheMiss, 0x2000, 4),
+		ev(1, 13, KCacheEvict, 0x2040, 3),
+		ev(1, 15, KCohSnoop, 0x1000, 1),
+		ev(1, 15, KCohInval, 0x1000, 0),
+		ev(1, 17, KCohDowngrade, 0x1040, 0),
+		ev(1, 19, KCohWriteback, 0x1040, 0),
+		ev(0, 24, KWPQEnqueue, 0x1000, 64),
+		ev(1, 24, KWPQEnqueue, 0x2000, WPQArgTag(1)|64),
+		ev(0, 25, KWPQStall, 0x1040, 333),
+		ev(1, 26, KWPQRemote, 0x2000, 120),
+		ev(0, 27, KLazyDefer, 0x1040, 1),
+		ev(0, 30, KTxCommit, 0, 1),
+		ev(1, 29, KCommitStart, 0, 2),
+		ev(1, 31, KTxAbort, 0, 2),
+		ev(0, 33, KWPQDrain, 0x1000, 0),
+		ev(1, 33, KWPQDrain, 0x2000, WPQArgTag(1)),
+		ev(2, 40, KCommitMarker, 1, 7),
+		ev(2, 41, KEpochClose, 1, 3),
+		ev(2, 42, KEpochClose, 0, 4),
+		ev(0, 50, KLazyDrainStart, 0, 2),
+		ev(1, 51, KSigHit, 0x1040, 1),
+		ev(0, 4001, KLazyDrainEnd, 0, 2),
+		ev(0, 4003, KCharge, 5, 4003),
+		ev(2, 6000, KTxBegin, 0, 9),
+		ev(1, 6001, KLazyDrainStart, 0, 1),
+		ev(2, 2, KCharge, 1, 2),
+		ev(1, 7777, KStore, 0x3000, 8),
 	}
 }

@@ -152,9 +152,17 @@ func newSanCore() *sanCore {
 // bounded and unbounded replays agree on every golden.
 const maxRetainedTx = 4096
 
-// sanitizer is the whole-stream replay state.
-type sanitizer struct {
+// Sanitizer is the incremental persist-order checker, stepped one
+// event at a time so a spilled-to-disk stream replays with memory
+// bounded by the active transaction/WPQ state instead of the event
+// count. Feed events oldest-first with Consume, then call Report once.
+// It is a stream consumer (internal/trace/stream.Consumer) that
+// declares every kind: violations are indexed by position in the full
+// stream, so it must see the kinds its rules ignore too for a
+// Violation's Index to name the event it was found at.
+type Sanitizer struct {
 	rep   Report
+	n     int // events replayed
 	cores map[uint8]*sanCore
 	// obligations counts, per line, the retained transactions (across
 	// all cores) whose lazy copy of the line is still volatile.
@@ -168,41 +176,37 @@ type sanitizer struct {
 	prevDrainSock int
 }
 
-// Sanitizer is the incremental persist-order checker, stepped one
-// event at a time so a spilled-to-disk stream replays with memory
-// bounded by the active transaction/WPQ state instead of the event
-// count. Feed events oldest-first with Step, then call Report once
-// (stream.Sanitize wraps it as a stream consumer).
-type Sanitizer struct {
-	s sanitizer
-	n int
-}
-
 // NewSanitizer returns an empty incremental replay.
 func NewSanitizer() *Sanitizer {
-	return &Sanitizer{s: sanitizer{
+	return &Sanitizer{
 		cores:       map[uint8]*sanCore{},
 		obligations: map[uint64]int{},
 		occ:         map[int]int64{},
-	}}
+	}
 }
 
-// Step replays one event.
-func (z *Sanitizer) Step(e Event) {
-	z.s.step(z.n, e)
-	z.n++
+// Kinds registers every kind, for the violations' event indexing.
+func (s *Sanitizer) Kinds() uint64 { return AllKinds }
+
+// Consume replays one event.
+func (s *Sanitizer) Consume(e Event) {
+	s.step(s.n, e)
+	s.n++
 }
+
+// Reset restarts the replay at a measured-region boundary.
+func (s *Sanitizer) Reset() { *s = *NewSanitizer() }
 
 // Report finalizes the replay. dropped is the producing tracer's
 // ring-overflow count (a lossy stream makes the verdict best-effort
 // and sets Truncated).
-func (z *Sanitizer) Report(dropped uint64) *Report {
-	z.s.rep.Events = z.n
-	z.s.rep.Truncated = dropped > 0
-	return &z.s.rep
+func (s *Sanitizer) Report(dropped uint64) *Report {
+	s.rep.Events = s.n
+	s.rep.Truncated = dropped > 0
+	return &s.rep
 }
 
-func (s *sanitizer) core(id uint8) *sanCore {
+func (s *Sanitizer) core(id uint8) *sanCore {
 	cs, ok := s.cores[id]
 	if !ok {
 		cs = newSanCore()
@@ -212,7 +216,7 @@ func (s *sanitizer) core(id uint8) *sanCore {
 }
 
 // violate records a non-transaction-scoped violation.
-func (s *sanitizer) violate(i int, e Event, core uint8, seq uint64, rule, detail string) {
+func (s *Sanitizer) violate(i int, e Event, core uint8, seq uint64, rule, detail string) {
 	s.rep.Total++
 	if len(s.rep.Violations) < MaxViolations {
 		s.rep.Violations = append(s.rep.Violations, Violation{
@@ -223,7 +227,7 @@ func (s *sanitizer) violate(i int, e Event, core uint8, seq uint64, rule, detail
 
 // violateTx buffers a violation against cs's current transaction: it
 // reaches the report at commit and is dropped on abort.
-func (s *sanitizer) violateTx(i int, e Event, core uint8, cs *sanCore, rule, detail string) {
+func (s *Sanitizer) violateTx(i int, e Event, core uint8, cs *sanCore, rule, detail string) {
 	if !cs.inTx {
 		s.violate(i, e, core, 0, rule, detail)
 		return
@@ -256,7 +260,7 @@ func programLevel(k Kind) bool {
 	return false
 }
 
-func (s *sanitizer) step(i int, e Event) {
+func (s *Sanitizer) step(i int, e Event) {
 	cs := s.core(e.Core)
 
 	// Rule 4 postcondition: obligations recorded at this core's previous
@@ -441,7 +445,7 @@ func (s *sanitizer) step(i int, e Event) {
 
 // replayEnqueue applies one WPQ enqueue to the occupancy replay and
 // runs the persist-side ordering rules (1 and 2) for the entering line.
-func (s *sanitizer) replayEnqueue(i int, e Event, cs *sanCore) {
+func (s *Sanitizer) replayEnqueue(i int, e Event, cs *sanCore) {
 	line := e.Addr &^ (sanLineSize - 1)
 
 	// Rule 1: a logged data line may enter the WPQ only once the owning
@@ -506,7 +510,7 @@ func (s *sanitizer) replayEnqueue(i int, e Event, cs *sanCore) {
 
 // replayDrain applies one WPQ drain to the occupancy replay and matches
 // it against the draining core's outstanding enqueues.
-func (s *sanitizer) replayDrain(i int, e Event) {
+func (s *Sanitizer) replayDrain(i int, e Event) {
 	cs := s.core(e.Core)
 	sock := WPQSocket(e.Arg)
 	occ := int64(WPQOcc(e.Arg))

@@ -45,7 +45,7 @@ func TestSanitizeRealRuns(t *testing.T) {
 				CommitWindow: tc.window,
 				Trace:        tr,
 			})
-			zs := stream.NewSanitize()
+			zs := trace.NewSanitizer()
 			if _, err := stream.Feed(stream.Events(tr.Events()), zs); err != nil {
 				t.Fatal(err)
 			}

@@ -9,7 +9,7 @@ import (
 func sanitize(events []Event, dropped uint64) *Report {
 	z := NewSanitizer()
 	for _, e := range events {
-		z.Step(e)
+		z.Consume(e)
 	}
 	return z.Report(dropped)
 }

@@ -37,15 +37,28 @@ func (ev Events) Iter(fn func(trace.Event)) (*Stats, error) {
 // mask, and returns the source's stats. This is the offline counterpart
 // of attaching consumers to a live Writer.
 func Feed(src Source, consumers ...Consumer) (*Stats, error) {
-	mc := make([]maskedConsumer, len(consumers))
-	for i, c := range consumers {
-		mc[i] = maskedConsumer{c: c, mask: c.Kinds()}
+	return src.Iter(masked(consumers).deliver)
+}
+
+// maskedConsumers pairs each consumer with its kind mask.
+type maskedConsumers []struct {
+	c    Consumer
+	mask uint64
+}
+
+func masked(cs []Consumer) maskedConsumers {
+	mc := make(maskedConsumers, len(cs))
+	for i, c := range cs {
+		mc[i].c, mc[i].mask = c, c.Kinds()
 	}
-	return src.Iter(func(e trace.Event) {
-		for i := range mc {
-			if mc[i].mask&(1<<uint(e.Kind)) != 0 {
-				mc[i].c.Consume(e)
-			}
+	return mc
+}
+
+// deliver hands e to every consumer whose mask admits its kind.
+func (mc maskedConsumers) deliver(e trace.Event) {
+	for i := range mc {
+		if mc[i].mask&(1<<uint(e.Kind)) != 0 {
+			mc[i].c.Consume(e)
 		}
-	})
+	}
 }

@@ -108,7 +108,7 @@ func (d *Dir) Header(idx int) (SegmentHeader, error) {
 func (d *Dir) Iter(fn func(trace.Event)) (*Stats, error) {
 	st := &Stats{Closed: d.closed}
 	for i := range d.segs {
-		if err := d.readSegment(i, st, fn); err != nil || st.Torn != nil {
+		if _, err := d.readSegment(i, st, fn); err != nil || st.Torn != nil {
 			return st, err
 		}
 	}
@@ -139,7 +139,7 @@ func (d *Dir) Follow(fn func(trace.Event), poll time.Duration) (*Stats, error) {
 			complete--
 		}
 		for ; read < complete; read++ {
-			if err := d.readSegment(read, st, fn); err != nil || st.Torn != nil {
+			if _, err := d.readSegment(read, st, fn); err != nil || st.Torn != nil {
 				return st, err
 			}
 		}
@@ -150,16 +150,16 @@ func (d *Dir) Follow(fn func(trace.Event), poll time.Duration) (*Stats, error) {
 	}
 }
 
-// readSegment delivers the idx'th segment's events through fn and
-// folds it into st. A tear in the last segment is the durable prefix:
+// readSegment delivers the idx'th segment's events through fn, folds
+// it into st and returns its header. A tear in the last segment is the durable prefix:
 // it sets st.Torn. A tear in any earlier one is corruption and a hard
 // error. (Follow never reads the last segment of a live stream, which
 // is still being written.)
-func (d *Dir) readSegment(idx int, st *Stats, fn func(trace.Event)) error {
+func (d *Dir) readSegment(idx int, st *Stats, fn func(trace.Event)) (SegmentHeader, error) {
 	name := d.segs[idx]
 	data, err := os.ReadFile(filepath.Join(d.path, name))
 	if err != nil {
-		return err
+		return SegmentHeader{}, err
 	}
 	n := 0
 	hdr, off, ok, err := decodeSegment(data, func(e trace.Event) {
@@ -169,16 +169,16 @@ func (d *Dir) readSegment(idx int, st *Stats, fn func(trace.Event)) error {
 	st.Events += n
 	st.Segments++
 	if err != nil {
-		return fmt.Errorf("stream: segment %s: %w", name, err)
+		return hdr, fmt.Errorf("stream: segment %s: %w", name, err)
 	}
 	if !ok {
 		torn := &TornError{Segment: name, Offset: off}
 		if idx != len(d.segs)-1 {
-			return torn
+			return hdr, torn
 		}
 		st.Torn = torn
-		return nil
+		return hdr, nil
 	}
 	st.Dropped = hdr.Dropped
-	return nil
+	return hdr, nil
 }

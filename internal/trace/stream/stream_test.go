@@ -92,7 +92,7 @@ func summarize(t *testing.T, src Source) (trace.Summary, *Summarizer) {
 // report with the violation order normalized.
 func sanitize(t *testing.T, src Source) *trace.Report {
 	t.Helper()
-	z := NewSanitize()
+	z := trace.NewSanitizer()
 	if _, err := Feed(src, z); err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestSanitizeMatchesInMemory(t *testing.T) {
 	}
 	z := trace.NewSanitizer()
 	for _, e := range evs {
-		z.Step(e)
+		z.Consume(e)
 	}
 	want := z.Report(0)
 	if want.Total == 0 {
@@ -572,7 +572,7 @@ func TestLiveConsumersMatchOffline(t *testing.T) {
 	evs := randEvents(rng, 3000, 4)
 	dir := t.TempDir()
 	s := NewSummarizer()
-	z := NewSanitize()
+	z := trace.NewSanitizer()
 	buildStream(t, dir, evs, 64, 256, s, z)
 	want, _ := summarize(t, Events(evs))
 	if got := s.Summary(len(evs), 0); got != want {
@@ -598,5 +598,63 @@ func TestFollowCompletedStream(t *testing.T) {
 	}
 	if !st.Closed || !reflect.DeepEqual(got, evs) {
 		t.Fatalf("follow delivered %d events (closed=%v), want %d", len(got), st.Closed, len(evs))
+	}
+}
+
+// The streamed Perfetto export reads a binlog in cycle order a
+// segment's worth of events at a time. On streams whose cycles go back
+// across segments (one core runs far behind the others) and repeat
+// (runs of events share a cycle, so windows end inside them), it writes
+// the bytes of the in-memory export of the stably sorted events, with
+// segments of 13, 100 and 256 events, and with one segment holding the
+// whole stream.
+func TestByCyclePerfettoMatchesInMemory(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	evs := randEvents(rng, 5000, 3)
+	for i := range evs {
+		if evs[i].Core == 2 {
+			evs[i].Cycle /= 8
+		}
+		evs[i].Cycle /= 64
+	}
+	sorted := append([]trace.Event(nil), evs...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Cycle < sorted[j].Cycle })
+	var want bytes.Buffer
+	if err := trace.WritePerfetto(&want, func(fn func(trace.Event)) error {
+		_, err := Events(sorted).Iter(fn)
+		return err
+	}, trace.PerfettoOptions{}); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, segEvents := range []int{13, 100, 256, 10_000} {
+		dir := t.TempDir()
+		buildStream(t, dir, evs, 64, segEvents)
+		d, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, hi := 0, uint64(0)
+		for i := range d.Segments() {
+			hdr, err := d.Header(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hdr.FirstCycle < hi {
+				back++
+			}
+			hi = max(hi, hdr.LastCycle)
+		}
+		if n, wantN := len(d.Segments()), (len(evs)+segEvents-1)/segEvents; n != wantN || n > 1 && back < n/2 {
+			t.Fatalf("segEvents %d: %d segments, %d starting below an earlier one's last cycle: want %d, most of them",
+				segEvents, n, back, wantN)
+		}
+		var got bytes.Buffer
+		if err := trace.WritePerfetto(&got, d.ByCycle, trace.PerfettoOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("segEvents %d: streamed export (%d B) differs from the in-memory one (%d B)", segEvents, got.Len(), want.Len())
+		}
 	}
 }

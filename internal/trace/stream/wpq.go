@@ -12,111 +12,55 @@ func BucketWPQ(src Source, n int) (*trace.WPQSeries, error) {
 	if n <= 0 {
 		n = 16
 	}
-	span := &wpqSpan{}
-	if _, err := Feed(src, span); err != nil {
+	wpq := trace.Mask(trace.KWPQEnqueue, trace.KWPQDrain, trace.KWPQStall)
+	var lo, hi uint64
+	seen := false
+	if _, err := src.Iter(func(e trace.Event) {
+		if wpq&(1<<uint(e.Kind)) != 0 {
+			if !seen || e.Cycle < lo {
+				lo = e.Cycle
+			}
+			hi, seen = max(hi, e.Cycle), true
+		}
+	}); err != nil || !seen {
 		return nil, err
 	}
-	if !span.seen {
-		return nil, nil
+	width := max((hi-lo+uint64(n))/uint64(n), 1) // ceil so hi lands in the last bucket
+	buckets := make([]trace.WPQBucket, n)
+	sums := make([]uint64, n)
+	samples := make([]uint64, n)
+	for i := range buckets {
+		buckets[i].StartCycle = lo + uint64(i)*width
+		buckets[i].EndCycle = lo + uint64(i+1)*width
 	}
-	fold := newWPQFold(span.lo, span.hi, n)
-	if _, err := Feed(src, fold); err != nil {
+	if _, err := src.Iter(func(e trace.Event) {
+		if wpq&(1<<uint(e.Kind)) == 0 {
+			return
+		}
+		i := min(int((e.Cycle-lo)/width), n-1)
+		b := &buckets[i]
+		switch e.Kind {
+		case trace.KWPQEnqueue:
+			b.Enqueues++
+		case trace.KWPQDrain:
+			b.Drains++
+		case trace.KWPQStall:
+			b.StallCycles += e.Arg
+			return
+		}
+		// Per-socket streams merge: occupancy is the emitting queue's
+		// post-event occupancy with the socket tag stripped.
+		occ := trace.WPQOcc(e.Arg)
+		b.OccMax = max(b.OccMax, occ)
+		sums[i] += occ
+		samples[i]++
+	}); err != nil {
 		return nil, err
 	}
-	return fold.series(), nil
-}
-
-// wpqMask is the WPQ activity kinds both passes consume.
-func wpqMask() uint64 {
-	return trace.Mask(trace.KWPQEnqueue, trace.KWPQDrain, trace.KWPQStall)
-}
-
-// wpqSpan is pass one: the min/max cycle of WPQ activity.
-type wpqSpan struct {
-	lo, hi uint64
-	seen   bool
-}
-
-func (s *wpqSpan) Kinds() uint64 { return wpqMask() }
-
-func (s *wpqSpan) Consume(e trace.Event) {
-	switch e.Kind {
-	case trace.KWPQEnqueue, trace.KWPQDrain, trace.KWPQStall:
-		if !s.seen || e.Cycle < s.lo {
-			s.lo = e.Cycle
-		}
-		if e.Cycle > s.hi {
-			s.hi = e.Cycle
-		}
-		s.seen = true
-	}
-}
-
-// wpqFold is pass two: the bucket fill, given the span.
-type wpqFold struct {
-	lo      uint64
-	width   uint64
-	buckets []trace.WPQBucket
-	sums    []uint64
-	samples []uint64
-}
-
-func newWPQFold(lo, hi uint64, n int) *wpqFold {
-	width := (hi - lo + uint64(n)) / uint64(n) // ceil so hi lands in the last bucket
-	if width == 0 {
-		width = 1
-	}
-	f := &wpqFold{
-		lo: lo, width: width,
-		buckets: make([]trace.WPQBucket, n),
-		sums:    make([]uint64, n),
-		samples: make([]uint64, n),
-	}
-	for i := range f.buckets {
-		f.buckets[i].StartCycle = lo + uint64(i)*width
-		f.buckets[i].EndCycle = lo + uint64(i+1)*width
-	}
-	return f
-}
-
-func (f *wpqFold) Kinds() uint64 { return wpqMask() }
-
-func (f *wpqFold) Consume(e trace.Event) {
-	var i int
-	switch e.Kind {
-	case trace.KWPQEnqueue, trace.KWPQDrain, trace.KWPQStall:
-		i = int((e.Cycle - f.lo) / f.width)
-		if i >= len(f.buckets) {
-			i = len(f.buckets) - 1
-		}
-	default:
-		return
-	}
-	b := &f.buckets[i]
-	switch e.Kind {
-	case trace.KWPQEnqueue:
-		b.Enqueues++
-	case trace.KWPQDrain:
-		b.Drains++
-	case trace.KWPQStall:
-		b.StallCycles += e.Arg
-		return
-	}
-	// Per-socket streams merge: occupancy is the emitting queue's
-	// post-event occupancy with the socket tag stripped.
-	occ := trace.WPQOcc(e.Arg)
-	if occ > b.OccMax {
-		b.OccMax = occ
-	}
-	f.sums[i] += occ
-	f.samples[i]++
-}
-
-func (f *wpqFold) series() *trace.WPQSeries {
-	for i := range f.buckets {
-		if f.samples[i] > 0 {
-			f.buckets[i].OccAvg = f.sums[i] / f.samples[i]
+	for i := range buckets {
+		if samples[i] > 0 {
+			buckets[i].OccAvg = sums[i] / samples[i]
 		}
 	}
-	return &trace.WPQSeries{Buckets: f.buckets}
+	return &trace.WPQSeries{Buckets: buckets}, nil
 }

@@ -17,7 +17,8 @@ import (
 // current segment (and feeds any live consumers), the simulator fills
 // the other, and exactly two buffers ever exist. Segments are written
 // and fsync'd whole at rotation, so trace-side memory is
-// O(segment buffer), never O(events).
+// O(segment buffer), never O(events). A Writer with no directory only
+// runs its consumers: a run then reduces in its two buffers' memory.
 //
 // The zero Writer is not usable; construct with NewWriter. Spill and
 // Reset are called by the tracer on the simulator thread; Close must be
@@ -27,7 +28,7 @@ import (
 type Writer struct {
 	dir       string
 	segEvents int
-	cons      []maskedConsumer
+	cons      maskedConsumers
 
 	work     chan []trace.Event // filled buffers (and nil = reset marker)
 	free     chan []trace.Event // processed buffers returning to the tracer
@@ -44,11 +45,6 @@ type Writer struct {
 	err    error
 
 	closed bool
-}
-
-type maskedConsumer struct {
-	c    Consumer
-	mask uint64
 }
 
 // Optional consumer hooks: a consumer implementing resetter is cleared
@@ -69,16 +65,11 @@ type flusher interface {
 // NewWriter creates the stream directory (clearing any previous
 // stream's segments and sentinel), attaches the given live consumers,
 // and starts the writer goroutine. segEvents <= 0 selects
-// DefaultSegmentEvents.
+// DefaultSegmentEvents. An empty dir keeps no binlog: the writer only
+// runs the consumers.
 func NewWriter(dir string, segEvents int, consumers ...Consumer) (*Writer, error) {
 	if segEvents <= 0 {
 		segEvents = DefaultSegmentEvents
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	if err := clearStream(dir); err != nil {
-		return nil, err
 	}
 	w := &Writer{
 		dir:       dir,
@@ -88,10 +79,16 @@ func NewWriter(dir string, segEvents int, consumers ...Consumer) (*Writer, error
 		done:      make(chan struct{}),
 		resetAck:  make(chan struct{}),
 		bufs:      1, // the tracer's own ring is buffer #1
-		seg:       make([]trace.Event, 0, segEvents),
+		cons:      masked(consumers),
 	}
-	for _, c := range consumers {
-		w.cons = append(w.cons, maskedConsumer{c: c, mask: c.Kinds()})
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
+		}
+		if err := clearStream(dir); err != nil {
+			return nil, err
+		}
+		w.seg = make([]trace.Event, 0, segEvents)
 	}
 	go w.run()
 	return w, nil
@@ -164,10 +161,6 @@ func (w *Writer) Close() error {
 	return w.err
 }
 
-// Segments returns how many segment files the stream holds; valid after
-// Close.
-func (w *Writer) Segments() int { return w.segIdx }
-
 // Events returns how many events were streamed; valid after Close.
 func (w *Writer) Events() uint64 { return w.events }
 
@@ -190,15 +183,13 @@ func (w *Writer) run() {
 // process feeds one spilled buffer to the consumers and the segment
 // accumulator, rotating full segments out to disk.
 func (w *Writer) process(events []trace.Event) {
-	for i := range events {
-		e := events[i]
-		for j := range w.cons {
-			if w.cons[j].mask&(1<<uint(e.Kind)) != 0 {
-				w.cons[j].c.Consume(e)
-			}
-		}
+	for _, e := range events {
+		w.cons.deliver(e)
 	}
 	w.events += uint64(len(events))
+	if w.dir == "" {
+		return
+	}
 	w.seg = append(w.seg, events...)
 	for len(w.seg) >= w.segEvents {
 		w.writeSeg(w.seg[:w.segEvents])
@@ -244,7 +235,7 @@ func (w *Writer) finish() {
 			f.Flush()
 		}
 	}
-	if w.err != nil {
+	if w.err != nil || w.dir == "" {
 		return
 	}
 	sentinel := filepath.Join(w.dir, ClosedSentinel)

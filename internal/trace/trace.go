@@ -156,14 +156,10 @@ func SanitizeMask() uint64 {
 		KWPQEnqueue, KWPQDrain, KWPQStall)
 }
 
-// Default ring capacities (events; one event is 32 bytes in memory).
-const (
-	// DefaultCapacity suits full-detail tracing of CLI-sized runs.
-	DefaultCapacity = 1 << 20
-	// MetricsCapacity suits the filtered metrics stream of one
-	// benchmark run.
-	MetricsCapacity = 1 << 17
-)
+// DefaultCapacity is the ring capacity New(0) selects, in events (one
+// event is 32 bytes in memory): room for a full-detail trace of a
+// test-sized run without a spill sink.
+const DefaultCapacity = 1 << 20
 
 // Sink receives the ring's spills, turning the one-shot tracer into a
 // streaming source (see internal/trace/stream). Spill takes ownership

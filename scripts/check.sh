@@ -8,7 +8,8 @@
 # persist-order sanitizer and the critical-path analyzer, exported to
 # Perfetto and profiled into folded stacks, whose saved binlog
 # slpmtbench -replay then reads back to the live run's summary,
-# sanitizer and critical-path sections byte for byte.
+# sanitizer and critical-path sections and Perfetto export byte for
+# byte.
 #
 # Usage: scripts/check.sh   (or: make check)
 set -eu
@@ -50,7 +51,7 @@ go test -run '^$' -bench '^BenchmarkNewCluster$' -benchtime 1x .
 echo "== go test -race (make race) =="
 make race
 
-echo "== traced run: streamed sanitizer, critical-path conservation, Perfetto, folded stacks and the -replay diff (make trace-gate) =="
+echo "== traced run: streamed sanitizer, critical-path conservation, Perfetto, folded stacks and the -replay diffs (make trace-gate) =="
 make trace-gate
 
 echo "ALL CHECKS PASSED"
