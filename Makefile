@@ -81,21 +81,23 @@ bench:
 # cascade and commit walk, PM persist, async backlog and crash snapshot, log-buffer
 # insert/merge, heap alloc/free churn inside transactions, the engine,
 # the tracer's disabled/enabled emit costs, a serial crash campaign,
-# workload point reads and short scans, one small durable transaction
-# through the public API, and building a platform (NewCluster at 1
-# core, 4 cores and 4 cores on 2 sockets).
+# workload point reads and short scans, the critical-path analysis of a
+# recorded 2-core stream, one small durable transaction through the
+# public API, and building a platform (NewCluster at 1 core, 4 cores
+# and 4 cores on 2 sockets).
 microbench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/cache/ ./internal/machine/ \
 		./internal/pmem/ ./internal/logbuf/ ./internal/txheap/ ./internal/engine/ \
-		./internal/ycsb/ ./internal/trace/ ./internal/recovery/ ./internal/workloads/
+		./internal/ycsb/ ./internal/trace/ ./internal/recovery/ ./internal/workloads/ \
+		./internal/critpath/
 	$(GO) test -run xxx -bench '^(BenchmarkUpdate|BenchmarkNewCluster)$$' -benchmem .
 
 # Experiments gated by the perf-regression baseline (default flag
 # parameters: n=1000, value=256, seed=0 — what `-compare baselines/`
-# reproduces). fig13 and mixes are not gated yet: fig13 records no
-# results, and -compare fails on a baseline or run that holds none.
+# reproduces). fig13 is not gated: it records no results, and -compare
+# fails on a baseline or run that holds none.
 BASELINE_EXPERIMENTS := headline scaling fig8 window numa fig9 fig10 fig11 \
-	fig12 fig14 ablation model breakdown critpath
+	fig12 fig14 ablation model breakdown critpath mixes
 
 # Regenerate the committed perf-regression baselines. Run after an
 # intentional model change (and eyeball the diff before committing).

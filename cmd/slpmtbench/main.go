@@ -71,6 +71,7 @@ import (
 
 	"github.com/persistmem/slpmt"
 	"github.com/persistmem/slpmt/internal/bench"
+	"github.com/persistmem/slpmt/internal/critpath"
 	"github.com/persistmem/slpmt/internal/experiments"
 	"github.com/persistmem/slpmt/internal/report"
 	_ "github.com/persistmem/slpmt/internal/workloads/all"
@@ -114,8 +115,8 @@ func run(args []string, out io.Writer) error {
 		streamD  = fs.String("trace-stream", "", "single run: keep its SLPSEG01 binlog, telemetry and critpath report in this directory")
 		interval = fs.Uint64("interval", 0, "telemetry snapshot interval in cycles of a -trace-stream run (0 = default)")
 		sanitize = fs.Bool("sanitize", false, "single run or replay: replay its events through the persist-order sanitizer (exit nonzero on violations)")
-		critpath = fs.Bool("critpath", false, "single run or replay: print its causal critical path (blame/slack/hot-line report)")
-		hotlines = fs.Int("hotlines", 10, "hot lines to list in the -critpath report")
+		critPath = fs.Bool("critpath", false, "single run or replay: print its causal critical path (blame/slack/hot-line report)")
+		hotlines = fs.Int("hotlines", 10, fmt.Sprintf("hot lines to list in the -critpath report (1..%d)", critpath.MaxHotLines))
 		flamePth = fs.String("flame", "", "single run: print its cycle attribution and write folded stacks to this path")
 		compare  = fs.String("compare", "", "diff each experiment's BENCH json against <dir>/BENCH_<experiment>.json and exit nonzero on regressions (implies -json)")
 		workload = fs.String("workload", "hashtable", "workload of the single run")
@@ -176,8 +177,10 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("%s: not read by %s", strings.Join(stray, ", "), mode)
 	case set["interval"] && *streamD == "":
 		return errors.New("-interval needs -trace-stream")
-	case set["hotlines"] && !*critpath:
+	case set["hotlines"] && !*critPath:
 		return errors.New("-hotlines needs -critpath")
+	case *hotlines < 1 || *hotlines > critpath.MaxHotLines:
+		return fmt.Errorf("-hotlines %d: must be 1..%d", *hotlines, critpath.MaxHotLines)
 	case len(cfgs) > 1 && (*streamD != "" || *tracePth != "" || *flamePth != ""):
 		return fmt.Errorf("-scheme %s: -trace-stream, -trace and -flame write one run's files; name one scheme", *scheme)
 	case *exp == "mixes" && len(experiments.MixesIgnores(base)) > 0:
@@ -186,7 +189,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	one := single{streamDir: *streamD, interval: *interval, tracePath: *tracePth, flamePath: *flamePth,
-		sanitize: *sanitize, critpath: *critpath, hotlines: *hotlines}
+		sanitize: *sanitize, critpath: *critPath, hotlines: *hotlines}
 	switch mode {
 	case "a single run":
 		return runSingle(out, cfgs, one)

@@ -168,7 +168,8 @@ func TestScalingJSONDeterministic(t *testing.T) {
 // other and flags the chosen mode would ignore all fail as flag errors
 // naming the flag, before any run starts. Unchecked, most of the range
 // errors panic inside every job of the grid or the single run, -cores
-// -2 silently runs one core, and -experiment mixes prints its default
+// -2 silently runs one core, -hotlines 0 lists ten lines and -hotlines
+// 100 sixty-four, and -experiment mixes prints its default
 // single-core table whatever -n, -cores, -commit-window or -sockets
 // say. Field errors come first, so the rows that also set a single-run
 // flag next to -experiment report the field.
@@ -214,6 +215,9 @@ func TestOutOfRangeFlags(t *testing.T) {
 		{[]string{"-scheme", "all", "-trace", "x.json"}, "-scheme all: -trace-stream, -trace and -flame write one run's files"},
 		{[]string{"-replay", "x", "-n", "10"}, "-n: not read by -replay"},
 		{[]string{"-replay", "x", "-hotlines", "5"}, "-hotlines needs -critpath"},
+		{[]string{"-workload", "rbtree", "-critpath", "-hotlines", "0"}, "-hotlines 0: must be 1..64"},
+		{[]string{"-workload", "rbtree", "-critpath", "-hotlines", "-3"}, "-hotlines -3: must be 1..64"},
+		{[]string{"-replay", "x", "-critpath", "-hotlines", "65"}, "-hotlines 65: must be 1..64"},
 		{[]string{"-records", "3"}, "-records: not read by -experiment"},
 	} {
 		err := run(tc.args, io.Discard)

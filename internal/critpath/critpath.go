@@ -47,7 +47,9 @@
 package critpath
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -146,11 +148,13 @@ type Node struct {
 // Dur returns the node's duration in cycles.
 func (n Node) Dur() uint64 { return n.End - n.Start }
 
-// Edge is one waits-for DAG edge between indices into the DAG's
-// core-major node list. Program-order edges are implicit per core and
-// not materialized; Edge carries only the cross-core wait relations.
+// Edge is one cross-core waits-for DAG edge into a core's node list:
+// node From of core FromCore finishes before that core's node To
+// starts. Program-order edges are implicit per core and not
+// materialized.
 type Edge struct {
 	Kind     EdgeKind
+	FromCore int
 	From, To int
 }
 
@@ -249,15 +253,15 @@ type Analysis struct {
 	HopsByEdge [numEdgeKinds]int
 
 	// The explicit DAG's size: its nodes and cross-core wait edges. The
-	// DAG feeds the slack pass (the blame walk above is independent of
-	// it) and is not kept; SlackTop is what it yields.
+	// slack pass runs over the analyzer's per-core node lists (the blame
+	// walk above is independent of it); SlackTop is what it yields.
 	Nodes    int
 	Edges    int
 	SlackTop []SlackEntry
 
 	WhatIf []Projection
 
-	HotLines   []HotLine // top lines by Score, capped at maxHotLines
+	HotLines   []HotLine // top lines by Score, capped at MaxHotLines
 	TotalLines int       // distinct lines observed
 
 	Dropped uint64
@@ -271,9 +275,9 @@ type coreTotals struct {
 	causes     profile.Vector
 }
 
-// maxHotLines caps the stored hot-line ranking (the full per-line map
+// MaxHotLines caps the stored hot-line ranking (the full per-line map
 // is reduced at Analyze time; renderers take a further top-N).
-const maxHotLines = 64
+const MaxHotLines = 64
 
 // maxSlackTop caps the stored slack ranking.
 const maxSlackTop = 16
@@ -301,25 +305,19 @@ type lineAgg struct {
 type Analyzer struct {
 	nodes  [256][]Node // a core's region starts at its first node
 	totals [256]profile.Vector
-	hints  [256][]hintRec
+	hints  [256][]hintRec // per core, in cycle order
 
 	lines map[uint64]*lineAgg
-
-	lastWriter map[uint64]uint8
 
 	lastDrainCore uint8
 	lastDrainSeen bool
 
-	tileErr  error
-	causeErr error
+	err error // the first broken stream contract, reported by Analyze
 }
 
 // New returns an empty analyzer.
 func New() *Analyzer {
-	return &Analyzer{
-		lines:      map[uint64]*lineAgg{},
-		lastWriter: map[uint64]uint8{},
-	}
+	return &Analyzer{lines: map[uint64]*lineAgg{}}
 }
 
 // Kinds registers the kinds the analyzer consumes: the attribution
@@ -358,14 +356,12 @@ func (a *Analyzer) Consume(e trace.Event) {
 			ag.PingPong++
 		}
 		ag.writer, ag.written = e.Core, true
-		a.lastWriter[e.Addr&lineMask] = e.Core
 
 	case trace.KCohSnoop, trace.KCohInval, trace.KCohDowngrade, trace.KCohWriteback:
 		ag := a.line(e.Addr)
 		ag.Transfers++
-		if peer, ok := a.lastWriter[e.Addr&lineMask]; ok && peer != e.Core {
-			a.hints[e.Core] = append(a.hints[e.Core],
-				hintRec{cycle: e.Cycle, peer: peer, kind: EdgeCoherence})
+		if ag.written && ag.writer != e.Core {
+			a.hint(e, ag.writer, EdgeCoherence)
 		}
 
 	case trace.KWPQEnqueue:
@@ -397,8 +393,7 @@ func (a *Analyzer) Consume(e trace.Event) {
 		// the same persist call), so the last drain's core is the peer
 		// whose entry was blocking.
 		if a.lastDrainSeen && a.lastDrainCore != e.Core {
-			a.hints[e.Core] = append(a.hints[e.Core],
-				hintRec{cycle: e.Cycle, peer: a.lastDrainCore, kind: EdgeWPQDrain})
+			a.hint(e, a.lastDrainCore, EdgeWPQDrain)
 		}
 
 	case trace.KWPQRemote:
@@ -409,11 +404,29 @@ func (a *Analyzer) Consume(e trace.Event) {
 	case trace.KSigHit:
 		ag := a.line(e.Addr)
 		ag.SigHits++
-		if peer, ok := a.lastWriter[e.Addr&lineMask]; ok && peer != e.Core {
-			a.hints[e.Core] = append(a.hints[e.Core],
-				hintRec{cycle: e.Cycle, peer: peer, kind: EdgeLazyConflict})
+		if ag.written && ag.writer != e.Core {
+			a.hint(e, ag.writer, EdgeLazyConflict)
 		}
 	}
+}
+
+// fail records err unless an earlier contract break is already held.
+func (a *Analyzer) fail(err error) {
+	if a.err == nil {
+		a.err = err
+	}
+}
+
+// hint records that e's core was blocked via kind on peer at e's cycle.
+// A core's clock never runs backwards, so its hints arrive in cycle
+// order (hintPeer and waitEdges binary-search them); one that does not
+// breaks the stream's contract like a gap in the charge tiling.
+func (a *Analyzer) hint(e trace.Event, peer uint8, kind EdgeKind) {
+	hs := a.hints[e.Core]
+	if n := len(hs); n > 0 && hs[n-1].cycle > e.Cycle {
+		a.fail(fmt.Errorf("critpath: core %d wait hint at cycle %d follows one at %d", e.Core, e.Cycle, hs[n-1].cycle))
+	}
+	a.hints[e.Core] = append(hs, hintRec{cycle: e.Cycle, peer: peer, kind: kind})
 }
 
 // consumeCharge extends the emitting core's node chain. A charge is a
@@ -424,9 +437,7 @@ func (a *Analyzer) consumeCharge(e trace.Event) {
 	c := e.Core
 	cause := profile.Cause(e.Addr)
 	if cause == profile.CauseNone || cause >= profile.Cause(len(a.totals[c])) {
-		if a.causeErr == nil {
-			a.causeErr = fmt.Errorf("critpath: charge with unknown cause %d at cycle %d", e.Addr, e.Cycle)
-		}
+		a.fail(fmt.Errorf("critpath: charge with unknown cause %d at cycle %d", e.Addr, e.Cycle))
 		return
 	}
 	start := e.Cycle - e.Arg
@@ -434,9 +445,9 @@ func (a *Analyzer) consumeCharge(e trace.Event) {
 	ns := a.nodes[c]
 	if len(ns) > 0 {
 		top := &ns[len(ns)-1]
-		if top.End != start && a.tileErr == nil {
-			a.tileErr = fmt.Errorf("critpath: core %d charge stream does not tile: segment starts at %d, previous ends at %d",
-				c, start, top.End)
+		if top.End != start {
+			a.fail(fmt.Errorf("critpath: core %d charge stream does not tile: segment starts at %d, previous ends at %d",
+				c, start, top.End))
 		}
 		if top.Cause == cause && top.End == start {
 			top.End = e.Cycle
@@ -455,11 +466,8 @@ func (a *Analyzer) Analyze(dropped uint64) (*Analysis, error) {
 	if dropped > 0 {
 		return nil, fmt.Errorf("critpath: trace dropped %d events; the charge stream cannot tile", dropped)
 	}
-	if a.causeErr != nil {
-		return nil, a.causeErr
-	}
-	if a.tileErr != nil {
-		return nil, a.tileErr
+	if a.err != nil {
+		return nil, a.err
 	}
 	var cores []int
 	for c := 0; c < 256; c++ {
@@ -495,9 +503,7 @@ func (a *Analyzer) Analyze(dropped uint64) (*Analysis, error) {
 	an.Start, an.Makespan = start, end-start
 
 	a.walk(an, m, end)
-	nodes, edges := a.graph()
-	an.Nodes, an.Edges = len(nodes), len(edges)
-	an.SlackTop = slackTop(nodes, edges, end)
+	a.slack(an, cores, end)
 	a.whatIf(an)
 	a.hotLines(an)
 	return an, nil
@@ -546,10 +552,8 @@ func (a *Analyzer) walk(an *Analysis, m int, end uint64) {
 // on core c at or before cycle.
 func (a *Analyzer) hintPeer(c int, kind EdgeKind, cycle uint64) (int, bool) {
 	hs := a.hints[c]
-	for i := len(hs) - 1; i >= 0; i-- {
-		if hs[i].cycle > cycle {
-			continue
-		}
+	i := sort.Search(len(hs), func(i int) bool { return hs[i].cycle > cycle })
+	for i--; i >= 0; i-- {
 		if hs[i].kind == kind {
 			return int(hs[i].peer), true
 		}
@@ -567,133 +571,110 @@ func (a *Analyzer) covers(c int, x uint64) bool {
 	return ns[0].Start < x && x <= ns[len(ns)-1].End
 }
 
-// graph materializes the DAG: the node list flattened core-major
-// (sorted by core, then start) and the cross-core wait edges, sorted
-// by (To, From, Kind).
-func (a *Analyzer) graph() ([]Node, []Edge) {
-	// Flatten nodes core-major; remember each core's offset.
-	var nodes []Node
-	off := map[int]int{}
-	for c := 0; c < 256; c++ {
-		if len(a.nodes[c]) == 0 {
+// waitEdges returns the cross-core wait edges into core c's nodes,
+// built from its hints in cycle order (so by ascending To) and
+// deduplicated per target node. A hint's target is the node containing
+// its cycle (exclusive start, like the walk: [Start, End] covers
+// Start < cycle <= End, so a witness stamped at a segment boundary maps
+// to the segment that ends there); its source is the peer's last node
+// ending at or before the target starts.
+func (a *Analyzer) waitEdges(c int) []Edge {
+	ns := a.nodes[c]
+	var out []Edge
+	group := 0 // the first edge into out's last target node
+	for _, h := range a.hints[c] {
+		to := sort.Search(len(ns), func(i int) bool { return ns[i].Start >= h.cycle }) - 1
+		if to < 0 || h.cycle > ns[to].End {
 			continue
 		}
-		off[c] = len(nodes)
-		nodes = append(nodes, a.nodes[c]...)
-	}
-	// nodeAt finds the index of core c's node containing cycle
-	// (exclusive start, like the walk: [Start, End] covers Start < cycle
-	// <= End, so a witness event stamped at a segment boundary maps to
-	// the segment that ends there).
-	nodeAt := func(c int, cycle uint64) (int, bool) {
-		ns := a.nodes[c]
-		i := sort.Search(len(ns), func(i int) bool { return ns[i].Start >= cycle }) - 1
-		if i < 0 || cycle > ns[i].End {
-			return 0, false
+		ps := a.nodes[h.peer]
+		from := sort.Search(len(ps), func(i int) bool { return ps[i].End > ns[to].Start }) - 1
+		if from < 0 {
+			continue
 		}
-		return off[c] + i, true
-	}
-	// lastBefore finds core c's last node ending at or before cycle.
-	lastBefore := func(c int, cycle uint64) (int, bool) {
-		ns := a.nodes[c]
-		i := sort.Search(len(ns), func(i int) bool { return ns[i].End > cycle }) - 1
-		if i < 0 {
-			return 0, false
+		e := Edge{Kind: h.kind, FromCore: int(h.peer), From: from, To: to}
+		if n := len(out); n > 0 && out[n-1].To != to {
+			group = n
 		}
-		return off[c] + i, true
-	}
-	var edges []Edge
-	seen := map[Edge]struct{}{}
-	for c := 0; c < 256; c++ {
-		for _, h := range a.hints[c] {
-			to, ok := nodeAt(c, h.cycle)
-			if !ok {
-				continue
-			}
-			from, ok := lastBefore(int(h.peer), nodes[to].Start)
-			if !ok {
-				continue
-			}
-			e := Edge{Kind: h.kind, From: from, To: to}
-			if _, dup := seen[e]; dup || from == to {
-				continue
-			}
-			seen[e] = struct{}{}
-			edges = append(edges, e)
+		if !slices.Contains(out[group:], e) {
+			out = append(out, e)
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].To != edges[j].To {
-			return edges[i].To < edges[j].To
-		}
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].Kind < edges[j].Kind
-	})
-	return nodes, edges
+	return out
 }
 
-// slackTop runs the CPM slack pass over the DAG and returns the nodes
-// with the most slack, capped at maxSlackTop. end is the makespan's
-// last cycle.
-func slackTop(nodes []Node, edges []Edge, end uint64) []SlackEntry {
-	// CPM backward pass for latest-finish times. Program-order edges
-	// chain each core; wait edges constrain the source to finish before
-	// the target starts (every edge satisfies End(from) <= Start(to), so
-	// processing nodes by descending End is reverse-topological).
-	lf := make([]uint64, len(nodes))
-	for i := range lf {
-		lf[i] = end
+// slack runs the CPM backward pass for latest-finish times over the
+// per-core node lists and fills the DAG's counts and SlackTop. end is
+// the makespan's last cycle. Program order chains each core; a wait edge
+// constrains its source to finish before its target starts (every edge
+// has End(from) <= Start(to)), so visiting nodes by descending End is
+// reverse-topological. The visit merges the core lists from their
+// tails, ties going to the higher core, then the later node.
+func (a *Analyzer) slack(an *Analysis, cores []int, end uint64) {
+	var (
+		lf         [256][]uint64 // latest finish, per core and node
+		in         [256][]Edge
+		next, edge [256]int // per core: the next node and in-edge to visit
+	)
+	for _, c := range cores {
+		lf[c] = make([]uint64, len(a.nodes[c]))
+		for i := range lf[c] {
+			lf[c][i] = end
+		}
+		in[c] = a.waitEdges(c)
+		next[c], edge[c] = len(a.nodes[c])-1, len(in[c])-1
+		an.Nodes += len(a.nodes[c])
+		an.Edges += len(in[c])
 	}
-	relax := func(from, to int) {
-		if ls := lf[to] - nodes[to].Dur(); ls < lf[from] {
-			lf[from] = ls
+	for {
+		c := -1
+		for _, d := range cores {
+			if next[d] >= 0 && (c < 0 || a.nodes[d][next[d]].End >= a.nodes[c][next[c]].End) {
+				c = d
+			}
+		}
+		if c < 0 {
+			break
+		}
+		v := next[c]
+		next[c]--
+		ls := lf[c][v] - a.nodes[c][v].Dur()
+		if v > 0 {
+			lf[c][v-1] = min(lf[c][v-1], ls)
+		}
+		for ; edge[c] >= 0 && in[c][edge[c]].To == v; edge[c]-- {
+			e := in[c][edge[c]]
+			lf[e.FromCore][e.From] = min(lf[e.FromCore][e.From], ls)
 		}
 	}
-	order := make([]int, len(nodes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if nodes[order[i]].End != nodes[order[j]].End {
-			return nodes[order[i]].End > nodes[order[j]].End
-		}
-		return order[i] > order[j]
-	})
-	inEdges := map[int][]Edge{}
-	for _, e := range edges {
-		inEdges[e.To] = append(inEdges[e.To], e)
-	}
-	for _, v := range order {
-		// Program-order predecessor on the same core.
-		if v > 0 && nodes[v-1].Core == nodes[v].Core {
-			relax(v-1, v)
-		}
-		for _, e := range inEdges[v] {
-			relax(e.From, v)
+	an.SlackTop = make([]SlackEntry, 0, maxSlackTop)
+	for _, c := range cores {
+		for i, n := range a.nodes[c] {
+			an.SlackTop = keepTop(an.SlackTop, SlackEntry{Node: n, Slack: lf[c][i] - n.End}, compareSlack)
 		}
 	}
-	entries := make([]SlackEntry, len(nodes))
-	for i, n := range nodes {
-		entries[i] = SlackEntry{Node: n, Slack: lf[i] - n.End}
+}
+
+// compareSlack orders SlackTop: most slack first, then the longer node,
+// the lower core and the earlier start.
+func compareSlack(s, t SlackEntry) int {
+	return cmp.Or(cmp.Compare(t.Slack, s.Slack), cmp.Compare(t.Node.Dur(), s.Node.Dur()),
+		cmp.Compare(s.Node.Core, t.Node.Core), cmp.Compare(s.Node.Start, t.Node.Start))
+}
+
+// keepTop inserts x into top, which is sorted by cmp and holds at most
+// cap(top) entries, dropping the last one when full. With cmp a total
+// order, top ends as the sorted prefix of everything offered, in
+// whatever order it was offered.
+func keepTop[T any](top []T, x T, cmp func(T, T) int) []T {
+	if len(top) == cap(top) {
+		if cmp(x, top[len(top)-1]) >= 0 {
+			return top
+		}
+		top = top[:len(top)-1]
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Slack != entries[j].Slack {
-			return entries[i].Slack > entries[j].Slack
-		}
-		if entries[i].Node.Dur() != entries[j].Node.Dur() {
-			return entries[i].Node.Dur() > entries[j].Node.Dur()
-		}
-		if entries[i].Node.Core != entries[j].Node.Core {
-			return entries[i].Node.Core < entries[j].Node.Core
-		}
-		return entries[i].Node.Start < entries[j].Node.Start
-	})
-	if len(entries) > maxSlackTop {
-		entries = entries[:maxSlackTop]
-	}
-	return entries
+	i, _ := slices.BinarySearchFunc(top, x, cmp)
+	return slices.Insert(top, i, x)
 }
 
 // whatIf computes the standard projections from the per-core totals.
@@ -719,29 +700,20 @@ func (a *Analyzer) whatIf(an *Analysis) {
 	}
 }
 
-// hotLines reduces the per-line map into the deterministic ranking.
+// hotLines reduces the per-line map into the deterministic ranking:
+// highest Score first, then most SerCycles, then the lower address.
 func (a *Analyzer) hotLines(an *Analysis) {
 	an.TotalLines = len(a.lines)
-	hl := make([]HotLine, 0, len(a.lines))
-	for _, ag := range a.lines { //slpmt:determinism-ok: collected entries are sorted below
+	an.HotLines = make([]HotLine, 0, MaxHotLines)
+	for _, ag := range a.lines { //slpmt:determinism-ok: keepTop's order is total (addresses are unique)
 		if ag.Score() == 0 && ag.SerCycles() == 0 {
 			continue
 		}
-		hl = append(hl, ag.HotLine)
+		an.HotLines = keepTop(an.HotLines, ag.HotLine, func(h, g HotLine) int {
+			return cmp.Or(cmp.Compare(g.Score(), h.Score()), cmp.Compare(g.SerCycles(), h.SerCycles()),
+				cmp.Compare(h.Addr, g.Addr))
+		})
 	}
-	sort.Slice(hl, func(i, j int) bool {
-		if hl[i].Score() != hl[j].Score() {
-			return hl[i].Score() > hl[j].Score()
-		}
-		if hl[i].SerCycles() != hl[j].SerCycles() {
-			return hl[i].SerCycles() > hl[j].SerCycles()
-		}
-		return hl[i].Addr < hl[j].Addr
-	})
-	if len(hl) > maxHotLines {
-		hl = hl[:maxHotLines]
-	}
-	an.HotLines = hl
 }
 
 // Check asserts the conservation-style contract: the critical-path
@@ -776,11 +748,8 @@ func (an *Analysis) ByCause() map[string]uint64 {
 
 // Render writes the canonical text report: byte-identical for identical
 // streams, whichever source (ring or binlog) carried them. hotN caps
-// the hot-line section (<= 0 selects 10).
+// the hot-line section.
 func (an *Analysis) Render(hotN int) string {
-	if hotN <= 0 {
-		hotN = 10
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "critical path: makespan %d cycles over %d cores, path length %d, %d cross-core hops",
 		an.Makespan, an.Cores, an.PathLen, an.Hops)

@@ -1,6 +1,7 @@
 package critpath
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -109,7 +110,8 @@ func TestMicroDAGGolden(t *testing.T) {
 	// wait edge (core 1's first node -> core 0's stall node). The
 	// coherence hint at 1030 finds no source node that finishes before
 	// its target starts, so it stays a hint, not an edge.
-	// The Analysis keeps the counts; the analyzer rebuilds the DAG.
+	// The Analysis keeps the counts; the analyzer's per-core lists hold
+	// the edges.
 	if an.Nodes != 5 || an.Edges != 1 {
 		t.Fatalf("dag: %d nodes %d edges, want 5/1", an.Nodes, an.Edges)
 	}
@@ -117,12 +119,12 @@ func TestMicroDAGGolden(t *testing.T) {
 	if _, err := stream.Feed(stream.Events(microEvents()), a); err != nil {
 		t.Fatal(err)
 	}
-	nodes, edges := a.graph()
-	if len(nodes) != an.Nodes || len(edges) != an.Edges {
-		t.Fatalf("graph: %d nodes %d edges, analysis counted %d/%d", len(nodes), len(edges), an.Nodes, an.Edges)
+	if es := a.waitEdges(1); len(es) != 0 {
+		t.Fatalf("edges into core 1: %+v, want none", es)
 	}
-	if e := edges[0]; e.Kind != EdgeWPQDrain || e.From != 3 || e.To != 1 {
-		t.Fatalf("edge = %+v, want wpq.drain 3->1", e)
+	want0 := []Edge{{Kind: EdgeWPQDrain, FromCore: 1, From: 0, To: 1}}
+	if es := a.waitEdges(0); !slices.Equal(es, want0) {
+		t.Fatalf("edges into core 0: %+v, want %+v", es, want0)
 	}
 
 	// CPM slack: the three core-0 nodes are critical (slack 0); core 1's
@@ -248,6 +250,16 @@ func TestAnalyzeErrors(t *testing.T) {
 		ch(0, 1300, profile.CauseCompute, 50),
 	}, 0); err == nil {
 		t.Error("tiling gap: want error")
+	}
+	// A wait hint stamped before the core's previous one (hintPeer and
+	// waitEdges binary-search a core's hints by cycle).
+	if _, err := analyze([]trace.Event{
+		{Cycle: 1010, Addr: 0x2000, Arg: 8, Kind: trace.KStore, Core: 1},
+		{Cycle: 1050, Addr: 0x2000, Kind: trace.KCohInval, Core: 0},
+		{Cycle: 1030, Addr: 0x2000, Kind: trace.KCohSnoop, Core: 0},
+		ch(0, 1100, profile.CauseCoherence, 100),
+	}, 0); err == nil || !strings.Contains(err.Error(), "wait hint at cycle 1030 follows one at 1050") {
+		t.Errorf("out-of-order hint: error %v, want the hint order named", err)
 	}
 	// An out-of-range cause.
 	if _, err := analyze([]trace.Event{

@@ -2,7 +2,7 @@
 # check.sh - the repo's pre-merge gate: formatting, vet (go vet plus
 # the slpmtvet analyzer suite), build (native, windows and darwin), full
 # test suite, vet and tests of the perfbench module, one run of each
-# cache/machine/engine/pmem/logbuf/txheap/recovery/workloads
+# cache/machine/engine/pmem/logbuf/txheap/recovery/workloads/critpath
 # microbenchmark and of the cluster constructor benchmark,
 # race-detector passes, and one traced 2-core run replayed through the
 # persist-order sanitizer and the critical-path analyzer, exported to
@@ -45,7 +45,8 @@ echo "== perfbench (own module: a main-module API change that breaks it fails he
 
 echo "== benchmark smoke (each microbenchmark once) =="
 go test -run '^$' -bench . -benchtime 1x ./internal/cache/ ./internal/machine/ ./internal/engine/ \
-	./internal/pmem/ ./internal/logbuf/ ./internal/txheap/ ./internal/recovery/ ./internal/workloads/
+	./internal/pmem/ ./internal/logbuf/ ./internal/txheap/ ./internal/recovery/ ./internal/workloads/ \
+	./internal/critpath/
 go test -run '^$' -bench '^BenchmarkNewCluster$' -benchtime 1x .
 
 echo "== go test -race (make race) =="
