@@ -22,7 +22,7 @@ test:
 race:
 	$(GO) test -race . ./internal/bench/ ./internal/cache/ ./internal/machine/ ./internal/trace/...
 	$(GO) test -race ./internal/experiments/ \
-		./internal/recovery/ -run 'Parallel|ForEach|Grid|RunAll|Collector|Smoke'
+		./internal/recovery/ -run 'Parallel|ForEach|Grid|RunAll|Smoke'
 	$(GO) test -race ./internal/workloads/ -run 'FreeList|KeySet'
 
 fmt:

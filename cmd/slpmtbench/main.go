@@ -253,8 +253,8 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// runOne executes one experiment, optionally collecting every benchmark
-// result it produces into BENCH_<name>.json.
+// runOne executes one experiment, optionally writing every benchmark
+// result it returns into BENCH_<name>.json.
 func runOne(out io.Writer, name string, base bench.RunConfig, jsonOut bool) error {
 	// An explicit -experiment mixes rejects the flags it ignores; inside
 	// "all" it says so before its table.
@@ -262,26 +262,23 @@ func runOne(out io.Writer, name string, base bench.RunConfig, jsonOut bool) erro
 		fmt.Fprintf(out, "(mixes runs %d operations on one core; it ignores %s)\n", ycsb.DefaultOps, strings.Join(ig, ", "))
 	}
 	if !jsonOut {
-		return experiments.Run(out, name, base)
+		_, err := experiments.Run(out, name, base)
+		return err
 	}
 	// Machine-readable documents carry the cycle-attribution breakdown
 	// (observation-only: the numbers match an unprofiled run exactly).
 	base.Profile = true
-	col := &bench.Collector{}
-	bench.SetCollector(col)
-	defer bench.SetCollector(nil)
-
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	err := experiments.Run(out, name, base)
+	results, err := experiments.Run(out, name, base)
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		return err
 	}
 	rep := report.FromResults(name, bench.Parallelism(), wall,
-		after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc, col.Results())
+		after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc, results)
 	path := report.Filename(name)
 	if err := rep.Write(path); err != nil {
 		return err

@@ -93,9 +93,7 @@ func runSingle(out io.Writer, cfgs []bench.RunConfig, s single) error {
 // printFlame prints r's cycle attribution and writes its folded stacks
 // to path.
 func printFlame(out io.Writer, r *bench.Result, path string) error {
-	if err := r.Causes.Conserved(); err != nil {
-		return fmt.Errorf("attribution broke conservation: %w", err)
-	}
+	// bench.Run has checked conservation.
 	merged := r.Causes.Merged()
 	total := merged.Sum()
 	fmt.Fprintf(out, "\nattributed core-cycles: %d (conservation holds on all %d cores)\n\n", total, max(r.Cores, 1))

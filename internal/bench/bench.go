@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"github.com/persistmem/slpmt"
@@ -158,8 +157,10 @@ type Result struct {
 	// the run was traced (Trace, Metrics, StreamDir or CritPath set).
 	Summary trace.Summary
 	// Causes is the cycle-attribution breakdown of the measured region,
-	// snapshotted before verification; nil unless Profile was set. A
-	// pointer keeps Result comparable with ==.
+	// snapshotted before verification; nil unless Profile was set. Run
+	// panics if it is not conserved (each core's causes sum to its
+	// clock advance), so every returned breakdown is. A pointer keeps
+	// Result comparable with ==.
 	Causes *profile.Breakdown
 	// PerSocket holds the per-socket device statistics of a
 	// multi-socket run (enqueue counts, stall cycles, occupancy); nil
@@ -331,6 +332,9 @@ func Run(cfg RunConfig) Result {
 			totals[i] = cl.Plat.Core(i).Clk - startClk
 		}
 		res.Causes = prof.Breakdown(totals)
+		if err := res.Causes.Conserved(); err != nil {
+			panic(fmt.Sprintf("bench: %s/%s: %v", cfg.Scheme, cfg.Workload, err))
+		}
 	}
 	if cfg.Verify {
 		if tr != nil {
@@ -345,22 +349,7 @@ func Run(cfg RunConfig) Result {
 		}
 		res.VerifyErr = w.Check(cl.Use(0), oracle)
 	}
-	if c := collector.Load(); c != nil {
-		c.Add(res)
-	}
 	return res
-}
-
-// Grid runs the cartesian product of schemes × workloads with shared
-// parameters, returning results keyed [scheme][workload]. Cells run on
-// the worker pool (see SetParallelism); the results are identical to a
-// serial sweep. A failing cell panics, like Run.
-func Grid(schemeNames, workloadNames []string, base RunConfig) map[string]map[string]Result {
-	out, err := GridParallel(schemeNames, workloadNames, base)
-	if err != nil {
-		panic(err)
-	}
-	return out
 }
 
 // Speedup returns base.Cycles / r.Cycles.
@@ -451,13 +440,3 @@ func (t *Table) String() string {
 func F(x float64) string   { return fmt.Sprintf("%.2f", x) }
 func Fx(x float64) string  { return fmt.Sprintf("%.2fx", x) }
 func Pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
-
-// SortedKeys returns the sorted keys of a result map.
-func SortedKeys(m map[string]Result) []string {
-	out := make([]string, 0, len(m))
-	for k := range m { //slpmt:determinism-ok: collected keys are sorted below
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

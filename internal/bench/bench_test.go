@@ -30,11 +30,20 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestGridShape(t *testing.T) {
-	g := Grid([]string{"FG", "SLPMT"}, []string{"heap"}, RunConfig{N: 40, ValueSize: 16})
-	if len(g) != 2 || len(g["FG"]) != 1 {
-		t.Fatalf("grid shape wrong")
+	g, err := Grid([]string{"FG", "SLPMT"}, []string{"heap", "avl"}, RunConfig{N: 40, ValueSize: 16})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if Speedup(g["FG"]["heap"], g["SLPMT"]["heap"]) <= 0 {
+	want := []string{"FG/heap", "FG/avl", "SLPMT/heap", "SLPMT/avl"}
+	if len(g) != len(want) {
+		t.Fatalf("grid has %d cells, want %d", len(g), len(want))
+	}
+	for i, r := range g {
+		if got := r.Scheme + "/" + r.Workload; got != want[i] {
+			t.Errorf("cell %d is %s, want %s (scheme-major order)", i, got, want[i])
+		}
+	}
+	if Speedup(g[0], g[2]) <= 0 {
 		t.Error("speedup not positive")
 	}
 }

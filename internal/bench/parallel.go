@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,7 +20,7 @@ import (
 // parallelism is the configured worker count; 0 means GOMAXPROCS.
 var parallelism atomic.Int64
 
-// SetParallelism sets the worker count used by RunAll, GridParallel and
+// SetParallelism sets the worker count used by RunAll, Grid and
 // ForEach (and therefore every figure grid). n <= 0 restores the
 // default, GOMAXPROCS.
 func SetParallelism(n int) {
@@ -88,7 +87,7 @@ func ForEachWorkers(n, workers int, fn func(i int) error) error {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		//slpmt:determinism-ok: each job runs an isolated simulation; results land in jobErrs[i] and the collector sorts before rendering
+		//slpmt:determinism-ok: each job runs an isolated simulation; errors land in jobErrs[i] and are joined in job order
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
@@ -137,8 +136,9 @@ func joinErrors(errs []error) error {
 }
 
 // RunAll executes every config on the worker pool, returning results in
-// input order. A panicking run (bad scheme name, failed setup) is
-// reported in the error; its Result slot is left zero.
+// input order. A panicking run (bad scheme name, failed setup, broken
+// cycle conservation) is reported in the error; its Result slot is left
+// zero.
 func RunAll(cfgs []RunConfig) ([]Result, error) {
 	out := make([]Result, len(cfgs))
 	err := ForEach(len(cfgs), func(i int) error {
@@ -148,74 +148,18 @@ func RunAll(cfgs []RunConfig) ([]Result, error) {
 	return out, err
 }
 
-// GridParallel runs the cartesian product of schemes × workloads on the
-// worker pool. The result map is identical (same keys, same Result
-// values) to what the serial Grid loop produces for the same inputs.
-func GridParallel(schemeNames, workloadNames []string, base RunConfig) (map[string]map[string]Result, error) {
+// Grid runs the cartesian product of schemes × workloads over base's
+// other fields on the worker pool, returning the results in
+// scheme-major order: workload wi of scheme si is at
+// si*len(workloadNames)+wi. Errors are RunAll's.
+func Grid(schemeNames, workloadNames []string, base RunConfig) ([]Result, error) {
 	cfgs := make([]RunConfig, 0, len(schemeNames)*len(workloadNames))
 	for _, s := range schemeNames {
 		for _, w := range workloadNames {
 			cfg := base
-			cfg.Scheme = s
-			cfg.Workload = w
+			cfg.Scheme, cfg.Workload = s, w
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := RunAll(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]map[string]Result, len(schemeNames))
-	i := 0
-	for _, s := range schemeNames {
-		out[s] = make(map[string]Result, len(workloadNames))
-		for _, w := range workloadNames {
-			out[s][w] = results[i]
-			i++
-		}
-	}
-	return out, nil
+	return RunAll(cfgs)
 }
-
-// SortedSchemes returns the sorted outer keys of a grid, giving every
-// renderer one deterministic iteration order regardless of how the grid
-// was produced.
-func SortedSchemes(grid map[string]map[string]Result) []string {
-	out := make([]string, 0, len(grid))
-	for s := range grid { //slpmt:determinism-ok: collected keys are sorted below
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Collector accumulates every Result produced while it is installed —
-// the machine-readable feed behind slpmtbench -json. Safe for
-// concurrent use by the worker pool.
-type Collector struct {
-	mu      sync.Mutex
-	results []Result
-}
-
-// Add records one result.
-func (c *Collector) Add(r Result) {
-	c.mu.Lock()
-	c.results = append(c.results, r)
-	c.mu.Unlock()
-}
-
-// Results returns a copy of the collected results.
-func (c *Collector) Results() []Result {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Result, len(c.results))
-	copy(out, c.results)
-	return out
-}
-
-// collector is the installed sink (nil = collection off).
-var collector atomic.Pointer[Collector]
-
-// SetCollector installs c as the sink every Run reports into; nil
-// disables collection.
-func SetCollector(c *Collector) { collector.Store(c) }

@@ -125,22 +125,23 @@ func TestGridParallelMatchesSerial(t *testing.T) {
 	ws := workloads.Kernels()
 	base := RunConfig{N: 60, ValueSize: 32, Verify: true}
 
-	var serial, parallel map[string]map[string]Result
-	withParallelism(t, 1, func() { serial = Grid(ss, ws, base) })
-	withParallelism(t, 8, func() { parallel = Grid(ss, ws, base) })
-
-	if len(serial) != len(parallel) {
-		t.Fatalf("scheme count %d vs %d", len(serial), len(parallel))
+	var serial, parallel []Result
+	var serialErr, parallelErr error
+	withParallelism(t, 1, func() { serial, serialErr = Grid(ss, ws, base) })
+	withParallelism(t, 8, func() { parallel, parallelErr = Grid(ss, ws, base) })
+	if serialErr != nil || parallelErr != nil {
+		t.Fatalf("serial: %v, parallel: %v", serialErr, parallelErr)
 	}
-	for _, s := range SortedSchemes(serial) {
-		for _, w := range SortedKeys(serial[s]) {
-			a, b := serial[s][w], parallel[s][w]
-			if a.VerifyErr != nil || b.VerifyErr != nil {
-				t.Fatalf("%s/%s verify: serial=%v parallel=%v", s, w, a.VerifyErr, b.VerifyErr)
-			}
-			if a != b {
-				t.Errorf("%s/%s: serial and parallel results differ:\n  serial:   %+v\n  parallel: %+v", s, w, a, b)
-			}
+	if len(serial) != len(parallel) {
+		t.Fatalf("cell count %d vs %d", len(serial), len(parallel))
+	}
+	for i, a := range serial {
+		b := parallel[i]
+		if a.VerifyErr != nil || b.VerifyErr != nil {
+			t.Fatalf("%s/%s verify: serial=%v parallel=%v", a.Scheme, a.Workload, a.VerifyErr, b.VerifyErr)
+		}
+		if a != b {
+			t.Errorf("%s/%s: serial and parallel results differ:\n  serial:   %+v\n  parallel: %+v", a.Scheme, a.Workload, a, b)
 		}
 	}
 }
@@ -183,38 +184,4 @@ func TestRunAllReportsPanickingRun(t *testing.T) {
 			t.Error("healthy run missing from results")
 		}
 	})
-}
-
-func TestSortedSchemes(t *testing.T) {
-	grid := map[string]map[string]Result{"SLPMT": nil, "ATOM": nil, "FG": nil}
-	got := SortedSchemes(grid)
-	want := []string{"ATOM", "FG", "SLPMT"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedSchemes = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestCollectorGathersResults(t *testing.T) {
-	col := &Collector{}
-	SetCollector(col)
-	defer SetCollector(nil)
-	withParallelism(t, 4, func() {
-		if _, err := RunAll([]RunConfig{
-			{Scheme: schemes.FG, Workload: "hashtable", N: 20, ValueSize: 16},
-			{Scheme: schemes.SLPMT, Workload: "hashtable", N: 20, ValueSize: 16},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	rs := col.Results()
-	if len(rs) != 2 {
-		t.Fatalf("collected %d results, want 2", len(rs))
-	}
-	for _, r := range rs {
-		if r.Cycles == 0 {
-			t.Error("collected an empty result")
-		}
-	}
 }

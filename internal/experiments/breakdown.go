@@ -25,11 +25,11 @@ func BreakdownSchemes() []string {
 // core count executes with the profiler attached, and each run's
 // cycles are decomposed into the exhaustive cause taxonomy
 // (internal/profile). The table reports the share of attributed
-// core-cycles per cause group; conservation (sum of causes == each
-// core's clock advance) is checked on every cell, so a run that loses
-// or double-charges cycles fails the experiment rather than printing a
-// misleading table.
-func Breakdown(out io.Writer, base bench.RunConfig) error {
+// core-cycles per cause group; bench.Run checks conservation (sum of
+// causes == each core's clock advance) on every cell, so a run that
+// loses or double-charges cycles fails the experiment rather than
+// printing a misleading table.
+func Breakdown(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	ss := BreakdownSchemes()
 	ws := workloads.Kernels()
 
@@ -48,7 +48,7 @@ func Breakdown(out io.Writer, base bench.RunConfig) error {
 	}
 	results, err := bench.RunAll(cfgs)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	groups := profile.Groups()
@@ -58,22 +58,10 @@ func Breakdown(out io.Writer, base bench.RunConfig) error {
 			valueOf(base), opsOf(base)),
 		cols...)
 	for _, r := range results {
-		if r.VerifyErr != nil {
-			return fmt.Errorf("%s/%s cores=%d failed verification: %v",
-				r.Scheme, r.Workload, r.Cores, r.VerifyErr)
-		}
-		if err := r.Causes.Conserved(); err != nil {
-			return fmt.Errorf("%s/%s cores=%d broke cycle conservation: %v",
-				r.Scheme, r.Workload, r.Cores, err)
-		}
 		by := r.Causes.ByGroup()
-		var total uint64
-		for _, v := range by { //slpmt:determinism-ok: order-independent sum
-			total += v
-		}
-		row := []string{r.Scheme, r.Workload, fmt.Sprintf("%d", normCores(r.Cores))}
+		row := []string{r.Scheme, r.Workload, fmt.Sprintf("%d", r.Cores)}
 		for _, g := range groups {
-			row = append(row, bench.Pct(float64(by[g])/float64(total)))
+			row = append(row, bench.Pct(share(r, by[g])))
 		}
 		tb.AddRow(row...)
 	}
@@ -81,5 +69,5 @@ func Breakdown(out io.Writer, base bench.RunConfig) error {
 	fmt.Fprintln(out, "(groups: compute | cache = hit/miss/fill latencies | coherence = snoops+writebacks |")
 	fmt.Fprintln(out, " log = append/persist/sync | commit = marker+data flush | lazy = deferred drains |")
 	fmt.Fprint(out, " wpq = enqueue + queue-full stalls + sync persists; conservation checked per core)\n")
-	return nil
+	return results, nil
 }

@@ -54,7 +54,8 @@ func record(workload string, base bench.RunConfig) (*txir.Trace, error) {
 // Fig13 reproduces Figure 13: compiler-inserted vs manual annotations
 // (left: speedup over the FG baseline; right: analysis time), plus the
 // variable-coverage count the paper reports in the text (16 of 26).
-func Fig13(out io.Writer, base bench.RunConfig) error {
+// It runs no bench.Run cells, so it returns no results.
+func Fig13(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	ws := workloads.Kernels()
 	tb := bench.NewTable(
 		"Figure 13 (left): speedup over FG — manual vs compiler-inserted annotations",
@@ -110,7 +111,7 @@ func Fig13(out io.Writer, base bench.RunConfig) error {
 		cells[i] = fig13Cell{fg: fg, manual: manual, replay: sys.Cycles(), traceOps: len(trace.Ops), ann: ann}
 		return nil
 	}); err != nil {
-		return err
+		return nil, err
 	}
 
 	totalManual, totalFound := 0, 0
@@ -135,5 +136,5 @@ func Fig13(out io.Writer, base bench.RunConfig) error {
 	fmt.Fprintln(out, tt)
 	fmt.Fprintf(out, "(paper: compiler speedups match manual; absolute compile-time cost < 0.15 s —\n"+
 		" the analysis above stays well under that for every kernel)\n")
-	return nil
+	return nil, nil
 }

@@ -42,36 +42,25 @@ const critPathHotN = 5
 //
 // The final table ranks the hottest contended cache lines of the
 // 2-core W=1 cell.
-func CritPath(out io.Writer, base bench.RunConfig) error {
+func CritPath(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	const workload = "hashtable"
 
+	key := func(c, win int) bench.RunConfig {
+		cfg := cell(base, schemes.SLPMT, workload)
+		cfg.Cores = c
+		cfg.CommitWindow = win
+		cfg.CritPath = true
+		return cfg
+	}
 	cfgs := make([]bench.RunConfig, 0, len(critPathCores)*len(critPathWindows))
 	for _, c := range critPathCores {
 		for _, win := range critPathWindows {
-			cfg := base
-			cfg.Scheme = schemes.SLPMT
-			cfg.Workload = workload
-			cfg.Cores = c
-			cfg.CommitWindow = win
-			cfg.CritPath = true
-			cfgs = append(cfgs, cfg)
+			cfgs = append(cfgs, key(c, win))
 		}
 	}
-	results, err := bench.RunAll(cfgs)
-	if err != nil {
-		return err
-	}
-	byCell := make(map[int]map[int]bench.Result, len(critPathCores))
-	for _, r := range results {
-		if r.VerifyErr != nil {
-			return fmt.Errorf("%s cores=%d W=%d failed verification: %v",
-				r.Workload, r.Cores, r.RunConfig.CommitWindow, r.VerifyErr)
-		}
-		c := normCores(r.Cores)
-		if byCell[c] == nil {
-			byCell[c] = make(map[int]bench.Result, len(critPathWindows))
-		}
-		byCell[c][r.RunConfig.CommitWindow] = r
+	var sw sweep
+	if _, err := sw.add(bench.RunAll(cfgs)); err != nil {
+		return nil, err
 	}
 
 	tc := bench.NewTable(
@@ -86,7 +75,7 @@ func CritPath(out io.Writer, base bench.RunConfig) error {
 		"cores", "W", "commit-flush-async", "wpq-infinite", "remote-zeroed", "window-inf")
 	for _, c := range critPathCores {
 		for _, win := range critPathWindows {
-			an := byCell[c][win].CritPath
+			an := sw.at(key(c, win)).CritPath
 			ck := "ok"
 			if err := an.Check(); err != nil {
 				ck = err.Error()
@@ -122,9 +111,9 @@ func CritPath(out io.Writer, base bench.RunConfig) error {
 		"CritPath: W->inf projection (from the W=1 path) vs measured W=16 speedup",
 		"cores", "projected", "measured W=16", "ratio")
 	for _, c := range critPathCores {
-		one := byCell[c][1]
+		one := sw.at(key(c, 1))
 		proj := windowInf(one.CritPath)
-		meas := bench.Speedup(one, byCell[c][16])
+		meas := bench.Speedup(one, sw.at(key(c, 16)))
 		ratio := 0.0
 		if meas != 0 {
 			ratio = proj / meas
@@ -135,7 +124,7 @@ func CritPath(out io.Writer, base bench.RunConfig) error {
 
 	// Hot lines of the contended per-transaction cell (2 cores, W=1):
 	// the root-count line all cores update should dominate.
-	an := byCell[2][1].CritPath
+	an := sw.at(key(2, 1)).CritPath
 	th := bench.NewTable(
 		fmt.Sprintf("CritPath: hottest contended lines (2 cores, W=1; top %d of %d)",
 			critPathHotN, an.TotalLines),
@@ -153,7 +142,7 @@ func CritPath(out io.Writer, base bench.RunConfig) error {
 	fmt.Fprintln(out, th)
 	fmt.Fprintln(out, "(critical share is where the makespan went; raw share is where core-cycles")
 	fmt.Fprint(out, " went — work off the path can dominate raw and still be free to remove)\n")
-	return nil
+	return sw.results, nil
 }
 
 // dominantCause picks the cause carrying the most critical-path cycles

@@ -21,7 +21,7 @@ func TestCritPathExperimentDeterministic(t *testing.T) {
 		bench.SetParallelism(workers)
 		defer bench.SetParallelism(0)
 		var buf bytes.Buffer
-		if err := Run(&buf, "critpath", cfg); err != nil {
+		if _, err := Run(&buf, "critpath", cfg); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return buf.String()

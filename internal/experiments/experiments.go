@@ -13,31 +13,57 @@ import (
 	"github.com/persistmem/slpmt/internal/workloads"
 )
 
+// experiment is a named figure: it runs its cells, writes its tables
+// and returns every result it ran.
+type experiment struct {
+	name string
+	run  func(io.Writer, bench.RunConfig) ([]bench.Result, error)
+}
+
 // registry lists every experiment in the order "all" runs them.
 // Everything before "scaling" reproduces the paper's single-core
 // evaluation unchanged; "scaling" (multi-core), "breakdown"
 // (cycle-attribution profiling), "window" (group-commit sensitivity),
 // "numa" (multi-device socket topology), and "critpath" (causal
 // critical-path analysis) are extensions.
-var registry = []struct {
-	name string
-	run  func(io.Writer, bench.RunConfig) error
-}{
+var registry = []experiment{
 	{"fig8", Fig8}, {"fig9", Fig9}, {"fig10", Fig10}, {"fig11", Fig11}, {"fig12", Fig12},
 	{"fig13", Fig13}, {"fig14", Fig14}, {"headline", Headline}, {"ablation", Ablation},
 	{"model", Model}, {"mixes", Mixes}, {"scaling", Scaling}, {"breakdown", Breakdown},
 	{"window", Window}, {"numa", Numa}, {"critpath", CritPath},
 }
 
-// Run executes the named experiment, writing its tables to w.
-// slpmtbench's "all" runs every one of Names in turn.
-func Run(w io.Writer, name string, base bench.RunConfig) error {
+// Run executes the named experiment, writing its tables to w, and
+// returns every result it ran, in run order. If a result failed its
+// invariant check, Run returns an error naming the first such cell
+// instead; the tables are written by then. slpmtbench's "all" runs
+// every one of Names in turn.
+func Run(w io.Writer, name string, base bench.RunConfig) ([]bench.Result, error) {
 	for _, e := range registry {
-		if e.name == name {
-			return e.run(w, base)
+		if e.name != name {
+			continue
+		}
+		results, err := e.run(w, base)
+		if err != nil {
+			return nil, err
+		}
+		if err := verified(results); err != nil {
+			return nil, err
+		}
+		return results, nil
+	}
+	return nil, fmt.Errorf("unknown experiment %q (have %s, all)", name, strings.Join(Names(), ", "))
+}
+
+// verified returns an error naming the first of results, in run order,
+// whose invariant check failed.
+func verified(results []bench.Result) error {
+	for _, r := range results {
+		if r.VerifyErr != nil {
+			return fmt.Errorf("%s failed verification: %v", cellName(r.RunConfig), r.VerifyErr)
 		}
 	}
-	return fmt.Errorf("unknown experiment %q (have %s, all)", name, strings.Join(Names(), ", "))
+	return nil
 }
 
 // Names returns the individual experiment names in the order "all" runs
@@ -50,31 +76,72 @@ func Names() []string {
 	return out
 }
 
-// checkVerify fails fast if any run's invariant check failed. The scan
-// order is deterministic so the reported failure (and therefore the
-// harness output) is identical between serial and parallel sweeps.
-func checkVerify(grid map[string]map[string]bench.Result) error {
-	for _, s := range bench.SortedSchemes(grid) {
-		m := grid[s]
-		for _, w := range bench.SortedKeys(m) {
-			if r := m[w]; r.VerifyErr != nil {
-				return fmt.Errorf("%s/%s failed verification: %v", s, w, r.VerifyErr)
-			}
+// cellName names a run by its scheme and workload, its mix, and every
+// swept knob it sets.
+func cellName(cfg bench.RunConfig) string {
+	name := cfg.Scheme + "/" + cfg.Workload
+	if cfg.Mix.Name != "" {
+		name += " mix=" + cfg.Mix.Name
+	}
+	for _, k := range []struct {
+		name string
+		v    uint64
+	}{
+		{"value", uint64(cfg.ValueSize)}, {"writelat", cfg.PMWriteNanos}, {"banks", uint64(cfg.Banks)},
+		{"wpq", uint64(cfg.WPQBytes)}, {"cores", uint64(cfg.Cores)}, {"W", uint64(cfg.CommitWindow)},
+		{"sockets", uint64(cfg.Sockets)}, {"remote-nanos", cfg.RemoteNanos},
+	} {
+		if k.v != 0 {
+			name += fmt.Sprintf(" %s=%d", k.name, k.v)
 		}
 	}
-	return nil
+	return name
+}
+
+// sweep gathers the results an experiment runs, in run order, and
+// looks each one up by its RunConfig.
+type sweep struct {
+	results []bench.Result
+	by      map[bench.RunConfig]bench.Result
+}
+
+// add records a batch that bench.RunAll or bench.Grid returned and
+// passes it through.
+func (sw *sweep) add(rs []bench.Result, err error) ([]bench.Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	if sw.by == nil {
+		sw.by = make(map[bench.RunConfig]bench.Result, len(rs))
+	}
+	for _, r := range rs {
+		sw.by[r.RunConfig] = r
+	}
+	sw.results = append(sw.results, rs...)
+	return rs, nil
+}
+
+// at returns the result of the run cfg configured.
+func (sw *sweep) at(cfg bench.RunConfig) bench.Result { return sw.by[cfg] }
+
+// cell is base with the scheme and workload set: a bench.Grid cell's
+// RunConfig.
+func cell(base bench.RunConfig, scheme, workload string) bench.RunConfig {
+	base.Scheme, base.Workload = scheme, workload
+	return base
 }
 
 // Fig8 reproduces Figure 8: speedup over the FG baseline (left) and
 // persistent-memory write-traffic reduction over the baseline (right)
 // for the kernel benchmarks under every evaluated scheme.
-func Fig8(out io.Writer, base bench.RunConfig) error {
+func Fig8(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	ss := schemes.Evaluated()
 	ws := workloads.Kernels()
-	grid := bench.Grid(ss, ws, base)
-	if err := checkVerify(grid); err != nil {
-		return err
+	var sw sweep
+	if _, err := sw.add(bench.Grid(ss, ws, base)); err != nil {
+		return nil, err
 	}
+	at := func(s, w string) bench.Result { return sw.at(cell(base, s, w)) }
 
 	tb := bench.NewTable(
 		fmt.Sprintf("Figure 8 (left): speedup over FG baseline (kernels, %dB values, %d ops)", valueOf(base), opsOf(base)),
@@ -85,11 +152,11 @@ func Fig8(out io.Writer, base bench.RunConfig) error {
 	perScheme := map[string][]float64{}
 	perSchemeTR := map[string][]float64{}
 	for _, w := range ws {
-		baseRes := grid[schemes.FG][w]
+		baseRes := at(schemes.FG, w)
 		rowS := []string{w}
 		rowT := []string{w}
 		for _, s := range ss {
-			r := grid[s][w]
+			r := at(s, w)
 			sp := bench.Speedup(baseRes, r)
 			red := bench.TrafficReduction(baseRes, r)
 			rowS = append(rowS, bench.Fx(sp))
@@ -115,33 +182,33 @@ func Fig8(out io.Writer, base bench.RunConfig) error {
 	// ATOM, EDE.
 	var vsFG, vsATOM, vsEDE []float64
 	for _, w := range ws {
-		vsFG = append(vsFG, bench.Speedup(grid[schemes.FG][w], grid[schemes.SLPMT][w]))
-		vsATOM = append(vsATOM, bench.Speedup(grid[schemes.ATOM][w], grid[schemes.SLPMT][w]))
-		vsEDE = append(vsEDE, bench.Speedup(grid[schemes.EDE][w], grid[schemes.SLPMT][w]))
+		r := at(schemes.SLPMT, w)
+		vsFG = append(vsFG, bench.Speedup(at(schemes.FG, w), r))
+		vsATOM = append(vsATOM, bench.Speedup(at(schemes.ATOM, w), r))
+		vsEDE = append(vsEDE, bench.Speedup(at(schemes.EDE, w), r))
 	}
 	fmt.Fprintf(out, "SLPMT average speedup: %.2fx over FG, %.2fx over ATOM, %.2fx over EDE (paper: 1.57x / 1.65x / 1.78x)\n",
 		bench.GeoMean(vsFG), bench.GeoMean(vsATOM), bench.GeoMean(vsEDE))
-	return nil
+	return sw.results, nil
 }
 
 // Fig9 reproduces Figure 9: SLPMT restricted to cache-line-granularity
 // logging, versus a line-granularity baseline (ATOM's logging grain) —
 // showing the log-free and lazy features still pay off without
 // fine-grain logging.
-func Fig9(out io.Writer, base bench.RunConfig) error {
+func Fig9(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	ws := workloads.Kernels()
-	ss := []string{schemes.ATOM, schemes.SLPMTCL}
-	grid := bench.Grid(ss, ws, base)
-	if err := checkVerify(grid); err != nil {
-		return err
+	var sw sweep
+	if _, err := sw.add(bench.Grid([]string{schemes.ATOM, schemes.SLPMTCL}, ws, base)); err != nil {
+		return nil, err
 	}
 	tb := bench.NewTable(
 		"Figure 9: cache-line-granularity SLPMT vs line-granularity baseline (ATOM)",
 		"workload", "speedup", "traffic reduction")
 	var sp []float64
 	for _, w := range ws {
-		b := grid[schemes.ATOM][w]
-		r := grid[schemes.SLPMTCL][w]
+		b := sw.at(cell(base, schemes.ATOM, w))
+		r := sw.at(cell(base, schemes.SLPMTCL, w))
 		s := bench.Speedup(b, r)
 		sp = append(sp, s)
 		tb.AddRow(w, bench.Fx(s), bench.Pct(bench.TrafficReduction(b, r)))
@@ -149,7 +216,7 @@ func Fig9(out io.Writer, base bench.RunConfig) error {
 	tb.AddRow("geomean", bench.Fx(bench.GeoMean(sp)), "")
 	fmt.Fprintln(out, tb)
 	fmt.Fprintf(out, "(paper: 1.27x average from log-free + lazy persistence alone)\n")
-	return nil
+	return sw.results, nil
 }
 
 // valueSweep is the shared sweep used by Figures 10 and 11.
@@ -157,23 +224,24 @@ var valueSizes = []int{16, 32, 64, 128, 256}
 
 // Fig10 reproduces Figure 10: SLPMT-over-FG speedup as a function of
 // value size.
-func Fig10(out io.Writer, base bench.RunConfig) error {
+func Fig10(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	ws := workloads.Kernels()
 	tb := bench.NewTable(
 		"Figure 10: SLPMT speedup over FG vs value size",
-		append([]string{"workload"}, colsOfInts(valueSizes)...)...)
-	sweep, err := pairSweep(base, ws, len(valueSizes), func(cfg *bench.RunConfig, v int) {
+		append([]string{"workload"}, colsPlain(valueSizes, "B")...)...)
+	var sw sweep
+	pairs, err := sw.pairs(base, ws, len(valueSizes), func(cfg *bench.RunConfig, v int) {
 		cfg.ValueSize = valueSizes[v]
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	means := make([]float64, len(valueSizes))
 	counts := 0
 	for wi, w := range ws {
 		row := []string{w}
 		for i := range valueSizes {
-			p := sweep[wi][i]
+			p := pairs[wi][i]
 			sp := bench.Speedup(p.base, p.slpmt)
 			means[i] += sp
 			row = append(row, bench.Fx(sp))
@@ -188,26 +256,27 @@ func Fig10(out io.Writer, base bench.RunConfig) error {
 	tb.AddRow(row...)
 	fmt.Fprintln(out, tb)
 	fmt.Fprintf(out, "(paper: >= 1.22x average even at 16B; rising with value size)\n")
-	return nil
+	return sw.results, nil
 }
 
 // Fig11 reproduces Figure 11: absolute write-traffic reduction (bytes
 // saved vs FG) as a function of value size.
-func Fig11(out io.Writer, base bench.RunConfig) error {
+func Fig11(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	ws := workloads.Kernels()
 	tb := bench.NewTable(
 		"Figure 11: PM write-traffic reduction (KiB saved vs FG, and %) vs value size",
-		append([]string{"workload"}, colsOfInts(valueSizes)...)...)
-	sweep, err := pairSweep(base, ws, len(valueSizes), func(cfg *bench.RunConfig, v int) {
+		append([]string{"workload"}, colsPlain(valueSizes, "B")...)...)
+	var sw sweep
+	pairs, err := sw.pairs(base, ws, len(valueSizes), func(cfg *bench.RunConfig, v int) {
 		cfg.ValueSize = valueSizes[v]
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for wi, w := range ws {
 		row := []string{w}
 		for i := range valueSizes {
-			b, r := sweep[wi][i].base, sweep[wi][i].slpmt
+			b, r := pairs[wi][i].base, pairs[wi][i].slpmt
 			savedKiB := (float64(b.PMWriteBytes()) - float64(r.PMWriteBytes())) / 1024
 			row = append(row, fmt.Sprintf("%.0fKiB/%s", savedKiB, bench.Pct(bench.TrafficReduction(b, r))))
 		}
@@ -215,88 +284,90 @@ func Fig11(out io.Writer, base bench.RunConfig) error {
 	}
 	fmt.Fprintln(out, tb)
 	fmt.Fprintf(out, "(paper: saved bytes grow ~linearly with value size; flat from 16B to 32B)\n")
-	return nil
+	return sw.results, nil
 }
 
 // Fig12 reproduces Figure 12: SLPMT-over-FG speedup as the PM write
 // latency grows from 500ns to 2300ns (the CXL byte-addressable-storage
 // range).
-func Fig12(out io.Writer, base bench.RunConfig) error {
+func Fig12(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	lats := []uint64{500, 1100, 1700, 2300}
 	ws := workloads.Kernels()
 	tb := bench.NewTable(
 		"Figure 12: SLPMT speedup over FG vs PM write latency (ns)",
 		append([]string{"workload"}, colsOfU64(lats)...)...)
-	sweep, err := pairSweep(base, ws, len(lats), func(cfg *bench.RunConfig, v int) {
+	var sw sweep
+	pairs, err := sw.pairs(base, ws, len(lats), func(cfg *bench.RunConfig, v int) {
 		cfg.PMWriteNanos = lats[v]
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for wi, w := range ws {
 		row := []string{w}
 		for i := range lats {
-			p := sweep[wi][i]
+			p := pairs[wi][i]
 			row = append(row, bench.Fx(bench.Speedup(p.base, p.slpmt)))
 		}
 		tb.AddRow(row...)
 	}
 	fmt.Fprintln(out, tb)
 	fmt.Fprintf(out, "(paper: gains largely stable; hashtable the most latency-sensitive via lazy persistence)\n")
-	return nil
+	return sw.results, nil
 }
 
 // Fig14 reproduces Figure 14: PMKV speedups for the three backends at
 // 256-byte (left) and 16-byte (right) values.
-func Fig14(out io.Writer, base bench.RunConfig) error {
+func Fig14(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	ws := workloads.PMKV()
 	ss := []string{schemes.FG, schemes.SLPMT, schemes.ATOM, schemes.EDE}
+	var sw sweep
 	for _, vs := range []int{256, 16} {
 		cfg := base
 		cfg.ValueSize = vs
-		grid := bench.Grid(ss, ws, cfg)
-		if err := checkVerify(grid); err != nil {
-			return err
+		if _, err := sw.add(bench.Grid(ss, ws, cfg)); err != nil {
+			return nil, err
 		}
+		at := func(s, w string) bench.Result { return sw.at(cell(cfg, s, w)) }
 		tb := bench.NewTable(
 			fmt.Sprintf("Figure 14: PMKV with %dB values — SLPMT speedup", vs),
 			"workload", "vs FG", "vs ATOM", "vs EDE", "traffic cut vs FG")
 		for _, w := range ws {
-			r := grid[schemes.SLPMT][w]
+			r := at(schemes.SLPMT, w)
 			tb.AddRow(w,
-				bench.Fx(bench.Speedup(grid[schemes.FG][w], r)),
-				bench.Fx(bench.Speedup(grid[schemes.ATOM][w], r)),
-				bench.Fx(bench.Speedup(grid[schemes.EDE][w], r)),
-				bench.Pct(bench.TrafficReduction(grid[schemes.FG][w], r)))
+				bench.Fx(bench.Speedup(at(schemes.FG, w), r)),
+				bench.Fx(bench.Speedup(at(schemes.ATOM, w), r)),
+				bench.Fx(bench.Speedup(at(schemes.EDE, w), r)),
+				bench.Pct(bench.TrafficReduction(at(schemes.FG, w), r)))
 		}
 		fmt.Fprintln(out, tb)
 	}
 	fmt.Fprintf(out, "(paper at 256B: 1.35-1.87x over EDE, 1.4-2x over ATOM; traffic cut 32.6-47.6%%;\n"+
 		" at 16B: 1.35x/1.58x average over EDE/ATOM)\n")
-	return nil
+	return sw.results, nil
 }
 
 // Headline reproduces the abstract's summary: SLPMT vs the
 // state-of-the-art hardware designs across all six benchmarks.
-func Headline(out io.Writer, base bench.RunConfig) error {
+func Headline(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	ws := append(append([]string{}, workloads.Kernels()...), workloads.PMKV()...)
 	ss := []string{schemes.FG, schemes.SLPMT, schemes.ATOM, schemes.EDE}
-	grid := bench.Grid(ss, ws, base)
-	if err := checkVerify(grid); err != nil {
-		return err
+	var sw sweep
+	if _, err := sw.add(bench.Grid(ss, ws, base)); err != nil {
+		return nil, err
 	}
 	var vsPrior, red []float64
 	for _, w := range ws {
-		r := grid[schemes.SLPMT][w]
+		r := sw.at(cell(base, schemes.SLPMT, w))
 		vsPrior = append(vsPrior,
-			bench.Speedup(grid[schemes.ATOM][w], r),
-			bench.Speedup(grid[schemes.EDE][w], r))
-		red = append(red, bench.TrafficReduction(grid[schemes.FG][w], r))
+			bench.Speedup(sw.at(cell(base, schemes.ATOM, w)), r),
+			bench.Speedup(sw.at(cell(base, schemes.EDE, w)), r))
+		red = append(red, bench.TrafficReduction(sw.at(cell(base, schemes.FG, w)), r))
 	}
 	fmt.Fprintf(out, "Headline: SLPMT vs prior hardware PM transactions (ATOM, EDE) across %d benchmarks:\n", len(ws))
 	fmt.Fprintf(out, "  average speedup %.2fx (paper: 1.8x)\n", bench.GeoMean(vsPrior))
 	fmt.Fprintf(out, "  average PM write-traffic reduction %s (paper: ~46%% vs prior designs)\n", bench.Pct(mean(red)))
-	return nil
+	return sw.results, nil
 }
 
 func mean(xs []float64) float64 {
@@ -314,12 +385,11 @@ func mean(xs []float64) float64 {
 // identical parameters.
 type pair struct{ base, slpmt bench.Result }
 
-// pairSweep runs the (FG, SLPMT) pair for every workload × variant on
-// the worker pool, returning pairs indexed [workload][variant]. The
-// configure hook applies variant v to the cell's RunConfig (value size,
-// write latency, banks, ...). Results are positionally identical to
-// the nested serial loops the figures used to run.
-func pairSweep(base bench.RunConfig, ws []string, variants int, configure func(cfg *bench.RunConfig, v int)) ([][]pair, error) {
+// pairs runs the (FG, SLPMT) pair for every workload × variant on the
+// worker pool, adding the runs to sw and returning the pairs indexed
+// [workload][variant]. The configure hook applies variant v to the
+// cell's RunConfig (value size, write latency, banks, ...).
+func (sw *sweep) pairs(base bench.RunConfig, ws []string, variants int, configure func(cfg *bench.RunConfig, v int)) ([][]pair, error) {
 	cfgs := make([]bench.RunConfig, 0, 2*len(ws)*variants)
 	for _, w := range ws {
 		for v := 0; v < variants; v++ {
@@ -332,7 +402,7 @@ func pairSweep(base bench.RunConfig, ws []string, variants int, configure func(c
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := bench.RunAll(cfgs)
+	results, err := sw.add(bench.RunAll(cfgs))
 	if err != nil {
 		return nil, err
 	}
@@ -348,10 +418,11 @@ func pairSweep(base bench.RunConfig, ws []string, variants int, configure func(c
 	return out, nil
 }
 
-func colsOfInts(xs []int) []string {
+// colsPlain renders each of xs with suffix appended, as column headers.
+func colsPlain(xs []int, suffix string) []string {
 	out := make([]string, len(xs))
 	for i, x := range xs {
-		out[i] = fmt.Sprintf("%dB", x)
+		out[i] = fmt.Sprintf("%d%s", x, suffix)
 	}
 	return out
 }

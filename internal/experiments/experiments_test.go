@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,7 +22,7 @@ func TestExperimentsSmoke(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			var buf bytes.Buffer
-			if err := Run(&buf, name, small()); err != nil {
+			if _, err := Run(&buf, name, small()); err != nil {
 				t.Fatal(err)
 			}
 			if buf.Len() == 0 {
@@ -31,7 +34,7 @@ func TestExperimentsSmoke(t *testing.T) {
 
 func TestFig13Smoke(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Run(&buf, "fig13", small()); err != nil {
+	if _, err := Run(&buf, "fig13", small()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -41,8 +44,30 @@ func TestFig13Smoke(t *testing.T) {
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if err := Run(&bytes.Buffer{}, "fig99", small()); err == nil {
+	if _, err := Run(&bytes.Buffer{}, "fig99", small()); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+// TestRunChecksVerification: Run fails an experiment whose returned
+// results include a failed invariant check, naming the first failed
+// cell, even though the experiment itself returned no error.
+func TestRunChecksVerification(t *testing.T) {
+	ok := bench.Result{RunConfig: bench.RunConfig{Scheme: "FG", Workload: "avl"}}
+	bad := bench.Result{RunConfig: bench.RunConfig{Scheme: "SLPMT", Workload: "heap", Cores: 2, CommitWindow: 4},
+		VerifyErr: errors.New("heap order broken")}
+	saved := registry
+	defer func() { registry = saved }()
+	registry = append(slices.Clip(registry), experiment{"fake", func(io.Writer, bench.RunConfig) ([]bench.Result, error) {
+		return []bench.Result{ok, bad, bad}, nil
+	}})
+
+	res, err := Run(io.Discard, "fake", bench.RunConfig{})
+	if err == nil {
+		t.Fatalf("a failed verification passed: %d results returned", len(res))
+	}
+	if want := "SLPMT/heap cores=2 W=4 failed verification: heap order broken"; err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
 	}
 }
 

@@ -65,7 +65,7 @@ func TestSingleCoreOutputMatchesPreRefactorGolden(t *testing.T) {
 	base := bench.RunConfig{N: 120, ValueSize: 64, Verify: true}
 	var buf bytes.Buffer
 	for _, name := range preRefactorNames() {
-		if err := experiments.Run(&buf, name, base); err != nil {
+		if _, err := experiments.Run(&buf, name, base); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		fmt.Fprintln(&buf)

@@ -13,25 +13,18 @@ import (
 // WPQ capacity and reports the SLPMT-over-FG speedup, showing that the
 // paper's conclusions do not hinge on the calibration point chosen in
 // DESIGN.md §3.
-func colsPlain(xs []int, suffix string) []string {
-	out := make([]string, len(xs))
-	for i, x := range xs {
-		out[i] = fmt.Sprintf("%d%s", x, suffix)
-	}
-	return out
-}
-
-func Model(out io.Writer, base bench.RunConfig) error {
+func Model(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	ws := workloads.Kernels()
+	var sw sweep
 	banks := []int{1, 2, 4, 8}
 	tb := bench.NewTable(
 		"Model sensitivity: SLPMT speedup over FG vs device write parallelism (banks)",
 		append([]string{"workload"}, colsPlain(banks, "")...)...)
-	bankSweep, err := pairSweep(base, ws, len(banks), func(cfg *bench.RunConfig, v int) {
+	bankSweep, err := sw.pairs(base, ws, len(banks), func(cfg *bench.RunConfig, v int) {
 		cfg.Banks = banks[v]
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for wi, w := range ws {
 		row := []string{w}
@@ -47,11 +40,11 @@ func Model(out io.Writer, base bench.RunConfig) error {
 	tw := bench.NewTable(
 		"Model sensitivity: SLPMT speedup over FG vs WPQ capacity (bytes)",
 		append([]string{"workload"}, colsPlain(wpqs, "B")...)...)
-	wpqSweep, err := pairSweep(base, ws, len(wpqs), func(cfg *bench.RunConfig, v int) {
+	wpqSweep, err := sw.pairs(base, ws, len(wpqs), func(cfg *bench.RunConfig, v int) {
 		cfg.WPQBytes = wpqs[v]
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for wi, w := range ws {
 		row := []string{w}
@@ -63,5 +56,5 @@ func Model(out io.Writer, base bench.RunConfig) error {
 	}
 	fmt.Fprintln(out, tw)
 	fmt.Fprintf(out, "(SLPMT > 1x everywhere: the win does not depend on the calibration point)\n")
-	return nil
+	return sw.results, nil
 }

@@ -41,52 +41,31 @@ var NumaRemoteNanos = []uint64{30, 60, 120, 240}
 // clear 1.5x at 4 cores / 2 sockets; pointer-chasing kernels (rbtree,
 // avl) spend ~25% of an op in the serial flush and are Amdahl-bounded
 // near 1.2-1.35x until 4 sockets gives every core a private device.
-func Numa(out io.Writer, base bench.RunConfig) error {
+func Numa(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	ss := ScalingSchemes()
 	ws := workloads.Names()
 
+	key := func(s, w string, c, k int) bench.RunConfig {
+		cfg := cell(base, s, w)
+		cfg.Cores = c
+		cfg.Sockets = k
+		cfg.Metrics = true
+		cfg.Profile = true
+		return cfg
+	}
 	cfgs := make([]bench.RunConfig, 0, len(ss)*len(ws)*len(NumaCores)*len(NumaSockets))
 	for _, s := range ss {
 		for _, w := range ws {
 			for _, c := range NumaCores {
 				for _, k := range NumaSockets {
-					cfg := base
-					cfg.Scheme = s
-					cfg.Workload = w
-					cfg.Cores = c
-					cfg.Sockets = k
-					cfg.Metrics = true
-					cfg.Profile = true
-					cfgs = append(cfgs, cfg)
+					cfgs = append(cfgs, key(s, w, c, k))
 				}
 			}
 		}
 	}
-	results, err := bench.RunAll(cfgs)
-	if err != nil {
-		return err
-	}
-	type cell struct{ cores, sockets int }
-	byKey := make(map[string]map[string]map[cell]bench.Result, len(ss))
-	for _, r := range results {
-		if r.VerifyErr != nil {
-			return fmt.Errorf("%s/%s cores=%d sockets=%d failed verification: %v",
-				r.Scheme, r.Workload, r.Cores, r.Sockets, r.VerifyErr)
-		}
-		// The attribution conservation contract must hold in every cell:
-		// remote-hop charges are part of the same per-core cycle budget,
-		// not an extra ledger.
-		if err := r.Causes.Conserved(); err != nil {
-			return fmt.Errorf("%s/%s cores=%d sockets=%d: %v",
-				r.Scheme, r.Workload, r.Cores, r.Sockets, err)
-		}
-		if byKey[r.Scheme] == nil {
-			byKey[r.Scheme] = make(map[string]map[cell]bench.Result, len(ws))
-		}
-		if byKey[r.Scheme][r.Workload] == nil {
-			byKey[r.Scheme][r.Workload] = make(map[cell]bench.Result)
-		}
-		byKey[r.Scheme][r.Workload][cell{normCores(r.Cores), r.Sockets}] = r
+	var sw sweep
+	if _, err := sw.add(bench.RunAll(cfgs)); err != nil {
+		return nil, err
 	}
 
 	cols := []string{"scheme", "workload", "cores"}
@@ -123,9 +102,9 @@ func Numa(out io.Writer, base bench.RunConfig) error {
 				rowW := []string{s, w, fmt.Sprint(c)}
 				rowR := []string{s, w, fmt.Sprint(c)}
 				rowG := []string{s, w, fmt.Sprint(c)}
-				one := byKey[s][w][cell{c, 1}]
+				one := sw.at(key(s, w, c, 1))
 				for _, k := range NumaSockets {
-					r := byKey[s][w][cell{c, k}]
+					r := sw.at(key(s, w, c, k))
 					sp := bench.Speedup(one, r)
 					rowS = append(rowS, bench.Fx(sp))
 					rowW = append(rowW, bench.Pct(wpqShare(r)))
@@ -162,7 +141,7 @@ func Numa(out io.Writer, base bench.RunConfig) error {
 		"NUMA: per-socket device stats (SLPMT structures, 4 cores, 2 sockets)",
 		"workload", "socket", "enqueued", "stall.cycles", "occ.max", "occ.avg")
 	for _, w := range ws {
-		r := byKey[ss[0]][w][cell{4, 2}]
+		r := sw.at(key(ss[0], w, 4, 2))
 		if r.PerSocket == nil {
 			continue
 		}
@@ -178,51 +157,31 @@ func Numa(out io.Writer, base bench.RunConfig) error {
 	const ratioWorkload = "kv-ctree"
 	rcfgs := make([]bench.RunConfig, 0, len(NumaRemoteNanos))
 	for _, ns := range NumaRemoteNanos {
-		cfg := base
-		cfg.Scheme = ss[0]
-		cfg.Workload = ratioWorkload
-		cfg.Cores = 4
-		cfg.Sockets = 2
+		cfg := key(ss[0], ratioWorkload, 4, 2)
 		cfg.RemoteNanos = ns
-		cfg.Metrics = true
-		cfg.Profile = true
 		rcfgs = append(rcfgs, cfg)
 	}
-	rres, err := bench.RunAll(rcfgs)
+	rres, err := sw.add(bench.RunAll(rcfgs))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	trat := bench.NewTable(
 		fmt.Sprintf("NUMA: remote-hop latency sensitivity (%s/%s, 4 cores, 2 sockets)", ss[0], ratioWorkload),
 		"remote ns/hop", "cycles", "speedup vs 1 socket", "wpq.remote share")
-	one := byKey[ss[0]][ratioWorkload][cell{4, 1}]
-	for i, r := range rres {
-		if r.VerifyErr != nil {
-			return fmt.Errorf("remote sweep %dns failed verification: %v", NumaRemoteNanos[i], r.VerifyErr)
-		}
-		if err := r.Causes.Conserved(); err != nil {
-			return fmt.Errorf("remote sweep %dns: %v", NumaRemoteNanos[i], err)
-		}
-		trat.AddRow(fmt.Sprint(NumaRemoteNanos[i]), fmt.Sprint(r.Cycles),
+	one := sw.at(key(ss[0], ratioWorkload, 4, 1))
+	for _, r := range rres {
+		trat.AddRow(fmt.Sprint(r.RemoteNanos), fmt.Sprint(r.Cycles),
 			bench.Fx(bench.Speedup(one, r)), bench.Pct(remoteShare(r)))
 	}
 	fmt.Fprintln(out, trat)
 
 	fmt.Fprintln(out, "(each socket is its own device behind a hop-linear interconnect; cores are")
 	fmt.Fprint(out, " pinned round-robin and allocate from home-socket arenas of the sharded heap)\n")
-	return nil
+	return sw.results, nil
 }
 
 // remoteShare is the fraction of attributed core-cycles paid to
 // cross-socket interconnect hops (the wpq.remote cause).
 func remoteShare(r bench.Result) float64 {
-	by := r.Causes.ByName()
-	var total uint64
-	for _, v := range by { //slpmt:determinism-ok: order-independent sum
-		total += v
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(by["wpq.remote"]) / float64(total)
+	return share(r, r.Causes.ByName()["wpq.remote"])
 }

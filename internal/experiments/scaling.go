@@ -29,44 +29,31 @@ func ScalingSchemes() []string {
 // per-op traffic quantifies the coherence/contention overhead of
 // scaling, while speedup shows where the shared write-pending queue
 // becomes the bottleneck.
-func Scaling(out io.Writer, base bench.RunConfig) error {
+func Scaling(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	ss := ScalingSchemes()
 	ws := workloads.Kernels()
 
+	key := func(s, w string, c int) bench.RunConfig {
+		cfg := cell(base, s, w)
+		cfg.Cores = c
+		// Interval metrics feed the latency/occupancy tables and the
+		// profiler feeds the WPQ-share table below (both
+		// observation-only: timing is unchanged).
+		cfg.Metrics = true
+		cfg.Profile = true
+		return cfg
+	}
 	cfgs := make([]bench.RunConfig, 0, len(ss)*len(ws)*len(ScalingCores))
 	for _, s := range ss {
 		for _, w := range ws {
 			for _, c := range ScalingCores {
-				cfg := base
-				cfg.Scheme = s
-				cfg.Workload = w
-				cfg.Cores = c
-				// Interval metrics feed the latency/occupancy tables and
-				// the profiler feeds the WPQ-share table below (both
-				// observation-only: timing is unchanged).
-				cfg.Metrics = true
-				cfg.Profile = true
-				cfgs = append(cfgs, cfg)
+				cfgs = append(cfgs, key(s, w, c))
 			}
 		}
 	}
-	results, err := bench.RunAll(cfgs)
-	if err != nil {
-		return err
-	}
-	byKey := make(map[string]map[string]map[int]bench.Result, len(ss))
-	for _, r := range results {
-		if r.VerifyErr != nil {
-			return fmt.Errorf("%s/%s cores=%d failed verification: %v",
-				r.Scheme, r.Workload, r.Cores, r.VerifyErr)
-		}
-		if byKey[r.Scheme] == nil {
-			byKey[r.Scheme] = make(map[string]map[int]bench.Result, len(ws))
-		}
-		if byKey[r.Scheme][r.Workload] == nil {
-			byKey[r.Scheme][r.Workload] = make(map[int]bench.Result, len(ScalingCores))
-		}
-		byKey[r.Scheme][r.Workload][normCores(r.Cores)] = r
+	var sw sweep
+	if _, err := sw.add(bench.RunAll(cfgs)); err != nil {
+		return nil, err
 	}
 
 	cols := []string{"scheme", "workload"}
@@ -100,9 +87,9 @@ func Scaling(out io.Writer, base bench.RunConfig) error {
 			rowO := []string{s, w}
 			rowW := []string{s, w}
 			rowG := []string{s, w}
-			one := byKey[s][w][1]
+			one := sw.at(key(s, w, 1))
 			for _, c := range ScalingCores {
-				r := byKey[s][w][c]
+				r := sw.at(key(s, w, c))
 				rowS = append(rowS, bench.Fx(bench.Speedup(one, r)))
 				rowT = append(rowT, bench.F(float64(r.PMWriteBytes())/float64(opsOf(base))))
 				rowL = append(rowL, fmt.Sprintf("%d/%d/%d",
@@ -130,29 +117,22 @@ func Scaling(out io.Writer, base bench.RunConfig) error {
 
 	fmt.Fprintln(out, "(cores share one structure, LLC, and PM write-pending queue; the")
 	fmt.Fprint(out, " deterministic interleaver makes every cell exactly reproducible)\n")
-	return nil
-}
-
-// normCores maps the config's core knob to its effective value (0 and
-// 1 both mean the single-core platform).
-func normCores(c int) int {
-	if c < 1 {
-		return 1
-	}
-	return c
+	return sw.results, nil
 }
 
 // wpqShare is the fraction of the run's attributed core-cycles spent
 // against the device write queue (the "wpq" cause group), the direct
 // measure of write-bandwidth saturation.
 func wpqShare(r bench.Result) float64 {
-	by := r.Causes.ByGroup()
-	var total uint64
-	for _, v := range by { //slpmt:determinism-ok: order-independent sum
-		total += v
-	}
+	return share(r, r.Causes.ByGroup()["wpq"])
+}
+
+// share is cycles' fraction of the run's attributed core-cycles (0 on
+// a run that attributed none).
+func share(r bench.Result, cycles uint64) float64 {
+	total := r.Causes.TotalCycles()
 	if total == 0 {
 		return 0
 	}
-	return float64(by["wpq"]) / float64(total)
+	return float64(cycles) / float64(total)
 }

@@ -17,17 +17,18 @@ func TestPaperShapes(t *testing.T) {
 	cfg := bench.RunConfig{N: 400, ValueSize: 256, Verify: true}
 	ws := workloads.Kernels()
 	ss := []string{schemes.FG, schemes.FGLG, schemes.FGLZ, schemes.SLPMT, schemes.ATOM, schemes.EDE}
-	grid := bench.Grid(ss, ws, cfg)
-	for s, m := range grid {
-		for w, r := range m {
-			if r.VerifyErr != nil {
-				t.Fatalf("%s/%s: %v", s, w, r.VerifyErr)
-			}
-		}
+	var sw sweep
+	results, err := sw.add(bench.Grid(ss, ws, cfg))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := verified(results); err != nil {
+		t.Fatal(err)
+	}
+	at := func(s, w string) bench.Result { return sw.at(cell(cfg, s, w)) }
 
-	sp := func(s, w string) float64 { return bench.Speedup(grid[schemes.FG][w], grid[s][w]) }
-	tr := func(s, w string) float64 { return bench.TrafficReduction(grid[schemes.FG][w], grid[s][w]) }
+	sp := func(s, w string) float64 { return bench.Speedup(at(schemes.FG, w), at(s, w)) }
+	tr := func(s, w string) float64 { return bench.TrafficReduction(at(schemes.FG, w), at(s, w)) }
 
 	for _, w := range ws {
 		// §VI headline: SLPMT beats the baseline and both prior designs
@@ -35,10 +36,10 @@ func TestPaperShapes(t *testing.T) {
 		if sp(schemes.SLPMT, w) <= 1.05 {
 			t.Errorf("%s: SLPMT speedup %.2f <= 1.05", w, sp(schemes.SLPMT, w))
 		}
-		if grid[schemes.SLPMT][w].Cycles >= grid[schemes.ATOM][w].Cycles {
+		if at(schemes.SLPMT, w).Cycles >= at(schemes.ATOM, w).Cycles {
 			t.Errorf("%s: SLPMT not faster than ATOM", w)
 		}
-		if grid[schemes.SLPMT][w].Cycles >= grid[schemes.EDE][w].Cycles {
+		if at(schemes.SLPMT, w).Cycles >= at(schemes.EDE, w).Cycles {
 			t.Errorf("%s: SLPMT not faster than EDE", w)
 		}
 		// Fig. 8 right: SLPMT cuts traffic substantially; ATOM and EDE

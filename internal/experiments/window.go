@@ -25,41 +25,27 @@ var WindowSweep = []int{1, 4, 16, 64}
 // break. Durability weakens to epoch boundaries as W grows; recovery
 // still restores a transaction-consistent prefix (all-or-nothing per
 // epoch), which the crash campaign checks separately.
-func Window(out io.Writer, base bench.RunConfig) error {
+func Window(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	ws := workloads.Kernels()
 
+	key := func(w string, c, win int) bench.RunConfig {
+		cfg := cell(base, schemes.SLPMT, w)
+		cfg.Cores = c
+		cfg.CommitWindow = win
+		cfg.Profile = true
+		return cfg
+	}
 	cfgs := make([]bench.RunConfig, 0, len(ws)*len(ScalingCores)*len(WindowSweep))
 	for _, w := range ws {
 		for _, c := range ScalingCores {
 			for _, win := range WindowSweep {
-				cfg := base
-				cfg.Scheme = schemes.SLPMT
-				cfg.Workload = w
-				cfg.Cores = c
-				cfg.CommitWindow = win
-				cfg.Profile = true
-				cfgs = append(cfgs, cfg)
+				cfgs = append(cfgs, key(w, c, win))
 			}
 		}
 	}
-	results, err := bench.RunAll(cfgs)
-	if err != nil {
-		return err
-	}
-	byKey := make(map[string]map[int]map[int]bench.Result, len(ws))
-	for _, r := range results {
-		if r.VerifyErr != nil {
-			return fmt.Errorf("%s cores=%d W=%d failed verification: %v",
-				r.Workload, r.Cores, r.RunConfig.CommitWindow, r.VerifyErr)
-		}
-		if byKey[r.Workload] == nil {
-			byKey[r.Workload] = make(map[int]map[int]bench.Result, len(ScalingCores))
-		}
-		c := normCores(r.Cores)
-		if byKey[r.Workload][c] == nil {
-			byKey[r.Workload][c] = make(map[int]bench.Result, len(WindowSweep))
-		}
-		byKey[r.Workload][c][r.RunConfig.CommitWindow] = r
+	var sw sweep
+	if _, err := sw.add(bench.RunAll(cfgs)); err != nil {
+		return nil, err
 	}
 
 	cols := []string{"workload", "cores"}
@@ -77,9 +63,9 @@ func Window(out io.Writer, base bench.RunConfig) error {
 		for _, c := range ScalingCores {
 			rowS := []string{w, fmt.Sprintf("%d", c)}
 			rowH := []string{w, fmt.Sprintf("%d", c)}
-			one := byKey[w][c][1]
+			one := sw.at(key(w, c, 1))
 			for _, win := range WindowSweep {
-				r := byKey[w][c][win]
+				r := sw.at(key(w, c, win))
 				rowS = append(rowS, bench.Fx(bench.Speedup(one, r)))
 				rowH = append(rowH, bench.Pct(orderingShare(r)))
 			}
@@ -91,7 +77,7 @@ func Window(out io.Writer, base bench.RunConfig) error {
 	fmt.Fprintln(out, tsh)
 	fmt.Fprintln(out, "(W=1 is the per-transaction protocol; durability moves to epoch")
 	fmt.Fprint(out, " boundaries as W grows — see the crash campaign for the recovery story)\n")
-	return nil
+	return sw.results, nil
 }
 
 // orderingShare is the fraction of the run's attributed core-cycles
@@ -100,12 +86,5 @@ func Window(out io.Writer, base bench.RunConfig) error {
 // (log.epoch), and writing commit markers (commit.marker).
 func orderingShare(r bench.Result) float64 {
 	by := r.Causes.ByName()
-	var total uint64
-	for _, v := range by { //slpmt:determinism-ok: order-independent sum
-		total += v
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(by["log.sync"]+by["log.epoch"]+by["commit.marker"]) / float64(total)
+	return share(r, by["log.sync"]+by["log.epoch"]+by["commit.marker"])
 }

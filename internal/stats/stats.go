@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // Counters aggregates every event class the evaluation reports on.
@@ -91,62 +92,18 @@ func (c *Counters) PMWriteBytes() uint64 {
 	return c.PMWriteBytesData + c.PMWriteBytesLog
 }
 
-// Add accumulates o into c.
+// Add accumulates o into c. The WPQ gauges merge by maximum: the
+// cores of one machine observe the same shared WPQ, so summing would
+// double-count.
 func (c *Counters) Add(o *Counters) {
-	c.Cycles += o.Cycles
-	c.Loads += o.Loads
-	c.Stores += o.Stores
-	c.StoreTs += o.StoreTs
-	c.TxBegins += o.TxBegins
-	c.TxCommits += o.TxCommits
-	c.TxAborts += o.TxAborts
-	c.EpochCloses += o.EpochCloses
-	c.L1Hits += o.L1Hits
-	c.L1Misses += o.L1Misses
-	c.L2Hits += o.L2Hits
-	c.L2Misses += o.L2Misses
-	c.L3Hits += o.L3Hits
-	c.L3Misses += o.L3Misses
-	c.L1Evicts += o.L1Evicts
-	c.L2Evicts += o.L2Evicts
-	c.L3Evicts += o.L3Evicts
-	c.L3Writebacks += o.L3Writebacks
-	c.PMWriteBytesData += o.PMWriteBytesData
-	c.PMWriteBytesLog += o.PMWriteBytesLog
-	c.PMWriteEntries += o.PMWriteEntries
-	c.PMReadBytes += o.PMReadBytes
-	c.WPQStallCycles += o.WPQStallCycles
-	// Gauges merge by maximum: the cores of one machine observe the same
-	// shared WPQ, so summing would double-count.
-	if o.WPQOccMaxBytes > c.WPQOccMaxBytes {
-		c.WPQOccMaxBytes = o.WPQOccMaxBytes
+	dst, src := canonicalRows(c), canonicalRows(o)
+	for i := range dst {
+		if dst[i].gauge {
+			*dst[i].p = max(*dst[i].p, src[i].Value)
+		} else {
+			*dst[i].p += src[i].Value
+		}
 	}
-	if o.WPQOccAvgBytes > c.WPQOccAvgBytes {
-		c.WPQOccAvgBytes = o.WPQOccAvgBytes
-	}
-	c.LogRecordsCreated += o.LogRecordsCreated
-	c.LogRecordsCoalesced += o.LogRecordsCoalesced
-	c.LogRecordsDiscarded += o.LogRecordsDiscarded
-	c.LogRecordsPersisted += o.LogRecordsPersisted
-	c.LogBytesPersisted += o.LogBytesPersisted
-	c.LogDuplicates += o.LogDuplicates
-	c.SpeculativeRecords += o.SpeculativeRecords
-	c.LogBufferStalls += o.LogBufferStalls
-	c.EagerLinePersists += o.EagerLinePersists
-	c.EvictLinePersists += o.EvictLinePersists
-	c.LazyLinesDeferred += o.LazyLinesDeferred
-	c.LazyLinePersists += o.LazyLinePersists
-	c.LazyLinesElided += o.LazyLinesElided
-	c.SignatureHits += o.SignatureHits
-	c.TxIDRecycles += o.TxIDRecycles
-	c.TxIDCrossAccess += o.TxIDCrossAccess
-	c.CoherenceSnoops += o.CoherenceSnoops
-	c.CoherenceInvalidations += o.CoherenceInvalidations
-	c.CoherenceDowngrades += o.CoherenceDowngrades
-	c.CoherenceWritebacks += o.CoherenceWritebacks
-	c.HeapAllocs += o.HeapAllocs
-	c.HeapFrees += o.HeapFrees
-	c.HeapBytesAllocated += o.HeapBytesAllocated
 }
 
 // Reset zeroes every counter.
@@ -155,58 +112,18 @@ func (c *Counters) Reset() { *c = Counters{} }
 // Snapshot returns a copy of the counters.
 func (c *Counters) Snapshot() Counters { return *c }
 
-// Delta returns the counters accumulated since the given snapshot.
+// Delta returns the counters accumulated since the given snapshot. The
+// WPQ gauges pass through: the current high-water mark / mean is the
+// reading for the interval (harnesses reset the device's occupancy
+// window at the interval start instead of subtracting).
 func (c *Counters) Delta(since Counters) Counters {
 	d := *c
-	d.Cycles -= since.Cycles
-	d.Loads -= since.Loads
-	d.Stores -= since.Stores
-	d.StoreTs -= since.StoreTs
-	d.TxBegins -= since.TxBegins
-	d.TxCommits -= since.TxCommits
-	d.TxAborts -= since.TxAborts
-	d.EpochCloses -= since.EpochCloses
-	d.L1Hits -= since.L1Hits
-	d.L1Misses -= since.L1Misses
-	d.L2Hits -= since.L2Hits
-	d.L2Misses -= since.L2Misses
-	d.L3Hits -= since.L3Hits
-	d.L3Misses -= since.L3Misses
-	d.L1Evicts -= since.L1Evicts
-	d.L2Evicts -= since.L2Evicts
-	d.L3Evicts -= since.L3Evicts
-	d.L3Writebacks -= since.L3Writebacks
-	d.PMWriteBytesData -= since.PMWriteBytesData
-	d.PMWriteBytesLog -= since.PMWriteBytesLog
-	d.PMWriteEntries -= since.PMWriteEntries
-	d.PMReadBytes -= since.PMReadBytes
-	d.WPQStallCycles -= since.WPQStallCycles
-	// Gauges pass through: the current high-water mark / mean is the
-	// reading for the interval (harnesses reset the device's occupancy
-	// window at the interval start instead of subtracting).
-	d.LogRecordsCreated -= since.LogRecordsCreated
-	d.LogRecordsCoalesced -= since.LogRecordsCoalesced
-	d.LogRecordsDiscarded -= since.LogRecordsDiscarded
-	d.LogRecordsPersisted -= since.LogRecordsPersisted
-	d.LogBytesPersisted -= since.LogBytesPersisted
-	d.LogDuplicates -= since.LogDuplicates
-	d.SpeculativeRecords -= since.SpeculativeRecords
-	d.LogBufferStalls -= since.LogBufferStalls
-	d.EagerLinePersists -= since.EagerLinePersists
-	d.EvictLinePersists -= since.EvictLinePersists
-	d.LazyLinesDeferred -= since.LazyLinesDeferred
-	d.LazyLinePersists -= since.LazyLinePersists
-	d.LazyLinesElided -= since.LazyLinesElided
-	d.SignatureHits -= since.SignatureHits
-	d.TxIDRecycles -= since.TxIDRecycles
-	d.TxIDCrossAccess -= since.TxIDCrossAccess
-	d.CoherenceSnoops -= since.CoherenceSnoops
-	d.CoherenceInvalidations -= since.CoherenceInvalidations
-	d.CoherenceDowngrades -= since.CoherenceDowngrades
-	d.CoherenceWritebacks -= since.CoherenceWritebacks
-	d.HeapAllocs -= since.HeapAllocs
-	d.HeapFrees -= since.HeapFrees
-	d.HeapBytesAllocated -= since.HeapBytesAllocated
+	cur, old := canonicalRows(&d), canonicalRows(&since)
+	for i := range cur {
+		if !cur[i].gauge {
+			*cur[i].p -= old[i].Value
+		}
+	}
 	return d
 }
 
@@ -219,11 +136,10 @@ type Row struct {
 // Rows returns the non-zero counters in a stable, grouped order, suitable
 // for the CLI tools' reports.
 func (c *Counters) Rows() []Row {
-	all := canonicalRows(c)
-	rows := all[:0]
-	for _, r := range all {
+	rows := make([]Row, 0, numCounters)
+	for _, r := range canonicalRows(c) {
 		if r.Value != 0 {
-			rows = append(rows, r)
+			rows = append(rows, r.Row)
 		}
 	}
 	return rows
@@ -267,55 +183,73 @@ func Names() []string {
 	return names
 }
 
-func canonicalRows(c *Counters) []Row {
-	return []Row{
-		{"cycles", c.Cycles},
-		{"loads", c.Loads},
-		{"stores", c.Stores},
-		{"storeTs", c.StoreTs},
-		{"tx.begins", c.TxBegins},
-		{"tx.commits", c.TxCommits},
-		{"tx.aborts", c.TxAborts},
-		{"log.epoch.closes", c.EpochCloses},
-		{"l1.hits", c.L1Hits},
-		{"l1.misses", c.L1Misses},
-		{"l2.hits", c.L2Hits},
-		{"l2.misses", c.L2Misses},
-		{"l3.hits", c.L3Hits},
-		{"l3.misses", c.L3Misses},
-		{"l1.evicts", c.L1Evicts},
-		{"l2.evicts", c.L2Evicts},
-		{"l3.evicts", c.L3Evicts},
-		{"l3.writebacks", c.L3Writebacks},
-		{"pm.write.bytes.data", c.PMWriteBytesData},
-		{"pm.write.bytes.log", c.PMWriteBytesLog},
-		{"pm.write.entries", c.PMWriteEntries},
-		{"pm.read.bytes", c.PMReadBytes},
-		{"pm.wpq.stall.cycles", c.WPQStallCycles},
-		{"pm.wpq.occ.max", c.WPQOccMaxBytes},
-		{"pm.wpq.occ.avg", c.WPQOccAvgBytes},
-		{"log.records.created", c.LogRecordsCreated},
-		{"log.records.coalesced", c.LogRecordsCoalesced},
-		{"log.records.discarded", c.LogRecordsDiscarded},
-		{"log.records.persisted", c.LogRecordsPersisted},
-		{"log.bytes.persisted", c.LogBytesPersisted},
-		{"log.duplicates", c.LogDuplicates},
-		{"log.speculative", c.SpeculativeRecords},
-		{"log.buffer.stalls", c.LogBufferStalls},
-		{"persist.eager.lines", c.EagerLinePersists},
-		{"persist.evict.lines", c.EvictLinePersists},
-		{"lazy.deferred.lines", c.LazyLinesDeferred},
-		{"lazy.persisted.lines", c.LazyLinePersists},
-		{"lazy.elided.lines", c.LazyLinesElided},
-		{"lazy.signature.hits", c.SignatureHits},
-		{"lazy.txid.recycles", c.TxIDRecycles},
-		{"lazy.txid.crossaccess", c.TxIDCrossAccess},
-		{"coh.snoops", c.CoherenceSnoops},
-		{"coh.invalidations", c.CoherenceInvalidations},
-		{"coh.downgrades", c.CoherenceDowngrades},
-		{"coh.writebacks", c.CoherenceWritebacks},
-		{"heap.allocs", c.HeapAllocs},
-		{"heap.frees", c.HeapFrees},
-		{"heap.bytes", c.HeapBytesAllocated},
+// counter is one Counters field: its row and where the field lives.
+type counter struct {
+	Row
+	p *uint64
+	// gauge marks the WPQ occupancy gauges: unlike the event counters
+	// they are not additive, so Add merges them by maximum and Delta
+	// passes them through.
+	gauge bool
+}
+
+// numCounters is the number of Counters fields, each a uint64.
+const numCounters = unsafe.Sizeof(Counters{}) / unsafe.Sizeof(uint64(0))
+
+// canonicalRows lists every field of c under its dotted name, in report
+// order: the one field list that Add, Delta, Rows, Named and Names
+// walk. The array stays on the caller's stack.
+func canonicalRows(c *Counters) [numCounters]counter {
+	row := func(name string, p *uint64) counter { return counter{Row{name, *p}, p, false} }
+	gauge := func(name string, p *uint64) counter { return counter{Row{name, *p}, p, true} }
+	return [...]counter{
+		row("cycles", &c.Cycles),
+		row("loads", &c.Loads),
+		row("stores", &c.Stores),
+		row("storeTs", &c.StoreTs),
+		row("tx.begins", &c.TxBegins),
+		row("tx.commits", &c.TxCommits),
+		row("tx.aborts", &c.TxAborts),
+		row("log.epoch.closes", &c.EpochCloses),
+		row("l1.hits", &c.L1Hits),
+		row("l1.misses", &c.L1Misses),
+		row("l2.hits", &c.L2Hits),
+		row("l2.misses", &c.L2Misses),
+		row("l3.hits", &c.L3Hits),
+		row("l3.misses", &c.L3Misses),
+		row("l1.evicts", &c.L1Evicts),
+		row("l2.evicts", &c.L2Evicts),
+		row("l3.evicts", &c.L3Evicts),
+		row("l3.writebacks", &c.L3Writebacks),
+		row("pm.write.bytes.data", &c.PMWriteBytesData),
+		row("pm.write.bytes.log", &c.PMWriteBytesLog),
+		row("pm.write.entries", &c.PMWriteEntries),
+		row("pm.read.bytes", &c.PMReadBytes),
+		row("pm.wpq.stall.cycles", &c.WPQStallCycles),
+		gauge("pm.wpq.occ.max", &c.WPQOccMaxBytes),
+		gauge("pm.wpq.occ.avg", &c.WPQOccAvgBytes),
+		row("log.records.created", &c.LogRecordsCreated),
+		row("log.records.coalesced", &c.LogRecordsCoalesced),
+		row("log.records.discarded", &c.LogRecordsDiscarded),
+		row("log.records.persisted", &c.LogRecordsPersisted),
+		row("log.bytes.persisted", &c.LogBytesPersisted),
+		row("log.duplicates", &c.LogDuplicates),
+		row("log.speculative", &c.SpeculativeRecords),
+		row("log.buffer.stalls", &c.LogBufferStalls),
+		row("persist.eager.lines", &c.EagerLinePersists),
+		row("persist.evict.lines", &c.EvictLinePersists),
+		row("lazy.deferred.lines", &c.LazyLinesDeferred),
+		row("lazy.persisted.lines", &c.LazyLinePersists),
+		row("lazy.elided.lines", &c.LazyLinesElided),
+		row("lazy.signature.hits", &c.SignatureHits),
+		row("lazy.txid.recycles", &c.TxIDRecycles),
+		row("lazy.txid.crossaccess", &c.TxIDCrossAccess),
+		row("coh.snoops", &c.CoherenceSnoops),
+		row("coh.invalidations", &c.CoherenceInvalidations),
+		row("coh.downgrades", &c.CoherenceDowngrades),
+		row("coh.writebacks", &c.CoherenceWritebacks),
+		row("heap.allocs", &c.HeapAllocs),
+		row("heap.frees", &c.HeapFrees),
+		row("heap.bytes", &c.HeapBytesAllocated),
 	}
 }

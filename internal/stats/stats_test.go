@@ -70,3 +70,20 @@ func TestNamesSortedUnique(t *testing.T) {
 		}
 	}
 }
+
+// TestAddAndDeltaAllocateNothing: both walk canonicalRows' array on the
+// stack. Every measured run calls them (perfbench once per cell).
+func TestAddAndDeltaAllocateNothing(t *testing.T) {
+	a := Counters{Cycles: 1, WPQOccMaxBytes: 3}
+	b := Counters{Cycles: 2, WPQOccMaxBytes: 5}
+	var d Counters
+	if n := testing.AllocsPerRun(100, func() { a.Add(&b) }); n != 0 {
+		t.Errorf("Add: %.0f allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { d = a.Delta(b) }); n != 0 {
+		t.Errorf("Delta: %.0f allocations, want 0", n)
+	}
+	if d.Cycles != a.Cycles-b.Cycles || d.WPQOccMaxBytes != a.WPQOccMaxBytes {
+		t.Errorf("Delta = %+v", d)
+	}
+}
