@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check bench microbench fmt vet trace-gate \
+.PHONY: all build test race check microbench fmt vet trace-gate \
 	baseline compare report
 
 all: build
@@ -70,12 +70,6 @@ trace-gate:
 check:
 	./scripts/check.sh
 
-# Benchmark artifact: the core-scaling sweep with interval metrics
-# (BENCH_scaling.json). Sized to finish in CI minutes; raise -n locally
-# for paper-scale numbers. The traced sample run is make trace-gate's.
-bench:
-	$(GO) run ./cmd/slpmtbench -experiment scaling -n 300 -value 64 -json
-
 # Micro-benchmarks for the simulator hot paths (allocations reported),
 # layer by layer: cache lookup/insert/locate, the core's eviction
 # cascade and commit walk, PM persist, async backlog and crash snapshot, log-buffer
@@ -92,35 +86,25 @@ microbench:
 		./internal/critpath/
 	$(GO) test -run xxx -bench '^(BenchmarkUpdate|BenchmarkNewCluster)$$' -benchmem .
 
-# Experiments gated by the perf-regression baseline (default flag
-# parameters: n=1000, value=256, seed=0 — what `-compare baselines/`
-# reproduces). fig13 is not gated: it records no results, and -compare
-# fails on a baseline or run that holds none.
-BASELINE_EXPERIMENTS := headline scaling fig8 window numa fig9 fig10 fig11 \
-	fig12 fig14 ablation model breakdown critpath mixes
-
-# Regenerate the committed perf-regression baselines. Run after an
-# intentional model change (and eyeball the diff before committing).
+# Regenerate the committed perf-regression baselines: one
+# BENCH_<experiment>.json per experiment of the registry, at the default
+# flags (n=1000, value=256, seed=0) that `-compare baselines/`
+# reproduces. Run after an intentional model change (and eyeball the
+# diff before committing).
 baseline:
+	$(GO) run ./cmd/slpmtbench -experiment all -json
 	@mkdir -p baselines
-	@for e in $(BASELINE_EXPERIMENTS); do \
-		$(GO) run ./cmd/slpmtbench -experiment $$e -json || exit 1; \
-		mv BENCH_$$e.json baselines/BENCH_$$e.json; \
-	done
-	@echo "refreshed baselines/: $(BASELINE_EXPERIMENTS)"
+	mv BENCH_*.json baselines/
 
-# Perf-regression gate: rerun the gated experiments and diff every
-# metric (cycles, traffic, percentiles, cycles_by_cause) against the
-# committed baselines with per-metric tolerances. Nonzero exit on
-# drift.
+# Perf-regression gate: rerun every experiment in one process and diff
+# every metric (cycles, traffic, percentiles, cycles_by_cause) against
+# the committed baselines with per-metric tolerances. Fresh
+# BENCH_*.json files land in the working directory; nonzero exit if any
+# experiment drifted, after reporting them all.
 compare:
-	@for e in $(BASELINE_EXPERIMENTS); do \
-		$(GO) run ./cmd/slpmtbench -experiment $$e -json -compare baselines/ || exit 1; \
-	done
+	$(GO) run ./cmd/slpmtbench -experiment all -compare baselines/
 
 # Self-contained HTML run report rendered from the committed baselines
 # (swap in fresh BENCH_*.json files to report on a local run).
 report:
-	$(GO) run ./cmd/slpmtreport -o report.html baselines/BENCH_headline.json \
-		baselines/BENCH_scaling.json baselines/BENCH_fig8.json \
-		baselines/BENCH_window.json baselines/BENCH_numa.json
+	$(GO) run ./cmd/slpmtreport -o report.html baselines/BENCH_*.json

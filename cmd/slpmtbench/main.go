@@ -3,23 +3,8 @@
 //
 // Usage:
 //
-//	slpmtbench -experiment fig8      # kernel speedups + traffic (Fig. 8)
-//	slpmtbench -experiment fig9      # line-granularity SLPMT (Fig. 9)
-//	slpmtbench -experiment fig10     # value-size speedup sweep (Fig. 10)
-//	slpmtbench -experiment fig11     # value-size traffic sweep (Fig. 11)
-//	slpmtbench -experiment fig12     # write-latency sweep (Fig. 12)
-//	slpmtbench -experiment fig13     # compiler vs manual annotations (Fig. 13)
-//	slpmtbench -experiment fig14     # PMKV speedups (Fig. 14)
-//	slpmtbench -experiment headline  # §VI summary numbers
-//	slpmtbench -experiment ablation  # design-choice ablations (DESIGN.md §5)
-//	slpmtbench -experiment model     # timing-model knob sensitivity
-//	slpmtbench -experiment mixes     # YCSB A/B/C/E blends (extension)
-//	slpmtbench -experiment scaling   # throughput/traffic vs core count (extension)
-//	slpmtbench -experiment breakdown # cycle attribution by cause group (extension)
-//	slpmtbench -experiment window    # group-commit window sensitivity (extension)
-//	slpmtbench -experiment numa      # multi-socket PM topology (extension)
-//	slpmtbench -experiment critpath  # causal critical path of the makespan (extension)
-//	slpmtbench -experiment all       # everything
+//	slpmtbench -experiment fig8      # one experiment (-h lists the registry's names)
+//	slpmtbench -experiment all       # every experiment, in registry order
 //
 // -n, -value and -seed set the workload parameters, -cores the
 // simulated core count (sharded key streams, deterministic
@@ -183,9 +168,8 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-hotlines %d: must be 1..%d", *hotlines, critpath.MaxHotLines)
 	case len(cfgs) > 1 && (*streamD != "" || *tracePth != "" || *flamePth != ""):
 		return fmt.Errorf("-scheme %s: -trace-stream, -trace and -flame write one run's files; name one scheme", *scheme)
-	case *exp == "mixes" && len(experiments.MixesIgnores(base)) > 0:
-		return fmt.Errorf("%s: -experiment mixes runs %d operations on one core and ignores it",
-			experiments.MixesIgnores(base)[0], ycsb.DefaultOps)
+	case len(experiments.Ignores(*exp, base)) > 0:
+		return fmt.Errorf("%s: -experiment %s ignores it", experiments.Ignores(*exp, base)[0], *exp)
 	}
 
 	one := single{streamDir: *streamD, interval: *interval, tracePath: *tracePth, flamePath: *flamePth,
@@ -256,10 +240,10 @@ func run(args []string, out io.Writer) error {
 // runOne executes one experiment, optionally writing every benchmark
 // result it returns into BENCH_<name>.json.
 func runOne(out io.Writer, name string, base bench.RunConfig, jsonOut bool) error {
-	// An explicit -experiment mixes rejects the flags it ignores; inside
-	// "all" it says so before its table.
-	if ig := experiments.MixesIgnores(base); name == "mixes" && len(ig) > 0 {
-		fmt.Fprintf(out, "(mixes runs %d operations on one core; it ignores %s)\n", ycsb.DefaultOps, strings.Join(ig, ", "))
+	// An explicit -experiment rejects the flags it ignores; inside "all"
+	// it says so before its table.
+	if ig := experiments.Ignores(name, base); len(ig) > 0 {
+		fmt.Fprintf(out, "(%s ignores %s)\n", name, strings.Join(ig, ", "))
 	}
 	if !jsonOut {
 		_, err := experiments.Run(out, name, base)

@@ -103,23 +103,29 @@ func TestMixesJSONRecordsEveryCell(t *testing.T) {
 	}
 }
 
-// Inside -experiment all, mixes says which flags it ignores in one line
-// before its table (an explicit -experiment mixes rejects them).
-func TestAllNamesFlagsMixesIgnores(t *testing.T) {
+// Inside -experiment all, an experiment that ignores a flag says so in
+// one line before its table (an explicit -experiment rejects it).
+func TestAllNotesIgnoredFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the mixes grid; skipped in -short")
 	}
-	var buf strings.Builder
-	if err := runOne(&buf, "mixes", bench.RunConfig{N: 200, Cores: 2, CommitWindow: 4, Sockets: 2, ValueSize: 32}, false); err != nil {
-		t.Fatal(err)
-	}
-	first, rest, _ := strings.Cut(buf.String(), "\n")
-	const want = "(mixes runs 1000 operations on one core; it ignores -n 200, -cores 2, -commit-window 4, -sockets 2)"
-	if first != want {
-		t.Fatalf("first line %q, want %q", first, want)
-	}
-	if !strings.HasPrefix(rest, "YCSB mixes on kv-btree") {
-		t.Fatalf("the note is not followed by the mixes table:\n%s", rest)
+	for _, tc := range []struct {
+		name, want, title string
+	}{
+		{"mixes", "(mixes ignores -n 200, -cores 2, -commit-window 4, -sockets 2)", "YCSB mixes on kv-btree"},
+		{"fig13", "(fig13 ignores -cores 2, -commit-window 4, -sockets 2)", "Figure 13 (left)"},
+	} {
+		var buf strings.Builder
+		if err := runOne(&buf, tc.name, bench.RunConfig{N: 200, Cores: 2, CommitWindow: 4, Sockets: 2, ValueSize: 32}, false); err != nil {
+			t.Fatal(err)
+		}
+		first, rest, _ := strings.Cut(buf.String(), "\n")
+		if first != tc.want {
+			t.Errorf("%s: first line %q, want %q", tc.name, first, tc.want)
+		}
+		if !strings.HasPrefix(rest, tc.title) {
+			t.Errorf("%s: the note is not followed by its table:\n%s", tc.name, rest)
+		}
 	}
 }
 
@@ -169,10 +175,11 @@ func TestScalingJSONDeterministic(t *testing.T) {
 // naming the flag, before any run starts. Unchecked, most of the range
 // errors panic inside every job of the grid or the single run, -cores
 // -2 silently runs one core, -hotlines 0 lists ten lines and -hotlines
-// 100 sixty-four, and -experiment mixes prints its default
-// single-core table whatever -n, -cores, -commit-window or -sockets
-// say. Field errors come first, so the rows that also set a single-run
-// flag next to -experiment report the field.
+// 100 sixty-four, -experiment mixes prints its default single-core
+// table whatever -n, -cores, -commit-window or -sockets say, and
+// -experiment fig13 its one-core tables. Field errors come first, so
+// the rows that also set a single-run flag next to -experiment report
+// the field.
 func TestOutOfRangeFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -203,10 +210,14 @@ func TestOutOfRangeFlags(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-experiment", "mixes", "-cores", "2"}, "-cores 2: -experiment mixes runs 1000 operations on one core and ignores it"},
-		{[]string{"-experiment", "mixes", "-commit-window", "4"}, "-commit-window 4: -experiment mixes"},
-		{[]string{"-experiment", "mixes", "-sockets", "2"}, "-sockets 2: -experiment mixes"},
-		{[]string{"-experiment", "mixes", "-n", "200"}, "-n 200: -experiment mixes"},
+		{[]string{"-experiment", "mixes", "-cores", "2"}, "-cores 2: -experiment mixes ignores it"},
+		{[]string{"-experiment", "mixes", "-commit-window", "4"}, "-commit-window 4: -experiment mixes ignores it"},
+		{[]string{"-experiment", "mixes", "-sockets", "2"}, "-sockets 2: -experiment mixes ignores it"},
+		{[]string{"-experiment", "mixes", "-n", "200"}, "-n 200: -experiment mixes ignores it"},
+		{[]string{"-experiment", "fig13", "-cores", "2"}, "-cores 2: -experiment fig13 ignores it"},
+		{[]string{"-experiment", "fig13", "-commit-window", "4"}, "-commit-window 4: -experiment fig13 ignores it"},
+		{[]string{"-experiment", "fig13", "-sockets", "2", "-remote-nanos", "50"}, "-sockets 2: -experiment fig13 ignores it"},
+		{[]string{"-experiment", "fig13", "-remote-nanos", "50"}, "-remote-nanos 50: -experiment fig13 ignores it"},
 		{[]string{"-workload", "rbtree", "-replay", "x"}, "-workload: not read by -replay"},
 		{[]string{"-workload", "rbtree", "-json"}, "-json: not read by a single run"},
 		{[]string{"-workload", "rbtree", "-records", "3", "-follow"}, "-follow, -records: not read by a single run"},

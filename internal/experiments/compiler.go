@@ -14,6 +14,11 @@ import (
 	"github.com/persistmem/slpmt/internal/ycsb"
 )
 
+// loadOf is the insert load base configures.
+func loadOf(base bench.RunConfig) ycsb.Load {
+	return ycsb.Load{N: base.N, ValueSize: base.ValueSize, Seed: base.Seed}
+}
+
 // loadInto sets w up on sys and inserts base's load: the end-to-end run
 // the compiler comparison measures, since the replayed trace covers
 // setup too.
@@ -21,20 +26,22 @@ func loadInto(w workloads.Workload, sys *slpmt.System, base bench.RunConfig) err
 	if err := w.Setup(sys); err != nil {
 		return err
 	}
-	load := ycsb.Load{N: base.N, ValueSize: base.ValueSize, Seed: base.Seed}
-	return load.Each(func(k uint64, v []byte) error { return w.Insert(sys, k, v) })
+	return loadOf(base).Each(func(k uint64, v []byte) error { return w.Insert(sys, k, v) })
 }
 
 // runWhole runs a workload end to end (setup + inserts + lazy drain)
-// under a scheme and returns the total simulated cycles.
-func runWhole(scheme, workload string, base bench.RunConfig) (uint64, error) {
-	w := workloads.MustNew(workload)
-	sys := slpmt.New(slpmt.Options{Scheme: scheme, ComputeCyclesPerOp: w.ComputeCost()})
-	if err := loadInto(w, sys, base); err != nil {
-		return 0, err
+// under cfg's scheme, snapshots its total cycles and counters, then
+// checks the structure against the load's oracle.
+func runWhole(cfg bench.RunConfig) (bench.Result, error) {
+	w := workloads.MustNew(cfg.Workload)
+	sys := slpmt.New(slpmt.Options{Scheme: cfg.Scheme, ComputeCyclesPerOp: w.ComputeCost()})
+	if err := loadInto(w, sys, cfg); err != nil {
+		return bench.Result{}, err
 	}
 	sys.DrainLazy()
-	return sys.Cycles(), nil
+	r := bench.Result{RunConfig: cfg, Cycles: sys.Cycles(), Counters: *sys.Stats()}
+	r.VerifyErr = w.Check(sys, loadOf(cfg).Oracle())
+	return r, nil
 }
 
 // record captures the workload's transaction IR with manual annotations
@@ -54,8 +61,14 @@ func record(workload string, base bench.RunConfig) (*txir.Trace, error) {
 // Fig13 reproduces Figure 13: compiler-inserted vs manual annotations
 // (left: speedup over the FG baseline; right: analysis time), plus the
 // variable-coverage count the paper reports in the text (16 of 26).
-// It runs no bench.Run cells, so it returns no results.
+// Per kernel it returns three whole-run cells (setup + inserts +
+// drain, since the replayed IR covers setup too) on the one-core
+// default platform: FG, SLPMT with the manual annotations, and SLPMT
+// replaying the IR under the compiler's annotations (workload
+// "<kernel>/compiler"). The analysis time is host wall time and is in
+// no cell.
 func Fig13(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
+	base = bench.RunConfig{N: base.N, ValueSize: base.ValueSize, Seed: base.Seed, Verify: true}
 	ws := workloads.Kernels()
 	tb := bench.NewTable(
 		"Figure 13 (left): speedup over FG — manual vs compiler-inserted annotations",
@@ -67,19 +80,19 @@ func Fig13(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	// One job per kernel on the worker pool: the record + infer +
 	// replay + recovery pipeline per workload touches only systems the
 	// job builds itself.
-	type fig13Cell struct {
-		fg, manual, replay uint64
+	type kernel struct {
+		fg, manual, replay bench.Result
 		traceOps           int
 		ann                *compiler.Annotations
 	}
-	cells := make([]fig13Cell, len(ws))
+	cells := make([]kernel, len(ws))
 	if err := bench.ForEach(len(ws), func(i int) error {
 		w := ws[i]
-		fg, err := runWhole(schemes.FG, w, base)
+		fg, err := runWhole(cell(base, schemes.FG, w))
 		if err != nil {
 			return err
 		}
-		manual, err := runWhole(schemes.SLPMT, w, base)
+		manual, err := runWhole(cell(base, schemes.SLPMT, w))
 		if err != nil {
 			return err
 		}
@@ -90,37 +103,37 @@ func Fig13(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 		guard := slpmt.New(slpmt.Options{}).Layout().RootBase + 8*workloads.RootMoveSrc
 		ann := compiler.Infer(trace, guard)
 
-		// Replay with inferred annotations on a fresh system.
+		// Replay with inferred annotations on a fresh system, then verify
+		// the replayed durable state with the recovery checker.
 		wl := workloads.MustNew(w)
 		sys := slpmt.New(slpmt.Options{Scheme: schemes.SLPMT, ComputeCyclesPerOp: wl.ComputeCost()})
 		if err := compiler.Replay(trace, ann, sys); err != nil {
 			return fmt.Errorf("%s: %w", w, err)
 		}
 		sys.DrainLazy()
-
-		// Verify the replayed durable state with the recovery checker.
+		replay := bench.Result{RunConfig: cell(base, schemes.SLPMT, w+"/compiler"), Cycles: sys.Cycles(), Counters: *sys.Stats()}
 		img := sys.Mach.Crash()
-		rec := workloads.MustNew(w).(workloads.Recoverable)
+		rec := wl.(workloads.Recoverable)
 		if _, _, err := recovery.RecoverSharded(img, rec, 1, 1); err != nil {
-			return fmt.Errorf("%s replay recovery: %w", w, err)
+			replay.VerifyErr = fmt.Errorf("replay recovery: %w", err)
+		} else if err := rec.CheckDurable(img, loadOf(base).Oracle()); err != nil {
+			replay.VerifyErr = fmt.Errorf("replay durable check: %w", err)
 		}
-		load := ycsb.Load{N: base.N, ValueSize: base.ValueSize, Seed: base.Seed}
-		if err := rec.CheckDurable(img, load.Oracle()); err != nil {
-			return fmt.Errorf("%s replay durable check: %w", w, err)
-		}
-		cells[i] = fig13Cell{fg: fg, manual: manual, replay: sys.Cycles(), traceOps: len(trace.Ops), ann: ann}
+		cells[i] = kernel{fg: fg, manual: manual, replay: replay, traceOps: len(trace.Ops), ann: ann}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 
+	results := make([]bench.Result, 0, 3*len(ws))
 	totalManual, totalFound := 0, 0
 	for i, w := range ws {
 		c := cells[i]
+		results = append(results, c.fg, c.manual, c.replay)
 		cov := c.ann.Coverage
 		tb.AddRow(w,
-			bench.Fx(float64(c.fg)/float64(c.manual)),
-			bench.Fx(float64(c.fg)/float64(c.replay)),
+			bench.Fx(bench.Speedup(c.fg, c.manual)),
+			bench.Fx(bench.Speedup(c.fg, c.replay)),
 			fmt.Sprint(cov.ManualSites),
 			fmt.Sprint(cov.FoundSites))
 		tt.AddRow(w,
@@ -136,5 +149,5 @@ func Fig13(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	fmt.Fprintln(out, tt)
 	fmt.Fprintf(out, "(paper: compiler speedups match manual; absolute compile-time cost < 0.15 s —\n"+
 		" the analysis above stays well under that for every kernel)\n")
-	return nil, nil
+	return results, nil
 }

@@ -14,23 +14,28 @@ import (
 )
 
 // experiment is a named figure: it runs its cells, writes its tables
-// and returns every result it ran.
+// and returns every result it ran. ignores, nil for an experiment that
+// reads every run flag, names the flags base sets that it does not
+// read.
 type experiment struct {
-	name string
-	run  func(io.Writer, bench.RunConfig) ([]bench.Result, error)
+	name    string
+	run     func(io.Writer, bench.RunConfig) ([]bench.Result, error)
+	ignores func(bench.RunConfig) []string
 }
 
-// registry lists every experiment in the order "all" runs them.
-// Everything before "scaling" reproduces the paper's single-core
-// evaluation unchanged; "scaling" (multi-core), "breakdown"
-// (cycle-attribution profiling), "window" (group-commit sensitivity),
-// "numa" (multi-device socket topology), and "critpath" (causal
-// critical-path analysis) are extensions.
+// registry lists every experiment in the order "all" runs them; each
+// one's BENCH_<name>.json in baselines/ gates it. Everything before
+// "scaling" reproduces the paper's single-core evaluation unchanged;
+// "scaling" (multi-core), "breakdown" (cycle-attribution profiling),
+// "window" (group-commit sensitivity), "numa" (multi-device socket
+// topology), and "critpath" (causal critical-path analysis) are
+// extensions.
 var registry = []experiment{
-	{"fig8", Fig8}, {"fig9", Fig9}, {"fig10", Fig10}, {"fig11", Fig11}, {"fig12", Fig12},
-	{"fig13", Fig13}, {"fig14", Fig14}, {"headline", Headline}, {"ablation", Ablation},
-	{"model", Model}, {"mixes", Mixes}, {"scaling", Scaling}, {"breakdown", Breakdown},
-	{"window", Window}, {"numa", Numa}, {"critpath", CritPath},
+	{"fig8", Fig8, nil}, {"fig9", Fig9, nil}, {"fig10", Fig10, nil}, {"fig11", Fig11, nil},
+	{"fig12", Fig12, nil}, {"fig13", Fig13, platformFlags}, {"fig14", Fig14, nil},
+	{"headline", Headline, nil}, {"ablation", Ablation, nil}, {"model", Model, nil},
+	{"mixes", Mixes, mixesIgnores}, {"scaling", Scaling, nil}, {"breakdown", Breakdown, nil},
+	{"window", Window, nil}, {"numa", Numa, nil}, {"critpath", CritPath, nil},
 }
 
 // Run executes the named experiment, writing its tables to w, and
@@ -73,6 +78,35 @@ func Names() []string {
 	for i, e := range registry {
 		out[i] = e.name
 	}
+	return out
+}
+
+// Ignores names, as "flag value", each run flag base sets off its
+// default that the named experiment does not read; nil if it reads them
+// all (or there is no such experiment).
+func Ignores(name string, base bench.RunConfig) []string {
+	for _, e := range registry {
+		if e.name == name && e.ignores != nil {
+			return e.ignores(base)
+		}
+	}
+	return nil
+}
+
+// platformFlags names each of base's -cores, -commit-window, -sockets
+// and -remote-nanos that is off the one-core, one-device default: the
+// flags an experiment that builds its own one-core systems ignores.
+func platformFlags(base bench.RunConfig) []string {
+	var out []string
+	add := func(set bool, flag string, v uint64) {
+		if set {
+			out = append(out, fmt.Sprintf("%s %d", flag, v))
+		}
+	}
+	add(base.Cores > 1, "-cores", uint64(base.Cores))
+	add(base.CommitWindow > 1, "-commit-window", uint64(base.CommitWindow))
+	add(base.Sockets > 1, "-sockets", uint64(base.Sockets))
+	add(base.RemoteNanos != 0, "-remote-nanos", base.RemoteNanos)
 	return out
 }
 

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
 	"github.com/persistmem/slpmt/internal/bench"
+	"github.com/persistmem/slpmt/internal/report"
+	"github.com/persistmem/slpmt/internal/workloads"
 	_ "github.com/persistmem/slpmt/internal/workloads/all"
 )
 
@@ -32,14 +35,50 @@ func TestExperimentsSmoke(t *testing.T) {
 	}
 }
 
+// TestFig13Smoke: Fig13 returns three verified whole-run cells per
+// kernel (FG, manual SLPMT, compiler replay), each under its own report
+// key, so the compare gate reads every one.
 func TestFig13Smoke(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := Run(&buf, "fig13", small()); err != nil {
+	res, err := Run(&buf, "fig13", small())
+	if err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	if !strings.Contains(out, "compiler identified") {
 		t.Errorf("missing coverage line:\n%s", out)
+	}
+	if want := 3 * len(workloads.Kernels()); len(res) != want {
+		t.Fatalf("%d results, want %d", len(res), want)
+	}
+	keys := map[string]bool{}
+	for _, r := range res {
+		if r.VerifyErr != nil || r.Cycles == 0 || r.PMWriteBytes() == 0 {
+			t.Errorf("%s/%s: cycles %d, PM writes %d, verify %v", r.Scheme, r.Workload, r.Cycles, r.PMWriteBytes(), r.VerifyErr)
+		}
+		keys[report.FromResult(r).Key()] = true
+	}
+	if len(keys) != len(res) {
+		t.Errorf("%d distinct report keys for %d results", len(keys), len(res))
+	}
+}
+
+// TestNamesMatchBaselines: every experiment has a committed baseline
+// and every baseline names an experiment, so -experiment all -compare
+// gates the whole registry.
+func TestNamesMatchBaselines(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "baselines", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range paths {
+		got = append(got, strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_"), ".json"))
+	}
+	want := slices.Clone(Names())
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("baselines/ holds %v, the registry names %v", got, want)
 	}
 }
 
@@ -60,7 +99,7 @@ func TestRunChecksVerification(t *testing.T) {
 	defer func() { registry = saved }()
 	registry = append(slices.Clip(registry), experiment{"fake", func(io.Writer, bench.RunConfig) ([]bench.Result, error) {
 		return []bench.Result{ok, bad, bad}, nil
-	}})
+	}, nil})
 
 	res, err := Run(io.Discard, "fake", bench.RunConfig{})
 	if err == nil {
@@ -71,16 +110,25 @@ func TestRunChecksVerification(t *testing.T) {
 	}
 }
 
-// MixesIgnores names exactly the flags that differ from the defaults
-// mixes runs at, so a default run prints no note.
-func TestMixesIgnores(t *testing.T) {
-	for _, base := range []bench.RunConfig{{}, {N: 1000, Cores: 1, CommitWindow: 1, Sockets: 1}} {
-		if ig := MixesIgnores(base); len(ig) != 0 {
-			t.Errorf("%+v: defaults reported as ignored: %v", base, ig)
+// Ignores names exactly the flags an experiment does not read and
+// that differ from their defaults, so a default run prints no note.
+func TestIgnores(t *testing.T) {
+	off := bench.RunConfig{N: 200, Cores: 2, CommitWindow: 4, Sockets: 2, RemoteNanos: 50}
+	for _, tc := range []struct {
+		name string
+		base bench.RunConfig
+		want string
+	}{
+		{"mixes", bench.RunConfig{}, ""},
+		{"mixes", bench.RunConfig{N: 1000, Cores: 1, CommitWindow: 1, Sockets: 1}, ""},
+		{"mixes", off, "-n 200, -cores 2, -commit-window 4, -sockets 2, -remote-nanos 50"},
+		{"fig13", bench.RunConfig{N: 1000, Cores: 1, CommitWindow: 1, Sockets: 1}, ""},
+		{"fig13", off, "-cores 2, -commit-window 4, -sockets 2, -remote-nanos 50"},
+		{"fig8", off, ""},
+		{"all", off, ""},
+	} {
+		if got := strings.Join(Ignores(tc.name, tc.base), ", "); got != tc.want {
+			t.Errorf("Ignores(%s, %+v) = %q, want %q", tc.name, tc.base, got, tc.want)
 		}
-	}
-	got := strings.Join(MixesIgnores(bench.RunConfig{N: 200, Cores: 2, CommitWindow: 4, Sockets: 2}), ", ")
-	if want := "-n 200, -cores 2, -commit-window 4, -sockets 2"; got != want {
-		t.Errorf("MixesIgnores = %q, want %q", got, want)
 	}
 }
