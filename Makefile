@@ -15,12 +15,14 @@ test:
 
 # Race-detector pass: full tests over the root package (cluster), the
 # bench harness, the caches (off-heap tag arrays released by a
-# finalizer), the machine, and the tracer with its streaming binlog
-# (double-buffered writer goroutine), plus the targeted subsets that
-# exercise the parallel experiment runner and the workloads' shared
-# free lists.
+# finalizer), the machine, the PM device (crash views and memory views
+# alias a mapping a finalizer releases), and the tracer with its
+# streaming binlog (double-buffered writer goroutine), plus the
+# targeted subsets that exercise the parallel experiment runner and
+# crash sweep (each worker recovers on its own platform's durable
+# image) and the workloads' shared free lists.
 race:
-	$(GO) test -race . ./internal/bench/ ./internal/cache/ ./internal/machine/ ./internal/trace/...
+	$(GO) test -race . ./internal/bench/ ./internal/cache/ ./internal/machine/ ./internal/pmem/ ./internal/trace/...
 	$(GO) test -race ./internal/experiments/ \
 		./internal/recovery/ -run 'Parallel|ForEach|Grid|RunAll|Smoke'
 	$(GO) test -race ./internal/workloads/ -run 'FreeList|KeySet'

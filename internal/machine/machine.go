@@ -288,9 +288,9 @@ func (m *Machine) SyncClocks() uint64 {
 // Crash returns the durable image as of now — the ADR crash snapshot.
 func (m *Machine) Crash() *pmem.Image { return m.PM.Crash() }
 
-// CrashInto is Crash into a caller-supplied image, whose page buffers
-// it reuses (see pmem.Device.CrashInto).
-func (m *Machine) CrashInto(img *pmem.Image) *pmem.Image { return m.PM.CrashInto(img) }
+// CrashView returns the durable image itself as a crash image, which
+// recovery repairs in place (see pmem.Device.CrashView).
+func (m *Machine) CrashView() *pmem.Image { return m.PM.CrashView() }
 
 // snoopFetch services core c's bus request for line la after it missed
 // in c's private caches: remote private copies are downgraded (read) or

@@ -74,25 +74,9 @@ func (m *Memory) WriteU64(addr uint64, v uint64) {
 
 // View returns an Image over m's own pages: it copies nothing, so it
 // reads what m holds when it is read, and it keeps m reachable for as
-// long as it is itself. A view is read-only; Write panics on it. Only a
-// partial last page, which no page pointer can alias, is copied.
-func (m *Memory) View() *Image {
-	img := newImage(m.Size())
-	img.src = m
-	img.tables = make([]imageChunk, len(img.chunks))
-	for base := uint64(0); base < m.Size(); base += PageSize {
-		pg := base / PageSize
-		c := &img.tables[pg/chunkPages]
-		img.chunks[pg/chunkPages] = c
-		if m.Size()-base >= PageSize {
-			c[pg%chunkPages] = (*[PageSize]byte)(m.b[base:])
-		} else {
-			c[pg%chunkPages] = new([PageSize]byte)
-			copy(c[pg%chunkPages][:], m.b[base:])
-		}
-	}
-	return img
-}
+// long as it is itself. A view holds every page and is read-only;
+// Write panics on it.
+func (m *Memory) View() *Image { return &Image{size: m.Size(), src: m} }
 
 // clearRange zeroes the n bytes at addr.
 func (m *Memory) clearRange(addr, n uint64) {
@@ -134,11 +118,9 @@ func (d *durableImage) write(addr uint64, p []byte) {
 	}
 }
 
-// snapshot copies the written pages into an Image: one slab for all of
-// them and one for the page-table chunks that hold them. A non-nil into
-// of the same size is overwritten and returned: its earlier contents
-// are dropped, and its slabs are reused when they are large enough.
-func (d *durableImage) snapshot(into *Image) *Image {
+// snapshot copies the written pages into a new Image: one slab for all
+// of them and one for the page-table chunks that hold them.
+func (d *durableImage) snapshot() *Image {
 	pages, chunks := 0, 0
 	for _, w := range d.written {
 		if w != 0 {
@@ -146,25 +128,14 @@ func (d *durableImage) snapshot(into *Image) *Image {
 			chunks++
 		}
 	}
-	img := into
-	if img == nil || img.size != d.mem.Size() {
-		img = newImage(d.mem.Size())
-	}
-	clear(img.chunks)
-	if cap(img.slab) < pages {
-		img.slab = make([][PageSize]byte, pages)
-	}
-	if cap(img.tables) < chunks {
-		img.tables = make([]imageChunk, chunks)
-	}
-	slab, tables := img.slab[:pages], img.tables[:chunks]
+	img := newImage(d.mem.Size())
+	slab, tables := make([][PageSize]byte, pages), make([]imageChunk, chunks)
 	for i, w := range d.written {
 		if w == 0 {
 			continue
 		}
 		c := &tables[0]
 		tables = tables[1:]
-		*c = imageChunk{}
 		img.chunks[i] = c
 		for ; w != 0; w &= w - 1 {
 			j := bits.TrailingZeros64(w)
@@ -187,28 +158,31 @@ const chunkPages = 64
 // zero.
 type imageChunk [chunkPages]*[PageSize]byte
 
-// Image is a crash snapshot: the durable contents of the device at the
+// Image is a crash image: the durable contents of the device at the
 // instant of a (simulated) power failure, after the ADR domain has been
-// flushed. It holds a copy of the written pages only; every other page
-// reads as zero. Recovery reads and repairs an Image in place. An Image
-// can also be a read-only view of a Memory (Memory.View), whose pages
-// are the Memory's own.
+// flushed. Pages never written read as zero. A crash image is either a
+// copy of the written pages (Device.Crash) or the durable image itself
+// (Device.CrashView), whose pages are the device's own and whose writes
+// land in the device. Recovery reads and repairs an Image in place. An
+// Image can also be a read-only view of a Memory (Memory.View), whose
+// pages are the Memory's own.
 //
-// The page table has two levels, so an image costs in proportion to
-// the pages it holds rather than to its size: a directory with one
-// entry per chunkPages pages, and chunks allocated only once they hold
-// a page.
+// A copy's page table has two levels, so it costs in proportion to the
+// pages it holds rather than to its size: a directory with one entry
+// per chunkPages pages, and chunks allocated only once they hold a
+// page.
 type Image struct {
 	size   uint64
-	chunks []*imageChunk // nil: no page of the chunk held
-	// slab and tables back the pages and chunks a snapshot fills; a
-	// later snapshot into the same Image reuses them.
-	slab   [][PageSize]byte
-	tables []imageChunk
-	// src is the Memory a view's pages alias (nil: not a view). Holding
-	// it keeps the mapping alive; the read methods end with
-	// runtime.KeepAlive(img) so it outlives their last page access.
+	chunks []*imageChunk // a copy's directory; nil entry: no page of the chunk held
+	// src is the Memory whose pages the image aliases (nil: a copy).
+	// Holding it keeps the mapping alive; the methods that touch pages
+	// end with runtime.KeepAlive(img) so it outlives their last access.
 	src *Memory
+	// durable is set on a crash view: the image it aliases, whose
+	// written-page bitmap says which pages the view holds and through
+	// which its writes go. A view without it is read-only and holds
+	// every page.
+	durable *durableImage
 }
 
 func newImage(size uint64) *Image {
@@ -216,10 +190,18 @@ func newImage(size uint64) *Image {
 	return &Image{size: size, chunks: make([]*imageChunk, (pages+chunkPages-1)/chunkPages)}
 }
 
-// page returns page pg, or nil if the image does not hold it.
-func (img *Image) page(pg uint64) *[PageSize]byte {
-	if c := img.chunks[pg/chunkPages]; c != nil {
-		return c[pg%chunkPages]
+// page returns the pageLen(pg) bytes of page pg, or nil if the image
+// does not hold it.
+func (img *Image) page(pg uint64) []byte {
+	if img.src != nil {
+		if img.durable != nil && img.durable.written[pg/64]&(1<<(pg%64)) == 0 {
+			return nil
+		}
+		base := pg * PageSize
+		return img.src.b[base : base+uint64(img.pageLen(pg))]
+	}
+	if c := img.chunks[pg/chunkPages]; c != nil && c[pg%chunkPages] != nil {
+		return c[pg%chunkPages][:img.pageLen(pg)]
 	}
 	return nil
 }
@@ -282,12 +264,20 @@ func (img *Image) Equal(addr uint64, p []byte) bool {
 	return len(p) == 0
 }
 
-// Write copies p into the image at addr, allocating any absent page
-// (and page-table chunk) it touches.
+// Write copies p into the image at addr. A copy allocates any absent
+// page (and page-table chunk) it touches; a crash view writes the
+// device's durable image, marking the pages written.
 func (img *Image) Write(addr uint64, p []byte) {
 	img.check("write", addr, len(p))
+	if len(p) == 0 {
+		return
+	}
 	if img.src != nil {
-		panic("pmem: write to a read-only view")
+		if img.durable == nil {
+			panic("pmem: write to a read-only view")
+		}
+		img.durable.write(addr, p)
+		return
 	}
 	for len(p) > 0 {
 		pg, off := addr/PageSize, addr%PageSize
@@ -333,15 +323,9 @@ func (img *Image) Clone() *Image {
 // address and contents of every page the image holds. fn must not
 // retain or modify page.
 func (img *Image) ForEachPage(fn func(base uint64, page []byte)) {
-	for i, c := range img.chunks {
-		if c == nil {
-			continue
-		}
-		for j, page := range c {
-			if page != nil {
-				pg := uint64(i*chunkPages + j)
-				fn(pg*PageSize, page[:img.pageLen(pg)])
-			}
+	for pg := uint64(0); pg*PageSize < img.size; pg++ {
+		if page := img.page(pg); page != nil {
+			fn(pg*PageSize, page)
 		}
 	}
 	runtime.KeepAlive(img)

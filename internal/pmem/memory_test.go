@@ -337,7 +337,7 @@ func BenchmarkPersistAsyncBacklog(b *testing.B) {
 }
 
 // TestViewAliasesMemory: a view reads the memory's current bytes
-// (later writes included, a partial last page as of View), copies no
+// (later writes included, on a partial last page too), copies no
 // image, refuses writes, and keeps its memory mapped after the last
 // reference to the Memory itself is gone.
 func TestViewAliasesMemory(t *testing.T) {
@@ -373,7 +373,59 @@ func TestViewAliasesMemory(t *testing.T) {
 
 	odd := NewMemory(2*PageSize + 16)
 	odd.WriteU64(2*PageSize+8, 5)
-	if ov := odd.View(); ov.ReadU64(2*PageSize+8) != 5 || ov.Size() != 2*PageSize+16 {
+	ov := odd.View()
+	odd.WriteU64(2*PageSize, 6)
+	if ov.ReadU64(2*PageSize+8) != 5 || ov.ReadU64(2*PageSize) != 6 || ov.Size() != 2*PageSize+16 {
 		t.Error("view of a partial last page reads wrong")
+	}
+	if got := heldPages(ov); !slices.Equal(got, []uint64{0, PageSize, 2 * PageSize}) {
+		t.Errorf("view holds pages %#x, want all three", got)
+	}
+}
+
+// TestViewAllocatesOneImage: a view of a 16 MiB memory, or of one with
+// a partial last page, costs one Image and no page table.
+func TestViewAllocatesOneImage(t *testing.T) {
+	for _, size := range []uint64{DefaultSize, 2*PageSize + 16} {
+		m := NewMemory(size)
+		if got := testing.AllocsPerRun(10, func() { sinkImage = m.View() }); got != 1 {
+			t.Errorf("View of a %d-byte memory: %.0f allocations, want 1", size, got)
+		}
+	}
+}
+
+// TestCrashViewIsTheDurableImage: a crash view holds the written pages
+// and only those, reads and writes the durable image itself (its
+// writes marking their pages written, on a partial last page too), and
+// keeps the image mapped after the device is gone.
+func TestCrashViewIsTheDurableImage(t *testing.T) {
+	d := New(Config{Size: 3*PageSize + 16})
+	d.Persist(0, PageSize+64, line(1))
+	v := d.CrashView()
+	if got := heldPages(v); !slices.Equal(got, []uint64{PageSize}) {
+		t.Fatalf("view holds pages %#x, want [%#x]", got, PageSize)
+	}
+	d.Persist(10, 128, line(2))
+	if !v.Equal(128, line(2)) || !v.Equal(PageSize+64, line(1)) || !v.Equal(2*PageSize, make([]byte, PageSize)) {
+		t.Error("view does not read the durable image's current bytes")
+	}
+	v.WriteU64(3*PageSize+8, 9)
+	if got := d.ReadU64(3*PageSize + 8); got != 9 {
+		t.Errorf("write through the view left the device reading %#x", got)
+	}
+	want := []uint64{0, PageSize, 3 * PageSize}
+	if got := heldPages(d.Crash()); !slices.Equal(got, want) {
+		t.Errorf("snapshot after a view write holds %#x, want %#x", got, want)
+	}
+	if got := heldPages(v); !slices.Equal(got, want) {
+		t.Errorf("view holds %#x after its write, want %#x", got, want)
+	}
+
+	d = nil
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	if v.ReadU64(3*PageSize+8) != 9 || !v.Equal(128, line(2)) {
+		t.Error("view lost the durable image's contents after GC")
 	}
 }

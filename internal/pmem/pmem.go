@@ -8,9 +8,11 @@
 //
 //   - Durability: a write is copied into the durable image at enqueue
 //     time. On a crash/power failure the hardware drains the WPQ, so the
-//     durable image is exactly what recovery sees. The crash snapshot
-//     (Image) is a copy of the written pages: the durable image remembers
-//     every 4 KiB page a persist ever touched, and all others are zero.
+//     durable image is exactly what recovery sees. A crash image (Image)
+//     is a copy of the written pages (Crash), or the durable image
+//     itself, which recovery then repairs in place (CrashView): the
+//     durable image remembers every 4 KiB page a persist ever touched,
+//     and all others are zero.
 //   - Timing: the WPQ holds a bounded number of bytes (512 B in the
 //     paper). Entries complete one after another, each taking the device
 //     write latency. When the queue is full, the enqueuing core stalls
@@ -505,12 +507,19 @@ func (d *Device) ReadU64(addr uint64) uint64 { return d.durable.mem.ReadU64(addr
 // Crash returns a crash snapshot of the device. Because durability is
 // applied at WPQ enqueue, the snapshot is simply a copy of the durable
 // image's written pages — exactly the ADR semantics.
-func (d *Device) Crash() *Image { return d.durable.snapshot(nil) }
+func (d *Device) Crash() *Image { return d.durable.snapshot() }
 
-// CrashInto is Crash writing the snapshot into img, whose page buffers
-// it reuses, and returning it; a nil img, or one of another size, gets
-// a new Image instead. img's earlier contents are lost.
-func (d *Device) CrashInto(img *Image) *Image { return d.durable.snapshot(img) }
+// CrashView returns the durable image itself as a crash image, for
+// recovery to read and repair in place without a copy. It holds the
+// pages written so far, reads what the device holds when it is read,
+// and its writes land in the durable image and mark their pages
+// written, so the Topology's Reset zeroes them like any persisted page.
+// It aliases the image the device keeps running on: a caller repairs it
+// only after the run it belongs to is over, and resets the device
+// before the next run.
+func (d *Device) CrashView() *Image {
+	return &Image{size: d.cfg.Size, src: d.durable.mem, durable: d.durable}
+}
 
 // Stats returns (entries enqueued, cycles stalled on a full WPQ) since
 // creation.

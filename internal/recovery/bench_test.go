@@ -24,8 +24,8 @@ type campaignShape struct {
 
 func campaignShapes() []campaignShape {
 	shapes := []campaignShape{
-		{"hashtable-w1", recovery.CampaignConfig{Workload: "hashtable", Mixed: true}, 6.9, 6.9, 2270},
-		{"kv-btree-w16", recovery.CampaignConfig{Workload: "kv-btree", CommitWindow: 16}, 6.6, 7.2, 4110},
+		{"hashtable-w1", recovery.CampaignConfig{Workload: "hashtable", Mixed: true}, 6.2, 6.7, 1680},
+		{"kv-btree-w16", recovery.CampaignConfig{Workload: "kv-btree", CommitWindow: 16}, 5.9, 6.5, 2450},
 	}
 	for i := range shapes {
 		cfg := &shapes[i].cfg
@@ -56,16 +56,19 @@ func campaignCost(tb testing.TB, cfg recovery.CampaignConfig, n int) (points int
 // reference and set-up runs included. A point's verification allocates
 // only its workload instance (TestVerifyPointAllocs); what is left is
 // its run's workload instance and the run's own growth. The ceilings
-// leave about 10% over the measured 5.7–6.3 and 5.9–6.0 (8.7–8.8 and
-// 7.8 before the extents and the rehash stash came from free lists and
-// the crash signal stopped allocating; 14.6 and 9.7 before the
-// hashtable reused its rehash buffers and the verifier stopped building
-// the errors of skipped candidates): the first campaign in a process
-// also pays one-time costs, such as the memoized key stream and the
-// first buffers of the free lists, and the runtime's own allocations
-// land in the count. Race instrumentation doubles some allocation sites
-// (every slices.Grow among them), so a -race build is held to about 10%
-// over its own measured 6.3 and 6.5 (10.8 and 8.4 before).
+// leave about 10% over the measured 5.1–5.6 and 5.2–5.3 (5.7–6.3 and
+// 5.9–6.0 before recovery repaired the crashed platform's durable
+// image in place and the completed-op list and oracle map were sized
+// once; 8.7–8.8 and 7.8 before the extents and the rehash stash came
+// from free lists and the crash signal stopped allocating; 14.6 and 9.7
+// before the hashtable reused its rehash buffers and the verifier
+// stopped building the errors of skipped candidates): the first
+// campaign in a process also pays one-time costs, such as the memoized
+// key stream and the first buffers of the free lists, and the runtime's
+// own allocations land in the count. Race instrumentation doubles some
+// allocation sites (every slices.Grow among them), so a -race build is
+// held to about 10% over its own measured 5.5–6.1 and 5.8–5.9 (6.3 and
+// 6.5 before the in-place recovery; 10.8 and 8.4 before that).
 func TestCampaignAllocsPerPoint(t *testing.T) {
 	for _, s := range campaignShapes() {
 		points, allocs, _ := campaignCost(t, s.cfg, 1)
@@ -84,11 +87,14 @@ func TestCampaignAllocsPerPoint(t *testing.T) {
 // TestCampaignBytesPerPoint runs each of BenchmarkCampaign's campaigns
 // once and bounds its host heap bytes per crash point, the campaign's
 // reference and set-up runs included. The ceilings are about 10% over
-// the measured 1,760–2,062 and 3,443–3,739 B (the high ends in a
-// process that runs this test alone, which pays the one-time costs);
-// BenchmarkCampaign read 2,800 and 6,281 before the extents and the
-// rehash stash came from free lists. Race instrumentation allocates on
-// its own, so a race build skips it.
+// the measured 1,222–1,524 and 1,934–2,230 B (the high ends in a
+// process that runs this test alone, which pays the one-time costs).
+// BenchmarkCampaign read 1,664 and 3,393 B before recovery repaired the
+// crashed platform's durable image in place instead of a copy of its
+// written pages and the verifier sized its completed-op list and
+// oracle map once per campaign, and 2,800 and 6,281 before the extents
+// and the rehash stash came from free lists. Race instrumentation
+// allocates on its own, so a race build skips it.
 func TestCampaignBytesPerPoint(t *testing.T) {
 	if raceBuild {
 		t.Skip("race instrumentation allocates on its own")

@@ -142,10 +142,15 @@ func (info *runInfo) runOp(w workloads.Workload, sys *slpmt.System, ops []ycsb.M
 // op) is sound at any core count.
 //
 // The run uses v's platform: the cluster is built on v's first run and
-// Reset for every later one, and the image is written into v's image
-// buffer. info (its image and completed-op list) is therefore valid
-// until v's next run; a fresh verifier runs on a fresh platform.
+// Reset for every later one, and info's image is the platform's crash
+// view, its durable image itself. info (its image and completed-op
+// list) is therefore valid until v's next run; a fresh verifier runs on
+// a fresh platform. The completed-op list is sized for every op on v's
+// first run, so no run regrows it.
 func (v *verifier) execute(cfg CampaignConfig, ops []ycsb.MixOp, crashAfter uint64) (info runInfo, totalPersists uint64, err error) {
+	if cap(v.done) < len(ops) {
+		v.done = make([]int, 0, len(ops))
+	}
 	info = runInfo{done: v.done[:0], pending: -1}
 	w := workloads.MustNew(cfg.Workload)
 	cl := v.platform(cfg, w)
@@ -157,7 +162,7 @@ func (v *verifier) execute(cfg CampaignConfig, ops []ycsb.MixOp, crashAfter uint
 				panic(r)
 			}
 			info.crashed = true
-			info.img = v.crashImage()
+			info.img = v.img
 		}
 		totalPersists = cl.Plat.PersistTotal
 		v.done = info.done
@@ -179,12 +184,14 @@ func (v *verifier) execute(cfg CampaignConfig, ops []ycsb.MixOp, crashAfter uint
 		return info, 0, err
 	}
 	cl.DrainLazy()
-	info.img = v.crashImage()
+	info.img = v.img
 	return info, cl.Plat.PersistTotal, nil
 }
 
 // platform returns v's cluster for a run of cfg's workload w: built on
-// first use, Reset to its newly built state on every later one.
+// first use, with its crash view, and Reset to its newly built state on
+// every later one. The Reset also zeroes every page the last point's
+// recovery wrote through the view.
 func (v *verifier) platform(cfg CampaignConfig, w workloads.Workload) *slpmt.Cluster {
 	if v.cl != nil {
 		v.cl.Reset()
@@ -196,14 +203,8 @@ func (v *verifier) platform(cfg CampaignConfig, w workloads.Workload) *slpmt.Clu
 		CommitWindow:       cfg.CommitWindow,
 		Sockets:            cfg.Sockets,
 	})
+	v.img = v.cl.Plat.CrashView()
 	return v.cl
-}
-
-// crashImage snapshots v's cluster's durable image into v's image
-// buffer and returns it.
-func (v *verifier) crashImage() *pmem.Image {
-	v.img = v.cl.Plat.CrashInto(v.img)
-	return v.img
 }
 
 // verifyPoint recovers a crash image and verifies it against the
@@ -237,7 +238,7 @@ func (v *verifier) verifyPoint(cfg CampaignConfig, ops []ycsb.MixOp, info runInf
 		return v.verifyPrefix(rec, ops, info, cores*cfg.CommitWindow+1, res)
 	}
 
-	oracle := v.oracleMap(len(info.done) + 1)
+	oracle := v.oracleMap(ops)
 	for _, i := range info.done {
 		ops[i].ApplyTo(oracle)
 	}
@@ -272,13 +273,32 @@ func (v *verifier) verifyPoint(cfg CampaignConfig, ops []ycsb.MixOp, info runInf
 		op.Key, errBefore, errAfter)
 }
 
-// oracleMap returns v's oracle map, emptied; hint sizes it on first use.
-func (v *verifier) oracleMap(hint int) map[uint64][]byte {
+// oracleMap returns v's oracle map, emptied. It is made on first use
+// with room for the largest live key set along ops, so no point of the
+// campaign regrows it.
+func (v *verifier) oracleMap(ops []ycsb.MixOp) map[uint64][]byte {
 	if v.oracle == nil {
-		v.oracle = make(map[uint64][]byte, hint)
+		v.oracle = make(map[uint64][]byte, maxLive(ops))
 	}
 	clear(v.oracle)
 	return v.oracle
+}
+
+// maxLive is the peak of the live key count along ops: inserts minus
+// deletes. Every insert adds a new key and every delete removes a live
+// one, so no prefix of ops leaves more keys in an oracle.
+func maxLive(ops []ycsb.MixOp) int {
+	live, peak := 0, 0
+	for i := range ops {
+		switch ops[i].Kind {
+		case ycsb.OpInsert:
+			live++
+			peak = max(peak, live)
+		case ycsb.OpDelete:
+			live--
+		}
+	}
+	return peak
 }
 
 // undoOp returns the op that restores key to its state in oracle: an
@@ -308,7 +328,7 @@ func (v *verifier) verifyPrefix(rec workloads.Recoverable, ops []ycsb.MixOp, inf
 	}
 	// len(seq)+1 prefixes exist, the empty (post-setup) one included.
 	reverts := min(bound, len(seq)+1) - 1
-	oracle := v.oracleMap(len(seq))
+	oracle := v.oracleMap(ops)
 	split := len(seq) - reverts
 	for _, i := range seq[:split] {
 		ops[i].ApplyTo(oracle)
@@ -411,17 +431,16 @@ func (v *verifier) checkPoint(cfg CampaignConfig, ops []ycsb.MixOp, info runInfo
 
 // RunPoint runs crash point point (the number a failing campaign
 // reports) of cfg's campaign alone, through the sweep's driver and
-// check, so err is the campaign's error for the point. img is the crash
-// image before recovery, which runs on a copy; past the run's end,
-// crashed is false and img is the completed run's. res is the point's
-// contribution, with the run's persist count as TotalPersistEvents. A
-// nil img means no point ran: cfg is invalid, the point is in set-up,
-// or an operation failed.
+// check, so err is the campaign's error for the point. img is a copy
+// of the crash image taken before recovery repairs the image in place;
+// past the run's end, crashed is false and img is the completed run's.
+// res is the point's contribution, with the run's persist count as
+// TotalPersistEvents. A nil img means no point ran: cfg is invalid, the
+// point is in set-up, or an operation failed.
 func RunPoint(cfg CampaignConfig, point uint64) (img *pmem.Image, crashed bool, res CampaignResult, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, false, res, err
 	}
-	// A verifier of its own: the image it returns is not reused.
 	v := new(verifier)
 	setup, err := v.setupPersists(cfg)
 	if err != nil {
@@ -436,11 +455,11 @@ func RunPoint(cfg CampaignConfig, point uint64) (img *pmem.Image, crashed bool, 
 		return nil, false, res, fmt.Errorf("crash point %d: %w", point, err)
 	}
 	res.TotalPersistEvents = total
+	img = info.img.Clone()
 	if !info.crashed {
-		return info.img, false, res, nil
+		return img, false, res, nil
 	}
 	res.PointsTested = 1
-	img, info.img = info.img, info.img.Clone()
 	err = v.checkPoint(cfg, ops, info, point, &res)
 	return img, true, res, err
 }
@@ -476,9 +495,8 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		return nil, fmt.Errorf("reference run crashed unexpectedly")
 	}
 	// The sweep's first verifier counts the set-up persists on its
-	// platform, and its crash snapshots fill the reference run's image,
-	// which nothing reads after this.
-	v := &verifier{img: ref.img}
+	// platform.
+	v := new(verifier)
 	setup, err := v.setupPersists(cfg)
 	if err != nil {
 		return nil, err

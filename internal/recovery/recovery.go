@@ -61,10 +61,10 @@ func ApplyLog(img *pmem.Image) (*Report, error) {
 // verifier is the host state of running, recovering and verifying
 // crash points, kept from one point to the next so that a sweep over
 // many crash points allocates it once: the cluster the runs execute on
-// and the image their crash snapshots fill, the completed-op list, the
-// layouts and heap handles of the machine, phase 1's raw-log, record
-// and unit buffers, and the oracle map and undo slice the campaign
-// checks a recovered image against. Every recovery entry point runs
+// and its crash view, the completed-op list, the layouts and heap
+// handles of the machine, phase 1's raw-log, record and unit buffers,
+// and the oracle map and undo slice the campaign checks a recovered
+// image against. Every recovery entry point runs
 // through it; a one-shot caller uses a fresh one. A verifier serves
 // one campaign configuration (its platform is built for it), and so
 // the images of one machine shape (image size, cores, sockets). Not
@@ -72,7 +72,7 @@ func ApplyLog(img *pmem.Image) (*Report, error) {
 // sweep gives each worker its own.
 type verifier struct {
 	cl   *slpmt.Cluster // nil until the first run; see execute
-	img  *pmem.Image    // the last run's image, reused by the next
+	img  *pmem.Image    // cl's crash view; see platform
 	done []int          // see runInfo.done
 
 	layouts []mem.Layout   // nil until the first recovery

@@ -212,13 +212,24 @@ func buildExpView(rep Report) expView {
 	return ev
 }
 
+// compilerSuffix marks fig13's compiler replays: workload
+// "<kernel>/compiler" is the kernel rerun with compiler-inferred
+// annotations (internal/experiments/compiler.go).
+const compilerSuffix = "/compiler"
+
 // buildDeltas groups the results by parameter point and renders each
 // scheme's speedup and traffic reduction relative to the point's
-// baseline (FG when present, else the alphabetically first scheme).
+// baseline (FG when present, else the alphabetically first scheme). A
+// compiler replay joins its kernel's point as scheme
+// "<scheme>/compiler", so it gets a speedup row against the kernel's
+// FG run.
 func buildDeltas(results []Result) []deltaGroup {
 	points := map[string][]Result{}
 	order := []string{}
 	for _, r := range results {
+		if kernel, ok := strings.CutSuffix(r.Workload, compilerSuffix); ok {
+			r.Workload, r.Scheme = kernel, r.Scheme+compilerSuffix
+		}
 		k := pointKey(r)
 		if _, ok := points[k]; !ok {
 			order = append(order, k)

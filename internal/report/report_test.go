@@ -2,6 +2,7 @@ package report
 
 import (
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -125,6 +126,58 @@ func TestRenderHTML(t *testing.T) {
 	}
 	if sb2.String() != out {
 		t.Error("render is not deterministic")
+	}
+}
+
+// TestFig13CompilerSpeedupRows renders the committed fig13 baseline:
+// each kernel's "scheme vs scheme" table carries one row for its
+// compiler replay, with the speedup over the kernel's FG run.
+func TestFig13CompilerSpeedupRows(t *testing.T) {
+	rep, err := Load(filepath.Join("..", "..", "baselines", Filename("fig13")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := RenderHTML(&sb, []Report{rep}); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	groups := buildDeltas(rep.Results)
+	var kernels []string
+	for _, r := range rep.Results {
+		kernel, ok := strings.CutSuffix(r.Workload, compilerSuffix)
+		if !ok {
+			continue
+		}
+		kernels = append(kernels, kernel)
+		var fg uint64
+		for _, q := range rep.Results {
+			if q.Workload == kernel && q.Scheme == schemes.FG {
+				fg = q.Cycles
+			}
+		}
+		rows := 0
+		for _, g := range groups {
+			for _, row := range g.Rows {
+				if row.Scheme != r.Scheme+compilerSuffix || !strings.Contains(g.Label, kernel+" ") {
+					continue
+				}
+				rows++
+				if g.Baseline != schemes.FG || row.Speedup != float64(fg)/float64(r.Cycles) {
+					t.Errorf("%s: compiler row %+v against %s, want the speedup over FG's %d cycles", kernel, row, g.Baseline, fg)
+				}
+			}
+		}
+		if rows != 1 {
+			t.Errorf("%s: %d compiler speedup rows, want 1", kernel, rows)
+		}
+		row := fmt.Sprintf("<td class=\"l\">%s%s</td><td>%d</td><td>%.2fx</td>", r.Scheme, compilerSuffix, r.Cycles, float64(fg)/float64(r.Cycles))
+		if strings.Count(out, row) != 1 {
+			t.Errorf("%s: report.html holds %d copies of %q, want 1", kernel, strings.Count(out, row), row)
+		}
+	}
+	if len(kernels) != 4 {
+		t.Errorf("fig13 baseline has compiler replays of %q, want 4 kernels", kernels)
 	}
 }
 

@@ -1,7 +1,6 @@
 package slpmt_test
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"reflect"
@@ -12,6 +11,7 @@ import (
 	"github.com/persistmem/slpmt/internal/bench"
 	"github.com/persistmem/slpmt/internal/machine"
 	"github.com/persistmem/slpmt/internal/pmem"
+	"github.com/persistmem/slpmt/internal/recovery"
 	"github.com/persistmem/slpmt/internal/stats"
 	"github.com/persistmem/slpmt/internal/workloads"
 	"github.com/persistmem/slpmt/internal/ycsb"
@@ -147,25 +147,46 @@ func TestClusterResetInsideUpdatePanics(t *testing.T) {
 	})
 }
 
-// TestCrashIntoReusesImage: a snapshot into an earlier image holds
-// exactly what a new snapshot holds, whatever the earlier one held.
-func TestCrashIntoReusesImage(t *testing.T) {
-	cl := slpmt.NewCluster(1, slpmt.Options{Scheme: "SLPMT"})
-	runWorkload(t, cl, "hashtable", 200, 3, 0)
-	img := cl.Plat.Crash()
-	img.Write(img.Size()-8, []byte{1, 2, 3, 4, 5, 6, 7, 8}) // a page the device never wrote
+// TestCrashViewRecoversInPlace: a platform's crash view holds what a
+// crash snapshot holds (the same pages, so the same hash); recovery
+// repairs it in place, and a page only recovery wrote reads zero after
+// Cluster.Reset, so the next crash on the reset platform matches a new
+// platform's.
+func TestCrashViewRecoversInPlace(t *testing.T) {
+	opts := slpmt.Options{Scheme: "SLPMT"}
+	cl := slpmt.NewCluster(1, opts)
+	view := cl.Plat.CrashView()
+	runWorkload(t, cl, "hashtable", 200, 3, 900)
+	if imageDigest(view) != imageDigest(cl.Plat.Crash()) {
+		t.Fatal("crash view differs from a crash snapshot")
+	}
+	if _, _, err := recovery.RecoverSharded(view, workloads.MustNew("hashtable").(workloads.Recoverable), 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	// The first page neither the run nor recovery wrote.
+	var tail uint64
+	view.ForEachPage(func(base uint64, _ []byte) {
+		if base == tail {
+			tail += pmem.PageSize
+		}
+	})
+	view.WriteU64(tail, 0x0807060504030201)
+	if got := cl.Plat.Crash().ReadU64(tail); got != 0x0807060504030201 {
+		t.Fatalf("a write through the view left the durable image reading %#x", got)
+	}
 	cl.Reset()
-	runWorkload(t, cl, "avl", 60, 7, 0)
-	fresh := cl.Plat.Crash()
-	if got := cl.Plat.CrashInto(img); got != img {
-		t.Fatalf("CrashInto returned a new image")
+	if got := cl.Plat.PM.ReadU64(tail); got != 0 {
+		t.Errorf("a page only recovery wrote reads %#x after Reset, want 0", got)
 	}
-	if imageDigest(img) != imageDigest(fresh) {
-		t.Errorf("image after CrashInto differs from a new snapshot")
-	}
-	var tail [8]byte
-	img.Read(img.Size()-8, tail[:])
-	if !bytes.Equal(tail[:], make([]byte, 8)) {
-		t.Errorf("unwritten page reads %v after CrashInto, want zeros", tail)
+	view.ForEachPage(func(base uint64, _ []byte) { t.Errorf("page %#x held after Reset", base) })
+	for _, crashAt := range []uint64{700, 0} {
+		want := runWorkload(t, slpmt.NewCluster(1, opts), "avl", 120, 7, crashAt)
+		if got := runWorkload(t, cl, "avl", 120, 7, crashAt); !reflect.DeepEqual(got, want) {
+			t.Errorf("crash at %d after recovery and Reset gives\n%+v\nnew cluster gives\n%+v", crashAt, got, want)
+		}
+		if got := imageDigest(view); got != want.image {
+			t.Errorf("crash at %d: view hashes %s, a new cluster's crash %s", crashAt, got, want.image)
+		}
+		cl.Reset()
 	}
 }
