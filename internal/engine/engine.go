@@ -20,11 +20,13 @@ import (
 // classes (a line with any logged word is a logged line; Figure 4
 // orders persists by these classes) and its lazy bit: set while the
 // line's persist bit is clear after a lazy storeT, so Commit defers it
-// (§III-C1). The high byte is the line's logged-word mask: the words
-// this transaction has created records for (bit 0 alone under line
-// granularity). It has the shape of the hardware's per-line log bitmap,
-// but unlike the cache's LogBits it is not lost when the line drops to
-// L3, so a re-logged word counts as a duplicate.
+// (§III-C1). A lazy log-free store to a line the write set does not
+// hold goes to the transaction's lazy list instead (txState.lazy). The
+// high byte is the line's logged-word mask: the words this transaction
+// has created records for (bit 0 alone under line granularity). It has
+// the shape of the hardware's per-line log bitmap, but unlike the
+// cache's LogBits it is not lost when the line drops to L3, so a
+// re-logged word counts as a duplicate.
 const (
 	wsLogged    = 1 << 0
 	wsLogFree   = 1 << 1
@@ -36,7 +38,10 @@ const (
 // writeback: bit 0 of the line's lazy-list entry (see lazyEntry).
 const lazyDone = 1
 
-// lazyEntry is a retained lazy line's list entry: its line number
+// minLazyCap is the capacity a transaction's lazy list first grows to.
+const minLazyCap = 16
+
+// lazyEntry is a lazy line's list entry: its line number
 // shifted left by one, leaving bit 0 for lazyDone, so a marked entry
 // sorts where the unmarked one did and the list stays sorted. PM is at
 // most 4 GiB (pmem.New), so a line number needs 26 bits.
@@ -58,12 +63,48 @@ type retainedTx struct {
 }
 
 // txState is the engine's view of the currently executing transaction.
+// Its lines are split between two sets. ws holds every line a logged or
+// eager store touched, and every line already persist-marked, with its
+// class bits. lazy holds the lines the transaction only stored lazily
+// and log-free (§III-C1): they need no class bits, no logged-word mask
+// and no persist, so one lazyEntry each, appended in store order (a
+// repeat of the last entry skipped), is all they cost. A line in both
+// is the write set's. Commit settles the list into the retained
+// transaction's address-ordered lazy list (settleLazy).
 type txState struct {
 	active bool
 	id     uint8
 	seq    uint64
 	sig    *signature.Signature
-	ws     lineSet // write set: line -> ws class bits | wsLazy | logged-word mask<<wsWordShift
+	ws     lineSet  // write set: line -> ws class bits | wsLazy | logged-word mask<<wsWordShift
+	lazy   []uint32 // lazy log-free lines absent from ws (lazyEntry values, store order)
+}
+
+// addLazy appends the line to the lazy list unless it repeats the last
+// entry.
+//
+//slpmt:noalloc
+func (t *txState) addLazy(line mem.Addr) {
+	en := lazyEntry(line)
+	n := len(t.lazy)
+	if n > 0 && t.lazy[n-1] == en {
+		return
+	}
+	if n == cap(t.lazy) {
+		t.growLazy()
+	}
+	t.lazy = append(t.lazy, en) //slpmt:noalloc-ok: growLazy made room, so this never reallocates
+}
+
+// growLazy doubles the lazy list's capacity. Doubling copies a
+// rehash-sized list once per power of two, where append grows large
+// slices 1.25x at a time.
+//
+//go:noinline
+func (t *txState) growLazy() {
+	l := make([]uint32, len(t.lazy), max(2*cap(t.lazy), minLazyCap))
+	copy(l, t.lazy)
+	t.lazy = l
 }
 
 // lineID encodes a transaction ID into the cache-line TxID field;
@@ -122,9 +163,10 @@ type Engine struct {
 	logRaw  []byte
 	logRecs []logfmt.Record
 
-	// lazyPool recycles the lazy-line lists that Commit hands off to
-	// retainedTx entries, so a steady stream of lazy transactions
-	// allocates no new lists.
+	// lazyPool recycles lazy-line lists: Commit hands the running
+	// transaction's list to its retainedTx entry and takes the next
+	// transaction's from here, and a drain returns the list, so a steady
+	// stream of lazy transactions allocates no new lists.
 	lazyPool [][]uint32
 
 	// recBuf is the one payload buffer every record the engine creates
@@ -180,10 +222,11 @@ func New(m *machine.Core, cfg Config) *Engine {
 
 // Reset returns the engine to the state New left it in: no transaction
 // running or retained, no epoch open, sequence numbers and transaction
-// IDs restarting, the log buffer empty. Its buffers (write sets, log
-// staging, lazy-list pool) are kept, and so is its wiring: the hooks it
-// installed on its core, its EpochGroup, and its epoch-close hook. The
-// core and the group are reset by their owners.
+// IDs restarting, the log buffer empty. Its buffers (write sets, the
+// running transaction's lazy list, log staging, lazy-list pool) are
+// kept, and so is its wiring: the hooks it installed on its core, its
+// EpochGroup, and its epoch-close hook. The core and the group are
+// reset by their owners.
 func (e *Engine) Reset() {
 	for i := range e.retained {
 		if r := e.retained[i].lazy; cap(r) > 0 {
@@ -204,7 +247,7 @@ func (e *Engine) Reset() {
 		m:            e.m,
 		w:            e.w,
 		sink:         e.sink,
-		cur:          txState{ws: ws},
+		cur:          txState{ws: ws, lazy: e.cur.lazy[:0]},
 		retained:     e.retained[:0],
 		suppressed:   e.suppressed,
 		epochPending: pending,
@@ -288,6 +331,7 @@ func (e *Engine) Begin() {
 	e.cur.seq = e.seq
 	e.cur.sig = &e.sigs[id]
 	e.cur.ws.reset()
+	e.cur.lazy = e.cur.lazy[:0]
 	e.cur.sig.Clear()
 	mode := e.logMode()
 	if e.grouped() {
@@ -455,9 +499,24 @@ func (e *Engine) storeOne(a mem.Addr, data []byte, bits isa.Bits) {
 		return
 	}
 
-	// One probe finds or inserts the line; nothing inserts into the
-	// write set before the entry is written back below.
-	pos := e.cur.ws.find(line)
+	// A lazy log-free store (§III-C1) to a line with a clear persist bit
+	// that the write set does not hold joins the lazy list: the line
+	// needs its owner stamp and signature bit, nothing more. Any other
+	// store finds or inserts the line's write-set entry in one probe;
+	// nothing inserts into the write set before the entry is written
+	// back below.
+	var pos int
+	if !bits.Log && !bits.Persist && !l.Persist {
+		if pos = e.cur.ws.lookup(line); pos < 0 {
+			e.cur.addLazy(line)
+			l.TxID = lineID(e.cur.id)
+			e.cur.sig.Add(line)
+			e.m.WriteMem(a, data)
+			return
+		}
+	} else {
+		pos = e.cur.ws.find(line)
+	}
 	ws := e.cur.ws.ents[pos].val()
 	if bits.Log {
 		prev := e.m.SetCause(profile.CauseLogAppend)
@@ -781,29 +840,52 @@ func (e *Engine) persistLoggedLine(la mem.Addr) {
 	}
 }
 
+// settleLazy turns the running transaction's lazy list into its lazy
+// lines, in address order without repeats, and returns it. A listed
+// line the write set holds (a later store put it there) leaves the
+// list, and its entry gains the wsLogFree class its lazy store gave
+// it; the write set's own lazy lines join the list.
+func (e *Engine) settleLazy() []uint32 {
+	ws := &e.cur.ws
+	n := 0
+	for _, en := range e.cur.lazy {
+		if p := ws.lookup(lazyLine(en)); p >= 0 {
+			ws.ents[p] |= wsLogFree
+			continue
+		}
+		e.cur.lazy[n] = en
+		n++
+	}
+	e.cur.lazy = e.cur.lazy[:n]
+	for _, en := range ws.ents {
+		if en.val()&wsLazy != 0 {
+			e.cur.addLazy(en.addr())
+		}
+	}
+	slices.Sort(e.cur.lazy)
+	e.cur.lazy = slices.Compact(e.cur.lazy)
+	return e.cur.lazy
+}
+
 // Commit makes the transaction durable, enforcing the Figure 4 persist
 // ordering for the configured log mode, discarding log records of lazily
-// persistent lines, and retaining the working-set signature if lazy data
-// remains volatile.
+// persistent lines, and retaining the working-set signature and the
+// lazy list if lazy data remains volatile.
 func (e *Engine) Commit() {
 	if !e.cur.active {
 		panic("engine: Commit outside a transaction")
 	}
 	e.m.Trace(trace.KCommitStart, 0, e.cur.seq)
-	// Discard buffered records belonging to lazily persistent lines
-	// (§III-B2): their data will not persist at commit, so an undo
-	// record for them is unnecessary — the data is recoverable anyway.
 	// The write set goes into address order here, the order of every
-	// later walk of it in this commit.
-	ws := &e.cur.ws
-	ws.sortByAddr()
-	nLazy := 0
-	for _, en := range ws.ents {
-		if en.val()&wsLazy == 0 {
-			continue
-		}
-		nLazy++
-		if n := e.sink.discardLine(en.addr()); n > 0 {
+	// later walk of it in this commit, and the lazy list becomes the
+	// transaction's lazy lines in address order. Discard buffered records
+	// belonging to lazily persistent lines (§III-B2): their data will not
+	// persist at commit, so an undo record for them is unnecessary — the
+	// data is recoverable anyway.
+	e.cur.ws.sortByAddr()
+	lazy := e.settleLazy()
+	for _, en := range lazy {
+		if n := e.sink.discardLine(lazyLine(en)); n > 0 {
 			e.m.Stats.LogRecordsDiscarded += uint64(n)
 		}
 	}
@@ -816,21 +898,12 @@ func (e *Engine) Commit() {
 	}
 	e.abortedLines[e.cur.id] = e.abortedLines[e.cur.id][:0]
 	// Retain the working set while lazy data is volatile (§III-C): the
-	// lazy lines, already in address order, go to a list from the
-	// recycle pool.
-	if nLazy > 0 {
-		e.m.Stats.LazyLinesDeferred += uint64(nLazy)
-		var lazy []uint32
-		if n := len(e.lazyPool); n > 0 {
-			lazy = e.lazyPool[n-1]
-			e.lazyPool = e.lazyPool[:n-1]
-		}
-		lazy = slices.Grow(lazy, nLazy)
-		for _, en := range ws.ents {
-			if en.val()&wsLazy != 0 {
-				lazy = append(lazy, lazyEntry(en.addr()))
-				e.m.Trace(trace.KLazyDefer, en.addr(), e.cur.seq)
-			}
+	// settled list goes to the retained transaction, and the next
+	// transaction's list comes from the recycle pool.
+	if len(lazy) > 0 {
+		e.m.Stats.LazyLinesDeferred += uint64(len(lazy))
+		for _, en := range lazy {
+			e.m.Trace(trace.KLazyDefer, lazyLine(en), e.cur.seq)
 		}
 		e.retained = append(e.retained, retainedTx{
 			id:   e.cur.id,
@@ -838,6 +911,11 @@ func (e *Engine) Commit() {
 			sig:  e.cur.sig,
 			lazy: lazy,
 		})
+		e.cur.lazy = nil
+		if n := len(e.lazyPool); n > 0 {
+			e.cur.lazy = e.lazyPool[n-1]
+			e.lazyPool = e.lazyPool[:n-1]
+		}
 	} else {
 		e.cur.sig.Clear()
 	}
@@ -1197,8 +1275,10 @@ func (e *Engine) epochLines() []machine.ScanPos {
 // write set plus the surviving lines of aborted transactions that held
 // the same ID; lines of earlier committed holders still carrying the
 // recycled ID had their metadata cleared by that commit and would be
-// no-ops. The result is valid until the next cache access: persists
-// move no lines.
+// no-ops. So would the lazy list's lines: a line joins it only with a
+// clear persist bit and no write-set entry, and only a write-set store
+// sets its persist or log bits. The result is valid until the next
+// cache access: persists move no lines.
 func (e *Engine) txLines() []machine.ScanPos {
 	aborted := e.abortedLines[e.cur.id]
 	buf := collectPrivate(e.m, e.walkBuf[:0], e.cur.ws.ents, len(aborted))
@@ -1360,6 +1440,10 @@ func (e *Engine) Abort() {
 	// Invalidate the transaction's logged lines and restore their
 	// volatile contents from (now reverted) PM. Log-free lines keep
 	// their updates; the caller's recovery reverts them structurally.
+	// The next commit under this ID walks the write set's log-free
+	// lines, which may hold persist bits. The lazy list's lines hold
+	// none, so, as for a committing transaction (see txLines), that
+	// walk need not visit them.
 	e.cur.ws.sortByAddr()
 	for _, en := range e.cur.ws.ents {
 		if en.val()&wsLogged == 0 {

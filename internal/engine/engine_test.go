@@ -225,6 +225,57 @@ func TestLazyCancelledByLaterStore(t *testing.T) {
 	}
 }
 
+// TestLazyMovesSkipWriteSet: a rehash-shaped transaction — 3,000 lazy
+// log-free stores to fresh lines in descending order, each line stored
+// twice in a row and again in a second ascending pass, plus logged
+// stores to four other lines and to one of the lazy lines — keeps only
+// the five logged lines in its write set. Its retained lazy list is the
+// other lazy lines, sorted and unique, and the mixed line keeps both
+// classes and is not lazy.
+func TestLazyMovesSkipWriteSet(t *testing.T) {
+	const lines, logged = 3000, 4
+	e, m := newEng(slpmtCfg())
+	base := m.Layout.HeapBase
+	at := func(i int) mem.Addr { return base + mem.Addr(i)*mem.LineSize }
+	e.Begin()
+	for i := lines - 1; i >= 0; i-- {
+		e.StoreU64(at(i), 1, isa.StoreT, isa.LazyLogFree)
+		e.StoreU64(at(i)+8, 2, isa.StoreT, isa.LazyLogFree)
+	}
+	for i := lines; i < lines+logged; i++ {
+		e.StoreU64(at(i), 3, isa.Store, isa.Plain)
+	}
+	for i := 0; i < lines; i++ {
+		e.StoreU64(at(i)+16, 4, isa.StoreT, isa.LazyLogFree)
+	}
+	e.StoreU64(at(0)+24, 5, isa.Store, isa.Plain)
+	e.Commit()
+
+	if got := len(e.cur.ws.ents); got != logged+1 {
+		t.Errorf("write set holds %d lines, want the %d logged ones", got, logged+1)
+	}
+	if got := e.cur.ws.val(at(0)); got&(wsLogged|wsLogFree|wsLazy) != wsLogged|wsLogFree {
+		t.Errorf("mixed line's write-set classes %#x, want logged and log-free, not lazy", got)
+	}
+	var want []uint32
+	for i := 1; i < lines; i++ {
+		want = append(want, lazyEntry(at(i)))
+	}
+	if len(e.retained) != 1 {
+		t.Fatalf("%d retained transactions, want 1", len(e.retained))
+	}
+	got := slices.Clone(e.retained[0].lazy)
+	for i := range got {
+		got[i] &^= lazyDone
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("retained lazy list has %d entries, want the %d sorted unique lazy lines", len(got), len(want))
+	}
+	if m.Stats.LazyLinesDeferred != lines-1 {
+		t.Errorf("LazyLinesDeferred = %d, want %d", m.Stats.LazyLinesDeferred, lines-1)
+	}
+}
+
 // TestLazyLoggedRecordDiscard: a lazy+logged line still in cache at
 // commit has its buffered undo record discarded (§III-B2).
 func TestLazyLoggedRecordDiscard(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 
 	"github.com/persistmem/slpmt/internal/isa"
 	"github.com/persistmem/slpmt/internal/logbuf"
+	"github.com/persistmem/slpmt/internal/machine"
 	"github.com/persistmem/slpmt/internal/mem"
 	"github.com/persistmem/slpmt/internal/signature"
 )
@@ -192,6 +193,34 @@ func BenchmarkMicroCommitWriteSet(b *testing.B) {
 				b.ReportMetric(float64(m.Clk)/float64(b.N+warm), "simcycles/txn")
 			})
 		}
+	}
+}
+
+// BenchmarkMicroLazyMoveCommit commits one rehash-shaped transaction
+// per iteration on a fresh engine: 2,048 lazy log-free moves to
+// distinct lines and 8 logged stores, then a drain of the lazy lines.
+// B/op is what the engine grows to hold such a transaction the first
+// time, as a new platform's first hash-table rehash does; building the
+// engine is not timed.
+func BenchmarkMicroLazyMoveCommit(b *testing.B) {
+	const moves, logged = 2048, 8
+	m := machine.New(machine.Config{}).Core(0)
+	base := m.Layout.HeapBase
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := New(m, slpmtCfg())
+		b.StartTimer()
+		e.Begin()
+		for j := 0; j < moves; j++ {
+			e.StoreU64(base+mem.Addr(logged+j)*mem.LineSize, uint64(i), isa.StoreT, isa.LazyLogFree)
+		}
+		for j := 0; j < logged; j++ {
+			e.StoreU64(base+mem.Addr(j)*mem.LineSize, uint64(i), isa.Store, isa.Plain)
+		}
+		e.Commit()
+		e.DrainLazy()
 	}
 }
 

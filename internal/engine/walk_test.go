@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/persistmem/slpmt/internal/cache"
@@ -30,6 +31,7 @@ func fullPrivateScan(c *machine.Core, match func(*cache.Line) bool) []*cache.Lin
 // the test can fail on a workload too tame to mean anything.
 type walkCoverage struct {
 	txLines, l2Lines, staleNoops, abortedLines, epochLines int
+	lazyLines, mixedLines                                  int
 }
 
 // checkTxWalk compares txLines with the full scan by transaction ID: the
@@ -89,13 +91,73 @@ func checkEpochWalk(t *testing.T, where string, e *Engine, cov *walkCoverage) {
 	cov.epochLines += len(walk)
 }
 
+// lazyModel is the lazy-line rule, line by line: a store that sets the
+// persist bit makes its line eager, and a store that leaves the bit
+// clear makes it lazy (§III-C1); a store that finds the bit already set
+// leaves the line as it was.
+type lazyModel map[mem.Addr]bool
+
+// store applies the rule to a store of attr at a that has just run:
+// unless the store set the persist bit, the line's bit is the one it
+// found.
+func (lm lazyModel) store(e *Engine, a mem.Addr, attr isa.Attr) {
+	line := mem.LineAddr(a)
+	p := e.m.LocatePrivate(nil, line)
+	switch {
+	case e.cfg.Caps.ResolveFor(isa.StoreT, attr).Persist:
+		lm[line] = false
+	case !e.m.PrivateLine(p[0]).Persist:
+		lm[line] = true
+	}
+}
+
+// checkLazyList checks a commit against the lazy-line model. listed is
+// the transaction's lazy list just before Commit and seq its sequence
+// number. A listed line the write set does not hold must be lazy; one
+// it holds must carry wsLogFree after Commit. The retained list must be
+// the model's lazy lines in ascending order.
+func checkLazyList(t *testing.T, where string, e *Engine, seq uint64, listed []uint32, lm lazyModel, cov *walkCoverage) {
+	t.Helper()
+	for _, en := range listed {
+		la := lazyLine(en)
+		if e.cur.ws.lookup(la) < 0 {
+			if !lm[la] {
+				t.Fatalf("%s: listed line %#x is not lazy", where, la)
+			}
+			continue
+		}
+		if e.cur.ws.val(la)&wsLogFree == 0 {
+			t.Fatalf("%s: listed line %#x in the write set lacks wsLogFree", where, la)
+		}
+		cov.mixedLines++
+	}
+	var want []uint32
+	for la, lazy := range lm {
+		if lazy {
+			want = append(want, lazyEntry(la))
+		}
+	}
+	slices.Sort(want)
+	var got []uint32
+	if n := len(e.retained); n > 0 && e.retained[n-1].seq == seq {
+		for _, en := range e.retained[n-1].lazy {
+			got = append(got, en&^lazyDone)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: retained lazy list %x, want %x", where, got, want)
+	}
+	cov.lazyLines += len(got)
+}
+
 // TestIndexedCommitWalkMatchesFullScan drives random transactions —
 // every store attribute, ID recycling, lazy lines, aborts, and an
 // address pattern that overflows both L1 and L2 sets — and checks at
 // every commit that the write-set-indexed walks visit exactly the lines
 // a full private-cache scan would act on, in the same order. The check
 // runs just before Commit; nothing inside Commit moves a line before
-// the walk (log and data persists leave the caches in place).
+// the walk (log and data persists leave the caches in place). After
+// each commit the retained lazy list must match lazyModel.
 func TestIndexedCommitWalkMatchesFullScan(t *testing.T) {
 	configs := []Config{
 		fgCfg(),
@@ -136,6 +198,7 @@ func TestIndexedCommitWalkMatchesFullScan(t *testing.T) {
 						core := txn % cores
 						e := engs[core]
 						e.Begin()
+						lm := lazyModel{}
 						for op := rng.Intn(30) + 1; op > 0; op-- {
 							// Each core owns 3 L1 sets x 4 L2 sets each x 6
 							// lines per L2 set, so L1 (8-way) and L2 (4-way)
@@ -152,7 +215,9 @@ func TestIndexedCommitWalkMatchesFullScan(t *testing.T) {
 								e.LoadU64(a)
 								continue
 							}
-							e.StoreU64(a, rng.Uint64(), isa.StoreT, attrs[rng.Intn(len(attrs))])
+							attr := attrs[rng.Intn(len(attrs))]
+							e.StoreU64(a, rng.Uint64(), isa.StoreT, attr)
+							lm.store(e, a, attr)
 						}
 						where := fmt.Sprintf("txn %d", txn)
 						if rng.Intn(10) == 0 {
@@ -163,7 +228,9 @@ func TestIndexedCommitWalkMatchesFullScan(t *testing.T) {
 						if e.grouped() {
 							checkEpochWalk(t, where, e, &cov)
 						}
+						listed, seq := slices.Clone(e.cur.lazy), e.cur.seq
 						e.Commit()
+						checkLazyList(t, where, e, seq, listed, lm, &cov)
 					}
 					for _, e := range engs {
 						e.FinishEpoch()
@@ -177,13 +244,17 @@ func TestIndexedCommitWalkMatchesFullScan(t *testing.T) {
 					}
 					total.staleNoops += cov.staleNoops
 					total.abortedLines += cov.abortedLines
+					total.lazyLines += cov.lazyLines
+					total.mixedLines += cov.mixedLines
 				})
 			}
 		}
 	}
 	// Across the grid the scan must have matched stale recycled-ID
-	// lines, and carried aborted lines must have reached a later walk.
-	if total.staleNoops == 0 || total.abortedLines == 0 {
-		t.Errorf("stale-ID or aborted-line cases never arose: %+v", total)
+	// lines, carried aborted lines must have reached a later walk, and
+	// lazy lines must have been retained, some of them first listed and
+	// then taken into the write set by a later store.
+	if total.staleNoops == 0 || total.abortedLines == 0 || total.lazyLines == 0 || total.mixedLines == 0 {
+		t.Errorf("stale-ID, aborted-line or lazy-line cases never arose: %+v", total)
 	}
 }

@@ -2,7 +2,7 @@ package pmem
 
 import (
 	"bytes"
-	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -188,25 +188,29 @@ func TestPackedEntry(t *testing.T) {
 
 // TestBacklogGrowsByDoubling posts 16,384 asynchronous 64 B entries to
 // a device whose write latency keeps every one of them queued: the
-// backlog's growth must allocate at most twice the final backlog's
-// bytes, as doubling does (append's 1.25x steps for large slices
-// allocate about five times them).
+// backlog must pass through the capacities minQueueCap, twice that, and
+// so on to 16,384 and no others, as doubling does (append's 1.25x steps
+// for large slices would take many more, smaller ones).
 func TestBacklogGrowsByDoubling(t *testing.T) {
 	const posts = 16384
 	d := New(Config{Size: posts * 64, WriteCycles: 1 << 40, Banks: 1})
 	data := line(1)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
+	var steps []int
 	for i := uint64(0); i < posts; i++ {
 		d.PersistAsync(i*8, i*64, data)
+		if c := cap(d.queue); len(steps) == 0 || steps[len(steps)-1] != c {
+			steps = append(steps, c)
+		}
 	}
-	runtime.ReadMemStats(&m1)
 	if len(d.queue) != posts {
 		t.Fatalf("%d entries queued, want %d", len(d.queue), posts)
 	}
-	backlog := uint64(len(d.queue)) * uint64(unsafe.Sizeof(entry{}))
-	if got := m1.TotalAlloc - m0.TotalAlloc; got > 2*backlog {
-		t.Errorf("posting %d entries allocated %d bytes, want at most %d (twice the %d-byte backlog)", posts, got, 2*backlog, backlog)
+	want := []int{minQueueCap}
+	for want[len(want)-1] < posts {
+		want = append(want, 2*want[len(want)-1])
+	}
+	if !slices.Equal(steps, want) {
+		t.Errorf("backlog capacities %v, want %v", steps, want)
 	}
 }
 

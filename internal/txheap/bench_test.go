@@ -1,6 +1,7 @@
 package txheap
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/persistmem/slpmt/internal/mem"
@@ -73,6 +74,43 @@ func TestHeapLogReuse(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, rehash); allocs != 0 {
 		t.Errorf("a rehash-shaped transaction pair allocates %.1f times, want 0", allocs)
+	}
+	if err := h.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestExtentLogGrowsByDoubling: a rehash-sized transaction that frees
+// 3,000 standing blocks and allocates 3,000 copies grows the handle's
+// extent log from minLogCap in doubling steps only, to the first power
+// of two that holds its 6,000 entries (append's 1.25x steps for large
+// slices would take many more, smaller ones).
+func TestExtentLogGrowsByDoubling(t *testing.T) {
+	const nodes = 3000
+	h := newHeap()
+	old := make([]mem.Addr, nodes)
+	for i := range old {
+		old[i] = h.Alloc(48)
+	}
+	var steps []int
+	h.BeginTx()
+	for i := 0; i < 2*nodes; i++ {
+		if i%2 == 0 {
+			h.Free(old[i/2])
+		} else {
+			h.Alloc(48)
+		}
+		if c := cap(h.log); len(steps) == 0 || steps[len(steps)-1] != c {
+			steps = append(steps, c)
+		}
+	}
+	h.CommitTx()
+	want := []int{minLogCap}
+	for want[len(want)-1] < 2*nodes {
+		want = append(want, 2*want[len(want)-1])
+	}
+	if !slices.Equal(steps, want) {
+		t.Errorf("extent log capacities %v, want %v", steps, want)
 	}
 	if err := h.Check(); err != nil {
 		t.Fatal(err)

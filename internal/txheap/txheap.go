@@ -470,6 +470,22 @@ func logEntry(addr mem.Addr, size uint64) uint64 { return addr<<32 | size }
 
 func logExtent(v uint64) Extent { return Extent{v >> 32, v & (1<<32 - 2)} }
 
+// minLogCap is the extent log's first capacity, in entries.
+const minLogCap = 16
+
+// logAppend adds an entry to the extent log, doubling its capacity
+// when full: a rehash logs thousands of allocations and the next
+// transaction as many frees, and append grows a slice that large only
+// 1.25x at a time.
+func (h *Heap) logAppend(v uint64) {
+	if len(h.log) == cap(h.log) {
+		l := make([]uint64, len(h.log), max(2*cap(h.log), minLogCap))
+		copy(l, h.log)
+		h.log = l
+	}
+	h.log = append(h.log, v)
+}
+
 // BeginTx marks the start of a transaction (called by the ptx facade).
 func (h *Heap) BeginTx() {
 	if h.inTx {
@@ -594,7 +610,7 @@ func (h *Heap) Alloc(size uint64) mem.Addr {
 	h.totalAllocs++
 	h.totalBytes += size
 	if h.inTx {
-		h.log = append(h.log, logEntry(addr, size))
+		h.logAppend(logEntry(addr, size))
 		h.txBytes += size
 	}
 	return addr
@@ -615,7 +631,7 @@ func (h *Heap) Free(addr mem.Addr) {
 	h.totalFrees++
 	if h.inTx {
 		s.ix.quarantine(addr)
-		h.log = append(h.log, logEntry(e.Addr, e.Size)|logFree)
+		h.logAppend(logEntry(e.Addr, e.Size) | logFree)
 	} else {
 		s.release(e)
 	}
