@@ -20,11 +20,15 @@ test:
 # streaming binlog (double-buffered writer goroutine), plus the
 # targeted subsets that exercise the parallel experiment runner and
 # crash sweep (each worker recovers on its own platform's durable
-# image) and the workloads' shared free lists.
+# image), and the process-wide free lists those workers share: the
+# freelist package itself, the engine's grown lazy lists, the heap
+# handles' grown extent logs and the workloads' scratch buffers.
 race:
-	$(GO) test -race . ./internal/bench/ ./internal/cache/ ./internal/machine/ ./internal/pmem/ ./internal/trace/...
+	$(GO) test -race . ./internal/bench/ ./internal/cache/ ./internal/machine/ ./internal/pmem/ ./internal/trace/... \
+		./internal/freelist/
 	$(GO) test -race ./internal/experiments/ \
 		./internal/recovery/ -run 'Parallel|ForEach|Grid|RunAll|Smoke'
+	$(GO) test -race ./internal/engine/ ./internal/txheap/ -run 'Reuse'
 	$(GO) test -race ./internal/workloads/ -run 'FreeList|KeySet'
 
 fmt:

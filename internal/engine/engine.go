@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"github.com/persistmem/slpmt/internal/cache"
+	"github.com/persistmem/slpmt/internal/freelist"
 	"github.com/persistmem/slpmt/internal/isa"
 	"github.com/persistmem/slpmt/internal/logbuf"
 	"github.com/persistmem/slpmt/internal/logfmt"
@@ -40,6 +41,16 @@ const lazyDone = 1
 
 // minLazyCap is the capacity a transaction's lazy list first grows to.
 const minLazyCap = 16
+
+// lazyLists holds the grown lazy lists of every engine in the process.
+// Hashtable's rehash moves every node lazily, so one transaction retains
+// thousands of lines, and each fresh platform, each core that rehashes,
+// would regrow its list from minLazyCap by doubling. A list of
+// minLazyCap entries never enters it (it stays in its engine's
+// lazyPool), so a transaction of at most minLazyCap lazy lines takes no
+// lock. It keeps a list of up to 64 Ki entries (256 KiB): the last
+// rehash of a 4,000-insert hashtable retains 22,537.
+var lazyLists = freelist.List[[]uint32]{Keep: 1 << 16, First: minLazyCap}
 
 // lazyEntry is a lazy line's list entry: its line number
 // shifted left by one, leaving bit 0 for lazyDone, so a marked entry
@@ -80,31 +91,48 @@ type txState struct {
 	lazy   []uint32 // lazy log-free lines absent from ws (lazyEntry values, store order)
 }
 
-// addLazy appends the line to the lazy list unless it repeats the last
-// entry.
+// addLazy appends the line to the running transaction's lazy list
+// unless it repeats the last entry.
 //
 //slpmt:noalloc
-func (t *txState) addLazy(line mem.Addr) {
+func (e *Engine) addLazy(line mem.Addr) {
+	t := &e.cur
 	en := lazyEntry(line)
 	n := len(t.lazy)
 	if n > 0 && t.lazy[n-1] == en {
 		return
 	}
 	if n == cap(t.lazy) {
-		t.growLazy()
+		e.growLazy()
 	}
 	t.lazy = append(t.lazy, en) //slpmt:noalloc-ok: growLazy made room, so this never reallocates
 }
 
-// growLazy doubles the lazy list's capacity. Doubling copies a
-// rehash-sized list once per power of two, where append grows large
-// slices 1.25x at a time.
+// growLazy moves the running transaction's full lazy list into a
+// larger one: a new list of minLazyCap entries when it has none, the
+// largest grown list of lazyLists, or one of twice the capacity
+// (freelist.Grow). A list of minLazyCap entries it replaces goes to
+// lazyPool, so the engine keeps as many first lists as it had; a
+// larger one it replaces is dropped, and the list that replaced it
+// goes back to lazyLists when its retained transaction drains.
 //
 //go:noinline
-func (t *txState) growLazy() {
-	l := make([]uint32, len(t.lazy), max(2*cap(t.lazy), minLazyCap))
-	copy(l, t.lazy)
-	t.lazy = l
+func (e *Engine) growLazy() {
+	old := e.cur.lazy
+	e.cur.lazy = freelist.Grow(&lazyLists, old)
+	if cap(old) == minLazyCap {
+		e.lazyPool = append(e.lazyPool, old[:0])
+	}
+}
+
+// releaseLazy hands back a drained transaction's lazy list: a first
+// list to the engine's lazyPool, a grown one to lazyLists.
+func (e *Engine) releaseLazy(l []uint32) {
+	if cap(l) == minLazyCap {
+		e.lazyPool = append(e.lazyPool, l[:0])
+		return
+	}
+	freelist.PutSlice(&lazyLists, l)
 }
 
 // lineID encodes a transaction ID into the cache-line TxID field;
@@ -163,10 +191,13 @@ type Engine struct {
 	logRaw  []byte
 	logRecs []logfmt.Record
 
-	// lazyPool recycles lazy-line lists: Commit hands the running
-	// transaction's list to its retainedTx entry and takes the next
-	// transaction's from here, and a drain returns the list, so a steady
-	// stream of lazy transactions allocates no new lists.
+	// lazyPool recycles the engine's first lazy lists, of minLazyCap
+	// entries: Commit hands the running transaction's list to its
+	// retainedTx entry and takes the next transaction's from here, and a
+	// drain, a Reset or a growLazy that replaces a first list returns it,
+	// so a steady stream of small lazy transactions allocates no list
+	// and takes no lock. Grown lists go back to the process-wide
+	// lazyLists instead (releaseLazy).
 	lazyPool [][]uint32
 
 	// recBuf is the one payload buffer every record the engine creates
@@ -229,9 +260,7 @@ func New(m *machine.Core, cfg Config) *Engine {
 // reset by their owners.
 func (e *Engine) Reset() {
 	for i := range e.retained {
-		if r := e.retained[i].lazy; cap(r) > 0 {
-			e.lazyPool = append(e.lazyPool, r[:0])
-		}
+		e.releaseLazy(e.retained[i].lazy)
 	}
 	clear(e.suppressed)
 	e.w.wipe()
@@ -508,7 +537,7 @@ func (e *Engine) storeOne(a mem.Addr, data []byte, bits isa.Bits) {
 	var pos int
 	if !bits.Log && !bits.Persist && !l.Persist {
 		if pos = e.cur.ws.lookup(line); pos < 0 {
-			e.cur.addLazy(line)
+			e.addLazy(line)
 			l.TxID = lineID(e.cur.id)
 			e.cur.sig.Add(line)
 			e.m.WriteMem(a, data)
@@ -689,7 +718,7 @@ func (e *Engine) persistRetainedThrough(idx int) {
 			}
 		}
 		r.sig.Clear()
-		e.lazyPool = append(e.lazyPool, r.lazy[:0])
+		e.releaseLazy(r.lazy)
 		r.lazy = nil
 	}
 	e.retained = append(e.retained[:0], e.retained[idx+1:]...)
@@ -859,7 +888,7 @@ func (e *Engine) settleLazy() []uint32 {
 	e.cur.lazy = e.cur.lazy[:n]
 	for _, en := range ws.ents {
 		if en.val()&wsLazy != 0 {
-			e.cur.addLazy(en.addr())
+			e.addLazy(en.addr())
 		}
 	}
 	slices.Sort(e.cur.lazy)

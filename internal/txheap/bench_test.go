@@ -3,6 +3,7 @@ package txheap
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/persistmem/slpmt/internal/mem"
 )
@@ -80,13 +81,25 @@ func TestHeapLogReuse(t *testing.T) {
 	}
 }
 
-// TestExtentLogGrowsByDoubling: a rehash-sized transaction that frees
-// 3,000 standing blocks and allocates 3,000 copies grows the handle's
-// extent log from minLogCap in doubling steps only, to the first power
-// of two that holds its 6,000 entries (append's 1.25x steps for large
-// slices would take many more, smaller ones).
+// drainExtentLogs empties the process-wide list of grown extent logs,
+// so a test sees the growth of a process that has grown none yet.
+func drainExtentLogs() {
+	for {
+		if _, ok := extentLogs.Get(); !ok {
+			return
+		}
+	}
+}
+
+// TestExtentLogGrowsByDoubling: from an empty extentLogs, a rehash-sized
+// transaction that frees 3,000 standing blocks and allocates 3,000
+// copies grows the handle's extent log from minLogCap in doubling steps
+// only, to the first power of two that holds its 6,000 entries
+// (append's 1.25x steps for large slices would take many more, smaller
+// ones).
 func TestExtentLogGrowsByDoubling(t *testing.T) {
 	const nodes = 3000
+	drainExtentLogs()
 	h := newHeap()
 	old := make([]mem.Addr, nodes)
 	for i := range old {
@@ -114,6 +127,60 @@ func TestExtentLogGrowsByDoubling(t *testing.T) {
 	}
 	if err := h.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExtentLogReuse: a transaction of at most minLogCap entries
+// allocates nothing and takes no lock on extentLogs once its handle has
+// its first log, and a rehash-sized log emptied on one machine's heap
+// is the log the next machine's rehash-sized transaction grows into,
+// in one step from the handle's first log.
+func TestExtentLogReuse(t *testing.T) {
+	drainExtentLogs()
+	small := newHeap()
+	blocks := make([]mem.Addr, minLogCap/2)
+	tx := func() {
+		small.BeginTx()
+		for i := range blocks {
+			blocks[i] = small.Alloc(32)
+		}
+		for _, a := range blocks {
+			small.Free(a)
+		}
+		small.CommitTx()
+	}
+	tx()
+	ops := extentLogs.Ops()
+	if allocs := testing.AllocsPerRun(20, tx); allocs != 0 {
+		t.Errorf("a %d-entry transaction allocates %.1f times, want 0", minLogCap, allocs)
+	}
+	if got := extentLogs.Ops() - ops; got != 0 {
+		t.Errorf("a %d-entry transaction took the list's lock %d times, want 0", minLogCap, got)
+	}
+
+	// rehash logs 3,000 allocations and returns the log's capacity steps
+	// and its array before the commit empties it.
+	rehash := func(h *Heap) ([]int, *uint64) {
+		h.BeginTx()
+		var steps []int
+		for i := 0; i < 3000; i++ {
+			h.Alloc(48)
+			if c := cap(h.log); len(steps) == 0 || steps[len(steps)-1] != c {
+				steps = append(steps, c)
+			}
+		}
+		arr := unsafe.SliceData(h.log)
+		h.CommitTx()
+		return steps, arr
+	}
+	first := newHeap()
+	_, grown := rehash(first)
+	if cap(first.log) != minLogCap {
+		t.Fatalf("an emptied handle keeps a log of capacity %d, want its first of %d", cap(first.log), minLogCap)
+	}
+	steps, arr := rehash(newHeap())
+	if want := []int{minLogCap, 4096}; !slices.Equal(steps, want) || arr != grown {
+		t.Errorf("the next machine's extent log capacities %v, same array %v; want %v, the first machine's array", steps, arr == grown, want)
 	}
 }
 

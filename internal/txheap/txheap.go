@@ -57,6 +57,7 @@ import (
 	"slices"
 	"sort"
 
+	"github.com/persistmem/slpmt/internal/freelist"
 	"github.com/persistmem/slpmt/internal/mem"
 )
 
@@ -373,6 +374,7 @@ type Heap struct {
 
 	inTx        bool
 	log         []uint64 // extent log (see logEntry): parked epoch frees, then the running transaction's entries
+	first       []uint64 // the handle's first log, of minLogCap entries, kept while log is a grown one
 	txStart     int      // log[txStart:] is the running transaction's; len(log) outside one
 	txBytes     uint64   // bytes allocated by the current transaction (burst detection)
 	epochHold   bool     // extend the free quarantine to the epoch close
@@ -473,17 +475,40 @@ func logExtent(v uint64) Extent { return Extent{v >> 32, v & (1<<32 - 2)} }
 // minLogCap is the extent log's first capacity, in entries.
 const minLogCap = 16
 
-// logAppend adds an entry to the extent log, doubling its capacity
-// when full: a rehash logs thousands of allocations and the next
-// transaction as many frees, and append grows a slice that large only
-// 1.25x at a time.
+// extentLogs holds the grown extent logs of every heap handle in the
+// process. A rehash logs thousands of allocations and the next
+// transaction as many frees, and each fresh platform's handle would
+// regrow its log from minLogCap by doubling. A handle keeps its first
+// log itself (Heap.first), so a transaction of at most minLogCap
+// entries takes no lock. It keeps a log of up to 32 Ki entries (256
+// KiB): the rehash pair of a 4,000-insert hashtable logs about 6,000.
+var extentLogs = freelist.List[[]uint64]{Keep: 1 << 15, First: minLogCap}
+
+// logAppend adds an entry to the extent log. A full log moves into a
+// larger one (freelist.Grow): the handle's first log when it has none,
+// then the largest grown log of extentLogs or one of twice the
+// capacity. append would grow a log of thousands of entries only 1.25x
+// at a time.
 func (h *Heap) logAppend(v uint64) {
 	if len(h.log) == cap(h.log) {
-		l := make([]uint64, len(h.log), max(2*cap(h.log), minLogCap))
-		copy(l, h.log)
-		h.log = l
+		h.log = freelist.Grow(&extentLogs, h.log)
+		if h.first == nil {
+			h.first = h.log
+		}
 	}
 	h.log = append(h.log, v)
+}
+
+// shrinkLog hands an empty grown extent log back to extentLogs and
+// returns the handle to its first log, so the next large transaction
+// on any platform grows into the grown one in one copy. Under the
+// epoch quarantine, parked frees keep the log in place until the
+// close releases them.
+func (h *Heap) shrinkLog() {
+	if len(h.log) == 0 && cap(h.log) > minLogCap {
+		freelist.PutSlice(&extentLogs, h.log)
+		h.log = h.first[:0]
+	}
 }
 
 // BeginTx marks the start of a transaction (called by the ptx facade).
@@ -497,9 +522,11 @@ func (h *Heap) BeginTx() {
 }
 
 // endTx closes the running transaction, whose entries are gone from
-// the log or became parked frees.
+// the log or became parked frees. A grown log left empty is handed
+// back (shrinkLog).
 func (h *Heap) endTx() {
 	h.inTx = false
+	h.shrinkLog()
 	h.txStart = len(h.log)
 	h.txBytes = 0
 }
@@ -547,6 +574,7 @@ func (h *Heap) ReleaseEpochFrees() {
 		h.release(logExtent(v))
 	}
 	h.log = h.log[:copy(h.log, h.log[h.txStart:])]
+	h.shrinkLog()
 	h.txStart = 0
 }
 

@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"github.com/persistmem/slpmt"
+	"github.com/persistmem/slpmt/internal/freelist"
 	"github.com/persistmem/slpmt/internal/mem"
 	"github.com/persistmem/slpmt/internal/pmem"
 	"github.com/persistmem/slpmt/internal/txheap"
@@ -135,7 +136,7 @@ func (t *Table) releaseStash(tx *slpmt.Tx) {
 		tx.Free(n)
 	}
 	tx.Free(t.stashArr)
-	workloads.PutSlice(&stashes, t.stashNodes)
+	freelist.PutSlice(&stashes, t.stashNodes)
 	t.stashNodes = nil
 	t.stashArr = 0
 	t.stashArrSz = 0
@@ -147,7 +148,7 @@ func (t *Table) releaseStash(tx *slpmt.Tx) {
 // be regrown on every point. It keeps a stash of up to 4,096 nodes (32
 // KiB): every rehash of a table of up to 4,096 records, such as the
 // last one of a 4,000-insert run, which moves 3,073.
-var stashes = workloads.FreeList[[]slpmt.Addr]{Keep: 4096}
+var stashes = freelist.List[[]slpmt.Addr]{Keep: 4096}
 
 // zeroSrc is the clearing source of new bucket arrays up to 128 Ki
 // buckets. Nothing writes it, so tables on concurrent goroutines
@@ -170,7 +171,7 @@ func (t *Table) rehash(tx *slpmt.Tx, oldArr slpmt.Addr, oldN, count uint64) {
 	newN := oldN * 2
 	newArr := tx.Alloc(newN * 8)
 	tx.StoreT(newArr, zeros(int(newN*8)), slpmt.LazyLogFree)
-	t.stashNodes = workloads.GetSlice(&stashes, int(count))
+	t.stashNodes = freelist.GetSlice(&stashes, int(count))
 
 	for b := uint64(0); b < oldN; b++ {
 		n := slpmt.Addr(tx.LoadU64(oldArr + slpmt.Addr(8*b)))

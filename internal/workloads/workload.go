@@ -23,9 +23,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/persistmem/slpmt"
+	"github.com/persistmem/slpmt/internal/freelist"
 	"github.com/persistmem/slpmt/internal/mem"
 	"github.com/persistmem/slpmt/internal/pmem"
 	"github.com/persistmem/slpmt/internal/txheap"
@@ -199,69 +199,6 @@ func (s *Scratch) Value(tx *slpmt.Tx, lenAt, valAt slpmt.Addr) []byte {
 	return v
 }
 
-// FreeList is a stack of emptied buffers kept for reuse: the key sets
-// of CheckDurable's duplicate checks, the extent slices of Reach, and
-// the hashtable's stash of moved nodes. A crash campaign runs and
-// checks every point with a fresh workload instance, so a buffer kept
-// per instance would be built once per point; a package-level list
-// serves every point, and every worker of a parallel sweep. It holds at
-// most as many buffers as were ever out at once. Unlike a sync.Pool,
-// the list is not emptied by garbage collections (nor thinned by the
-// race detector), so allocation counts do not depend on when one ran.
-// Safe for concurrent use.
-type FreeList[B any] struct {
-	// Keep is the largest size, in elements, a buffer may have and still
-	// be kept, so a one-off large structure, or a corrupt count in a
-	// durable image, never pins its buffer.
-	Keep int
-
-	mu   sync.Mutex
-	free []B
-}
-
-// Get pops the buffer put last; ok is false when the list is empty.
-func (l *FreeList[B]) Get() (b B, ok bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.free)
-	if n == 0 {
-		return b, false
-	}
-	b = l.free[n-1]
-	var zero B
-	l.free[n-1] = zero
-	l.free = l.free[:n-1]
-	return b, true
-}
-
-// Put keeps b, a buffer of size elements, for a later Get, unless size
-// exceeds Keep. The caller must not use b afterwards.
-func (l *FreeList[B]) Put(b B, size int) {
-	if size > l.Keep {
-		return
-	}
-	l.mu.Lock()
-	l.free = append(l.free, b)
-	l.mu.Unlock()
-}
-
-// GetSlice returns an empty slice with room for n elements: the buffer
-// l put last if it has the room, a new one otherwise. A new one has
-// room for twice the old one's elements (up to Keep) when that is more,
-// so a sweep whose sizes creep up point by point regrows its buffer a
-// logarithmic number of times.
-func GetSlice[E any](l *FreeList[[]E], n int) []E {
-	s, _ := l.Get()
-	if cap(s) < n {
-		s = make([]E, 0, max(n, min(2*cap(s), l.Keep)))
-	}
-	return s[:0]
-}
-
-// PutSlice hands s back to l for a later GetSlice, unless its capacity
-// exceeds l.Keep. The caller must not use s afterwards.
-func PutSlice[E any](l *FreeList[[]E], s []E) { l.Put(s[:0], cap(s)) }
-
 // keptKeys is the most keys a set may have held and still be kept.
 // Crash campaigns check a few hundred keys per point (240 in the
 // repository's benchmark). A larger set, from a one-off check of a
@@ -270,7 +207,7 @@ func PutSlice[E any](l *FreeList[[]E], s []E) { l.Put(s[:0], cap(s)) }
 const keptKeys = 512
 
 // keySets holds the key sets of CheckDurable's duplicate checks.
-var keySets = FreeList[map[uint64]bool]{Keep: keptKeys}
+var keySets = freelist.List[map[uint64]bool]{Keep: keptKeys}
 
 // KeySet returns an empty key set, reused when one is free. The caller
 // hands it back with PutKeySet when its check returns, on every path.
@@ -297,7 +234,7 @@ func PutKeySet(seen map[uint64]bool) { keySets.Put(seen, len(seen)) }
 const keptExtents = 4 * keptKeys
 
 // extents holds the extent slices of Reach.
-var extents = FreeList[[]txheap.Extent]{Keep: keptExtents}
+var extents = freelist.List[[]txheap.Extent]{Keep: keptExtents}
 
 // ReachBuf returns the empty extent slice a Reach appends to, reused
 // when one is free, with room for want extents, but no more than img
@@ -306,12 +243,12 @@ var extents = FreeList[[]txheap.Extent]{Keep: keptExtents}
 // the image could hold. A caller that drops the scan hands the slice
 // back with PutReach.
 func ReachBuf(img *pmem.Image, want, minBytes uint64) []txheap.Extent {
-	return GetSlice(&extents, int(min(want, img.Size()/minBytes)))
+	return freelist.GetSlice(&extents, int(min(want, img.Size()/minBytes)))
 }
 
 // PutReach keeps a Reach result for the next ReachBuf, unless it is
 // larger than keptExtents. The caller must not use ext afterwards.
-func PutReach(ext []txheap.Extent) { PutSlice(&extents, ext) }
+func PutReach(ext []txheap.Extent) { freelist.PutSlice(&extents, ext) }
 
 // countError is CheckCount's rejection. Its message is formatted only
 // when Error is called, so a rejection costs one small allocation. A
