@@ -21,8 +21,10 @@ test:
 # targeted subsets that exercise the parallel experiment runner and
 # crash sweep (each worker recovers on its own platform's durable
 # image), and the process-wide free lists those workers share: the
-# freelist package itself, the engine's grown lazy lists, the heap
-# handles' grown extent logs and the workloads' scratch buffers.
+# freelist package itself, the PM devices' grown WPQ backlogs (under
+# ./internal/pmem/), the engine's grown write sets, epoch line sets and
+# lazy lists, the heap handles' grown extent logs and the workloads'
+# scratch buffers.
 race:
 	$(GO) test -race . ./internal/bench/ ./internal/cache/ ./internal/machine/ ./internal/pmem/ ./internal/trace/... \
 		./internal/freelist/

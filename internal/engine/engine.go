@@ -253,11 +253,12 @@ func New(m *machine.Core, cfg Config) *Engine {
 
 // Reset returns the engine to the state New left it in: no transaction
 // running or retained, no epoch open, sequence numbers and transaction
-// IDs restarting, the log buffer empty. Its buffers (write sets, the
-// running transaction's lazy list, log staging, lazy-list pool) are
-// kept, and so is its wiring: the hooks it installed on its core, its
-// EpochGroup, and its epoch-close hook. The core and the group are
-// reset by their owners.
+// IDs restarting, the log buffer empty. Its buffers (the line sets'
+// first buffers, the running transaction's lazy list, log staging,
+// lazy-list pool) are kept, and so is its wiring: the hooks it
+// installed on its core, its EpochGroup, and its epoch-close hook.
+// Grown line sets and lazy lists go back to their process-wide lists.
+// The core and the group are reset by their owners.
 func (e *Engine) Reset() {
 	for i := range e.retained {
 		e.releaseLazy(e.retained[i].lazy)
@@ -353,8 +354,8 @@ func (e *Engine) Begin() {
 	if e.epochOpen && e.w.nextOff > e.w.size/2 {
 		e.forceCloseEpoch()
 	}
-	// Reuse the write set: it resets in O(1) whatever capacity an
-	// earlier transaction grew it to.
+	// Reuse the write set: it resets in O(1), and a set an earlier
+	// transaction grew goes back to lineSets.
 	e.cur.active = true
 	e.cur.id = id
 	e.cur.seq = e.seq

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/persistmem/slpmt/internal/freelist"
 	"github.com/persistmem/slpmt/internal/mem"
 )
 
@@ -25,11 +26,34 @@ import (
 // ents and idx grow together (ents' capacity is half the index's, the
 // maximum load), so steady state allocates nothing. A set holds at most
 // maxSetLines lines, keyed by line: any address within a line names it.
+//
+// A set keeps its own buffers up to firstLineIdx index slots. Past
+// that it grows into a set from the process-wide lineSets, and its
+// reset hands the grown set back and returns to its own (first).
 type lineSet struct {
+	lineBufs
+	first lineBufs // the set's own buffers while a grown set is in use
+}
+
+// lineBufs is a line set's storage: the entries, their index and the
+// index's slot stamp, which travels with the index.
+type lineBufs struct {
 	ents []lineEntry
 	idx  []uint32
 	gen  uint32 // current slot stamp; 0 only before the first growth
 }
+
+// firstLineIdx is the largest index a set keeps as its own: 32 lines,
+// more than most transactions write.
+const firstLineIdx = 64
+
+// lineSets holds the grown line sets of every engine in the process. A
+// rehash's write set, or a W=16 epoch's pending lines, reaches
+// thousands of lines, and each fresh platform would regrow the set from
+// minLineIdx by doubling. A set of at most firstLineIdx slots never
+// enters it, so a transaction of at most 32 lines takes no lock. It
+// keeps a set of up to 64 Ki slots (32 Ki lines, 512 KiB).
+var lineSets = freelist.List[lineBufs]{Keep: 1 << 16}
 
 // lineEntry is one member of a lineSet packed into one word: the line
 // number (address >> mem.LineShift) in the bits above entValBits, the
@@ -135,17 +159,31 @@ func (s *lineSet) find(a mem.Addr) int {
 func (s *lineSet) or(a mem.Addr, bits uint16) { s.ents[s.find(a)] |= lineEntry(bits) }
 
 // reset empties the set in O(1): the entries truncate and the index's
-// generation moves on, so every slot reads as empty.
+// generation moves on, so every slot reads as empty. A grown set goes
+// back to lineSets.
 //
 //slpmt:noalloc
 func (s *lineSet) reset() {
+	if len(s.idx) > firstLineIdx {
+		s.release()
+	}
 	s.ents = s.ents[:0]
 	s.nextGen()
 }
 
+// release hands the grown set to lineSets and returns the set to its
+// own buffers. The stamp goes with the index: whoever takes it next
+// moves the generation on before using it.
+//
+//go:noinline
+func (s *lineSet) release() {
+	lineSets.Put(s.lineBufs, len(s.idx))
+	s.lineBufs, s.first = s.first, lineBufs{}
+}
+
 // nextGen invalidates every index slot, zeroing the index only when the
 // generation stamp wraps.
-func (s *lineSet) nextGen() {
+func (s *lineBufs) nextGen() {
 	s.gen++
 	if s.gen > slotGenMax {
 		clear(s.idx)
@@ -154,15 +192,31 @@ func (s *lineSet) nextGen() {
 }
 
 // grow doubles the index and sizes ents' capacity to the new maximum
-// load, then re-indexes every entry.
+// load, then re-indexes every entry. Past firstLineIdx it takes the
+// largest set of lineSets with a larger index instead, if there is one,
+// and moves its generation on, so no slot of its last owner reads as
+// occupied. The set's own buffers it replaces stay in first; a grown
+// set it replaces is dropped.
 func (s *lineSet) grow() {
 	n := max(2*len(s.idx), minLineIdx)
 	if n/2 > maxSetLines {
 		panic(fmt.Sprintf("engine: line set exceeds %d lines", maxSetLines))
 	}
-	s.idx = make([]uint32, n)
-	s.gen = 1
-	s.ents = slices.Grow(s.ents, n/2-len(s.ents))
+	var b lineBufs
+	if n > firstLineIdx {
+		if len(s.idx) == firstLineIdx {
+			s.first = s.lineBufs
+		}
+		var ok bool
+		if b, ok = lineSets.TakeLarger(len(s.idx)); ok {
+			b.nextGen()
+		}
+	}
+	if b.idx == nil {
+		b = lineBufs{ents: make([]lineEntry, 0, n/2), idx: make([]uint32, n), gen: 1}
+	}
+	b.ents = append(b.ents[:0], s.ents...)
+	s.lineBufs = b
 	s.reindex()
 }
 

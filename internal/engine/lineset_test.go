@@ -2,9 +2,12 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
+	"github.com/persistmem/slpmt/internal/isa"
 	"github.com/persistmem/slpmt/internal/mem"
 )
 
@@ -134,4 +137,153 @@ func TestLineEntryPacked(t *testing.T) {
 			}
 		}
 	}
+}
+
+// drainLineSets empties the process-wide list of grown line sets, so a
+// test sees the growth of a process that has grown none yet.
+func drainLineSets() {
+	for {
+		if _, ok := lineSets.Get(); !ok {
+			return
+		}
+	}
+}
+
+// stamped counts the index slots that read as occupied under the set's
+// generation.
+func stamped(s *lineSet) int {
+	n := 0
+	for _, v := range s.idx {
+		if v>>slotPosBits == s.gen {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLineSetReuseReadsEmpty: a set that grows into an index another
+// set filled and handed back sees none of that set's lines. Only its
+// own entries are stamped with its generation, lookups of the other
+// set's lines miss, and its own lines hold their values. The second set
+// holds fewer lines than the first, so a stale slot would name a
+// position past its entries.
+func TestLineSetReuseReadsEmpty(t *testing.T) {
+	drainLineSets()
+	var prev lineSet
+	const prevLines, nextLines = 3000, 100
+	for i := 0; i < prevLines; i++ {
+		prev.or(mem.Addr(i+1)*mem.LineSize, 1)
+	}
+	grown := unsafe.SliceData(prev.idx)
+	prev.reset()
+	if len(prev.idx) != firstLineIdx {
+		t.Fatalf("a reset set keeps an index of %d slots, want its own %d", len(prev.idx), firstLineIdx)
+	}
+
+	var next lineSet
+	line := func(i int) mem.Addr { return mem.Addr(prevLines+1+i) * mem.LineSize }
+	for i := 0; i < nextLines; i++ {
+		next.or(line(i), uint16(i+1))
+	}
+	if unsafe.SliceData(next.idx) != grown {
+		t.Fatal("the next set did not grow into the index the first one handed back")
+	}
+	if got := stamped(&next); got != nextLines {
+		t.Fatalf("%d index slots read as occupied, want the set's %d lines", got, nextLines)
+	}
+	for i := 0; i < prevLines; i++ {
+		if a := mem.Addr(i+1) * mem.LineSize; next.lookup(a) >= 0 || next.val(a) != 0 {
+			t.Fatalf("the next set reports line %#x, which only its index's last owner held", a)
+		}
+	}
+	for i := 0; i < nextLines; i++ {
+		if got := next.val(line(i)); got != uint16(i+1) {
+			t.Fatalf("line %#x reads %d, want %d", line(i), got, i+1)
+		}
+	}
+}
+
+// TestLineSetReuse: a rehash-sized write set reset on one engine is the
+// set the next engine's rehash-sized transaction grows into, past its
+// own first index, and a transaction within the first size takes no
+// lock on lineSets and allocates nothing.
+func TestLineSetReuse(t *testing.T) {
+	drainLineSets()
+	// tx runs one transaction of n eager log-free stores to distinct
+	// lines. It appends the write set's index sizes to steps, if steps
+	// is not nil.
+	tx := func(e *Engine, n int, steps *[]int) {
+		base := e.m.Layout.HeapBase
+		e.Begin()
+		for i := 0; i < n; i++ {
+			e.StoreU64(base+mem.Addr(i)*mem.LineSize, uint64(i), isa.StoreT, isa.LogFree)
+			if c := len(e.cur.ws.idx); steps != nil && (len(*steps) == 0 || (*steps)[len(*steps)-1] != c) {
+				*steps = append(*steps, c)
+			}
+		}
+		e.Commit()
+	}
+	const lines = 3000
+	first, _ := newEng(slpmtCfg())
+	tx(first, lines, nil)
+	grown := unsafe.SliceData(first.cur.ws.idx)
+	first.Reset()
+	if len(first.cur.ws.idx) != firstLineIdx {
+		t.Fatalf("a reset engine's write set has an index of %d slots, want its own %d", len(first.cur.ws.idx), firstLineIdx)
+	}
+	next, _ := newEng(slpmtCfg())
+	var steps []int
+	tx(next, lines, &steps)
+	if want := []int{minLineIdx, 32, firstLineIdx, 8192}; !slices.Equal(steps, want) || unsafe.SliceData(next.cur.ws.idx) != grown {
+		t.Errorf("the next engine's write set index sizes %v, same array %v; want %v, the first engine's array",
+			steps, unsafe.SliceData(next.cur.ws.idx) == grown, want)
+	}
+
+	small := func() { tx(next, firstLineIdx/2, nil) }
+	small()
+	ops := lineSets.Ops()
+	if allocs := testing.AllocsPerRun(20, small); allocs != 0 {
+		t.Errorf("a %d-line transaction allocates %.1f times, want 0", firstLineIdx/2, allocs)
+	}
+	if got := lineSets.Ops() - ops; got != 0 {
+		t.Errorf("a %d-line transaction took the list's lock %d times, want 0", firstLineIdx/2, got)
+	}
+}
+
+// TestLineSetReuseConcurrent: goroutines whose sets grow into and hand
+// back indexes of the one shared lineSets at once each see exactly the
+// lines they inserted (under -race, make race checks the list's locking
+// too).
+func TestLineSetReuseConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var s lineSet
+			for round := 0; round < 40; round++ {
+				n := 100 + 50*(round%8)
+				base := mem.Addr(16+g*4096+round%3) * mem.LineSize
+				for i := 0; i < n; i++ {
+					s.or(base+mem.Addr(i)*mem.LineSize, uint16(g+1))
+				}
+				if len(s.ents) != n || stamped(&s) != n {
+					t.Errorf("goroutine %d round %d: %d entries, %d stamped slots; want %d", g, round, len(s.ents), stamped(&s), n)
+					return
+				}
+				for i := -8; i < n+8; i++ {
+					want := uint16(0)
+					if i >= 0 && i < n {
+						want = uint16(g + 1)
+					}
+					if got := s.val(base + mem.Addr(i)*mem.LineSize); got != want {
+						t.Errorf("goroutine %d round %d: line %d reads %d, want %d", g, round, i, got, want)
+						return
+					}
+				}
+				s.reset()
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,9 +1,10 @@
 // Package freelist keeps emptied host buffers for reuse across the
-// platforms of one process: the engine's lazy-line lists, the heap
-// handles' extent logs, and the workloads' scratch (key sets, reach
-// extents, the hashtable's rehash stash). A crash campaign builds or
-// resets a platform for every point, and a parallel sweep runs one per
-// worker, so a buffer kept per platform is rebuilt once per point; a
+// platforms of one process: the PM devices' WPQ backlogs, the engine's
+// write sets, epoch line sets and lazy-line lists, the heap handles'
+// extent logs, and the workloads' scratch (key sets, reach extents, the
+// hashtable's rehash stash). A crash campaign builds or resets a
+// platform for every point, and a parallel sweep runs one per worker,
+// so a buffer kept per platform is rebuilt once per point; a
 // package-level List serves them all. It imports only sync, so any
 // simulator package can hold one.
 package freelist
@@ -27,8 +28,14 @@ type List[B any] struct {
 	First int
 
 	mu   sync.Mutex
-	free []B
+	free []kept[B]
 	ops  uint64
+}
+
+// kept is a buffer of the list with its size, in elements.
+type kept[B any] struct {
+	b    B
+	size int
 }
 
 // Get pops the buffer put last; ok is false when the list is empty.
@@ -40,10 +47,32 @@ func (l *List[B]) Get() (b B, ok bool) {
 	if n == 0 {
 		return b, false
 	}
-	b = l.free[n-1]
-	var zero B
-	l.free[n-1] = zero
+	b = l.free[n-1].b
+	l.free[n-1] = kept[B]{}
 	l.free = l.free[:n-1]
+	return b, true
+}
+
+// TakeLarger removes and returns the largest buffer l holds, if its
+// size exceeds n; ok is false when l holds none that large.
+func (l *List[B]) TakeLarger(n int) (b B, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.ops++
+	best := -1
+	for i, k := range l.free {
+		if k.size > n && (best < 0 || k.size > l.free[best].size) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return b, false
+	}
+	b = l.free[best].b
+	last := len(l.free) - 1
+	copy(l.free[best:], l.free[best+1:])
+	l.free[last] = kept[B]{}
+	l.free = l.free[:last]
 	return b, true
 }
 
@@ -55,7 +84,7 @@ func (l *List[B]) Put(b B, size int) {
 	}
 	l.mu.Lock()
 	l.ops++
-	l.free = append(l.free, b)
+	l.free = append(l.free, kept[B]{b, size})
 	l.mu.Unlock()
 }
 
@@ -102,23 +131,8 @@ func Grow[E any](l *List[[]E], s []E) []E {
 		copy(g, s)
 		return g
 	}
-	l.mu.Lock()
-	l.ops++
-	best := -1
-	for i, b := range l.free {
-		if cap(b) > cap(s) && (best < 0 || cap(b) > cap(l.free[best])) {
-			best = i
-		}
-	}
-	if best >= 0 {
-		g = l.free[best]
-		n := len(l.free) - 1
-		copy(l.free[best:], l.free[best+1:])
-		l.free[n] = nil
-		l.free = l.free[:n]
-	}
-	l.mu.Unlock()
-	if g == nil {
+	g, ok := l.TakeLarger(cap(s))
+	if !ok {
 		g = make([]E, 0, max(2*cap(s), 1))
 	}
 	g = g[:len(s)]

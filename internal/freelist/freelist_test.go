@@ -110,6 +110,32 @@ func TestGrow(t *testing.T) {
 	}
 }
 
+// TestTakeLarger: a buffer of any type goes back with the size Put gave
+// it, and TakeLarger removes the largest one over its argument, leaving
+// the others in Put order, or none when no buffer is that large.
+func TestTakeLarger(t *testing.T) {
+	type buf struct{ name string }
+	l := List[buf]{Keep: 100}
+	for _, b := range []struct {
+		name string
+		size int
+	}{{"a", 40}, {"b", 90}, {"c", 60}, {"over", 101}} {
+		l.Put(buf{b.name}, b.size)
+	}
+	for _, tc := range []struct {
+		n    int
+		want string // "" when none is taken
+	}{{95, ""}, {50, "b"}, {50, "c"}, {50, ""}, {0, "a"}, {0, ""}} {
+		b, ok := l.TakeLarger(tc.n)
+		if ok != (tc.want != "") || b.name != tc.want {
+			t.Errorf("TakeLarger(%d) = %q, %v; want %q", tc.n, b.name, ok, tc.want)
+		}
+	}
+	if got := l.Ops(); got != 3+6 {
+		t.Errorf("%d locked operations, want 9", got)
+	}
+}
+
 // TestListConcurrent: goroutines getting, growing, filling and putting
 // buffers never share one, and the list ends holding at most one
 // buffer per goroutine. Run it under -race (make race).

@@ -24,6 +24,7 @@ package pmem
 import (
 	"fmt"
 
+	"github.com/persistmem/slpmt/internal/freelist"
 	"github.com/persistmem/slpmt/internal/trace"
 )
 
@@ -127,14 +128,27 @@ type entry struct {
 // the 64 B lines a default 512 B queue holds.
 const minQueueCap = 16
 
+// backlogs holds the grown WPQ backlogs of every device in the process.
+// Posted persists (an epoch close's flush, a rehash's lazy drain) pile
+// thousands of entries into a backlog, and each fresh platform would
+// regrow its backlog from minQueueCap by doubling. A device keeps its
+// first backlog inline (Device.first), which never enters the list, and
+// hands a grown one back only when a drain empties it, so the list is
+// touched once per growth episode, not once per emptying. It keeps a
+// backlog of up to 32 Ki entries (512 KiB): the largest of a 4-core,
+// 2-socket W=16 hashtable load holds 6,662.
+var backlogs = freelist.List[[]entry]{Keep: 1 << 15, First: minQueueCap}
+
 // Device is a simulated persistent memory module with an ADR persist
 // domain. It is not safe for concurrent use.
 type Device struct {
 	cfg     Config
 	durable *durableImage
 
-	// WPQ state.
+	// WPQ state. queue is first's array until the backlog outgrows it,
+	// and a grown backlog from backlogs until a drain empties it.
 	queue      []entry
+	first      [minQueueCap]entry
 	usedBytes  int
 	lastFinish uint64   // finish time of the most recently enqueued entry
 	lastWaited uint64   // WPQ-space wait of the most recent persist call
@@ -185,19 +199,21 @@ func newShared(cfg Config, durable *durableImage, socket int) *Device {
 }
 
 // reset returns the device's timing state to the state newShared left
-// it in: an empty WPQ, zero totals and occupancy. It keeps the queue's
-// buffers and the tracer. The durable image, which the sockets of a
-// Topology share, is reset by the Topology.
+// it in: an empty WPQ in the first backlog, zero totals and occupancy.
+// A grown backlog goes back to backlogs; the bank window and the tracer
+// are kept. The durable image, which the sockets of a Topology share,
+// is reset by the Topology.
 func (d *Device) reset() {
+	d.releaseQueue()
 	*d = Device{
 		cfg:     d.cfg,
 		durable: d.durable,
-		queue:   d.queue[:0],
 		recent:  d.recent[:0],
 		tr:      d.tr,
 		socket:  d.socket,
 		sockTag: trace.WPQArgTag(d.socket),
 	}
+	d.queue = d.first[:0]
 }
 
 // Socket returns the device's socket ID on its topology (0 standalone).
@@ -254,7 +270,7 @@ func (d *Device) ReadCycles() uint64 { return d.cfg.ReadCycles }
 
 // drainUpTo retires queue entries whose finish time is <= now. The
 // queue is kept sorted by finish time (see enqueue), so retirement is a
-// prefix pop.
+// prefix pop. A grown backlog that empties goes back to backlogs.
 func (d *Device) drainUpTo(now uint64) {
 	i := 0
 	for i < len(d.queue) && d.queue[i].finish <= now {
@@ -264,10 +280,33 @@ func (d *Device) drainUpTo(now uint64) {
 		d.tr.Emit(e.core, e.finish, trace.KWPQDrain, uint64(e.addr), uint64(d.usedBytes)|d.sockTag)
 		i++
 	}
-	if i > 0 {
+	if i == len(d.queue) && cap(d.queue) > minQueueCap {
+		d.releaseQueue()
+	} else if i > 0 {
 		d.queue = append(d.queue[:0], d.queue[i:]...)
 	}
 	d.occAdvance(now)
+}
+
+// releaseQueue hands a grown backlog to backlogs (PutSlice keeps no
+// first one) and returns the device to its first backlog. The entries
+// left in it are stale: a device that takes it next reads only the
+// ones it copies in.
+//
+//go:noinline
+func (d *Device) releaseQueue() {
+	freelist.PutSlice(&backlogs, d.queue)
+	d.queue = d.first[:0]
+}
+
+// growQueue moves the full backlog into one with more room
+// (freelist.Grow): the largest grown backlog of backlogs, or one of
+// twice the capacity. A first backlog it replaces stays in
+// Device.first; a grown one is dropped.
+//
+//go:noinline
+func (d *Device) growQueue() {
+	d.queue = freelist.Grow(&backlogs, d.queue)
 }
 
 // enqueue inserts an entry keeping the queue sorted by finish time.
@@ -276,14 +315,12 @@ func (d *Device) drainUpTo(now uint64) {
 // On a multi-core machine the cores arbitrate for the WPQ at their own
 // interleaved clock values, so a core that is behind in time can insert
 // an entry that finishes before already-queued ones. A full backlog
-// doubles its capacity (append grows a large slice by only 1.25x, and
-// a lazy drain's backlog reaches thousands of entries).
+// grows through growQueue (append grows a large slice by only 1.25x,
+// and a lazy drain's backlog reaches thousands of entries).
 func (d *Device) enqueue(e entry, t uint64) {
 	d.occAdvance(t)
 	if len(d.queue) == cap(d.queue) {
-		q := make([]entry, len(d.queue), max(2*cap(d.queue), minQueueCap))
-		copy(q, d.queue)
-		d.queue = q
+		d.growQueue()
 	}
 	d.queue = append(d.queue, e)
 	for i := len(d.queue) - 1; i > 0 && d.queue[i-1].finish > d.queue[i].finish; i-- {

@@ -187,12 +187,14 @@ func TestPackedEntry(t *testing.T) {
 }
 
 // TestBacklogGrowsByDoubling posts 16,384 asynchronous 64 B entries to
-// a device whose write latency keeps every one of them queued: the
-// backlog must pass through the capacities minQueueCap, twice that, and
-// so on to 16,384 and no others, as doubling does (append's 1.25x steps
-// for large slices would take many more, smaller ones).
+// a device whose write latency keeps every one of them queued: from an
+// empty backlogs, the backlog must pass through the capacities
+// minQueueCap, twice that, and so on to 16,384 and no others, as
+// doubling does (append's 1.25x steps for large slices would take many
+// more, smaller ones).
 func TestBacklogGrowsByDoubling(t *testing.T) {
 	const posts = 16384
+	drainBacklogs()
 	d := New(Config{Size: posts * 64, WriteCycles: 1 << 40, Banks: 1})
 	data := line(1)
 	var steps []int

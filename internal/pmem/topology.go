@@ -150,8 +150,9 @@ func (t *Topology) Crash() *Image { return t.devs[0].Crash() }
 
 // Reset returns every socket's device and the shared durable image to
 // the state NewTopology left them in: empty WPQs, zero totals and
-// occupancy, an all-zero image. It keeps the queues' buffers, the
-// image's mapping and the tracer.
+// occupancy, an all-zero image. Grown queues go back to the
+// process-wide backlogs; the first queues, the image's mapping and the
+// tracer are kept.
 func (t *Topology) Reset() {
 	t.devs[0].durable.reset()
 	for _, d := range t.devs {
