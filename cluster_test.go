@@ -212,7 +212,7 @@ func TestSingleCorePlatformAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		window int
 		max    float64
-	}{{1, 41}, {16, 45}} {
+	}{{1, 39}, {16, 43}} {
 		opts := slpmt.Options{Scheme: "SLPMT", CommitWindow: tc.window}
 		if n := testing.AllocsPerRun(10, func() { slpmt.New(opts) }); n > tc.max {
 			t.Errorf("W=%d: New makes %v allocations, want <= %v", tc.window, n, tc.max)

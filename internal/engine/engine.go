@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"github.com/persistmem/slpmt/internal/cache"
@@ -210,9 +211,9 @@ type Engine struct {
 	// leaves as it is, the same way.
 	recBuf [mem.LineSize]byte
 
-	// walkBuf is the reusable list of the scan positions of the located
-	// lines the commit walks (txLines, epochLines) visit.
-	walkBuf []machine.ScanPos
+	// marks is the commit walks' bitmap over the core's private-cache
+	// scan positions (see walk).
+	marks scanMarks
 	// abortedLines holds, per transaction ID, the write-set lines an
 	// abort left cached with their metadata (log-free lines keep their
 	// updates and persist bits). The next commit under the same ID
@@ -230,6 +231,7 @@ func New(m *machine.Core, cfg Config) *Engine {
 		cfg:        cfg,
 		m:          m,
 		suppressed: make(map[mem.Addr]struct{}),
+		marks:      scanMarks{bits: make([]uint64, (m.PrivateLines()+63)/64)},
 	}
 	e.w = newLogWriter(m)
 	refresh := e.refreshRecord
@@ -253,10 +255,12 @@ func New(m *machine.Core, cfg Config) *Engine {
 
 // Reset returns the engine to the state New left it in: no transaction
 // running or retained, no epoch open, sequence numbers and transaction
-// IDs restarting, the log buffer empty. Its buffers (the line sets'
-// first buffers, the running transaction's lazy list, log staging,
-// lazy-list pool) are kept, and so is its wiring: the hooks it
-// installed on its core, its EpochGroup, and its epoch-close hook.
+// IDs restarting, the log buffer empty, no scan position marked (a
+// crash inside a commit walk leaves the marks it had not reached). Its
+// buffers (the line sets' first buffers, the running transaction's lazy
+// list, log staging, lazy-list pool, walk bitmap) are kept, and so is
+// its wiring: the hooks it installed on its core, its EpochGroup, and
+// its epoch-close hook.
 // Grown line sets and lazy lists go back to their process-wide lists.
 // The core and the group are reset by their owners.
 func (e *Engine) Reset() {
@@ -266,9 +270,10 @@ func (e *Engine) Reset() {
 	clear(e.suppressed)
 	e.w.wipe()
 	e.sink.wipe()
-	ws, pending, aborted := e.cur.ws, e.epochPending, e.abortedLines
+	ws, pending, aborted, marks := e.cur.ws, e.epochPending, e.abortedLines, e.marks
 	ws.reset()
 	pending.reset()
+	marks.reset()
 	for i := range aborted {
 		aborted[i] = aborted[i][:0]
 	}
@@ -286,7 +291,7 @@ func (e *Engine) Reset() {
 		logRaw:       e.logRaw[:0],
 		logRecs:      e.logRecs[:0],
 		lazyPool:     e.lazyPool,
-		walkBuf:      e.walkBuf[:0],
+		marks:        marks,
 		abortedLines: aborted,
 	}
 }
@@ -1050,9 +1055,7 @@ func (e *Engine) commitRedo() {
 // the close's data flush. The transaction's eager write-set lines
 // accumulate in epochPending with their class bits.
 func (e *Engine) commitGrouped() {
-	for _, p := range e.txLines() {
-		e.m.PrivateLine(p).LogBits = 0
-	}
+	e.txLines(func(l *cache.Line) { l.LogBits = 0 })
 	for _, en := range e.cur.ws.ents { // sorted by Commit
 		if en.val()&wsLazy != 0 {
 			// Lazy lines keep their W=1 contract: no persist at any
@@ -1284,64 +1287,113 @@ func (e *Engine) shadowPersistCommitted(lines []mem.Addr, to uint64) {
 // pending lines after the close's data flush, mirroring the W=1
 // commit walk's metadata clear.
 func (e *Engine) clearEpochPersistBits() {
-	for _, p := range e.epochLines() {
-		e.m.PrivateLine(p).Persist = false
+	e.epochLines(func(l *cache.Line) { l.Persist = false })
+}
+
+// epochLines calls fn on the epoch's pending set's private-cache lines
+// in commit-scan order (see txLines).
+func (e *Engine) epochLines(fn func(*cache.Line)) {
+	e.markEpochLines()
+	e.walk(0, fn)
+}
+
+// markEpochLines marks the scan positions of the epoch's pending set's
+// private-cache lines.
+//
+//slpmt:noalloc
+func (e *Engine) markEpochLines() {
+	for _, en := range e.epochPending.ents {
+		e.markPrivate(en.addr())
 	}
 }
 
-// epochLines returns the scan positions of the epoch's pending set's
-// private-cache lines in commit-scan order (see txLines).
-func (e *Engine) epochLines() []machine.ScanPos {
-	e.walkBuf = collectPrivate(e.m, e.walkBuf[:0], e.epochPending.ents, 0)
-	slices.Sort(e.walkBuf)
-	return e.walkBuf
+// txLines calls fn on the private-cache lines the hardware's commit
+// scan (§II) matches by the running transaction's ID, in that scan's
+// order (L1 before L2, then set, then way), so the WPQ sees the same
+// persist sequence as a walk over every private line. Only this core's
+// stores stamp a line's TxID, so the candidates are the write set plus
+// the surviving lines of aborted transactions that held the same ID;
+// lines of earlier committed holders still carrying the recycled ID had
+// their metadata cleared by that commit and would be no-ops. So would
+// the lazy list's lines: a line joins it only with a clear persist bit
+// and no write-set entry, and only a write-set store sets its persist
+// or log bits. fn may persist the line it is given: persists move no
+// lines, so the positions still to come stay valid.
+func (e *Engine) txLines(fn func(*cache.Line)) {
+	e.markTxLines()
+	e.walk(lineID(e.cur.id), fn)
 }
 
-// txLines returns the scan positions of the private-cache lines the
-// hardware's commit scan (§II) matches by the running transaction's ID,
-// in that scan's order (L1 before L2, then set, then way), so the WPQ
-// sees the same persist sequence as a walk over every private line.
-// Only this core's stores stamp a line's TxID, so the candidates are the
-// write set plus the surviving lines of aborted transactions that held
-// the same ID; lines of earlier committed holders still carrying the
-// recycled ID had their metadata cleared by that commit and would be
-// no-ops. So would the lazy list's lines: a line joins it only with a
-// clear persist bit and no write-set entry, and only a write-set store
-// sets its persist or log bits. The result is valid until the next
-// cache access: persists move no lines.
-func (e *Engine) txLines() []machine.ScanPos {
-	aborted := e.abortedLines[e.cur.id]
-	buf := collectPrivate(e.m, e.walkBuf[:0], e.cur.ws.ents, len(aborted))
-	for _, la := range aborted {
-		buf = e.m.LocatePrivate(buf, la)
+// markTxLines marks the scan positions of the running transaction's
+// candidate lines (see txLines). An aborted line the transaction also
+// wrote is marked twice and so visited once.
+//
+//slpmt:noalloc
+func (e *Engine) markTxLines() {
+	for _, en := range e.cur.ws.ents {
+		e.markPrivate(en.addr())
 	}
-	id := lineID(e.cur.id)
-	buf = slices.DeleteFunc(buf, func(p machine.ScanPos) bool { return e.m.PrivateLine(p).TxID != id })
-	slices.Sort(buf)
-	// An aborted line the running transaction also wrote is located
-	// twice.
-	buf = slices.Compact(buf)
-	e.walkBuf = buf
-	return buf
+	for _, la := range e.abortedLines[e.cur.id] {
+		e.markPrivate(la)
+	}
 }
 
-// collectPrivate appends the scan positions of the private-cache copies
-// of the entries' lines to buf, first growing it for them and extra more
-// lines (L1 and L2 are exclusive: a line has at most one private copy).
-func collectPrivate(c *machine.Core, buf []machine.ScanPos, ents []lineEntry, extra int) []machine.ScanPos {
-	buf = slices.Grow(buf, len(ents)+extra)
-	for _, en := range ents {
-		buf = c.LocatePrivate(buf, en.addr())
+// scanMarks is the commit walks' bitmap: one bit per private-cache scan
+// position (machine.ScanPos), so a position marked twice is held once.
+// bits[lo:hi] holds every mark; lo is len(bits) and hi 0 when nothing
+// is marked.
+type scanMarks struct {
+	bits   []uint64
+	lo, hi int
+}
+
+// reset drops every mark.
+func (s *scanMarks) reset() {
+	clear(s.bits)
+	s.lo, s.hi = len(s.bits), 0
+}
+
+// markPrivate marks the scan position of the private-cache copy of the
+// line, if the core holds one.
+//
+//slpmt:noalloc
+func (e *Engine) markPrivate(line mem.Addr) {
+	p, ok := e.m.PrivatePos(line)
+	if !ok {
+		return
 	}
-	return buf
+	s, w := &e.marks, int(p>>6)
+	s.bits[w] |= 1 << (p & 63)
+	s.lo, s.hi = min(s.lo, w), max(s.hi, w+1)
+}
+
+// walk visits the marked scan positions in ascending order, the order
+// of the commit hardware's scan of the private caches (§II), clearing
+// each mark before it visits it, and calls fn on each one's line whose
+// TxID is id, or on every one's line when id is 0. It reads only the
+// words that hold marks, so its cost follows the marked lines rather
+// than the cache size.
+//
+//slpmt:noalloc
+func (e *Engine) walk(id uint8, fn func(*cache.Line)) {
+	s := &e.marks
+	for ; s.lo < s.hi; s.lo++ {
+		for w := &s.bits[s.lo]; *w != 0; {
+			p := machine.ScanPos(s.lo<<6 | bits.TrailingZeros64(*w))
+			*w &= *w - 1
+			if l := e.m.PrivateLine(p); id == 0 || l.TxID == id {
+				fn(l)
+			}
+		}
+	}
+	s.lo, s.hi = len(s.bits), 0
 }
 
 // persistMarkedLines walks the transaction's lines in commit-scan order
 // (§II), persisting every line whose persist bit is set and clearing the
 // transaction's metadata.
 func (e *Engine) persistMarkedLines() {
-	for _, p := range e.txLines() {
-		l := e.m.PrivateLine(p)
+	e.txLines(func(l *cache.Line) {
 		if l.Persist {
 			if e.m.PersistLine(l.Addr) {
 				e.m.Stats.EagerLinePersists++
@@ -1349,17 +1401,16 @@ func (e *Engine) persistMarkedLines() {
 			l.Persist = false
 		}
 		l.LogBits = 0
-	}
+	})
 }
 
 // clearTxMeta clears persist/log bits of the transaction's lines after a
 // redo commit.
 func (e *Engine) clearTxMeta() {
-	for _, p := range e.txLines() {
-		l := e.m.PrivateLine(p)
+	e.txLines(func(l *cache.Line) {
 		l.Persist = false
 		l.LogBits = 0
-	}
+	})
 }
 
 // writeCommitMarker persists the committed state in the log header.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/persistmem/slpmt/internal/cache"
 	"github.com/persistmem/slpmt/internal/isa"
 	"github.com/persistmem/slpmt/internal/logbuf"
 	"github.com/persistmem/slpmt/internal/machine"
@@ -193,6 +194,23 @@ func BenchmarkMicroCommitWriteSet(b *testing.B) {
 				b.ReportMetric(float64(m.Clk)/float64(b.N+warm), "simcycles/txn")
 			})
 		}
+	}
+}
+
+// BenchmarkMicroCommitWalk measures a commit walk's host side over 256
+// written lines that share 8 L1 sets, so 192 of them sit in L2:
+// marking each line's scan position and visiting the marks in scan
+// order, clearing each line's log bits.
+func BenchmarkMicroCommitWalk(b *testing.B) {
+	e, m := newEng(slpmtCfg())
+	e.Begin()
+	for i := 0; i < 256; i++ {
+		e.StoreU64(m.Layout.HeapBase+mem.Addr(i)*(mem.LineSize*8), 1, isa.Store, isa.Plain)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.txLines(func(l *cache.Line) { l.LogBits = 0 })
 	}
 }
 

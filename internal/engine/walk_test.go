@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -31,7 +32,7 @@ func fullPrivateScan(c *machine.Core, match func(*cache.Line) bool) []*cache.Lin
 // the test can fail on a workload too tame to mean anything.
 type walkCoverage struct {
 	txLines, l2Lines, staleNoops, abortedLines, epochLines int
-	lazyLines, mixedLines                                  int
+	lazyLines, mixedLines, abortedDups                     int
 }
 
 // checkTxWalk compares txLines with the full scan by transaction ID: the
@@ -44,19 +45,24 @@ func checkTxWalk(t *testing.T, where string, e *Engine, cov *walkCoverage) {
 	t.Helper()
 	id := lineID(e.cur.id)
 	full := fullPrivateScan(e.m, func(l *cache.Line) bool { return l.TxID == id })
-	walk := e.txLines()
+	var walk []*cache.Line
+	e.txLines(func(l *cache.Line) { walk = append(walk, l) })
 	aborted := make(map[mem.Addr]bool)
 	for _, la := range e.abortedLines[e.cur.id] {
 		aborted[la] = true
 	}
 	j := 0
 	for _, l := range full {
-		if j < len(walk) && e.m.PrivateLine(walk[j]) == l {
-			if int(walk[j]) >= e.m.L1.Lines() {
+		if j < len(walk) && walk[j] == l {
+			if e.m.L2.Peek(l.Addr) == l {
 				cov.l2Lines++
 			}
-			if ws := e.cur.ws.lookup(l.Addr) >= 0; !ws && aborted[l.Addr] && l.Persist {
+			ws := e.cur.ws.lookup(l.Addr) >= 0
+			if !ws && aborted[l.Addr] && l.Persist {
 				cov.abortedLines++
+			}
+			if ws && aborted[l.Addr] {
+				cov.abortedDups++
 			}
 			j++
 			continue
@@ -79,12 +85,13 @@ func checkEpochWalk(t *testing.T, where string, e *Engine, cov *walkCoverage) {
 	full := fullPrivateScan(e.m, func(l *cache.Line) bool {
 		return e.epochPending.lookup(l.Addr) >= 0
 	})
-	walk := e.epochLines()
+	var walk []*cache.Line
+	e.epochLines(func(l *cache.Line) { walk = append(walk, l) })
 	if len(walk) != len(full) {
 		t.Fatalf("%s: epoch walk visits %d lines, full scan %d", where, len(walk), len(full))
 	}
-	for i, p := range walk {
-		if l := e.m.PrivateLine(p); l != full[i] {
+	for i, l := range walk {
+		if l != full[i] {
 			t.Fatalf("%s: epoch walk line %d is %#x, full scan has %#x", where, i, l.Addr, full[i].Addr)
 		}
 	}
@@ -102,11 +109,11 @@ type lazyModel map[mem.Addr]bool
 // found.
 func (lm lazyModel) store(e *Engine, a mem.Addr, attr isa.Attr) {
 	line := mem.LineAddr(a)
-	p := e.m.LocatePrivate(nil, line)
+	p, _ := e.m.PrivatePos(line)
 	switch {
 	case e.cfg.Caps.ResolveFor(isa.StoreT, attr).Persist:
 		lm[line] = false
-	case !e.m.PrivateLine(p[0]).Persist:
+	case !e.m.PrivateLine(p).Persist:
 		lm[line] = true
 	}
 }
@@ -152,8 +159,10 @@ func checkLazyList(t *testing.T, where string, e *Engine, seq uint64, listed []u
 
 // TestIndexedCommitWalkMatchesFullScan drives random transactions —
 // every store attribute, ID recycling, lazy lines, aborts, and an
-// address pattern that overflows both L1 and L2 sets — and checks at
-// every commit that the write-set-indexed walks visit exactly the lines
+// address pattern that overflows both L1 and L2 sets — on the default
+// caches and on tiny ones (512 B L1, 1 KiB L2, 4 KiB L3), where most
+// lines a walk visits sit in L2 and aborted lines are written again
+// before the next commit under their ID, and checks at every commit that the write-set-indexed walks visit exactly the lines
 // a full private-cache scan would act on, in the same order. The check
 // runs just before Commit; nothing inside Commit moves a line before
 // the walk (log and data persists leave the caches in place). After
@@ -168,85 +177,98 @@ func TestIndexedCommitWalkMatchesFullScan(t *testing.T) {
 			Granularity: Word, Mode: Redo, Buffer: BufferTiered},
 	}
 	attrs := []isa.Attr{isa.Plain, isa.LogFree, isa.LazyLogFree, isa.LazyLogged}
-	var total walkCoverage
+	var total, small walkCoverage
 	for _, base := range configs {
 		for _, w := range []int{1, 4} {
 			for _, cores := range []int{1, 2} {
-				cfg := base
-				cfg.CommitWindow = w
-				name := fmt.Sprintf("%s/W%d/%dc", cfg.Name, w, cores)
-				t.Run(name, func(t *testing.T) {
-					plat := machine.New(machine.Config{Cores: cores})
-					engs := make([]*Engine, cores)
-					for i := range engs {
-						engs[i] = New(plat.Core(i), cfg)
+				for _, tiny := range []bool{false, true} {
+					cfg := base
+					cfg.CommitWindow = w
+					name := fmt.Sprintf("%s/W%d/%dc", cfg.Name, w, cores)
+					mcfg := machine.Config{Cores: cores}
+					if tiny {
+						name += "-small"
+						mcfg.L1 = cache.Config{Name: "L1", SizeBytes: 512, Ways: 2, LatencyCycles: 4}
+						mcfg.L2 = cache.Config{Name: "L2", SizeBytes: 1 << 10, Ways: 2, LatencyCycles: 12}
+						mcfg.L3 = cache.Config{Name: "L3", SizeBytes: 4 << 10, Ways: 4, LatencyCycles: 40}
 					}
-					plat.OnRemoteStore = func(src int, line mem.Addr) {
-						for i, e := range engs {
-							if i != src {
-								e.CoherenceStore(line)
+					t.Run(name, func(t *testing.T) {
+						plat := machine.New(mcfg)
+						engs := make([]*Engine, cores)
+						for i := range engs {
+							engs[i] = New(plat.Core(i), cfg)
+						}
+						plat.OnRemoteStore = func(src int, line mem.Addr) {
+							for i, e := range engs {
+								if i != src {
+									e.CoherenceStore(line)
+								}
 							}
 						}
-					}
-					if w > 1 && cores > 1 {
-						NewEpochGroup(engs)
-					}
-					heap := plat.Core(0).Layout.HeapBase
-					rng := rand.New(rand.NewSource(int64(len(name))))
-					var cov walkCoverage
-					for txn := 0; txn < 120; txn++ {
-						core := txn % cores
-						e := engs[core]
-						e.Begin()
-						lm := lazyModel{}
-						for op := rng.Intn(30) + 1; op > 0; op-- {
-							// Each core owns 3 L1 sets x 4 L2 sets each x 6
-							// lines per L2 set, so L1 (8-way) and L2 (4-way)
-							// both overflow; one access in eight goes to the
-							// other core's lines.
-							region := core
-							if rng.Intn(8) == 0 {
-								region = (core + 1) % cores
+						if w > 1 && cores > 1 {
+							NewEpochGroup(engs)
+						}
+						heap := plat.Core(0).Layout.HeapBase
+						rng := rand.New(rand.NewSource(int64(len(name))))
+						var cov walkCoverage
+						for txn := 0; txn < 120; txn++ {
+							core := txn % cores
+							e := engs[core]
+							e.Begin()
+							lm := lazyModel{}
+							for op := rng.Intn(30) + 1; op > 0; op-- {
+								// Each core owns 3 L1 sets x 4 L2 sets each x 6
+								// lines per L2 set, so L1 (8-way) and L2 (4-way)
+								// both overflow; one access in eight goes to the
+								// other core's lines.
+								region := core
+								if rng.Intn(8) == 0 {
+									region = (core + 1) % cores
+								}
+								a := heap + mem.Addr(3*region+rng.Intn(3))*mem.LineSize +
+									mem.Addr(rng.Intn(4))*(4<<10) + mem.Addr(rng.Intn(6))*(64<<10) +
+									mem.Addr(rng.Intn(mem.WordsPerLine))*mem.WordSize
+								if rng.Intn(4) == 0 {
+									e.LoadU64(a)
+									continue
+								}
+								attr := attrs[rng.Intn(len(attrs))]
+								e.StoreU64(a, rng.Uint64(), isa.StoreT, attr)
+								lm.store(e, a, attr)
 							}
-							a := heap + mem.Addr(3*region+rng.Intn(3))*mem.LineSize +
-								mem.Addr(rng.Intn(4))*(4<<10) + mem.Addr(rng.Intn(6))*(64<<10) +
-								mem.Addr(rng.Intn(mem.WordsPerLine))*mem.WordSize
-							if rng.Intn(4) == 0 {
-								e.LoadU64(a)
+							where := fmt.Sprintf("txn %d", txn)
+							if rng.Intn(10) == 0 {
+								e.Abort()
 								continue
 							}
-							attr := attrs[rng.Intn(len(attrs))]
-							e.StoreU64(a, rng.Uint64(), isa.StoreT, attr)
-							lm.store(e, a, attr)
+							checkTxWalk(t, where, e, &cov)
+							if e.grouped() {
+								checkEpochWalk(t, where, e, &cov)
+							}
+							listed, seq := slices.Clone(e.cur.lazy), e.cur.seq
+							e.Commit()
+							checkLazyList(t, where, e, seq, listed, lm, &cov)
 						}
-						where := fmt.Sprintf("txn %d", txn)
-						if rng.Intn(10) == 0 {
-							e.Abort()
-							continue
+						for _, e := range engs {
+							e.FinishEpoch()
+							e.DrainLazy()
 						}
-						checkTxWalk(t, where, e, &cov)
-						if e.grouped() {
-							checkEpochWalk(t, where, e, &cov)
+						if cov.txLines == 0 || cov.l2Lines == 0 {
+							t.Errorf("walk coverage too thin: %+v", cov)
 						}
-						listed, seq := slices.Clone(e.cur.lazy), e.cur.seq
-						e.Commit()
-						checkLazyList(t, where, e, seq, listed, lm, &cov)
-					}
-					for _, e := range engs {
-						e.FinishEpoch()
-						e.DrainLazy()
-					}
-					if cov.txLines == 0 || cov.l2Lines == 0 {
-						t.Errorf("walk coverage too thin: %+v", cov)
-					}
-					if w > 1 && cov.epochLines == 0 {
-						t.Errorf("no epoch walk exercised: %+v", cov)
-					}
-					total.staleNoops += cov.staleNoops
-					total.abortedLines += cov.abortedLines
-					total.lazyLines += cov.lazyLines
-					total.mixedLines += cov.mixedLines
-				})
+						if w > 1 && cov.epochLines == 0 {
+							t.Errorf("no epoch walk exercised: %+v", cov)
+						}
+						total.staleNoops += cov.staleNoops
+						total.abortedLines += cov.abortedLines
+						total.lazyLines += cov.lazyLines
+						total.mixedLines += cov.mixedLines
+						if tiny {
+							small.l2Lines += cov.l2Lines
+							small.abortedDups += cov.abortedDups
+						}
+					})
+				}
 			}
 		}
 	}
@@ -257,4 +279,79 @@ func TestIndexedCommitWalkMatchesFullScan(t *testing.T) {
 	if total.staleNoops == 0 || total.abortedLines == 0 || total.lazyLines == 0 || total.mixedLines == 0 {
 		t.Errorf("stale-ID, aborted-line or lazy-line cases never arose: %+v", total)
 	}
+	// On the tiny caches walks must have visited L2 lines and aborted
+	// lines the committing transaction wrote again (marked twice).
+	if small.l2Lines == 0 || small.abortedDups == 0 {
+		t.Errorf("small-cache L2 or aborted-duplicate lines never arose: %+v", small)
+	}
+}
+
+// TestResetAfterCrashInCommitWalk crashes an undo engine at every
+// persist of a few commit walks, each of which stops the walk before
+// the marks it has not reached, and then resets the machine and the
+// engine the way Cluster.Reset does. The reset engine must hold the
+// marks a new engine holds (none), and a run on the reset platform must
+// give the counters and clock of the same run on a new one.
+func TestResetAfterCrashInCommitWalk(t *testing.T) {
+	cfg := slpmtCfg()
+	build := func() (*machine.Machine, *Engine) {
+		plat := machine.New(machine.Config{})
+		return plat, New(plat.Core(0), cfg)
+	}
+	// run commits 30 transactions of 12 eager stores each over 64
+	// lines, crashing at persist event crashAt (0 = never). It reports
+	// whether the crash left marks behind.
+	run := func(plat *machine.Machine, e *Engine, crashAt uint64) (leftMarks bool) {
+		plat.CrashAfterTotal = crashAt
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(*machine.CrashSignal); !ok {
+					panic(r)
+				}
+				leftMarks = e.marks.lo < e.marks.hi
+			}
+		}()
+		heap := plat.Core(0).Layout.HeapBase
+		rng := rand.New(rand.NewSource(1))
+		for txn := 0; txn < 30; txn++ {
+			e.Begin()
+			for op := 0; op < 12; op++ {
+				a := heap + mem.Addr(rng.Intn(64))*mem.LineSize + mem.Addr(rng.Intn(mem.WordsPerLine))*mem.WordSize
+				e.StoreU64(a, rng.Uint64(), isa.StoreT, isa.LogFree)
+			}
+			e.Commit()
+		}
+		return false
+	}
+	wantPlat, wantEng := build()
+	run(wantPlat, wantEng, 0)
+	want, wantClk := wantPlat.MergedStats(), wantPlat.MaxClk()
+	fresh := New(machine.New(machine.Config{}).Core(0), cfg).marks
+
+	plat, e := build()
+	crashes := 0
+	for crashAt := uint64(1); crashes < 8 && crashAt < 400; crashAt++ {
+		if !run(plat, e, crashAt) {
+			plat.Reset()
+			e.Reset()
+			continue
+		}
+		crashes++
+		plat.Reset()
+		e.Reset()
+		if !reflect.DeepEqual(e.marks, fresh) {
+			t.Fatalf("crash at %d: reset engine's walk marks %+v, a new engine's %+v", crashAt, e.marks, fresh)
+		}
+		run(plat, e, 0)
+		if got, clk := plat.MergedStats(), plat.MaxClk(); got != want || clk != wantClk {
+			t.Fatalf("crash at %d: after Reset the run gives clock %d and\n%+v\na new platform gives clock %d and\n%+v",
+				crashAt, clk, got, wantClk, want)
+		}
+		plat.Reset()
+		e.Reset()
+	}
+	if crashes == 0 {
+		t.Fatal("no crash landed inside a commit walk")
+	}
+	t.Logf("%d crashes inside a commit walk", crashes)
 }

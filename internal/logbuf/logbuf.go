@@ -122,8 +122,11 @@ type Buffer struct {
 // New returns an empty buffer with the given spill callback.
 func New(spill func([]Record)) *Buffer {
 	b := &Buffer{Spill: spill}
+	// One array backs every tier; each tier's capacity ends where the
+	// next one's storage starts, so a tier cannot grow into it.
+	all := make([]Record, Tiers*TierRecords)
 	for t := range b.tiers {
-		b.tiers[t] = make([]Record, 0, TierRecords)
+		b.tiers[t] = all[t*TierRecords : t*TierRecords : (t+1)*TierRecords]
 	}
 	b.Reset()
 	return b

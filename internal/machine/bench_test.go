@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"slices"
 	"testing"
 
 	"github.com/persistmem/slpmt/internal/cache"
@@ -82,33 +81,6 @@ func BenchmarkAccessLineHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.AccessLine(m.Layout.HeapBase, true)
-	}
-}
-
-// BenchmarkCommitWalk measures a commit walk's host side over 256
-// written lines that share 8 L1 sets, so 192 of them sit in L2:
-// locating each line's private copy, sorting the scan positions and
-// resolving every one to its line. The position buffer is reused, as
-// the engine's is.
-func BenchmarkCommitWalk(b *testing.B) {
-	m := newM()
-	lines := make([]mem.Addr, 256)
-	for i := range lines {
-		lines[i] = m.Layout.HeapBase + mem.Addr(i)*(mem.LineSize*8)
-		m.AccessLine(lines[i], true)
-	}
-	var buf []ScanPos
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = buf[:0]
-		for _, a := range lines {
-			buf = m.LocatePrivate(buf, a)
-		}
-		slices.Sort(buf)
-		for _, p := range buf {
-			m.PrivateLine(p).LogBits = 0
-		}
 	}
 }
 

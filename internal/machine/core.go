@@ -691,23 +691,28 @@ func (c *Core) FindCached(addr mem.Addr) (int, *cache.Line) {
 // caches: L1 before L2, then set, then way. PrivateLine resolves it.
 type ScanPos uint32
 
-// LocatePrivate appends the scan positions of the private-cache copies
-// of the line holding addr to buf. Sorting a set of located positions
-// yields the order in which the commit hardware's scan of the private
-// caches (§II) visits their lines, at a cost proportional to the set
-// rather than to the cache size.
-func (c *Core) LocatePrivate(buf []ScanPos, addr mem.Addr) []ScanPos {
+// PrivatePos returns the scan position of the private-cache copy of the
+// line holding addr, or false if neither L1 nor L2 holds it. L1 and L2
+// are exclusive, so a line has at most one position. Visiting a set of
+// positions in ascending order visits their lines in the order of the
+// commit hardware's scan of the private caches (§II), at a cost
+// proportional to the set rather than to the cache size.
+func (c *Core) PrivatePos(addr mem.Addr) (ScanPos, bool) {
 	if l, i := c.L1.Locate(addr); l != nil {
-		buf = append(buf, ScanPos(i))
+		return ScanPos(i), true
 	}
 	if l, i := c.L2.Locate(addr); l != nil {
-		buf = append(buf, ScanPos(c.L1.Lines()+i))
+		return ScanPos(c.L1.Lines() + i), true
 	}
-	return buf
+	return 0, false
 }
 
+// PrivateLines returns the number of private-cache scan positions: one
+// past the largest position PrivatePos returns.
+func (c *Core) PrivateLines() int { return c.L1.Lines() + c.L2.Lines() }
+
 // PrivateLine returns the private-cache line at scan position p. A
-// position LocatePrivate returned names its line until the next cache
+// position PrivatePos returned names its line until the next cache
 // access moves lines.
 func (c *Core) PrivateLine(p ScanPos) *cache.Line {
 	if n := c.L1.Lines(); int(p) >= n {

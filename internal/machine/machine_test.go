@@ -240,10 +240,10 @@ func TestPersistCountsTraffic(t *testing.T) {
 	}
 }
 
-// TestLocatePrivate: scan positions are 4 bytes, number L1 before L2,
-// and resolve to the very lines the caches hold; an uncached line has
-// none.
-func TestLocatePrivate(t *testing.T) {
+// TestPrivatePos: scan positions are 4 bytes, number L1 before L2,
+// stay below PrivateLines and resolve to the very lines the caches
+// hold; an uncached line has none.
+func TestPrivatePos(t *testing.T) {
 	if got := unsafe.Sizeof(ScanPos(0)); got != 4 {
 		t.Errorf("ScanPos is %d bytes, want 4", got)
 	}
@@ -254,19 +254,19 @@ func TestLocatePrivate(t *testing.T) {
 	for i := 0; i <= 8; i++ {
 		m.AccessLine(base+stride*mem.Addr(i), true)
 	}
+	if _, ok := m.PrivatePos(base + 64); ok {
+		t.Errorf("uncached line %#x has a position", base+64)
+	}
 	var buf []ScanPos
 	for i := 8; i >= 0; i-- {
-		buf = m.LocatePrivate(buf, base+stride*mem.Addr(i))
-	}
-	buf = m.LocatePrivate(buf, base+64)
-	if len(buf) != 9 {
-		t.Fatalf("located %d lines, want 9", len(buf))
-	}
-	if int(buf[8]) < m.L1.Lines() {
-		t.Errorf("L2 line at position %d, inside L1's %d", buf[8], m.L1.Lines())
-	}
-	for i, p := range buf {
-		a := base + stride*mem.Addr(8-i)
+		a := base + stride*mem.Addr(i)
+		p, ok := m.PrivatePos(a)
+		if !ok {
+			t.Fatalf("cached line %#x has no position", a)
+		}
+		if int(p) >= m.PrivateLines() {
+			t.Errorf("position %d past the %d private lines", p, m.PrivateLines())
+		}
 		want := m.L1.Peek(a)
 		if want == nil {
 			want = m.L2.Peek(a)
@@ -274,6 +274,10 @@ func TestLocatePrivate(t *testing.T) {
 		if got := m.PrivateLine(p); got != want {
 			t.Errorf("position %d resolves to line %#x, want %#x", p, got.Addr, a)
 		}
+		buf = append(buf, p)
+	}
+	if int(buf[8]) < m.L1.Lines() {
+		t.Errorf("L2 line at position %d, inside L1's %d", buf[8], m.L1.Lines())
 	}
 	slices.Sort(buf)
 	if m.PrivateLine(buf[8]).Addr != base {

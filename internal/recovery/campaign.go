@@ -487,7 +487,8 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	// Reference run: count persist events and confirm a clean pass. It
 	// runs on a platform of its own, which no crash point resets: a
 	// caller may still read its Systems when the campaign returns.
-	ref, total, err := new(verifier).execute(cfg, ops, 0)
+	refV := new(verifier)
+	ref, total, err := refV.execute(cfg, ops, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -495,20 +496,22 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		return nil, fmt.Errorf("reference run crashed unexpectedly")
 	}
 	// The sweep's first verifier counts the set-up persists on its
-	// platform.
-	v := new(verifier)
+	// platform. It takes over the reference run's completed-op list,
+	// which nothing reads past this point, so no point sizes one.
+	v := &verifier{done: refV.done[:0]}
 	setup, err := v.setupPersists(cfg)
 	if err != nil {
 		return nil, err
 	}
 	res := &CampaignResult{TotalPersistEvents: total}
 
-	var points []uint64
-	for p := setup + cfg.Stride; p <= total; p += cfg.Stride {
-		if cfg.MaxPoints > 0 && len(points) >= cfg.MaxPoints {
-			break
-		}
-		points = append(points, p)
+	// Point i crashes at persist event setup + (i+1)*Stride.
+	n := 0
+	if total > setup {
+		n = int((total - setup) / cfg.Stride)
+	}
+	if cfg.MaxPoints > 0 {
+		n = min(n, cfg.MaxPoints)
 	}
 
 	workers := cfg.Parallel
@@ -519,8 +522,8 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		// Serial sweep: stop executing at the first error or
 		// beyond-the-run point, exactly like the historical loop. One
 		// verifier, and so one platform, serves every point.
-		for _, point := range points {
-			out := testPoint(v, cfg, ops, point)
+		for i := 0; i < n; i++ {
+			out := testPoint(v, cfg, ops, setup+uint64(i+1)*cfg.Stride)
 			if out.err != nil {
 				return res, out.err
 			}
@@ -535,17 +538,17 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	// Each worker takes a verifier from the free list for a job and puts
 	// it back after, so at most one verifier per worker is ever built.
 	// The list starts with v.
-	outs := make([]pointOutcome, len(points))
+	outs := make([]pointOutcome, n)
 	free := make(chan *verifier, workers)
 	free <- v
-	if err := bench.ForEachWorkers(len(points), workers, func(i int) error {
+	if err := bench.ForEachWorkers(n, workers, func(i int) error {
 		var v *verifier
 		select {
 		case v = <-free:
 		default:
 			v = new(verifier)
 		}
-		outs[i] = testPoint(v, cfg, ops, points[i])
+		outs[i] = testPoint(v, cfg, ops, setup+uint64(i+1)*cfg.Stride)
 		free <- v
 		return nil
 	}); err != nil {

@@ -27,7 +27,9 @@
 // starts here) kept in demand-zero memory, and a block's size is not
 // stored: blocks, quarantined frees and free extents tile each span
 // below its bump pointer, so a block ends where the next block or free
-// extent starts, or at the bump pointer.
+// extent starts, or at the bump pointer. Each span's free-extent list
+// is carved from the same mapping at the most extents the span can
+// hold (freeCap), so it never grows.
 //
 // Each handle keeps one extent log of packed 8-byte entries: the frees
 // of committed transactions still parked under the epoch quarantine,
@@ -56,6 +58,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"github.com/persistmem/slpmt/internal/freelist"
 	"github.com/persistmem/slpmt/internal/mem"
@@ -115,21 +118,42 @@ const BurstSpillBytes = 8 << 10
 // (live). The index lives in demand-zero memory, so a fresh heap pays
 // only for the pages its blocks touch, and every set bit lies below
 // its span's bump pointer, so Reset and Rebuild clear only that much.
+// The same mapping holds, past the bits, the spans' free-extent lists
+// (carve), which touch pages only as they fill; one mapping per heap
+// keeps building a platform at one mmap for the heap.
 type blockIndex struct {
-	base mem.Addr // heap base: the address of word 0
-	bits []uint64
+	base    mem.Addr // heap base: the address of word 0
+	bits    []uint64
+	mapping []uint64 // bits, then the spans' free-extent lists
+	spare   []uint64 // the part of mapping no span has carved yet
 }
 
-func newBlockIndex(base mem.Addr, size uint64) *blockIndex {
-	words := size >> mem.WordShift
-	ix := &blockIndex{base: base, bits: mem.MapZeroed[uint64](int(2 * ((words + 63) / 64)))}
+// newBlockIndex maps the index of the heap [base, base+size) and room
+// for the free-extent lists of spans spans that split it (freeCap).
+func newBlockIndex(base mem.Addr, size uint64, spans int) *blockIndex {
+	words := int(2 * ((size>>mem.WordShift + 63) / 64))
+	// The spans' sizes add up to at most size, so their freeCaps add up
+	// to at most size/16 + spans.
+	m := mem.MapZeroed[uint64](words + extentWords*(int(size/16)+spans))
+	ix := &blockIndex{base: base, bits: m[:words:words], mapping: m, spare: m[words:]}
 	runtime.SetFinalizer(ix, (*blockIndex).release)
 	return ix
 }
 
 func (ix *blockIndex) release() {
-	mem.Unmap(ix.bits)
-	ix.bits = nil
+	mem.Unmap(ix.mapping)
+	ix.bits, ix.mapping, ix.spare = nil, nil, nil
+}
+
+// extentWords is an Extent's size in mapping words.
+const extentWords = int(unsafe.Sizeof(Extent{}) / 8)
+
+// carve returns an empty free-extent list of capacity n from the
+// mapping's uncarved part.
+func (ix *blockIndex) carve(n int) []Extent {
+	w := ix.spare[:n*extentWords]
+	ix.spare = ix.spare[n*extentWords:]
+	return unsafe.Slice((*Extent)(unsafe.Pointer(unsafe.SliceData(w))), n)[:0]
 }
 
 // at returns the index of the start-bit word holding a's bits and a's
@@ -226,16 +250,22 @@ type span struct {
 	base      mem.Addr
 	limit     mem.Addr
 	bump      mem.Addr
-	free      []Extent // sorted by Addr, non-adjacent
+	free      []Extent // sorted by Addr, non-adjacent; capacity freeCap, carved from ix
 	ix        *blockIndex
 	liveBytes uint64
 }
+
+// freeCap is the most free extents a span of size bytes can hold.
+// Extents are whole words and never adjacent, and a block of at least a
+// word separates any two, so n extents cover at least 16n-8 bytes.
+func freeCap(size uint64) int { return int(size/16 + 1) }
 
 func newSpan(ix *blockIndex, base mem.Addr, size uint64) span {
 	return span{
 		base:  base,
 		limit: base + mem.Addr(size),
 		bump:  base,
+		free:  ix.carve(freeCap(size)),
 		ix:    ix,
 	}
 }
@@ -272,12 +302,14 @@ func (s *span) alloc(size uint64) (mem.Addr, bool) {
 }
 
 // allocFromFree takes a first-fit extent from the free list, splitting.
+//
+//slpmt:noalloc
 func (s *span) allocFromFree(size uint64) (mem.Addr, bool) {
 	for i := range s.free {
 		if s.free[i].Size >= size {
 			addr := s.free[i].Addr
 			if s.free[i].Size == size {
-				s.free = append(s.free[:i], s.free[i+1:]...)
+				s.free = s.free[:i+copy(s.free[i:], s.free[i+1:])]
 			} else {
 				s.free[i].Addr += mem.Addr(size)
 				s.free[i].Size -= size
@@ -289,28 +321,50 @@ func (s *span) allocFromFree(size uint64) (mem.Addr, bool) {
 }
 
 // release returns a block, live or quarantined, to the free list.
+//
+//slpmt:noalloc
 func (s *span) release(e Extent) {
 	s.ix.drop(e.Addr)
 	s.insertFree(e)
 }
 
 // insertFree adds an extent to the sorted free list, coalescing with
-// neighbours.
+// neighbours. Only an extent that touches neither neighbour takes a new
+// entry, and the list never grows past its capacity (freeCap): a span
+// whose free extents would is corrupt, and insertFree panics.
+//
+//slpmt:noalloc
 func (s *span) insertFree(e Extent) {
-	i := sort.Search(len(s.free), func(i int) bool { return s.free[i].Addr >= e.Addr })
-	s.free = append(s.free, Extent{})
-	copy(s.free[i+1:], s.free[i:])
-	s.free[i] = e
-	// Coalesce with successor.
-	if i+1 < len(s.free) && s.free[i].End() == s.free[i+1].Addr {
-		s.free[i].Size += s.free[i+1].Size
-		s.free = append(s.free[:i+1], s.free[i+2:]...)
+	i, _ := slices.BinarySearchFunc(s.free, e.Addr, extentAddrCmp)
+	prev := i > 0 && s.free[i-1].End() == e.Addr
+	next := i < len(s.free) && e.End() == s.free[i].Addr
+	switch {
+	case prev && next:
+		s.free[i-1].Size += e.Size + s.free[i].Size
+		s.free = s.free[:i+copy(s.free[i:], s.free[i+1:])]
+	case prev:
+		s.free[i-1].Size += e.Size
+	case next:
+		s.free[i] = Extent{e.Addr, e.Size + s.free[i].Size}
+	default:
+		n := len(s.free)
+		if n == cap(s.free) {
+			s.freeListFull(e)
+		}
+		s.free = s.free[:n+1]
+		copy(s.free[i+1:], s.free[i:n])
+		s.free[i] = e
 	}
-	// Coalesce with predecessor.
-	if i > 0 && s.free[i-1].End() == s.free[i].Addr {
-		s.free[i-1].Size += s.free[i].Size
-		s.free = append(s.free[:i], s.free[i+1:]...)
-	}
+}
+
+// extentAddrCmp orders an extent against an address by its start.
+func extentAddrCmp(x Extent, a mem.Addr) int { return cmp.Compare(x.Addr, a) }
+
+// freeListFull panics for insertFree: the span's free list is at its
+// bound.
+func (s *span) freeListFull(e Extent) {
+	panic(fmt.Sprintf("txheap: free-extent list full: span [%#x,%#x) holds %d extents, inserting [%#x,%#x)",
+		s.base, s.limit, len(s.free), e.Addr, e.End()))
 }
 
 // rebuild reconstructs the span from its (sorted) reachable extents:
@@ -407,7 +461,11 @@ func New(layouts []mem.Layout, clk func(core int) Ticker, allocCycles uint64) []
 		panic("txheap: heap past 4 GiB") // log entries pack addresses into 32 bits
 	}
 	arenas := l0.ArenaSize != 0
-	ix := newBlockIndex(l0.HeapBase, l0.HeapSize)
+	spans := 1
+	if arenas {
+		spans = cores + 1
+	}
+	ix := newBlockIndex(l0.HeapBase, l0.HeapSize, spans)
 	var all []span
 	if arenas {
 		all = make([]span, 0, cores+1)

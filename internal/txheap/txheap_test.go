@@ -254,3 +254,54 @@ func TestHeapPast4GiBPanics(t *testing.T) {
 	}()
 	New([]mem.Layout{{HeapBase: 1<<32 - 64, HeapSize: 128}}, nil, 1)
 }
+
+// TestFreeListBoundWorstCaseFragmentation fragments a span as far as it
+// goes: 8-byte blocks fill a 4,104-byte heap and every other one is
+// freed, leaving 257 free extents, freeCap's bound for that size, each
+// separated from the next by one live block. The free list keeps the
+// capacity the span was built with, the span checks out, freeing a live
+// block between two extents (which joins them) still works at the
+// bound, and an extent past the bound panics.
+func TestFreeListBoundWorstCaseFragmentation(t *testing.T) {
+	const size = 4104
+	h := New([]mem.Layout{{HeapBase: mem.LineSize, HeapSize: size}}, nil, 1)[0]
+	s := h.global
+	bound := cap(s.free)
+	if bound != freeCap(size) || bound != 257 {
+		t.Fatalf("free list capacity %d, want freeCap(%d) = 257", bound, size)
+	}
+	var blocks []mem.Addr
+	for i := 0; i < size/8; i++ {
+		blocks = append(blocks, h.Alloc(8))
+	}
+	for i := 0; i < len(blocks); i += 2 {
+		h.Free(blocks[i])
+		if cap(s.free) != bound {
+			t.Fatalf("free %d: free list capacity %d, want %d", i/2, cap(s.free), bound)
+		}
+	}
+	if len(s.free) != bound {
+		t.Fatalf("%d free extents, want the bound %d", len(s.free), bound)
+	}
+	if err := h.Check(); err != nil {
+		t.Fatal(err)
+	}
+	// At the bound, a free that joins two extents still works.
+	h.Free(blocks[1])
+	if len(s.free) != bound-1 || cap(s.free) != bound {
+		t.Fatalf("after a coalescing free: %d extents of capacity %d, want %d of %d", len(s.free), cap(s.free), bound-1, bound)
+	}
+	if err := h.Check(); err != nil {
+		t.Fatal(err)
+	}
+	// Back at the bound (an extent past the span; nothing checks it
+	// here), one more separate extent panics.
+	s.insertFree(Extent{s.limit + 8, 8})
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "free-extent list full") {
+			t.Fatalf("insert past the bound: recovered %v, want a free-extent list full panic", r)
+		}
+	}()
+	s.insertFree(Extent{s.limit + 32, 8})
+}
