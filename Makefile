@@ -20,7 +20,8 @@ test:
 # streaming binlog (double-buffered writer goroutine), plus the
 # targeted subsets that exercise the parallel experiment runner and
 # crash sweep (each worker recovers on its own platform's durable
-# image), and the process-wide free lists those workers share: the
+# image; serial and parallel sweeps agree, failing campaigns included),
+# and the process-wide free lists those workers share: the
 # freelist package itself, the PM devices' grown WPQ backlogs (under
 # ./internal/pmem/), the engine's grown write sets, epoch line sets and
 # lazy lists, the heap handles' grown extent logs and the workloads'
@@ -29,7 +30,7 @@ race:
 	$(GO) test -race . ./internal/bench/ ./internal/cache/ ./internal/machine/ ./internal/pmem/ ./internal/trace/... \
 		./internal/freelist/
 	$(GO) test -race ./internal/experiments/ \
-		./internal/recovery/ -run 'Parallel|ForEach|Grid|RunAll|Smoke'
+		./internal/recovery/... -run 'Parallel|ForEach|Grid|RunAll|Smoke'
 	$(GO) test -race ./internal/engine/ ./internal/txheap/ -run 'Reuse'
 	$(GO) test -race ./internal/workloads/ -run 'FreeList|KeySet'
 

@@ -1,12 +1,11 @@
 // Package freelist keeps emptied host buffers for reuse across the
 // platforms of one process: the PM devices' WPQ backlogs, the engine's
 // write sets, epoch line sets and lazy-line lists, the heap handles'
-// extent logs, and the workloads' scratch (key sets, reach extents, the
-// hashtable's rehash stash). A crash campaign builds or resets a
-// platform for every point, and a parallel sweep runs one per worker,
-// so a buffer kept per platform is rebuilt once per point; a
-// package-level List serves them all. It imports only sync, so any
-// simulator package can hold one.
+// extent logs, and the workloads' scratch (key sets, reach extents). A
+// crash campaign builds or resets a platform for every point, and a
+// parallel sweep runs one per worker, so a buffer kept per platform is
+// rebuilt once per point; a package-level List serves them all. It
+// imports only sync, so any simulator package can hold one.
 package freelist
 
 import "sync"

@@ -24,7 +24,7 @@ type campaignShape struct {
 
 func campaignShapes() []campaignShape {
 	shapes := []campaignShape{
-		{"hashtable-w1", recovery.CampaignConfig{Workload: "hashtable", Mixed: true}, 6.2, 6.7, 1680},
+		{"hashtable-w1", recovery.CampaignConfig{Workload: "hashtable", Mixed: true}, 5.1, 5.2, 1680},
 		{"kv-btree-w16", recovery.CampaignConfig{Workload: "kv-btree", CommitWindow: 16}, 5.9, 6.5, 2450},
 	}
 	for i := range shapes {
@@ -55,20 +55,16 @@ func campaignCost(tb testing.TB, cfg recovery.CampaignConfig, n int) (points int
 // once and bounds its host allocations per crash point, the campaign's
 // reference and set-up runs included. A point's verification allocates
 // only its workload instance (TestVerifyPointAllocs); what is left is
-// its run's workload instance and the run's own growth. The ceilings
-// leave about 10% over the measured 5.1–5.6 and 5.2–5.3 (5.7–6.3 and
-// 5.9–6.0 before recovery repaired the crashed platform's durable
-// image in place and the completed-op list and oracle map were sized
-// once; 8.7–8.8 and 7.8 before the extents and the rehash stash came
-// from free lists and the crash signal stopped allocating; 14.6 and 9.7
-// before the hashtable reused its rehash buffers and the verifier
-// stopped building the errors of skipped candidates): the first
+// its run's workload instance and the run's own growth. The hashtable
+// ceilings are about 10% over its measured 4.0–4.6 (4.7 in a -race
+// build), set when its rehash stopped stashing the moved nodes (6.2
+// and 6.7 before). The kv-btree ceilings were set about 10% over its
+// 5.2–5.3 (5.8–5.9) and it now measures 4.7–4.8 (4.9). The first
 // campaign in a process also pays one-time costs, such as the memoized
-// key stream and the first buffers of the free lists, and the runtime's
-// own allocations land in the count. Race instrumentation doubles some
-// allocation sites (every slices.Grow among them), so a -race build is
-// held to about 10% over its own measured 5.5–6.1 and 5.8–5.9 (6.3 and
-// 6.5 before the in-place recovery; 10.8 and 8.4 before that).
+// key stream and the first buffers of the free lists, and the
+// runtime's own allocations land in the count. Race instrumentation
+// doubles some allocation sites (every slices.Grow among them), so a
+// -race build has ceilings of its own.
 func TestCampaignAllocsPerPoint(t *testing.T) {
 	for _, s := range campaignShapes() {
 		points, allocs, _ := campaignCost(t, s.cfg, 1)

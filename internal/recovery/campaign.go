@@ -37,23 +37,25 @@ type CampaignConfig struct {
 	// insert-only ycsb-load.
 	Mixed bool
 	// CommitWindow is the group-commit window W forwarded to the
-	// engine (0 or 1 = the per-transaction protocol). With W > 1 the
-	// verifier switches from the single pending-operation bracket to
-	// prefix matching: a crash may revert every transaction since the
-	// last epoch close, so the recovered image must equal the oracle
-	// after SOME completed-operation prefix — and within at most
-	// cores*W operations of the crash point. A torn epoch (some of a
-	// window's transactions applied, others not) matches no prefix and
-	// fails, which is exactly the all-or-nothing property under test.
+	// engine (0 or 1 = the per-transaction protocol). The verifier
+	// accepts an image that equals the oracle after one of a window of
+	// completed-operation prefixes: at W=1 the completed operations
+	// with the in-flight one reverted or committed; with W > 1, where a
+	// crash may revert every transaction since the last epoch close,
+	// any of the cores*W+1 prefixes nearest the crash. A torn epoch
+	// (some of a window's transactions applied, others not) matches no
+	// prefix and fails, which is exactly the all-or-nothing property
+	// under test.
 	CommitWindow int
 	// Stride samples every Stride-th persist event (1 = every event).
 	Stride uint64
 	// MaxPoints caps the number of crash points tested (0 = no cap).
 	MaxPoints int
-	// Parallel is the worker count for the crash points (each point is
-	// an independent deterministic run). 0 uses the bench harness
-	// default (GOMAXPROCS); 1 forces the serial sweep. Results are
-	// identical at any setting.
+	// Parallel is the worker count bench.ForEachWorkers runs the crash
+	// points on (0 = its default, GOMAXPROCS; 1 = each point in turn on
+	// the calling goroutine). Each point is an independent
+	// deterministic run, so results and errors are identical at any
+	// setting.
 	Parallel int
 }
 
@@ -113,12 +115,12 @@ type runInfo struct {
 	crashed bool
 }
 
-// pendingKey is the in-flight operation's key, or 0 if none.
-func (info *runInfo) pendingKey(ops []ycsb.MixOp) uint64 {
+// pendingText names the in-flight operation's key for an error.
+func (info *runInfo) pendingText(ops []ycsb.MixOp) string {
 	if info.pending < 0 {
-		return 0
+		return "no op pending"
 	}
-	return ops[info.pending].Key
+	return fmt.Sprintf("pending key %d", ops[info.pending].Key)
 }
 
 // runOp applies ops[i] with runInfo's bookkeeping around it.
@@ -138,8 +140,8 @@ func (info *runInfo) runOp(w workloads.Workload, sys *slpmt.System, ops []ycsb.M
 // persist. The op stream is sharded round-robin across the cores and
 // run under the cluster interleaver (see bench.Shard). The interleaver
 // schedules at transaction granularity — at most one operation is ever
-// in flight — so the oracle bracket (before/after around the pending
-// op) is sound at any core count.
+// in flight — so the W=1 window (before/after the pending op) is sound
+// at any core count.
 //
 // The run uses v's platform: the cluster is built on v's first run and
 // Reset for every later one, and info's image is the platform's crash
@@ -207,11 +209,11 @@ func (v *verifier) platform(cfg CampaignConfig, w workloads.Workload) *slpmt.Clu
 	return v.cl
 }
 
-// verifyPoint recovers a crash image and verifies it against the
-// pre-operation committed state, accepting the in-flight transaction as
-// either durably committed or cleanly reverted. The oracle is one map,
-// built by replaying the completed operations in their order: O(ops)
-// per point. The workload is instantiated afresh, so no volatile state
+// verifyPoint recovers a crash image and verifies it against a window
+// of committed prefixes (verifyPrefix): at W=1 the completed operations'
+// state, or that state with the in-flight transaction reverted or
+// committed; under group commit any of the cores*W+1 prefixes nearest
+// the crash. The workload is instantiated afresh, so no volatile state
 // survives from the run or an earlier point; everything else comes
 // from v.
 func (v *verifier) verifyPoint(cfg CampaignConfig, ops []ycsb.MixOp, info runInfo, res *CampaignResult) error {
@@ -234,43 +236,22 @@ func (v *verifier) verifyPoint(cfg CampaignConfig, ops []ycsb.MixOp, info runInf
 		}
 	}
 
-	if cfg.CommitWindow > 1 {
-		return v.verifyPrefix(rec, ops, info, cores*cfg.CommitWindow+1, res)
-	}
+	return v.verifyPrefix(rec, ops, info, window(cfg, &info), res)
+}
 
-	oracle := v.oracleMap(ops)
-	for _, i := range info.done {
-		ops[i].ApplyTo(oracle)
+// window is how many of the committed prefixes nearest the crash a
+// crash image of info may equal: at W=1 the completed operations'
+// state, and with an operation in flight that state with it applied;
+// under group commit, where a crash reverts every transaction since the
+// last epoch close, cores*W+1.
+func window(cfg CampaignConfig, info *runInfo) int {
+	switch {
+	case cfg.CommitWindow > 1:
+		return max(cfg.Cores, 1)*cfg.CommitWindow + 1
+	case info.pending >= 0:
+		return 2
 	}
-	// The "before" candidate is checked only at the image's RootCount
-	// (see verifyPrefix); its error is built only if "after" fails too.
-	var errBefore error
-	checked := uint64(len(oracle)) == workloads.ReadRoot(info.img, workloads.RootCount)
-	if checked {
-		if errBefore = rec.CheckDurable(info.img, oracle); errBefore == nil {
-			return nil
-		}
-	}
-	if info.pending < 0 {
-		if !checked {
-			errBefore = rec.CheckDurable(info.img, oracle)
-		}
-		return fmt.Errorf("durable state invalid (no op pending): %v", errBefore)
-	}
-	op := &ops[info.pending]
-	undo := undoOp(oracle, op.Key)
-	op.ApplyTo(oracle)
-	errAfter := rec.CheckDurable(info.img, oracle)
-	if errAfter == nil {
-		res.PendingAccepted++
-		return nil
-	}
-	if !checked {
-		undo.ApplyTo(oracle)
-		errBefore = rec.CheckDurable(info.img, oracle)
-	}
-	return fmt.Errorf("durable state invalid (pending key %d): before the op: %v; after it: %v",
-		op.Key, errBefore, errAfter)
+	return 1
 }
 
 // oracleMap returns v's oracle map, emptied. It is made on first use
@@ -301,72 +282,69 @@ func maxLive(ops []ycsb.MixOp) int {
 	return peak
 }
 
-// undoOp returns the op that restores key to its state in oracle: an
-// update back to its value, or a delete if it is absent.
-func undoOp(oracle map[uint64][]byte, key uint64) ycsb.MixOp {
-	if v, ok := oracle[key]; ok {
-		return ycsb.MixOp{Kind: ycsb.OpUpdate, Key: key, Value: v}
-	}
-	return ycsb.MixOp{Kind: ycsb.OpDelete, Key: key}
-}
-
-// verifyPrefix is verifyPoint under group commit: the recovered image
-// must equal the oracle after some completed prefix (all-or-nothing per
-// epoch — a torn window matches nothing), including the in-flight
-// operation's, and no further back than bound candidates from the
-// crash. Candidates are checked newest first: the replay records undo
-// entries for the operations it may have to revert, then reverts them
-// one at a time. A candidate is checked only when its size equals the
-// image's RootCount, because CheckDurable rejects any other size (see
-// workloads.Recoverable). The newest candidate's error is the one
-// reported; when every candidate fails and the newest was skipped, the
-// reverted operations are re-applied to build that error.
-func (v *verifier) verifyPrefix(rec workloads.Recoverable, ops []ycsb.MixOp, info runInfo, bound int, res *CampaignResult) error {
+// verifyPrefix checks the recovered image against the window newest
+// prefixes of the completed operations followed by the in-flight one:
+// it must equal the oracle after one of them (all-or-nothing per epoch
+// — a torn window matches nothing). The oracle is one map, built by
+// replaying the operations up to the oldest candidate, O(ops) per
+// point; the search then goes oldest first, applying one operation per
+// further candidate. A candidate is checked only when its size equals
+// the image's RootCount, because CheckDurable rejects any other size
+// (see workloads.Recoverable). The first match passes the image; a
+// failure reports the newest checked candidate's error, or, when no
+// candidate had the image's size, the newest candidate's. With an
+// operation in flight, PendingAccepted counts the images that equal the
+// newest candidate.
+func (v *verifier) verifyPrefix(rec workloads.Recoverable, ops []ycsb.MixOp, info runInfo, window int, res *CampaignResult) error {
 	seq := info.done
 	if info.pending >= 0 {
 		seq = append(seq, info.pending)
 	}
 	// len(seq)+1 prefixes exist, the empty (post-setup) one included.
-	reverts := min(bound, len(seq)+1) - 1
+	oldest := len(seq) + 1 - min(window, len(seq)+1)
 	oracle := v.oracleMap(ops)
-	split := len(seq) - reverts
-	for _, i := range seq[:split] {
-		ops[i].ApplyTo(oracle)
-	}
-	if cap(v.undo) < reverts {
-		v.undo = make([]ycsb.MixOp, reverts)
-	}
-	undo := v.undo[:reverts]
-	for u, i := range seq[split:] {
-		undo[u] = undoOp(oracle, ops[i].Key)
+	for _, i := range seq[:oldest] {
 		ops[i].ApplyTo(oracle)
 	}
 	count := workloads.ReadRoot(info.img, workloads.RootCount)
-	var firstErr error
-	for c := 0; ; c++ {
+	var err error
+	p := oldest
+	for ; ; p++ {
 		if uint64(len(oracle)) == count {
-			if err := rec.CheckDurable(info.img, oracle); err == nil {
-				if info.pending >= 0 && c == 0 {
-					res.PendingAccepted++
-				}
-				return nil
-			} else if c == 0 {
-				firstErr = err
+			if err = rec.CheckDurable(info.img, oracle); err == nil {
+				break
 			}
 		}
-		if c == reverts {
-			break
+		if p == len(seq) {
+			if err == nil {
+				err = rec.CheckDurable(info.img, oracle)
+			}
+			return fmt.Errorf("durable state matches no committed prefix in a window of %d (%s): %v",
+				window, info.pendingText(ops), err)
 		}
-		undo[reverts-1-c].ApplyTo(oracle)
+		ops[seq[p]].ApplyTo(oracle)
 	}
-	if firstErr == nil {
-		for _, i := range seq[split:] {
+	if info.pending < 0 {
+		return nil
+	}
+	// The in-flight transaction is durable if the image equals the
+	// newest candidate, which an older match does not rule out: a key
+	// inserted and deleted within the window leaves two equal prefixes.
+	// The newest can equal this one only if the in-flight operation,
+	// the window's last, leaves its key as this one holds it.
+	if p < len(seq) {
+		if ops[info.pending].Changes(oracle) {
+			return nil
+		}
+		for _, i := range seq[p:] {
 			ops[i].ApplyTo(oracle)
 		}
-		firstErr = rec.CheckDurable(info.img, oracle)
+		if uint64(len(oracle)) != count || rec.CheckDurable(info.img, oracle) != nil {
+			return nil
+		}
 	}
-	return fmt.Errorf("durable state matches no committed prefix within %d operations of the crash (pending key %d): %v",
-		bound, info.pendingKey(ops), firstErr)
+	res.PendingAccepted++
+	return nil
 }
 
 // setupPersists counts the persist events of Setup alone, so the
@@ -472,10 +450,13 @@ func (r *CampaignResult) accumulate(o *pointOutcome) {
 	r.LeakedBytes += o.sub.LeakedBytes
 }
 
-// RunCampaign executes the crash-injection campaign, fanning crash
-// points across cfg.Parallel workers. Outcomes are folded in ascending
-// point order with the serial sweep's early-exit rules, so the result
-// is bit-identical to a one-worker run.
+// RunCampaign executes the crash-injection campaign: every crash point
+// runs, on cfg.Parallel workers, and the outcomes are folded in
+// ascending point order up to the first failing point (whose error is
+// returned with the totals before it) or the first point beyond the
+// run, so the result is the same at any worker count. A run that
+// panics fails the campaign with a bench.PanicError in its error
+// instead of ending the process.
 func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	if cfg.Stride == 0 {
 		cfg.Stride = 1
@@ -514,34 +495,14 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		n = min(n, cfg.MaxPoints)
 	}
 
-	workers := cfg.Parallel
-	if workers <= 0 {
-		workers = bench.Parallelism()
-	}
-	if workers <= 1 {
-		// Serial sweep: stop executing at the first error or
-		// beyond-the-run point, exactly like the historical loop. One
-		// verifier, and so one platform, serves every point.
-		for i := 0; i < n; i++ {
-			out := testPoint(v, cfg, ops, setup+uint64(i+1)*cfg.Stride)
-			if out.err != nil {
-				return res, out.err
-			}
-			if !out.crashed {
-				break
-			}
-			res.accumulate(&out)
-		}
-		return res, nil
-	}
-
-	// Each worker takes a verifier from the free list for a job and puts
-	// it back after, so at most one verifier per worker is ever built.
-	// The list starts with v.
+	// Each job takes a verifier from the free list and puts it back
+	// after, so at most one verifier per worker is ever built, and a
+	// serial sweep runs every point on v. The list starts with v and
+	// has room for one verifier per job.
 	outs := make([]pointOutcome, n)
-	free := make(chan *verifier, workers)
+	free := make(chan *verifier, n+1)
 	free <- v
-	if err := bench.ForEachWorkers(n, workers, func(i int) error {
+	if err := bench.ForEachWorkers(n, cfg.Parallel, func(i int) error {
 		var v *verifier
 		select {
 		case v = <-free:

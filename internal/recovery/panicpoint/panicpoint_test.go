@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/persistmem/slpmt"
 	"github.com/persistmem/slpmt/internal/pmem"
 	"github.com/persistmem/slpmt/internal/recovery"
 	"github.com/persistmem/slpmt/internal/workloads"
@@ -44,9 +45,22 @@ func (f failing) CheckDurable(img *pmem.Image, oracle map[uint64][]byte) error {
 	return f.Table.CheckDurable(img, oracle)
 }
 
+// opPanicky is the hashtable whose inserts panic in a crash point's
+// run, standing in for a workload bug that only a crashed run reaches;
+// the campaign's reference run, which sets no crash point, passes.
+type opPanicky struct{ *hashtable.Table }
+
+func (p opPanicky) Insert(sys *slpmt.System, key uint64, value []byte) error {
+	if sys.Mach.Machine().CrashAfterTotal != 0 {
+		panic("insert ran off the table")
+	}
+	return p.Table.Insert(sys, key, value)
+}
+
 func init() {
 	workloads.Register("panicky-hashtable", func() workloads.Workload { return panicky{hashtable.New()} })
 	workloads.Register("failing-hashtable", func() workloads.Workload { return failing{hashtable.New()} })
+	workloads.Register("op-panicky-hashtable", func() workloads.Workload { return opPanicky{hashtable.New()} })
 }
 
 // TestCampaignReportsRecoveryPanic runs the same campaign serially and
@@ -78,6 +92,37 @@ func TestCampaignReportsRecoveryPanic(t *testing.T) {
 	t.Log(errs[0])
 }
 
+// TestCampaignParallelMatchesSerialOnFailure runs a campaign whose
+// durable check fails and one whose operations panic in every crash
+// point's run, serially and on four workers. Every sweep runs all of
+// its points and folds them in point order, so both must return the
+// same error and the same partial result; a panic must come back in
+// the error (as a bench.PanicError per point), not end the process.
+func TestCampaignParallelMatchesSerialOnFailure(t *testing.T) {
+	for _, w := range []string{"failing-hashtable", "op-panicky-hashtable"} {
+		cfg := recovery.CampaignConfig{Workload: w, Scheme: "SLPMT", N: 30, ValueSize: 32, Stride: 3, MaxPoints: 40}
+		var results []recovery.CampaignResult
+		var errs []string
+		for _, workers := range []int{1, 4} {
+			cfg.Parallel = workers
+			res, err := recovery.RunCampaign(cfg)
+			if err == nil || res == nil {
+				t.Fatalf("%s, parallel=%d: result %v, error %v; want a failure and the totals before it", w, workers, res, err)
+			}
+			if panics := strings.Contains(err.Error(), "job 0 panicked: insert ran off the table"); panics != (w == "op-panicky-hashtable") {
+				t.Errorf("%s, parallel=%d: error %v reports the first point's panic: %v", w, workers, err, panics)
+			}
+			results = append(results, *res)
+			errs = append(errs, err.Error())
+		}
+		if results[0] != results[1] || errs[0] != errs[1] {
+			t.Errorf("%s: serial and parallel campaigns disagree:\n  serial:   %+v %s\n  parallel: %+v %s",
+				w, results[0], errs[0], results[1], errs[1])
+		}
+		t.Logf("%s: %+v", w, results[0])
+	}
+}
+
 // TestRunPointReportsCampaignError runs the point a stride-1 campaign
 // fails at alone: RunPoint must return the campaign's error text, for
 // an invalid durable state and for a recovery panic alike.
@@ -104,20 +149,20 @@ func TestRunPointReportsCampaignError(t *testing.T) {
 }
 
 // TestCampaignErrorText pins the failure text of two campaigns whose
-// reported candidate has the wrong size for the image, so the verifier
-// skips it and builds its error only once every candidate has failed:
-// the W=1 "before the op" candidate (one key short of the durable
-// count) and the newest W=2 prefix (one key past it).
+// window holds a candidate of the wrong size for the image, which the
+// verifier skips: the W=1 "before the op" candidate (one key short of
+// the durable count) and the newest W=2 prefix (one key past it). Both
+// report the size-matching candidate's error.
 func TestCampaignErrorText(t *testing.T) {
 	for _, tc := range []struct {
 		window int
 		stride uint64
 		want   string
 	}{
-		{1, 1, "crash point 99: durable state invalid (pending key 7285346741127956506): " +
-			"before the op: hashtable durable: count 12, oracle 11; after it: refused at 12 keys"},
-		{2, 2, "crash point 65: durable state matches no committed prefix within 3 operations " +
-			"of the crash (pending key 2499333874296720844): refused at 13 keys"},
+		{1, 1, "crash point 99: durable state matches no committed prefix in a window of 2 " +
+			"(pending key 7285346741127956506): refused at 12 keys"},
+		{2, 2, "crash point 65: durable state matches no committed prefix in a window of 3 " +
+			"(pending key 2499333874296720844): refused at 12 keys"},
 	} {
 		cfg := recovery.CampaignConfig{Workload: "failing-hashtable", Scheme: "SLPMT", N: 40, ValueSize: 32,
 			Stride: tc.stride, Parallel: 1, CommitWindow: tc.window}

@@ -31,7 +31,6 @@ import (
 	"github.com/persistmem/slpmt/internal/pmem"
 	"github.com/persistmem/slpmt/internal/txheap"
 	"github.com/persistmem/slpmt/internal/workloads"
-	"github.com/persistmem/slpmt/internal/ycsb"
 )
 
 // Report summarizes one recovery run.
@@ -63,13 +62,13 @@ func ApplyLog(img *pmem.Image) (*Report, error) {
 // many crash points allocates it once: the cluster the runs execute on
 // and its crash view, the completed-op list, the layouts and heap
 // handles of the machine, phase 1's raw-log, record and unit buffers,
-// and the oracle map and undo slice the campaign checks a recovered
-// image against. Every recovery entry point runs
-// through it; a one-shot caller uses a fresh one. A verifier serves
-// one campaign configuration (its platform is built for it), and so
-// the images of one machine shape (image size, cores, sockets). Not
-// safe for concurrent use: a serial sweep owns one, and a parallel
-// sweep gives each worker its own.
+// and the oracle map the campaign checks a recovered image against.
+// Every recovery entry point runs through it; a one-shot caller uses a
+// fresh one. A verifier serves one campaign configuration (its platform
+// is built for it), and so the images of one machine shape (image
+// size, cores, sockets). Not safe for concurrent use: a sweep hands one
+// to each job from its free list, so a serial sweep runs every point
+// on one and a parallel one builds at most one per worker.
 type verifier struct {
 	cl   *slpmt.Cluster // nil until the first run; see execute
 	img  *pmem.Image    // cl's crash view; see platform
@@ -87,7 +86,6 @@ type verifier struct {
 	rep   Report
 
 	oracle map[uint64][]byte // see oracleMap
-	undo   []ycsb.MixOp      // see verifyPrefix
 }
 
 // logUnit is one parsed application unit: a whole per-transaction log

@@ -390,6 +390,12 @@ func (s *span) rebuild(sorted []Extent, rep *RebuildReport) error {
 			rep.ReclaimedGaps++
 			rep.ReclaimedBytes += gap
 		}
+		if e.Size > uint64(s.limit-e.Addr) {
+			// A garbage size: the bump pointer must stay in the
+			// span, where the block index can clear it.
+			s.bump = max(s.bump, cursor)
+			return fmt.Errorf("txheap: reachable extent %#x+%d crosses its span's end %#x", e.Addr, e.Size, s.limit)
+		}
 		end := mem.AlignUp(e.End(), mem.WordSize)
 		s.ix.setLive(e.Addr)
 		s.liveBytes += uint64(end - e.Addr)

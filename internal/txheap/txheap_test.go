@@ -132,7 +132,8 @@ func TestRebuild(t *testing.T) {
 
 // TestRebuildCorruptScanErrors: a reachability scan the allocator cannot
 // rebuild from is reported as an error, not a panic, so a corrupt crash
-// image fails its point instead of the process.
+// image fails its point instead of the process, and a Reset after it
+// still returns the handles to a fresh heap.
 func TestRebuildCorruptScanErrors(t *testing.T) {
 	h := newHeap()
 	a := h.Alloc(64)
@@ -141,6 +142,15 @@ func TestRebuildCorruptScanErrors(t *testing.T) {
 	}
 	if _, err := Rebuild([]*Heap{h}, []Extent{{0, 64}}); err == nil || !strings.Contains(err.Error(), "outside every span") {
 		t.Errorf("extent outside the heap: err = %v", err)
+	}
+	for _, size := range []uint64{1 << 62, ^uint64(0)} {
+		if _, err := Rebuild([]*Heap{h}, []Extent{{a, 64}, {a + 64, size}}); err == nil || !strings.Contains(err.Error(), "crosses its span's end") {
+			t.Errorf("extent of %d B: err = %v", size, err)
+		}
+		Reset([]*Heap{h})
+		if rep, err := Rebuild([]*Heap{h}, []Extent{{a, 64}}); err != nil || rep.ReachableBlocks != 1 {
+			t.Errorf("rebuild after a reset: %+v, %v", rep, err)
+		}
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"github.com/persistmem/slpmt"
-	"github.com/persistmem/slpmt/internal/freelist"
 	"github.com/persistmem/slpmt/internal/mem"
 	"github.com/persistmem/slpmt/internal/pmem"
 	"github.com/persistmem/slpmt/internal/txheap"
@@ -50,14 +49,12 @@ func init() {
 
 // Table is the chained hash table workload.
 type Table struct {
-	// stash holds the pre-rehash nodes and array awaiting release; they
-	// are freed (and RootMoveSrc cleared) at the start of the next
-	// transaction. stashNodes comes from stashes and goes back there
-	// on release.
-	stashNodes []slpmt.Addr
-	stashArr   slpmt.Addr
-	stashArrSz uint64
-	rd         workloads.Scratch
+	// stashArr is the pre-rehash bucket array of stashN buckets, whose
+	// chains and array are freed (and RootMoveSrc cleared) at the start
+	// of the next transaction.
+	stashArr slpmt.Addr
+	stashN   uint64
+	rd       workloads.Scratch
 }
 
 // New returns a fresh hashtable workload.
@@ -96,7 +93,7 @@ func (t *Table) Setup(sys *slpmt.System) error {
 // the pair and, at the load threshold, rehashing into a doubled table.
 func (t *Table) Insert(sys *slpmt.System, key uint64, value []byte) error {
 	return sys.Update(func(tx *slpmt.Tx) error {
-		t.releaseStash(tx)
+		t.releaseStash(sys, tx)
 
 		arr := slpmt.Addr(tx.Root(workloads.RootMain))
 		nb := tx.Root(workloads.RootMeta)
@@ -116,7 +113,7 @@ func (t *Table) Insert(sys *slpmt.System, key uint64, value []byte) error {
 		tx.SetRoot(workloads.RootCount, count)
 
 		if count > maxLoad*nb {
-			t.rehash(tx, arr, nb, count)
+			t.rehash(tx, arr, nb)
 		}
 		return nil
 	})
@@ -125,30 +122,27 @@ func (t *Table) Insert(sys *slpmt.System, key uint64, value []byte) error {
 // releaseStash frees the previous rehash's source nodes and clears the
 // recovery pointer. The logged store to RootMoveSrc hits the resize
 // transaction's working-set signature, forcing the lazy copies to PM
-// before the sources become reusable.
-func (t *Table) releaseStash(tx *slpmt.Tx) {
+// before the sources become reusable. The sources are found by walking
+// the old array's chains in the volatile image, uncharged: nothing
+// writes them after the move, and each next is read before its node is
+// freed, so they are freed in the order the rehash moved them.
+func (t *Table) releaseStash(sys *slpmt.System, tx *slpmt.Tx) {
 	if t.stashArr == 0 {
 		return
 	}
 	tx.SetRoot(workloads.RootMoveSrc, 0)
 	tx.SetRoot(workloads.RootAux, 0)
-	for _, n := range t.stashNodes {
-		tx.Free(n)
+	for b := uint64(0); b < t.stashN; b++ {
+		for n := slpmt.Addr(sys.Mach.ReadU64(t.stashArr + slpmt.Addr(8*b))); n != 0; {
+			next := slpmt.Addr(sys.Mach.ReadU64(n + offNext))
+			tx.Free(n)
+			n = next
+		}
 	}
 	tx.Free(t.stashArr)
-	freelist.PutSlice(&stashes, t.stashNodes)
-	t.stashNodes = nil
 	t.stashArr = 0
-	t.stashArrSz = 0
+	t.stashN = 0
 }
-
-// stashes holds the emptied stashes of moved nodes. A table releases
-// its stash on the transaction after a rehash, and a crash campaign
-// runs every point on a fresh table, so a stash kept per table would
-// be regrown on every point. It keeps a stash of up to 4,096 nodes (32
-// KiB): every rehash of a table of up to 4,096 records, such as the
-// last one of a 4,000-insert run, which moves 3,073.
-var stashes = freelist.List[[]slpmt.Addr]{Keep: 4096}
 
 // zeroSrc is the clearing source of new bucket arrays up to 128 Ki
 // buckets. Nothing writes it, so tables on concurrent goroutines
@@ -165,13 +159,11 @@ func zeros(n int) []byte {
 
 // rehash doubles the table by copying every node into new chains
 // (Pattern 2 lazy moves), keeping the old array and nodes intact for
-// crash recovery. count is the table's record count, the nodes it
-// moves.
-func (t *Table) rehash(tx *slpmt.Tx, oldArr slpmt.Addr, oldN, count uint64) {
+// crash recovery.
+func (t *Table) rehash(tx *slpmt.Tx, oldArr slpmt.Addr, oldN uint64) {
 	newN := oldN * 2
 	newArr := tx.Alloc(newN * 8)
 	tx.StoreT(newArr, zeros(int(newN*8)), slpmt.LazyLogFree)
-	t.stashNodes = freelist.GetSlice(&stashes, int(count))
 
 	for b := uint64(0); b < oldN; b++ {
 		n := slpmt.Addr(tx.LoadU64(oldArr + slpmt.Addr(8*b)))
@@ -190,12 +182,11 @@ func (t *Table) rehash(tx *slpmt.Tx, oldArr slpmt.Addr, oldN, count uint64) {
 			tx.CopyU64(cp+offNext, headAddr, slpmt.LazyLogFree)
 			tx.StoreTU64(headAddr, uint64(cp), slpmt.LazyLogFree)
 
-			t.stashNodes = append(t.stashNodes, n)
 			n = next
 		}
 	}
 	t.stashArr = oldArr
-	t.stashArrSz = oldN * 8
+	t.stashN = oldN
 
 	// Publish the new table and the recovery pointer (logged).
 	tx.SetRoot(workloads.RootMain, uint64(newArr))

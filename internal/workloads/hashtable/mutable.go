@@ -12,7 +12,7 @@ import (
 // in a fresh replacement node (log-free fields, one logged link).
 func (t *Table) UpdateValue(sys *slpmt.System, key uint64, value []byte) error {
 	return sys.Update(func(tx *slpmt.Tx) error {
-		t.releaseStash(tx)
+		t.releaseStash(sys, tx)
 		prevAddr, n, err := t.find(tx, key)
 		if err != nil {
 			return err
@@ -38,7 +38,7 @@ func (t *Table) UpdateValue(sys *slpmt.System, key uint64, value []byte) error {
 // memory quarantined until commit.
 func (t *Table) Delete(sys *slpmt.System, key uint64) error {
 	return sys.Update(func(tx *slpmt.Tx) error {
-		t.releaseStash(tx)
+		t.releaseStash(sys, tx)
 		prevAddr, n, err := t.find(tx, key)
 		if err != nil {
 			return err

@@ -6,6 +6,8 @@ package ycsb
 // the honest flip side: fewer persistent writes means less for SLPMT to
 // save.
 
+import "bytes"
+
 // OpKind enumerates operations.
 type OpKind uint8
 
@@ -43,6 +45,18 @@ func (op *MixOp) ApplyTo(oracle map[uint64][]byte) {
 	case OpDelete:
 		delete(oracle, op.Key)
 	}
+}
+
+// Changes reports whether ApplyTo(oracle) would change oracle.
+func (op *MixOp) Changes(oracle map[uint64][]byte) bool {
+	v, ok := oracle[op.Key]
+	switch op.Kind {
+	case OpInsert, OpUpdate:
+		return !ok || !bytes.Equal(v, op.Value)
+	case OpDelete:
+		return ok
+	}
+	return false
 }
 
 // Mix describes a read/update/insert/scan operation blend over a
