@@ -105,11 +105,12 @@ baseline:
 	@mkdir -p baselines
 	mv BENCH_*.json baselines/
 
-# Perf-regression gate: rerun every experiment in one process and diff
-# every metric (cycles, traffic, percentiles, cycles_by_cause) against
-# the committed baselines with per-metric tolerances. Fresh
-# BENCH_*.json files land in the working directory; nonzero exit if any
-# experiment drifted, after reporting them all.
+# Perf-regression gate: rerun every experiment in one process and check
+# every value of every result against the committed baselines, exactly
+# (the simulator is deterministic). Fresh BENCH_*.json files land in the
+# working directory; nonzero exit if any value differs, after reporting
+# every experiment. Accept an intended change with `make baseline` and a
+# CHANGES.md line per moved cell.
 compare:
 	$(GO) run ./cmd/slpmtbench -experiment all -compare baselines/
 

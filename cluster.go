@@ -58,7 +58,7 @@ func NewCluster(cores int, opts Options) *Cluster {
 	cl := &Cluster{Plat: plat, Sys: make([]*System, cores)}
 	// One heap handle per core over the shared heap; on a multi-socket
 	// machine each handle allocates from its home-socket arena first.
-	cl.heaps = txheap.New(plat.Layouts(), func(i int) txheap.Ticker { return plat.Core(i) }, opts.AllocCycles)
+	cl.heaps = txheap.New(plat.Layouts(), func(i int) txheap.Ticker { return plat.Core(i) })
 	systems := make([]System, cores)
 	for i := range systems {
 		c := plat.Core(i)

@@ -6,6 +6,7 @@ import (
 
 	"github.com/persistmem/slpmt"
 	"github.com/persistmem/slpmt/internal/profile"
+	"github.com/persistmem/slpmt/internal/txheap"
 )
 
 // runShardedInserts drives n insert transactions sharded round-robin
@@ -134,9 +135,9 @@ func TestClusterSingleCoreMatchesSystem(t *testing.T) {
 // through its own heap handle, which charges its own clock as compute
 // whether or not Use selected the core, and all handles share one span.
 func TestClusterHeapHandlesPerCore(t *testing.T) {
-	const allocCycles = 1 << 20 // dwarfs every other cost of the transaction
+	const allocCycles = txheap.AllocCycles
 	prof := profile.New(2)
-	cl := slpmt.NewCluster(2, slpmt.Options{Scheme: "SLPMT", AllocCycles: allocCycles, Profile: prof})
+	cl := slpmt.NewCluster(2, slpmt.Options{Scheme: "SLPMT", Profile: prof})
 	clk0, clk1 := cl.Sys[0].Mach.Clk, cl.Sys[1].Mach.Clk
 	var a slpmt.Addr
 	if err := cl.Sys[1].Update(func(tx *slpmt.Tx) error {

@@ -10,10 +10,13 @@
 // simulated core count (sharded key streams, deterministic
 // interleaving) and -parallel the worker count (0 = GOMAXPROCS;
 // results are identical at any setting). -json writes a BENCH_<name>.json
-// per experiment, with the cycles_by_cause breakdown; -compare diffs
-// it against the committed baseline in a directory and exits nonzero
-// on drift (the CI perf-regression gate); -cpuprofile and -memprofile
-// capture pprof profiles of the sweep.
+// per experiment, with the cycles_by_cause breakdown; -compare checks
+// every value of every result in it against the committed baseline in
+// a directory and exits nonzero on any difference (the CI
+// perf-regression gate; a change of the model is accepted by running
+// make baseline and naming the cause of each moved value in
+// CHANGES.md); -cpuprofile and -memprofile capture pprof profiles of
+// the sweep.
 //
 // Setting -workload or -scheme (a comma list or "all"), or a section
 // flag, selects one run of each scheme instead. Each prints its
@@ -103,7 +106,7 @@ func run(args []string, out io.Writer) error {
 		critPath = fs.Bool("critpath", false, "single run or replay: print its causal critical path (blame/slack/hot-line report)")
 		hotlines = fs.Int("hotlines", 10, fmt.Sprintf("hot lines to list in the -critpath report (1..%d)", critpath.MaxHotLines))
 		flamePth = fs.String("flame", "", "single run: print its cycle attribution and write folded stacks to this path")
-		compare  = fs.String("compare", "", "diff each experiment's BENCH json against <dir>/BENCH_<experiment>.json and exit nonzero on regressions (implies -json)")
+		compare  = fs.String("compare", "", "check every result value of each experiment's BENCH json against <dir>/BENCH_<experiment>.json and exit nonzero on any difference (implies -json)")
 		workload = fs.String("workload", "hashtable", "workload of the single run")
 		scheme   = fs.String("scheme", "SLPMT", "schemes of the single run: a comma list or \"all\"")
 		writeLat = fs.Uint64("writelat", 0, "single run: PM write latency override in ns (0 = the platform's)")
@@ -220,7 +223,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if regressed > 0 {
-		return fmt.Errorf("%d experiment(s) drifted past tolerance of the baselines in %s", regressed, *compare)
+		return fmt.Errorf("%d experiment(s) differ from the baselines in %s", regressed, *compare)
 	}
 
 	if *memProf != "" {
@@ -271,8 +274,8 @@ func runOne(out io.Writer, name string, base bench.RunConfig, jsonOut bool) erro
 	return nil
 }
 
-// compareOne diffs the experiment's just-written BENCH json against the
-// committed baseline in dir, printing the delta table.
+// compareOne checks the experiment's just-written BENCH json against
+// the committed baseline in dir, printing every difference.
 func compareOne(out io.Writer, dir, name string) (bool, error) {
 	basePath := filepath.Join(dir, report.Filename(name))
 	baseline, err := report.Load(basePath)

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/persistmem/slpmt/internal/bench"
+	"github.com/persistmem/slpmt/internal/report"
 	_ "github.com/persistmem/slpmt/internal/workloads/all"
 )
 
@@ -235,5 +237,39 @@ func TestOutOfRangeFlags(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: error %v, want %q", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestCompareOneFailsOnMovedStep runs the gate on the committed
+// critpath baseline as the candidate: it passes against the committed
+// directory and fails, naming the path, against a copy whose first
+// critical-path step ends one cycle later.
+func TestCompareOneFailsOnMovedStep(t *testing.T) {
+	committed, err := filepath.Abs(filepath.Join("..", "..", "baselines"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := report.Load(filepath.Join(committed, report.Filename("critpath")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := t.TempDir()
+	t.Chdir(t.TempDir())
+	if err := rep.Write(report.Filename("critpath")); err != nil {
+		t.Fatal(err)
+	}
+	rep.Results[0].CritPathSteps[0].End++
+	if err := rep.Write(filepath.Join(moved, report.Filename("critpath"))); err != nil {
+		t.Fatal(err)
+	}
+
+	var out strings.Builder
+	if ok, err := compareOne(&out, committed, "critpath"); !ok || err != nil {
+		t.Fatalf("committed baseline against itself: ok=%v err=%v\n%s", ok, err, out.String())
+	}
+	out.Reset()
+	ok, err := compareOne(&out, moved, "critpath")
+	if ok || err != nil || !strings.Contains(out.String(), " critpath_steps[0].end_cycle: ") {
+		t.Errorf("moved step: ok=%v err=%v, want a failure naming critpath_steps[0].end_cycle:\n%s", ok, err, out.String())
 	}
 }

@@ -1,10 +1,10 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -53,10 +53,12 @@ func (e *PanicError) Error() string {
 }
 
 // ForEach runs fn(i) for every i in [0, n) on Parallelism() workers,
-// returning after all jobs finish. Panics are recovered and aggregated
-// (in job order) into the returned error, as are errors returned by fn.
-// With one worker the jobs run sequentially in index order on the
-// calling goroutine — the serial loops the figures used to hand-roll.
+// returning after all jobs finish. Panics are recovered as *PanicError
+// values and joined (errors.Join, in job order) into the returned
+// error with the errors fn returns, so errors.As finds a panic however
+// many jobs failed. With one worker the jobs run sequentially in index
+// order on the calling goroutine — the serial loops the figures used to
+// hand-roll.
 func ForEach(n int, fn func(i int) error) error {
 	return ForEachWorkers(n, Parallelism(), fn)
 }
@@ -80,7 +82,7 @@ func ForEachWorkers(n, workers int, fn func(i int) error) error {
 				errs = append(errs, err)
 			}
 		}
-		return joinErrors(errs)
+		return errors.Join(errs...)
 	}
 	jobs := make(chan int)
 	jobErrs := make([]error, n)
@@ -100,13 +102,7 @@ func ForEachWorkers(n, workers int, fn func(i int) error) error {
 	}
 	close(jobs)
 	wg.Wait()
-	var errs []error
-	for _, err := range jobErrs {
-		if err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return joinErrors(errs)
+	return errors.Join(jobErrs...)
 }
 
 // protect invokes fn(i), converting a panic into a *PanicError.
@@ -117,22 +113,6 @@ func protect(i int, fn func(i int) error) (err error) {
 		}
 	}()
 	return fn(i)
-}
-
-// joinErrors flattens an error list (nil for empty, the error itself
-// for one) into a single error preserving every message.
-func joinErrors(errs []error) error {
-	switch len(errs) {
-	case 0:
-		return nil
-	case 1:
-		return errs[0]
-	}
-	msgs := make([]string, len(errs))
-	for i, e := range errs {
-		msgs[i] = e.Error()
-	}
-	return fmt.Errorf("%d jobs failed:\n%s", len(errs), strings.Join(msgs, "\n"))
 }
 
 // RunAll executes every config on the worker pool, returning results in

@@ -72,6 +72,31 @@ func TestForEachConvertsPanicsToErrors(t *testing.T) {
 	}
 }
 
+// TestForEachFindsPanicAmongFailures: with several jobs failing, the
+// joined error still yields the first panic to errors.As.
+func TestForEachFindsPanicAmongFailures(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		withParallelism(t, workers, func() {
+			err := ForEach(6, func(i int) error {
+				switch i {
+				case 1:
+					return fmt.Errorf("job-1-failed")
+				case 2, 4:
+					panic(fmt.Sprintf("cell %d exploded", i))
+				}
+				return nil
+			})
+			var pe *PanicError
+			if !errors.As(err, &pe) || pe.Index != 2 || pe.Value != "cell 2 exploded" {
+				t.Fatalf("workers=%d: err = %v, want job 2's *PanicError", workers, err)
+			}
+			if want := "job-1-failed\njob 2 panicked: cell 2 exploded\njob 4 panicked: cell 4 exploded"; err.Error() != want {
+				t.Errorf("workers=%d: err = %q, want %q", workers, err, want)
+			}
+		})
+	}
+}
+
 func TestForEachAggregatesErrorsInJobOrder(t *testing.T) {
 	withParallelism(t, 4, func() {
 		err := ForEach(6, func(i int) error {

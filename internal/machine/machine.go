@@ -60,10 +60,6 @@ type Config struct {
 	// (0 = pmem defaults). Ignored when Sockets < 2.
 	RemoteEnqueueCycles uint64
 	RemoteReadCycles    uint64
-	// CoherenceCycles is the snoop penalty a bus request pays when the
-	// line is found in another core's private caches (0 = 40, the LLC
-	// latency — a directory-in-LLC lookup plus the remote probe).
-	CoherenceCycles uint64
 	// Trace, when non-nil, receives cycle-stamped events from every
 	// layer of the machine (caches, coherence, WPQ) and from the engines
 	// running on its cores. Tracing is observation-only: it never
@@ -77,6 +73,11 @@ type Config struct {
 	// bit-identical cycles, counters, and non-KCharge trace events.
 	Profile *profile.Profile
 }
+
+// coherenceCycles is the snoop penalty a bus request pays when the line
+// is found in another core's private caches: the LLC latency, a
+// directory-in-LLC lookup plus the remote probe.
+const coherenceCycles = 40
 
 // DefaultConfig returns the paper's evaluation platform (Table III): a
 // 2 GHz core with 32 KiB/8-way L1 (4 cycles), 256 KiB/4-way L2 (12
@@ -107,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.L3.SizeBytes == 0 {
 		c.L3 = d.L3
-	}
-	if c.CoherenceCycles == 0 {
-		c.CoherenceCycles = 40
 	}
 	if c.PM.Size == 0 && c.Cores > 1 {
 		// Extra cores bring their own log region; keep the shared heap
@@ -327,7 +325,7 @@ func (m *Machine) snoopFetch(c *Core, la mem.Addr, write bool) (found, shared bo
 		}
 	}
 	if found {
-		c.charge(profile.CauseCoherence, m.cfg.CoherenceCycles)
+		c.charge(profile.CauseCoherence, coherenceCycles)
 		c.Stats.CoherenceSnoops++
 		var w uint64
 		if write {
@@ -367,7 +365,7 @@ func (m *Machine) snoopUpgrade(c *Core, la mem.Addr) {
 		}
 	}
 	if found {
-		c.charge(profile.CauseCoherence, m.cfg.CoherenceCycles)
+		c.charge(profile.CauseCoherence, coherenceCycles)
 		c.Stats.CoherenceSnoops++
 		c.Trace(trace.KCohSnoop, la, 1)
 	}

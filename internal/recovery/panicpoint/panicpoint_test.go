@@ -7,11 +7,13 @@
 package panicpoint_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/persistmem/slpmt"
+	"github.com/persistmem/slpmt/internal/bench"
 	"github.com/persistmem/slpmt/internal/pmem"
 	"github.com/persistmem/slpmt/internal/recovery"
 	"github.com/persistmem/slpmt/internal/workloads"
@@ -109,8 +111,10 @@ func TestCampaignParallelMatchesSerialOnFailure(t *testing.T) {
 			if err == nil || res == nil {
 				t.Fatalf("%s, parallel=%d: result %v, error %v; want a failure and the totals before it", w, workers, res, err)
 			}
-			if panics := strings.Contains(err.Error(), "job 0 panicked: insert ran off the table"); panics != (w == "op-panicky-hashtable") {
-				t.Errorf("%s, parallel=%d: error %v reports the first point's panic: %v", w, workers, err, panics)
+			var pe *bench.PanicError
+			panics := errors.As(err, &pe) && pe.Index == 0 && fmt.Sprint(pe.Value) == "insert ran off the table"
+			if panics != (w == "op-panicky-hashtable") {
+				t.Errorf("%s, parallel=%d: error %v carries the first point's panic: %v", w, workers, err, panics)
 			}
 			results = append(results, *res)
 			errs = append(errs, err.Error())

@@ -337,7 +337,7 @@ func (v *verifier) recover(img *pmem.Image, w workloads.Recoverable, cores, sock
 		return rep, nil, fmt.Errorf("recovery: reachability: %w", err)
 	}
 	if v.heaps == nil {
-		v.heaps = txheap.New(v.layouts, nil, 0)
+		v.heaps = txheap.New(v.layouts, nil)
 	} else {
 		txheap.Reset(v.heaps)
 	}

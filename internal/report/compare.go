@@ -1,176 +1,50 @@
 package report
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
 )
 
-// Tolerances for the perf-regression gate. The simulator is exactly
-// deterministic, so in principle every metric should be byte-equal to
-// the baseline — the slack exists so an intentional model change of a
-// few percent (a tweaked latency constant, a cache-policy fix) can
-// land with a baseline refresh in the same commit, while anything
-// larger trips the gate and forces a look.
-const (
-	// TolCycles bounds relative drift in cycles and PM write traffic.
-	TolCycles = 0.05
-	// TolPercentile bounds drift in latency percentiles and WPQ
-	// occupancy gauges — tail metrics move more than totals.
-	TolPercentile = 0.10
-	// TolCause bounds drift of one attribution cause's cycle share.
-	TolCause = 0.10
-	// CauseFloorCycles is an absolute floor under TolCause: a cause
-	// smaller than this may drift freely (a 40-cycle cause doubling is
-	// noise, not a regression).
-	CauseFloorCycles = 512
-)
-
-// metricTol maps the comparable scalar metrics to their relative
-// tolerance. wall_ms, parallel, allocs_per_op and bytes_per_op are
-// host-dependent and deliberately absent. verify_ok is checked
-// separately (it must not regress at all).
-var metricTol = map[string]float64{
-	"cycles":              TolCycles,
-	"pm_write_bytes_data": TolCycles,
-	"pm_write_bytes_log":  TolCycles,
-	"pm_write_bytes":      TolCycles,
-	"tx_commits":          0,
-	"commit_latency_p50":  TolPercentile,
-	"commit_latency_p95":  TolPercentile,
-	"commit_latency_p99":  TolPercentile,
-	"lazy_drain_p50":      TolPercentile,
-	"lazy_drain_p95":      TolPercentile,
-	"lazy_drain_p99":      TolPercentile,
-	"wpq_occ_max_bytes":   TolPercentile,
-	"wpq_occ_avg_bytes":   TolPercentile,
-}
-
-// metricOrder fixes the row order of the delta table.
-var metricOrder = []string{
-	"cycles", "pm_write_bytes_data", "pm_write_bytes_log", "pm_write_bytes",
-	"tx_commits",
-	"commit_latency_p50", "commit_latency_p95", "commit_latency_p99",
-	"lazy_drain_p50", "lazy_drain_p95", "lazy_drain_p99",
-	"wpq_occ_max_bytes", "wpq_occ_avg_bytes",
-}
-
-// Delta is one metric's baseline-vs-candidate comparison.
-type Delta struct {
-	Key       string  // result key (Result.Key)
-	Metric    string  // metric name, "cycles_by_cause.<cause>" for causes
-	Base      uint64  // baseline value
-	Got       uint64  // candidate value
-	Rel       float64 // relative drift |got-base| / base
-	Tolerance float64 // allowed relative drift
-	OK        bool
-}
-
-func (d Delta) String() string {
-	return fmt.Sprintf("%s %s: %d -> %d (%+.2f%%, tol %.0f%%)",
-		d.Key, d.Metric, d.Base, d.Got, 100*signedRel(d.Base, d.Got), 100*d.Tolerance)
-}
-
-// signedRel is the signed relative change from base to got.
-func signedRel(base, got uint64) float64 {
-	if base == 0 {
-		if got == 0 {
-			return 0
-		}
-		return 1
-	}
-	return (float64(got) - float64(base)) / float64(base)
-}
-
 // Comparison is the outcome of diffing one candidate document against
 // its committed baseline.
 type Comparison struct {
 	Experiment string
-	// Failures are deltas exceeding tolerance, missing results, removed
-	// metrics, or verify regressions.
+	// Failures name every difference: a result missing from either
+	// document, and each result value that differs, is missing or is
+	// new, as "<key> <path>: <base> -> <got>".
 	Failures []string
-	// Drifted are within-tolerance nonzero deltas (informational).
-	Drifted []Delta
-	// Notes are non-fatal observations: metrics or results present in
-	// the candidate but absent from the baseline (new code producing
-	// new data is not a regression).
-	Notes []string
-	// Checked counts compared (result, metric) pairs.
+	// Checked counts the result values compared.
 	Checked int
 }
 
-// Pass reports whether the candidate is within tolerance of the
-// baseline.
+// Pass reports whether the candidate equals the baseline.
 func (c *Comparison) Pass() bool { return len(c.Failures) == 0 }
 
-// String renders the human-readable delta table.
+// String renders the summary line and the differences.
 func (c *Comparison) String() string {
 	var b strings.Builder
 	status := "PASS"
 	if !c.Pass() {
 		status = "FAIL"
 	}
-	fmt.Fprintf(&b, "%s %s: %d metrics checked, %d drifted within tolerance, %d failures\n",
-		status, c.Experiment, c.Checked, len(c.Drifted), len(c.Failures))
+	fmt.Fprintf(&b, "%s %s: %d values compared, %d differences\n", status, c.Experiment, c.Checked, len(c.Failures))
 	for _, f := range c.Failures {
 		fmt.Fprintf(&b, "  FAIL %s\n", f)
-	}
-	for _, d := range c.Drifted {
-		fmt.Fprintf(&b, "  drift %s\n", d.String())
-	}
-	for _, n := range c.Notes {
-		fmt.Fprintf(&b, "  note %s\n", n)
 	}
 	return b.String()
 }
 
-// metrics flattens one result into its comparable scalar metrics.
-// omitempty zeros are genuinely absent (an untraced run has no
-// percentiles), so zero-valued metrics are omitted here too: a metric
-// present in the baseline but zero in the candidate reads as removed.
-func metrics(r Result) map[string]uint64 {
-	out := make(map[string]uint64, len(metricOrder)+len(r.CyclesByCause))
-	scalar := map[string]uint64{
-		"cycles":              r.Cycles,
-		"pm_write_bytes_data": r.PMWriteBytesData,
-		"pm_write_bytes_log":  r.PMWriteBytesLog,
-		"pm_write_bytes":      r.PMWriteBytes,
-		"tx_commits":          r.TxCommits,
-		"commit_latency_p50":  r.CommitLatencyP50,
-		"commit_latency_p95":  r.CommitLatencyP95,
-		"commit_latency_p99":  r.CommitLatencyP99,
-		"lazy_drain_p50":      r.LazyDrainP50,
-		"lazy_drain_p95":      r.LazyDrainP95,
-		"lazy_drain_p99":      r.LazyDrainP99,
-		"wpq_occ_max_bytes":   r.WPQOccMaxBytes,
-		"wpq_occ_avg_bytes":   r.WPQOccAvgBytes,
-	}
-	for name, v := range scalar {
-		if v != 0 {
-			out[name] = v
-		}
-	}
-	for cause, v := range r.CyclesByCause {
-		if v != 0 {
-			out["cycles_by_cause."+cause] = v
-		}
-	}
-	return out
-}
-
-// tolerance resolves the relative tolerance and absolute floor for a
-// metric name.
-func tolerance(metric string) (rel float64, floor uint64) {
-	if strings.HasPrefix(metric, "cycles_by_cause.") {
-		return TolCause, CauseFloorCycles
-	}
-	return metricTol[metric], 0
-}
-
-// Compare diffs a candidate document against its baseline. Direction
-// is symmetric: a metric 6% *better* than baseline also fails, because
-// it means the committed baseline no longer describes the tree and
-// must be refreshed.
+// Compare diffs a candidate document against its baseline exactly. The
+// simulator is deterministic, so every value of every result must equal
+// the committed one, in either direction: a better number also means
+// the baseline no longer describes the tree. Results pair up by Key
+// (results sharing a key pair in the order of their encodings), and
+// each pair is compared through its JSON form, so a field added to
+// Result is gated with no edit here. The document-level host fields
+// (wall_ms, parallel, allocs_per_op, bytes_per_op) are not compared.
 func Compare(baseline, candidate Report) *Comparison {
 	c := &Comparison{Experiment: candidate.Experiment}
 	if baseline.Experiment != candidate.Experiment {
@@ -183,87 +57,129 @@ func Compare(baseline, candidate Report) *Comparison {
 		c.Failures = append(c.Failures, fmt.Sprintf("baseline holds %d results, candidate %d: both must hold some",
 			len(baseline.Results), len(candidate.Results)))
 	}
-
-	got := make(map[string]Result, len(candidate.Results))
-	for _, r := range candidate.Results {
-		got[r.Key()] = r
-	}
-	base := make(map[string]Result, len(baseline.Results))
-	for _, r := range baseline.Results {
-		base[r.Key()] = r
-	}
-
-	keys := make([]string, 0, len(base))
-	for k := range base { //slpmt:determinism-ok: collected keys are sorted below
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		b := base[key]
-		g, ok := got[key]
-		if !ok {
-			c.Failures = append(c.Failures, fmt.Sprintf("%s: result missing from candidate", key))
-			continue
+	base, got := byKey(baseline.Results), byKey(candidate.Results)
+	for _, key := range sortedKeys(base, got) {
+		bs, gs := base[key], got[key]
+		for i := range max(len(bs), len(gs)) {
+			name := key
+			if max(len(bs), len(gs)) > 1 {
+				name = fmt.Sprintf("%s#%d", key, i)
+			}
+			switch {
+			case i >= len(gs):
+				c.Failures = append(c.Failures, name+": result missing from candidate")
+			case i >= len(bs):
+				c.Failures = append(c.Failures, name+": result absent from baseline")
+			default:
+				c.diff(name, "", bs[i], gs[i])
+			}
 		}
-		if b.VerifyOK && !g.VerifyOK {
-			c.Failures = append(c.Failures, fmt.Sprintf("%s: verify_ok regressed", key))
-		}
-		compareResult(c, key, metrics(b), metrics(g))
-	}
-
-	extra := make([]string, 0)
-	for k := range got { //slpmt:determinism-ok: collected keys are sorted below
-		if _, ok := base[k]; !ok {
-			extra = append(extra, k)
-		}
-	}
-	sort.Strings(extra)
-	for _, k := range extra {
-		c.Notes = append(c.Notes, fmt.Sprintf("%s: result absent from baseline (refresh to cover it)", k))
 	}
 	return c
 }
 
-// compareResult diffs one result's metric maps in deterministic order.
-func compareResult(c *Comparison, key string, base, got map[string]uint64) {
-	names := make([]string, 0, len(base))
-	for name := range base { //slpmt:determinism-ok: collected keys are sorted below
-		names = append(names, name)
+// byKey groups the results' decoded JSON forms by Key, each group in
+// the order of its encodings so equal groups pair up whatever order
+// the documents list them in. Numbers decode as json.Number, so no
+// uint64 passes through a float64.
+func byKey(results []Result) map[string][]any {
+	enc := make(map[string][][]byte, len(results))
+	for _, r := range results {
+		data, err := json.Marshal(r)
+		if err != nil {
+			panic(err) // Result holds only strings, numbers, bools and maps and slices of them
+		}
+		enc[r.Key()] = append(enc[r.Key()], data)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		bv := base[name]
-		gv, ok := got[name]
-		if !ok {
-			c.Failures = append(c.Failures, fmt.Sprintf("%s: metric %s removed (baseline %d)", key, name, bv))
-			continue
-		}
-		c.Checked++
-		if bv == gv {
-			continue
-		}
-		rel, floor := tolerance(name)
-		d := Delta{Key: key, Metric: name, Base: bv, Got: gv, Tolerance: rel}
-		diff := bv - gv
-		if gv > bv {
-			diff = gv - bv
-		}
-		d.Rel = float64(diff) / float64(bv)
-		d.OK = d.Rel <= rel || diff <= floor
-		if d.OK {
-			c.Drifted = append(c.Drifted, d)
-		} else {
-			c.Failures = append(c.Failures, d.String())
+	out := make(map[string][]any, len(enc))
+	for key, group := range enc { //slpmt:determinism-ok: each key's group is sorted on its own
+		sort.Slice(group, func(i, j int) bool { return bytes.Compare(group[i], group[j]) < 0 })
+		for _, data := range group {
+			dec := json.NewDecoder(bytes.NewReader(data))
+			dec.UseNumber()
+			var v any
+			if err := dec.Decode(&v); err != nil {
+				panic(err)
+			}
+			out[key] = append(out[key], v)
 		}
 	}
-	extras := make([]string, 0)
-	for name := range got { //slpmt:determinism-ok: collected keys are sorted below
-		if _, ok := base[name]; !ok {
-			extras = append(extras, name)
+	return out
+}
+
+// sortedKeys is the sorted union of two maps' keys.
+func sortedKeys[V any](a, b map[string]V) []string {
+	keys := make([]string, 0, len(a))
+	for k := range a { //slpmt:determinism-ok: collected keys are sorted below
+		keys = append(keys, k)
+	}
+	for k := range b { //slpmt:determinism-ok: collected keys are sorted below
+		if _, ok := a[k]; !ok {
+			keys = append(keys, k)
 		}
 	}
-	sort.Strings(extras)
-	for _, name := range extras {
-		c.Notes = append(c.Notes, fmt.Sprintf("%s: metric %s new in candidate (%d; refresh the baseline to gate it)", key, name, got[name]))
+	sort.Strings(keys)
+	return keys
+}
+
+// absent stands in for a field or list entry one side lacks.
+type absent struct{}
+
+// diff compares two decoded JSON values at path, recording each leaf
+// that differs and each field or entry only one side holds.
+func (c *Comparison) diff(key, path string, base, got any) {
+	if bm, ok := base.(map[string]any); ok {
+		if gm, ok := got.(map[string]any); ok {
+			for _, name := range sortedKeys(bm, gm) {
+				p := name
+				if path != "" {
+					p = path + "." + name
+				}
+				c.diff(key, p, field(bm, name), field(gm, name))
+			}
+			return
+		}
 	}
+	if bl, ok := base.([]any); ok {
+		if gl, ok := got.([]any); ok {
+			for i := range max(len(bl), len(gl)) {
+				c.diff(key, fmt.Sprintf("%s[%d]", path, i), entry(bl, i), entry(gl, i))
+			}
+			return
+		}
+	}
+	c.Checked++
+	if base != got {
+		c.Failures = append(c.Failures, fmt.Sprintf("%s %s: %s -> %s", key, path, describe(base), describe(got)))
+	}
+}
+
+func field(m map[string]any, name string) any {
+	if v, ok := m[name]; ok {
+		return v
+	}
+	return absent{}
+}
+
+func entry(l []any, i int) any {
+	if i < len(l) {
+		return l[i]
+	}
+	return absent{}
+}
+
+// describe renders one side of a difference: a scalar as its JSON
+// text, a composite by its size.
+func describe(v any) string {
+	switch v := v.(type) {
+	case absent:
+		return "absent"
+	case map[string]any:
+		return fmt.Sprintf("{%d fields}", len(v))
+	case []any:
+		return fmt.Sprintf("[%d entries]", len(v))
+	case string:
+		return fmt.Sprintf("%q", v)
+	}
+	return fmt.Sprint(v)
 }

@@ -34,12 +34,10 @@ type expView struct {
 	Runs       int
 	Parallel   int
 	WallMillis float64
-	Dropped    []droppedRow
 	Rows       []runRow
 	Deltas     []deltaGroup
 	Latency    []latencyRow
 	WPQ        *wpqChart
-	Telemetry  []teleView
 	Breakdowns []breakdownTable
 	CritPaths  []critView
 }
@@ -63,24 +61,6 @@ type critCauseRow struct {
 	CritPct float64 // share of the critical path
 	RawPct  float64 // share of all attributed core-cycles
 	Help    string
-}
-
-// droppedRow flags a run whose tracer ring discarded events: every
-// trace-derived metric of that run is a lower bound.
-type droppedRow struct {
-	Label   string
-	Dropped uint64
-}
-
-// teleView is one streamed run's live-telemetry panel: commits per
-// interval as an inline-SVG sparkline (dashed = WPQ stall cycles,
-// separately normalized).
-type teleView struct {
-	Label     string
-	Intervals int
-	Commits   uint64
-	Stalls    uint64
-	SVG       template.HTML
 }
 
 type runRow struct {
@@ -193,12 +173,6 @@ func buildExpView(rep Report) expView {
 				P50:   r.CommitLatencyP50, P95: r.CommitLatencyP95, P99: r.CommitLatencyP99,
 				LazyP50: r.LazyDrainP50, LazyP95: r.LazyDrainP95, LazyP99: r.LazyDrainP99,
 			})
-		}
-		if r.DroppedEvents != 0 {
-			ev.Dropped = append(ev.Dropped, droppedRow{Label: label(r), Dropped: r.DroppedEvents})
-		}
-		if len(r.Intervals) != 0 {
-			ev.Telemetry = append(ev.Telemetry, buildTelemetry(r))
 		}
 		if len(r.CyclesByCause) != 0 {
 			ev.Breakdowns = append(ev.Breakdowns, buildBreakdown(r))
@@ -357,50 +331,6 @@ func buildWPQChart(results []Result) *wpqChart {
 	b.WriteString(`</svg>`)
 	ch.SVG = template.HTML(b.String()) //nolint:gosec // built above from escaped fields only
 	return ch
-}
-
-// buildTelemetry renders a streamed run's interval series as a
-// sparkline: commits per interval (solid) over the run's cycle axis,
-// with WPQ stall cycles overlaid dashed on its own vertical scale.
-func buildTelemetry(r Result) teleView {
-	tv := teleView{Label: label(r), Intervals: len(r.Intervals)}
-	var maxCommits, maxStalls uint64
-	for _, iv := range r.Intervals {
-		tv.Commits += iv.Commits
-		tv.Stalls += iv.WPQStallCycles
-		if iv.Commits > maxCommits {
-			maxCommits = iv.Commits
-		}
-		if iv.WPQStallCycles > maxStalls {
-			maxStalls = iv.WPQStallCycles
-		}
-	}
-	if len(r.Intervals) < 2 {
-		return tv
-	}
-	const W, H, M = 640, 90, 8
-	x := func(i int) float64 { return M + float64(i)/float64(len(r.Intervals)-1)*(W-2*M) }
-	y := func(v, max uint64) float64 {
-		if max == 0 {
-			return H - M
-		}
-		return H - M - float64(v)/float64(max)*(H-2*M)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg viewBox="0 0 %d %d" width="%d" height="%d" role="img">`, W, H, W, H)
-	fmt.Fprintf(&b, `<rect x="0" y="0" width="%d" height="%d" fill="#fafafa" stroke="#ddd"/>`, W, H)
-	var commits, stalls []string
-	for i, iv := range r.Intervals {
-		commits = append(commits, fmt.Sprintf("%.1f,%.1f", x(i), y(iv.Commits, maxCommits)))
-		stalls = append(stalls, fmt.Sprintf("%.1f,%.1f", x(i), y(iv.WPQStallCycles, maxStalls)))
-	}
-	fmt.Fprintf(&b, `<polyline points="%s" fill="none" stroke="#1f77b4" stroke-width="1.5"/>`, strings.Join(commits, " "))
-	if maxStalls > 0 {
-		fmt.Fprintf(&b, `<polyline points="%s" fill="none" stroke="#d62728" stroke-width="1" stroke-dasharray="3 2"/>`, strings.Join(stalls, " "))
-	}
-	b.WriteString(`</svg>`)
-	tv.SVG = template.HTML(b.String()) //nolint:gosec // built above from numeric fields only
-	return tv
 }
 
 func buildBreakdown(r Result) breakdownTable {
@@ -580,7 +510,6 @@ th { background: #f5f5f5; } td.l, th.l { text-align: left; }
 .bar { z-index: 0; }
 td.help { text-align: left; color: #666; font-size: 0.92em; }
 .meta { color: #666; font-size: 0.92em; }
-.warn { background: #fdf0ef; border: 1px solid #e0b4b0; border-left: 4px solid #b22; padding: 0.5em 1em; margin: 0.8em 0; }
 </style>
 </head>
 <body>
@@ -588,10 +517,6 @@ td.help { text-align: left; color: #666; font-size: 0.92em; }
 {{range .Experiments}}
 <h2>experiment: {{.Name}}</h2>
 <p class="meta">{{.Runs}} runs, {{.WallMillis}} ms wall, parallel={{.Parallel}}</p>
-
-{{if .Dropped}}<div class="warn"><strong>trace events dropped</strong> — the following runs overflowed the tracer ring, so their trace-derived metrics (latency percentiles, WPQ series, attribution) are lower bounds:
-<ul>{{range .Dropped}}<li>{{.Label}}: {{.Dropped}} events dropped</li>{{end}}</ul>
-Stream the trace instead (slpmtbench -trace-stream) to capture every event at bounded memory.</div>{{end}}
 
 <h3>results</h3>
 <table>
@@ -619,11 +544,6 @@ Stream the trace instead (slpmtbench -trace-stream) to capture every event at bo
 <tr><th class="l">scheme</th><th>high-water B</th><th>peak avg B</th></tr>
 {{range .WPQ.Series}}<tr><td class="l">{{.Scheme}}</td><td>{{.Max}}</td><td>{{.Avg}}</td></tr>
 {{end}}</table>{{end}}
-
-{{if .Telemetry}}<h3>live telemetry (streamed runs)</h3>
-{{range .Telemetry}}<p class="meta">{{.Label}} — {{.Intervals}} intervals, {{.Commits}} commits, {{.Stalls}} WPQ stall cycles; solid = commits/interval, dashed = stall cycles</p>
-{{if .SVG}}{{.SVG}}{{end}}
-{{end}}{{end}}
 
 {{if .CritPaths}}<h3>critical path (causal blame)</h3>
 {{range .CritPaths}}<p class="meta">{{.Label}} — critical path {{.Makespan}} cycles (== measured makespan), {{.Hops}} cross-core hops; lanes = cores, bars = the interval the critical path resided on that core, colored by dominant cause</p>

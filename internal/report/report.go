@@ -1,7 +1,10 @@
 // Package report is the machine-readable benchmark schema and its
 // consumers: BENCH_<experiment>.json documents (written by slpmtbench
-// -json), the perf-regression comparator against committed baselines,
-// and the self-contained HTML run-report renderer (cmd/slpmtreport).
+// -json), the perf-regression gate against committed baselines, and
+// the self-contained HTML run-report renderer (cmd/slpmtreport). The
+// gate is exact on every value of every result; an intended change is
+// accepted by regenerating the baselines (make baseline) and naming the
+// cause of each moved cell in CHANGES.md.
 //
 // The JSON schema is an external contract — CI baselines and any
 // scripts the user keeps around parse it — so fields are only ever
@@ -9,6 +12,7 @@
 package report
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -352,14 +356,18 @@ func (r Report) Write(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// Load reads one BENCH_<experiment>.json document.
+// Load reads one BENCH_<experiment>.json document. A field the schema
+// does not know is an error, so a field dropped from Result cannot
+// vanish from a baseline unnoticed.
 func Load(path string) (Report, error) {
 	var rep Report
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return rep, err
 	}
-	if err := json.Unmarshal(data, &rep); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rep); err != nil {
 		return rep, fmt.Errorf("%s: %w", path, err)
 	}
 	return rep, nil

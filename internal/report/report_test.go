@@ -3,6 +3,7 @@ package report
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -49,6 +50,19 @@ func TestSchemaRoundTrip(t *testing.T) {
 	}
 	if c := Compare(back, back); !c.Pass() {
 		t.Errorf("document does not compare equal to itself:\n%s", c)
+	}
+}
+
+// TestLoadRejectsUnknownField: a document holding a field Result does
+// not know fails to load, so the exact gate cannot lose it unread.
+func TestLoadRejectsUnknownField(t *testing.T) {
+	path := filepath.Join(t.TempDir(), Filename("headline"))
+	doc := `{"experiment": "headline", "results": [{"scheme": "SLPMT", "workload": "hashtable", "cycles": 1, "retired_field": 2}]}`
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "retired_field") {
+		t.Errorf("Load = %v, want an error naming the unknown field", err)
 	}
 }
 
@@ -181,10 +195,9 @@ func TestFig13CompilerSpeedupRows(t *testing.T) {
 	}
 }
 
-// TestStreamedRunReport pins the streaming additions to the schema:
-// a streamed run's document carries the telemetry interval series
-// under the "intervals" wire key, and the HTML report renders the
-// live-telemetry sparkline panel for it.
+// TestStreamedRunReport pins the streaming addition to the schema: a
+// streamed run's document carries the telemetry interval series under
+// the "intervals" wire key.
 func TestStreamedRunReport(t *testing.T) {
 	r := bench.Run(bench.RunConfig{
 		Scheme: schemes.SLPMT, Workload: "hashtable",
@@ -209,41 +222,13 @@ func TestStreamedRunReport(t *testing.T) {
 	if _, ok := m["dropped_events"]; ok {
 		t.Error("zero dropped_events should be omitted from the wire")
 	}
-	var sb strings.Builder
-	if err := RenderHTML(&sb, []Report{rep}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "live telemetry") {
-		t.Error("HTML report missing the live-telemetry panel")
-	}
-}
-
-// TestDroppedEventsBanner: a result whose tracer ring overflowed is
-// flagged on the wire (dropped_events) and as an HTML warning banner.
-func TestDroppedEventsBanner(t *testing.T) {
-	rep := fixture()
-	rep.Results[0].DroppedEvents = 1234
-	data, err := json.Marshal(rep.Results[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"dropped_events":1234`) {
-		t.Errorf("dropped_events not on the wire: %s", data)
-	}
-	var sb strings.Builder
-	if err := RenderHTML(&sb, []Report{rep}); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "trace events dropped") || !strings.Contains(out, "1234 events dropped") {
-		t.Error("HTML report missing the dropped-events warning banner")
-	}
 }
 
 // TestJSONKeys pins the exact wire names — external scripts parse
 // these documents, so renames are breaking changes.
 func TestJSONKeys(t *testing.T) {
 	rep := fixture()
+	rep.Results[0].DroppedEvents = 1
 	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +248,7 @@ func TestJSONKeys(t *testing.T) {
 	}
 	for _, k := range []string{"scheme", "workload", "n", "value_size", "cycles",
 		"pm_write_bytes_data", "pm_write_bytes_log", "pm_write_bytes",
-		"tx_commits", "verify_ok", "commit_latency_p50", "cycles_by_cause"} {
+		"tx_commits", "verify_ok", "commit_latency_p50", "cycles_by_cause", "dropped_events"} {
 		if _, ok := results[0][k]; !ok {
 			t.Errorf("result key %q missing", k)
 		}

@@ -93,7 +93,7 @@ func Test_Heap_Matches_Model_When_Random_Operations_Applied(t *testing.T) {
 	for _, sockets := range []int{1, 2} {
 		t.Run(fmt.Sprintf("sockets=%d", sockets), func(t *testing.T) {
 			const handles = 2
-			heaps := New(mem.MultiLayoutSockets(16<<20, handles, sockets), nil, 1)
+			heaps := New(mem.MultiLayoutSockets(16<<20, handles, sockets), nil)
 			m := newHeapModel(handles)
 			rng := rand.New(rand.NewSource(int64(sockets)))
 

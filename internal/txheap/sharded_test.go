@@ -13,7 +13,7 @@ import (
 func newSharded(t *testing.T) ([]*Heap, []mem.Layout) {
 	t.Helper()
 	layouts := mem.MultiLayoutSockets(64<<20, 4, 2)
-	return New(layouts, nil, 1), layouts
+	return New(layouts, nil), layouts
 }
 
 func TestShardedArenaCarving(t *testing.T) {
@@ -194,11 +194,11 @@ func (c *tickCounter) TickArena(n uint64) { c.arena += n }
 func TestAllocChargesByArena(t *testing.T) {
 	for _, sockets := range []int{1, 2} {
 		clks := make([]tickCounter, 2)
-		heaps := New(mem.MultiLayoutSockets(64<<20, 2, sockets), func(i int) Ticker { return &clks[i] }, 5)
+		heaps := New(mem.MultiLayoutSockets(64<<20, 2, sockets), func(i int) Ticker { return &clks[i] })
 		heaps[1].Alloc(64)
-		want := tickCounter{compute: 5}
+		want := tickCounter{compute: AllocCycles}
 		if sockets > 1 {
-			want = tickCounter{arena: 5}
+			want = tickCounter{arena: AllocCycles}
 		}
 		if clks[1] != want || clks[0] != (tickCounter{}) {
 			t.Errorf("%d socket(s): core charges %+v, want core 1 %+v and core 0 nothing", sockets, clks, want)

@@ -86,9 +86,8 @@ type arenaTicker interface {
 	TickArena(cycles uint64)
 }
 
-// DefaultAllocCycles is the modelled CPU cost of one allocator
-// operation.
-const DefaultAllocCycles = 40
+// AllocCycles is the modelled CPU cost of one allocator operation.
+const AllocCycles = 40
 
 // LargeAllocBytes is the arena-handle threshold above which an
 // allocation goes to the shared global fallback span instead of the
@@ -425,12 +424,11 @@ func (s *span) reset() {
 // one, then the global span shared by every handle of the machine.
 // Not safe for concurrent use.
 type Heap struct {
-	clk         Ticker
-	atick       arenaTicker // non-nil on arena handles whose clock supports arena charging
-	arena       *span       // the core's local arena (nil when no arenas are carved)
-	global      *span       // the shared global span, preferred for large allocations
-	all         []span      // every span of the machine, arenas first (free/rebuild routing)
-	allocCycles uint64
+	clk    Ticker
+	atick  arenaTicker // non-nil on arena handles whose clock supports arena charging
+	arena  *span       // the core's local arena (nil when no arenas are carved)
+	global *span       // the shared global span, preferred for large allocations
+	all    []span      // every span of the machine, arenas first (free/rebuild routing)
 
 	inTx        bool
 	log         []uint64 // extent log (see logEntry): parked epoch frees, then the running transaction's entries
@@ -453,10 +451,7 @@ type Heap struct {
 // returns the clock core i's allocator cycles are charged to: an arena
 // handle charges through TickArena when the clock supports it
 // (profile.CauseAllocArena), any other handle charges plain compute.
-func New(layouts []mem.Layout, clk func(core int) Ticker, allocCycles uint64) []*Heap {
-	if allocCycles == 0 {
-		allocCycles = DefaultAllocCycles
-	}
+func New(layouts []mem.Layout, clk func(core int) Ticker) []*Heap {
 	if len(layouts) == 0 {
 		panic("txheap: New with no layouts")
 	}
@@ -490,7 +485,7 @@ func New(layouts []mem.Layout, clk func(core int) Ticker, allocCycles uint64) []
 	global := &all[len(all)-1]
 	heaps := make([]*Heap, cores)
 	for i := range heaps {
-		h := &Heap{global: global, all: all, allocCycles: allocCycles}
+		h := &Heap{global: global, all: all}
 		if arenas {
 			h.arena = &all[i]
 		}
@@ -507,11 +502,11 @@ func New(layouts []mem.Layout, clk func(core int) Ticker, allocCycles uint64) []
 
 func (h *Heap) tick() {
 	if h.atick != nil {
-		h.atick.TickArena(h.allocCycles)
+		h.atick.TickArena(AllocCycles)
 		return
 	}
 	if h.clk != nil {
-		h.clk.Tick(h.allocCycles)
+		h.clk.Tick(AllocCycles)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 func newHeap() *Heap {
-	return New([]mem.Layout{mem.DefaultLayout(16 << 20)}, nil, 1)[0]
+	return New([]mem.Layout{mem.DefaultLayout(16 << 20)}, nil)[0]
 }
 
 func TestAllocAlignsAndSeparates(t *testing.T) {
@@ -160,7 +160,7 @@ func TestRebuildCorruptScanErrors(t *testing.T) {
 func TestResetRebuildMatchesFresh(t *testing.T) {
 	for _, sockets := range []int{1, 2} {
 		layouts := mem.MultiLayoutSockets(64<<20, 2, sockets)
-		used := New(layouts, nil, 1)
+		used := New(layouts, nil)
 		a := used[0].Alloc(64)
 		b := used[1].Alloc(LargeAllocBytes)
 		used[0].Free(used[0].Alloc(96))
@@ -168,7 +168,7 @@ func TestResetRebuildMatchesFresh(t *testing.T) {
 		used[1].Alloc(32)
 		reach := func() []Extent { return []Extent{{b, LargeAllocBytes}, {a, 64}} }
 
-		fresh := New(layouts, nil, 1)
+		fresh := New(layouts, nil)
 		want, err := Rebuild(fresh, reach())
 		if err != nil {
 			t.Fatal(err)
@@ -244,7 +244,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestOutOfMemoryPanics(t *testing.T) {
-	h := New([]mem.Layout{{HeapBase: 64, HeapSize: 128}}, nil, 1)[0]
+	h := New([]mem.Layout{{HeapBase: 64, HeapSize: 128}}, nil)[0]
 	h.Alloc(128)
 	defer func() {
 		if recover() == nil {
@@ -262,7 +262,7 @@ func TestHeapPast4GiBPanics(t *testing.T) {
 			t.Errorf("heap ending past 4 GiB: panic %v", r)
 		}
 	}()
-	New([]mem.Layout{{HeapBase: 1<<32 - 64, HeapSize: 128}}, nil, 1)
+	New([]mem.Layout{{HeapBase: 1<<32 - 64, HeapSize: 128}}, nil)
 }
 
 // TestFreeListBoundWorstCaseFragmentation fragments a span as far as it
@@ -274,7 +274,7 @@ func TestHeapPast4GiBPanics(t *testing.T) {
 // bound, and an extent past the bound panics.
 func TestFreeListBoundWorstCaseFragmentation(t *testing.T) {
 	const size = 4104
-	h := New([]mem.Layout{{HeapBase: mem.LineSize, HeapSize: size}}, nil, 1)[0]
+	h := New([]mem.Layout{{HeapBase: mem.LineSize, HeapSize: size}}, nil)[0]
 	s := h.global
 	bound := cap(s.free)
 	if bound != freeCap(size) || bound != 257 {

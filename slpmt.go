@@ -86,8 +86,6 @@ type Options struct {
 	// ComputeCyclesPerOp adds a fixed compute cost to every Load/Store,
 	// modelling the workload's non-memory work. Zero = 1 cycle.
 	ComputeCyclesPerOp uint64
-	// AllocCycles is the modelled cost of a heap operation.
-	AllocCycles uint64
 	// Sockets is the number of PM sockets (NUMA nodes) of the simulated
 	// platform: each socket is its own device (WPQ, banks, drain clock)
 	// behind a hop-linear interconnect distance matrix, and each core is
@@ -135,7 +133,10 @@ type System struct {
 	scheme string
 	rec    Recorder
 	inTx   bool
-	modes  systemModes
+	// strip makes every StoreT execute as a plain store while still
+	// reporting the manual annotation to the Recorder: the mode the
+	// compiler tooling uses to capture an un-annotated trace.
+	strip bool
 	// copyBuf is Tx.Copy's staging buffer, reused across calls: the
 	// engine's Store copies the bytes into the memory image and the log
 	// records capture old values from there, so nothing retains it.
@@ -144,14 +145,6 @@ type System struct {
 	// A Tx holds no per-transaction state, so one of each serves every
 	// transaction without allocating.
 	rw, ro Tx
-}
-
-// systemModes holds execution-mode flags.
-type systemModes struct {
-	// strip makes every StoreT execute as a plain store while still
-	// reporting the manual annotation to the Recorder — the mode the
-	// compiler tooling uses to capture an un-annotated trace.
-	strip bool
 }
 
 // resolve maps Options to the engine and machine configurations.
@@ -231,7 +224,7 @@ func (s *System) AttachRecorder(r Recorder) { s.rec = r }
 // StoreT executes as a plain store while its manual annotation is still
 // reported to the Recorder. The compiler tooling uses this to capture
 // un-annotated traces (§IV).
-func (s *System) SetStrip(on bool) { s.modes.strip = on }
+func (s *System) SetStrip(on bool) { s.strip = on }
 
 // Tx is a handle on the current durable transaction. It is only valid
 // inside the Update or View callback that received it.
@@ -398,13 +391,10 @@ func (tx *Tx) CopyU64(dst, src Addr, attr Attr) { tx.Copy(dst, src, 8, attr) }
 // the system's strip mode (the compiler tooling records manual
 // annotations while executing plain stores).
 func (tx *Tx) effective(attr Attr) (isa.Kind, Attr) {
-	if tx.s.modes.strip {
+	if tx.s.strip {
 		return isa.Store, isa.Plain
 	}
-	if attr == isa.Plain {
-		return isa.StoreT, attr // storeT with clear operands == store
-	}
-	return isa.StoreT, attr
+	return isa.StoreT, attr // with Plain, storeT's clear operands make it a store
 }
 
 // SetRoot stores a root-directory pointer (slot 0..511), visible to
