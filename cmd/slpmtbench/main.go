@@ -198,15 +198,17 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// "all" runs one experiment at a time, each followed by a blank
-	// line, so -json can report each separately.
+	// line, so -json can report each separately. They share one sweep,
+	// so a cell two of them ask for is simulated once.
 	names := []string{*exp}
 	all := *exp == "all"
 	if all {
 		names = experiments.Names()
 	}
+	sw := new(experiments.Sweep)
 	regressed := 0
 	for _, name := range names {
-		if err := runOne(out, name, base, jsonDocs); err != nil {
+		if err := runOne(out, sw, name, base, jsonDocs); err != nil {
 			return err
 		}
 		if *compare != "" {
@@ -240,16 +242,18 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// runOne executes one experiment, optionally writing every benchmark
-// result it returns into BENCH_<name>.json.
-func runOne(out io.Writer, name string, base bench.RunConfig, jsonOut bool) error {
+// runOne executes one experiment through sw, optionally writing every
+// benchmark result it returns into BENCH_<name>.json. The document's
+// host cost (wall time, allocations) covers only the cells sw
+// simulated for this experiment, not those it looked up.
+func runOne(out io.Writer, sw *experiments.Sweep, name string, base bench.RunConfig, jsonOut bool) error {
 	// An explicit -experiment rejects the flags it ignores; inside "all"
 	// it says so before its table.
 	if ig := experiments.Ignores(name, base); len(ig) > 0 {
 		fmt.Fprintf(out, "(%s ignores %s)\n", name, strings.Join(ig, ", "))
 	}
 	if !jsonOut {
-		_, err := experiments.Run(out, name, base)
+		_, err := sw.Run(out, name, base)
 		return err
 	}
 	// Machine-readable documents carry the cycle-attribution breakdown
@@ -258,7 +262,7 @@ func runOne(out io.Writer, name string, base bench.RunConfig, jsonOut bool) erro
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	results, err := experiments.Run(out, name, base)
+	results, err := sw.Run(out, name, base)
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/persistmem/slpmt/internal/bench"
+	"github.com/persistmem/slpmt/internal/experiments"
 	"github.com/persistmem/slpmt/internal/report"
 	_ "github.com/persistmem/slpmt/internal/workloads/all"
 )
@@ -35,7 +36,7 @@ var resultKeys = []string{
 func genReport(t *testing.T, name string, base bench.RunConfig) map[string]any {
 	t.Helper()
 	t.Chdir(t.TempDir())
-	if err := runOne(io.Discard, name, base, true); err != nil {
+	if err := runOne(io.Discard, new(experiments.Sweep), name, base, true); err != nil {
 		t.Fatalf("runOne(%s): %v", name, err)
 	}
 	data, err := os.ReadFile("BENCH_" + name + ".json")
@@ -118,7 +119,7 @@ func TestAllNotesIgnoredFlags(t *testing.T) {
 		{"fig13", "(fig13 ignores -cores 2, -commit-window 4, -sockets 2)", "Figure 13 (left)"},
 	} {
 		var buf strings.Builder
-		if err := runOne(&buf, tc.name, bench.RunConfig{N: 200, Cores: 2, CommitWindow: 4, Sockets: 2, ValueSize: 32}, false); err != nil {
+		if err := runOne(&buf, new(experiments.Sweep), tc.name, bench.RunConfig{N: 200, Cores: 2, CommitWindow: 4, Sockets: 2, ValueSize: 32}, false); err != nil {
 			t.Fatal(err)
 		}
 		first, rest, _ := strings.Cut(buf.String(), "\n")

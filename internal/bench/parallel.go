@@ -20,8 +20,7 @@ import (
 // parallelism is the configured worker count; 0 means GOMAXPROCS.
 var parallelism atomic.Int64
 
-// SetParallelism sets the worker count used by RunAll, Grid and
-// ForEach (and therefore every figure grid). n <= 0 restores the
+// SetParallelism sets the worker count used by RunAll and ForEach (and therefore every figure grid). n <= 0 restores the
 // default, GOMAXPROCS.
 func SetParallelism(n int) {
 	if n < 0 {
@@ -126,20 +125,4 @@ func RunAll(cfgs []RunConfig) ([]Result, error) {
 		return nil
 	})
 	return out, err
-}
-
-// Grid runs the cartesian product of schemes × workloads over base's
-// other fields on the worker pool, returning the results in
-// scheme-major order: workload wi of scheme si is at
-// si*len(workloadNames)+wi. Errors are RunAll's.
-func Grid(schemeNames, workloadNames []string, base RunConfig) ([]Result, error) {
-	cfgs := make([]RunConfig, 0, len(schemeNames)*len(workloadNames))
-	for _, s := range schemeNames {
-		for _, w := range workloadNames {
-			cfg := base
-			cfg.Scheme, cfg.Workload = s, w
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	return RunAll(cfgs)
 }

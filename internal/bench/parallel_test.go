@@ -146,14 +146,17 @@ func TestForEachWorkersExplicitCount(t *testing.T) {
 // count. Counters is a flat struct of uint64s, so Results (with nil
 // VerifyErr) compare with ==.
 func TestGridParallelMatchesSerial(t *testing.T) {
-	ss := schemes.Evaluated()
-	ws := workloads.Kernels()
-	base := RunConfig{N: 60, ValueSize: 32, Verify: true}
+	var cfgs []RunConfig
+	for _, s := range schemes.Evaluated() {
+		for _, w := range workloads.Kernels() {
+			cfgs = append(cfgs, RunConfig{Scheme: s, Workload: w, N: 60, ValueSize: 32, Verify: true})
+		}
+	}
 
 	var serial, parallel []Result
 	var serialErr, parallelErr error
-	withParallelism(t, 1, func() { serial, serialErr = Grid(ss, ws, base) })
-	withParallelism(t, 8, func() { parallel, parallelErr = Grid(ss, ws, base) })
+	withParallelism(t, 1, func() { serial, serialErr = RunAll(cfgs) })
+	withParallelism(t, 8, func() { parallel, parallelErr = RunAll(cfgs) })
 	if serialErr != nil || parallelErr != nil {
 		t.Fatalf("serial: %v, parallel: %v", serialErr, parallelErr)
 	}

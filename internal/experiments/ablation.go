@@ -16,13 +16,12 @@ import (
 //  3. speculative log creation on L1 eviction (§III-B1);
 //  4. lazy persistency with vs without deferral (FG+LZ vs FG);
 //  5. undo vs redo ordering under identical annotations (Figure 4).
-func Ablation(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
+func Ablation(out io.Writer, sw *sweep, base bench.RunConfig) ([]bench.Result, error) {
 	ws := workloads.Kernels()
-	var sw sweep
 	at := func(s, w string) bench.Result { return sw.at(cell(base, s, w)) }
 
 	// 1+2: buffer and granularity.
-	if _, err := sw.add(bench.Grid([]string{schemes.FG, schemes.ATOM, schemes.EDE}, ws, base)); err != nil {
+	if err := sw.grid([]string{schemes.FG, schemes.ATOM, schemes.EDE}, ws, base); err != nil {
 		return nil, err
 	}
 	tb := bench.NewTable(
@@ -41,7 +40,7 @@ func Ablation(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	fmt.Fprintf(out, "(paper: FG outperforms ATOM by 1.05x and EDE by 1.13x on the kernels)\n\n")
 
 	// 3: speculative logging.
-	if _, err := sw.add(bench.Grid([]string{schemes.SLPMT, schemes.SLPMTSpec}, ws, base)); err != nil {
+	if err := sw.grid([]string{schemes.SLPMT, schemes.SLPMTSpec}, ws, base); err != nil {
 		return nil, err
 	}
 	ts := bench.NewTable(
@@ -58,7 +57,7 @@ func Ablation(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	fmt.Fprintln(out, ts)
 
 	// 4: lazy persistency contribution.
-	if _, err := sw.add(bench.Grid([]string{schemes.FG, schemes.FGLZ}, ws, base)); err != nil {
+	if err := sw.grid([]string{schemes.FG, schemes.FGLZ}, ws, base); err != nil {
 		return nil, err
 	}
 	tl := bench.NewTable(
@@ -75,7 +74,7 @@ func Ablation(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	fmt.Fprintln(out, tl)
 
 	// 5: undo vs redo ordering with the same annotations.
-	if _, err := sw.add(bench.Grid([]string{schemes.SLPMT, schemes.SLPMTRedo, schemes.FG, schemes.FGRedo}, ws, base)); err != nil {
+	if err := sw.grid([]string{schemes.SLPMT, schemes.SLPMTRedo, schemes.FG, schemes.FGRedo}, ws, base); err != nil {
 		return nil, err
 	}
 	tr := bench.NewTable(

@@ -29,7 +29,7 @@ func BreakdownSchemes() []string {
 // causes == each core's clock advance) on every cell, so a run that
 // loses or double-charges cycles fails the experiment rather than
 // printing a misleading table.
-func Breakdown(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
+func Breakdown(out io.Writer, sw *sweep, base bench.RunConfig) ([]bench.Result, error) {
 	ss := BreakdownSchemes()
 	ws := workloads.Kernels()
 
@@ -46,7 +46,7 @@ func Breakdown(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 			}
 		}
 	}
-	results, err := bench.RunAll(cfgs)
+	results, err := sw.run(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -69,5 +69,5 @@ func Breakdown(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	fmt.Fprintln(out, "(groups: compute | cache = hit/miss/fill latencies | coherence = snoops+writebacks |")
 	fmt.Fprintln(out, " log = append/persist/sync | commit = marker+data flush | lazy = deferred drains |")
 	fmt.Fprint(out, " wpq = enqueue + queue-full stalls + sync persists; conservation checked per core)\n")
-	return results, nil
+	return sw.results, nil
 }

@@ -66,8 +66,9 @@ func record(workload string, base bench.RunConfig) (*txir.Trace, error) {
 // default platform: FG, SLPMT with the manual annotations, and SLPMT
 // replaying the IR under the compiler's annotations (workload
 // "<kernel>/compiler"). The analysis time is host wall time and is in
-// no cell.
-func Fig13(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
+// no cell. The cells bypass the sweep: a whole run's RunConfig can
+// equal a bench run's, whose measured region is smaller.
+func Fig13(out io.Writer, _ *sweep, base bench.RunConfig) ([]bench.Result, error) {
 	base = bench.RunConfig{N: base.N, ValueSize: base.ValueSize, Seed: base.Seed, Verify: true}
 	ws := workloads.Kernels()
 	tb := bench.NewTable(

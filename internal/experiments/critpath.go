@@ -42,7 +42,7 @@ const critPathHotN = 5
 //
 // The final table ranks the hottest contended cache lines of the
 // 2-core W=1 cell.
-func CritPath(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
+func CritPath(out io.Writer, sw *sweep, base bench.RunConfig) ([]bench.Result, error) {
 	const workload = "hashtable"
 
 	key := func(c, win int) bench.RunConfig {
@@ -58,8 +58,7 @@ func CritPath(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 			cfgs = append(cfgs, key(c, win))
 		}
 	}
-	var sw sweep
-	if _, err := sw.add(bench.RunAll(cfgs)); err != nil {
+	if _, err := sw.run(cfgs); err != nil {
 		return nil, err
 	}
 

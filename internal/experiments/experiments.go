@@ -6,6 +6,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"github.com/persistmem/slpmt/internal/bench"
@@ -13,13 +14,13 @@ import (
 	"github.com/persistmem/slpmt/internal/workloads"
 )
 
-// experiment is a named figure: it runs its cells, writes its tables
-// and returns every result it ran. ignores, nil for an experiment that
-// reads every run flag, names the flags base sets that it does not
-// read.
+// experiment is a named figure: it runs its cells through the sweep,
+// writes its tables and returns each of its cells once. ignores, nil
+// for an experiment that reads every run flag, names the flags base
+// sets that it does not read.
 type experiment struct {
 	name    string
-	run     func(io.Writer, bench.RunConfig) ([]bench.Result, error)
+	run     func(io.Writer, *sweep, bench.RunConfig) ([]bench.Result, error)
 	ignores func(bench.RunConfig) []string
 }
 
@@ -31,24 +32,36 @@ type experiment struct {
 // topology), and "critpath" (causal critical-path analysis) are
 // extensions.
 var registry = []experiment{
-	{"fig8", Fig8, nil}, {"fig9", Fig9, nil}, {"fig10", Fig10, nil}, {"fig11", Fig11, nil},
-	{"fig12", Fig12, nil}, {"fig13", Fig13, platformFlags}, {"fig14", Fig14, nil},
+	{"fig8", Fig8, nil}, {"fig9", Fig9, nil}, {"fig10", Fig10, nil}, {"fig12", Fig12, nil},
+	{"fig13", Fig13, platformFlags}, {"fig14", Fig14, nil},
 	{"headline", Headline, nil}, {"ablation", Ablation, nil}, {"model", Model, nil},
 	{"mixes", Mixes, mixesIgnores}, {"scaling", Scaling, nil}, {"breakdown", Breakdown, nil},
 	{"window", Window, nil}, {"numa", Numa, nil}, {"critpath", CritPath, nil},
 }
 
+// Sweep holds every bench run its experiments asked for, by RunConfig,
+// so a cell that several experiments share is simulated once.
+// slpmtbench's "all" runs every one of Names through one Sweep; a lone
+// experiment gets its own. The zero Sweep is empty and ready to use.
+type Sweep struct {
+	by   map[bench.RunConfig]bench.Result
+	runs int
+}
+
+// Runs is the number of bench runs the sweep simulated.
+func (s *Sweep) Runs() int { return s.runs }
+
 // Run executes the named experiment, writing its tables to w, and
-// returns every result it ran, in run order. If a result failed its
-// invariant check, Run returns an error naming the first such cell
-// instead; the tables are written by then. slpmtbench's "all" runs
-// every one of Names in turn.
-func Run(w io.Writer, name string, base bench.RunConfig) ([]bench.Result, error) {
+// returns each of its cells once, in the order it first asked for
+// them; a cell the sweep already holds is looked up, not run again. If
+// a result failed its invariant check, Run returns an error naming the
+// first such cell instead; the tables are written by then.
+func (s *Sweep) Run(w io.Writer, name string, base bench.RunConfig) ([]bench.Result, error) {
 	for _, e := range registry {
 		if e.name != name {
 			continue
 		}
-		results, err := e.run(w, base)
+		results, err := e.run(w, &sweep{Sweep: s}, base)
 		if err != nil {
 			return nil, err
 		}
@@ -132,33 +145,71 @@ func cellName(cfg bench.RunConfig) string {
 	return name
 }
 
-// sweep gathers the results an experiment runs, in run order, and
-// looks each one up by its RunConfig.
+// sweep is one experiment's view of a Sweep: results holds each cell
+// the experiment asked for once, in the order it first asked.
 type sweep struct {
+	*Sweep
 	results []bench.Result
-	by      map[bench.RunConfig]bench.Result
+	mine    map[bench.RunConfig]bool
 }
 
-// add records a batch that bench.RunAll or bench.Grid returned and
-// passes it through.
-func (sw *sweep) add(rs []bench.Result, err error) ([]bench.Result, error) {
+// run returns the result of every cfg, in order, simulating on the
+// worker pool only the configurations the Sweep does not hold yet.
+func (sw *sweep) run(cfgs []bench.RunConfig) ([]bench.Result, error) {
+	if sw.by == nil {
+		sw.by = make(map[bench.RunConfig]bench.Result, len(cfgs))
+	}
+	if sw.mine == nil {
+		sw.mine = make(map[bench.RunConfig]bool, len(cfgs))
+	}
+	var missing []bench.RunConfig
+	for _, cfg := range cfgs {
+		if _, ok := sw.by[cfg]; !ok && !slices.Contains(missing, cfg) {
+			missing = append(missing, cfg)
+		}
+	}
+	rs, err := bench.RunAll(missing)
 	if err != nil {
 		return nil, err
 	}
-	if sw.by == nil {
-		sw.by = make(map[bench.RunConfig]bench.Result, len(rs))
-	}
+	sw.runs += len(rs)
 	for _, r := range rs {
 		sw.by[r.RunConfig] = r
 	}
-	sw.results = append(sw.results, rs...)
-	return rs, nil
+	out := make([]bench.Result, len(cfgs))
+	for i, cfg := range cfgs {
+		out[i] = sw.by[cfg]
+		if !sw.mine[cfg] {
+			sw.mine[cfg] = true
+			sw.results = append(sw.results, out[i])
+		}
+	}
+	return out, nil
 }
 
-// at returns the result of the run cfg configured.
-func (sw *sweep) at(cfg bench.RunConfig) bench.Result { return sw.by[cfg] }
+// grid runs every scheme × workload over base's other fields.
+func (sw *sweep) grid(schemeNames, workloadNames []string, base bench.RunConfig) error {
+	cfgs := make([]bench.RunConfig, 0, len(schemeNames)*len(workloadNames))
+	for _, s := range schemeNames {
+		for _, w := range workloadNames {
+			cfgs = append(cfgs, cell(base, s, w))
+		}
+	}
+	_, err := sw.run(cfgs)
+	return err
+}
 
-// cell is base with the scheme and workload set: a bench.Grid cell's
+// at returns the result of the run cfg configured. It panics, naming
+// the cell, if the experiment never asked for that run: a mistyped
+// scheme or knob would otherwise print a zero-cycle row.
+func (sw *sweep) at(cfg bench.RunConfig) bench.Result {
+	if !sw.mine[cfg] {
+		panic("experiments: no run of " + cellName(cfg))
+	}
+	return sw.by[cfg]
+}
+
+// cell is base with the scheme and workload set: a grid cell's
 // RunConfig.
 func cell(base bench.RunConfig, scheme, workload string) bench.RunConfig {
 	base.Scheme, base.Workload = scheme, workload
@@ -168,11 +219,10 @@ func cell(base bench.RunConfig, scheme, workload string) bench.RunConfig {
 // Fig8 reproduces Figure 8: speedup over the FG baseline (left) and
 // persistent-memory write-traffic reduction over the baseline (right)
 // for the kernel benchmarks under every evaluated scheme.
-func Fig8(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
+func Fig8(out io.Writer, sw *sweep, base bench.RunConfig) ([]bench.Result, error) {
 	ss := schemes.Evaluated()
 	ws := workloads.Kernels()
-	var sw sweep
-	if _, err := sw.add(bench.Grid(ss, ws, base)); err != nil {
+	if err := sw.grid(ss, ws, base); err != nil {
 		return nil, err
 	}
 	at := func(s, w string) bench.Result { return sw.at(cell(base, s, w)) }
@@ -230,10 +280,9 @@ func Fig8(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 // logging, versus a line-granularity baseline (ATOM's logging grain) —
 // showing the log-free and lazy features still pay off without
 // fine-grain logging.
-func Fig9(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
+func Fig9(out io.Writer, sw *sweep, base bench.RunConfig) ([]bench.Result, error) {
 	ws := workloads.Kernels()
-	var sw sweep
-	if _, err := sw.add(bench.Grid([]string{schemes.ATOM, schemes.SLPMTCL}, ws, base)); err != nil {
+	if err := sw.grid([]string{schemes.ATOM, schemes.SLPMTCL}, ws, base); err != nil {
 		return nil, err
 	}
 	tb := bench.NewTable(
@@ -253,17 +302,16 @@ func Fig9(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	return sw.results, nil
 }
 
-// valueSweep is the shared sweep used by Figures 10 and 11.
+// valueSizes is the value-size axis of Figures 10 and 11.
 var valueSizes = []int{16, 32, 64, 128, 256}
 
-// Fig10 reproduces Figure 10: SLPMT-over-FG speedup as a function of
-// value size.
-func Fig10(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
+// Fig10 reproduces Figures 10 and 11 from one value-size sweep:
+// SLPMT-over-FG speedup, then absolute write-traffic reduction (bytes
+// saved vs FG), as functions of value size.
+func Fig10(out io.Writer, sw *sweep, base bench.RunConfig) ([]bench.Result, error) {
 	ws := workloads.Kernels()
-	tb := bench.NewTable(
-		"Figure 10: SLPMT speedup over FG vs value size",
-		append([]string{"workload"}, colsPlain(valueSizes, "B")...)...)
-	var sw sweep
+	cols := append([]string{"workload"}, colsPlain(valueSizes, "B")...)
+	tb := bench.NewTable("Figure 10: SLPMT speedup over FG vs value size", cols...)
 	pairs, err := sw.pairs(base, ws, len(valueSizes), func(cfg *bench.RunConfig, v int) {
 		cfg.ValueSize = valueSizes[v]
 	})
@@ -271,7 +319,6 @@ func Fig10(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 		return nil, err
 	}
 	means := make([]float64, len(valueSizes))
-	counts := 0
 	for wi, w := range ws {
 		row := []string{w}
 		for i := range valueSizes {
@@ -280,33 +327,17 @@ func Fig10(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 			means[i] += sp
 			row = append(row, bench.Fx(sp))
 		}
-		counts++
 		tb.AddRow(row...)
 	}
 	row := []string{"mean"}
 	for i := range valueSizes {
-		row = append(row, bench.Fx(means[i]/float64(counts)))
+		row = append(row, bench.Fx(means[i]/float64(len(ws))))
 	}
 	tb.AddRow(row...)
 	fmt.Fprintln(out, tb)
-	fmt.Fprintf(out, "(paper: >= 1.22x average even at 16B; rising with value size)\n")
-	return sw.results, nil
-}
+	fmt.Fprintf(out, "(paper: >= 1.22x average even at 16B; rising with value size)\n\n")
 
-// Fig11 reproduces Figure 11: absolute write-traffic reduction (bytes
-// saved vs FG) as a function of value size.
-func Fig11(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
-	ws := workloads.Kernels()
-	tb := bench.NewTable(
-		"Figure 11: PM write-traffic reduction (KiB saved vs FG, and %) vs value size",
-		append([]string{"workload"}, colsPlain(valueSizes, "B")...)...)
-	var sw sweep
-	pairs, err := sw.pairs(base, ws, len(valueSizes), func(cfg *bench.RunConfig, v int) {
-		cfg.ValueSize = valueSizes[v]
-	})
-	if err != nil {
-		return nil, err
-	}
+	tt := bench.NewTable("Figure 11: PM write-traffic reduction (KiB saved vs FG, and %) vs value size", cols...)
 	for wi, w := range ws {
 		row := []string{w}
 		for i := range valueSizes {
@@ -314,9 +345,9 @@ func Fig11(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 			savedKiB := (float64(b.PMWriteBytes()) - float64(r.PMWriteBytes())) / 1024
 			row = append(row, fmt.Sprintf("%.0fKiB/%s", savedKiB, bench.Pct(bench.TrafficReduction(b, r))))
 		}
-		tb.AddRow(row...)
+		tt.AddRow(row...)
 	}
-	fmt.Fprintln(out, tb)
+	fmt.Fprintln(out, tt)
 	fmt.Fprintf(out, "(paper: saved bytes grow ~linearly with value size; flat from 16B to 32B)\n")
 	return sw.results, nil
 }
@@ -324,13 +355,12 @@ func Fig11(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 // Fig12 reproduces Figure 12: SLPMT-over-FG speedup as the PM write
 // latency grows from 500ns to 2300ns (the CXL byte-addressable-storage
 // range).
-func Fig12(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
+func Fig12(out io.Writer, sw *sweep, base bench.RunConfig) ([]bench.Result, error) {
 	lats := []uint64{500, 1100, 1700, 2300}
 	ws := workloads.Kernels()
 	tb := bench.NewTable(
 		"Figure 12: SLPMT speedup over FG vs PM write latency (ns)",
-		append([]string{"workload"}, colsOfU64(lats)...)...)
-	var sw sweep
+		append([]string{"workload"}, colsPlain(lats, "ns")...)...)
 	pairs, err := sw.pairs(base, ws, len(lats), func(cfg *bench.RunConfig, v int) {
 		cfg.PMWriteNanos = lats[v]
 	})
@@ -352,14 +382,13 @@ func Fig12(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 
 // Fig14 reproduces Figure 14: PMKV speedups for the three backends at
 // 256-byte (left) and 16-byte (right) values.
-func Fig14(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
+func Fig14(out io.Writer, sw *sweep, base bench.RunConfig) ([]bench.Result, error) {
 	ws := workloads.PMKV()
 	ss := []string{schemes.FG, schemes.SLPMT, schemes.ATOM, schemes.EDE}
-	var sw sweep
 	for _, vs := range []int{256, 16} {
 		cfg := base
 		cfg.ValueSize = vs
-		if _, err := sw.add(bench.Grid(ss, ws, cfg)); err != nil {
+		if err := sw.grid(ss, ws, cfg); err != nil {
 			return nil, err
 		}
 		at := func(s, w string) bench.Result { return sw.at(cell(cfg, s, w)) }
@@ -383,11 +412,10 @@ func Fig14(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 
 // Headline reproduces the abstract's summary: SLPMT vs the
 // state-of-the-art hardware designs across all six benchmarks.
-func Headline(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
+func Headline(out io.Writer, sw *sweep, base bench.RunConfig) ([]bench.Result, error) {
 	ws := append(append([]string{}, workloads.Kernels()...), workloads.PMKV()...)
 	ss := []string{schemes.FG, schemes.SLPMT, schemes.ATOM, schemes.EDE}
-	var sw sweep
-	if _, err := sw.add(bench.Grid(ss, ws, base)); err != nil {
+	if err := sw.grid(ss, ws, base); err != nil {
 		return nil, err
 	}
 	var vsPrior, red []float64
@@ -419,8 +447,8 @@ func mean(xs []float64) float64 {
 // identical parameters.
 type pair struct{ base, slpmt bench.Result }
 
-// pairs runs the (FG, SLPMT) pair for every workload × variant on the
-// worker pool, adding the runs to sw and returning the pairs indexed
+// pairs runs the (FG, SLPMT) pair for every workload × variant through
+// sw, returning the pairs indexed
 // [workload][variant]. The configure hook applies variant v to the
 // cell's RunConfig (value size, write latency, banks, ...).
 func (sw *sweep) pairs(base bench.RunConfig, ws []string, variants int, configure func(cfg *bench.RunConfig, v int)) ([][]pair, error) {
@@ -436,7 +464,7 @@ func (sw *sweep) pairs(base bench.RunConfig, ws []string, variants int, configur
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := sw.add(bench.RunAll(cfgs))
+	results, err := sw.run(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -453,18 +481,10 @@ func (sw *sweep) pairs(base bench.RunConfig, ws []string, variants int, configur
 }
 
 // colsPlain renders each of xs with suffix appended, as column headers.
-func colsPlain(xs []int, suffix string) []string {
+func colsPlain[T int | uint64](xs []T, suffix string) []string {
 	out := make([]string, len(xs))
 	for i, x := range xs {
 		out[i] = fmt.Sprintf("%d%s", x, suffix)
-	}
-	return out
-}
-
-func colsOfU64(xs []uint64) []string {
-	out := make([]string, len(xs))
-	for i, x := range xs {
-		out[i] = fmt.Sprintf("%dns", x)
 	}
 	return out
 }

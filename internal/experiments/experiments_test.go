@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ func TestExperimentsSmoke(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			var buf bytes.Buffer
-			if _, err := Run(&buf, name, small()); err != nil {
+			if _, err := new(Sweep).Run(&buf, name, small()); err != nil {
 				t.Fatal(err)
 			}
 			if buf.Len() == 0 {
@@ -40,7 +41,7 @@ func TestExperimentsSmoke(t *testing.T) {
 // key, so the compare gate reads every one.
 func TestFig13Smoke(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := Run(&buf, "fig13", small())
+	res, err := new(Sweep).Run(&buf, "fig13", small())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestNamesMatchBaselines(t *testing.T) {
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if _, err := Run(&bytes.Buffer{}, "fig99", small()); err == nil {
+	if _, err := new(Sweep).Run(&bytes.Buffer{}, "fig99", small()); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -97,11 +98,11 @@ func TestRunChecksVerification(t *testing.T) {
 		VerifyErr: errors.New("heap order broken")}
 	saved := registry
 	defer func() { registry = saved }()
-	registry = append(slices.Clip(registry), experiment{"fake", func(io.Writer, bench.RunConfig) ([]bench.Result, error) {
+	registry = append(slices.Clip(registry), experiment{"fake", func(io.Writer, *sweep, bench.RunConfig) ([]bench.Result, error) {
 		return []bench.Result{ok, bad, bad}, nil
 	}, nil})
 
-	res, err := Run(io.Discard, "fake", bench.RunConfig{})
+	res, err := new(Sweep).Run(io.Discard, "fake", bench.RunConfig{})
 	if err == nil {
 		t.Fatalf("a failed verification passed: %d results returned", len(res))
 	}
@@ -129,6 +130,128 @@ func TestIgnores(t *testing.T) {
 	} {
 		if got := strings.Join(Ignores(tc.name, tc.base), ", "); got != tc.want {
 			t.Errorf("Ignores(%s, %+v) = %q, want %q", tc.name, tc.base, got, tc.want)
+		}
+	}
+}
+
+// TestSweepGridShape: a grid asks for its cells scheme-major, an
+// experiment reports each cell once however often it asks, and a
+// cell the Sweep holds is looked up rather than simulated again, from
+// the same experiment or another one.
+func TestSweepGridShape(t *testing.T) {
+	s := new(Sweep)
+	base := bench.RunConfig{N: 40, ValueSize: 16}
+	sw := sweep{Sweep: s}
+	if err := sw.grid([]string{"FG", "SLPMT"}, []string{"heap", "avl"}, base); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.grid([]string{"SLPMT", "ATOM"}, []string{"avl", "avl"}, base); err != nil {
+		t.Fatal(err)
+	}
+	other := sweep{Sweep: s}
+	if err := other.grid([]string{"ATOM", "FG"}, []string{"avl"}, base); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sw   *sweep
+		want []string
+	}{
+		{&sw, []string{"FG/heap", "FG/avl", "SLPMT/heap", "SLPMT/avl", "ATOM/avl"}},
+		{&other, []string{"ATOM/avl", "FG/avl"}},
+	} {
+		var got []string
+		for _, r := range tc.sw.results {
+			got = append(got, r.Scheme+"/"+r.Workload)
+			if r != sw.at(r.RunConfig) {
+				t.Errorf("%s: the views hold different results", cellName(r.RunConfig))
+			}
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("results %v, want %v", got, tc.want)
+		}
+	}
+	if s.Runs() != 5 {
+		t.Errorf("%d runs for 5 distinct cells", s.Runs())
+	}
+	if bench.Speedup(sw.at(cell(base, "FG", "heap")), sw.at(cell(base, "SLPMT", "heap"))) <= 0 {
+		t.Error("speedup not positive")
+	}
+}
+
+// TestSweepAtPanicsOnMissingCell: looking up a cell the experiment
+// never asked for panics naming it, even if another experiment on the
+// same Sweep ran it, instead of returning a zero-cycle result.
+func TestSweepAtPanicsOnMissingCell(t *testing.T) {
+	s := new(Sweep)
+	base := bench.RunConfig{N: 40, ValueSize: 16}
+	sw, other := sweep{Sweep: s}, sweep{Sweep: s}
+	if err := sw.grid([]string{"FG"}, []string{"heap"}, base); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.grid([]string{"SLPMT"}, []string{"heap"}, base); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []bench.RunConfig{cell(base, "SLMPT", "heap"), cell(base, "SLPMT", "heap")} {
+		func() {
+			want := "experiments: no run of " + cellName(cfg)
+			defer func() {
+				if r := recover(); r != want {
+					t.Errorf("at(%s) panicked with %v, want %q", cellName(cfg), r, want)
+				}
+			}()
+			sw.at(cfg)
+		}()
+	}
+}
+
+// TestSharedSweepMatchesStandalone: experiments run through one shared
+// Sweep, as "all" runs them, report exactly what each reports run on
+// its own (host fields aside), so no experiment depends on, or
+// changes, a result another one simulated. The shared run simulates
+// each distinct RunConfig once, and ablation reports each of its
+// cells once.
+func TestSharedSweepMatchesStandalone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs seven experiment grids twice; skipped in -short")
+	}
+	// The base slpmtbench -json passes: one core, profiled.
+	base := bench.RunConfig{N: 40, ValueSize: 32, Verify: true, Cores: 1, Profile: true}
+	doc := func(name string, results []bench.Result) report.Report {
+		return report.FromResults(name, 0, 0, 0, 0, results)
+	}
+	shared := new(Sweep)
+	docs := map[string]report.Report{}
+	distinct := map[bench.RunConfig]bool{}
+	total := 0
+	for _, name := range []string{"fig8", "fig9", "fig10", "fig14", "headline", "ablation", "breakdown"} {
+		res, err := shared.Run(io.Discard, name, base)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		mine := map[bench.RunConfig]bool{}
+		for _, r := range res {
+			if mine[r.RunConfig] {
+				t.Errorf("%s reports %s twice", name, cellName(r.RunConfig))
+			}
+			mine[r.RunConfig], distinct[r.RunConfig] = true, true
+		}
+		total += len(res)
+		docs[name] = doc(name, res)
+	}
+	if shared.Runs() != len(distinct) || shared.Runs() >= total {
+		t.Errorf("shared run simulated %d cells for %d distinct RunConfigs over %d results",
+			shared.Runs(), len(distinct), total)
+	}
+	if got, want := len(docs["ablation"].Results), 8*len(workloads.Kernels()); got != want {
+		t.Errorf("ablation reports %d results, want its %d distinct cells", got, want)
+	}
+	for _, name := range []string{"fig9", "fig10", "headline", "ablation", "breakdown"} {
+		res, err := new(Sweep).Run(io.Discard, name, base)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(docs[name], doc(name, res)) {
+			t.Errorf("%s: the shared run's document differs from the standalone run's", name)
 		}
 	}
 }

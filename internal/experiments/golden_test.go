@@ -39,7 +39,8 @@ func maskHostTime(s string) string {
 // preRefactorNames is the experiment list of the pre-refactor "all"
 // (everything but the later scaling, breakdown, window, numa, and
 // critpath extensions, which did not exist when the goldens were
-// captured).
+// captured). Its fig11 is gone: fig10 prints Figure 11's table after
+// its own, where fig11's output stood.
 func preRefactorNames() []string {
 	later := map[string]bool{"scaling": true, "breakdown": true, "window": true, "numa": true, "critpath": true}
 	var out []string
@@ -61,11 +62,13 @@ func TestSingleCoreOutputMatchesPreRefactorGolden(t *testing.T) {
 	}
 	// Reconstruct exactly what `-experiment all -n 120 -value 64`
 	// printed before the refactor: the old experiment list, each
-	// followed by a blank line, on the (default) single-core platform.
+	// followed by a blank line, on the (default) single-core platform,
+	// through one sweep as "all" runs them.
 	base := bench.RunConfig{N: 120, ValueSize: 64, Verify: true}
 	var buf bytes.Buffer
+	sw := new(experiments.Sweep)
 	for _, name := range preRefactorNames() {
-		if _, err := experiments.Run(&buf, name, base); err != nil {
+		if _, err := sw.Run(&buf, name, base); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		fmt.Fprintln(&buf)

@@ -25,7 +25,7 @@ func mixesIgnores(base bench.RunConfig) []string {
 // take over (there is simply less persistence to optimize). Every mix
 // runs ycsb.DefaultOps operations on one core; of base it takes only
 // the value size, seed, Verify and Profile (see mixesIgnores).
-func Mixes(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
+func Mixes(out io.Writer, sw *sweep, base bench.RunConfig) ([]bench.Result, error) {
 	mixes := []ycsb.Mix{ycsb.WorkloadA(), ycsb.WorkloadB(), ycsb.WorkloadC(), ycsb.WorkloadE()}
 	ss := []string{schemes.FG, schemes.SLPMT, schemes.ATOM, schemes.EDE}
 	tb := bench.NewTable(
@@ -38,7 +38,7 @@ func Mixes(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 				ValueSize: base.ValueSize, Seed: base.Seed, Verify: base.Verify, Profile: base.Profile})
 		}
 	}
-	results, err := bench.RunAll(cfgs)
+	results, err := sw.run(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -57,5 +57,5 @@ func Mixes(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 	fmt.Fprintln(out, tb)
 	fmt.Fprintf(out, "(update-heavy mixes retain the paper's gains; read/scan-dominated mixes converge —\n"+
 		" selective logging only helps where transactions write)\n")
-	return results, nil
+	return sw.results, nil
 }

@@ -13,9 +13,8 @@ import (
 // WPQ capacity and reports the SLPMT-over-FG speedup, showing that the
 // paper's conclusions do not hinge on the calibration point chosen in
 // DESIGN.md §3.
-func Model(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
+func Model(out io.Writer, sw *sweep, base bench.RunConfig) ([]bench.Result, error) {
 	ws := workloads.Kernels()
-	var sw sweep
 	banks := []int{1, 2, 4, 8}
 	tb := bench.NewTable(
 		"Model sensitivity: SLPMT speedup over FG vs device write parallelism (banks)",

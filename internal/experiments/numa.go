@@ -41,7 +41,7 @@ var NumaRemoteNanos = []uint64{30, 60, 120, 240}
 // clear 1.5x at 4 cores / 2 sockets; pointer-chasing kernels (rbtree,
 // avl) spend ~25% of an op in the serial flush and are Amdahl-bounded
 // near 1.2-1.35x until 4 sockets gives every core a private device.
-func Numa(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
+func Numa(out io.Writer, sw *sweep, base bench.RunConfig) ([]bench.Result, error) {
 	ss := ScalingSchemes()
 	ws := workloads.Names()
 
@@ -63,8 +63,7 @@ func Numa(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 			}
 		}
 	}
-	var sw sweep
-	if _, err := sw.add(bench.RunAll(cfgs)); err != nil {
+	if _, err := sw.run(cfgs); err != nil {
 		return nil, err
 	}
 
@@ -161,7 +160,7 @@ func Numa(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 		cfg.RemoteNanos = ns
 		rcfgs = append(rcfgs, cfg)
 	}
-	rres, err := sw.add(bench.RunAll(rcfgs))
+	rres, err := sw.run(rcfgs)
 	if err != nil {
 		return nil, err
 	}

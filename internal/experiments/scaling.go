@@ -29,7 +29,7 @@ func ScalingSchemes() []string {
 // per-op traffic quantifies the coherence/contention overhead of
 // scaling, while speedup shows where the shared write-pending queue
 // becomes the bottleneck.
-func Scaling(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
+func Scaling(out io.Writer, sw *sweep, base bench.RunConfig) ([]bench.Result, error) {
 	ss := ScalingSchemes()
 	ws := workloads.Kernels()
 
@@ -51,8 +51,7 @@ func Scaling(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 			}
 		}
 	}
-	var sw sweep
-	if _, err := sw.add(bench.RunAll(cfgs)); err != nil {
+	if _, err := sw.run(cfgs); err != nil {
 		return nil, err
 	}
 

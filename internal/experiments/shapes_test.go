@@ -17,12 +17,11 @@ func TestPaperShapes(t *testing.T) {
 	cfg := bench.RunConfig{N: 400, ValueSize: 256, Verify: true}
 	ws := workloads.Kernels()
 	ss := []string{schemes.FG, schemes.FGLG, schemes.FGLZ, schemes.SLPMT, schemes.ATOM, schemes.EDE}
-	var sw sweep
-	results, err := sw.add(bench.Grid(ss, ws, cfg))
-	if err != nil {
+	sw := sweep{Sweep: new(Sweep)}
+	if err := sw.grid(ss, ws, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := verified(results); err != nil {
+	if err := verified(sw.results); err != nil {
 		t.Fatal(err)
 	}
 	at := func(s, w string) bench.Result { return sw.at(cell(cfg, s, w)) }

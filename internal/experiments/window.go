@@ -25,7 +25,7 @@ var WindowSweep = []int{1, 4, 16, 64}
 // break. Durability weakens to epoch boundaries as W grows; recovery
 // still restores a transaction-consistent prefix (all-or-nothing per
 // epoch), which the crash campaign checks separately.
-func Window(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
+func Window(out io.Writer, sw *sweep, base bench.RunConfig) ([]bench.Result, error) {
 	ws := workloads.Kernels()
 
 	key := func(w string, c, win int) bench.RunConfig {
@@ -43,8 +43,7 @@ func Window(out io.Writer, base bench.RunConfig) ([]bench.Result, error) {
 			}
 		}
 	}
-	var sw sweep
-	if _, err := sw.add(bench.RunAll(cfgs)); err != nil {
+	if _, err := sw.run(cfgs); err != nil {
 		return nil, err
 	}
 

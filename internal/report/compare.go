@@ -40,10 +40,10 @@ func (c *Comparison) String() string {
 // Compare diffs a candidate document against its baseline exactly. The
 // simulator is deterministic, so every value of every result must equal
 // the committed one, in either direction: a better number also means
-// the baseline no longer describes the tree. Results pair up by Key
-// (results sharing a key pair in the order of their encodings), and
-// each pair is compared through its JSON form, so a field added to
-// Result is gated with no edit here. The document-level host fields
+// the baseline no longer describes the tree. Results pair up by Key,
+// which Load holds unique within a document, and each pair is compared
+// through its JSON form, so a field added to Result is gated with no
+// edit here. The document-level host fields
 // (wall_ms, parallel, allocs_per_op, bytes_per_op) are not compared.
 func Compare(baseline, candidate Report) *Comparison {
 	c := &Comparison{Experiment: candidate.Experiment}
@@ -59,50 +59,36 @@ func Compare(baseline, candidate Report) *Comparison {
 	}
 	base, got := byKey(baseline.Results), byKey(candidate.Results)
 	for _, key := range sortedKeys(base, got) {
-		bs, gs := base[key], got[key]
-		for i := range max(len(bs), len(gs)) {
-			name := key
-			if max(len(bs), len(gs)) > 1 {
-				name = fmt.Sprintf("%s#%d", key, i)
-			}
-			switch {
-			case i >= len(gs):
-				c.Failures = append(c.Failures, name+": result missing from candidate")
-			case i >= len(bs):
-				c.Failures = append(c.Failures, name+": result absent from baseline")
-			default:
-				c.diff(name, "", bs[i], gs[i])
-			}
+		b, inBase := base[key]
+		g, inCand := got[key]
+		switch {
+		case !inCand:
+			c.Failures = append(c.Failures, key+": result missing from candidate")
+		case !inBase:
+			c.Failures = append(c.Failures, key+": result absent from baseline")
+		default:
+			c.diff(key, "", b, g)
 		}
 	}
 	return c
 }
 
-// byKey groups the results' decoded JSON forms by Key, each group in
-// the order of its encodings so equal groups pair up whatever order
-// the documents list them in. Numbers decode as json.Number, so no
-// uint64 passes through a float64.
-func byKey(results []Result) map[string][]any {
-	enc := make(map[string][][]byte, len(results))
+// byKey maps each result's Key to its decoded JSON form. Numbers
+// decode as json.Number, so no uint64 passes through a float64.
+func byKey(results []Result) map[string]any {
+	out := make(map[string]any, len(results))
 	for _, r := range results {
 		data, err := json.Marshal(r)
 		if err != nil {
 			panic(err) // Result holds only strings, numbers, bools and maps and slices of them
 		}
-		enc[r.Key()] = append(enc[r.Key()], data)
-	}
-	out := make(map[string][]any, len(enc))
-	for key, group := range enc { //slpmt:determinism-ok: each key's group is sorted on its own
-		sort.Slice(group, func(i, j int) bool { return bytes.Compare(group[i], group[j]) < 0 })
-		for _, data := range group {
-			dec := json.NewDecoder(bytes.NewReader(data))
-			dec.UseNumber()
-			var v any
-			if err := dec.Decode(&v); err != nil {
-				panic(err)
-			}
-			out[key] = append(out[key], v)
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.UseNumber()
+		var v any
+		if err := dec.Decode(&v); err != nil {
+			panic(err)
 		}
+		out[r.Key()] = v
 	}
 	return out
 }

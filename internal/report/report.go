@@ -358,7 +358,8 @@ func (r Report) Write(path string) error {
 
 // Load reads one BENCH_<experiment>.json document. A field the schema
 // does not know is an error, so a field dropped from Result cannot
-// vanish from a baseline unnoticed.
+// vanish from a baseline unnoticed, and so is a Key two results share,
+// since an experiment reports each of its cells once.
 func Load(path string) (Report, error) {
 	var rep Report
 	data, err := os.ReadFile(path)
@@ -369,6 +370,13 @@ func Load(path string) (Report, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&rep); err != nil {
 		return rep, fmt.Errorf("%s: %w", path, err)
+	}
+	seen := make(map[string]bool, len(rep.Results))
+	for _, r := range rep.Results {
+		if seen[r.Key()] {
+			return rep, fmt.Errorf("%s: two results share the key %s", path, r.Key())
+		}
+		seen[r.Key()] = true
 	}
 	return rep, nil
 }

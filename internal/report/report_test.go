@@ -66,6 +66,31 @@ func TestLoadRejectsUnknownField(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsRepeatedKey: a document holding two results under one
+// Key fails to load, naming the key, whether or not their values
+// agree: an experiment reports each of its cells once, so the gate
+// pairs results by key alone.
+func TestLoadRejectsRepeatedKey(t *testing.T) {
+	rep := fixture()
+	twin := rep.Results[0]
+	twin.Cycles++
+	rep.Results = append(rep.Results, twin)
+	path := filepath.Join(t.TempDir(), Filename("headline"))
+	if err := rep.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "share the key "+key) {
+		t.Errorf("Load = %v, want an error naming the key %s", err, key)
+	}
+	rep.Results[1].Cores = 2
+	if err := rep.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err != nil {
+		t.Errorf("distinct keys: Load = %v", err)
+	}
+}
+
 // TestResultSortAndKey pins the stable order and the comparability key.
 func TestResultSortAndKey(t *testing.T) {
 	a := bench.Result{RunConfig: bench.RunConfig{Scheme: "FG", Workload: "hashtable", N: 10, ValueSize: 8}}
