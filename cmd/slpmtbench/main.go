@@ -102,7 +102,7 @@ func run(args []string, out io.Writer) error {
 		tracePth = fs.String("trace", "", "single run or replay: export its events to this path as Perfetto JSON")
 		streamD  = fs.String("trace-stream", "", "single run: keep its SLPSEG01 binlog, telemetry and critpath report in this directory")
 		interval = fs.Uint64("interval", 0, "telemetry snapshot interval in cycles of a -trace-stream run (0 = default)")
-		sanitize = fs.Bool("sanitize", false, "single run or replay: replay its events through the persist-order sanitizer (exit nonzero on violations)")
+		sanitize = fs.Bool("sanitize", false, "single run or replay: print its persist-order sanitizer report (exit nonzero on violations)")
 		critPath = fs.Bool("critpath", false, "single run or replay: print its causal critical path (blame/slack/hot-line report)")
 		hotlines = fs.Int("hotlines", 10, fmt.Sprintf("hot lines to list in the -critpath report (1..%d)", critpath.MaxHotLines))
 		flamePth = fs.String("flame", "", "single run: print its cycle attribution and write folded stacks to this path")
@@ -206,16 +206,17 @@ func run(args []string, out io.Writer) error {
 		names = experiments.Names()
 	}
 	sw := new(experiments.Sweep)
-	regressed := 0
+	regressed, compared := 0, 0
 	for _, name := range names {
 		if err := runOne(out, sw, name, base, jsonDocs); err != nil {
 			return err
 		}
 		if *compare != "" {
-			ok, err := compareOne(out, *compare, name)
+			ok, n, err := compareOne(out, *compare, name)
 			if err != nil {
 				return err
 			}
+			compared += n
 			if !ok {
 				regressed++
 			}
@@ -223,6 +224,10 @@ func run(args []string, out io.Writer) error {
 		if all {
 			fmt.Fprintln(out)
 		}
+	}
+	if *compare != "" {
+		// A cell simulated twice shows here before it shows in wall time.
+		fmt.Fprintf(out, "compared %d results from %d simulations\n", compared, sw.Runs())
 	}
 	if regressed > 0 {
 		return fmt.Errorf("%d experiment(s) differ from the baselines in %s", regressed, *compare)
@@ -279,18 +284,19 @@ func runOne(out io.Writer, sw *experiments.Sweep, name string, base bench.RunCon
 }
 
 // compareOne checks the experiment's just-written BENCH json against
-// the committed baseline in dir, printing every difference.
-func compareOne(out io.Writer, dir, name string) (bool, error) {
+// the committed baseline in dir, printing every difference, and returns
+// whether it passed and how many results it compared.
+func compareOne(out io.Writer, dir, name string) (bool, int, error) {
 	basePath := filepath.Join(dir, report.Filename(name))
 	baseline, err := report.Load(basePath)
 	if err != nil {
-		return false, fmt.Errorf("baseline %s: %w (run 'make baseline' to regenerate the committed baselines)", basePath, err)
+		return false, 0, fmt.Errorf("baseline %s: %w (run 'make baseline' to regenerate the committed baselines)", basePath, err)
 	}
 	cand, err := report.Load(report.Filename(name))
 	if err != nil {
-		return false, err
+		return false, 0, err
 	}
 	c := report.Compare(baseline, cand)
 	fmt.Fprint(out, c.String())
-	return c.Pass(), nil
+	return c.Pass(), len(cand.Results), nil
 }

@@ -265,11 +265,11 @@ func TestCompareOneFailsOnMovedStep(t *testing.T) {
 	}
 
 	var out strings.Builder
-	if ok, err := compareOne(&out, committed, "critpath"); !ok || err != nil {
-		t.Fatalf("committed baseline against itself: ok=%v err=%v\n%s", ok, err, out.String())
+	if ok, n, err := compareOne(&out, committed, "critpath"); !ok || n != len(rep.Results) || err != nil {
+		t.Fatalf("committed baseline against itself: ok=%v, %d of %d results, err=%v\n%s", ok, n, len(rep.Results), err, out.String())
 	}
 	out.Reset()
-	ok, err := compareOne(&out, moved, "critpath")
+	ok, _, err := compareOne(&out, moved, "critpath")
 	if ok || err != nil || !strings.Contains(out.String(), " critpath_steps[0].end_cycle: ") {
 		t.Errorf("moved step: ok=%v err=%v, want a failure naming critpath_steps[0].end_cycle:\n%s", ok, err, out.String())
 	}

@@ -67,8 +67,10 @@ func replay(out io.Writer, dir string, records int, follow bool, s single) error
 		fmt.Fprintf(out, "durable prefix of %d complete events recovered\n", st.Events)
 	}
 
+	// A binlog holds what its run's ring recorded; slpmtbench's runs
+	// record every kind.
 	r := bench.Result{RunConfig: bench.RunConfig{CritPath: s.critpath}}
-	if err := r.ReduceEvents(d, st.Dropped); err != nil {
+	if err := r.ReduceEvents(d, trace.AllKinds, st.Dropped); err != nil {
 		return err
 	}
 	return printEvents(out, d, &r, s)

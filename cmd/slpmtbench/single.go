@@ -22,7 +22,7 @@ type single struct {
 	interval  uint64 // -interval: telemetry snapshot window in cycles
 	tracePath string // -trace: Perfetto export of the binlog's events
 	flamePath string // -flame: folded stacks of the cycle attribution
-	sanitize  bool   // -sanitize: persist-order replay of the binlog
+	sanitize  bool   // -sanitize: the persist-order sanitizer's report
 	critpath  bool   // -critpath: blame/slack/hot-line report
 	hotlines  int    // -hotlines: hot lines the critpath report lists
 }
@@ -33,7 +33,7 @@ type single struct {
 // an SLPSEG01 binlog, in -trace-stream's directory or in a temporary
 // one removed on return, and printEvents reads that binlog. A
 // -flame-only run is untraced. A failed verification or sanitizer
-// replay still prints every section and writes every file before the
+// verdict still prints every section and writes every file before the
 // errors return.
 func runSingle(out io.Writer, cfgs []bench.RunConfig, s single) error {
 	traced := s.streamDir != "" || s.tracePath != "" || s.sanitize || s.critpath
@@ -112,12 +112,13 @@ func printFlame(out io.Writer, r *bench.Result, path string) error {
 }
 
 // printEvents prints the event sections of a run whose events d holds
-// and r has reduced (Result.ReduceEvents): the event count and latency
-// summary, the WPQ series bucketed from d, the Perfetto export, the sanitizer replay
-// and the critical path. A live run and -replay both print through it,
-// so their sections match byte for byte; only a live -trace-stream run
-// (s.streamDir) also writes critpath.txt. The sanitizer's verdict is
-// returned after every section is printed.
+// and r has reduced, live or through Result.ReduceEvents: the event
+// count and latency summary, the WPQ series bucketed from d, the
+// Perfetto export, the sanitizer's report and the critical path. A live
+// run and -replay both print through it, so their sections match byte
+// for byte; only a live -trace-stream run (s.streamDir) also writes
+// critpath.txt. The sanitizer's verdict is returned after every section
+// is printed.
 func printEvents(out io.Writer, d *stream.Dir, r *bench.Result, s single) error {
 	fmt.Fprintf(out, "\nevents: %d captured, %d dropped\n\n%s", r.Summary.Events, r.Summary.Dropped, r.Summary.String())
 	wpq, err := stream.BucketWPQ(d, 16)
@@ -139,11 +140,7 @@ func printEvents(out io.Writer, d *stream.Dir, r *bench.Result, s single) error 
 
 	var verdict error
 	if s.sanitize {
-		zs := trace.NewSanitizer()
-		if _, err := stream.Feed(d, zs); err != nil {
-			return fmt.Errorf("sanitizer replay: %w", err)
-		}
-		rep := zs.Report(r.Summary.Dropped)
+		rep := r.Sanitizer
 		fmt.Fprintf(out, "\nsanitizer: %d events replayed, %d transactions, %d aborts\n",
 			rep.Events, rep.Transactions, rep.Aborts)
 		for _, v := range rep.Violations {
@@ -151,7 +148,7 @@ func printEvents(out io.Writer, d *stream.Dir, r *bench.Result, s single) error 
 		}
 		switch {
 		case rep.Truncated:
-			verdict = fmt.Errorf("run dropped %d events; the sanitizer replay is unsound", r.Summary.Dropped)
+			verdict = fmt.Errorf("run dropped %d events; the sanitizer report is unsound", r.Summary.Dropped)
 		case !rep.Clean():
 			verdict = fmt.Errorf("%d persist-order violations", rep.Total)
 		default:

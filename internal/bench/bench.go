@@ -177,6 +177,13 @@ type Result struct {
 	// per-cause shares sum to the path) is checked before the result is
 	// returned. A pointer keeps Result comparable.
 	CritPath *critpath.Analysis
+	// Sanitizer is the persist-order sanitizer's report on the measured
+	// region, run live on the stream; nil unless the stream carried
+	// every kind it reads (trace.SanitizeMask): a CritPath or StreamDir
+	// run, or a caller's ring that records them. Observation-only; a
+	// report with violations fails the cell like VerifyErr (see
+	// experiments). A pointer keeps Result comparable.
+	Sanitizer *trace.Report
 	// VerifyErr is non-nil if the post-run invariant check failed.
 	VerifyErr error
 }

@@ -22,36 +22,49 @@ const StreamRingEvents = 1 << 15
 // one line per closed interval (see stream.Interval).
 const TelemetryFile = "telemetry.ndjson"
 
-// pipeline is one run's online analyses (cs): the latency summarizer
-// and, for a CritPath run, the critical-path analyzer. A live run feeds
-// them its ring's spills through w, which with a StreamDir also runs
-// the telemetry and writes the binlog; a replay feeds them a saved
-// stream, so both reduce identically.
+// pipeline is one run's online analyses (cs): the latency summarizer,
+// the critical-path analyzer for a CritPath run, and the persist-order
+// sanitizer whenever the stream carries every kind the sanitizer reads
+// (trace.SanitizeMask). A live run feeds them its ring's spills through
+// w, which with a StreamDir also runs the telemetry and writes the
+// binlog; a replay feeds them a saved stream, so both reduce
+// identically.
 type pipeline struct {
 	summ *stream.Summarizer
 	cp   *critpath.Analyzer
+	san  *trace.Sanitizer
 	cs   []stream.Consumer
 	w    *stream.Writer
 	tele *stream.Telemetry // nil without a StreamDir
 	nd   *os.File
 }
 
-func newPipeline(critPath bool) *pipeline {
+// newPipeline builds the analyses of a stream that carries the kinds
+// mask.
+func newPipeline(critPath bool, kinds uint64) *pipeline {
 	p := &pipeline{summ: stream.NewSummarizer()}
 	p.cs = []stream.Consumer{p.summ}
 	if critPath {
 		p.cp = critpath.New()
 		p.cs = append(p.cs, p.cp)
 	}
+	if m := trace.SanitizeMask(); kinds&m == m {
+		p.san = trace.NewSanitizer()
+		p.cs = append(p.cs, p.san)
+	}
 	return p
 }
 
 // reduce folds the analyses into r: the latency summary over events
-// stream events with dropped lost, and the critical path with its
-// internal accounting checked. The critical path refuses a dropped or
-// torn stream: its causal replay needs every event.
+// stream events with dropped lost, the sanitizer's report, and the
+// critical path with its internal accounting checked. The critical
+// path refuses a dropped or torn stream: its causal replay needs every
+// event.
 func (p *pipeline) reduce(r *Result, events int, dropped uint64, torn *stream.TornError) error {
 	r.Summary = p.summ.Summary(events, dropped)
+	if p.san != nil {
+		r.Sanitizer = p.san.Report(dropped)
+	}
 	if p.cp == nil {
 		return nil
 	}
@@ -72,7 +85,7 @@ func (p *pipeline) reduce(r *Result, events int, dropped uint64, torn *stream.To
 // attachStream attaches the run's pipeline as the tracer's spill sink,
 // after the measured-region Reset so setup events never reach it.
 func attachStream(cfg RunConfig, tr *trace.Tracer) *pipeline {
-	p := newPipeline(cfg.CritPath)
+	p := newPipeline(cfg.CritPath, tr.Mask())
 	cs := p.cs
 	if cfg.StreamDir != "" {
 		if err := os.MkdirAll(cfg.StreamDir, 0o755); err != nil {
@@ -105,7 +118,7 @@ func reduceTrace(res *Result, tr *trace.Tracer, p *pipeline, pm interface {
 }) {
 	var err error
 	if p == nil {
-		err = res.ReduceEvents(stream.Events(tr.Events()), tr.Dropped())
+		err = res.ReduceEvents(stream.Events(tr.Events()), tr.Mask(), tr.Dropped())
 	} else {
 		// Hand the ring's tail to the consumers and close the writer
 		// (with a binlog: final segment fsync + CLOSED sentinel).
@@ -133,13 +146,15 @@ func reduceTrace(res *Result, tr *trace.Tracer, p *pipeline, pm interface {
 }
 
 // ReduceEvents replays a measured region's events from src into r: the
-// latency summary and, when r.RunConfig.CritPath is set, the causal
-// critical path with its internal accounting checked. dropped is the tracer's drop count.
+// latency summary, the sanitizer's report when kinds (the mask the
+// stream was recorded under) holds every kind the sanitizer reads, and,
+// when r.RunConfig.CritPath is set, the causal critical path with its
+// internal accounting checked. dropped is the tracer's drop count.
 // slpmtbench -replay reduces a saved binlog through it, and a run a
 // caller's ring, with the pipeline a live run feeds, so every source
 // prints the same sections.
-func (r *Result) ReduceEvents(src stream.Source, dropped uint64) error {
-	p := newPipeline(r.RunConfig.CritPath)
+func (r *Result) ReduceEvents(src stream.Source, kinds, dropped uint64) error {
+	p := newPipeline(r.RunConfig.CritPath, kinds)
 	st, err := stream.Feed(src, p.cs...)
 	if err != nil {
 		return fmt.Errorf("replay trace: %w", err)

@@ -24,7 +24,12 @@ func sanitizeReport(t *testing.T, src stream.Source, dropped uint64) *trace.Repo
 	if _, err := stream.Feed(src, zs); err != nil {
 		t.Fatal(err)
 	}
-	rep := zs.Report(dropped)
+	return sortViolations(zs.Report(dropped))
+}
+
+// sortViolations orders rep's violations by event, then detail: the
+// sanitizer may report one event's violations in any order.
+func sortViolations(rep *trace.Report) *trace.Report {
 	sort.Slice(rep.Violations, func(i, j int) bool {
 		vi, vj := rep.Violations[i], rep.Violations[j]
 		if vi.Index != vj.Index {
@@ -33,6 +38,37 @@ func sanitizeReport(t *testing.T, src stream.Source, dropped uint64) *trace.Repo
 		return vi.Detail < vj.Detail
 	})
 	return rep
+}
+
+// TestSanitizerRunsLive: a run whose stream carries every kind the
+// sanitizer reads is sanitized as it runs, and its report equals the
+// one a replay of its binlog gives; a Metrics-only ring carries none.
+// The 2-core W=16 cell with 32-byte values is the one whose first WPQ
+// entry a sanitizer that dropped it from the FIFO reported as a
+// wpq-fifo violation.
+func TestSanitizerRunsLive(t *testing.T) {
+	cfg := RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 120, ValueSize: 32, Cores: 2, CommitWindow: 16,
+		CritPath: true, StreamDir: t.TempDir()}
+	r := Run(cfg)
+	if r.Sanitizer == nil {
+		t.Fatal("a full-detail run carried no sanitizer report")
+	}
+	d, err := stream.Open(cfg.StreamDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sanitizeReport(t, d, 0)
+	if got := sortViolations(r.Sanitizer); !reflect.DeepEqual(got, want) {
+		t.Fatalf("live sanitizer report %+v, binlog replay %+v", got, want)
+	}
+	if want.Transactions != cfg.N || !want.Clean() {
+		t.Fatalf("sanitizer replayed %d transactions with %d violations %v, want %d and none",
+			want.Transactions, want.Total, want.Violations, cfg.N)
+	}
+	m := Run(RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 40, Metrics: true})
+	if m.Sanitizer != nil {
+		t.Errorf("a Metrics-only ring was sanitized: %+v", m.Sanitizer)
+	}
 }
 
 // A streamed run reduces exactly like a ring run: against the same

@@ -7,6 +7,7 @@ import (
 
 	"github.com/persistmem/slpmt/internal/bench"
 	"github.com/persistmem/slpmt/internal/critpath"
+	"github.com/persistmem/slpmt/internal/profile"
 	"github.com/persistmem/slpmt/internal/trace"
 	"github.com/persistmem/slpmt/internal/trace/stream"
 	_ "github.com/persistmem/slpmt/internal/workloads/all"
@@ -72,5 +73,38 @@ func TestAnalyzeAllocs(t *testing.T) {
 	t.Logf("Analyze: %.1f bytes per DAG node over %d nodes", perNode, an.Nodes)
 	if perNode > ceiling {
 		t.Fatalf("Analyze allocated %.1f bytes per DAG node, ceiling %d", perNode, ceiling)
+	}
+}
+
+// TestConsumeBytesPerSegment bounds the heap the analyzer's intake
+// allocates per coalesced charge segment. A segment is one word of its
+// core's tiling; the slice's regrowth brings the reading to about 38
+// bytes a segment. A 32-byte node per segment (core, cause, start and
+// end) reads about 156 and fails the ceiling.
+func TestConsumeBytesPerSegment(t *testing.T) {
+	const (
+		segments = 1 << 16
+		ceiling  = 48 // bytes per segment
+	)
+	causes := [2]profile.Cause{profile.CauseCompute, profile.CauseLogSync}
+	a := critpath.New()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range segments {
+		a.Consume(trace.Event{Cycle: 1000 + 10*uint64(i+1), Addr: uint64(causes[i%2]), Arg: 10, Kind: trace.KCharge})
+	}
+	runtime.ReadMemStats(&after)
+	an, err := a.Analyze(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if an.Nodes != segments {
+		t.Fatalf("%d DAG nodes, want %d", an.Nodes, segments)
+	}
+	perSeg := float64(after.TotalAlloc-before.TotalAlloc) / segments
+	t.Logf("Consume: %.1f bytes per segment over %d segments", perSeg, segments)
+	if perSeg > ceiling {
+		t.Fatalf("Consume allocated %.1f bytes per segment, ceiling %d", perSeg, ceiling)
 	}
 }

@@ -137,7 +137,9 @@ func blockingEdge(c profile.Cause) (EdgeKind, bool) {
 }
 
 // Node is one DAG node: a maximal run of consecutive same-cause charge
-// segments on one core, [Start, End) in absolute cycles.
+// segments on one core, [Start, End) in absolute cycles. The analyzer
+// stores a node as one word of its core's tiling and builds a Node
+// only for the slack ranking.
 type Node struct {
 	Core  int
 	Cause profile.Cause
@@ -303,7 +305,7 @@ type lineAgg struct {
 // emission order — the order both the ring and the binlog preserve —
 // then call Analyze once. Not safe for concurrent use.
 type Analyzer struct {
-	nodes  [256][]Node // a core's region starts at its first node
+	segs   [256]tiling
 	totals [256]profile.Vector
 	hints  [256][]hintRec // per core, in cycle order
 
@@ -313,6 +315,44 @@ type Analyzer struct {
 	lastDrainSeen bool
 
 	err error // the first broken stream contract, reported by Analyze
+}
+
+// tiling is one core's charge segments: the DAG nodes of that core.
+// The region's first cycle is base, and each segment is one word, its
+// end cycle with its cause in the top byte. A segment starts where the
+// previous one ends, and its core is the tiling it sits in, so neither
+// is stored.
+type tiling struct {
+	base  uint64
+	words []uint64
+}
+
+// causeShift places a segment's cause above its end cycle; maxCycle is
+// the largest end cycle the word holds.
+const (
+	causeShift = 56
+	maxCycle   = 1<<causeShift - 1
+)
+
+func (t *tiling) end(i int) uint64          { return t.words[i] & maxCycle }
+func (t *tiling) cause(i int) profile.Cause { return profile.Cause(t.words[i] >> causeShift) }
+func (t *tiling) last() uint64              { return t.end(len(t.words) - 1) }
+
+func (t *tiling) start(i int) uint64 {
+	if i == 0 {
+		return t.base
+	}
+	return t.end(i - 1)
+}
+
+// node builds segment i of core c as a Node.
+func (t *tiling) node(c, i int) Node {
+	return Node{Core: c, Cause: t.cause(i), Start: t.start(i), End: t.end(i)}
+}
+
+// find returns the greatest segment that starts before x, or -1.
+func (t *tiling) find(x uint64) int {
+	return sort.Search(len(t.words), func(i int) bool { return t.start(i) >= x }) - 1
 }
 
 // New returns an empty analyzer.
@@ -429,10 +469,10 @@ func (a *Analyzer) hint(e trace.Event, peer uint8, kind EdgeKind) {
 	a.hints[e.Core] = append(hs, hintRec{cycle: e.Cycle, peer: peer, kind: kind})
 }
 
-// consumeCharge extends the emitting core's node chain. A charge is a
+// consumeCharge extends the emitting core's tiling. A charge is a
 // post-advance record: the segment [Cycle-Arg, Cycle] tiles the core's
 // region contiguously; a gap or overlap breaks the contract and is
-// reported by Analyze.
+// reported by Analyze, as is a cycle too large for a segment word.
 func (a *Analyzer) consumeCharge(e trace.Event) {
 	c := e.Core
 	cause := profile.Cause(e.Addr)
@@ -440,21 +480,24 @@ func (a *Analyzer) consumeCharge(e trace.Event) {
 		a.fail(fmt.Errorf("critpath: charge with unknown cause %d at cycle %d", e.Addr, e.Cycle))
 		return
 	}
+	if e.Cycle > maxCycle {
+		a.fail(fmt.Errorf("critpath: core %d charge at cycle %d exceeds %d", c, e.Cycle, uint64(maxCycle)))
+		return
+	}
 	start := e.Cycle - e.Arg
 	a.totals[c][cause] += e.Arg
-	ns := a.nodes[c]
-	if len(ns) > 0 {
-		top := &ns[len(ns)-1]
-		if top.End != start {
-			a.fail(fmt.Errorf("critpath: core %d charge stream does not tile: segment starts at %d, previous ends at %d",
-				c, start, top.End))
-		}
-		if top.Cause == cause && top.End == start {
-			top.End = e.Cycle
-			return
-		}
+	t := &a.segs[c]
+	word := uint64(cause)<<causeShift | e.Cycle
+	if n := len(t.words); n == 0 {
+		t.base = start
+	} else if end := t.end(n - 1); end != start {
+		a.fail(fmt.Errorf("critpath: core %d charge stream does not tile: segment starts at %d, previous ends at %d",
+			c, start, end))
+	} else if t.cause(n-1) == cause {
+		t.words[n-1] = word
+		return
 	}
-	a.nodes[c] = append(ns, Node{Core: int(c), Cause: cause, Start: start, End: e.Cycle})
+	t.words = append(t.words, word)
 }
 
 // Analyze computes the critical path, the DAG slack, the what-if
@@ -471,7 +514,7 @@ func (a *Analyzer) Analyze(dropped uint64) (*Analysis, error) {
 	}
 	var cores []int
 	for c := 0; c < 256; c++ {
-		if len(a.nodes[c]) > 0 {
+		if len(a.segs[c].words) > 0 {
 			cores = append(cores, c)
 		}
 	}
@@ -486,15 +529,15 @@ func (a *Analyzer) Analyze(dropped uint64) (*Analysis, error) {
 	// one whose last charge lands latest.
 	start, end, m := ^uint64(0), uint64(0), cores[0]
 	for _, c := range cores {
-		ns := a.nodes[c]
-		if b := ns[0].Start; b < start {
-			start = b
+		t := &a.segs[c]
+		if t.base < start {
+			start = t.base
 		}
-		if e := ns[len(ns)-1].End; e > end {
+		if e := t.last(); e > end {
 			end, m = e, c
 		}
 		an.perCore = append(an.perCore, coreTotals{
-			core: c, base: ns[0].Start, last: ns[len(ns)-1].End, causes: a.totals[c],
+			core: c, base: t.base, last: t.last(), causes: a.totals[c],
 		})
 		for cause, n := range a.totals[c] {
 			an.RawCycles[cause] += n
@@ -517,14 +560,14 @@ func (a *Analyzer) Analyze(dropped uint64) (*Analysis, error) {
 // end - base regardless of hop choices.
 func (a *Analyzer) walk(an *Analysis, m int, end uint64) {
 	x, cur := end, m
-	for x > a.nodes[cur][0].Start {
-		ns := a.nodes[cur]
-		// Greatest segment with Start < x; tiling guarantees x <= End.
-		i := sort.Search(len(ns), func(i int) bool { return ns[i].Start >= x }) - 1
+	for x > a.segs[cur].base {
+		t := &a.segs[cur]
+		// Greatest segment with start < x; tiling guarantees x <= end.
+		i := t.find(x)
 		if i < 0 {
 			break // stream cut below this core's first charge
 		}
-		seg := ns[i]
+		seg := t.node(cur, i)
 		an.PathCycles[seg.Cause] += x - seg.Start
 		an.Steps = append(an.Steps, Step{Core: cur, Cause: seg.Cause, Start: seg.Start, End: x, Edge: EdgeProgram})
 		x = seg.Start
@@ -564,11 +607,8 @@ func (a *Analyzer) hintPeer(c int, kind EdgeKind, cycle uint64) (int, bool) {
 // covers reports whether core c's charge tiling contains cycle x
 // (exclusive start: a segment [s, e] covers x when s < x <= e).
 func (a *Analyzer) covers(c int, x uint64) bool {
-	ns := a.nodes[c]
-	if len(ns) == 0 {
-		return false
-	}
-	return ns[0].Start < x && x <= ns[len(ns)-1].End
+	t := &a.segs[c]
+	return len(t.words) > 0 && t.base < x && x <= t.last()
 }
 
 // waitEdges returns the cross-core wait edges into core c's nodes,
@@ -579,16 +619,16 @@ func (a *Analyzer) covers(c int, x uint64) bool {
 // to the segment that ends there); its source is the peer's last node
 // ending at or before the target starts.
 func (a *Analyzer) waitEdges(c int) []Edge {
-	ns := a.nodes[c]
+	t := &a.segs[c]
 	var out []Edge
 	group := 0 // the first edge into out's last target node
 	for _, h := range a.hints[c] {
-		to := sort.Search(len(ns), func(i int) bool { return ns[i].Start >= h.cycle }) - 1
-		if to < 0 || h.cycle > ns[to].End {
+		to := t.find(h.cycle)
+		if to < 0 || h.cycle > t.end(to) {
 			continue
 		}
-		ps := a.nodes[h.peer]
-		from := sort.Search(len(ps), func(i int) bool { return ps[i].End > ns[to].Start }) - 1
+		ps, start := &a.segs[h.peer], t.start(to)
+		from := sort.Search(len(ps.words), func(i int) bool { return ps.end(i) > start }) - 1
 		if from < 0 {
 			continue
 		}
@@ -617,19 +657,20 @@ func (a *Analyzer) slack(an *Analysis, cores []int, end uint64) {
 		next, edge [256]int // per core: the next node and in-edge to visit
 	)
 	for _, c := range cores {
-		lf[c] = make([]uint64, len(a.nodes[c]))
+		n := len(a.segs[c].words)
+		lf[c] = make([]uint64, n)
 		for i := range lf[c] {
 			lf[c][i] = end
 		}
 		in[c] = a.waitEdges(c)
-		next[c], edge[c] = len(a.nodes[c])-1, len(in[c])-1
-		an.Nodes += len(a.nodes[c])
+		next[c], edge[c] = n-1, len(in[c])-1
+		an.Nodes += n
 		an.Edges += len(in[c])
 	}
 	for {
 		c := -1
 		for _, d := range cores {
-			if next[d] >= 0 && (c < 0 || a.nodes[d][next[d]].End >= a.nodes[c][next[c]].End) {
+			if next[d] >= 0 && (c < 0 || a.segs[d].end(next[d]) >= a.segs[c].end(next[c])) {
 				c = d
 			}
 		}
@@ -638,7 +679,8 @@ func (a *Analyzer) slack(an *Analysis, cores []int, end uint64) {
 		}
 		v := next[c]
 		next[c]--
-		ls := lf[c][v] - a.nodes[c][v].Dur()
+		t := &a.segs[c]
+		ls := lf[c][v] - (t.end(v) - t.start(v))
 		if v > 0 {
 			lf[c][v-1] = min(lf[c][v-1], ls)
 		}
@@ -649,8 +691,9 @@ func (a *Analyzer) slack(an *Analysis, cores []int, end uint64) {
 	}
 	an.SlackTop = make([]SlackEntry, 0, maxSlackTop)
 	for _, c := range cores {
-		for i, n := range a.nodes[c] {
-			an.SlackTop = keepTop(an.SlackTop, SlackEntry{Node: n, Slack: lf[c][i] - n.End}, compareSlack)
+		t := &a.segs[c]
+		for i := range t.words {
+			an.SlackTop = keepTop(an.SlackTop, SlackEntry{Node: t.node(c, i), Slack: lf[c][i] - t.end(i)}, compareSlack)
 		}
 	}
 }

@@ -261,6 +261,12 @@ func TestAnalyzeErrors(t *testing.T) {
 	}, 0); err == nil || !strings.Contains(err.Error(), "wait hint at cycle 1030 follows one at 1050") {
 		t.Errorf("out-of-order hint: error %v, want the hint order named", err)
 	}
+	// A cycle too large for a segment word.
+	if _, err := analyze([]trace.Event{
+		ch(0, 1<<56, profile.CauseCompute, 100),
+	}, 0); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("cycle past the packing: error %v, want it named", err)
+	}
 	// An out-of-range cause.
 	if _, err := analyze([]trace.Event{
 		{Cycle: 100, Addr: 999, Arg: 10, Kind: trace.KCharge, Core: 0},

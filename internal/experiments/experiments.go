@@ -39,13 +39,23 @@ var registry = []experiment{
 	{"window", Window, nil}, {"numa", Numa, nil}, {"critpath", CritPath, nil},
 }
 
-// Sweep holds every bench run its experiments asked for, by RunConfig,
-// so a cell that several experiments share is simulated once.
-// slpmtbench's "all" runs every one of Names through one Sweep; a lone
-// experiment gets its own. The zero Sweep is empty and ready to use.
+// Sweep holds every bench run its experiments asked for, keyed by the
+// simulated machine (see machine), so a cell that several experiments
+// share is simulated once. slpmtbench's "all" runs every one of Names
+// through one Sweep; a lone experiment gets its own. The zero Sweep is
+// empty and ready to use.
 type Sweep struct {
 	by   map[bench.RunConfig]bench.Result
 	runs int
+}
+
+// machine is cfg's key in a Sweep: cfg with Cores, CommitWindow and
+// Sockets of 0 spelled 1. Either spelling simulates the same one-core,
+// per-transaction, one-device machine, so scaling's Sockets 0 and
+// numa's 1, or window's CommitWindow 1 and breakdown's 0, share a run.
+func machine(cfg bench.RunConfig) bench.RunConfig {
+	cfg.Cores, cfg.CommitWindow, cfg.Sockets = max(cfg.Cores, 1), max(cfg.CommitWindow, 1), max(cfg.Sockets, 1)
+	return cfg
 }
 
 // Runs is the number of bench runs the sweep simulated.
@@ -53,9 +63,10 @@ func (s *Sweep) Runs() int { return s.runs }
 
 // Run executes the named experiment, writing its tables to w, and
 // returns each of its cells once, in the order it first asked for
-// them; a cell the sweep already holds is looked up, not run again. If
-// a result failed its invariant check, Run returns an error naming the
-// first such cell instead; the tables are written by then.
+// them, each under its own RunConfig; a cell whose machine the sweep
+// already holds is looked up, not run again. If a result failed its
+// invariant check or the persist-order sanitizer, Run returns an error
+// naming the first such cell instead; the tables are written by then.
 func (s *Sweep) Run(w io.Writer, name string, base bench.RunConfig) ([]bench.Result, error) {
 	for _, e := range registry {
 		if e.name != name {
@@ -74,11 +85,16 @@ func (s *Sweep) Run(w io.Writer, name string, base bench.RunConfig) ([]bench.Res
 }
 
 // verified returns an error naming the first of results, in run order,
-// whose invariant check failed.
+// whose invariant check failed or whose persist-order sanitizer found a
+// violation (a cell traced in full detail is sanitized live).
 func verified(results []bench.Result) error {
 	for _, r := range results {
 		if r.VerifyErr != nil {
 			return fmt.Errorf("%s failed verification: %v", cellName(r.RunConfig), r.VerifyErr)
+		}
+		if z := r.Sanitizer; z != nil && !z.Clean() {
+			return fmt.Errorf("%s failed the persist-order sanitizer: %d violations, the first %s",
+				cellName(r.RunConfig), z.Total, z.Violations[0])
 		}
 	}
 	return nil
@@ -153,8 +169,9 @@ type sweep struct {
 	mine    map[bench.RunConfig]bool
 }
 
-// run returns the result of every cfg, in order, simulating on the
-// worker pool only the configurations the Sweep does not hold yet.
+// run returns the result of every cfg, in order, each under its own
+// RunConfig, simulating on the worker pool only the machines the Sweep
+// does not hold yet.
 func (sw *sweep) run(cfgs []bench.RunConfig) ([]bench.Result, error) {
 	if sw.by == nil {
 		sw.by = make(map[bench.RunConfig]bench.Result, len(cfgs))
@@ -164,8 +181,10 @@ func (sw *sweep) run(cfgs []bench.RunConfig) ([]bench.Result, error) {
 	}
 	var missing []bench.RunConfig
 	for _, cfg := range cfgs {
-		if _, ok := sw.by[cfg]; !ok && !slices.Contains(missing, cfg) {
-			missing = append(missing, cfg)
+		if m := machine(cfg); !slices.Contains(missing, m) {
+			if _, ok := sw.by[m]; !ok {
+				missing = append(missing, m)
+			}
 		}
 	}
 	rs, err := bench.RunAll(missing)
@@ -178,7 +197,8 @@ func (sw *sweep) run(cfgs []bench.RunConfig) ([]bench.Result, error) {
 	}
 	out := make([]bench.Result, len(cfgs))
 	for i, cfg := range cfgs {
-		out[i] = sw.by[cfg]
+		out[i] = sw.by[machine(cfg)]
+		out[i].RunConfig = cfg
 		if !sw.mine[cfg] {
 			sw.mine[cfg] = true
 			sw.results = append(sw.results, out[i])
@@ -206,7 +226,9 @@ func (sw *sweep) at(cfg bench.RunConfig) bench.Result {
 	if !sw.mine[cfg] {
 		panic("experiments: no run of " + cellName(cfg))
 	}
-	return sw.by[cfg]
+	r := sw.by[machine(cfg)]
+	r.RunConfig = cfg
+	return r
 }
 
 // cell is base with the scheme and workload set: a grid cell's

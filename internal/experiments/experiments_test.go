@@ -204,54 +204,67 @@ func TestSweepAtPanicsOnMissingCell(t *testing.T) {
 	}
 }
 
-// TestSharedSweepMatchesStandalone: experiments run through one shared
-// Sweep, as "all" runs them, report exactly what each reports run on
-// its own (host fields aside), so no experiment depends on, or
-// changes, a result another one simulated. The shared run simulates
-// each distinct RunConfig once, and ablation reports each of its
-// cells once.
+// TestSharedSweepMatchesStandalone: every experiment run through one
+// shared Sweep, as "all" runs them, reports exactly what it reports run
+// on its own (host fields aside), so no experiment depends on, or
+// changes, a result another one simulated, and each result carries the
+// RunConfig its experiment asked for. The shared run simulates each
+// machine once per set of observation flags, where Cores, CommitWindow
+// and Sockets of 0 and 1 name the same machine, and ablation reports
+// each of its cells once.
 func TestSharedSweepMatchesStandalone(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs seven experiment grids twice; skipped in -short")
+		t.Skip("runs every experiment twice; skipped in -short")
 	}
 	// The base slpmtbench -json passes: one core, profiled.
-	base := bench.RunConfig{N: 40, ValueSize: 32, Verify: true, Cores: 1, Profile: true}
+	base := bench.RunConfig{N: 24, ValueSize: 32, Verify: true, Cores: 1, Profile: true}
 	doc := func(name string, results []bench.Result) report.Report {
 		return report.FromResults(name, 0, 0, 0, 0, results)
 	}
 	shared := new(Sweep)
-	docs := map[string]report.Report{}
-	distinct := map[bench.RunConfig]bool{}
+	spellings := map[bench.RunConfig]map[bench.RunConfig]bool{} // machine -> RunConfigs
 	total := 0
-	for _, name := range []string{"fig8", "fig9", "fig10", "fig14", "headline", "ablation", "breakdown"} {
+	for _, name := range Names() {
 		res, err := shared.Run(io.Discard, name, base)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		alone, err := new(Sweep).Run(io.Discard, name, base)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(doc(name, res), doc(name, alone)) {
+			t.Errorf("%s: the shared run's document differs from the standalone run's", name)
+		}
+		if name == "fig13" {
+			continue // its cells are whole runs it makes itself, not sweep cells
 		}
 		mine := map[bench.RunConfig]bool{}
 		for _, r := range res {
 			if mine[r.RunConfig] {
 				t.Errorf("%s reports %s twice", name, cellName(r.RunConfig))
 			}
-			mine[r.RunConfig], distinct[r.RunConfig] = true, true
+			mine[r.RunConfig] = true
+			m := r.RunConfig
+			m.Cores, m.CommitWindow, m.Sockets = max(m.Cores, 1), max(m.CommitWindow, 1), max(m.Sockets, 1)
+			if spellings[m] == nil {
+				spellings[m] = map[bench.RunConfig]bool{}
+			}
+			spellings[m][r.RunConfig] = true
 		}
 		total += len(res)
-		docs[name] = doc(name, res)
-	}
-	if shared.Runs() != len(distinct) || shared.Runs() >= total {
-		t.Errorf("shared run simulated %d cells for %d distinct RunConfigs over %d results",
-			shared.Runs(), len(distinct), total)
-	}
-	if got, want := len(docs["ablation"].Results), 8*len(workloads.Kernels()); got != want {
-		t.Errorf("ablation reports %d results, want its %d distinct cells", got, want)
-	}
-	for _, name := range []string{"fig9", "fig10", "headline", "ablation", "breakdown"} {
-		res, err := new(Sweep).Run(io.Discard, name, base)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if name == "ablation" && len(res) != 8*len(workloads.Kernels()) {
+			t.Errorf("ablation reports %d results, want its %d distinct cells", len(res), 8*len(workloads.Kernels()))
 		}
-		if !reflect.DeepEqual(docs[name], doc(name, res)) {
-			t.Errorf("%s: the shared run's document differs from the standalone run's", name)
+	}
+	respelled := 0
+	for _, cfgs := range spellings {
+		if len(cfgs) > 1 {
+			respelled++
 		}
+	}
+	if shared.Runs() != len(spellings) || respelled == 0 {
+		t.Errorf("shared run simulated %d cells for %d distinct machines (%d asked for under two spellings) over %d results",
+			shared.Runs(), len(spellings), respelled, total)
 	}
 }

@@ -283,7 +283,7 @@ func (c *Core) AccessLine(addr mem.Addr, write bool) *cache.Line {
 		c.Trace(trace.KWPQRemote, la, extra)
 		c.charge(profile.CauseWPQRemote, extra)
 	}
-	c.charge(profile.CausePMRead, c.sh.PM.ReadCycles())
+	c.charge(profile.CausePMRead, pmem.ReadCycles)
 	c.Stats.PMReadBytes += mem.LineSize
 	c.Trace(trace.KCacheMiss, la, 4)
 	return c.finishFill(cache.Line{Addr: la, State: cache.Exclusive}, write)
@@ -472,10 +472,7 @@ func (c *Core) chargePersist(dev *pmem.Device, stall uint64) {
 	if cause := c.cause; cause != profile.CauseNone {
 		c.charge(cause, rest)
 	} else {
-		enq := dev.Config().EnqueueCycles
-		if enq > rest {
-			enq = rest
-		}
+		enq := min(rest, pmem.EnqueueCycles)
 		c.charge(profile.CauseWPQEnqueue, enq)
 		c.charge(profile.CausePersistSync, rest-enq)
 	}
@@ -528,8 +525,8 @@ func (c *Core) coherenceWriteback(addr mem.Addr) {
 // chargeStall records WPQ backpressure (stall beyond the fixed enqueue
 // latency) in the counters.
 func (c *Core) chargeStall(stall uint64) {
-	if enq := c.sh.PM.Config().EnqueueCycles; stall > enq {
-		c.Stats.WPQStallCycles += stall - enq
+	if stall > pmem.EnqueueCycles {
+		c.Stats.WPQStallCycles += stall - pmem.EnqueueCycles
 	}
 }
 

@@ -80,7 +80,7 @@ func TestBankFinishFairAcrossProducers(t *testing.T) {
 		now := uint64(10 * i) // near-simultaneous arrivals, alternating cores
 		d.PersistStream(now, uint64(64*i), zline())
 		fins = append(fins, d.LastFinish())
-		if got, min := d.LastFinish(), now+d.cfg.EnqueueCycles+d.cfg.WriteCycles; got < min {
+		if got, min := d.LastFinish(), now+EnqueueCycles+d.cfg.WriteCycles; got < min {
 			t.Fatalf("entry %d finished at %d, before enqueue+service %d", i, got, min)
 		}
 	}

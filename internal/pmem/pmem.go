@@ -37,11 +37,6 @@ type Config struct {
 	// WPQBytes is the write pending queue capacity. Default 512; at most
 	// MaxWPQBytes, so a WPQ entry's byte count fits 16 bits.
 	WPQBytes int
-	// EnqueueCycles is the cost of entering the WPQ (the paper's "4ns
-	// latency" for the persist operation). Default 8 cycles (4 ns @2 GHz).
-	EnqueueCycles uint64
-	// ReadCycles is the demand-read latency. Default 300 (150 ns @2 GHz).
-	ReadCycles uint64
 	// WriteCycles is the medium write latency per WPQ entry. Default
 	// 1000 (500 ns @2 GHz). Figure 12 sweeps this up to 2300 ns.
 	WriteCycles uint64
@@ -61,13 +56,16 @@ type Config struct {
 
 // Defaults for a 2 GHz core: 1 ns = 2 cycles.
 const (
-	DefaultSize          = 16 << 20
-	DefaultWPQBytes      = 512
-	DefaultEnqueueCycles = 8
-	DefaultReadCycles    = 300
-	DefaultWriteCycles   = 1000
-	DefaultAckCycles     = 100
-	DefaultBanks         = 2
+	DefaultSize        = 16 << 20
+	DefaultWPQBytes    = 512
+	DefaultWriteCycles = 1000
+	DefaultAckCycles   = 100
+	DefaultBanks       = 2
+	// EnqueueCycles is the cost of entering the WPQ (the paper's "4ns
+	// latency" for the persist operation): 8 cycles (4 ns @2 GHz).
+	EnqueueCycles = 8
+	// ReadCycles is the demand-read latency: 300 (150 ns @2 GHz).
+	ReadCycles = 300
 	// CyclesPerNs converts Table III nanosecond figures to core cycles.
 	CyclesPerNs = 2
 
@@ -83,12 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WPQBytes == 0 {
 		c.WPQBytes = DefaultWPQBytes
-	}
-	if c.EnqueueCycles == 0 {
-		c.EnqueueCycles = DefaultEnqueueCycles
-	}
-	if c.ReadCycles == 0 {
-		c.ReadCycles = DefaultReadCycles
 	}
 	if c.WriteCycles == 0 {
 		c.WriteCycles = DefaultWriteCycles
@@ -265,9 +257,6 @@ func (d *Device) ResetOccupancy(now uint64) {
 // Size returns the device capacity in bytes.
 func (d *Device) Size() uint64 { return d.cfg.Size }
 
-// ReadCycles returns the demand-read latency in cycles.
-func (d *Device) ReadCycles() uint64 { return d.cfg.ReadCycles }
-
 // drainUpTo retires queue entries whose finish time is <= now. The
 // queue is kept sorted by finish time (see enqueue), so retirement is a
 // prefix pop. A grown backlog that empties goes back to backlogs.
@@ -370,7 +359,7 @@ func (d *Device) Persist(now uint64, addr uint64, data []byte) (stall uint64) {
 	// pay only queue backpressure; background persists (PersistAsync)
 	// are posted.
 	stall += fin - t
-	d.totalStall += stall - d.cfg.EnqueueCycles
+	d.totalStall += stall - EnqueueCycles
 	return stall + d.cfg.AckCycles
 }
 
@@ -387,7 +376,7 @@ func (d *Device) PersistStream(now uint64, addr uint64, data []byte) (stall uint
 		return 0
 	}
 	stall, _, _ = d.enqueueWait(now, addr, data)
-	d.totalStall += stall - d.cfg.EnqueueCycles
+	d.totalStall += stall - EnqueueCycles
 	return stall
 }
 
@@ -409,7 +398,7 @@ func (d *Device) enqueueWait(now uint64, addr uint64, data []byte) (stall, t, fi
 	// Durable immediately: inside the persist domain.
 	d.durable.write(addr, data)
 
-	stall = d.cfg.EnqueueCycles
+	stall = EnqueueCycles
 	t = now + stall
 	d.drainUpTo(t)
 	var waited uint64
@@ -485,7 +474,7 @@ func (d *Device) PersistAsync(now uint64, addr uint64, data []byte) (stall uint6
 		d.panicTooLarge(n)
 	}
 	d.durable.write(addr, data)
-	t := now + d.cfg.EnqueueCycles
+	t := now + EnqueueCycles
 	d.drainUpTo(t)
 	// The posting engine waits for WPQ space on the device timeline
 	// (the entry starts only once a slot frees), but the core is not
@@ -508,7 +497,7 @@ func (d *Device) PersistAsync(now uint64, addr uint64, data []byte) (stall uint6
 	fin := d.bankFinish(tStart)
 	d.enqueue(entry{finish: fin, addr: uint32(addr), bytes: uint16(n), core: d.curCore}, t)
 	d.tr.Emit(d.curCore, t, trace.KWPQEnqueue, addr, uint64(d.usedBytes)|d.sockTag)
-	return d.cfg.EnqueueCycles
+	return EnqueueCycles
 }
 
 // DrainAll returns the cycle at which every currently queued entry has

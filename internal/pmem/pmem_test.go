@@ -31,8 +31,7 @@ func TestDurableAtEnqueue(t *testing.T) {
 }
 
 func TestPersistStallComponents(t *testing.T) {
-	cfg := Config{Size: 1 << 20, WPQBytes: 128, EnqueueCycles: 8,
-		WriteCycles: 1000, AckCycles: 100, Banks: 1}
+	cfg := Config{Size: 1 << 20, WPQBytes: 128, WriteCycles: 1000, AckCycles: 100, Banks: 1}
 	d := New(cfg)
 	// Synchronous persists wait for enqueue + the entry's medium
 	// completion + the acknowledgement round trip.
@@ -55,7 +54,7 @@ func TestBankedDrainParallelism(t *testing.T) {
 	// so bank parallelism is only visible on streamed/posted bursts.
 	mk := func(banks int) uint64 {
 		d := New(Config{Size: 1 << 20, WPQBytes: 64 * 16, Banks: banks,
-			EnqueueCycles: 8, WriteCycles: 1000, AckCycles: 1})
+			WriteCycles: 1000, AckCycles: 1})
 		now := uint64(0)
 		for i := 0; i < 8; i++ {
 			now += d.PersistStream(now, uint64(i*64), line(byte(i)))
@@ -73,8 +72,7 @@ func TestBankedDrainParallelism(t *testing.T) {
 }
 
 func TestPersistAsyncDoesNotStall(t *testing.T) {
-	d := New(Config{Size: 1 << 20, WPQBytes: 128, EnqueueCycles: 8,
-		WriteCycles: 1000, AckCycles: 100, Banks: 1})
+	d := New(Config{Size: 1 << 20, WPQBytes: 128, WriteCycles: 1000, AckCycles: 100, Banks: 1})
 	// Fill well past WPQ capacity asynchronously: stall stays at the
 	// enqueue latency every time.
 	for i := 0; i < 32; i++ {
@@ -90,7 +88,7 @@ func TestPersistAsyncDoesNotStall(t *testing.T) {
 }
 
 func TestPersistStreamSkipsAck(t *testing.T) {
-	d := New(Config{Size: 1 << 20, EnqueueCycles: 8, WriteCycles: 1000,
+	d := New(Config{Size: 1 << 20, WriteCycles: 1000,
 		AckCycles: 500, Banks: 2})
 	s := d.PersistStream(0, 0, line(1))
 	if s != 8 {
@@ -218,7 +216,7 @@ func TestBacklogGrowsByDoubling(t *testing.T) {
 
 func TestQueueDepthDrains(t *testing.T) {
 	d := New(Config{Size: 1 << 20, WPQBytes: 512, WriteCycles: 1000, Banks: 1,
-		EnqueueCycles: 8, AckCycles: 1})
+		AckCycles: 1})
 	// Posted persists leave entries in flight.
 	for i := 0; i < 4; i++ {
 		d.PersistAsync(0, uint64(i*64), line(1))

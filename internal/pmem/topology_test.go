@@ -104,7 +104,7 @@ func TestSocketFairnessAcrossDevices(t *testing.T) {
 		d := topo.Dev(s)
 		now := uint64(10 * i)
 		d.PersistStream(now, uint64(64*i), zline())
-		if got, min := d.LastFinish(), now+d.cfg.EnqueueCycles+d.cfg.WriteCycles; got < min {
+		if got, min := d.LastFinish(), now+EnqueueCycles+d.cfg.WriteCycles; got < min {
 			t.Fatalf("socket %d entry finished at %d, before enqueue+service %d", s, got, min)
 		}
 		fins[s] = append(fins[s], d.LastFinish())

@@ -24,8 +24,8 @@ type campaignShape struct {
 
 func campaignShapes() []campaignShape {
 	shapes := []campaignShape{
-		{"hashtable-w1", recovery.CampaignConfig{Workload: "hashtable", Mixed: true}, 5.1, 5.2, 1680},
-		{"kv-btree-w16", recovery.CampaignConfig{Workload: "kv-btree", CommitWindow: 16}, 5.9, 6.5, 2450},
+		{"hashtable-w1", recovery.CampaignConfig{Workload: "hashtable", Mixed: true}, 5.1, 5.2, 1420},
+		{"kv-btree-w16", recovery.CampaignConfig{Workload: "kv-btree", CommitWindow: 16}, 5.3, 5.5, 2390},
 	}
 	for i := range shapes {
 		cfg := &shapes[i].cfg
@@ -55,16 +55,16 @@ func campaignCost(tb testing.TB, cfg recovery.CampaignConfig, n int) (points int
 // once and bounds its host allocations per crash point, the campaign's
 // reference and set-up runs included. A point's verification allocates
 // only its workload instance (TestVerifyPointAllocs); what is left is
-// its run's workload instance and the run's own growth. The hashtable
-// ceilings are about 10% over its measured 4.0–4.6 (4.7 in a -race
-// build), set when its rehash stopped stashing the moved nodes (6.2
-// and 6.7 before). The kv-btree ceilings were set about 10% over its
-// 5.2–5.3 (5.8–5.9) and it now measures 4.7–4.8 (4.9). The first
-// campaign in a process also pays one-time costs, such as the memoized
-// key stream and the first buffers of the free lists, and the
-// runtime's own allocations land in the count. Race instrumentation
-// doubles some allocation sites (every slices.Grow among them), so a
-// -race build has ceilings of its own.
+// its run's workload instance and the run's own growth. The ceilings
+// are about 10% over the measured 4.0–4.6 for hashtable (4.7 in a -race
+// build; 6.2 and 6.7 before its rehash stopped stashing the moved
+// nodes) and 4.6–4.8 for kv-btree (5.0). The low ends are whole-package
+// runs; the high ends are a process that runs this test alone, whose
+// first campaign also pays one-time costs, such as the memoized key
+// stream and the first buffers of the free lists, and the runtime's own
+// allocations land in the count. Race instrumentation doubles some
+// allocation sites (every slices.Grow among them), so a -race build has
+// ceilings of its own.
 func TestCampaignAllocsPerPoint(t *testing.T) {
 	for _, s := range campaignShapes() {
 		points, allocs, _ := campaignCost(t, s.cfg, 1)
@@ -83,8 +83,9 @@ func TestCampaignAllocsPerPoint(t *testing.T) {
 // TestCampaignBytesPerPoint runs each of BenchmarkCampaign's campaigns
 // once and bounds its host heap bytes per crash point, the campaign's
 // reference and set-up runs included. The ceilings are about 10% over
-// the measured 1,222–1,524 and 1,934–2,230 B (the high ends in a
-// process that runs this test alone, which pays the one-time costs).
+// the measured 916–1,290 and 1,854–2,168 B (the low ends in ten
+// whole-package runs, the high ends in a process that runs this test
+// alone, which pays the one-time costs).
 // BenchmarkCampaign read 1,664 and 3,393 B before recovery repaired the
 // crashed platform's durable image in place instead of a copy of its
 // written pages and the verifier sized its completed-op list and

@@ -491,12 +491,15 @@ func (s *Sanitizer) replayEnqueue(i int, e Event, cs *sanCore) {
 
 	// Rule 3 occupancy replay, per socket. The first observed event of a
 	// socket sets its baseline (the stream may start with entries
-	// already queued).
+	// already queued), so a first enqueue's size is unknown. Its drain
+	// still follows, so it waits in the FIFO as a sizeless entry that an
+	// address-stamped drain of its line retires.
 	sock := WPQSocket(e.Arg)
 	occ := int64(WPQOcc(e.Arg))
 	prev, seen := s.occ[sock]
 	s.occ[sock] = occ
 	if !seen {
+		cs.wpqFifo[sock] = append(cs.wpqFifo[sock], wpqEntry{line: line})
 		return
 	}
 	delta := occ - prev
@@ -536,6 +539,9 @@ func (s *Sanitizer) replayDrain(i int, e Event) {
 	// line; unstamped drains (Addr 0) match on size alone.
 	dline := e.Addr &^ (sanLineSize - 1)
 	match := func(en wpqEntry) bool {
+		if en.bytes == 0 { // a socket's first enqueue, of unknown size
+			return e.Addr != 0 && en.line == dline
+		}
 		return en.bytes == uint64(delta) && (e.Addr == 0 || en.line == dline)
 	}
 	for j := 0; j < len(fifo); j++ {

@@ -175,6 +175,21 @@ func TestSanitizeWPQDrainSizeMismatch(t *testing.T) {
 	wantViolation(t, rep, "wpq-fifo", "no matching outstanding enqueue")
 }
 
+// TestSanitizeWPQFirstEnqueueDrains: a socket's first enqueue only
+// sets the occupancy baseline, but its drain must still retire it, not
+// a later entry of the same line and size, whose own drain would then
+// find nothing outstanding.
+func TestSanitizeWPQFirstEnqueueDrains(t *testing.T) {
+	wantClean(t, sanitize([]Event{
+		ev(0, 10, KWPQEnqueue, 0x1000, 64),  // baseline: size unknown
+		ev(0, 20, KWPQEnqueue, 0x1000, 128), // outstanding: 64
+		ev(0, 30, KWPQDrain, 0x1000, 64),    // the first entry retires
+		ev(0, 40, KWPQEnqueue, 0x2000, 128), // outstanding: 64
+		ev(0, 50, KWPQDrain, 0x1000, 64),    // the second one retires
+		ev(0, 60, KWPQDrain, 0x2000, 0),
+	}, 0))
+}
+
 func TestSanitizeWPQEnqueueNoRaise(t *testing.T) {
 	rep := sanitize([]Event{
 		ev(0, 10, KWPQEnqueue, 0x1000, 64),

@@ -4,7 +4,7 @@
 # test suite, vet and tests of the perfbench module, one run of each
 # cache/machine/engine/pmem/logbuf/txheap/recovery/workloads/critpath
 # microbenchmark and of the cluster constructor benchmark,
-# race-detector passes, and one traced 2-core run replayed through the
+# race-detector passes, and one traced 2-core run streamed through the
 # persist-order sanitizer and the critical-path analyzer, exported to
 # Perfetto and profiled into folded stacks, whose saved binlog
 # slpmtbench -replay then reads back to the live run's summary,
