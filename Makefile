@@ -47,12 +47,14 @@ vet:
 # Traced-run gate: the one 2-core hashtable run CI traces. It streams
 # its trace into an SLPSEG01 binlog (stream-out/, with NDJSON
 # telemetry), and every analysis reads that binlog: the persist-order
-# sanitizer (internal/trace/sanitize.go: log-before-data, commit-marker
-# order, WPQ FIFO, lazy-drain obligations; zero violations and zero
-# dropped events required), the causal critical-path analyzer, whose
-# conservation contract (path length == makespan) is enforced inside
-# the harness, and the Perfetto export (stream-out/sample-trace.json,
-# opens in ui.perfetto.dev). The same run's cycle attribution lands as
+# sanitizer, whose report every traced run prints
+# (internal/trace/sanitize.go: log-before-data, commit-marker order,
+# WPQ FIFO, lazy-drain obligations; stream-out/run.txt must read
+# "persist-order sanitizer: 0 violations"), the causal critical-path
+# analyzer, whose conservation contract (path length == makespan) is
+# enforced inside the harness, and the Perfetto export
+# (stream-out/sample-trace.json, opens in ui.perfetto.dev). The same
+# run's cycle attribution lands as
 # folded stacks in stream-out/hashtable-2c.folded, the blame/slack/
 # hot-line report in stream-out/critpath.txt and its printed output in
 # stream-out/run.txt. Then `slpmtbench -replay` reads the saved binlog
@@ -64,11 +66,12 @@ vet:
 trace-gate:
 	@mkdir -p stream-out
 	$(GO) run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 \
-		-trace-stream stream-out -sanitize -critpath -hotlines 10 \
+		-trace-stream stream-out -critpath -hotlines 10 \
 		-trace stream-out/sample-trace.json -flame stream-out/hashtable-2c.folded \
 		>stream-out/run.txt || { cat stream-out/run.txt; exit 1; }
 	@cat stream-out/run.txt
-	$(GO) run ./cmd/slpmtbench -replay stream-out -sanitize -critpath -hotlines 10 \
+	grep -qx 'persist-order sanitizer: 0 violations' stream-out/run.txt
+	$(GO) run ./cmd/slpmtbench -replay stream-out -critpath -hotlines 10 \
 		-trace stream-out/replay-trace.json >stream-out/replay.txt
 	sed -n '/^events: /,$$p' stream-out/run.txt | grep -v '^wrote ' >stream-out/run-sections.txt
 	sed -n '/^events: /,$$p' stream-out/replay.txt | grep -v '^wrote ' | diff stream-out/run-sections.txt -

@@ -22,23 +22,24 @@
 // flag, selects one run of each scheme instead. Each prints its
 // counter block (cycles, PM write traffic, cycles/op, every counter),
 // then the sections asked for: -flame (cycle attribution, plus folded
-// stacks for flamegraph tools), and from the run's SLPSEG01 binlog the
-// latency summary and WPQ series, -trace (Perfetto JSON), -sanitize
-// (the §III persist-order rules; nonzero exit on a violation) and
+// stacks for flamegraph tools), and, for a run that -trace-stream,
+// -trace or -critpath traces, from its SLPSEG01 binlog the latency
+// summary and WPQ series, -trace (Perfetto JSON), the persist-order
+// sanitizer's report (the §III rules; nonzero exit on a violation) and
 // -critpath (blame, slack and hot lines of the makespan's causal
 // critical path). The binlog stays in -trace-stream's directory, with
 // NDJSON telemetry and critpath.txt, or in a temporary one. The traced
 // gate of scripts/check.sh is one such run:
 //
 //	slpmtbench -workload hashtable -cores 2 -n 300 -value 64 -trace-stream out/ \
-//		-sanitize -critpath -hotlines 10 -trace out/sample-trace.json -flame out/hashtable-2c.folded
+//		-critpath -hotlines 10 -trace out/sample-trace.json -flame out/hashtable-2c.folded
 //
 // -replay reads a saved binlog without running anything: its segment
 // headers and first -records events (-follow tails a stream still
 // being written), then the same sections as the live run, byte for
 // byte:
 //
-//	slpmtbench -replay out/ -sanitize -critpath -hotlines 10
+//	slpmtbench -replay out/ -critpath -hotlines 10
 //
 // The three modes exclude each other, and a flag the chosen mode does
 // not read is an error.
@@ -80,8 +81,8 @@ const runFlags = "n value seed cores commit-window sockets remote-nanos parallel
 // is an error.
 var modeFlags = map[string]string{
 	"-experiment":  runFlags + "experiment json compare cpuprofile memprofile",
-	"a single run": runFlags + "workload scheme writelat trace trace-stream interval sanitize critpath hotlines flame",
-	"-replay":      "replay records follow trace sanitize critpath hotlines",
+	"a single run": runFlags + "workload scheme writelat trace trace-stream interval critpath hotlines flame",
+	"-replay":      "replay records follow trace critpath hotlines",
 }
 
 // run parses args and runs the selected experiments, single run or
@@ -100,9 +101,8 @@ func run(args []string, out io.Writer) error {
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile taken after the sweep to this file")
 		tracePth = fs.String("trace", "", "single run or replay: export its events to this path as Perfetto JSON")
-		streamD  = fs.String("trace-stream", "", "single run: keep its SLPSEG01 binlog, telemetry and critpath report in this directory")
+		streamD  = fs.String("trace-stream", "", "single run: keep its SLPSEG01 binlog, telemetry and critpath report in this directory (a traced run prints its persist-order sanitizer report and exits nonzero on a violation)")
 		interval = fs.Uint64("interval", 0, "telemetry snapshot interval in cycles of a -trace-stream run (0 = default)")
-		sanitize = fs.Bool("sanitize", false, "single run or replay: print its persist-order sanitizer report (exit nonzero on violations)")
 		critPath = fs.Bool("critpath", false, "single run or replay: print its causal critical path (blame/slack/hot-line report)")
 		hotlines = fs.Int("hotlines", 10, fmt.Sprintf("hot lines to list in the -critpath report (1..%d)", critpath.MaxHotLines))
 		flamePth = fs.String("flame", "", "single run: print its cycle attribution and write folded stacks to this path")
@@ -127,7 +127,7 @@ func run(args []string, out io.Writer) error {
 	mode := "-experiment"
 	if set["replay"] {
 		mode = "-replay"
-	} else if slices.ContainsFunc(strings.Fields("workload scheme trace-stream flame trace sanitize critpath"),
+	} else if slices.ContainsFunc(strings.Fields("workload scheme trace-stream flame trace critpath"),
 		func(f string) bool { return set[f] }) {
 		mode = "a single run"
 	}
@@ -176,7 +176,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	one := single{streamDir: *streamD, interval: *interval, tracePath: *tracePth, flamePath: *flamePth,
-		sanitize: *sanitize, critpath: *critPath, hotlines: *hotlines}
+		critpath: *critPath, hotlines: *hotlines}
 	switch mode {
 	case "a single run":
 		return runSingle(out, cfgs, one)

@@ -195,11 +195,11 @@ func TestOutOfRangeFlags(t *testing.T) {
 		{[]string{"-cores", "20", "-commit-window", "4"}, "-cores 20: group commit (commit window 4) supports at most 8 cores"},
 		{[]string{"-cores", "100"}, "-cores 100: must be 0..64"},
 		{[]string{"-cores", "-2"}, "-cores -2: must be 0..64"},
-		{[]string{"-cores", "-2", "-sanitize"}, "-cores -2"},
-		{[]string{"-workload", "nosuch", "-sanitize"}, "-workload nosuch: unknown workload"},
+		{[]string{"-cores", "-2", "-critpath"}, "-cores -2"},
+		{[]string{"-workload", "nosuch", "-critpath"}, "-workload nosuch: unknown workload"},
 		{[]string{"-scheme", "nosuch", "-flame", "x.folded"}, "-scheme nosuch: unknown scheme"},
 		{[]string{"-scheme", "FG,nosuch"}, "-scheme nosuch: unknown scheme"},
-		{[]string{"-sanitize"}, "-experiment: not read by a single run"},
+		{[]string{"-critpath"}, "-experiment: not read by a single run"},
 		{[]string{"-replay", "x"}, "-experiment: not read by -replay"},
 		{[]string{"-hotlines", "5"}, "-hotlines: not read by -experiment"},
 		{[]string{"-writelat", "300"}, "-writelat: not read by -experiment"},

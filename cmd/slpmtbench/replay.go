@@ -33,8 +33,8 @@ func replay(out io.Writer, dir string, records int, follow bool, s single) error
 				fmt.Fprintf(out, "segment %s: %v\n", name, err)
 				continue
 			}
-			fmt.Fprintf(out, "segment %s: %d events, cycles [%d,%d], dropped=%d\n",
-				name, hdr.Count, hdr.FirstCycle, hdr.LastCycle, hdr.Dropped)
+			fmt.Fprintf(out, "segment %s: %d events, cycles [%d,%d]\n",
+				name, hdr.Count, hdr.FirstCycle, hdr.LastCycle)
 			for _, cc := range hdr.CoreCounts {
 				fmt.Fprintf(out, "  core %d: %d events\n", cc.Core, cc.Count)
 			}
@@ -67,10 +67,10 @@ func replay(out io.Writer, dir string, records int, follow bool, s single) error
 		fmt.Fprintf(out, "durable prefix of %d complete events recovered\n", st.Events)
 	}
 
-	// A binlog holds what its run's ring recorded; slpmtbench's runs
+	// A binlog holds what its run's tracer recorded; slpmtbench's runs
 	// record every kind.
 	r := bench.Result{RunConfig: bench.RunConfig{CritPath: s.critpath}}
-	if err := r.ReduceEvents(d, trace.AllKinds, st.Dropped); err != nil {
+	if err := r.ReduceEvents(d, trace.AllKinds); err != nil {
 		return err
 	}
 	return printEvents(out, d, &r, s)

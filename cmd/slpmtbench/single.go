@@ -15,28 +15,28 @@ import (
 )
 
 // single holds the section flags: the sections a single run (or, for
-// -trace, -sanitize and -critpath, a replay) prints and the files it
-// writes. They combine freely.
+// -trace and -critpath, a replay) prints and the files it writes. They
+// combine freely.
 type single struct {
 	streamDir string // -trace-stream: keep the binlog, telemetry and critpath.txt here
 	interval  uint64 // -interval: telemetry snapshot window in cycles
 	tracePath string // -trace: Perfetto export of the binlog's events
 	flamePath string // -flame: folded stacks of the cycle attribution
-	sanitize  bool   // -sanitize: the persist-order sanitizer's report
 	critpath  bool   // -critpath: blame/slack/hot-line report
 	hotlines  int    // -hotlines: hot lines the critpath report lists
 }
 
 // runSingle runs cfgs (one workload under one or more schemes) on the
 // worker pool and prints each run in order: its counter block, then
-// the sections s asks for. A run that needs events streams them into
-// an SLPSEG01 binlog, in -trace-stream's directory or in a temporary
-// one removed on return, and printEvents reads that binlog. A
-// -flame-only run is untraced. A failed verification or sanitizer
-// verdict still prints every section and writes every file before the
-// errors return.
+// the sections s asks for. A run that needs events (-trace-stream,
+// -trace or -critpath) streams them into an SLPSEG01 binlog, in
+// -trace-stream's directory or in a temporary one removed on return,
+// and printEvents reads that binlog; every such run also prints its
+// persist-order sanitizer report. A -flame-only run is untraced. A
+// failed verification or sanitizer verdict still prints every section
+// and writes every file before the errors return.
 func runSingle(out io.Writer, cfgs []bench.RunConfig, s single) error {
-	traced := s.streamDir != "" || s.tracePath != "" || s.sanitize || s.critpath
+	traced := s.streamDir != "" || s.tracePath != "" || s.critpath
 	for i := range cfgs {
 		cfg := &cfgs[i]
 		cfg.Profile = s.flamePath != ""
@@ -120,8 +120,8 @@ func printFlame(out io.Writer, r *bench.Result, path string) error {
 // critpath.txt. The sanitizer's verdict is returned after every section
 // is printed.
 func printEvents(out io.Writer, d *stream.Dir, r *bench.Result, s single) error {
-	fmt.Fprintf(out, "\nevents: %d captured, %d dropped\n\n%s", r.Summary.Events, r.Summary.Dropped, r.Summary.String())
-	wpq, err := stream.BucketWPQ(d, 16)
+	fmt.Fprintf(out, "\nevents: %d captured\n\n%s", r.Summary.Events, r.Summary.String())
+	wpq, err := stream.BucketWPQ(d)
 	if err != nil {
 		return fmt.Errorf("trace wpq: %w", err)
 	}
@@ -131,7 +131,7 @@ func printEvents(out io.Writer, d *stream.Dir, r *bench.Result, s single) error 
 
 	if s.tracePath != "" {
 		if err := writeFile(s.tracePath, func(w io.Writer) error {
-			return trace.WritePerfetto(w, d.ByCycle, trace.PerfettoOptions{})
+			return trace.WritePerfetto(w, d.ByCycle)
 		}); err != nil {
 			return fmt.Errorf("trace export: %w", err)
 		}
@@ -139,21 +139,16 @@ func printEvents(out io.Writer, d *stream.Dir, r *bench.Result, s single) error 
 	}
 
 	var verdict error
-	if s.sanitize {
-		rep := r.Sanitizer
-		fmt.Fprintf(out, "\nsanitizer: %d events replayed, %d transactions, %d aborts\n",
-			rep.Events, rep.Transactions, rep.Aborts)
-		for _, v := range rep.Violations {
-			fmt.Fprintf(out, "violation: %s\n", v)
-		}
-		switch {
-		case rep.Truncated:
-			verdict = fmt.Errorf("run dropped %d events; the sanitizer report is unsound", r.Summary.Dropped)
-		case !rep.Clean():
-			verdict = fmt.Errorf("%d persist-order violations", rep.Total)
-		default:
-			fmt.Fprintln(out, "persist-order sanitizer: 0 violations")
-		}
+	rep := r.Sanitizer
+	fmt.Fprintf(out, "\nsanitizer: %d events replayed, %d transactions, %d aborts\n",
+		rep.Events, rep.Transactions, rep.Aborts)
+	for _, v := range rep.Violations {
+		fmt.Fprintf(out, "violation: %s\n", v)
+	}
+	if rep.Clean() {
+		fmt.Fprintln(out, "persist-order sanitizer: 0 violations")
+	} else {
+		verdict = fmt.Errorf("%d persist-order violations", rep.Total)
 	}
 
 	if s.critpath {

@@ -56,7 +56,8 @@ func readPerfetto(t *testing.T, path string) perfettoDoc {
 
 // The acceptance path: a 2-core traced run must emit a Perfetto-loadable
 // document with one named track per core and the WPQ counter track, and
-// the text report must carry the latency histograms and WPQ series. The
+// the text report must carry the latency histograms, WPQ series and
+// sanitizer verdict, which every traced run prints. The
 // binlog it streams through lives in a temporary directory that is gone
 // when the run returns.
 func TestTracedRunEmitsPerfettoSchema(t *testing.T) {
@@ -68,7 +69,8 @@ func TestTracedRunEmitsPerfettoSchema(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 
-	for _, want := range []string{"commit latency (cycles): p50=", "WPQ occupancy over the run", "occ.max"} {
+	for _, want := range []string{"commit latency (cycles): p50=", "WPQ occupancy over the run", "occ.max",
+		"persist-order sanitizer: 0 violations"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("report missing %q:\n%s", want, out.String())
 		}
@@ -97,7 +99,7 @@ func TestSingleRunAllSections(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-workload", "hashtable", "-n", "80", "-value", "64", "-cores", "2",
 		"-trace-stream", streamDir, "-trace", tracePath, "-flame", flamePath,
-		"-sanitize", "-critpath", "-hotlines", "5"}, &out); err != nil {
+		"-critpath", "-hotlines", "5"}, &out); err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
 	text := out.String()
@@ -107,7 +109,7 @@ func TestSingleRunAllSections(t *testing.T) {
 		"\ntx.commits ",
 		"binlog: 1 segments in " + streamDir + ", closed=true",
 		"telemetry: ",
-		", 0 dropped",
+		"\nevents: ",
 		"commit latency (cycles): p50=",
 		"WPQ occupancy over the run",
 		"attributed core-cycles: ",
@@ -168,10 +170,10 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 	dir := t.TempDir()
 	var live, replayed bytes.Buffer
 	if err := run([]string{"-workload", "hashtable", "-n", "60", "-value", "64", "-cores", "2",
-		"-trace-stream", dir, "-sanitize", "-critpath", "-hotlines", "5"}, &live); err != nil {
+		"-trace-stream", dir, "-critpath", "-hotlines", "5"}, &live); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-replay", dir, "-records", "3", "-sanitize", "-critpath", "-hotlines", "5"}, &replayed); err != nil {
+	if err := run([]string{"-replay", dir, "-records", "3", "-critpath", "-hotlines", "5"}, &replayed); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"closed=true", "first 3 events:", "[  2] core=", "persist-order sanitizer: 0 violations", "critical path: makespan "} {

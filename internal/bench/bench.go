@@ -71,18 +71,10 @@ type RunConfig struct {
 	// twice that); 0 keeps the pmem defaults. The NUMA experiment's
 	// local/remote-ratio knob. Only meaningful with Sockets > 1.
 	RemoteNanos uint64
-	// Trace, when non-nil, records the run into this tracer instead of
-	// an internal StreamRingEvents ring; it is the tests' reference
-	// path. The caller owns the tracer (full event detail); setup
-	// events are cleared so the ring holds the measured region, and
-	// without StreamDir the result's Summary and CritPath are reduced
-	// from the ring after the run. One tracer must not be shared across
-	// concurrently executing runs (see SetParallelism).
-	Trace *trace.Tracer
-	// Metrics, when Trace is nil, records the transaction lifecycle and
-	// WPQ kinds (trace.MetricsMask) into one StreamRingEvents ring whose
-	// spills feed the latency summarizer live, populating
-	// Result.Summary however long the run.
+	// Metrics records the transaction lifecycle and WPQ kinds
+	// (trace.MetricsMask) into one StreamRingEvents buffer whose spills
+	// feed the latency summarizer live, populating Result.Summary
+	// however long the run.
 	Metrics bool
 	// Profile attaches a cycle-attribution profile to the run's machine
 	// and populates Result.Causes with the measured region's breakdown.
@@ -91,17 +83,17 @@ type RunConfig struct {
 	Profile bool
 	// StreamDir, when non-empty, also keeps the measured region's trace
 	// as an on-disk SLPSEG01 binlog in this directory: the segment
-	// writer is one more consumer of the ring's spills, and
+	// writer is one more consumer of the buffer's spills, and
 	// Result.Intervals carries the live telemetry series (also written
-	// as NDJSON to StreamDir/telemetry.ndjson). Without Trace or Metrics
-	// the ring records full detail. Observation-only: simulated cycles,
+	// as NDJSON to StreamDir/telemetry.ndjson). Without Metrics the
+	// trace records full detail. Observation-only: simulated cycles,
 	// counters, and goldens are byte-identical with streaming on.
 	StreamDir string
 	// StreamInterval is the telemetry snapshot window in simulated
 	// cycles (0 = the stream package default).
 	StreamInterval uint64
 	// CritPath feeds the measured region's full-detail trace to the
-	// causal critical-path analyzer as the ring spills and populates
+	// causal critical-path analyzer as the buffer spills and populates
 	// Result.CritPath. Implies a cycle-attribution profile (the
 	// analysis consumes the KCharge stream). Observation-only like
 	// Profile: cycles, counters and goldens are byte-identical with it
@@ -154,7 +146,7 @@ type Result struct {
 	// Counters is the counter delta over the measured region.
 	Counters stats.Counters
 	// Summary holds the trace-derived latency percentiles; zero unless
-	// the run was traced (Trace, Metrics, StreamDir or CritPath set).
+	// the run was traced (Metrics, StreamDir or CritPath set).
 	Summary trace.Summary
 	// Causes is the cycle-attribution breakdown of the measured region,
 	// snapshotted before verification; nil unless Profile was set. Run
@@ -180,9 +172,9 @@ type Result struct {
 	// Sanitizer is the persist-order sanitizer's report on the measured
 	// region, run live on the stream; nil unless the stream carried
 	// every kind it reads (trace.SanitizeMask): a CritPath or StreamDir
-	// run, or a caller's ring that records them. Observation-only; a
-	// report with violations fails the cell like VerifyErr (see
-	// experiments). A pointer keeps Result comparable.
+	// run. Observation-only; a report with violations fails the cell
+	// like VerifyErr (see experiments). A pointer keeps Result
+	// comparable.
 	Sanitizer *trace.Report
 	// VerifyErr is non-nil if the post-run invariant check failed.
 	VerifyErr error
@@ -218,16 +210,14 @@ func Run(cfg RunConfig) Result {
 	var mc machine.Config
 	mc.PM.Banks = cfg.Banks
 	mc.PM.WPQBytes = cfg.WPQBytes
-	// The caller's tracer, or one StreamRingEvents ring for a Metrics,
-	// CritPath or StreamDir run: full detail unless only Metrics asks,
-	// since the critical path needs charges, stores, coherence and
-	// signature hits.
-	tr := cfg.Trace
-	if tr == nil && (cfg.Metrics || cfg.CritPath || cfg.StreamDir != "") {
+	// One StreamRingEvents buffer for a Metrics, CritPath or StreamDir
+	// run. It records nothing until the measured region starts, where
+	// attachStream gives it its mask and its sink: setup (a mix's
+	// preload) can emit more events than the buffer holds.
+	var tr *trace.Tracer
+	if cfg.Metrics || cfg.CritPath || cfg.StreamDir != "" {
 		tr = trace.New(StreamRingEvents)
-		if cfg.Metrics && !cfg.CritPath {
-			tr.SetMask(trace.MetricsMask())
-		}
+		tr.SetMask(0)
 	}
 	var prof *profile.Profile
 	if cfg.Profile || cfg.CritPath {
@@ -280,13 +270,7 @@ func Run(cfg RunConfig) Result {
 	topo.ResetOccupancy(startClk)
 	var pl *pipeline
 	if tr != nil {
-		// Drop setup events.
-		tr.Reset()
-		if tr != cfg.Trace || cfg.StreamDir != "" {
-			// Attach the consumers after the boundary so they see
-			// exactly the measured region.
-			pl = attachStream(cfg, tr)
-		}
+		pl = attachStream(cfg, tr)
 	}
 	if prof != nil {
 		// Drop setup charges: the breakdown covers the measured region.
@@ -344,12 +328,6 @@ func Run(cfg RunConfig) Result {
 		}
 	}
 	if cfg.Verify {
-		if tr != nil {
-			// The region is over: keep verification's loads out of the
-			// ring, then give the tracer back its filter.
-			defer tr.SetMask(tr.Mask())
-			tr.SetMask(0)
-		}
 		oracle := inserted.Oracle()
 		for i := range ops {
 			ops[i].ApplyTo(oracle)

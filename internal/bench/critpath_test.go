@@ -48,9 +48,9 @@ func TestCritPathContract(t *testing.T) {
 	}
 }
 
-// TestCritPathStreamedMatchesRing replays the same deterministic run
-// once through the in-memory ring and once through the on-disk SLPSEG01
-// binlog (the analyzer as an online stream consumer) and requires the
+// TestCritPathStreamedMatchesRing analyzes the same deterministic run
+// once with no binlog (the analyzer fed the spills only) and once
+// through the on-disk SLPSEG01 binlog writer too, and requires the
 // canonical reports to be byte-identical: the analysis is a pure
 // function of the event stream, and both pipelines carry the same
 // stream.
@@ -66,7 +66,7 @@ func TestCritPathStreamedMatchesRing(t *testing.T) {
 	}
 	a, b := ring.CritPath.Render(10), streamed.CritPath.Render(10)
 	if a != b {
-		t.Fatalf("streamed analysis diverges from ring analysis:\n--- ring ---\n%s\n--- streamed ---\n%s", a, b)
+		t.Fatalf("analysis with a binlog diverges from the one without:\n--- no binlog ---\n%s\n--- binlog ---\n%s", a, b)
 	}
 }
 
@@ -133,29 +133,23 @@ func TestCritPathWindowProjectionBracket(t *testing.T) {
 	}
 }
 
-// A CritPath run without a binlog analyzes its events as the
-// StreamRingEvents ring spills: on a region that spills it several
-// times, its CritPath and Summary deep-equal those a caller's ring
-// large enough for the whole region reduces to.
+// A CritPath run analyzes its events as its StreamRingEvents buffer
+// spills: on a region that spills it several times, its live CritPath
+// and Summary deep-equal those a replay of its binlog reduces to.
 func TestCritPathSpilledMatchesCallerRing(t *testing.T) {
 	cfg := critCfg()
 	cfg.N = 1200
+	cfg.StreamDir = t.TempDir()
 	got := Run(cfg)
 	if got.Summary.Events < 4*StreamRingEvents {
-		t.Fatalf("region holds %d events; size it to spill the %d-event ring several times", got.Summary.Events, StreamRingEvents)
+		t.Fatalf("region holds %d events; size it to spill the %d-event buffer several times", got.Summary.Events, StreamRingEvents)
 	}
-	tr := trace.New(1 << 20)
-	ref := cfg
-	ref.Trace = tr
-	want := Run(ref)
-	if tr.Dropped() != 0 {
-		t.Fatalf("reference ring dropped %d events; enlarge it", tr.Dropped())
-	}
+	want := replayBinlog(t, got, trace.AllKinds)
 	if got.Summary != want.Summary {
-		t.Fatalf("summary %+v, caller ring %+v", got.Summary, want.Summary)
+		t.Fatalf("summary %+v, binlog replay %+v", got.Summary, want.Summary)
 	}
 	if !reflect.DeepEqual(got.CritPath, want.CritPath) {
-		t.Fatalf("critical path differs from the caller ring's:\n--- spilled ---\n%s\n--- caller ring ---\n%s",
+		t.Fatalf("critical path differs from the binlog replay's:\n--- live ---\n%s\n--- replay ---\n%s",
 			got.CritPath.Render(10), want.CritPath.Render(10))
 	}
 }

@@ -76,18 +76,18 @@ func TestProfileObservationOnly(t *testing.T) {
 			}
 
 			traced := base
-			traced.Trace = trace.New(trace.DefaultCapacity)
+			traced.StreamDir = t.TempDir()
 			tr := Run(traced)
-			both := base
+			both := traced
 			both.Profile = true
-			both.Trace = trace.New(trace.DefaultCapacity)
+			both.StreamDir = t.TempDir()
 			tp := Run(both)
 			if tp.Cycles != tr.Cycles || tp.Counters != tr.Counters {
 				t.Errorf("%s/%d cores: traced+profiled run differs from traced run", scheme, cores)
 			}
-			want := traced.Trace.Events()
+			want := binlogEvents(t, traced.StreamDir)
 			got := 0
-			for _, e := range both.Trace.Events() {
+			for _, e := range binlogEvents(t, both.StreamDir) {
 				if e.Kind == trace.KCharge {
 					continue
 				}
@@ -105,22 +105,20 @@ func TestProfileObservationOnly(t *testing.T) {
 // event stream and checks it agrees with the live profile — the offline
 // path over a saved trace is equivalent to in-process accumulation.
 func TestFromEventsMatchesLive(t *testing.T) {
-	tr := trace.New(trace.DefaultCapacity)
-	r := Run(RunConfig{
+	cfg := RunConfig{
 		Scheme: schemes.SLPMT, Workload: "hashtable",
-		N: 40, ValueSize: 32, Profile: true, Trace: tr, Cores: 2,
-	})
+		N: 40, ValueSize: 32, Profile: true, Cores: 2, StreamDir: t.TempDir(),
+	}
+	r := Run(cfg)
 	if r.Causes == nil {
 		t.Fatal("no breakdown")
 	}
-	p, err := fromEvents(tr.Events(), tr.Dropped())
+	p, err := fromEvents(binlogEvents(t, cfg.StreamDir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The tracer keeps recording through verification/collection; the
-	// breakdown snapshot was taken at region end. Rebuilt counts must
-	// match per core and cause for the charges up to the snapshot —
-	// here there is no verify phase, so they match exactly.
+	// The binlog and the breakdown snapshot both end at the region's
+	// end, so the rebuilt counts match per core and cause exactly.
 	got := p.Breakdown(totalsOf(r.Causes))
 	for i := range r.Causes.Cores {
 		if got.Cores[i].Causes != r.Causes.Cores[i].Causes {
@@ -133,12 +131,8 @@ func TestFromEventsMatchesLive(t *testing.T) {
 }
 
 // fromEvents rebuilds a profile from a trace's KCharge events. It fails
-// if the ring dropped events (the stream is incomplete, so conservation
-// cannot hold) or if an event charges an unknown cause.
-func fromEvents(events []trace.Event, dropped uint64) (*profile.Profile, error) {
-	if dropped > 0 {
-		return nil, fmt.Errorf("trace dropped %d events; attribution stream incomplete", dropped)
-	}
+// if an event charges an unknown cause.
+func fromEvents(events []trace.Event) (*profile.Profile, error) {
 	cores := 1
 	for i := range events {
 		cores = max(cores, int(events[i].Core)+1)
@@ -158,14 +152,14 @@ func fromEvents(events []trace.Event, dropped uint64) (*profile.Profile, error) 
 }
 
 // TestFromEvents pins fromEvents on a hand-built stream: charges land
-// on their core and cause, other kinds are skipped, and an incomplete
-// stream or an unknown cause is rejected.
+// on their core and cause, other kinds are skipped, and an unknown
+// cause is rejected.
 func TestFromEvents(t *testing.T) {
 	tr := trace.New(64)
 	tr.Emit(0, 10, trace.KCharge, uint64(profile.CauseCompute), 7)
 	tr.Emit(1, 11, trace.KCharge, uint64(profile.CauseLogSync), 3)
 	tr.Emit(0, 12, trace.KTxCommit, 0, 1) // non-charge events are ignored
-	p, err := fromEvents(tr.Events(), tr.Dropped())
+	p, err := fromEvents(tr.Events())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,15 +171,12 @@ func TestFromEvents(t *testing.T) {
 		t.Error(err)
 	}
 
-	if _, err := fromEvents(nil, 1); err == nil {
-		t.Error("dropped events not rejected")
-	}
 	bad := []trace.Event{{Kind: trace.KCharge, Addr: uint64(profile.CauseNone), Arg: 1}}
-	if _, err := fromEvents(bad, 0); err == nil {
+	if _, err := fromEvents(bad); err == nil {
 		t.Error("charge against unknown cause not rejected")
 	}
 	bad[0].Addr = uint64(len(profile.Causes())) + 1
-	if _, err := fromEvents(bad, 0); err == nil {
+	if _, err := fromEvents(bad); err == nil {
 		t.Error("charge past the last cause not rejected")
 	}
 }

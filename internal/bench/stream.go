@@ -11,11 +11,11 @@ import (
 	"github.com/persistmem/slpmt/internal/trace/stream"
 )
 
-// StreamRingEvents is the capacity of the one ring a Metrics, CritPath
-// or StreamDir run records into without a caller-provided tracer:
-// 2^15 events of 32 B, 1 MiB. Each full ring spills to the run's
-// consumers, so a run of any length holds two such buffers; the size
-// only sets how often spills hand over.
+// StreamRingEvents is the capacity of the one buffer a Metrics,
+// CritPath or StreamDir run records into: 2^15 events of 32 B, 1 MiB.
+// Each full buffer spills to the run's consumers, so a run of any
+// length holds two such buffers; the size only sets how often spills
+// hand over.
 const StreamRingEvents = 1 << 15
 
 // TelemetryFile is the NDJSON telemetry file written inside StreamDir:
@@ -25,9 +25,9 @@ const TelemetryFile = "telemetry.ndjson"
 // pipeline is one run's online analyses (cs): the latency summarizer,
 // the critical-path analyzer for a CritPath run, and the persist-order
 // sanitizer whenever the stream carries every kind the sanitizer reads
-// (trace.SanitizeMask). A live run feeds them its ring's spills through
-// w, which with a StreamDir also runs the telemetry and writes the
-// binlog; a replay feeds them a saved stream, so both reduce
+// (trace.SanitizeMask). A live run feeds them its buffer's spills
+// through w, which with a StreamDir also runs the telemetry and writes
+// the binlog; a replay feeds them a saved stream, so both reduce
 // identically.
 type pipeline struct {
 	summ *stream.Summarizer
@@ -56,14 +56,13 @@ func newPipeline(critPath bool, kinds uint64) *pipeline {
 }
 
 // reduce folds the analyses into r: the latency summary over events
-// stream events with dropped lost, the sanitizer's report, and the
-// critical path with its internal accounting checked. The critical
-// path refuses a dropped or torn stream: its causal replay needs every
-// event.
-func (p *pipeline) reduce(r *Result, events int, dropped uint64, torn *stream.TornError) error {
-	r.Summary = p.summ.Summary(events, dropped)
+// stream events, the sanitizer's report, and the critical path with
+// its internal accounting checked. The critical path refuses a torn
+// stream: its causal replay needs every event.
+func (p *pipeline) reduce(r *Result, events int, torn *stream.TornError) error {
+	r.Summary = p.summ.Summary(events)
 	if p.san != nil {
-		r.Sanitizer = p.san.Report(dropped)
+		r.Sanitizer = p.san.Report()
 	}
 	if p.cp == nil {
 		return nil
@@ -71,7 +70,7 @@ func (p *pipeline) reduce(r *Result, events int, dropped uint64, torn *stream.To
 	if torn != nil {
 		return fmt.Errorf("critpath: %w (the causal replay needs a complete stream)", torn)
 	}
-	an, err := p.cp.Analyze(dropped)
+	an, err := p.cp.Analyze()
 	if err == nil {
 		err = an.Check()
 	}
@@ -82,10 +81,18 @@ func (p *pipeline) reduce(r *Result, events int, dropped uint64, torn *stream.To
 	return nil
 }
 
-// attachStream attaches the run's pipeline as the tracer's spill sink,
-// after the measured-region Reset so setup events never reach it.
+// attachStream starts the run's trace at the measured-region boundary:
+// it gives the tracer the region's mask — full detail unless only
+// Metrics asks, since the critical path needs charges, stores,
+// coherence and signature hits — and attaches the run's pipeline as
+// its spill sink, so the consumers see exactly the measured region.
 func attachStream(cfg RunConfig, tr *trace.Tracer) *pipeline {
-	p := newPipeline(cfg.CritPath, tr.Mask())
+	mask := trace.AllKinds
+	if cfg.Metrics && !cfg.CritPath {
+		mask = trace.MetricsMask()
+	}
+	tr.SetMask(mask)
+	p := newPipeline(cfg.CritPath, mask)
 	cs := p.cs
 	if cfg.StreamDir != "" {
 		if err := os.MkdirAll(cfg.StreamDir, 0o755); err != nil {
@@ -106,37 +113,30 @@ func attachStream(cfg RunConfig, tr *trace.Tracer) *pipeline {
 	return p
 }
 
-// reduceTrace folds the measured region's events into the result,
-// after the region's last trace event (the occupancy retirement pass
-// included). A live pipeline has reduced as it went and is finished
-// here; a caller's ring without a StreamDir (p == nil) is replayed
-// through ReduceEvents.
+// reduceTrace finishes the live pipeline after the region's last trace
+// event (the occupancy retirement pass included) and folds it into the
+// result: it hands the buffer's tail to the consumers, closes the
+// writer (with a binlog: final segment fsync + CLOSED sentinel) and
+// detaches it, and silences the tracer, which records nothing past the
+// region (verification's loads included).
 // The conservation contract is enforced here, not just reported: the
 // critical-path length must equal the run's measured makespan.
 func reduceTrace(res *Result, tr *trace.Tracer, p *pipeline, pm interface {
 	OccupancyStats() (uint64, uint64)
 }) {
-	var err error
-	if p == nil {
-		err = res.ReduceEvents(stream.Events(tr.Events()), tr.Mask(), tr.Dropped())
-	} else {
-		// Hand the ring's tail to the consumers and close the writer
-		// (with a binlog: final segment fsync + CLOSED sentinel).
-		tr.Flush()
-		p.w.SetDropped(tr.Dropped())
-		if err := p.w.Close(); err != nil {
-			panic(fmt.Sprintf("bench: trace stream: %v", err))
-		}
-		tr.SetSink(nil)
-		if res.StreamDir != "" {
-			if err := errors.Join(p.nd.Close(), p.tele.Err()); err != nil {
-				panic(fmt.Sprintf("bench: telemetry: %v", err))
-			}
-			res.Intervals = &IntervalSeries{Intervals: p.tele.Intervals()}
-		}
-		err = p.reduce(res, int(p.w.Events()), tr.Dropped(), nil)
+	tr.Flush()
+	if err := p.w.Close(); err != nil {
+		panic(fmt.Sprintf("bench: trace stream: %v", err))
 	}
-	if err != nil {
+	tr.SetSink(nil)
+	tr.SetMask(0)
+	if res.StreamDir != "" {
+		if err := errors.Join(p.nd.Close(), p.tele.Err()); err != nil {
+			panic(fmt.Sprintf("bench: telemetry: %v", err))
+		}
+		res.Intervals = &IntervalSeries{Intervals: p.tele.Intervals()}
+	}
+	if err := p.reduce(res, int(p.w.Events()), nil); err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
 	if res.CritPath != nil && res.CritPath.Makespan != res.Cycles {
@@ -149,15 +149,14 @@ func reduceTrace(res *Result, tr *trace.Tracer, p *pipeline, pm interface {
 // latency summary, the sanitizer's report when kinds (the mask the
 // stream was recorded under) holds every kind the sanitizer reads, and,
 // when r.RunConfig.CritPath is set, the causal critical path with its
-// internal accounting checked. dropped is the tracer's drop count.
-// slpmtbench -replay reduces a saved binlog through it, and a run a
-// caller's ring, with the pipeline a live run feeds, so every source
-// prints the same sections.
-func (r *Result) ReduceEvents(src stream.Source, kinds, dropped uint64) error {
+// internal accounting checked. slpmtbench -replay reduces a saved
+// binlog through it, with the pipeline a live run feeds, so a replay
+// prints the live run's sections.
+func (r *Result) ReduceEvents(src stream.Source, kinds uint64) error {
 	p := newPipeline(r.RunConfig.CritPath, kinds)
 	st, err := stream.Feed(src, p.cs...)
 	if err != nil {
 		return fmt.Errorf("replay trace: %w", err)
 	}
-	return p.reduce(r, st.Events, dropped, st.Torn)
+	return p.reduce(r, st.Events, st.Torn)
 }

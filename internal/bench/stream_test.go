@@ -18,13 +18,49 @@ import (
 
 // sanitizeReport replays src through the streaming persist-order
 // sanitizer, with the violation order normalized for comparison.
-func sanitizeReport(t *testing.T, src stream.Source, dropped uint64) *trace.Report {
+func sanitizeReport(t *testing.T, src stream.Source) *trace.Report {
 	t.Helper()
 	zs := trace.NewSanitizer()
 	if _, err := stream.Feed(src, zs); err != nil {
 		t.Fatal(err)
 	}
-	return sortViolations(zs.Report(dropped))
+	return sortViolations(zs.Report())
+}
+
+// openBinlog opens the closed SLPSEG01 binlog a StreamDir run left in
+// dir.
+func openBinlog(t *testing.T, dir string) *stream.Dir {
+	t.Helper()
+	d, err := stream.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Closed() {
+		t.Fatalf("stream in %s not closed", dir)
+	}
+	return d
+}
+
+// binlogEvents reads a StreamDir run's binlog into memory, in stream
+// order: every event the run's live consumers saw.
+func binlogEvents(t *testing.T, dir string) []trace.Event {
+	t.Helper()
+	var evs []trace.Event
+	if _, err := openBinlog(t, dir).Iter(func(e trace.Event) { evs = append(evs, e) }); err != nil {
+		t.Fatal(err)
+	}
+	return evs
+}
+
+// replayBinlog reduces r's binlog, recorded under the kinds mask, as
+// slpmtbench -replay does: a fresh Result with r's config.
+func replayBinlog(t *testing.T, r Result, kinds uint64) Result {
+	t.Helper()
+	rep := Result{RunConfig: r.RunConfig}
+	if err := rep.ReduceEvents(openBinlog(t, r.StreamDir), kinds); err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
 // sortViolations orders rep's violations by event, then detail: the
@@ -53,11 +89,7 @@ func TestSanitizerRunsLive(t *testing.T) {
 	if r.Sanitizer == nil {
 		t.Fatal("a full-detail run carried no sanitizer report")
 	}
-	d, err := stream.Open(cfg.StreamDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sanitizeReport(t, d, 0)
+	want := sanitizeReport(t, openBinlog(t, cfg.StreamDir))
 	if got := sortViolations(r.Sanitizer); !reflect.DeepEqual(got, want) {
 		t.Fatalf("live sanitizer report %+v, binlog replay %+v", got, want)
 	}
@@ -71,81 +103,69 @@ func TestSanitizerRunsLive(t *testing.T) {
 	}
 }
 
-// A streamed run reduces exactly like a ring run: against the same
-// config traced into a full-detail ring with zero drops, it has the
-// same cycles and counters, its Summary equals the ring's, and the WPQ
-// series, sanitizer report and Perfetto export of its binlog equal the
-// ring's. Covers single- and multi-core.
+// A streamed run's live analyses are the ones a replay of its binlog
+// gives: the same Summary and sanitizer report, and the binlog's WPQ
+// series and Perfetto export, read from disk, equal those of its
+// events held in memory. Streaming changes no cycles or counters.
+// Covers single- and multi-core.
 func TestStreamedRunMatchesBuffered(t *testing.T) {
 	for _, cores := range []int{1, 2} {
 		base := RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 120, ValueSize: 64, Cores: cores}
-		tr := trace.New(trace.DefaultCapacity)
-		ringCfg := base
-		ringCfg.Trace = tr
-		ring := Run(ringCfg)
-		if tr.Dropped() != 0 {
-			t.Fatalf("cores=%d: ring dropped %d events; enlarge it", cores, tr.Dropped())
-		}
+		plain := Run(base)
 
 		streamed := base
 		streamed.StreamDir = t.TempDir()
 		streamed.StreamInterval = 1 << 12
 		got := Run(streamed)
 
-		if got.Cycles != ring.Cycles {
-			t.Fatalf("cores=%d: streaming changed timing: %d != %d cycles", cores, got.Cycles, ring.Cycles)
+		// A single-core run measures the occupancy gauges only when
+		// traced (see TestTracedRunIsTimingInvariant).
+		gc, pc := got.Counters, plain.Counters
+		if cores == 1 {
+			gc.WPQOccMaxBytes, gc.WPQOccAvgBytes = 0, 0
 		}
-		if got.Counters != ring.Counters {
-			t.Fatalf("cores=%d: streaming changed counters:\nstreamed:\n%s\nring:\n%s",
-				cores, got.Counters.String(), ring.Counters.String())
+		if got.Cycles != plain.Cycles || gc != pc {
+			t.Fatalf("cores=%d: streaming changed the run: %d != %d cycles\nstreamed:\n%s\nplain:\n%s",
+				cores, got.Cycles, plain.Cycles, gc.String(), pc.String())
 		}
-		if got.Summary != ring.Summary {
-			t.Fatalf("cores=%d: streamed summary %+v, ring %+v", cores, got.Summary, ring.Summary)
+		replayed := replayBinlog(t, got, trace.AllKinds)
+		if got.Summary != replayed.Summary || got.Summary.Commits == 0 {
+			t.Fatalf("cores=%d: live summary %+v, binlog replay %+v: want them equal, with commits",
+				cores, got.Summary, replayed.Summary)
 		}
-		if got.Summary.Dropped != 0 || got.Summary.Commits == 0 {
-			t.Fatalf("cores=%d: streamed summary %+v: want commits and no drops", cores, got.Summary)
+		if live, want := sortViolations(got.Sanitizer), sortViolations(replayed.Sanitizer); !reflect.DeepEqual(live, want) || want.Transactions == 0 {
+			t.Fatalf("cores=%d: live sanitizer report %+v, binlog replay %+v: want them equal, with transactions",
+				cores, live, want)
 		}
 
-		d, err := stream.Open(streamed.StreamDir)
+		d := openBinlog(t, streamed.StreamDir)
+		events := binlogEvents(t, streamed.StreamDir)
+		wpq, err := stream.BucketWPQ(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !d.Closed() {
-			t.Fatalf("cores=%d: stream not closed", cores)
-		}
-		wpq, err := stream.BucketWPQ(d, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ringWPQ, err := stream.BucketWPQ(stream.Events(tr.Events()), 16); err != nil || wpq == nil || !reflect.DeepEqual(wpq, ringWPQ) {
-			t.Fatalf("cores=%d: binlog WPQ series %v differs from the ring's (%v)", cores, wpq, err)
-		}
-		want := sanitizeReport(t, stream.Events(tr.Events()), tr.Dropped())
-		if rep := sanitizeReport(t, d, 0); !reflect.DeepEqual(rep, want) {
-			t.Fatalf("cores=%d: streamed sanitize report %+v, ring %+v", cores, rep, want)
-		}
-		if want.Transactions == 0 {
-			t.Fatalf("cores=%d: sanitizer replayed no transactions", cores)
+		if inMemory, err := stream.BucketWPQ(stream.Events(events)); err != nil || wpq == nil || !reflect.DeepEqual(wpq, inMemory) {
+			t.Fatalf("cores=%d: binlog WPQ series %v differs from its in-memory events' (%v)", cores, wpq, err)
 		}
 
 		// Perfetto: the binlog's streamed export (what slpmtbench -trace
-		// writes) is byte for byte the ring's, sorted in memory.
-		sorted := tr.Events()
+		// writes) is byte for byte that of its events sorted in memory.
+		sorted := events
 		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Cycle < sorted[j].Cycle })
 		inMemory := func(fn func(trace.Event)) error {
 			_, err := stream.Events(sorted).Iter(fn)
 			return err
 		}
-		var fromLog, fromRing bytes.Buffer
-		if err := trace.WritePerfetto(&fromLog, d.ByCycle, trace.PerfettoOptions{}); err != nil {
+		var fromLog, fromMemory bytes.Buffer
+		if err := trace.WritePerfetto(&fromLog, d.ByCycle); err != nil {
 			t.Fatal(err)
 		}
-		if err := trace.WritePerfetto(&fromRing, inMemory, trace.PerfettoOptions{}); err != nil {
+		if err := trace.WritePerfetto(&fromMemory, inMemory); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(fromLog.Bytes(), fromRing.Bytes()) {
-			t.Fatalf("cores=%d: Perfetto export of the binlog (%d B) differs from the ring's (%d B)",
-				cores, fromLog.Len(), fromRing.Len())
+		if !bytes.Equal(fromLog.Bytes(), fromMemory.Bytes()) {
+			t.Fatalf("cores=%d: Perfetto export of the binlog (%d B) differs from the in-memory one (%d B)",
+				cores, fromLog.Len(), fromMemory.Len())
 		}
 
 		// Telemetry: interval series present, in order, with the NDJSON
@@ -181,10 +201,9 @@ func TestStreamedRunMatchesBuffered(t *testing.T) {
 
 // TestStreamSoakMillionTransactions is the bounded-memory soak behind
 // EXPERIMENTS.md ("Streaming"): one million update transactions over a
-// fixed 1000-key hashtable stream through the SLPSEG01 binlog with
-// zero dropped events, every commit accounted for by the streamed
-// summarizer, and host heap staying flat (O(spill ring + segment
-// buffer), not O(events)). It takes minutes of host time and tens of
+// fixed 1000-key hashtable stream through the SLPSEG01 binlog, every
+// commit accounted for by the streamed summarizer, and host heap
+// staying flat (O(spill buffers + segment buffer), not O(events)). It takes minutes of host time and tens of
 // millions of events, so it only runs with SLPMT_STREAM_SOAK=1.
 func TestStreamSoakMillionTransactions(t *testing.T) {
 	if os.Getenv("SLPMT_STREAM_SOAK") == "" {
@@ -198,7 +217,9 @@ func TestStreamSoakMillionTransactions(t *testing.T) {
 	if !ok {
 		t.Fatal("hashtable is not Mutable")
 	}
+	// The tracer records nothing of setup: its buffer has no sink yet.
 	tr := trace.New(StreamRingEvents)
+	tr.SetMask(0)
 	sys := slpmt.New(slpmt.Options{Scheme: "SLPMT", ComputeCyclesPerOp: w.ComputeCost(), Trace: tr})
 	if err := w.Setup(sys); err != nil {
 		t.Fatal(err)
@@ -211,7 +232,7 @@ func TestStreamSoakMillionTransactions(t *testing.T) {
 		}
 	}
 	sys.FinishEpoch()
-	tr.Reset()
+	tr.SetMask(trace.AllKinds)
 
 	dir := t.TempDir()
 	nd, err := os.Create(filepath.Join(dir, TelemetryFile))
@@ -241,7 +262,6 @@ func TestStreamSoakMillionTransactions(t *testing.T) {
 	}
 	sys.DrainLazy()
 	tr.Flush()
-	wtr.SetDropped(tr.Dropped())
 	if err := wtr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -250,9 +270,6 @@ func TestStreamSoakMillionTransactions(t *testing.T) {
 	}
 	tr.SetSink(nil)
 
-	if tr.Dropped() != 0 {
-		t.Fatalf("streamed soak dropped %d events", tr.Dropped())
-	}
 	d, err := stream.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +285,7 @@ func TestStreamSoakMillionTransactions(t *testing.T) {
 	if st.Torn != nil {
 		t.Fatalf("stream torn: %v", st.Torn)
 	}
-	sum := summ.Summary(st.Events, tr.Dropped())
+	sum := summ.Summary(st.Events)
 	if sum.Commits != txns {
 		t.Fatalf("streamed summarizer counted %d commits, want %d", sum.Commits, txns)
 	}

@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/persistmem/slpmt/internal/trace"
+	"github.com/persistmem/slpmt/internal/ycsb"
 )
 
 // Tracing is observation-only: a traced run must report exactly the
@@ -38,14 +40,14 @@ func TestTracedRunIsTimingInvariant(t *testing.T) {
 	}
 }
 
-// A caller-supplied full-detail tracer must capture the cache and
-// memory kinds the metrics mask drops, and the run must populate the
+// A StreamDir run records full detail: its binlog holds the cache and
+// memory kinds the metrics mask drops, and the run populates the
 // occupancy gauges.
 func TestExternalTracerCapturesFullDetail(t *testing.T) {
-	tr := trace.New(1 << 16)
-	r := Run(RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 60, ValueSize: 64, Trace: tr})
+	cfg := RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 60, ValueSize: 64, StreamDir: t.TempDir()}
+	r := Run(cfg)
 	kinds := map[trace.Kind]int{}
-	for _, e := range tr.Events() {
+	for _, e := range binlogEvents(t, cfg.StreamDir) {
 		kinds[e.Kind]++
 	}
 	for _, k := range []trace.Kind{trace.KTxBegin, trace.KTxCommit, trace.KStore, trace.KCacheMiss, trace.KWPQEnqueue, trace.KWPQDrain} {
@@ -61,52 +63,59 @@ func TestExternalTracerCapturesFullDetail(t *testing.T) {
 	}
 }
 
-// Verification runs after the measured region, so a caller's ring must
-// hold the same events with Verify on and off (the field's doc promises
-// the region only), and the tracer must keep its filter afterwards.
+// Verification runs after the measured region, so a run's binlog
+// holds the same events with Verify on and off (StreamDir's doc
+// promises the region only).
 func TestVerifyLeavesTraceRingToRegion(t *testing.T) {
-	ring := func(verify bool) *trace.Tracer {
-		tr := trace.New(1 << 14)
-		r := Run(RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 80, ValueSize: 64, Cores: 2, Verify: verify, Trace: tr})
-		if r.VerifyErr != nil {
+	binlog := func(verify bool) []trace.Event {
+		cfg := RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 80, ValueSize: 64, Cores: 2, Verify: verify,
+			StreamDir: t.TempDir()}
+		if r := Run(cfg); r.VerifyErr != nil {
 			t.Fatal(r.VerifyErr)
 		}
-		if tr.Dropped() != 0 {
-			t.Fatalf("ring too small: %d events dropped", tr.Dropped())
-		}
-		return tr
+		return binlogEvents(t, cfg.StreamDir)
 	}
-	off, on := ring(false), ring(true)
-	if on.Len() != off.Len() {
-		t.Fatalf("ring holds %d events with Verify on, %d with it off", on.Len(), off.Len())
-	}
-	if on.Mask() != trace.AllKinds {
-		t.Fatalf("tracer filter after Run = %#x, want AllKinds", on.Mask())
+	off, on := binlog(false), binlog(true)
+	if len(off) == 0 || !reflect.DeepEqual(on, off) {
+		t.Fatalf("binlog holds %d events with Verify on, %d with it off; want the same events", len(on), len(off))
 	}
 }
 
-// A Metrics run reduces its events as the ring spills, so a region
-// with more masked events than a whole-region ring of 2^17 held drops
-// none, and its Summary is the one a caller's ring large enough for
-// the region reduces to.
+// A Metrics run reduces its events as its buffer spills, so a region
+// with more masked events than 2^17 loses none: its Summary is the one
+// a replay of its binlog reduces to.
 func TestMetricsRunDropsNothing(t *testing.T) {
-	cfg := RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 6000, ValueSize: 64, Metrics: true}
+	cfg := RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 6000, ValueSize: 64, Metrics: true,
+		StreamDir: t.TempDir()}
 	got := Run(cfg)
-	if got.Summary.Dropped != 0 {
-		t.Fatalf("metrics run dropped %d events", got.Summary.Dropped)
-	}
 	if got.Summary.Events <= 1<<17 {
 		t.Fatalf("region holds %d masked events; size it past 2^17", got.Summary.Events)
 	}
-	tr := trace.New(1 << 20)
-	tr.SetMask(trace.MetricsMask())
-	ref := cfg
-	ref.Metrics, ref.Trace = false, tr
-	want := Run(ref)
-	if tr.Dropped() != 0 {
-		t.Fatalf("reference ring dropped %d events; enlarge it", tr.Dropped())
+	if want := replayBinlog(t, got, trace.MetricsMask()); got.Summary != want.Summary {
+		t.Fatalf("metrics run summary %+v, binlog replay %+v", got.Summary, want.Summary)
 	}
-	if got.Summary != want.Summary {
-		t.Fatalf("metrics run summary %+v, caller ring %+v", got.Summary, want.Summary)
+}
+
+// A run's tracer records nothing before the measured region, however
+// much setup emits: a streamed YCSB-A run, whose 1000-record preload
+// emits more events than the StreamRingEvents buffer holds, streams
+// its region only — no more transactions than the mix's operations,
+// with a clean sanitizer report that a replay of its binlog repeats.
+func TestTracedMixRecordsRegionOnly(t *testing.T) {
+	cfg := RunConfig{Scheme: "SLPMT", Workload: "hashtable", Mix: ycsb.WorkloadA(), N: 100, ValueSize: 64,
+		Verify: true, StreamDir: t.TempDir()}
+	r := Run(cfg)
+	if r.VerifyErr != nil {
+		t.Fatal(r.VerifyErr)
+	}
+	rep := r.Sanitizer
+	if rep == nil || rep.Transactions == 0 || rep.Transactions > cfg.N || !rep.Clean() {
+		t.Fatalf("sanitizer report %+v: want 1..%d transactions and no violations", rep, cfg.N)
+	}
+	if got := len(binlogEvents(t, cfg.StreamDir)); got != r.Summary.Events {
+		t.Fatalf("binlog holds %d events, the live summary counted %d", got, r.Summary.Events)
+	}
+	if want := replayBinlog(t, r, trace.AllKinds); r.Summary != want.Summary || !reflect.DeepEqual(rep, want.Sanitizer) {
+		t.Fatalf("live summary %+v and report %+v, binlog replay %+v and %+v", r.Summary, rep, want.Summary, want.Sanitizer)
 	}
 }

@@ -1,6 +1,7 @@
 package critpath_test
 
 import (
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -16,22 +17,30 @@ import (
 var recorded struct {
 	once   sync.Once
 	events []trace.Event
+	err    error
 }
 
 // fedAnalyzer records a 2-core hashtable run's measured region once
-// (into a caller ring large enough to drop nothing) and returns a fresh
-// analyzer that has consumed it.
+// (its binlog, read back into memory) and returns a fresh analyzer that
+// has consumed it.
 func fedAnalyzer(tb testing.TB) *critpath.Analyzer {
 	recorded.once.Do(func() {
-		tr := trace.New(1 << 19)
-		bench.Run(bench.RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 1200, ValueSize: 64, Cores: 2,
-			CritPath: true, Trace: tr})
-		if tr.Dropped() == 0 {
-			recorded.events = tr.Events()
+		dir, err := os.MkdirTemp("", "critpath-fed-")
+		if err != nil {
+			recorded.err = err
+			return
 		}
+		defer os.RemoveAll(dir)
+		bench.Run(bench.RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 1200, ValueSize: 64, Cores: 2,
+			CritPath: true, StreamDir: dir})
+		d, err := stream.Open(dir)
+		if err == nil {
+			_, err = d.Iter(func(e trace.Event) { recorded.events = append(recorded.events, e) })
+		}
+		recorded.err = err
 	})
-	if recorded.events == nil {
-		tb.Fatal("the recording ring dropped events; enlarge it")
+	if recorded.err != nil {
+		tb.Fatal(recorded.err)
 	}
 	a := critpath.New()
 	if _, err := stream.Feed(stream.Events(recorded.events), a); err != nil {
@@ -47,7 +56,7 @@ func BenchmarkAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		if _, err := a.Analyze(0); err != nil {
+		if _, err := a.Analyze(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,7 +73,7 @@ func TestAnalyzeAllocs(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	an, err := a.Analyze(0)
+	an, err := a.Analyze()
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +104,7 @@ func TestConsumeBytesPerSegment(t *testing.T) {
 		a.Consume(trace.Event{Cycle: 1000 + 10*uint64(i+1), Addr: uint64(causes[i%2]), Arg: 10, Kind: trace.KCharge})
 	}
 	runtime.ReadMemStats(&after)
-	an, err := a.Analyze(0)
+	an, err := a.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}

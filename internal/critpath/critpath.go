@@ -1,6 +1,6 @@
 // Package critpath is the causal critical-path analyzer: it replays a
 // run's event stream (the Analyzer is an online stream consumer, fed a
-// run's ring spills live or a saved binlog offline) into a cross-core
+// run's tracer spills live or a saved binlog offline) into a cross-core
 // blocking DAG and answers the question per-core attribution cannot:
 // what chain of waits actually bounds the parallel makespan, and which
 // cache lines serialize it.
@@ -266,7 +266,6 @@ type Analysis struct {
 	HotLines   []HotLine // top lines by Score, capped at MaxHotLines
 	TotalLines int       // distinct lines observed
 
-	Dropped uint64
 	perCore []coreTotals
 }
 
@@ -302,8 +301,8 @@ type lineAgg struct {
 
 // Analyzer replays an event stream into the blocking DAG. It is an
 // online stream consumer (trace/stream Consumer): feed events in
-// emission order — the order both the ring and the binlog preserve —
-// then call Analyze once. Not safe for concurrent use.
+// emission order — the order both the live spills and the binlog
+// preserve — then call Analyze once. Not safe for concurrent use.
 type Analyzer struct {
 	segs   [256]tiling
 	totals [256]profile.Vector
@@ -502,13 +501,7 @@ func (a *Analyzer) consumeCharge(e trace.Event) {
 
 // Analyze computes the critical path, the DAG slack, the what-if
 // projections and the hot-line ranking from the consumed stream.
-// dropped is the producing tracer's ring-overflow count: a lossy stream
-// cannot tile, so it is an error (stream with a spill sink, or shrink
-// the run, to keep it complete).
-func (a *Analyzer) Analyze(dropped uint64) (*Analysis, error) {
-	if dropped > 0 {
-		return nil, fmt.Errorf("critpath: trace dropped %d events; the charge stream cannot tile", dropped)
-	}
+func (a *Analyzer) Analyze() (*Analysis, error) {
 	if a.err != nil {
 		return nil, a.err
 	}
@@ -522,7 +515,7 @@ func (a *Analyzer) Analyze(dropped uint64) (*Analysis, error) {
 		return nil, fmt.Errorf("critpath: no KCharge events in the stream; run with profiling enabled")
 	}
 
-	an := &Analysis{Cores: len(cores), Dropped: dropped}
+	an := &Analysis{Cores: len(cores)}
 
 	// Region bounds. All cores share the measured-region start (the
 	// harness syncs clocks at the boundary); the makespan core is the
@@ -790,8 +783,8 @@ func (an *Analysis) ByCause() map[string]uint64 {
 }
 
 // Render writes the canonical text report: byte-identical for identical
-// streams, whichever source (ring or binlog) carried them. hotN caps
-// the hot-line section.
+// streams, whichever source (live spills or binlog) carried them. hotN
+// caps the hot-line section.
 func (an *Analysis) Render(hotN int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "critical path: makespan %d cycles over %d cores, path length %d, %d cross-core hops",

@@ -12,12 +12,12 @@ import (
 
 // analyze feeds events to a fresh analyzer through the stream pipeline
 // and finalizes it.
-func analyze(events []trace.Event, dropped uint64) (*Analysis, error) {
+func analyze(events []trace.Event) (*Analysis, error) {
 	a := New()
 	if _, err := stream.Feed(stream.Events(events), a); err != nil {
 		return nil, err
 	}
-	return a.Analyze(dropped)
+	return a.Analyze()
 }
 
 // microEvents is a hand-built two-core stream with a known critical
@@ -55,7 +55,7 @@ func microEvents() []trace.Event {
 }
 
 func TestMicroDAGGolden(t *testing.T) {
-	an, err := analyze(microEvents(), 0)
+	an, err := analyze(microEvents())
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -202,7 +202,7 @@ func TestMicroDAGGolden(t *testing.T) {
 // byte-identical reports.
 func TestRenderDeterministic(t *testing.T) {
 	evs := microEvents()
-	a1, err := analyze(evs, 0)
+	a1, err := analyze(evs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestRenderDeterministic(t *testing.T) {
 	for _, e := range evs {
 		c.Consume(e)
 	}
-	a2, err := c.Analyze(0)
+	a2, err := c.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,17 +238,14 @@ func TestAnalyzeErrors(t *testing.T) {
 	ch := func(core int, cyc uint64, cause profile.Cause, n uint64) trace.Event {
 		return trace.Event{Cycle: cyc, Addr: uint64(cause), Arg: n, Kind: trace.KCharge, Core: uint8(core)}
 	}
-	if _, err := analyze(microEvents(), 3); err == nil {
-		t.Error("dropped events: want error")
-	}
-	if _, err := analyze(nil, 0); err == nil {
+	if _, err := analyze(nil); err == nil {
 		t.Error("no charges: want error")
 	}
 	// A gap in the tiling (segment starts after the previous ends).
 	if _, err := analyze([]trace.Event{
 		ch(0, 1100, profile.CauseCompute, 100),
 		ch(0, 1300, profile.CauseCompute, 50),
-	}, 0); err == nil {
+	}); err == nil {
 		t.Error("tiling gap: want error")
 	}
 	// A wait hint stamped before the core's previous one (hintPeer and
@@ -258,19 +255,19 @@ func TestAnalyzeErrors(t *testing.T) {
 		{Cycle: 1050, Addr: 0x2000, Kind: trace.KCohInval, Core: 0},
 		{Cycle: 1030, Addr: 0x2000, Kind: trace.KCohSnoop, Core: 0},
 		ch(0, 1100, profile.CauseCoherence, 100),
-	}, 0); err == nil || !strings.Contains(err.Error(), "wait hint at cycle 1030 follows one at 1050") {
+	}); err == nil || !strings.Contains(err.Error(), "wait hint at cycle 1030 follows one at 1050") {
 		t.Errorf("out-of-order hint: error %v, want the hint order named", err)
 	}
 	// A cycle too large for a segment word.
 	if _, err := analyze([]trace.Event{
 		ch(0, 1<<56, profile.CauseCompute, 100),
-	}, 0); err == nil || !strings.Contains(err.Error(), "exceeds") {
+	}); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Errorf("cycle past the packing: error %v, want it named", err)
 	}
 	// An out-of-range cause.
 	if _, err := analyze([]trace.Event{
 		{Cycle: 100, Addr: 999, Arg: 10, Kind: trace.KCharge, Core: 0},
-	}, 0); err == nil {
+	}); err == nil {
 		t.Error("unknown cause: want error")
 	}
 }

@@ -7,8 +7,9 @@
 // cause of each moved cell in CHANGES.md.
 //
 // The JSON schema is an external contract — CI baselines and any
-// scripts the user keeps around parse it — so fields are only ever
-// added, never renamed or removed.
+// scripts the user keeps around parse it — so fields are never renamed,
+// and one is removed only once no run can set it, so every committed
+// document still loads.
 package report
 
 import (
@@ -57,12 +58,6 @@ type Result struct {
 	LazyDrainP99     uint64 `json:"lazy_drain_p99,omitempty"`
 	WPQOccMaxBytes   uint64 `json:"wpq_occ_max_bytes,omitempty"`
 	WPQOccAvgBytes   uint64 `json:"wpq_occ_avg_bytes,omitempty"`
-
-	// DroppedEvents is the number of trace events the tracer's ring
-	// discarded (zero on untraced runs and on streamed runs, whose spill
-	// sink never drops). Nonzero means every trace-derived metric above
-	// is a lower bound, so consumers should flag it.
-	DroppedEvents uint64 `json:"dropped_events,omitempty"`
 
 	// Intervals is the live-telemetry interval series, present when the
 	// run streamed its trace (bench.RunConfig.StreamDir): one entry per
@@ -189,7 +184,6 @@ func FromResult(r bench.Result) Result {
 		LazyDrainP99:     r.Summary.LazyP99,
 		WPQOccMaxBytes:   r.Counters.WPQOccMaxBytes,
 		WPQOccAvgBytes:   r.Counters.WPQOccAvgBytes,
-		DroppedEvents:    r.Summary.Dropped,
 	}
 	if r.Intervals != nil {
 		out.Intervals = r.Intervals.Intervals
@@ -231,7 +225,7 @@ func FromResult(r bench.Result) Result {
 }
 
 // maxReportSteps caps the embedded path timeline (spans beyond it are
-// dropped from the document, not from the analysis); maxReportHotLines
+// left out of the document, not out of the analysis); maxReportHotLines
 // caps the embedded contention ranking.
 const (
 	maxReportSteps    = 512
@@ -357,7 +351,7 @@ func (r Report) Write(path string) error {
 }
 
 // Load reads one BENCH_<experiment>.json document. A field the schema
-// does not know is an error, so a field dropped from Result cannot
+// does not know is an error, so a field removed from Result cannot
 // vanish from a baseline unnoticed, and so is a Key two results share,
 // since an experiment reports each of its cells once.
 func Load(path string) (Report, error) {

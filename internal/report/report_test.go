@@ -244,16 +244,12 @@ func TestStreamedRunReport(t *testing.T) {
 	if _, ok := m["intervals"]; !ok {
 		t.Error(`streamed result missing "intervals" wire key`)
 	}
-	if _, ok := m["dropped_events"]; ok {
-		t.Error("zero dropped_events should be omitted from the wire")
-	}
 }
 
 // TestJSONKeys pins the exact wire names — external scripts parse
 // these documents, so renames are breaking changes.
 func TestJSONKeys(t *testing.T) {
 	rep := fixture()
-	rep.Results[0].DroppedEvents = 1
 	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +269,7 @@ func TestJSONKeys(t *testing.T) {
 	}
 	for _, k := range []string{"scheme", "workload", "n", "value_size", "cycles",
 		"pm_write_bytes_data", "pm_write_bytes_log", "pm_write_bytes",
-		"tx_commits", "verify_ok", "commit_latency_p50", "cycles_by_cause", "dropped_events"} {
+		"tx_commits", "verify_ok", "commit_latency_p50", "cycles_by_cause"} {
 		if _, ok := results[0][k]; !ok {
 			t.Errorf("result key %q missing", k)
 		}

@@ -14,8 +14,7 @@ import (
 // struct is flat and comparable so harness Results carrying it stay
 // comparable.
 type Summary struct {
-	Events  int
-	Dropped uint64
+	Events int
 
 	Commits                         int
 	CommitP50, CommitP95, CommitP99 uint64
@@ -45,10 +44,6 @@ func (s Summary) String() string {
 	if s.LazyDrains > 0 {
 		fmt.Fprintf(&b, "lazy-drain latency (cycles): p50=%d p95=%d p99=%d over %d drains\n",
 			s.LazyP50, s.LazyP95, s.LazyP99, s.LazyDrains)
-	}
-	if s.Dropped > 0 {
-		fmt.Fprintf(&b, "(ring overflow: %d events dropped; histograms cover the tail)\n",
-			s.Dropped)
 	}
 	return b.String()
 }

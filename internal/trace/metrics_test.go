@@ -8,15 +8,15 @@ import (
 )
 
 // summarize reduces evs through the streaming Summarizer, the one
-// summary implementation, as the bench harness does for a ring.
-func summarize(t *testing.T, evs []trace.Event, dropped uint64) trace.Summary {
+// summary implementation, as the bench harness does for a run's spills.
+func summarize(t *testing.T, evs []trace.Event) trace.Summary {
 	t.Helper()
 	s := stream.NewSummarizer()
 	st, err := stream.Feed(stream.Events(evs), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.Summary(st.Events, dropped)
+	return s.Summary(st.Events)
 }
 
 func TestSummarizePairsSpansPerCore(t *testing.T) {
@@ -30,7 +30,7 @@ func TestSummarizePairsSpansPerCore(t *testing.T) {
 		{Cycle: 500, Kind: trace.KLazyDrainStart, Core: 0, Arg: 1},
 		{Cycle: 550, Kind: trace.KLazyDrainEnd, Core: 0, Arg: 1}, // 50 cycles
 	}
-	s := summarize(t, evs, 7)
+	s := summarize(t, evs)
 	if s.Commits != 2 {
 		t.Fatalf("Commits = %d, want 2", s.Commits)
 	}
@@ -40,8 +40,8 @@ func TestSummarizePairsSpansPerCore(t *testing.T) {
 	if s.LazyDrains != 1 || s.LazyP50 != 50 {
 		t.Fatalf("lazy = %d drains p50=%d, want 1/50", s.LazyDrains, s.LazyP50)
 	}
-	if s.Dropped != 7 || s.Events != len(evs) {
-		t.Fatalf("bookkeeping: dropped=%d events=%d", s.Dropped, s.Events)
+	if s.Events != len(evs) {
+		t.Fatalf("bookkeeping: events=%d", s.Events)
 	}
 }
 
@@ -60,9 +60,9 @@ func TestPercentilesNearestRank(t *testing.T) {
 }
 
 // bucketWPQ folds evs through the streaming two-pass BucketWPQ.
-func bucketWPQ(t *testing.T, evs []trace.Event, n int) *trace.WPQSeries {
+func bucketWPQ(t *testing.T, evs []trace.Event) *trace.WPQSeries {
 	t.Helper()
-	s, err := stream.BucketWPQ(stream.Events(evs), n)
+	s, err := stream.BucketWPQ(stream.Events(evs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,30 +71,43 @@ func bucketWPQ(t *testing.T, evs []trace.Event, n int) *trace.WPQSeries {
 
 func TestBucketWPQ(t *testing.T) {
 	var evs []trace.Event
-	// Occupancy ramps 64..640 over cycles 0..900, one stall at 450.
-	for i := 0; i < 10; i++ {
+	// One enqueue every 100 cycles, occupancy ramping 64..1024 over
+	// cycles 0..1500, a stall at 450 and a drain to empty at 1599: the
+	// span of 1599 cycles makes the buckets 100 cycles wide, one
+	// enqueue each.
+	for i := 0; i < stream.WPQBuckets; i++ {
 		evs = append(evs, trace.Event{Cycle: uint64(i * 100), Kind: trace.KWPQEnqueue, Arg: uint64(64 * (i + 1))})
 	}
 	evs = append(evs, trace.Event{Cycle: 450, Kind: trace.KWPQStall, Arg: 33})
-	evs = append(evs, trace.Event{Cycle: 890, Kind: trace.KWPQDrain, Arg: 0})
-	s := bucketWPQ(t, evs, 2)
-	if s == nil || len(s.Buckets) != 2 {
+	evs = append(evs, trace.Event{Cycle: 1599, Kind: trace.KWPQDrain, Arg: 0})
+	s := bucketWPQ(t, evs)
+	if s == nil || len(s.Buckets) != stream.WPQBuckets {
 		t.Fatalf("series = %+v", s)
 	}
-	b0, b1 := s.Buckets[0], s.Buckets[1]
-	if b0.OccMax != 64*5 {
-		t.Fatalf("bucket 0 occ.max = %d", b0.OccMax)
+	last := stream.WPQBuckets - 1
+	for i, b := range s.Buckets {
+		if b.StartCycle != uint64(100*i) || b.EndCycle != uint64(100*(i+1)) {
+			t.Fatalf("bucket %d spans [%d,%d)", i, b.StartCycle, b.EndCycle)
+		}
+		if b.Enqueues != 1 || b.OccMax != uint64(64*(i+1)) {
+			t.Fatalf("bucket %d: %d enqueues, occ.max %d", i, b.Enqueues, b.OccMax)
+		}
+		var wantStall, wantDrains uint64
+		if i == 4 {
+			wantStall = 33
+		}
+		if i == last {
+			wantDrains = 1
+		}
+		if b.StallCycles != wantStall || b.Drains != wantDrains {
+			t.Fatalf("bucket %d: %d stall cycles and %d drains, want %d and %d",
+				i, b.StallCycles, b.Drains, wantStall, wantDrains)
+		}
 	}
-	if b0.StallCycles != 33 || b1.StallCycles != 0 {
-		t.Fatalf("stall attribution: %d/%d", b0.StallCycles, b1.StallCycles)
+	if avg := s.Buckets[last].OccAvg; avg != 64*stream.WPQBuckets/2 {
+		t.Fatalf("last bucket occ.avg = %d, want the mean of its enqueue and drain", avg)
 	}
-	if b1.OccMax != 640 || b1.Drains != 1 {
-		t.Fatalf("bucket 1: %+v", b1)
-	}
-	if b0.Enqueues+b1.Enqueues != 10 {
-		t.Fatalf("enqueue total = %d", b0.Enqueues+b1.Enqueues)
-	}
-	if bucketWPQ(t, []trace.Event{{Kind: trace.KStore}}, 4) != nil {
+	if bucketWPQ(t, []trace.Event{{Kind: trace.KStore}}) != nil {
 		t.Fatal("no WPQ events must yield a nil series")
 	}
 	if s.String() == "" {

@@ -8,12 +8,9 @@ import (
 	"io"
 )
 
-// PerfettoOptions parameterizes the Chrome/Perfetto trace_event export.
-type PerfettoOptions struct {
-	// CyclesPerUs converts simulated cycles to trace microseconds.
-	// 0 selects 2000 (the platform's 2 GHz clock).
-	CyclesPerUs float64
-}
+// cyclesPerUs converts simulated cycles to trace microseconds: the
+// platform's 2 GHz clock.
+const cyclesPerUs = 2000
 
 // pfEvent is one Chrome trace_event entry. Span events use Ph "X"
 // (complete: ts+dur), instants "i", counters "C", metadata "M".
@@ -47,13 +44,12 @@ type pfOpen struct {
 // entry is marshalled as it is produced, so the export never holds the
 // document.
 type pfEnc struct {
-	w           *bufio.Writer
-	cyclesPerUs float64
-	sep         string
-	err         error // the first marshalling error
+	w   *bufio.Writer
+	sep string
+	err error // the first marshalling error
 }
 
-func (p *pfEnc) ts(cycle uint64) float64 { return float64(cycle) / p.cyclesPerUs }
+func (p *pfEnc) ts(cycle uint64) float64 { return float64(cycle) / cyclesPerUs }
 
 func (p *pfEnc) write(ev pfEvent) {
 	ev.Pid = pfPid
@@ -108,17 +104,14 @@ func (p *pfEnc) instant(e Event, cat string, args map[string]any) {
 // series are chronological; stream's Dir.ByCycle orders a saved stream
 // so with bounded memory. Every entry is written as its event arrives,
 // so the export holds per-core span state only.
-func WritePerfetto(w io.Writer, each func(fn func(Event)) error, opts PerfettoOptions) error {
-	p := &pfEnc{w: bufio.NewWriter(w), cyclesPerUs: opts.CyclesPerUs}
-	if p.cyclesPerUs <= 0 {
-		p.cyclesPerUs = 2000
-	}
+func WritePerfetto(w io.Writer, each func(fn func(Event)) error) error {
+	p := &pfEnc{w: bufio.NewWriter(w)}
 	p.w.WriteString(`{"traceEvents":[`)
 	p.write(pfEvent{Name: "process_name", Ph: "M", Args: map[string]any{"name": "slpmt machine"}})
 
 	// Span pairing state, per core. Lazy-drain sections do not nest and
 	// transaction/commit spans match on the sequence number; a cut
-	// stream can orphan a start or an end — unmatched ends are dropped,
+	// stream can orphan a start or an end — unmatched ends are skipped,
 	// unmatched starts are closed at the last event's cycle.
 	var txOpen, commitOpen, lazyOpen [256]pfOpen
 	var coresSeen [256]bool

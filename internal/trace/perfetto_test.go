@@ -55,7 +55,7 @@ func TestPerfettoSchema(t *testing.T) {
 		{Cycle: 50, Kind: KTxCommit, Core: 1, Arg: 2},
 	}
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, byCycle(evs), PerfettoOptions{}); err != nil {
+	if err := WritePerfetto(&buf, byCycle(evs)); err != nil {
 		t.Fatal(err)
 	}
 	out := decodePerfetto(t, buf.Bytes())
@@ -107,7 +107,7 @@ func TestPerfettoTimeConversion(t *testing.T) {
 		{Cycle: 4000, Kind: KTxCommit, Core: 0, Arg: 1},
 	}
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, byCycle(evs), PerfettoOptions{}); err != nil {
+	if err := WritePerfetto(&buf, byCycle(evs)); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range decodePerfetto(t, buf.Bytes()) {
@@ -128,7 +128,7 @@ func TestPerfettoClosesTruncatedSpans(t *testing.T) {
 		{Cycle: 200, Kind: KStore, Core: 0, Addr: 1, Arg: 8},
 	}
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, byCycle(evs), PerfettoOptions{}); err != nil {
+	if err := WritePerfetto(&buf, byCycle(evs)); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -154,7 +154,7 @@ func TestPerfettoGoldenBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, byCycle(perfettoGoldenEvents()), PerfettoOptions{}); err != nil {
+	if err := WritePerfetto(&buf, byCycle(perfettoGoldenEvents())); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {

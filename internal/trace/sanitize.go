@@ -40,11 +40,11 @@ import "fmt"
 // legitimately rewrites logged data outside the commit ordering.
 //
 // The checker is resilient to a stream that starts mid-run (the bench
-// harness resets the ring at the measured-region boundary): WPQ
+// harness starts the stream at the measured-region boundary): WPQ
 // residue from before the cut is skipped until the occupancy replay
 // locks on, and lazy obligations deferred before the cut are simply
-// not checked. If the ring overflowed (dropped events), Report.
-// Truncated is set and the replay is best-effort.
+// not checked. The tracer never loses an event, so past the cut the
+// replay sees the whole execution.
 
 // sanLineSize mirrors mem.LineSize without importing the package (trace
 // is a leaf dependency of the whole simulator).
@@ -71,10 +71,9 @@ func (v Violation) String() string {
 // Report is the result of one sanitizer replay.
 type Report struct {
 	Events       int
-	Transactions int  // committed transactions replayed
-	Aborts       int  // aborted transactions replayed (violations discarded)
-	Truncated    bool // ring overflow dropped events; replay is best-effort
-	Total        int  // violations found (Violations holds at most MaxViolations)
+	Transactions int // committed transactions replayed
+	Aborts       int // aborted transactions replayed (violations discarded)
+	Total        int // violations found (Violations holds at most MaxViolations)
 	Violations   []Violation
 }
 
@@ -98,7 +97,7 @@ type sanCore struct {
 	logged     map[uint64]struct{} // lines with log records this tx
 	logOff     map[uint64]uint64   // line -> highest record-end stream offset
 	storeLines map[uint64]struct{} // lines stored this tx
-	txViol     []Violation         // buffered until commit (dropped on abort)
+	txViol     []Violation         // buffered until commit (discarded on abort)
 
 	// Epoch state (rule 5). Populated only by commits that wrote no
 	// marker of their own — grouped commits — so it stays empty on
@@ -194,15 +193,9 @@ func (s *Sanitizer) Consume(e Event) {
 	s.n++
 }
 
-// Reset restarts the replay at a measured-region boundary.
-func (s *Sanitizer) Reset() { *s = *NewSanitizer() }
-
-// Report finalizes the replay. dropped is the producing tracer's
-// ring-overflow count (a lossy stream makes the verdict best-effort
-// and sets Truncated).
-func (s *Sanitizer) Report(dropped uint64) *Report {
+// Report finalizes the replay.
+func (s *Sanitizer) Report() *Report {
 	s.rep.Events = s.n
-	s.rep.Truncated = dropped > 0
 	return &s.rep
 }
 
@@ -226,7 +219,7 @@ func (s *Sanitizer) violate(i int, e Event, core uint8, seq uint64, rule, detail
 }
 
 // violateTx buffers a violation against cs's current transaction: it
-// reaches the report at commit and is dropped on abort.
+// reaches the report at commit and is discarded on abort.
 func (s *Sanitizer) violateTx(i int, e Event, core uint8, cs *sanCore, rule, detail string) {
 	if !cs.inTx {
 		s.violate(i, e, core, 0, rule, detail)

@@ -5,15 +5,14 @@ import (
 	"testing"
 
 	"github.com/persistmem/slpmt/internal/bench"
-	"github.com/persistmem/slpmt/internal/trace"
-	"github.com/persistmem/slpmt/internal/trace/stream"
 	_ "github.com/persistmem/slpmt/internal/workloads/all"
 )
 
-// TestSanitizeRealRuns replays sanitizer-masked traces of real benchmark
-// executions and requires them clean: the simulator must actually obey
-// the persist-ordering rules the sanitizer encodes, across log modes,
-// schemes with and without lazy persistency, and core counts.
+// TestSanitizeRealRuns sanitizes real benchmark executions live, on
+// their full-detail streams, and requires them clean: the simulator
+// must actually obey the persist-ordering rules the sanitizer encodes,
+// across log modes, schemes with and without lazy persistency, and
+// core counts.
 func TestSanitizeRealRuns(t *testing.T) {
 	cases := []struct {
 		scheme string
@@ -35,26 +34,16 @@ func TestSanitizeRealRuns(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%s-%dc-w%d", tc.scheme, tc.cores, tc.window), func(t *testing.T) {
-			tr := trace.New(trace.DefaultCapacity)
-			tr.SetMask(trace.SanitizeMask())
-			bench.Run(bench.RunConfig{
+			rep := bench.Run(bench.RunConfig{
 				Scheme:       tc.scheme,
 				Workload:     "hashtable",
 				N:            300,
 				Cores:        tc.cores,
 				CommitWindow: tc.window,
-				Trace:        tr,
-			})
-			zs := trace.NewSanitizer()
-			if _, err := stream.Feed(stream.Events(tr.Events()), zs); err != nil {
-				t.Fatal(err)
-			}
-			rep := zs.Report(tr.Dropped())
-			if rep.Truncated {
-				t.Fatalf("trace ring overflowed (%d dropped); enlarge the capacity", tr.Dropped())
-			}
-			if rep.Transactions == 0 {
-				t.Fatal("no transactions replayed; emit sites missing?")
+				StreamDir:    t.TempDir(),
+			}).Sanitizer
+			if rep == nil || rep.Transactions == 0 {
+				t.Fatalf("sanitizer report %+v: no transactions replayed; emit sites missing?", rep)
 			}
 			if !rep.Clean() {
 				max := len(rep.Violations)

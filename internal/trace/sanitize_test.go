@@ -6,12 +6,12 @@ import (
 )
 
 // sanitize replays events oldest-first through a fresh Sanitizer.
-func sanitize(events []Event, dropped uint64) *Report {
+func sanitize(events []Event) *Report {
 	z := NewSanitizer()
 	for _, e := range events {
 		z.Consume(e)
 	}
-	return z.Report(dropped)
+	return z.Report()
 }
 
 // ev builds one event; tests assemble streams in emission order.
@@ -57,13 +57,10 @@ func cleanUndoTx() []Event {
 }
 
 func TestSanitizeCleanUndoCommit(t *testing.T) {
-	rep := sanitize(cleanUndoTx(), 0)
+	rep := sanitize(cleanUndoTx())
 	wantClean(t, rep)
 	if rep.Transactions != 1 || rep.Aborts != 0 {
 		t.Fatalf("expected 1 commit / 0 aborts, got %d / %d", rep.Transactions, rep.Aborts)
-	}
-	if rep.Truncated {
-		t.Fatal("unexpected truncation flag")
 	}
 }
 
@@ -78,7 +75,7 @@ func TestSanitizeLogBeforeData(t *testing.T) {
 		ev(0, 31, KLogSync, 0x8000, 80),
 		ev(0, 40, KCommitMarker, 0, 1),
 		ev(0, 50, KTxCommit, 0, 1),
-	}, 0)
+	})
 	wantViolation(t, rep, "log-before-data", "beyond the durable watermark")
 }
 
@@ -91,7 +88,7 @@ func TestSanitizeMarkerBeforeLogSync(t *testing.T) {
 		ev(0, 22, KLogPersist, 0x1008, 80),
 		ev(0, 40, KCommitMarker, 0, 1), // no KLogSync before the marker
 		ev(0, 50, KTxCommit, 0, 1),
-	}, 0)
+	})
 	wantViolation(t, rep, "marker-order", "beyond the durable watermark")
 }
 
@@ -106,7 +103,7 @@ func TestSanitizeUndoDataAfterMarker(t *testing.T) {
 		ev(0, 45, KCommitMarker, 0, 1),
 		ev(0, 46, KWPQEnqueue, 0x1000, 64), // Figure 4: marker must be last
 		ev(0, 50, KTxCommit, 0, 1),
-	}, 0)
+	})
 	wantViolation(t, rep, "marker-order", "after the commit marker")
 }
 
@@ -133,7 +130,7 @@ func TestSanitizeRedoLoggedBeforeMarker(t *testing.T) {
 		ev(0, 80, KCommitMarker, 1, 2),
 		ev(0, 90, KTxCommit, 0, 2),
 	}
-	rep := sanitize(evs, 0)
+	rep := sanitize(evs)
 	wantViolation(t, rep, "marker-order", "before the commit marker")
 }
 
@@ -148,7 +145,7 @@ func TestSanitizeAbortDropsTxViolations(t *testing.T) {
 		ev(0, 22, KLogPersist, 0x1008, 80),
 		ev(0, 30, KWPQEnqueue, 0x1000, 64),
 		ev(0, 50, KTxAbort, 0, 1),
-	}, 0)
+	})
 	wantClean(t, rep)
 	if rep.Aborts != 1 {
 		t.Fatalf("expected 1 abort, got %d", rep.Aborts)
@@ -160,7 +157,7 @@ func TestSanitizeWPQDrainRegression(t *testing.T) {
 	rep := sanitize([]Event{
 		ev(0, 100, KWPQDrain, 0, 64),
 		ev(0, 90, KWPQDrain, 0, 0),
-	}, 0)
+	})
 	wantViolation(t, rep, "wpq-fifo", "same batch")
 }
 
@@ -171,7 +168,7 @@ func TestSanitizeWPQDrainSizeMismatch(t *testing.T) {
 		ev(0, 30, KWPQDrain, 0, 64),         // matches, core synced
 		ev(0, 40, KWPQEnqueue, 0x3000, 128), // outstanding: 64
 		ev(0, 50, KWPQDrain, 0, 96),         // 32 bytes never enqueued
-	}, 0)
+	})
 	wantViolation(t, rep, "wpq-fifo", "no matching outstanding enqueue")
 }
 
@@ -187,14 +184,14 @@ func TestSanitizeWPQFirstEnqueueDrains(t *testing.T) {
 		ev(0, 40, KWPQEnqueue, 0x2000, 128), // outstanding: 64
 		ev(0, 50, KWPQDrain, 0x1000, 64),    // the second one retires
 		ev(0, 60, KWPQDrain, 0x2000, 0),
-	}, 0))
+	}))
 }
 
 func TestSanitizeWPQEnqueueNoRaise(t *testing.T) {
 	rep := sanitize([]Event{
 		ev(0, 10, KWPQEnqueue, 0x1000, 64),
 		ev(0, 20, KWPQEnqueue, 0x2000, 64), // occupancy did not grow
-	}, 0)
+	})
 	wantViolation(t, rep, "wpq-fifo", "did not raise")
 }
 
@@ -213,7 +210,7 @@ func TestSanitizeLazyConflict(t *testing.T) {
 	bad := append(append([]Event{}, base...),
 		ev(1, 60, KStore, 0x2000, 8),
 	)
-	wantViolation(t, sanitize(bad, 0), "lazy-conflict", "still volatile")
+	wantViolation(t, sanitize(bad), "lazy-conflict", "still volatile")
 
 	// Clean stream: the conflict forces core 0's drain before core 1's
 	// next program event (as the engine does, synchronously).
@@ -223,7 +220,7 @@ func TestSanitizeLazyConflict(t *testing.T) {
 		ev(0, 58, KLazyDrainEnd, 0, 1),
 		ev(1, 60, KStore, 0x2000, 8),
 	)
-	wantClean(t, sanitize(good, 0))
+	wantClean(t, sanitize(good))
 }
 
 // groupedTxs is two grouped commits (no per-transaction marker or sync)
@@ -253,7 +250,7 @@ func TestSanitizeEpochCleanGroupCommit(t *testing.T) {
 		ev(0, 73, KWPQEnqueue, 0x2000, 128),
 		ev(0, 74, KEpochClose, 0, 1),
 	)
-	rep := sanitize(evs, 0)
+	rep := sanitize(evs)
 	wantClean(t, rep)
 	if rep.Transactions != 2 {
 		t.Fatalf("expected 2 commits, got %d", rep.Transactions)
@@ -268,8 +265,8 @@ func TestSanitizeEpochCloseBeyondWatermark(t *testing.T) {
 		ev(0, 71, KCommitMarker, 0, 2),
 		ev(0, 74, KEpochClose, 0, 1),
 	)
-	wantViolation(t, sanitize(evs, 0), "epoch-close", "closed with log records")
-	if v := sanitize(evs, 0).Violations[0]; v.Seq != 1 {
+	wantViolation(t, sanitize(evs), "epoch-close", "closed with log records")
+	if v := sanitize(evs).Violations[0]; v.Seq != 1 {
 		t.Fatalf("expected epoch number 1 in Seq, got %d", v.Seq)
 	}
 }
@@ -283,7 +280,7 @@ func TestSanitizeEpochLinePersistBeforeSync(t *testing.T) {
 		ev(0, 75, KLogSync, 0x8000, 120),
 		ev(0, 76, KEpochClose, 0, 1),
 	)
-	wantViolation(t, sanitize(evs, 0), "epoch-close", "open-epoch log records")
+	wantViolation(t, sanitize(evs), "epoch-close", "open-epoch log records")
 }
 
 func TestSanitizeEpochCloseClearsState(t *testing.T) {
@@ -304,7 +301,7 @@ func TestSanitizeEpochCloseClearsState(t *testing.T) {
 		ev(0, 93, KWPQEnqueue, 0x1000, 64),
 		ev(0, 94, KEpochClose, 0, 2),
 	)
-	wantClean(t, sanitize(evs, 0))
+	wantClean(t, sanitize(evs))
 }
 
 func TestSanitizeMarkerCommitContributesNoEpochState(t *testing.T) {
@@ -314,15 +311,7 @@ func TestSanitizeMarkerCommitContributesNoEpochState(t *testing.T) {
 	evs := append(cleanUndoTx(),
 		ev(0, 60, KWPQEnqueue, 0x1000, 128), // retained-line writeback after commit
 	)
-	wantClean(t, sanitize(evs, 0))
-}
-
-func TestSanitizeTruncated(t *testing.T) {
-	rep := sanitize(cleanUndoTx(), 3)
-	if !rep.Truncated {
-		t.Fatal("expected Truncated with dropped > 0")
-	}
-	wantClean(t, rep) // truncation alone is not a violation
+	wantClean(t, sanitize(evs))
 }
 
 func TestSanitizeViolationCap(t *testing.T) {
@@ -330,7 +319,7 @@ func TestSanitizeViolationCap(t *testing.T) {
 	for i := 0; i < MaxViolations+50; i++ {
 		evs = append(evs, ev(0, uint64(20+i), KWPQEnqueue, 0x1000, 64))
 	}
-	rep := sanitize(evs, 0)
+	rep := sanitize(evs)
 	if rep.Total != MaxViolations+50 {
 		t.Fatalf("expected total %d, got %d", MaxViolations+50, rep.Total)
 	}

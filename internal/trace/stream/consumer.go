@@ -21,7 +21,7 @@ type Source interface {
 	Iter(fn func(trace.Event)) (*Stats, error)
 }
 
-// Events is an in-memory Source: a tracer ring's held events
+// Events is an in-memory Source: a tracer's buffered events
 // (Tracer.Events) or a hand-built stream in tests.
 type Events []trace.Event
 

@@ -32,9 +32,8 @@ func (e *TornError) Unwrap() error { return e.Err }
 // Stats summarizes one pass over a stream.
 type Stats struct {
 	Events   int
-	Segments int    // segments read (including a torn final one)
-	Dropped  uint64 // cumulative tracer drops per the last readable header
-	Closed   bool   // the CLOSED sentinel was present
+	Segments int  // segments read (including a torn final one)
+	Closed   bool // the CLOSED sentinel was present
 	// Torn is set when the final segment was truncated: the complete-
 	// record prefix was delivered and iteration ended cleanly. A torn
 	// non-final segment is corruption and returns a hard error instead.
@@ -179,6 +178,5 @@ func (d *Dir) readSegment(idx int, st *Stats, fn func(trace.Event)) (SegmentHead
 		st.Torn = torn
 		return hdr, nil
 	}
-	st.Dropped = hdr.Dropped
 	return hdr, nil
 }

@@ -1,7 +1,7 @@
 // Package stream is the one trace-analysis pipeline. Its Consumer
 // interface makes every trace analysis online — summarization,
 // sanitizing, WPQ bucketing, periodic telemetry, the critical path —
-// and a Source replays events into consumers: either the in-memory ring
+// and a Source replays events into consumers: either an in-memory slice
 // (Events) or the binary trace format, a binlog-style directory of
 // SLPSEG01 segments (fixed-size files with per-segment headers, fsync'd
 // rotation, crash-truncation-tolerant reader) written by a Writer fed
@@ -35,7 +35,7 @@ import (
 //	off  8: count      u64  records in this segment
 //	off 16: firstCycle u64  minimum event cycle in the segment
 //	off 24: lastCycle  u64  maximum event cycle in the segment
-//	off 32: dropped    u64  tracer drops observed up to this segment
+//	off 32: reserved   u64  written as 0 (once the tracer's dropped-event count)
 //	off 40: ncores     u64  per-core count entries that follow
 //	off 48: ncores × { core u64, count u64 }
 //	then count × trace.RecordSize event records (trace.PutRecord layout)
@@ -64,8 +64,7 @@ const ClosedSentinel = "CLOSED"
 func segName(idx int) string { return fmt.Sprintf("seg-%08d.slptrc", idx) }
 
 // encodeSegment serializes events into one SLPSEG01 segment image.
-// dropped is the cumulative tracer drop count at write time.
-func encodeSegment(events []trace.Event, dropped uint64) []byte {
+func encodeSegment(events []trace.Event) []byte {
 	var perCore [256]uint64
 	first, last := ^uint64(0), uint64(0)
 	for i := range events {
@@ -92,7 +91,6 @@ func encodeSegment(events []trace.Event, dropped uint64) []byte {
 	binary.LittleEndian.PutUint64(buf[8:], uint64(len(events)))
 	binary.LittleEndian.PutUint64(buf[16:], first)
 	binary.LittleEndian.PutUint64(buf[24:], last)
-	binary.LittleEndian.PutUint64(buf[32:], dropped)
 	binary.LittleEndian.PutUint64(buf[40:], uint64(ncores))
 	off := segFixedHeader
 	for core, n := range perCore {
@@ -114,7 +112,6 @@ func encodeSegment(events []trace.Event, dropped uint64) []byte {
 type SegmentHeader struct {
 	Count                 int
 	FirstCycle, LastCycle uint64
-	Dropped               uint64
 	// CoreCounts maps core ID to the core's record count, as entries
 	// ordered by core.
 	CoreCounts []CoreCount
@@ -141,7 +138,6 @@ func decodeSegment(data []byte, fn func(trace.Event)) (hdr SegmentHeader, tearOf
 	count := binary.LittleEndian.Uint64(data[8:])
 	hdr.FirstCycle = binary.LittleEndian.Uint64(data[16:])
 	hdr.LastCycle = binary.LittleEndian.Uint64(data[24:])
-	hdr.Dropped = binary.LittleEndian.Uint64(data[32:])
 	ncores := binary.LittleEndian.Uint64(data[40:])
 	if ncores > 256 {
 		return hdr, 0, false, fmt.Errorf("stream: segment claims %d cores", ncores)
@@ -174,13 +170,13 @@ func decodeSegment(data []byte, fn func(trace.Event)) (hdr SegmentHeader, tearOf
 // writeSegmentFile writes one fsync'd segment image into dir. The
 // containing directory is synced too, so a completed segment survives a
 // crash; a crash mid-write leaves a torn tail the reader recovers from.
-func writeSegmentFile(dir string, idx int, events []trace.Event, dropped uint64) error {
+func writeSegmentFile(dir string, idx int, events []trace.Event) error {
 	path := filepath.Join(dir, segName(idx))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(encodeSegment(events, dropped)); err != nil {
+	if _, err := f.Write(encodeSegment(events)); err != nil {
 		f.Close()
 		return err
 	}

@@ -36,9 +36,6 @@ func (q *QSketch) Add(v uint64) {
 // N returns the number of samples added.
 func (q *QSketch) N() uint64 { return q.n }
 
-// Reset clears the sketch.
-func (q *QSketch) Reset() { *q = QSketch{} }
-
 // qsketchBucket maps a value to its bucket index.
 func qsketchBucket(v uint64) int {
 	if v < 1<<qsketchSubBits {

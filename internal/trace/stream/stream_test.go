@@ -57,9 +57,6 @@ func buildStream(t *testing.T, dir string, evs []trace.Event, ringCap, segEvents
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if d := tr.Dropped(); d != 0 {
-		t.Fatalf("tracer dropped %d events with a sink attached", d)
-	}
 	return w
 }
 
@@ -85,7 +82,7 @@ func summarize(t *testing.T, src Source) (trace.Summary, *Summarizer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.Summary(st.Events, st.Dropped), s
+	return s.Summary(st.Events), s
 }
 
 // sanitize feeds src to a fresh streaming sanitizer and returns its
@@ -96,7 +93,7 @@ func sanitize(t *testing.T, src Source) *trace.Report {
 	if _, err := Feed(src, z); err != nil {
 		t.Fatal(err)
 	}
-	rep := z.Report(0)
+	rep := z.Report()
 	sortViolations(rep.Violations)
 	return rep
 }
@@ -180,6 +177,14 @@ func TestSegmentHeaders(t *testing.T) {
 		hdr, err := d.Header(i)
 		if err != nil {
 			t.Fatalf("segment %d header: %v", i, err)
+		}
+		// The reserved header word at offset 32 is written as zero.
+		raw, err := os.ReadFile(filepath.Join(dir, segs[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw[32:40], make([]byte, 8)) {
+			t.Fatalf("segment %d reserved word = % x, want zeros", i, raw[32:40])
 		}
 		chunk := evs[seen : seen+hdr.Count]
 		lo, hi := ^uint64(0), uint64(0)
@@ -315,7 +320,7 @@ func TestDecodeSegmentRejectsGarbage(t *testing.T) {
 
 func FuzzDecodeSegment(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
-	f.Add(encodeSegment(randEvents(rng, 40, 3), 2))
+	f.Add(encodeSegment(randEvents(rng, 40, 3)))
 	f.Add([]byte(segMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -366,7 +371,7 @@ func TestSanitizeMatchesInMemory(t *testing.T) {
 	for _, e := range evs {
 		z.Consume(e)
 	}
-	want := z.Report(0)
+	want := z.Report()
 	if want.Total == 0 {
 		t.Fatal("random stream raised no violations; the index check is vacuous")
 	}
@@ -390,7 +395,7 @@ func sortViolations(vs []trace.Violation) {
 func TestBucketWPQMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	evs := randEvents(rng, 4000, 4)
-	want, err := BucketWPQ(Events(evs), 16)
+	want, err := BucketWPQ(Events(evs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +405,7 @@ func TestBucketWPQMatchesInMemory(t *testing.T) {
 	dir := t.TempDir()
 	buildStream(t, dir, evs, 128, 512)
 	d, _ := Open(dir)
-	got, err := BucketWPQ(d, 16)
+	got, err := BucketWPQ(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +449,7 @@ func TestSummarizerSketchFallback(t *testing.T) {
 	if !s.Sketched() {
 		t.Fatal("summarizer did not fall back to sketch past the bound")
 	}
-	sum := s.Summary(2*n, 0)
+	sum := s.Summary(2 * n)
 	if sum.Commits != n {
 		t.Fatalf("sketched commit count %d, want %d", sum.Commits, n)
 	}
@@ -527,43 +532,6 @@ func TestTelemetryNDJSON(t *testing.T) {
 	}
 }
 
-func TestWriterResetDiscardsSetup(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	setup := randEvents(rng, 700, 2)
-	dir := t.TempDir()
-	tr := trace.New(64)
-	s := NewSummarizer()
-	w, err := NewWriter(dir, 128, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.SetSink(w)
-	for _, e := range setup {
-		tr.Emit(e.Core, e.Cycle, e.Kind, e.Addr, e.Arg)
-	}
-	tr.Reset() // measured-region boundary: everything so far is setup
-	measured := randEvents(rng, 300, 2)
-	for _, e := range measured {
-		tr.Emit(e.Core, e.Cycle, e.Kind, e.Addr, e.Arg)
-	}
-	tr.Flush()
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d, _ := Open(dir)
-	got, st, err := readAll(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, measured) {
-		t.Fatalf("stream holds %d events after reset, want the %d measured ones", len(got), len(measured))
-	}
-	want, _ := summarize(t, Events(measured))
-	if sum := s.Summary(st.Events, 0); sum != want {
-		t.Fatalf("live summarizer not reset: %+v want %+v", sum, want)
-	}
-}
-
 // Consumers attached live to the Writer (fed from the tracer's spill
 // path) end in the same state as fresh consumers fed offline from the
 // same events.
@@ -575,10 +543,10 @@ func TestLiveConsumersMatchOffline(t *testing.T) {
 	z := trace.NewSanitizer()
 	buildStream(t, dir, evs, 64, 256, s, z)
 	want, _ := summarize(t, Events(evs))
-	if got := s.Summary(len(evs), 0); got != want {
+	if got := s.Summary(len(evs)); got != want {
 		t.Fatalf("live summary %+v, want %+v", got, want)
 	}
-	got := z.Report(0)
+	got := z.Report()
 	sortViolations(got.Violations)
 	if !reflect.DeepEqual(got, sanitize(t, Events(evs))) {
 		t.Fatal("live sanitize report differs from offline")
@@ -623,7 +591,7 @@ func TestByCyclePerfettoMatchesInMemory(t *testing.T) {
 	if err := trace.WritePerfetto(&want, func(fn func(trace.Event)) error {
 		_, err := Events(sorted).Iter(fn)
 		return err
-	}, trace.PerfettoOptions{}); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -650,7 +618,7 @@ func TestByCyclePerfettoMatchesInMemory(t *testing.T) {
 				segEvents, n, back, wantN)
 		}
 		var got bytes.Buffer
-		if err := trace.WritePerfetto(&got, d.ByCycle, trace.PerfettoOptions{}); err != nil {
+		if err := trace.WritePerfetto(&got, d.ByCycle); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {

@@ -13,8 +13,8 @@ const MaxExactSamples = 1 << 18
 // begin/commit and lazy-drain start/end events per core as they stream
 // by (an abort drops the open begin). Commit latency is the full
 // begin-to-commit-complete span; lazy-drain latency is the posted drain
-// section's span. Summary must be given the stream's total event and drop counts
-// (from Stats), since the consumer itself only sees its masked kinds.
+// section's span. Summary must be given the stream's total event count
+// (Stats.Events), since the consumer itself only sees its masked kinds.
 type Summarizer struct {
 	txStart   map[uint8]uint64
 	lazyStart map[uint8]uint64
@@ -61,8 +61,6 @@ func (a *latAcc) percentiles() (p50, p95, p99 uint64) {
 	return trace.Percentiles(a.exact)
 }
 
-func (a *latAcc) reset() { *a = latAcc{} }
-
 // NewSummarizer returns an empty streaming summarizer.
 func NewSummarizer() *Summarizer {
 	return &Summarizer{txStart: map[uint8]uint64{}, lazyStart: map[uint8]uint64{}}
@@ -103,21 +101,13 @@ func (s *Summarizer) Sketched() bool {
 	return s.commits.sketch != nil || s.lazies.sketch != nil
 }
 
-// Summary renders the accumulated histograms. events and dropped are
-// the stream totals (Stats.Events, Stats.Dropped).
-func (s *Summarizer) Summary(events int, dropped uint64) trace.Summary {
-	out := trace.Summary{Events: events, Dropped: dropped}
+// Summary renders the accumulated histograms. events is the stream
+// total (Stats.Events).
+func (s *Summarizer) Summary(events int) trace.Summary {
+	out := trace.Summary{Events: events}
 	out.Commits = s.commits.count()
 	out.CommitP50, out.CommitP95, out.CommitP99 = s.commits.percentiles()
 	out.LazyDrains = s.lazies.count()
 	out.LazyP50, out.LazyP95, out.LazyP99 = s.lazies.percentiles()
 	return out
-}
-
-// Reset clears the summarizer at a measured-region boundary.
-func (s *Summarizer) Reset() {
-	s.txStart = map[uint8]uint64{}
-	s.lazyStart = map[uint8]uint64{}
-	s.commits.reset()
-	s.lazies.reset()
 }

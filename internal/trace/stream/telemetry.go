@@ -242,11 +242,3 @@ func (t *Telemetry) Err() error {
 	}
 	return t.emitErr
 }
-
-// Reset clears the snapshotter at a measured-region boundary. The
-// NDJSON sink is kept; lines already written belong to the discarded
-// region and are the caller's to truncate if that matters.
-func (t *Telemetry) Reset() {
-	out, interval := t.out, t.interval
-	*t = Telemetry{interval: interval, out: out, open: map[int]*Interval{}}
-}

@@ -2,16 +2,18 @@ package stream
 
 import "github.com/persistmem/slpmt/internal/trace"
 
-// BucketWPQ folds a source's WPQ events into n equal time buckets
-// spanning the stream's WPQ activity, in two passes — pass one finds
-// the activity span in O(1) state, pass two fills the buckets in O(n)
-// state — so the series never needs the events in memory. The last
-// bucket ends past the final event (the width is ceil'd). Returns nil
-// if the stream holds no WPQ events.
-func BucketWPQ(src Source, n int) (*trace.WPQSeries, error) {
-	if n <= 0 {
-		n = 16
-	}
+// WPQBuckets is the number of time buckets BucketWPQ folds a stream
+// into.
+const WPQBuckets = 16
+
+// BucketWPQ folds a source's WPQ events into WPQBuckets equal time
+// buckets spanning the stream's WPQ activity, in two passes — pass one
+// finds the activity span in O(1) state, pass two fills the buckets —
+// so the series never needs the events in memory. The last bucket ends
+// past the final event (the width is ceil'd). Returns nil if the
+// stream holds no WPQ events.
+func BucketWPQ(src Source) (*trace.WPQSeries, error) {
+	const n = WPQBuckets
 	wpq := trace.Mask(trace.KWPQEnqueue, trace.KWPQDrain, trace.KWPQStall)
 	var lo, hi uint64
 	seen := false

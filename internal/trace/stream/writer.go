@@ -4,15 +4,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 
 	"github.com/persistmem/slpmt/internal/trace"
 )
 
 // Writer is the tracer's streaming sink: it implements trace.Sink, so
-// attaching it with Tracer.SetSink turns ring-full from "drop oldest"
-// into "hand the full buffer over and keep recording". Buffers cross to
-// a single writer goroutine through a two-deep channel pair — the
+// attaching it with Tracer.SetSink hands each full buffer over to be
+// processed while the tracer keeps recording. Buffers cross to a
+// single writer goroutine through a two-deep channel pair — the
 // double-buffer: while the goroutine encodes one buffer into the
 // current segment (and feeds any live consumers), the simulator fills
 // the other, and exactly two buffers ever exist. Segments are written
@@ -20,23 +19,21 @@ import (
 // O(segment buffer), never O(events). A Writer with no directory only
 // runs its consumers: a run then reduces in its two buffers' memory.
 //
-// The zero Writer is not usable; construct with NewWriter. Spill and
-// Reset are called by the tracer on the simulator thread; Close must be
-// called once, after the final Tracer.Flush, and joins the goroutine.
+// The zero Writer is not usable; construct with NewWriter. Spill is
+// called by the tracer on the simulator thread; Close must be called
+// once, after the final Tracer.Flush, and joins the goroutine.
 // Attached consumers run on the writer goroutine and must not be read
-// until Close (or a Tracer.Reset, which acts as a barrier) returns.
+// until Close returns.
 type Writer struct {
 	dir       string
 	segEvents int
 	cons      maskedConsumers
 
-	work     chan []trace.Event // filled buffers (and nil = reset marker)
-	free     chan []trace.Event // processed buffers returning to the tracer
-	done     chan struct{}
-	resetAck chan struct{}
+	work chan []trace.Event // filled buffers
+	free chan []trace.Event // processed buffers returning to the tracer
+	done chan struct{}
 
-	bufs    int // buffers in circulation (simulator thread only)
-	dropped atomic.Uint64
+	bufs int // buffers in circulation (simulator thread only)
 
 	// Writer-goroutine state.
 	seg    []trace.Event // current segment accumulation
@@ -47,16 +44,11 @@ type Writer struct {
 	closed bool
 }
 
-// Optional consumer hooks: a consumer implementing resetter is cleared
-// at the measured-region boundary (Tracer.Reset); one implementing
-// flusher is finalized at Close, before the sentinel is written. Both
-// embed Consumer, which every value they are asserted on is, so a
-// static call graph resolves them to consumers only and not to every
-// type with a Reset or Flush method.
-type resetter interface {
-	Consumer
-	Reset()
-}
+// flusher is the optional consumer hook: a consumer implementing it is
+// finalized at Close, before the sentinel is written. It embeds
+// Consumer, which every value it is asserted on is, so a static call
+// graph resolves it to consumers only and not to every type with a
+// Flush method.
 type flusher interface {
 	Consumer
 	Flush()
@@ -77,8 +69,7 @@ func NewWriter(dir string, segEvents int, consumers ...Consumer) (*Writer, error
 		work:      make(chan []trace.Event, 1),
 		free:      make(chan []trace.Event, 1),
 		done:      make(chan struct{}),
-		resetAck:  make(chan struct{}),
-		bufs:      1, // the tracer's own ring is buffer #1
+		bufs:      1, // the tracer's own buffer is buffer #1
 		cons:      masked(consumers),
 	}
 	if dir != "" {
@@ -131,22 +122,6 @@ func (w *Writer) Spill(events []trace.Event) []trace.Event {
 	return <-w.free
 }
 
-// Reset implements trace.Sink: the measured-region boundary moved, so
-// everything streamed so far was setup. The call drains pending
-// buffers, deletes the written segments, and resets attached consumers;
-// it returns only after the writer goroutine acknowledges, so it is
-// also a memory barrier for consumer state.
-func (w *Writer) Reset() {
-	w.work <- nil
-	<-w.resetAck
-}
-
-// SetDropped records the tracer's cumulative drop count for the next
-// segment header. With a sink attached the tracer never drops, so this
-// stays zero in practice; it exists so a header's dropped field is
-// trustworthy even if a masked ring is later allowed to overflow.
-func (w *Writer) SetDropped(n uint64) { w.dropped.Store(n) }
-
 // Close flushes the final partial segment, finalizes consumers, writes
 // the CLOSED sentinel, and joins the writer goroutine. It must be
 // called exactly once, after the tracer's final Flush; no Spill may
@@ -168,11 +143,6 @@ func (w *Writer) Events() uint64 { return w.events }
 // files, and the attached consumers.
 func (w *Writer) run() {
 	for buf := range w.work {
-		if buf == nil {
-			w.resetStream()
-			w.resetAck <- struct{}{}
-			continue
-		}
 		w.process(buf)
 		w.free <- buf[:0]
 	}
@@ -202,25 +172,9 @@ func (w *Writer) process(events []trace.Event) {
 // disk) but writes nothing further.
 func (w *Writer) writeSeg(events []trace.Event) {
 	if w.err == nil {
-		w.err = writeSegmentFile(w.dir, w.segIdx, events, w.dropped.Load())
+		w.err = writeSegmentFile(w.dir, w.segIdx, events)
 	}
 	w.segIdx++
-}
-
-// resetStream discards the stream state at a measured-region boundary.
-func (w *Writer) resetStream() {
-	w.seg = w.seg[:0]
-	for i := 0; i < w.segIdx; i++ {
-		os.Remove(filepath.Join(w.dir, segName(i)))
-	}
-	w.segIdx = 0
-	w.events = 0
-	w.err = nil
-	for j := range w.cons {
-		if r, ok := w.cons[j].c.(resetter); ok {
-			r.Reset()
-		}
-	}
 }
 
 // finish writes the final (partial) segment, finalizes consumers, and

@@ -1,9 +1,10 @@
 // Package trace is the simulator's cycle-level event tracer: a
-// preallocated ring buffer of fixed-width binary records stamped with
-// the emitting core and its simulated cycle. It is the observability
-// layer under every profiling consumer — the Perfetto exporter
-// (perfetto.go) and the online analyses of internal/trace/stream, which
-// read the ring as one more event source.
+// preallocated buffer of fixed-width binary records stamped with the
+// emitting core and its simulated cycle, spilled whole to a Sink. It is
+// the observability layer under every profiling consumer — the
+// Perfetto exporter (perfetto.go) and the online analyses of
+// internal/trace/stream, which read the spilled buffers as one lossless
+// event stream.
 //
 // Overhead contract. Tracing must never perturb the simulation: the
 // tracer only observes (it reads clocks, never advances them), so a
@@ -17,6 +18,7 @@ package trace
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -146,8 +148,8 @@ func MetricsMask() uint64 {
 // (Sanitizer) replays: the transaction lifecycle, the log/commit-marker
 // durability events, lazy-persistency deferral and drains, stores, and
 // the WPQ stream. It drops the cache/coherence events, which the
-// sanitizer does not consume, so a sanitizer-only tracer overflows far
-// later than a full-detail one.
+// sanitizer does not consume, so a sanitizer-only tracer spills far
+// less often than a full-detail one.
 func SanitizeMask() uint64 {
 	return Mask(KTxBegin, KCommitStart, KTxCommit, KTxAbort,
 		KStore, KStoreT,
@@ -156,43 +158,40 @@ func SanitizeMask() uint64 {
 		KWPQEnqueue, KWPQDrain, KWPQStall)
 }
 
-// DefaultCapacity is the ring capacity New(0) selects, in events (one
-// event is 32 bytes in memory): room for a full-detail trace of a
+// DefaultCapacity is the buffer capacity New(0) selects, in events
+// (one event is 32 bytes in memory): room for a full-detail trace of a
 // test-sized run without a spill sink.
 const DefaultCapacity = 1 << 20
 
-// Sink receives the ring's spills, turning the one-shot tracer into a
-// streaming source (see internal/trace/stream). Spill takes ownership
-// of the filled buffer and returns a replacement buffer of the same
-// capacity to keep recording into — the double-buffer handoff: while
-// the sink processes (writes, reduces) one buffer, the tracer fills
-// the other, and the exchange point is the only synchronization. Reset
-// tells the sink the measured-region boundary moved: everything
-// spilled so far belongs to setup and must be discarded.
+// Sink receives the tracer's full buffers, turning it into a streaming
+// source (see internal/trace/stream). Spill takes ownership of the
+// filled buffer and returns a replacement buffer of the same capacity
+// to keep recording into — the double-buffer handoff: while the sink
+// processes (writes, reduces) one buffer, the tracer fills the other,
+// and the exchange point is the only synchronization.
 type Sink interface {
 	Spill(events []Event) []Event
-	Reset()
 }
 
-// Tracer is a preallocated ring buffer of events. When the ring wraps,
-// the oldest events are overwritten and counted as dropped — unless a
-// Sink is attached, in which case a full buffer is handed to the sink
-// and recording continues into the sink's replacement buffer with
-// nothing dropped. A nil *Tracer is valid and means "tracing
-// disabled": every method is safe to call and Emit returns after one
-// branch. Not safe for concurrent use (the simulator is
-// single-threaded per machine); a Sink may process spilled buffers on
-// another goroutine because the handoff transfers ownership.
+// Tracer records events into a preallocated buffer and never loses
+// one: with a Sink attached, a full buffer is handed to the sink and
+// recording continues into the sink's replacement; without one, the
+// buffer must hold every event, and recording past its capacity
+// panics. A harness that streams only a measured region keeps the mask
+// at 0 until the region starts, then installs its mask and attaches
+// its sink. A nil *Tracer is valid and means "tracing disabled": every
+// method is safe to call and Emit returns after one branch. Not safe
+// for concurrent use (the simulator is single-threaded per machine); a
+// Sink may process spilled buffers on another goroutine because the
+// handoff transfers ownership.
 type Tracer struct {
-	buf     []Event
-	head    int // next slot to write
-	full    bool
-	dropped uint64
-	mask    uint64
-	sink    Sink
+	buf  []Event
+	head int // next slot to write
+	mask uint64
+	sink Sink
 }
 
-// New returns a tracer with the given ring capacity (<= 0 selects
+// New returns a tracer with the given buffer capacity (<= 0 selects
 // DefaultCapacity), accepting every kind.
 func New(capacity int) *Tracer {
 	if capacity <= 0 {
@@ -205,34 +204,36 @@ func New(capacity int) *Tracer {
 // are rejected in Emit's fast path.
 func (t *Tracer) SetMask(m uint64) { t.mask = m }
 
-// Mask returns the installed kind filter.
-func (t *Tracer) Mask() uint64 { return t.mask }
-
-// SetSink attaches a spill sink: from now on a full ring is handed to
-// the sink instead of wrapping, so no events are dropped and memory
-// stays bounded by the ring itself. Pass nil to detach.
+// SetSink attaches a spill sink: from now on a full buffer is handed
+// to the sink, so memory stays bounded by the buffer itself however
+// many events are recorded. Pass nil to detach.
 func (t *Tracer) SetSink(s Sink) { t.sink = s }
 
-// Flush hands the buffered tail to the attached sink, leaving the ring
-// empty. Harnesses call it once at the end of the measured region so
-// the on-disk stream covers every event; a no-op without a sink.
+// Flush hands the buffered tail to the attached sink, leaving the
+// buffer empty. Harnesses call it once at the end of the measured
+// region so the sink has seen every event; a no-op without a sink.
 func (t *Tracer) Flush() {
 	if t == nil || t.sink == nil || t.head == 0 {
 		return
 	}
-	t.spill(t.head)
+	t.spill()
 }
 
-// spill exchanges the first n buffered events for a fresh buffer. Not
-// on the noalloc emit path: the defensive re-size below may allocate.
-func (t *Tracer) spill(n int) {
-	nb := t.sink.Spill(t.buf[:n])
+// spill exchanges the buffered events for a fresh buffer. Not on the
+// noalloc emit path: the defensive re-size below may allocate.
+func (t *Tracer) spill() {
+	nb := t.sink.Spill(t.buf[:t.head])
 	if cap(nb) < cap(t.buf) { // sink returned a short buffer; keep capacity stable
 		nb = make([]Event, cap(t.buf))
 	}
 	t.buf = nb[:cap(t.buf)]
 	t.head = 0
 }
+
+// errBufferFull is the panic value of recording into a full buffer
+// with no sink attached. It is an error value, not a string, so
+// panicking with it converts nothing on record's noalloc path.
+var errBufferFull = errors.New("trace: buffer full and no sink attached; attach a Sink or enlarge the buffer")
 
 // Emit records one event. The nil-receiver/mask check is the entire
 // disabled path; the record body lives in a separate method so this
@@ -246,71 +247,36 @@ func (t *Tracer) Emit(core uint8, cycle uint64, kind Kind, addr, arg uint64) {
 	t.record(core, cycle, kind, addr, arg)
 }
 
-// record writes the event into the ring, overwriting the oldest entry
-// when full — or, with a sink attached, spilling the full buffer and
-// continuing into the replacement so nothing is ever dropped.
+// record appends the event to the buffer, first spilling a full buffer
+// to the sink. A full buffer without a sink panics: the tracer never
+// overwrites an event.
 //
 //slpmt:noalloc
 func (t *Tracer) record(core uint8, cycle uint64, kind Kind, addr, arg uint64) {
-	if t.head == len(t.buf) { // only reachable with a sink attached
-		t.spill(t.head)
-	}
-	if t.full {
-		t.dropped++
+	if t.head == len(t.buf) {
+		if t.sink == nil {
+			panic(errBufferFull)
+		}
+		t.spill()
 	}
 	t.buf[t.head] = Event{Cycle: cycle, Addr: addr, Arg: arg, Kind: kind, Core: core}
 	t.head++
-	if t.head == len(t.buf) && t.sink == nil {
-		t.head = 0
-		t.full = true
-	}
 }
 
-// Len returns the number of events currently held.
+// Len returns the number of events currently buffered.
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	if t.full {
-		return len(t.buf)
-	}
 	return t.head
 }
 
-// Dropped returns how many events were overwritten by ring wrap-around.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped
-}
-
-// Events returns the held events oldest-first (a copy).
+// Events returns the buffered events in emission order (a copy).
 func (t *Tracer) Events() []Event {
-	if t == nil || t.Len() == 0 {
+	if t == nil || t.head == 0 {
 		return nil
 	}
-	out := make([]Event, 0, t.Len())
-	if t.full {
-		out = append(out, t.buf[t.head:]...)
-	}
-	return append(out, t.buf[:t.head]...)
-}
-
-// Reset discards every held event and the drop count, keeping the ring
-// and the mask. Harnesses call it at the measured-region boundary. An
-// attached sink is reset too: spills made before the boundary belong
-// to setup and are discarded by the sink.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.head = 0
-	t.full = false
-	t.dropped = 0
-	if t.sink != nil {
-		t.sink.Reset()
-	}
+	return append([]Event(nil), t.buf[:t.head]...)
 }
 
 // RecordSize is the encoded width of one event record (cycle, addr,

@@ -1,34 +1,42 @@
 package trace
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(0, 1, KTxBegin, 2, 3)
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
+	if tr.Len() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer must observe nothing")
 	}
-	tr.Reset() // must not panic
+	tr.Flush() // must not panic
 }
 
-func TestRingOrderAndOverflow(t *testing.T) {
+// A tracer without a sink holds every event it records, oldest first,
+// and panics on the first event past its capacity instead of
+// overwriting one.
+func TestFullBufferWithoutSinkPanics(t *testing.T) {
 	tr := New(4)
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 4; i++ {
 		tr.Emit(1, uint64(i), KStore, uint64(100+i), 8)
 	}
-	if got := tr.Len(); got != 4 {
-		t.Fatalf("Len = %d, want 4", got)
-	}
-	if got := tr.Dropped(); got != 2 {
-		t.Fatalf("Dropped = %d, want 2", got)
-	}
 	evs := tr.Events()
+	if len(evs) != 4 || tr.Len() != 4 {
+		t.Fatalf("holds %d events (Len %d), want 4", len(evs), tr.Len())
+	}
 	for i, e := range evs {
-		want := uint64(i + 2) // oldest two overwritten
-		if e.Cycle != want {
-			t.Fatalf("event %d cycle = %d, want %d", i, e.Cycle, want)
+		if e.Cycle != uint64(i) {
+			t.Fatalf("event %d cycle = %d, want %d", i, e.Cycle, i)
 		}
 	}
+	defer func() {
+		if err, _ := recover().(error); !errors.Is(err, errBufferFull) {
+			t.Fatalf("recording past capacity panicked with %v, want %v", err, errBufferFull)
+		}
+	}()
+	tr.Emit(1, 4, KStore, 104, 8)
 }
 
 func TestMaskFiltersKinds(t *testing.T) {

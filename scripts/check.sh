@@ -5,7 +5,8 @@
 # cache/machine/engine/pmem/logbuf/txheap/recovery/workloads/critpath
 # microbenchmark and of the cluster constructor benchmark,
 # race-detector passes, and one traced 2-core run streamed through the
-# persist-order sanitizer and the critical-path analyzer, exported to
+# persist-order sanitizer (its printed report must read 0 violations)
+# and the critical-path analyzer, exported to
 # Perfetto and profiled into folded stacks, whose saved binlog
 # slpmtbench -replay then reads back to the live run's summary,
 # sanitizer and critical-path sections and Perfetto export byte for
